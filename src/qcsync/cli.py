@@ -20,14 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bellauth import authenticate, chsh_value, simulate_coincidences
-from .estimator import (
-    CorrelationConfig,
-    EstimationError,
-    TwoWayResult,
-    cross_correlate,
-    frequency_track,
-    two_way_offset,
-)
+from .estimator import EstimationError, TwoWayResult, estimate_two_way
 from .linkmodel import (
     Direction,
     GeometryError,
@@ -56,8 +49,7 @@ from .scenario import (
 )
 from .session import NodeInstruments, SessionSpec, run_session
 from .tagfiles import TagFileError, atomic_write_text, read_timetag_file, write_timetag_file
-from .timebase import ClockState
-from .netsync import FS_PER_SECOND
+from .timebase import FS_PER_SECOND, ClockState
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,10 +80,8 @@ def _jsonable(value):
 
 def _two_way_dict(result: TwoWayResult) -> dict:
     payload = dataclasses.asdict(result)
-    payload.pop("forward")
-    payload.pop("backward")
-    payload["forward"] = dataclasses.asdict(result.forward)
-    payload["backward"] = dataclasses.asdict(result.backward)
+    if result.frequency is None:
+        del payload["frequency"]
     return payload
 
 
@@ -166,19 +156,17 @@ def cmd_simulate(args) -> int:
     for path in files.values():
         read_timetag_file(path)  # zero exit promises artifacts that validate
 
-    cfg = build_correlation(config.get("correlation"))
-    d_ab = cross_correlate(streams.local_a, streams.remote_ab, cfg)
-    d_ba = cross_correlate(streams.local_b, streams.remote_ba, cfg)
-    result = two_way_offset(d_ab, d_ba)
+    result = estimate_two_way(
+        streams.local_a,
+        streams.remote_ab,
+        streams.local_b,
+        streams.remote_ba,
+        build_correlation(config.get("correlation")),
+    )
     payload = _two_way_dict(result)
     payload["truth"] = dataclasses.asdict(streams.truth)
     # basenames keep the artifact byte-identical across output directories
     payload["files"] = {k: v.name for k, v in files.items()}
-    if cfg.block_count >= 2:
-        fit = frequency_track(
-            streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, cfg
-        )
-        payload["frequency"] = dataclasses.asdict(fit)
     atomic_write_text(out_dir / "twoway_result.json", _stable_json(payload))
     print(
         f"theta_fs={result.clock_offset} flight_fs={result.flight_time} "
@@ -190,16 +178,8 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     streams = [read_timetag_file(p) for p in args.tagfiles]
     config = load_scenario(args.config) if args.config else {}
-    cfg = build_correlation(config.get("correlation")) if config else CorrelationConfig()
-    local_a, remote_ab, local_b, remote_ba = streams
-    d_ab = cross_correlate(local_a, remote_ab, cfg)
-    d_ba = cross_correlate(local_b, remote_ba, cfg)
-    result = two_way_offset(d_ab, d_ba)
-    payload = _two_way_dict(result)
-    if cfg.block_count >= 2:
-        fit = frequency_track(local_a, remote_ab, local_b, remote_ba, cfg)
-        payload["frequency"] = dataclasses.asdict(fit)
-    text = _stable_json(payload)
+    cfg = build_correlation(config.get("correlation"))
+    text = _stable_json(_two_way_dict(estimate_two_way(*streams, cfg)))
     sys.stdout.write(text)
     if args.out:
         atomic_write_text(Path(args.out) / "estimate_result.json", text)
@@ -317,11 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qcsync {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
+    def add_common(p):
         p.add_argument("--config", help="scenario config JSON path", required=False)
         p.add_argument("--seed", type=int, help="override the config master seed")
         p.add_argument("--out", help="output directory (default: config output.dir or .)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("simulate", help="run one two-node session end to end")
     add_common(p)
@@ -339,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relativity", help="geometry, flight time, and rate report")
     add_common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json", help="csv adds relativity_samples.csv")
     p.set_defaults(func=cmd_relativity)
 
     p = sub.add_parser("bell", help="CHSH simulation and authentication decision")

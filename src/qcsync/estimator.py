@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,11 +38,10 @@ __all__ = [
     "coarse_histogram",
     "two_way_offset",
     "frequency_track",
-    "estimate_uncertainty",
+    "estimate_two_way",
 ]
 
-_SINGLE_PASS_PAIR_LIMIT = 1 << 23  # keep the materialized diff array under ~64 MB
-_CHUNK_PAIRS = 1 << 22
+_CHUNK_PAIRS = 1 << 22  # keep each materialized diff array near 32 MB
 
 
 class EstimationError(Exception):
@@ -107,6 +106,7 @@ class TwoWayResult:
     offset_uncertainty: int  # fs, 1-sigma
     forward: CorrelationResult  # d_AB
     backward: CorrelationResult  # d_BA
+    frequency: FrequencyFit | None = None  # block fit, when block_count >= 2
 
 
 @dataclass(frozen=True)
@@ -126,29 +126,25 @@ def _halve_toward_zero(value: int) -> int:
     return value // 2 if value >= 0 else -((-value) // 2)
 
 
-def _window_pair_bounds(local: np.ndarray, remote: np.ndarray, window: int):
-    lo = np.searchsorted(remote, local - window, side="left")
-    hi = np.searchsorted(remote, local + window, side="right")
-    counts = (hi - lo).astype(np.int64)
-    return lo, counts
-
-
 def _iter_diff_chunks(local: np.ndarray, remote: np.ndarray, window: int):
-    """Yield int64 arrays of in-window differences (remote - local), chunked."""
-    lo, counts = _window_pair_bounds(local, remote, window)
-    start = 0
-    n_local = len(local)
+    """Yield int64 arrays of in-window differences (remote - local), chunked.
+
+    Differences come local-major. A chunk takes whole local tags up to
+    _CHUNK_PAIRS pairs, or a single tag when that one alone exceeds it; the
+    cuts are found on the cumulative pair counts.
+    """
+    lo = np.searchsorted(remote, local - window, side="left")
+    counts = np.searchsorted(remote, local + window, side="right") - lo
+    cum = np.cumsum(counts)
+    start, n_local = 0, len(local)
     while start < n_local:
-        end = start
-        pairs = 0
-        while end < n_local and (pairs == 0 or pairs + counts[end] <= _CHUNK_PAIRS):
-            pairs += int(counts[end])
-            end += 1
+        base = int(cum[start - 1]) if start else 0
+        end = max(int(np.searchsorted(cum, base + _CHUNK_PAIRS, side="right")), start + 1)
         c = counts[start:end]
-        total = int(c.sum())
+        total = int(cum[end - 1]) - base
         if total:
             starts = np.cumsum(c) - c
-            idx = np.repeat(lo[start:end], c) + (np.arange(total, dtype=np.int64) - np.repeat(starts, c))
+            idx = np.repeat(lo[start:end] - starts, c) + np.arange(total, dtype=np.int64)
             yield remote[idx] - np.repeat(local[start:end], c)
         start = end
 
@@ -213,8 +209,8 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
 
     # Background over every coarse bin the window could populate, including
     # empty ones, excluding the peak neighborhood.
-    bin_lo = _floor_div(-cfg.search_window - origin, cfg.coarse_bin)
-    bin_hi = _floor_div(cfg.search_window - origin, cfg.coarse_bin)
+    bin_lo = (-cfg.search_window - origin) // cfg.coarse_bin
+    bin_hi = (cfg.search_window - origin) // cfg.coarse_bin
     n_bins = bin_hi - bin_lo + 1
     excl_lo = max(peak_bin - cfg.refine_span_bins, bin_lo)
     excl_hi = min(peak_bin + cfg.refine_span_bins, bin_hi)
@@ -271,17 +267,6 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
     )
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
-def estimate_uncertainty(result: CorrelationResult, n_pairs: int) -> int:
-    """1-sigma offset uncertainty: fine-peak width / sqrt(n_pairs), in fs."""
-    if n_pairs <= 0:
-        raise ValueError("n_pairs must be positive")
-    return int(round(result.peak_width_fs / math.sqrt(n_pairs)))
-
-
 def two_way_offset(d_ab: CorrelationResult, d_ba: CorrelationResult) -> TwoWayResult:
     """Combine the two one-way peaks into clock offset and flight time.
 
@@ -313,27 +298,51 @@ def _slice_sorted(ts: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return ts[i:j]
 
 
+def estimate_two_way(
+    local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig | None = None
+) -> TwoWayResult:
+    """Two-way offset and flight time from a session's four streams.
+
+    Each direction is correlated once over the whole window. With
+    cfg.block_count >= 2 the result also carries a frequency fit from
+    per-block offsets anchored on the whole-window offset.
+    """
+    cfg = cfg or CorrelationConfig()
+    la, rb = _timestamps(local_a), _timestamps(remote_ab)
+    lb, ra = _timestamps(local_b), _timestamps(remote_ba)
+    result = two_way_offset(cross_correlate(la, rb, cfg), cross_correlate(lb, ra, cfg))
+    if cfg.block_count < 2:
+        return result
+    fit = _fit_frequency(la, rb, lb, ra, cfg, result.clock_offset)
+    return replace(result, frequency=fit)
+
+
 def frequency_track(
     local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig
+) -> FrequencyFit:
+    """Fractional frequency and offset at epoch: estimate_two_way's block fit."""
+    if cfg.block_count < 2:
+        raise ValueError("frequency tracking needs block_count >= 2")
+    return estimate_two_way(local_a, remote_ab, local_b, remote_ba, cfg).frequency
+
+
+def _fit_frequency(
+    la: np.ndarray,
+    rb: np.ndarray,
+    lb: np.ndarray,
+    ra: np.ndarray,
+    cfg: CorrelationConfig,
+    theta_global: int,
 ) -> FrequencyFit:
     """Fractional frequency from the drift of per-block two-way offsets.
 
     The acquisition is split into cfg.block_count equal spans of clock A's
-    local time; each block gets its own two-way offset, and a least-squares
-    line of offset versus block midpoint yields the fractional frequency
-    (slope) and the offset extrapolated to local time zero (intercept).
+    local time; each block gets its own two-way offset, with B's streams cut
+    at the same spans shifted by the whole-window offset theta_global, and a
+    least-squares line of offset versus block midpoint yields the fractional
+    frequency (slope) and the offset extrapolated to local time zero
+    (intercept).
     """
-    if cfg.block_count < 2:
-        raise ValueError("frequency tracking needs block_count >= 2")
-    la, rb = _timestamps(local_a), _timestamps(remote_ab)
-    lb, ra = _timestamps(local_b), _timestamps(remote_ba)
-    if min(len(la), len(rb), len(lb), len(ra)) == 0:
-        raise EmptyOverlapError("cannot correlate an empty stream")
-
-    d_ab_global = cross_correlate(la, rb, cfg)
-    d_ba_global = cross_correlate(lb, ra, cfg)
-    theta_global = _halve_toward_zero(d_ab_global.peak_offset - d_ba_global.peak_offset)
-
     t0, t1 = int(la[0]), int(la[-1]) + 1
     edges = [t0 + round(k * (t1 - t0) / cfg.block_count) for k in range(cfg.block_count + 1)]
     window = cfg.search_window
@@ -374,7 +383,7 @@ def frequency_track(
         warnings.warn(
             "within-block offset drift reaches the fine bin width; "
             "increase block_count or fine_bin for a valid piecewise fit",
-            stacklevel=2,
+            stacklevel=3,
         )
     return FrequencyFit(
         fractional_frequency=slope,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import SeedSpec, spawn_rng
+from .timebase import FS_PER_SECOND
 
 __all__ = [
     "PhysicalConstants",
@@ -44,8 +45,6 @@ __all__ = [
     "propagate",
     "visibility_windows",
 ]
-
-FS_PER_SECOND = 10**15
 
 
 @dataclass(frozen=True)

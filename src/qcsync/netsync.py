@@ -21,7 +21,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .estimator import CorrelationConfig, EstimationError, frequency_track
+from .estimator import CorrelationConfig, EstimationError, _halve_toward_zero, frequency_track
 from .linkmodel import (
     DEFAULT_CONSTANTS,
     Direction,
@@ -31,7 +31,7 @@ from .linkmodel import (
     time_of_flight,
 )
 from .session import NodeInstruments, SessionSpec, estimate_session, run_session
-from .timebase import ClockModel, ClockState, apply_correction, local_time
+from .timebase import FS_PER_SECOND, ClockModel, ClockState, apply_correction, local_time
 
 __all__ = [
     "Node",
@@ -46,8 +46,6 @@ __all__ = [
     "BOUND_MICIUS_FS",
     "BOUND_GPS_FS",
 ]
-
-FS_PER_SECOND = 10**15
 
 BOUND_QCS_FS = 10_000  # 10 ps, entangled-pair demo target
 BOUND_MICIUS_FS = 700_000  # 0.7 ns, Micius average sync error
@@ -83,13 +81,19 @@ class SyncEdge:
     duration_fs: int  # acquisition window per sync
     instruments_up: NodeInstruments
     instruments_down: NodeInstruments
-    track_frequency: bool = False
+    track_frequency: bool = False  # steer rate too; needs correlation.block_count >= 2
 
     def __post_init__(self):
         if not self.interval_s > 0:
             raise ValueError("interval_s must be positive")
         if self.duration_fs <= 0:
             raise ValueError("duration_fs must be positive")
+        if self.track_frequency != (self.correlation.block_count >= 2):
+            raise ValueError(
+                f"track_frequency={self.track_frequency} disagrees with block_count="
+                f"{self.correlation.block_count}: a rate fit needs block_count >= 2, "
+                "an offset-only sync block_count 1"
+            )
 
     @property
     def interval_fs(self) -> int:
@@ -240,10 +244,6 @@ def _strata_at(topology: Topology, alive, t: int) -> dict:
     return strata
 
 
-def _halve_toward_zero(value: int) -> int:
-    return value // 2 if value >= 0 else -((-value) // 2)
-
-
 def _ephemeris_asymmetry_fs(link: LinkModel, t_mid: int, constants: PhysicalConstants) -> int:
     """Predicted two-way asymmetry (T_AB - T_BA)/2 from the known geometry.
 
@@ -361,7 +361,7 @@ def run_network(
             streams = run_session(
                 spec, clocks[edge.upstream], clocks[edge.downstream], event_seed, constants
             )
-            if edge.track_frequency and edge.correlation.block_count >= 2:
+            if edge.track_frequency:
                 fit = frequency_track(
                     streams.local_a,
                     streams.remote_ab,

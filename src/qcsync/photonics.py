@@ -28,7 +28,6 @@ __all__ = [
     "TagStream",
     "generate_pair_births",
     "split_pairs",
-    "split_pair",
     "detect",
     "MAX_EXPECTED_EVENTS",
 ]
@@ -155,12 +154,6 @@ def split_pairs(
     arm_sigma = source.pair_correlation_sigma / np.sqrt(2.0)
     shifts = np.round(rng.normal(0.0, arm_sigma, (2, len(births)))).astype(np.int64)
     return births + shifts[0], births + shifts[1]
-
-
-def split_pair(birth: int, source: PairSource, seed: SeedSpec) -> tuple[int, int]:
-    """Single-pair convenience wrapper over ``split_pairs``."""
-    local, remote = split_pairs(np.array([birth], dtype=np.int64), source, seed)
-    return int(local[0]), int(remote[0])
 
 
 def _dead_time_filter(times: np.ndarray, dead_time: int) -> np.ndarray:

@@ -20,11 +20,9 @@ from .linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
 from .netsync import Node, SyncEdge, Topology
 from .photonics import Detector, PairSource, TimeTagger
 from .session import NodeInstruments
-from .timebase import ClockModel
+from .timebase import FS_PER_SECOND, ClockModel
 
 __all__ = ["ConfigError", "load_scenario", "validate_scenario", "SCENARIO_SCHEMA"]
-
-FS_PER_SECOND = 10**15
 
 
 class ConfigError(ValueError):
@@ -278,10 +276,7 @@ SCENARIO_SCHEMA = {
         "output": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string"},
-                "format": {"enum": ["json", "csv"]},
-            },
+            "properties": {"dir": {"type": "string"}},
         },
     },
 }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import CorrelationConfig, TwoWayResult, cross_correlate, two_way_offset
+from .estimator import CorrelationConfig, TwoWayResult, estimate_two_way
 from .linkmodel import (
     DEFAULT_CONSTANTS,
     Direction,
@@ -208,8 +208,5 @@ def run_session(
 
 
 def estimate_session(streams: SessionStreams, cfg: CorrelationConfig | None = None) -> TwoWayResult:
-    """Full two-way estimate from a session's four streams."""
-    cfg = cfg or CorrelationConfig()
-    d_ab = cross_correlate(streams.local_a, streams.remote_ab, cfg)
-    d_ba = cross_correlate(streams.local_b, streams.remote_ba, cfg)
-    return two_way_offset(d_ab, d_ba)
+    """Full two-way estimate from a session's four streams (see estimate_two_way)."""
+    return estimate_two_way(streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, cfg)

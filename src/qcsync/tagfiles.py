@@ -126,9 +126,17 @@ def read_timetag_file(path: str | Path) -> TagStream:
         previous = value
         values.append(value)
 
+    try:
+        timestamps = np.array(values, dtype=np.int64)
+    except OverflowError:
+        limits = np.iinfo(np.int64)
+        bad = next(i for i, v in enumerate(values) if not limits.min <= v <= limits.max)
+        raise TagFileError(
+            f"line {body_start + bad + 1}: timestamp {values[bad]} outside the int64 range"
+        ) from None
     return TagStream(
         channel_id=channel,
-        timestamps=np.array(values, dtype=np.int64),
+        timestamps=timestamps,
         frame=frame,
         resolution_fs=resolution,
         metadata=metadata,

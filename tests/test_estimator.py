@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from qcsync.estimator import (
     UnphysicalFlightTimeError,
     coarse_histogram,
     cross_correlate,
-    estimate_uncertainty,
+    estimate_two_way,
     frequency_track,
     two_way_offset,
 )
@@ -119,13 +120,13 @@ def test_brute_force_histogram_equivalence():
 
 
 def test_uncertainty_scales_with_width_over_sqrt_n():
-    local, remote = _pair_streams(10000, offset=0, jitter=70700, seed=5)
+    local, remote = _pair_streams(10000, offset=10**9, jitter=70700, seed=5)
     cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=2 * 10**5)
     result = cross_correlate(local, remote, cfg)
     assert result.peak_width_fs == pytest.approx(70700, rel=0.05)
-    assert estimate_uncertainty(result, 10000) == pytest.approx(707, rel=0.1)
-    with pytest.raises(ValueError):
-        estimate_uncertainty(result, 0)
+    # Two equal directions: 0.5 * hypot(u, u) = u / sqrt(2), u = width / sqrt(peak_counts)
+    width_over_sqrt_n = result.peak_width_fs / math.sqrt(result.peak_counts)
+    assert two_way_offset(result, result).offset_uncertainty == round(width_over_sqrt_n / math.sqrt(2))
 
 
 def test_two_way_combination_algebra():
@@ -190,6 +191,24 @@ def test_frequency_track_recovers_slope():
     assert fit.fractional_frequency == pytest.approx(1e-9, abs=1e-11)
     assert fit.offset_at_epoch == pytest.approx(5 * 10**6, abs=100)
     assert len(fit.block_offsets) == 10
+
+
+def test_estimate_two_way_fits_frequency_only_with_blocks():
+    streams = _drifting_session(1e-9, 20000, jitter=0, seed=8)
+    cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4)
+    assert estimate_two_way(*streams, cfg).frequency is None
+    blocks = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4, block_count=10)
+    result = estimate_two_way(*streams, blocks)
+    assert result.frequency == frequency_track(*streams, blocks)
+    assert result.clock_offset == estimate_two_way(*streams, cfg).clock_offset
+
+
+def test_frequency_track_rejects_negative_flight():
+    cfg = CorrelationConfig(
+        search_window=10**10, coarse_bin=10**6, fine_bin=10**4, block_count=4
+    )
+    with pytest.raises(UnphysicalFlightTimeError):
+        frequency_track(*_drifting_session(0.0, 2000, 0, 3, flight=-10**9), cfg)
 
 
 def test_frequency_track_needs_two_blocks():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from qcsync.estimator import CorrelationConfig
@@ -211,6 +213,21 @@ def test_rate_steering_with_frequency_track():
     # free-running drift would ramp 5e4 fs per interval; steering holds the
     # late epochs well under that
     assert abs(report.errors_fs["n1"][-1]) < 10**4
+
+
+def test_tracked_edge_without_blocks_rejected():
+    # the rate fit needs at least two blocks; offset-only would be silent
+    with pytest.raises(ValueError, match="block_count"):
+        _edge("ref", "n1", track_frequency=True)
+
+
+def test_untracked_edge_with_blocks_rejected():
+    # blocks would buy a frequency fit that the sync never applies
+    blocks = dataclasses.replace(CORR, block_count=4)
+    with pytest.raises(ValueError, match="track_frequency"):
+        dataclasses.replace(_edge("ref", "n1"), correlation=blocks)
+    tracked = dataclasses.replace(_edge("ref", "n1"), correlation=blocks, track_frequency=True)
+    assert tracked.track_frequency and tracked.correlation.block_count == 4
 
 
 def test_topology_validation():

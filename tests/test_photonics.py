@@ -12,7 +12,6 @@ from qcsync.photonics import (
     TimeTagger,
     detect,
     generate_pair_births,
-    split_pair,
     split_pairs,
 )
 from qcsync.timebase import ClockModel, ClockState
@@ -58,7 +57,8 @@ def test_split_pairs_zero_sigma_identity():
     births = np.array([10, 20, 30], dtype=np.int64)
     local, remote = split_pairs(births, source, (1,))
     assert np.array_equal(local, births) and np.array_equal(remote, births)
-    assert split_pair(42, source, (1,)) == (42, 42)
+    local, remote = split_pairs(np.array([42], dtype=np.int64), source, (1,))
+    assert local.tolist() == [42] and remote.tolist() == [42]
 
 
 def test_detector_efficiency_thins_stream():

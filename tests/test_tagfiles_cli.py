@@ -83,6 +83,16 @@ def test_non_integer_body_reports_line(tmp_path):
         read_timetag_file(path)
 
 
+def test_out_of_int64_range_reports_line(tmp_path):
+    path = tmp_path / "bad.tags"
+    path.write_text(f"# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n1\n2\n{2**63}\n")
+    with pytest.raises(TagFileError, match="line 6.*int64"):
+        read_timetag_file(path)
+    path.write_text(f"# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n{-2**63 - 1}\n0\n")
+    with pytest.raises(TagFileError, match="line 4.*int64"):
+        read_timetag_file(path)
+
+
 def test_blank_line_in_body_rejected(tmp_path):
     path = tmp_path / "bad.tags"
     path.write_text("# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n1\n\n3\n")
@@ -186,6 +196,22 @@ def test_corrupt_tagfile_exits_four(tmp_path, capsys):
     code, _, err = _run(capsys, "estimate", str(bad), str(bad), str(bad), str(bad))
     assert code == 4
     assert "line 5" in err
+
+
+def test_out_of_range_tagfile_exits_four(tmp_path, capsys):
+    bad = tmp_path / "bad.tags"
+    bad.write_text(f"# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n5\n{10**19}\n")
+    code, _, err = _run(capsys, "estimate", str(bad), str(bad), str(bad), str(bad))
+    assert code == 4
+    assert "line 5" in err and "Traceback" not in err
+
+
+def test_format_is_a_relativity_option_only(tmp_path, capsys):
+    config = str(SCENARIOS / "noiseless.json")
+    with pytest.raises(SystemExit) as excinfo:
+        _run(capsys, "bell", "--config", config, "--format", "csv")
+    assert excinfo.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

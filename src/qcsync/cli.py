@@ -117,6 +117,7 @@ def cmd_simulate(args) -> int:
     for side in ("a", "b"):
         if side not in config["clocks"] or side not in config["sources"]:
             raise ConfigError(f"simulate needs clocks.{side} and sources.{side}")
+    cfg = build_correlation(config.get("correlation"))  # before any file is written
     seed = config["seed"]
     tagger = build_tagger(config.get("tagger"))
     instruments = {
@@ -161,7 +162,7 @@ def cmd_simulate(args) -> int:
         streams.remote_ab,
         streams.local_b,
         streams.remote_ba,
-        build_correlation(config.get("correlation")),
+        cfg,
     )
     payload = _two_way_dict(result)
     payload["truth"] = dataclasses.asdict(streams.truth)

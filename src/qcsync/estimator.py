@@ -1,12 +1,19 @@
 """Offset, flight-time, and frequency recovery from timetag streams.
 
-The correlator histograms pairwise differences (remote - local) inside a
-search window using a sliding-window sweep over the sorted streams, so cost
-scales with the number of in-window pairs, never len(local)*len(remote).
-A sparse coarse histogram locates the peak; a fine histogram around it
-refines the offset to the count-weighted centroid of the fine peak bin and
-its two neighbors (the centroid is the exact integer-rounded mean of the
-member differences, which makes the result shift-equivariant).
+The correlator looks at pairwise differences (remote - local) inside a
+search window. Both streams are sorted, so the in-window partners of each
+local tag form one run of remote tags, found by binary search: cost scales
+with the number of in-window pairs, never len(local)*len(remote).
+
+Each correlation enumerates the window's pairs once. They are made in
+cache-sized int64 blocks, reduced to coarse-bin offsets from the window's
+first bin, and sorted as 32-bit integers (64-bit only when the window spans
+more than 2**32 bins); runs of equal offsets give the sparse coarse
+histogram, whose peak bin is the coarse estimate. The fine stage then
+enumerates only the pairs in the peak's span of +-refine_span_bins coarse
+bins and refines the offset to the count-weighted centroid of the fine
+peak bin and its two neighbors (the centroid is the exact integer-rounded
+mean of the member differences, which makes the result shift-equivariant).
 
 Binning is anchored at the difference of the two first tags, not at zero,
 so shifting one stream by any amount relabels bins but never re-partitions
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +49,8 @@ __all__ = [
     "estimate_two_way",
 ]
 
-_CHUNK_PAIRS = 1 << 22  # keep each materialized diff array near 32 MB
+_CHUNK_PAIRS = 1 << 22  # pairs binned per sort: at most 16 MB of 32-bit bin offsets
+_BLOCK_PAIRS = 1 << 15  # pairs materialized at once: 256 KB int64 arrays stay in cache
 
 
 class EstimationError(Exception):
@@ -126,27 +135,48 @@ def _halve_toward_zero(value: int) -> int:
     return value // 2 if value >= 0 else -((-value) // 2)
 
 
-def _iter_diff_chunks(local: np.ndarray, remote: np.ndarray, window: int):
-    """Yield int64 arrays of in-window differences (remote - local), chunked.
+class _PairRuns(NamedTuple):
+    """Pairs numbered local-major, remote-ascending.
 
-    Differences come local-major. A chunk takes whole local tags up to
-    _CHUNK_PAIRS pairs, or a single tag when that one alone exceeds it; the
-    cuts are found on the cumulative pair counts.
+    Local tag t owns pairs ends[t] - counts[t] .. ends[t] - 1, and pair p of
+    it is remote[base[t] + p]; ends[-1] is the number of pairs.
     """
-    lo = np.searchsorted(remote, local - window, side="left")
-    counts = np.searchsorted(remote, local + window, side="right") - lo
-    cum = np.cumsum(counts)
-    start, n_local = 0, len(local)
-    while start < n_local:
-        base = int(cum[start - 1]) if start else 0
-        end = max(int(np.searchsorted(cum, base + _CHUNK_PAIRS, side="right")), start + 1)
-        c = counts[start:end]
-        total = int(cum[end - 1]) - base
-        if total:
-            starts = np.cumsum(c) - c
-            idx = np.repeat(lo[start:end] - starts, c) + np.arange(total, dtype=np.int64)
-            yield remote[idx] - np.repeat(local[start:end], c)
-        start = end
+
+    base: np.ndarray
+    counts: np.ndarray
+    ends: np.ndarray
+
+
+def _pair_runs(local: np.ndarray, remote: np.ndarray, lo_off: int, hi_off: int) -> _PairRuns:
+    """The pairs whose difference d = remote - local lies in [lo_off, hi_off)."""
+    first = np.searchsorted(remote, local + lo_off, side="left")
+    counts = np.searchsorted(remote, local + hi_off, side="left") - first
+    np.maximum(counts, 0, out=counts)
+    ends = np.cumsum(counts)
+    return _PairRuns(first - (ends - counts), counts, ends)
+
+
+def _pair_diffs(
+    local: np.ndarray, remote: np.ndarray, runs: _PairRuns, start: int, stop: int, offset: int
+) -> np.ndarray:
+    """Differences minus offset of pairs start .. stop-1, as a fresh int64 array."""
+    base, counts, ends = runs
+    i = int(np.searchsorted(ends, start, side="right"))
+    j = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+    per_tag = np.minimum(ends[i:j], stop) - np.maximum(ends[i:j] - counts[i:j], start)
+    idx = np.repeat(base[i:j], per_tag)
+    diffs = np.arange(start, stop, dtype=np.int64)
+    idx += diffs
+    np.take(remote, idx, out=diffs)
+    diffs -= np.repeat(local[i:j] + offset, per_tag)
+    return diffs
+
+
+def _window_bin_range(origin: int, cfg: CorrelationConfig) -> tuple[int, int]:
+    """First and last coarse bin index the search window can populate."""
+    bin_lo = (-cfg.search_window - origin) // cfg.coarse_bin
+    bin_hi = (cfg.search_window - origin) // cfg.coarse_bin
+    return bin_lo, bin_hi
 
 
 def coarse_histogram(
@@ -156,40 +186,63 @@ def coarse_histogram(
 
     Returns (occupied bin indices, counts, origin). Bin i covers differences
     d with floor((d - origin)/coarse_bin) == i; origin is remote[0]-local[0].
+    Bin indices are ascending int64.
     """
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
     if len(local_ts) == 0 or len(remote_ts) == 0:
         raise EmptyOverlapError("cannot correlate an empty stream")
     origin = int(remote_ts[0]) - int(local_ts[0])
-    bins_parts, counts_parts = [], []
-    for diffs in _iter_diff_chunks(local_ts, remote_ts, cfg.search_window):
-        b, c = np.unique((diffs - origin) // cfg.coarse_bin, return_counts=True)
-        bins_parts.append(b)
-        counts_parts.append(c)
-    if not bins_parts:
+    bin_lo, bin_hi = _window_bin_range(origin, cfg)
+    # Offsets from the window's first bin lie in [0, n_bins), so they sort
+    # as 32-bit integers whenever the window allows it.
+    offset_dtype = np.uint32 if bin_hi - bin_lo < 2**32 else np.int64
+    shift = origin + bin_lo * cfg.coarse_bin
+    runs = _pair_runs(local_ts, remote_ts, -cfg.search_window, cfg.search_window + 1)
+    total = int(runs.ends[-1])
+    if total == 0:
         raise EmptyOverlapError("no pairwise differences inside the search window")
-    bins = np.concatenate(bins_parts)
-    counts = np.concatenate(counts_parts)
-    order = np.argsort(bins, kind="stable")
-    bins, counts = bins[order], counts[order]
-    boundaries = np.concatenate(([True], bins[1:] != bins[:-1]))
-    starts = np.flatnonzero(boundaries)
-    merged_counts = np.add.reduceat(counts, starts)
-    return bins[starts], merged_counts, origin
+    bins_parts, counts_parts = [], []
+    for chunk_start in range(0, total, _CHUNK_PAIRS):
+        chunk_stop = min(chunk_start + _CHUNK_PAIRS, total)
+        rel = np.empty(chunk_stop - chunk_start, dtype=offset_dtype)
+        for start in range(chunk_start, chunk_stop, _BLOCK_PAIRS):
+            stop = min(start + _BLOCK_PAIRS, chunk_stop)
+            diffs = _pair_diffs(local_ts, remote_ts, runs, start, stop, shift)
+            out = rel[start - chunk_start : stop - chunk_start]
+            np.floor_divide(diffs, cfg.coarse_bin, out=out, casting="unsafe")
+        rel.sort()
+        change = np.empty(len(rel) + 1, dtype=bool)
+        change[0] = change[-1] = True
+        np.not_equal(rel[1:], rel[:-1], out=change[1:-1])
+        edges = np.flatnonzero(change)
+        counts_parts.append(np.diff(edges))
+        bins = edges[:-1]  # reuse the int64 buffer for the run values
+        bins[...] = rel[bins]
+        bins_parts.append(bins)
+    if len(bins_parts) == 1:
+        bins, counts = bins_parts[0], counts_parts[0]
+    else:
+        bins = np.concatenate(bins_parts)
+        counts = np.concatenate(counts_parts)
+        order = np.argsort(bins)  # counts are summed per bin, so any order will do
+        bins, counts = bins[order], counts[order]
+        starts = np.flatnonzero(np.concatenate(([True], bins[1:] != bins[:-1])))
+        bins, counts = bins[starts], np.add.reduceat(counts, starts)
+    bins += bin_lo
+    return bins, counts, origin
 
 
 def _fine_region_values(
-    local: np.ndarray, remote: np.ndarray, cfg: CorrelationConfig, origin: int, peak_bin: int
+    local: np.ndarray, remote: np.ndarray, cfg: CorrelationConfig, span_lo: int
 ) -> np.ndarray:
-    """All in-window differences (relative to origin) in the fine-stage span."""
-    span = cfg.refine_span_bins
-    fine_lo = (peak_bin - span) * cfg.coarse_bin
-    fine_hi = (peak_bin + span + 1) * cfg.coarse_bin
-    parts = []
-    for diffs in _iter_diff_chunks(local, remote, cfg.search_window):
-        rel = diffs - origin
-        parts.append(rel[(rel >= fine_lo) & (rel < fine_hi)])
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    """In-window differences of the fine span [span_lo, span_lo + span), minus span_lo.
+
+    Only the span's pairs are enumerated, in the same order as the window's.
+    """
+    span_hi = span_lo + (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
+    window = cfg.search_window
+    runs = _pair_runs(local, remote, max(-window, span_lo), min(window + 1, span_hi))
+    return _pair_diffs(local, remote, runs, 0, int(runs.ends[-1]), span_lo)
 
 
 def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> CorrelationResult:
@@ -208,20 +261,20 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
     peak_counts = int(counts[i_max])
 
     # Background over every coarse bin the window could populate, including
-    # empty ones, excluding the peak neighborhood.
-    bin_lo = (-cfg.search_window - origin) // cfg.coarse_bin
-    bin_hi = (cfg.search_window - origin) // cfg.coarse_bin
+    # empty ones, excluding the peak neighborhood. Its sums are the totals
+    # less the excluded slice of the sorted bins, taken as exact integers.
+    bin_lo, bin_hi = _window_bin_range(origin, cfg)
     n_bins = bin_hi - bin_lo + 1
     excl_lo = max(peak_bin - cfg.refine_span_bins, bin_lo)
     excl_hi = min(peak_bin + cfg.refine_span_bins, bin_hi)
     n_bg_bins = n_bins - (excl_hi - excl_lo + 1)
-    bg_mask = (bins < excl_lo) | (bins > excl_hi)
-    bg_counts = counts[bg_mask]
     if n_bg_bins <= 0:
         bg_mean, bg_sigma = 0.0, 1.0
     else:
-        bg_sum = float(bg_counts.sum())
-        bg_sumsq = float((bg_counts.astype(np.float64) ** 2).sum())
+        i, j = np.searchsorted(bins, (excl_lo, excl_hi + 1), side="left")
+        excluded = counts[i:j]
+        bg_sum = float(int(counts.sum()) - int(excluded.sum()))
+        bg_sumsq = float(int(np.dot(counts, counts)) - int(np.dot(excluded, excluded)))
         bg_mean = bg_sum / n_bg_bins
         variance = max(bg_sumsq / n_bg_bins - bg_mean**2, 0.0)
         # Sparse histograms can have a deceptively small sample variance;
@@ -236,15 +289,14 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
             significance=significance,
         )
 
-    region = _fine_region_values(local_ts, remote_ts, cfg, origin, peak_bin)
-    fine_lo = (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
-    shifted = region - fine_lo
-    fine_bins, fine_counts = np.unique(shifted // cfg.fine_bin, return_counts=True)
+    span_lo = origin + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
+    shifted = _fine_region_values(local_ts, remote_ts, cfg, span_lo)
+    fine_idx = shifted // cfg.fine_bin
+    fine_bins, fine_counts = np.unique(fine_idx, return_counts=True)
     f_star = int(fine_bins[int(np.argmax(fine_counts))])
-    member_mask = np.abs(shifted // cfg.fine_bin - f_star) <= 1
-    members = shifted[member_mask]
+    members = shifted[np.abs(fine_idx - f_star) <= 1]
     centroid = _round_div(int(members.sum()), len(members))
-    peak_offset = origin + fine_lo + centroid
+    peak_offset = span_lo + centroid
     width = float(np.std(members.astype(np.float64))) if len(members) > 1 else 0.0
 
     region_counts = [

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qcsync import estimator
 from qcsync.estimator import (
     CorrelationConfig,
     EmptyOverlapError,
@@ -104,6 +105,27 @@ def test_disjoint_windows_rejected():
         cross_correlate(local, remote, CFG)
 
 
+def _brute_diffs(local, remote, window):
+    diffs = (remote[None, :] - local[:, None]).ravel()
+    return diffs[np.abs(diffs) <= window]
+
+
+def _brute_histogram(local, remote, cfg):
+    origin = int(remote[0]) - int(local[0])
+    diffs = _brute_diffs(local, remote, cfg.search_window)
+    bins, counts = np.unique((diffs - origin) // cfg.coarse_bin, return_counts=True)
+    return bins, counts, origin
+
+
+def _assert_matches_brute_force(local, remote, cfg):
+    bins, counts, origin = coarse_histogram(local, remote, cfg)
+    want_bins, want_counts, want_origin = _brute_histogram(local, remote, cfg)
+    assert origin == want_origin
+    assert bins.dtype == np.int64
+    assert np.array_equal(bins, want_bins)
+    assert np.array_equal(counts, want_counts)
+
+
 def test_brute_force_histogram_equivalence():
     rng = np.random.default_rng(29)
     cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
@@ -111,12 +133,71 @@ def test_brute_force_histogram_equivalence():
         n, m = int(rng.integers(1, 200)), int(rng.integers(1, 200))
         local = np.sort(rng.integers(0, 10**9, n)).astype(np.int64)
         remote = np.sort(rng.integers(0, 10**9, m)).astype(np.int64)
-        bins, counts, origin = coarse_histogram(local, remote, cfg)
-        diffs = (remote[None, :] - local[:, None]).ravel()
-        diffs = diffs[np.abs(diffs) <= cfg.search_window]
-        want_bins, want_counts = np.unique((diffs - origin) // cfg.coarse_bin, return_counts=True)
-        assert np.array_equal(bins, want_bins)
-        assert np.array_equal(counts, want_counts)
+        _assert_matches_brute_force(local, remote, cfg)
+
+
+@pytest.mark.parametrize("chunk_pairs,block_pairs", [(150, 150), (700, 64), (10**6, 333)])
+def test_chunked_enumeration_matches_single_pass(monkeypatch, chunk_pairs, block_pairs):
+    # about 200 in-window pairs per local tag, so chunks and blocks start and
+    # end inside one tag's run; the first two settings merge hundreds of sorted
+    # chunks, the last sorts one chunk filled from many blocks
+    local, remote = _pair_streams(500, offset=3 * 10**7, spacing=10**6, jitter=2000, seed=8)
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
+    single = cross_correlate(local, remote, cfg)
+    monkeypatch.setattr(estimator, "_CHUNK_PAIRS", chunk_pairs)
+    monkeypatch.setattr(estimator, "_BLOCK_PAIRS", block_pairs)
+    _assert_matches_brute_force(local, remote, cfg)
+    assert cross_correlate(local, remote, cfg) == single
+
+
+def test_histogram_beyond_uint32_bin_range():
+    # 1 fs bins over +-3e9 fs: 6e9 + 1 bins, more than 32-bit offsets can hold
+    rng = np.random.default_rng(31)
+    cfg = CorrelationConfig(search_window=3 * 10**9, coarse_bin=1, fine_bin=1)
+    local = np.sort(rng.integers(0, 10**9, 5)).astype(np.int64)
+    remote = np.sort(rng.integers(-2 * 10**9, 4 * 10**9, 20)).astype(np.int64)
+    want_bins, _, origin = _brute_histogram(local, remote, cfg)
+    bin_lo = (-cfg.search_window - origin) // cfg.coarse_bin
+    assert want_bins.max() - bin_lo >= 2**32  # offsets a uint32 would wrap
+    _assert_matches_brute_force(local, remote, cfg)
+
+
+def test_window_edges_are_inclusive():
+    window = 10**8
+    cfg = CorrelationConfig(search_window=window, coarse_bin=10**5, fine_bin=100)
+    local = np.array([10**9], dtype=np.int64)
+    remote = local + np.array([-window - 1, -window, window, window + 1], dtype=np.int64)
+    _, counts, _ = coarse_histogram(local, remote, cfg)
+    assert counts.sum() == 2
+    _assert_matches_brute_force(local, remote, cfg)
+
+
+def test_fine_span_clipped_at_window_edge():
+    # the peak sits 5 ps inside +W, so the fine span and the member bins
+    # reach past the window and the fine pass must drop those pairs
+    window = 10**9
+    cfg = CorrelationConfig(search_window=window, coarse_bin=10**6, fine_bin=10**4)
+    local = np.arange(1, 301, dtype=np.int64) * 10**10
+    jitter = np.random.default_rng(12).normal(0, 10**4, 300).round().astype(np.int64)
+    remote = local + window - 5000 + jitter
+    result = cross_correlate(local, remote, cfg)
+
+    want_bins, want_counts, origin = _brute_histogram(local, remote, cfg)
+    peak_bin = int(want_bins[np.argmax(want_counts)])
+    span_lo = origin + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
+    span_hi = span_lo + (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
+    diffs = _brute_diffs(local, remote, window)
+    fine = (diffs[(diffs >= span_lo) & (diffs < span_hi)] - span_lo) // cfg.fine_bin
+    fine_bins, fine_counts = np.unique(fine, return_counts=True)
+    f_star = fine_bins[np.argmax(fine_counts)]
+    assert result.histogram_summary["region_total"] == int((np.abs(fine - f_star) <= 1).sum())
+    assert result.histogram_summary["peak_region_counts"] == [
+        int((fine == f_star + k).sum()) for k in (-1, 0, 1)
+    ]
+    # pairs past +W fall inside the member bins, so an unclipped span would count them
+    beyond = (remote[None, :] - local[:, None]).ravel()
+    beyond = (beyond[(beyond > window) & (beyond < span_hi)] - span_lo) // cfg.fine_bin
+    assert (np.abs(beyond - f_star) <= 1).any()
 
 
 def test_uncertainty_scales_with_width_over_sqrt_n():

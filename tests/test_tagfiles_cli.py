@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,31 @@ def test_relativity_static_link(tmp_path, capsys):
     csv_lines = (tmp_path / "relativity_samples.csv").read_text().splitlines()
     assert csv_lines[0].startswith("t_s,range_m,elevation_deg")
     assert len(csv_lines) == len(payload["samples"]) + 1
+
+
+def test_simulate_config_error_writes_no_tag_files(tmp_path, capsys):
+    config = json.loads((SCENARIOS / "noiseless.json").read_text())
+    config["correlation"]["fine_bin_fs"] = 10**7  # coarser than coarse_bin_fs
+    path = tmp_path / "inconsistent.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(out_dir))
+    assert code == 2
+    assert "config error" in err
+    assert list(out_dir.glob("*.tags")) == []
+
+
+def test_readme_relativity_example_runs(tmp_path, capsys, monkeypatch):
+    readme = (SCENARIOS.parent / "README.md").read_text().splitlines()
+    (line,) = [l for l in readme if l.startswith("qcsync relativity ")]
+    argv = shlex.split(line)[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "rel")
+    monkeypatch.chdir(SCENARIOS.parent)
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["samples"]
+    assert (tmp_path / "rel" / "relativity_report.json").exists()
+    assert (tmp_path / "rel" / "relativity_samples.csv").exists()
 
 
 def test_net_without_topology_exits_two(tmp_path, capsys):

@@ -49,7 +49,7 @@ from .scenario import (
 )
 from .session import NodeInstruments, SessionSpec, run_session
 from .tagfiles import TagFileError, atomic_write_text, read_timetag_file, write_timetag_file
-from .timebase import FS_PER_SECOND, ClockState
+from .timebase import FS_PER_SECOND, ClockState, TimeRangeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,7 +57,7 @@ EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
 _ESTIMATION_ERRORS = (EstimationError, NotVisibleError, LightTimeConvergenceError)
-_CONFIG_ERRORS = (ConfigError, TopologyError, GeometryError, ValueError, KeyError)
+_CONFIG_ERRORS = (ConfigError, TopologyError, GeometryError, TimeRangeError, ValueError, KeyError)
 
 
 def _stable_json(payload) -> str:

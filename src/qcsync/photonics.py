@@ -7,9 +7,14 @@ Detection applies, in order: efficiency thinning, Gaussian timing jitter,
 dark-count injection, non-paralyzable dead-time filtering, conversion to the
 detector clock's local frame, and quantization to the tagger resolution.
 
+The dead-time filter is array code: events that follow their predecessor by
+at least the dead time start clusters and are always accepted, and the
+accepted chain inside every cluster is followed with one searchsorted step
+per link across all clusters at once.
+
 Streams are held as sorted int64 femtosecond arrays, which bounds usable
-local times to about +-2.5 hours from the epoch; the long-horizon integer
-arithmetic lives in timebase and is not needed per tag.
+local times to about +-2.5 hours from the epoch; a reading beyond that raises
+``TimeRangeError``. The long-horizon integer arithmetic lives in timebase.
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ __all__ = [
 ]
 
 MAX_EXPECTED_EVENTS = 10**9  # resource guard on Poisson generation
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -157,17 +160,35 @@ def split_pairs(
 
 
 def _dead_time_filter(times: np.ndarray, dead_time: int) -> np.ndarray:
-    """Non-paralyzable dead time: an accepted event blocks the next dead_time fs."""
-    if dead_time == 0 or len(times) == 0:
+    """Non-paralyzable dead time: an accepted event blocks the next dead_time fs.
+
+    An event at least dead_time after its predecessor starts a cluster and is
+    always accepted. Inside a cluster the next accepted event is the first at
+    or after (accepted + dead_time); the chains of all clusters are followed
+    together, one searchsorted step per link. Gaps and sums are taken on the
+    uint64 view of the times, where they are exact: a gap is below 2^64, and
+    a chain is only extended while accepted + dead_time is at most the last
+    time, so that sum fits in int64.
+    """
+    if dead_time == 0 or len(times) < 2:
         return times
-    keep = np.empty(len(times), dtype=bool)
-    last_accepted = None
-    for i, t in enumerate(times.tolist()):
-        if last_accepted is None or t - last_accepted >= dead_time:
-            keep[i] = True
-            last_accepted = t
-        else:
-            keep[i] = False
+    if dead_time > int(times[-1]) - int(times[0]):  # the first event blocks all others
+        return times[:1]
+    u, d = times.view(np.uint64), np.uint64(dead_time)
+    keep = np.concatenate(([True], u[1:] - u[:-1] >= d))  # cluster starts
+    if keep.all():
+        return times
+    starts = np.flatnonzero(keep)
+    ends = np.append(starts[1:], len(times))  # one past each cluster's last event
+    chained = ends - starts > 1  # a lone event has nothing to chase
+    fronts, ends = starts[chained], ends[chained]
+    while len(fronts):
+        reachable = u[-1] - u[fronts] >= d  # else accepted + dead_time is past the last time
+        fronts, ends = fronts[reachable], ends[reachable]
+        fronts = np.searchsorted(times, (u[fronts] + d).view(np.int64))
+        inside = fronts < ends
+        fronts, ends = fronts[inside], ends[inside]
+        keep[fronts] = True
     return times[keep]
 
 
@@ -193,7 +214,7 @@ def detect(
     identical stamps.
     """
     arrivals = np.asarray(photon_arrivals_true, dtype=np.int64)
-    if len(arrivals) > 1 and np.any(np.diff(arrivals) < 0):
+    if np.any(arrivals[1:] < arrivals[:-1]):
         raise ValueError("photon arrivals must be sorted")
 
     if detector.efficiency < 1.0:
@@ -215,8 +236,8 @@ def detect(
     quantized = (local // tagger.resolution) * tagger.resolution
     if tagger.range_limit is not None:
         quantized = quantized[np.abs(quantized) <= tagger.range_limit]
-    if len(quantized) > 1:
-        quantized = np.unique(quantized)
+    if len(quantized) > 1:  # sorted, so equal stamps are neighbours
+        quantized = quantized[np.concatenate(([True], quantized[1:] != quantized[:-1]))]
 
     return TagStream(
         channel_id=channel_id,

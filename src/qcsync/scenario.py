@@ -282,14 +282,20 @@ SCENARIO_SCHEMA = {
 }
 
 
+# What jsonschema.validate does per call, with the schema check and the
+# validator built once.
+_VALIDATOR_CLASS = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+_VALIDATOR_CLASS.check_schema(SCENARIO_SCHEMA)
+_VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA)
+
+
 def validate_scenario(config: dict) -> dict:
-    try:
-        jsonschema.validate(config, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
         path = "$" + "".join(
-            f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path
+            f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in error.absolute_path
         )
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+        raise ConfigError(f"config invalid at {path}: {error.message}") from error
     return config
 
 

@@ -57,7 +57,7 @@ def write_timetag_file(path: str | Path, stream: TagStream) -> None:
         lines.append(f"# frame: {stream.frame}")
     if stream.metadata:
         lines.append(f"# metadata: {json.dumps(stream.metadata, sort_keys=True)}")
-    body = "\n".join(str(int(t)) for t in stream.timestamps)
+    body = "\n".join(map(str, stream.timestamps.tolist()))
     text = "\n".join(lines) + ("\n" + body if body else "") + "\n"
     atomic_write_text(path, text)
 
@@ -104,9 +104,36 @@ def read_timetag_file(path: str | Path) -> TagStream:
             raise TagFileError(f"line {body_start + 1}: metadata must be a JSON object")
         body_start += 1
 
+    timestamps = _parse_body(lines[body_start:], body_start, resolution)
+    return TagStream(
+        channel_id=channel,
+        timestamps=timestamps,
+        frame=frame,
+        resolution_fs=resolution,
+        metadata=metadata,
+    )
+
+
+def _parse_body(body: list[str], body_start: int, resolution: int) -> np.ndarray:
+    """Timestamps of the body lines; line numbers count from 1 at the magic line.
+
+    numpy parses each line with Python ``int()`` semantics and the checks are
+    array operations. Only a file that fails one of them goes through the
+    per-line loop, which names the first offending line.
+    """
+    try:
+        timestamps = np.array(body, dtype=np.int64)
+        if not (np.any(timestamps % resolution) or np.any(timestamps[1:] <= timestamps[:-1])):
+            return timestamps
+    except (ValueError, OverflowError):
+        pass
+    return _parse_body_by_line(body, body_start, resolution)
+
+
+def _parse_body_by_line(body: list[str], body_start: int, resolution: int) -> np.ndarray:
     values = []
     previous = None
-    for offset, line in enumerate(lines[body_start:]):
+    for offset, line in enumerate(body):
         line_no = body_start + offset + 1
         stripped = line.strip()
         if not stripped:
@@ -127,17 +154,10 @@ def read_timetag_file(path: str | Path) -> TagStream:
         values.append(value)
 
     try:
-        timestamps = np.array(values, dtype=np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
         limits = np.iinfo(np.int64)
         bad = next(i for i, v in enumerate(values) if not limits.min <= v <= limits.max)
         raise TagFileError(
             f"line {body_start + bad + 1}: timestamp {values[bad]} outside the int64 range"
         ) from None
-    return TagStream(
-        channel_id=channel,
-        timestamps=timestamps,
-        frame=frame,
-        resolution_fs=resolution,
-        metadata=metadata,
-    )

@@ -11,10 +11,18 @@ A clock maps true time t to its local reading
 
 where the rate terms are evaluated in exact rational arithmetic (the float
 parameters are converted to exact binary fractions once) and rounded to the
-nearest femtosecond, so results are bit-reproducible and the noiseless
-mapping inverts to within 1 fs. Random-walk frequency noise x_rw is realized
-as a piecewise-linear frequency process on a fixed 1 ms grid, integrated
-exactly per segment; white phase noise is fresh per readout.
+nearest femtosecond, halves away from zero, so results are bit-reproducible
+and the noiseless mapping inverts to within 1 fs. Random-walk frequency noise
+x_rw is realized as a piecewise-linear frequency process on a fixed 1 ms grid,
+integrated exactly per segment; white phase noise is fresh per readout.
+
+``local_times`` maps int64 tag arrays with the same results as the scalar
+``local_time``. A float rate is num / 2^k with |num| < 2^64, so its term
+round(num * t / 2^k) is computed exactly in 64-bit limb arithmetic, block by
+block. The drift term d*t^2/2 has a denominator that is not a power of two;
+a clock with d != 0 is evaluated per tag in Python integers, as are arrays
+whose readings could come near the int64 limits, where that loop range-checks
+each reading exactly. A reading outside int64 raises ``TimeRangeError``.
 
 Note on granularity: the noiseless mapping is non-decreasing at single-fs
 granularity (a slope slightly below one can map adjacent ticks to the same
@@ -55,10 +63,14 @@ TIMESTAMP_RANGE = 2**127  # |value| must stay strictly below this
 
 _RW_GRID_FS = 10**12  # 1 ms random-walk grid
 _RW_CHUNK = 4096
+_LOW32 = 0xFFFFFFFF
+_BLOCK = 1 << 15  # tags per limb pass; one pass over 250k tags ran 2.5x slower (2-core Xeon)
+_INT64_LIMIT = 2**63
+_INT64_MESSAGE = "clock reading outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays"
 
 
 class TimeRangeError(OverflowError):
-    """A time value left the supported 128-bit femtosecond range."""
+    """A time left its range: +-2^127 fs for scalar times, int64 for tag arrays."""
 
 
 class NonMonotonicClockError(ValueError):
@@ -81,17 +93,78 @@ def _round_div(num: int, den: int) -> int:
 class _ExactRate:
     """Exact rational multiplier for a float rate: term(t) = round(rate * t)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_shift")
 
     def __init__(self, rate: float, per_fs_scale: int = 1):
         frac = Fraction(rate) / per_fs_scale
         self.num = frac.numerator
         self.den = frac.denominator
+        # Fraction(float) has a power-of-two denominator 2^k; ``terms`` needs
+        # that and |num| < 2^64, which every float rate below 2^64 meets.
+        shift = self.den.bit_length() - 1
+        self._shift = shift if self.den == 1 << shift and abs(self.num) < 1 << 64 else None
 
     def __call__(self, t: int) -> int:
         if self.num == 0:
             return 0
         return _round_div(self.num * t, self.den)
+
+    @property
+    def has_array_form(self) -> bool:
+        return self._shift is not None
+
+    def bound(self, span: int) -> int:
+        """An upper bound on |term(t)| for |t| <= span."""
+        return abs(self.num) * span // self.den + 1
+
+    def terms(self, t: np.ndarray) -> np.ndarray:
+        """``term`` over an int64 array, exactly, in blocks of _BLOCK values.
+
+        Needs ``has_array_form``. |num * t| < 2^127, so the product of the
+        magnitudes is held in two uint64 limbs built from 32-bit halves;
+        rounding half away from zero is a carried add of 2^(k-1) and a right
+        shift by k, and the sign is restored last. Raises TimeRangeError when
+        a term leaves int64.
+        """
+        out = np.zeros(len(t), dtype=np.int64)
+        if self.num == 0 or self._shift >= 128:  # |num * t| / 2^k < 1/2
+            return out
+        mag = abs(self.num)
+        n0, n1 = np.uint64(mag & _LOW32), np.uint64(mag >> 32)
+        for start in range(0, len(t), _BLOCK):
+            out[start : start + _BLOCK] = _scaled_block(
+                t[start : start + _BLOCK], n0, n1, self._shift, self.num < 0
+            )
+        return out
+
+
+def _scaled_block(t: np.ndarray, n0, n1, shift: int, negative_rate: bool) -> np.ndarray:
+    """round((n1 * 2^32 + n0) * t / 2^shift), halves away from zero; shift < 128."""
+    negative = (t < 0) != negative_rate
+    u = np.abs(t).view(np.uint64)  # |t|, also for -2^63, whose abs wraps to itself
+    t0, t1 = u & _LOW32, u >> 32
+    p00, p01, p10, p11 = t0 * n0, t0 * n1, t1 * n0, t1 * n1
+    col1 = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    col2 = (p01 >> 32) + (p10 >> 32) + (p11 & _LOW32) + (col1 >> 32)
+    lo = (col1 << 32) | (p00 & _LOW32)
+    hi = (col2 & _LOW32) | (((p11 >> 32) + (col2 >> 32)) << 32)
+    if 0 < shift <= 64:
+        rounded = lo + np.uint64(1 << (shift - 1))
+        hi += rounded < lo
+        lo = rounded
+    elif shift > 64:
+        hi += np.uint64(1 << (shift - 65))
+    if shift == 0:
+        q_lo, q_hi = lo, hi
+    elif shift < 64:
+        q_lo, q_hi = (lo >> shift) | (hi << (64 - shift)), hi >> shift
+    else:
+        q_lo, q_hi = hi >> (shift - 64), np.zeros_like(hi)
+    if np.any(q_hi) or np.any(q_lo > np.uint64(_INT64_LIMIT - 1) + negative):
+        raise TimeRangeError("clock rate term outside the int64 femtosecond range")
+    q = q_lo.view(np.int64)
+    np.negative(q, out=q, where=negative)  # -(2^63) wraps to itself, as it should
+    return q
 
 
 @dataclass(frozen=True)
@@ -122,14 +195,6 @@ class ClockModel:
         for name in ("fractional_frequency", "frequency_drift"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-    @property
-    def is_trivial_rate(self) -> bool:
-        return (
-            self.fractional_frequency == 0.0
-            and self.frequency_drift == 0.0
-            and self.random_walk_freq_coeff == 0.0
-        )
 
 
 class _RandomWalkPhase:
@@ -176,8 +241,9 @@ class _RandomWalkPhase:
         tmax = int(t.max())
         if tmax > 0:
             self._extend_to(int(tmax // _RW_GRID_FS))
-        node = np.clip(t // _RW_GRID_FS, 0, None).astype(np.int64)
-        tau = np.where(t > 0, t - node * _RW_GRID_FS, 0).astype(np.float64)
+        node = np.maximum(t // _RW_GRID_FS, 0)
+        # tau is finite but meaningless for t <= 0; those phases are zeroed below
+        tau = (t - node * _RW_GRID_FS).astype(np.float64)
         y0 = self._y[node]
         slope = (self._y[node + 1] - y0) / _RW_GRID_FS
         phase = self._phase[node] + y0 * tau + 0.5 * slope * tau * tau
@@ -280,33 +346,50 @@ def local_times(
     rng: np.random.Generator | None = None,
     readout_noise: bool = True,
 ) -> np.ndarray:
-    """Vectorized ``local_time`` over an int64 array of true times."""
+    """Vectorized ``local_time`` over an int64 array of true times.
+
+    Raises TimeRangeError when a reading leaves the int64 range of tag arrays.
+    """
     t = np.asarray(true_times, dtype=np.int64)
     if len(t) == 0:
         return t.copy()
     base = int(state.model.initial_offset_fs - state.accumulated_correction_fs)
-    if state.model.is_trivial_rate and state.accumulated_rate_correction == 0.0:
+    y, r = state._y_rate, state._corr_rate
+    span = max(-int(t.min()), int(t.max()))
+    if (
+        state.model.frequency_drift == 0.0
+        and y.has_array_form
+        and r.has_array_form
+        and span + abs(base) + y.bound(span) + r.bound(span) < _INT64_LIMIT
+    ):
+        # every partial sum stays below the bound, so int64 arithmetic is exact
         local = t + base
+        if y.num:
+            local += y.terms(t)
+        if r.num:
+            local -= r.terms(t)
     else:
-        y = state._y_rate
-        d = state._drift_rate
-        r = state._corr_rate
-        local = np.fromiter(
-            (
-                ti + base + y(ti) + d(ti * ti) - r(ti)
-                for ti in t.tolist()
-            ),
-            dtype=np.int64,
-            count=len(t),
-        )
-        local += state._noise.random_walk.phases_at(t)
+        # The drift term's denominator is not a power of two, and readings near
+        # the int64 limits need an exact range check: Python-int evaluation.
+        try:
+            readings = [state.deterministic_local(ti) for ti in t.tolist()]
+            local = np.array(readings, dtype=np.int64)
+        except OverflowError:
+            raise TimeRangeError(_INT64_MESSAGE) from None
+    if state.model.random_walk_freq_coeff:
+        local = _checked_add(local, state._noise.random_walk.phases_at(t))
     sigma = state.model.white_phase_sigma_fs
     if readout_noise and sigma > 0:
         gen = rng if rng is not None else state._noise.white_rng
-        local = local + np.round(gen.normal(0.0, sigma, len(t))).astype(np.int64)
-    out_max = int(np.max(np.abs(local))) if len(local) else 0
-    check_time_range(out_max)
+        local = _checked_add(local, np.round(gen.normal(0.0, sigma, len(t))).astype(np.int64))
     return local
+
+
+def _checked_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    total = a + b  # wraps on overflow, which flips the sign against both operands
+    if np.any((a ^ total) & (b ^ total) < 0):
+        raise TimeRangeError(_INT64_MESSAGE)
+    return total
 
 
 def true_time_of_local(state: ClockState, local: int) -> int:

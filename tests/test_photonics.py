@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qcsync import photonics
 from qcsync.photonics import (
     Detector,
     PairSource,
@@ -73,6 +74,63 @@ def test_dead_time_enforced_non_paralyzable():
     arrivals = np.array([0, 4 * 10**5, 9 * 10**5, 10**6, 3 * 10**6], dtype=np.int64)
     stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 10**7, (6,))
     assert stream.timestamps.tolist() == [0, 10**6, 3 * 10**6]
+
+
+def _greedy_dead_time(times, dead_time):
+    kept = []
+    for t in times.tolist():
+        if not kept or t - kept[-1] >= dead_time:
+            kept.append(t)
+    return kept
+
+
+def test_dead_time_filter_matches_greedy_on_clustered_streams():
+    rng = np.random.default_rng(31)
+    dead_time = 10**6
+    longest_chain = 0
+    for rate_times_dead in (0.05, 0.5, 3.0, 30.0):
+        n = 3000
+        gaps = rng.exponential(dead_time / rate_times_dead, n).astype(np.int64)
+        times = np.cumsum(gaps)  # repeats (zero gaps) included
+        times[rng.random(n) < 0.1] -= dead_time // 2
+        times.sort()
+        want = _greedy_dead_time(times, dead_time)
+        assert photonics._dead_time_filter(times, dead_time).tolist() == want
+        kept = np.isin(times, want)
+        cluster_id = np.cumsum(np.concatenate(([True], np.diff(times) >= dead_time)))
+        longest_chain = max(longest_chain, np.bincount(cluster_id[kept]).max())
+    assert longest_chain >= 3
+    lattice = np.repeat(np.arange(40, dtype=np.int64) * (dead_time // 2), 2)  # exact ties
+    assert photonics._dead_time_filter(lattice, dead_time).tolist() == _greedy_dead_time(
+        lattice, dead_time
+    )
+    untouched = np.array([0, dead_time, 3 * dead_time], dtype=np.int64)
+    assert photonics._dead_time_filter(untouched, dead_time) is untouched
+
+
+@pytest.mark.parametrize(
+    "times, dead_time",
+    [
+        ([0, 5, 10], 2**63),
+        ([0, 5, 10], 2**70),
+        ([-(2**62), -(2**62) + 5, 2**62, 2**62 + 3, 2**63 - 10], 2**63 - 20),
+        ([-(2**63), -5, 0, 2**63 - 1], 2**63),
+        ([-(2**63), 2**63 - 2, 2**63 - 1], 2**64 - 2),
+        ([0, 1, 2**63 - 3, 2**63 - 2, 2**63 - 1], 2),
+    ],
+)
+def test_dead_time_filter_exact_near_int64_limits(times, dead_time):
+    times = np.array(times, dtype=np.int64)
+    assert photonics._dead_time_filter(times, dead_time).tolist() == _greedy_dead_time(
+        times, dead_time
+    )
+
+
+def test_detect_accepts_dead_time_beyond_int64():
+    arrivals = np.array([0, 10**6, 3 * 10**6], dtype=np.int64)
+    det = Detector(dead_time=2**63)
+    stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 10**7, (6,))
+    assert stream.timestamps.tolist() == [0]
 
 
 def test_dark_counts_cover_acquisition_window():

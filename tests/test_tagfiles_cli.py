@@ -11,6 +11,7 @@ import pytest
 
 from qcsync.cli import main
 from qcsync.photonics import TagStream
+from qcsync.scenario import ConfigError, validate_scenario
 from qcsync.tagfiles import TagFileError, atomic_write_text, read_timetag_file, write_timetag_file
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -91,6 +92,34 @@ def test_out_of_int64_range_reports_line(tmp_path):
         read_timetag_file(path)
     path.write_text(f"# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n{-2**63 - 1}\n0\n")
     with pytest.raises(TagFileError, match="line 4.*int64"):
+        read_timetag_file(path)
+
+
+def test_reader_accepts_python_int_spellings(tmp_path):
+    path = tmp_path / "spellings.tags"
+    path.write_text(
+        "# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n+5\n1_0\n \u0661\u0662 \n\uff11\uff13\n"
+    )
+    assert read_timetag_file(path).timestamps.tolist() == [5, 10, 12, 13]
+
+
+def test_reader_reports_first_offending_line(tmp_path):
+    path = tmp_path / "bad.tags"
+    path.write_text("# qcs-timetag v1\n# channel: x\n# resolution_fs: 2\n2\n4\n4\nx\n")
+    with pytest.raises(TagFileError, match="line 6.*strictly increasing"):
+        read_timetag_file(path)
+    path.write_text("# qcs-timetag v1\n# channel: x\n# resolution_fs: 2\n2\n4\n4\n6\n")
+    with pytest.raises(TagFileError, match="line 6: timestamp 4 not strictly increasing"):
+        read_timetag_file(path)
+
+
+def test_reader_rejects_decrease_whose_difference_wraps_int64(tmp_path):
+    path = tmp_path / "bad.tags"
+    path.write_text(
+        "# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n"
+        "6000000000000000000\n-6000000000000000000\n"
+    )
+    with pytest.raises(TagFileError, match="line 5: .* not strictly increasing"):
         read_timetag_file(path)
 
 
@@ -221,6 +250,33 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     code, _, err = _run(capsys, "simulate", "--config", str(config))
     assert code == 2
     assert "config error" in err and "wavelength_nm" in err
+
+
+def test_config_error_message_is_pinned():
+    config = {"seed": "x", "link": {"geometry": {"variant": "circular_orbit", "altitude_m": 5}}}
+    with pytest.raises(ConfigError) as excinfo:
+        validate_scenario(config)
+    # two errors: best_match picks the shallower one
+    assert str(excinfo.value) == "config invalid at $['seed']: 'x' is not of type 'integer'"
+    config["seed"] = 1
+    with pytest.raises(ConfigError) as excinfo:
+        validate_scenario(config)
+    assert str(excinfo.value) == (
+        "config invalid at $['link']['geometry']['altitude_m']: "
+        "5 is less than or equal to the minimum of 100000"
+    )
+
+
+def test_simulate_with_readings_beyond_int64_exits_two(tmp_path, capsys):
+    config = json.loads((SCENARIOS / "noiseless.json").read_text())
+    config["clocks"]["b"]["initial_offset_fs"] = 2**63 - 10**6
+    path = tmp_path / "huge_offset.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(out_dir))
+    assert code == 2
+    assert "config error" in err and "int64" in err and "Traceback" not in err
+    assert list(out_dir.glob("*.tags")) == []
 
 
 def test_missing_section_exits_two(tmp_path, capsys):

@@ -17,6 +17,7 @@ from qcsync.timebase import (
     local_time,
     local_times,
     true_time_of_local,
+    _ExactRate,
 )
 
 
@@ -140,18 +141,90 @@ def test_random_walk_scale_matches_model():
 
 
 def test_local_times_matches_scalar_path():
-    model = ClockModel(
-        initial_offset_fs=987,
-        fractional_frequency=3e-7,
-        frequency_drift=2e-11,
-        random_walk_freq_coeff=1e-9,
+    rng = np.random.default_rng(17)
+    times = np.concatenate(
+        (
+            [0, 1, -1, 10**12, 7 * 10**13, 10**15, 10**15 + 1],
+            rng.integers(-(10**16), 10**16, 400),
+        )
+    ).astype(np.int64)
+    # drift 0 takes the limb kernel, drift != 0 the per-tag Python-int loop
+    for drift in (0.0, 2e-11):
+        model = ClockModel(
+            initial_offset_fs=987,
+            fractional_frequency=3e-7,
+            frequency_drift=drift,
+            random_walk_freq_coeff=1e-9,
+        )
+        state_vec = apply_correction(ClockState(model, rng_stream=13), -5000, 2.5e-7)
+        state_scl = apply_correction(ClockState(model, rng_stream=13), -5000, 2.5e-7)
+        got = local_times(state_vec, times, readout_noise=False)
+        want = [local_time(state_scl, int(t), readout_noise=False) for t in times]
+        assert got.tolist() == want, drift
+
+
+def _rate_kernel_times(rng):
+    edges = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63)]
+    spread = np.concatenate(
+        [rng.integers(-(2**e), 2**e, 60) for e in (8, 24, 40, 52, 62)]
     )
-    state_vec = ClockState(model, rng_stream=13)
-    state_scl = ClockState(model, rng_stream=13)
-    times = np.array([0, 10**12, 7 * 10**13, 10**15, 10**15 + 1], dtype=np.int64)
-    got = local_times(state_vec, times, readout_noise=False)
-    want = [local_time(state_scl, int(t), readout_noise=False) for t in times]
-    assert got.tolist() == want
+    return np.concatenate((edges, spread)).astype(np.int64)
+
+
+def test_rate_kernel_matches_scalar_rounding():
+    rng = np.random.default_rng(23)
+    rates = [*rng.uniform(-1e-3, 1e-3, 12), 0.9, -0.9, 1e-20, -1e-20, 0.5, 2.0**-64, 2.0**-65, 1.0]
+    shifts = {_ExactRate(rate)._shift for rate in rates}
+    assert min(shifts) < 64 < max(shifts)
+    times = _rate_kernel_times(rng)
+    for rate in rates:
+        exact = _ExactRate(rate)
+        assert exact.has_array_form
+        want = [exact(int(t)) for t in times]
+        assert exact.terms(times).tolist() == want, rate
+    # ties round away from zero
+    odd = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=np.int64)
+    for exact in (_ExactRate(0.5), _ExactRate(-1.5), _ExactRate(2.0**-60)):
+        assert exact.terms(odd * 2**59).tolist() == [exact(int(t) * 2**59) for t in odd]
+
+
+def test_rate_kernel_raises_outside_int64():
+    assert _ExactRate(1.0).terms(np.array([-(2**63)], dtype=np.int64)).tolist() == [-(2**63)]
+    wide = _ExactRate(2.0**62 + 2.0**40)  # numerator above 2^32, in both limbs
+    assert wide.terms(np.array([-1, 0, 1], dtype=np.int64)).tolist() == [-wide.num, 0, wide.num]
+    with pytest.raises(TimeRangeError):
+        wide.terms(np.array([2], dtype=np.int64))
+    with pytest.raises(TimeRangeError):
+        _ExactRate(-1.0).terms(np.array([-(2**63)], dtype=np.int64))
+    with pytest.raises(TimeRangeError):
+        _ExactRate(3.0).terms(np.array([0, 2**62], dtype=np.int64))
+
+
+@pytest.mark.parametrize("fractional_frequency", [0.0, 1e-9])
+def test_local_times_raises_when_a_reading_leaves_int64(fractional_frequency):
+    model = ClockModel(initial_offset_fs=2**62, fractional_frequency=fractional_frequency)
+    state = ClockState(model, rng_stream=1)
+    with pytest.raises(TimeRangeError):
+        local_times(state, np.array([0, 2**62], dtype=np.int64), readout_noise=False)
+    # near the limit but inside it, the readings are the exact scalar ones
+    times = np.array([-(2**62), 0, 2**62 - 2**40], dtype=np.int64)
+    want = [local_time(state, int(t), readout_noise=False) for t in times]
+    assert local_times(state, times, readout_noise=False).tolist() == want
+
+
+def test_local_times_offset_beyond_int64_with_readings_inside():
+    state = ClockState(ClockModel(initial_offset_fs=2**63 + 5), rng_stream=1)
+    times = np.array([-(2**62), -10], dtype=np.int64)
+    assert local_times(state, times, readout_noise=False).tolist() == [2**62 + 5, 2**63 - 5]
+    with pytest.raises(TimeRangeError):
+        local_times(state, np.array([-5], dtype=np.int64), readout_noise=False)
+
+
+def test_local_times_raises_when_noise_leaves_int64():
+    model = ClockModel(initial_offset_fs=2**63 - 2, white_phase_sigma_fs=1e6)
+    state = ClockState(model, rng_stream=1)
+    with pytest.raises(TimeRangeError):
+        local_times(state, np.zeros(64, dtype=np.int64))
 
 
 def test_white_noise_uses_supplied_stream():

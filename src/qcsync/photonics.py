@@ -104,7 +104,7 @@ class TagStream:
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.int64)
         object.__setattr__(self, "timestamps", ts)
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
+        if np.any(ts[1:] <= ts[:-1]):  # compare neighbours: np.diff can wrap in int64
             raise ValueError(f"channel {self.channel_id}: timestamps must be strictly sorted")
         if self.resolution_fs >= 1 and len(ts) and np.any(ts % self.resolution_fs != 0):
             raise ValueError(

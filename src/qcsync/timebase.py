@@ -214,14 +214,21 @@ class _RandomWalkPhase:
         self._phase = np.zeros(1)  # cumulative phase at grid nodes, fs (float)
 
     def _extend_to(self, node: int) -> None:
-        while len(self._y) <= node + 1:
+        # The chunks are joined once per call, so a far first reading costs
+        # time linear in the horizon.
+        ys, phases = [self._y], [self._phase]
+        length = len(self._y)
+        while length <= node + 1:
             steps = self._rng.normal(0.0, self._step_sigma, _RW_CHUNK)
-            y_new = self._y[-1] + np.cumsum(steps)
-            y_pairs = np.concatenate(([self._y[-1]], y_new))
+            y_new = ys[-1][-1] + np.cumsum(steps)
+            y_pairs = np.concatenate(([ys[-1][-1]], y_new))
             seg = 0.5 * (y_pairs[:-1] + y_pairs[1:]) * _RW_GRID_FS
-            phase_new = self._phase[-1] + np.cumsum(seg)
-            self._y = np.concatenate((self._y, y_new))
-            self._phase = np.concatenate((self._phase, phase_new))
+            phases.append(phases[-1][-1] + np.cumsum(seg))
+            ys.append(y_new)
+            length += _RW_CHUNK
+        if len(ys) > 1:
+            self._y = np.concatenate(ys)
+            self._phase = np.concatenate(phases)
 
     def phase_at(self, t: int) -> int:
         if self._coeff == 0.0 or t <= 0:

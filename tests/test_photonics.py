@@ -208,6 +208,11 @@ def test_tagstream_validation():
         TagStream(channel_id="c", timestamps=np.array([1500], dtype=np.int64), resolution_fs=1000)
 
 
+def test_tagstream_rejects_decrease_whose_difference_wraps_int64():
+    with pytest.raises(ValueError, match="strictly sorted"):
+        TagStream("x", [6 * 10**18, -6 * 10**18])
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         PairSource(pair_rate=0.0)

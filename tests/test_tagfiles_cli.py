@@ -12,7 +12,15 @@ import pytest
 from qcsync.cli import main
 from qcsync.photonics import TagStream
 from qcsync.scenario import ConfigError, validate_scenario
-from qcsync.tagfiles import TagFileError, atomic_write_text, read_timetag_file, write_timetag_file
+from qcsync.tagfiles import (
+    TagFileError,
+    _format_body,
+    _parse_body_by_line,
+    _read_strict,
+    atomic_write_text,
+    read_timetag_file,
+    write_timetag_file,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -142,6 +150,110 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
 
 
+# every change of digit count and sign, and both ends of int64
+_WIDTH_EDGES = sorted(
+    {s * (10**k + e) for k in range(19) for e in (-1, 0, 1) for s in (1, -1)}
+    | {0, 1, -1, 2**63 - 1, -(2**63)}
+)
+
+
+def test_writer_matches_str_at_every_width_edge(tmp_path):
+    values = np.array(_WIDTH_EDGES, dtype=np.int64)
+    assert _format_body(values).decode() == "\n".join(map(str, values.tolist())) + "\n"
+    path = tmp_path / "edges.tags"
+    write_timetag_file(path, _stream(values, resolution=1, frame="", metadata={}))
+    assert path.read_text() == (
+        "# qcs-timetag v1\n# channel: det-a\n# resolution_fs: 1\n"
+        + "".join(f"{v}\n" for v in _WIDTH_EDGES)
+    )
+    assert read_timetag_file(path).timestamps.tolist() == _WIDTH_EDGES
+    for value in _WIDTH_EDGES:
+        assert _format_body(np.array([value], dtype=np.int64)) == f"{value}\n".encode()
+    assert _format_body(np.empty(0, dtype=np.int64)) == b""
+
+
+def test_writer_formats_any_order():
+    values = np.random.default_rng(3).permutation(np.array(_WIDTH_EDGES, dtype=np.int64))
+    assert _format_body(values).decode() == "".join(f"{v}\n" for v in values.tolist())
+
+
+_HEADER = "# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n"
+
+
+@pytest.mark.parametrize(
+    ("body", "strict"),
+    [
+        ("", True),
+        ("-0\n5\n", True),
+        ("007\n0010\n", True),
+        ("-0000000000000000005\n0000000000000000009\n", True),
+        (f"{-(2**63)}\n{2**63 - 1}\n", True),
+        ("5\r\n9\r\n", False),
+        ("5\n9", False),
+        ("00000000000000000000005\n", False),
+        ("-00000000000000000000005\n", False),
+        ("+5\n", False),
+        ("1 \n", False),
+        ("-\n", False),
+        ("--5\n", False),
+        ("5-\n", False),
+        ("5\n\n", False),
+        ("5\n# note\n", False),
+        ("9\n5\n", False),
+        (f"{2**63}\n", False),
+        (f"{-(2**63) - 1}\n", False),
+        ("9999999999999999999\n", False),
+        ("".join(f"0{i}\n" if i % 2 else f"{i}\n" for i in range(1, 200)), False),
+    ],
+    ids=[
+        "empty",
+        "minus-zero",
+        "leading-zeros",
+        "19-digits-with-zeros",
+        "int64-ends",
+        "crlf",
+        "no-final-newline",
+        "23-digits",
+        "minus-23-digits",
+        "plus-sign",
+        "trailing-space",
+        "lone-minus",
+        "double-minus",
+        "trailing-minus",
+        "blank-line",
+        "header-in-body",
+        "decrease",
+        "int64-max-plus-1",
+        "int64-min-minus-1",
+        "19-nines",
+        "199-runs",
+    ],
+)
+def test_strict_reader_agrees_with_line_loop(tmp_path, body, strict):
+    path = tmp_path / "t.tags"
+    path.write_bytes((_HEADER + body).encode("ascii"))
+    lines = path.read_text().splitlines()
+    try:
+        expected = _parse_body_by_line(lines[3:], 3, 1).tolist()
+    except TagFileError as exc:
+        expected = str(exc)
+    try:
+        got = read_timetag_file(path).timestamps.tolist()
+    except TagFileError as exc:
+        got = str(exc)
+    assert got == expected
+    assert (_read_strict(path.read_bytes()) is not None) == strict
+
+
+def test_non_ascii_header_takes_line_loop(tmp_path):
+    path = tmp_path / "t.tags"
+    path.write_text(_HEADER + "# frame: cl\u00f6ck-\u03b1\n-3\n4\n")
+    assert _read_strict(path.read_bytes()) is None
+    loaded = read_timetag_file(path)
+    assert loaded.frame == "cl\u00f6ck-\u03b1"
+    assert loaded.timestamps.tolist() == [-3, 4]
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -226,6 +338,14 @@ def test_corrupt_tagfile_exits_four(tmp_path, capsys):
     code, _, err = _run(capsys, "estimate", str(bad), str(bad), str(bad), str(bad))
     assert code == 4
     assert "line 5" in err
+
+
+def test_undecodable_tagfile_exits_four(tmp_path, capsys):
+    bad = tmp_path / "bad.tags"
+    bad.write_bytes(b"# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n\xff\xfe\n")
+    code, _, err = _run(capsys, "estimate", str(bad), str(bad), str(bad), str(bad))
+    assert code == 4
+    assert "cannot decode" in err and "bad.tags" in err
 
 
 def test_out_of_range_tagfile_exits_four(tmp_path, capsys):

@@ -18,6 +18,7 @@ from qcsync.timebase import (
     local_times,
     true_time_of_local,
     _ExactRate,
+    _RandomWalkPhase,
 )
 
 
@@ -120,6 +121,18 @@ def test_random_walk_deterministic_and_query_order_free():
     got_b = [local_time(b, t, readout_noise=False) for t in sorted(times)]
     by_time_b = dict(zip(sorted(times), got_b))
     assert got_a == [by_time_b[t] for t in times]
+
+
+def test_random_walk_far_reading_matches_stepwise_extension():
+    far = _RandomWalkPhase(5e-13, np.random.default_rng(8))
+    stepwise = _RandomWalkPhase(5e-13, np.random.default_rng(8))
+    horizon = 40 * FS_PER_SECOND  # ten 4096-node chunks of 1 ms
+    for t in range(FS_PER_SECOND, horizon, 3 * FS_PER_SECOND):
+        stepwise.phase_at(t)
+    times = [horizon, horizon - 1, 17 * FS_PER_SECOND + 3, 10**9]
+    assert [far.phase_at(t) for t in times] == [stepwise.phase_at(t) for t in times]
+    assert np.array_equal(far._y, stepwise._y)
+    assert np.array_equal(far._phase, stepwise._phase)
 
 
 def test_random_walk_zero_before_epoch():

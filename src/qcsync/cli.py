@@ -80,6 +80,8 @@ def _jsonable(value):
 
 def _two_way_dict(result: TwoWayResult) -> dict:
     payload = dataclasses.asdict(result)
+    for side in ("forward", "backward"):
+        del payload[side]["members"]  # per-pair arrays; region_total counts them
     if result.frequency is None:
         del payload["frequency"]
     return payload

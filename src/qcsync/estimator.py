@@ -10,20 +10,23 @@ cache-sized int64 blocks, reduced to coarse-bin offsets from the window's
 first bin, and sorted as 32-bit integers (64-bit only when the window spans
 more than 2**32 bins); runs of equal offsets give the sparse coarse
 histogram, whose peak bin is the coarse estimate. The fine stage then
-enumerates only the pairs in the peak's span of +-refine_span_bins coarse
-bins and refines the offset to the count-weighted centroid of the fine
-peak bin and its two neighbors (the centroid is the exact integer-rounded
-mean of the member differences, which makes the result shift-equivariant).
+enumerates only the peak span's pairs (+-refine_span_bins coarse bins),
+each with its local time t, and fits the line d = a + b*(t - t_mean) by
+least squares over an iterated member window: seeded with the coarse peak
+bin, each pass keeps the pairs within max(3 sigma, fine_bin) of the line,
+until the member set stops changing. Every output comes from that one
+member set: the offset is the exact integer-rounded mean member difference
+(the line at t_mean), the width is the residual sigma, and b the drift.
 
-Binning is anchored at the difference of the two first tags, not at zero,
-so shifting one stream by any amount relabels bins but never re-partitions
-pairs across bin edges.
+Binning is anchored at the difference of the two first tags and local
+times at the first local tag, not at zero, so shifting one stream or both
+by any amount relabels bins but never moves a pair across a bin edge or
+changes its residual: the offset shifts by exactly that amount.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -35,6 +38,7 @@ from .timebase import _round_div
 __all__ = [
     "CorrelationConfig",
     "CorrelationResult",
+    "PeakMembers",
     "TwoWayResult",
     "FrequencyFit",
     "EstimationError",
@@ -51,6 +55,8 @@ __all__ = [
 
 _CHUNK_PAIRS = 1 << 22  # pairs binned per sort: at most 16 MB of 32-bit bin offsets
 _BLOCK_PAIRS = 1 << 15  # pairs materialized at once: 256 KB int64 arrays stay in cache
+_WINDOW_SIGMAS = 3.0  # member window half-width, in residual sigmas of the member line
+_MAX_WINDOW_PASSES = 50  # the member set settles within a few passes; this bounds a cycle
 
 
 class EstimationError(Exception):
@@ -70,7 +76,7 @@ class EmptyOverlapError(EstimationError):
 
 
 class InsufficientBlocksError(EstimationError):
-    """Fewer than two blocks produced a significant two-way offset."""
+    """Fewer than two blocks hold peak members in both directions."""
 
 
 class UnphysicalFlightTimeError(EstimationError):
@@ -97,15 +103,24 @@ class CorrelationConfig:
             raise ValueError("block_count must be >= 1")
 
 
+class PeakMembers(NamedTuple):
+    """The peak's member pairs, local-major, and the slope of their line."""
+
+    local_times: np.ndarray  # fs, int64, non-decreasing
+    diffs: np.ndarray  # fs, int64, remote - local
+    slope: float  # least-squares d(diff)/d(local time) over the members
+
+
 @dataclass(frozen=True)
 class CorrelationResult:
-    peak_offset: int  # fs, centroid-refined (remote - local)
-    peak_counts: int  # counts in the winning coarse bin
+    peak_offset: int  # fs, integer-rounded mean member difference (remote - local)
+    peak_counts: int  # counts in the winning coarse bin (the significance test)
     background_mean: float
     background_sigma: float
     significance: float
-    peak_width_fs: float  # sample std of differences in the fine peak region
-    histogram_summary: dict = field(default_factory=dict)
+    peak_width_fs: float  # residual sigma of the members about their line
+    histogram_summary: dict = field(default_factory=dict)  # region_total: member count
+    members: PeakMembers | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -115,15 +130,15 @@ class TwoWayResult:
     offset_uncertainty: int  # fs, 1-sigma
     forward: CorrelationResult  # d_AB
     backward: CorrelationResult  # d_BA
-    frequency: FrequencyFit | None = None  # block fit, when block_count >= 2
+    frequency: FrequencyFit | None = None  # member-line fit, when block_count >= 2
 
 
 @dataclass(frozen=True)
 class FrequencyFit:
-    fractional_frequency: float  # slope of theta vs local time
-    offset_at_epoch: int  # fs, fitted theta at local time 0
-    residual_rms: int  # fs
-    block_offsets: list  # (block midpoint local time fs, theta_block fs)
+    fractional_frequency: float  # half-difference of the two member-line slopes
+    offset_at_epoch: int  # fs, theta of the two member lines at A's local time 0
+    residual_rms: int  # fs, RMS of the block offsets about that line
+    block_offsets: list  # (block midpoint in A's local time fs, two-way theta of its members fs)
 
 
 def _timestamps(stream) -> np.ndarray:
@@ -179,9 +194,7 @@ def _window_bin_range(origin: int, cfg: CorrelationConfig) -> tuple[int, int]:
     return bin_lo, bin_hi
 
 
-def coarse_histogram(
-    local, remote, cfg: CorrelationConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
+def coarse_histogram(local, remote, cfg: CorrelationConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """Sparse coarse histogram of in-window differences.
 
     Returns (occupied bin indices, counts, origin). Bin i covers differences
@@ -232,17 +245,26 @@ def coarse_histogram(
     return bins, counts, origin
 
 
-def _fine_region_values(
-    local: np.ndarray, remote: np.ndarray, cfg: CorrelationConfig, span_lo: int
-) -> np.ndarray:
-    """In-window differences of the fine span [span_lo, span_lo + span), minus span_lo.
+def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
+    """Iterate the member window from the seed mask keep until it settles.
 
-    Only the span's pairs are enumerated, in the same order as the window's.
+    Each pass fits the least-squares line d = a + b*(x - x_mean) to the
+    members and keeps the pairs within max(3 sigma, floor) of it, sigma
+    being the members' RMS residual. Returns the members with the slope and
+    sigma of their own line.
     """
-    span_hi = span_lo + (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
-    window = cfg.search_window
-    runs = _pair_runs(local, remote, max(-window, span_lo), min(window + 1, span_hi))
-    return _pair_diffs(local, remote, runs, 0, int(runs.ends[-1]), span_lo)
+    for passes in range(1, _MAX_WINDOW_PASSES + 1):
+        xk, dk = x[keep], d[keep]
+        x_mean, d_mean = xk.mean(), dk.mean()
+        xc = xk - x_mean
+        sxx = float(np.dot(xc, xc))
+        slope = float(np.dot(xc, dk - d_mean)) / sxx if sxx > 0 else 0.0
+        residuals = d - d_mean - slope * (x - x_mean)
+        sigma = math.sqrt(float(np.mean(residuals[keep] ** 2)))
+        inside = np.abs(residuals) <= max(_WINDOW_SIGMAS * sigma, floor)
+        if passes == _MAX_WINDOW_PASSES or np.array_equal(inside, keep):
+            return keep, slope, sigma
+        keep = inside
 
 
 def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> CorrelationResult:
@@ -289,33 +311,33 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
             significance=significance,
         )
 
+    # The peak span's pairs, each with its local time, in the window's order.
     span_lo = origin + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
-    shifted = _fine_region_values(local_ts, remote_ts, cfg, span_lo)
-    fine_idx = shifted // cfg.fine_bin
-    fine_bins, fine_counts = np.unique(fine_idx, return_counts=True)
-    f_star = int(fine_bins[int(np.argmax(fine_counts))])
-    members = shifted[np.abs(fine_idx - f_star) <= 1]
-    centroid = _round_div(int(members.sum()), len(members))
-    peak_offset = span_lo + centroid
-    width = float(np.std(members.astype(np.float64))) if len(members) > 1 else 0.0
-
-    region_counts = [
-        int(fine_counts[fine_bins == f_star + k].sum()) for k in (-1, 0, 1)
-    ]
+    span = (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
+    window = cfg.search_window
+    runs = _pair_runs(local_ts, remote_ts, max(-window, span_lo), min(window + 1, span_lo + span))
+    shifted = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), span_lo)
+    times = np.repeat(local_ts, runs.counts)
+    seed = shifted // cfg.coarse_bin == cfg.refine_span_bins  # the coarse peak bin's pairs
+    x = (times - local_ts[0]).astype(np.float64)
+    keep, slope, sigma = _member_line(x, shifted.astype(np.float64), seed, cfg.fine_bin)
+    diffs = shifted[keep]
+    peak_offset = span_lo + _round_div(int(diffs.sum()), len(diffs))
+    diffs += span_lo
     return CorrelationResult(
         peak_offset=peak_offset,
         peak_counts=peak_counts,
         background_mean=bg_mean,
         background_sigma=bg_sigma,
         significance=significance,
-        peak_width_fs=width,
+        peak_width_fs=sigma,
         histogram_summary={
             "coarse_bin_fs": cfg.coarse_bin,
             "fine_bin_fs": cfg.fine_bin,
-            "span_fs": (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin,
-            "peak_region_counts": region_counts,
-            "region_total": int(len(members)),
+            "span_fs": span,
+            "region_total": len(diffs),
         },
+        members=PeakMembers(times[keep], diffs, slope),
     )
 
 
@@ -324,7 +346,8 @@ def two_way_offset(d_ab: CorrelationResult, d_ba: CorrelationResult) -> TwoWayRe
 
     theta = (d_AB - d_BA)/2 and T_f = (d_AB + d_BA)/2; both halvings round
     toward zero so the algebra is exactly invertible up to that documented
-    rounding.
+    rounding. The 1-sigma uncertainty combines each direction's residual
+    sigma over the square root of its member count.
     """
     theta = _halve_toward_zero(d_ab.peak_offset - d_ba.peak_offset)
     flight = _halve_toward_zero(d_ab.peak_offset + d_ba.peak_offset)
@@ -332,8 +355,8 @@ def two_way_offset(d_ab: CorrelationResult, d_ba: CorrelationResult) -> TwoWayRe
         raise UnphysicalFlightTimeError(
             f"flight time {flight} fs is negative; are the directions swapped?"
         )
-    u_ab = d_ab.peak_width_fs / math.sqrt(max(d_ab.peak_counts, 1))
-    u_ba = d_ba.peak_width_fs / math.sqrt(max(d_ba.peak_counts, 1))
+    u_ab = d_ab.peak_width_fs / math.sqrt(d_ab.histogram_summary["region_total"])
+    u_ba = d_ba.peak_width_fs / math.sqrt(d_ba.histogram_summary["region_total"])
     uncertainty = int(round(0.5 * math.hypot(u_ab, u_ba)))
     return TwoWayResult(
         clock_offset=theta,
@@ -344,20 +367,15 @@ def two_way_offset(d_ab: CorrelationResult, d_ba: CorrelationResult) -> TwoWayRe
     )
 
 
-def _slice_sorted(ts: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    i = np.searchsorted(ts, lo, side="left")
-    j = np.searchsorted(ts, hi, side="left")
-    return ts[i:j]
-
-
 def estimate_two_way(
     local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig | None = None
 ) -> TwoWayResult:
     """Two-way offset and flight time from a session's four streams.
 
     Each direction is correlated once over the whole window. With
-    cfg.block_count >= 2 the result also carries a frequency fit from
-    per-block offsets anchored on the whole-window offset.
+    cfg.block_count >= 2 the result also carries a frequency fit from the
+    two directions' member lines, with per-block two-way offsets of the
+    same members; no further correlation runs.
     """
     cfg = cfg or CorrelationConfig()
     la, rb = _timestamps(local_a), _timestamps(remote_ab)
@@ -365,81 +383,61 @@ def estimate_two_way(
     result = two_way_offset(cross_correlate(la, rb, cfg), cross_correlate(lb, ra, cfg))
     if cfg.block_count < 2:
         return result
-    fit = _fit_frequency(la, rb, lb, ra, cfg, result.clock_offset)
+    fit = _fit_frequency(result, int(la[0]), int(la[-1]) + 1, cfg.block_count)
     return replace(result, frequency=fit)
 
 
-def frequency_track(
-    local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig
-) -> FrequencyFit:
-    """Fractional frequency and offset at epoch: estimate_two_way's block fit."""
+def frequency_track(local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig) -> FrequencyFit:
+    """Fractional frequency and offset at epoch: estimate_two_way's member-line fit."""
     if cfg.block_count < 2:
         raise ValueError("frequency tracking needs block_count >= 2")
     return estimate_two_way(local_a, remote_ab, local_b, remote_ba, cfg).frequency
 
 
-def _fit_frequency(
-    la: np.ndarray,
-    rb: np.ndarray,
-    lb: np.ndarray,
-    ra: np.ndarray,
-    cfg: CorrelationConfig,
-    theta_global: int,
-) -> FrequencyFit:
-    """Fractional frequency from the drift of per-block two-way offsets.
+def _block_means(result: CorrelationResult, edges: list[int]) -> list[int | None]:
+    """Integer-rounded mean member difference per block [edges[k], edges[k+1]); None if empty."""
+    members = result.members
+    cuts = np.searchsorted(members.local_times, np.array(edges, dtype=np.int64))
+    # sums of differences from the peak offset stay small, so they are exact
+    sums = np.concatenate(([0], np.cumsum(members.diffs - result.peak_offset)))[cuts].tolist()
+    cuts = cuts.tolist()
+    return [
+        result.peak_offset + _round_div(s1 - s0, n1 - n0) if n1 > n0 else None
+        for n0, n1, s0, s1 in zip(cuts, cuts[1:], sums, sums[1:])
+    ]
 
-    The acquisition is split into cfg.block_count equal spans of clock A's
-    local time; each block gets its own two-way offset, with B's streams cut
-    at the same spans shifted by the whole-window offset theta_global, and a
-    least-squares line of offset versus block midpoint yields the fractional
-    frequency (slope) and the offset extrapolated to local time zero
-    (intercept).
+
+def _fit_frequency(two_way: TwoWayResult, t0: int, t1: int, block_count: int) -> FrequencyFit:
+    """Frequency fit from the two directions' member lines d = peak_offset + slope*(t - t_mean).
+
+    theta(t) is the half-difference of A's line at A's local time t and B's
+    at B's local time t + theta (the whole-window offset). Clock A's span
+    [t0, t1) is cut into block_count equal blocks, B's at the same blocks
+    shifted by theta; each block with members in both directions gives the
+    two-way offset of its members.
     """
-    t0, t1 = int(la[0]), int(la[-1]) + 1
-    edges = [t0 + round(k * (t1 - t0) / cfg.block_count) for k in range(cfg.block_count + 1)]
-    window = cfg.search_window
-    block_length = (t1 - t0) / cfg.block_count
-
-    mids, thetas, failures = [], [], []
-    for k in range(cfg.block_count):
-        e0, e1 = edges[k], edges[k + 1]
-        try:
-            res_ab = cross_correlate(
-                _slice_sorted(la, e0, e1), _slice_sorted(rb, e0 - window, e1 + window), cfg
-            )
-            res_ba = cross_correlate(
-                _slice_sorted(lb, e0 + theta_global, e1 + theta_global),
-                _slice_sorted(ra, e0 + theta_global - window, e1 + theta_global + window),
-                cfg,
-            )
-            pair = two_way_offset(res_ab, res_ba)
-        except EstimationError as exc:
-            failures.append((k, str(exc)))
-            continue
-        mids.append((e0 + e1) // 2)
-        thetas.append(pair.clock_offset)
-
-    if len(thetas) < 2:
+    fwd, bwd, theta = two_way.forward, two_way.backward, two_way.clock_offset
+    edges = [t0 + round(k * (t1 - t0) / block_count) for k in range(block_count + 1)]
+    means = zip(_block_means(fwd, edges), _block_means(bwd, [e + theta for e in edges]))
+    block_offsets = [
+        ((e0 + e1) // 2, _halve_toward_zero(m_ab - m_ba))
+        for e0, e1, (m_ab, m_ba) in zip(edges, edges[1:], means)
+        if m_ab is not None and m_ba is not None
+    ]
+    if len(block_offsets) < 2:
         raise InsufficientBlocksError(
-            f"only {len(thetas)} of {cfg.block_count} blocks significant: {failures}"
+            f"only {len(block_offsets)} of {block_count} blocks hold peak members in both directions"
         )
 
-    x = np.array(mids, dtype=np.float64)
-    y = np.array(thetas, dtype=np.float64)
-    x_mean = x.mean()
-    xc = x - x_mean
-    slope = float(np.dot(xc, y) / np.dot(xc, xc))
-    intercept = float(y.mean() - slope * x_mean)
-    residuals = y - (intercept + slope * x)
-    if abs(slope) * block_length >= cfg.fine_bin:
-        warnings.warn(
-            "within-block offset drift reaches the fine bin width; "
-            "increase block_count or fine_bin for a valid piecewise fit",
-            stacklevel=3,
-        )
+    ab, ba = fwd.members, bwd.members  # mean local times from t0 (A) and t0 + theta (B)
+    t_ab = float(np.mean(ab.local_times - t0))
+    t_ba = float(np.mean(ba.local_times - (t0 + theta)))
+    rate = (ab.slope - ba.slope) / 2
+    theta_t0 = (fwd.peak_offset - ab.slope * t_ab - bwd.peak_offset + ba.slope * t_ba) / 2
+    residuals = [offset - theta_t0 - rate * (mid - t0) for mid, offset in block_offsets]
     return FrequencyFit(
-        fractional_frequency=slope,
-        offset_at_epoch=int(round(intercept)),
-        residual_rms=int(round(float(np.sqrt(np.mean(residuals**2))))),
-        block_offsets=list(zip(mids, thetas)),
+        fractional_frequency=rate,
+        offset_at_epoch=round(theta_t0 - rate * t0),
+        residual_rms=round(math.sqrt(sum(r * r for r in residuals) / len(residuals))),
+        block_offsets=block_offsets,
     )

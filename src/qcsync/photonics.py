@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import SeedSpec, spawn_rng
-from .timebase import ClockState, local_times
+from .timebase import INT64_LIMIT, ClockState, local_times
 
 __all__ = [
     "PairSource",
@@ -85,8 +85,8 @@ class TimeTagger:
     range_limit: int | None = None  # drop tags with |local time| beyond this
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("resolution must be >= 1 fs")
+        if not 1 <= self.resolution < INT64_LIMIT:
+            raise ValueError("resolution must be in [1, 2^63) fs")
         if self.range_limit is not None and self.range_limit <= 0:
             raise ValueError("range_limit must be positive when set")
 
@@ -104,14 +104,14 @@ class TagStream:
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.int64)
         object.__setattr__(self, "timestamps", ts)
+        if not 1 <= self.resolution_fs < INT64_LIMIT:
+            raise ValueError("resolution_fs must be in [1, 2^63)")
         if np.any(ts[1:] <= ts[:-1]):  # compare neighbours: np.diff can wrap in int64
             raise ValueError(f"channel {self.channel_id}: timestamps must be strictly sorted")
-        if self.resolution_fs >= 1 and len(ts) and np.any(ts % self.resolution_fs != 0):
+        if len(ts) and np.any(ts % self.resolution_fs != 0):
             raise ValueError(
                 f"channel {self.channel_id}: timestamps not quantized to {self.resolution_fs} fs"
             )
-        if self.resolution_fs < 1:
-            raise ValueError("resolution_fs must be >= 1")
 
     def __len__(self) -> int:
         return len(self.timestamps)

@@ -20,7 +20,7 @@ from .linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
 from .netsync import Node, SyncEdge, Topology
 from .photonics import Detector, PairSource, TimeTagger
 from .session import NodeInstruments
-from .timebase import FS_PER_SECOND, ClockModel
+from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel
 
 __all__ = ["ConfigError", "load_scenario", "validate_scenario", "SCENARIO_SCHEMA"]
 
@@ -67,7 +67,7 @@ _TAGGER = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "resolution_fs": {"type": "integer", "minimum": 1},
+        "resolution_fs": {"type": "integer", "minimum": 1, "maximum": INT64_LIMIT - 1},
         "range_limit_fs": {"type": ["integer", "null"], "exclusiveMinimum": 0},
     },
 }

@@ -26,7 +26,7 @@ from .linkmodel import (
 )
 from .photonics import Detector, PairSource, TagStream, TimeTagger, detect, generate_pair_births, split_pairs
 from .seeding import SeedSpec, seed_path, spawn_rng
-from .timebase import ClockState, local_time
+from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, TimeRangeError, local_time
 
 __all__ = [
     "NodeInstruments",
@@ -146,9 +146,18 @@ def run_session(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     metadata: dict | None = None,
 ) -> SessionStreams:
-    """Simulate the four timetag streams of one acquisition window."""
+    """Simulate the four timetag streams of one acquisition window.
+
+    Raises TimeRangeError when the window ends past the int64 range of tag
+    arrays, 2^63 fs (about 9223 s) of true time.
+    """
     metadata = dict(metadata or {})
     start, duration = spec.start_time, spec.duration
+    if start + duration >= INT64_LIMIT:
+        raise TimeRangeError(
+            f"session window ends at {(start + duration) / FS_PER_SECOND:.0f} s, past the "
+            f"int64 femtosecond range of tag arrays (2^63 fs, about {INT64_LIMIT // FS_PER_SECOND} s)"
+        )
 
     births_a = generate_pair_births(spec.instruments_a.source, duration, seed_path(seed) + ("births-a",))
     births_b = generate_pair_births(spec.instruments_b.source, duration, seed_path(seed) + ("births-b",))

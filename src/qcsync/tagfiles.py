@@ -4,7 +4,7 @@ Format (one file per channel):
 
     # qcs-timetag v1
     # channel: <id>
-    # resolution_fs: <int>
+    # resolution_fs: <int in [1, 2^63)>
     # frame: <id>              (optional)
     # metadata: <json object>  (optional)
     <decimal integer femtoseconds, one per line, strictly increasing>
@@ -48,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .photonics import TagStream
+from .timebase import INT64_LIMIT
 
 __all__ = ["TagFileError", "write_timetag_file", "read_timetag_file", "atomic_write_text"]
 
@@ -187,8 +188,8 @@ def _parse_header(lines: list[str]) -> tuple[dict, int]:
         resolution = int(resolution_text)
     except ValueError as exc:
         raise TagFileError(f"line 3: resolution_fs must be an integer, got {resolution_text!r}") from exc
-    if resolution < 1:
-        raise TagFileError(f"line 3: resolution_fs must be >= 1, got {resolution}")
+    if not 1 <= resolution < INT64_LIMIT:
+        raise TagFileError(f"line 3: resolution_fs must be in [1, 2^63), got {resolution}")
 
     frame = ""
     metadata: dict = {}

@@ -44,6 +44,7 @@ __all__ = [
     "Duration",
     "FS_PER_SECOND",
     "TIMESTAMP_RANGE",
+    "INT64_LIMIT",
     "TimeRangeError",
     "NonMonotonicClockError",
     "ClockModel",
@@ -65,7 +66,7 @@ _RW_GRID_FS = 10**12  # 1 ms random-walk grid
 _RW_CHUNK = 4096
 _LOW32 = 0xFFFFFFFF
 _BLOCK = 1 << 15  # tags per limb pass; one pass over 250k tags ran 2.5x slower (2-core Xeon)
-_INT64_LIMIT = 2**63
+INT64_LIMIT = 2**63  # tag arrays, and so resolutions and session ends, stay below this many fs
 _INT64_MESSAGE = "clock reading outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays"
 
 
@@ -160,7 +161,7 @@ def _scaled_block(t: np.ndarray, n0, n1, shift: int, negative_rate: bool) -> np.
         q_lo, q_hi = (lo >> shift) | (hi << (64 - shift)), hi >> shift
     else:
         q_lo, q_hi = hi >> (shift - 64), np.zeros_like(hi)
-    if np.any(q_hi) or np.any(q_lo > np.uint64(_INT64_LIMIT - 1) + negative):
+    if np.any(q_hi) or np.any(q_lo > np.uint64(INT64_LIMIT - 1) + negative):
         raise TimeRangeError("clock rate term outside the int64 femtosecond range")
     q = q_lo.view(np.int64)
     np.negative(q, out=q, where=negative)  # -(2^63) wraps to itself, as it should
@@ -367,7 +368,7 @@ def local_times(
         state.model.frequency_drift == 0.0
         and y.has_array_form
         and r.has_array_form
-        and span + abs(base) + y.bound(span) + r.bound(span) < _INT64_LIMIT
+        and span + abs(base) + y.bound(span) + r.bound(span) < INT64_LIMIT
     ):
         # every partial sum stays below the bound, so int64 arithmetic is exact
         local = t + base

@@ -153,6 +153,33 @@ def test_c02_two_way_precision_vs_pair_count():
     assert time.monotonic() - started < 60.0
 
 
+def test_c02_reported_uncertainty_matches_error_at_every_fine_bin():
+    # c02's 1e6 pairs/s setup over 100 seeds: the fine bin only floors the
+    # member window, so error / reported uncertainty has an RMS near 1 and
+    # the error does not grow as the fine bin shrinks
+    link = LinkModel(geometry=StaticRange(range_m=RANGE_1US_M))
+    instruments = _instruments(1e6, jitter=50_000)
+    theta0 = 5 * 10**6
+    errors = {fine_bin: [] for fine_bin in (1000, 10_000, 200_000)}
+    pulls = {fine_bin: [] for fine_bin in errors}
+    for seed in range(100):
+        streams = _run(
+            seed,
+            duration=10**12,
+            instruments=instruments,
+            link=link,
+            clock_b_model=ClockModel(initial_offset_fs=theta0),
+        )
+        for fine_bin in errors:
+            cfg = CorrelationConfig(search_window=2 * 10**9, coarse_bin=10**6, fine_bin=fine_bin)
+            result = estimate_session(streams, cfg)
+            errors[fine_bin].append(result.clock_offset - theta0)
+            pulls[fine_bin].append(errors[fine_bin][-1] / result.offset_uncertainty)
+    for fine_bin in errors:
+        assert 0.8 <= _rms(pulls[fine_bin]) <= 1.25, fine_bin
+    assert _rms(errors[1000]) <= 1.2 * _rms(errors[200_000])
+
+
 def test_c03_nonreciprocity_bias_surfaces_as_half():
     # injected one-way asymmetry b in {0.2, 2, 2000} ps biases the offset by
     # exactly b/2 in noiseless runs (within one fine bin)

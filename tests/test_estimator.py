@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -60,12 +59,27 @@ def test_negative_shift_recovered():
 
 
 def test_shift_equivariance():
-    # shifting the remote stream by delta shifts the answer by exactly delta
+    # shifting the remote stream by delta shifts the answer by exactly delta,
+    # and shifting both streams by the same amount leaves it unchanged
     local, remote = _pair_streams(200, offset=777, jitter=300, seed=3)
-    base = cross_correlate(local, remote, CFG).peak_offset
-    for delta in (1, 999, 10**6 + 7, -12345):
-        shifted = cross_correlate(local, remote + delta, CFG).peak_offset
-        assert shifted == base + delta
+    # 50 ps jitter at 1 ps fine bins with a 1e-9 drift: the member window is
+    # 3 sigma of the line, so the iterated window decides which pairs count
+    rng = np.random.default_rng(4)
+    drift_local = np.sort(rng.integers(0, 10**12, 5000)).astype(np.int64)
+    drift = (1e-9 * drift_local).round().astype(np.int64)
+    drift_remote = np.sort(drift_local + 777 + drift + rng.normal(0, 50_000, 5000).round().astype(np.int64))
+    drift_cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=1000)
+    for loc, rem, cfg in ((local, remote, CFG), (drift_local, drift_remote, drift_cfg)):
+        base = cross_correlate(loc, rem, cfg)
+        for delta in (1, 999, 10**6 + 7, -12345):
+            shifted = cross_correlate(loc, rem + delta, cfg)
+            assert shifted.peak_offset == base.peak_offset + delta
+            assert shifted.histogram_summary == base.histogram_summary
+        common = cross_correlate(loc + 2**40, rem + 2**40, cfg)
+        assert common.peak_offset == base.peak_offset
+        assert common.peak_width_fs == base.peak_width_fs
+        assert common.histogram_summary == base.histogram_summary
+    assert 0 < base.histogram_summary["region_total"] < len(drift_local)
 
 
 def test_centroid_is_mean_of_peak_members():
@@ -173,7 +187,7 @@ def test_window_edges_are_inclusive():
 
 
 def test_fine_span_clipped_at_window_edge():
-    # the peak sits 5 ps inside +W, so the fine span and the member bins
+    # the peak sits 5 ps inside +W, so the fine span and the member window
     # reach past the window and the fine pass must drop those pairs
     window = 10**9
     cfg = CorrelationConfig(search_window=window, coarse_bin=10**6, fine_bin=10**4)
@@ -181,23 +195,24 @@ def test_fine_span_clipped_at_window_edge():
     jitter = np.random.default_rng(12).normal(0, 10**4, 300).round().astype(np.int64)
     remote = local + window - 5000 + jitter
     result = cross_correlate(local, remote, cfg)
+    members = result.members
+    assert result.histogram_summary["region_total"] == len(members.diffs)
 
-    want_bins, want_counts, origin = _brute_histogram(local, remote, cfg)
-    peak_bin = int(want_bins[np.argmax(want_counts)])
-    span_lo = origin + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
-    span_hi = span_lo + (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
-    diffs = _brute_diffs(local, remote, window)
-    fine = (diffs[(diffs >= span_lo) & (diffs < span_hi)] - span_lo) // cfg.fine_bin
-    fine_bins, fine_counts = np.unique(fine, return_counts=True)
-    f_star = fine_bins[np.argmax(fine_counts)]
-    assert result.histogram_summary["region_total"] == int((np.abs(fine - f_star) <= 1).sum())
-    assert result.histogram_summary["peak_region_counts"] == [
-        int((fine == f_star + k).sum()) for k in (-1, 0, 1)
-    ]
-    # pairs past +W fall inside the member bins, so an unclipped span would count them
-    beyond = (remote[None, :] - local[:, None]).ravel()
-    beyond = (beyond[(beyond > window) & (beyond < span_hi)] - span_lo) // cfg.fine_bin
-    assert (np.abs(beyond - f_star) <= 1).any()
+    # the members are a fixed point of the member rule over all pairs: the
+    # in-window pairs within max(3 sigma, fine_bin) of the members' line
+    diffs = (remote[None, :] - local[:, None]).ravel()
+    times = np.repeat(local, len(remote))
+    slope, intercept = np.polyfit(members.local_times.astype(float), members.diffs.astype(float), 1)
+    assert slope == pytest.approx(members.slope, abs=1e-12)
+    residuals = diffs - (intercept + slope * times)
+    member_residuals = members.diffs - (intercept + slope * members.local_times)
+    sigma = math.sqrt(np.mean(member_residuals**2))
+    assert sigma == pytest.approx(result.peak_width_fs)
+    inside = np.abs(residuals) <= max(3 * sigma, cfg.fine_bin)
+    assert np.array_equal(np.sort(diffs[inside & (np.abs(diffs) <= window)]), np.sort(members.diffs))
+    assert result.peak_offset == round(members.diffs.mean())
+    # pairs past +W fall inside the member window, so an unclipped span would count them
+    assert (inside & (diffs > window)).any()
 
 
 def test_uncertainty_scales_with_width_over_sqrt_n():
@@ -205,8 +220,10 @@ def test_uncertainty_scales_with_width_over_sqrt_n():
     cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=2 * 10**5)
     result = cross_correlate(local, remote, cfg)
     assert result.peak_width_fs == pytest.approx(70700, rel=0.05)
-    # Two equal directions: 0.5 * hypot(u, u) = u / sqrt(2), u = width / sqrt(peak_counts)
-    width_over_sqrt_n = result.peak_width_fs / math.sqrt(result.peak_counts)
+    # Two equal directions: 0.5 * hypot(u, u) = u / sqrt(2), u = width / sqrt(members)
+    members = result.histogram_summary["region_total"]
+    assert members == len(result.members.diffs)
+    width_over_sqrt_n = result.peak_width_fs / math.sqrt(members)
     assert two_way_offset(result, result).offset_uncertainty == round(width_over_sqrt_n / math.sqrt(2))
 
 
@@ -302,16 +319,11 @@ def test_frequency_track_insufficient_blocks():
     cfg = CorrelationConfig(
         search_window=10**10, coarse_bin=10**6, fine_bin=10**4, block_count=10
     )
-    # 8 pairs cannot make 10 significant blocks
-    streams = _drifting_session(0.0, 8, jitter=0, seed=9)
+    # one unpaired tag of A at 10x the pairs' span puts every member, in
+    # both directions, in the first of A's ten blocks
+    local_a, remote_ab, local_b, remote_ba = _drifting_session(0.0, 2000, jitter=0, seed=9)
+    local_a = np.append(local_a, 10**13)
+    whole = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4)
+    assert estimate_two_way(local_a, remote_ab, local_b, remote_ba, whole).clock_offset == 5 * 10**6
     with pytest.raises(InsufficientBlocksError):
-        frequency_track(*streams, cfg)
-
-
-def test_frequency_track_warns_when_drift_crosses_fine_bin():
-    cfg = CorrelationConfig(
-        search_window=10**10, coarse_bin=10**6, fine_bin=1000, block_count=2
-    )
-    streams = _drifting_session(3e-8, 20000, jitter=0, seed=10)  # 15000 fs per block
-    with pytest.warns(UserWarning, match="fine bin"):
-        frequency_track(*streams, cfg)
+        frequency_track(local_a, remote_ab, local_b, remote_ba, cfg)

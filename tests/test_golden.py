@@ -26,9 +26,9 @@ from qcsync.timebase import ClockModel, ClockState
 
 GOLDEN = {
     "2.4.6": {
-        "session": "8f3b5e4e40ae926b8e303150c3be0142eef5da5a18a4b8f2e39c81c6d0ffc2fa",
-        "cli": "474a73b6c9f4b74e1305d8263d82de6cc90d569354d56e3cb4b4e0e55edc042b",
-        "network": "3cc63d620ba9887ff9fd94e50314dcfdd81b5ca77f1bafc00651590b8f903fb2",
+        "session": "1682a4d5c472620505c3f7c83923f0a029ee57e1e030874745127909995d8024",
+        "cli": "3731c8166ee36cd537fb7ce21477fd82073f7bc49ed124ccb26256bb2bdef8f9",
+        "network": "1e509b4077ffeffce2278aedb22a7d7724622f585f1557043045f516773b67c4",
     },
 }
 
@@ -40,6 +40,12 @@ pytestmark = pytest.mark.skipif(
 def _sha(payload) -> str:
     text = json.dumps(payload, sort_keys=True, default=lambda o: o.item())
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _correlation(result) -> dict:
+    payload = dataclasses.asdict(result)
+    del payload["members"]  # per-pair arrays; region_total counts them
+    return payload
 
 
 def test_golden_session_and_frequency_track():
@@ -65,8 +71,8 @@ def test_golden_session_and_frequency_track():
     fit = frequency_track(streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, cfg)
     payload = {
         "two_way": [result.clock_offset, result.flight_time, result.offset_uncertainty],
-        "forward": dataclasses.asdict(result.forward),
-        "backward": dataclasses.asdict(result.backward),
+        "forward": _correlation(result.forward),
+        "backward": _correlation(result.backward),
         "frequency": dataclasses.asdict(fit),
     }
     assert _sha(payload) == GOLDEN[np.__version__]["session"]

@@ -206,6 +206,9 @@ def test_tagstream_validation():
         TagStream(channel_id="c", timestamps=np.array([1, 1], dtype=np.int64))
     with pytest.raises(ValueError):
         TagStream(channel_id="c", timestamps=np.array([1500], dtype=np.int64), resolution_fs=1000)
+    with pytest.raises(ValueError, match="2\\^63"):
+        TagStream(channel_id="c", timestamps=np.array([0], dtype=np.int64), resolution_fs=2**63)
+    assert TagStream("c", np.array([0], dtype=np.int64), resolution_fs=2**63 - 1).resolution_fs == 2**63 - 1
 
 
 def test_tagstream_rejects_decrease_whose_difference_wraps_int64():
@@ -222,6 +225,8 @@ def test_parameter_validation():
         Detector(dead_time=-1)
     with pytest.raises(ValueError):
         TimeTagger(resolution=0)
+    with pytest.raises(ValueError):
+        TimeTagger(resolution=2**63)
 
 
 def test_detect_deterministic_per_seed():

@@ -70,6 +70,9 @@ def test_bad_resolution_reports_line_three(tmp_path):
     path.write_text("# qcs-timetag v1\n# channel: x\n# resolution_fs: 0\n")
     with pytest.raises(TagFileError, match="line 3"):
         read_timetag_file(path)
+    path.write_text(f"# qcs-timetag v1\n# channel: x\n# resolution_fs: {2**63}\n0\n")
+    with pytest.raises(TagFileError, match="line 3.*2\\^63"):
+        read_timetag_file(path)
 
 
 def test_unsorted_body_reports_offending_line(tmp_path):
@@ -465,3 +468,41 @@ def test_net_without_topology_exits_two(tmp_path, capsys):
     code, _, err = _run(capsys, "net", "--config", config)
     assert code == 2
     assert "topology" in err
+
+
+def test_estimate_with_resolution_beyond_int64_exits_four(tmp_path, capsys):
+    path = tmp_path / "coarse.tags"
+    path.write_text("# qcs-timetag v1\n# channel: x\n# resolution_fs: 10000000000000000000\n0\n")
+    code, _, err = _run(capsys, "estimate", *[str(path)] * 4)
+    assert code == 4
+    assert "line 3" in err and "Traceback" not in err
+
+
+def test_simulate_with_resolution_beyond_int64_exits_two(tmp_path, capsys):
+    config = json.loads((SCENARIOS / "paper_100pairs.json").read_text())
+    for resolution in (10**19, 1e19):
+        config["tagger"]["resolution_fs"] = resolution
+        path = tmp_path / "coarse_tagger.json"
+        path.write_text(json.dumps(config))
+        code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "resolution_fs" in err and "Traceback" not in err
+
+
+def test_net_past_int64_horizon_exits_two(tmp_path, capsys):
+    # the sync at 10000 s would put tag times past 2^63 fs
+    edge = {
+        "upstream": "ref",
+        "downstream": "g1",
+        "interval_s": 5000,
+        "link": {"geometry": {"variant": "static_range", "range_m": 3000.0}},
+        "session": {"duration_s": 1e-5, "source_up": {"pair_rate_hz": 1e7}, "source_down": {"pair_rate_hz": 1e7}},
+        "correlation": {"search_window_fs": 10**11, "coarse_bin_fs": 10**6, "fine_bin_fs": 2 * 10**5},
+    }
+    nodes = [{"id": "ref", "role": "reference", "clock": {}}, {"id": "g1", "clock": {"initial_offset_fs": 10**6}}]
+    config = {"seed": 3, "topology": {"horizon_s": 10001, "report_interval_s": 5000, "nodes": nodes, "edges": [edge]}}
+    path = tmp_path / "long_net.json"
+    path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "net", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "9223 s" in err and "Traceback" not in err

@@ -5,16 +5,34 @@ search window. Both streams are sorted, so the in-window partners of each
 local tag form one run of remote tags, found by binary search: cost scales
 with the number of in-window pairs, never len(local)*len(remote).
 
-Each correlation enumerates the window's pairs once. They are made in
-cache-sized int64 blocks, reduced to coarse-bin offsets from the window's
-first bin, and sorted as 32-bit integers (64-bit only when the window spans
-more than 2**32 bins); runs of equal offsets give the sparse coarse
-histogram, whose peak bin is the coarse estimate. The fine stage then
-enumerates only the peak span's pairs (+-refine_span_bins coarse bins),
-each with its local time t, and fits the line d = a + b*(t - t_mean) by
-least squares over an iterated member window: seeded with the coarse peak
-bin, each pass keeps the pairs within max(3 sigma, fine_bin) of the line,
-until the member set stops changing. Every output comes from that one
+The coarse estimate is the first coarse bin holding the most pairs, found
+exactly by one of two routes that give the same bin and count:
+- A bounded search, for windows with many pairs per tag. Both streams are
+  folded onto N superbins of _SUPERBIN_BINS coarse bins, and one FFT gives
+  an upper bound on each superbin's pairs. Superbins are enumerated in
+  descending bound order until the bound falls below the best count, so a
+  sparse window as long as the session enumerates one or two superbins.
+- The enumeration of every window pair, when the window holds too few
+  pairs to repay the FFTs, when N would be large, or when the bounds are
+  too loose for the visit budget. The pairs are made in cache-sized int64
+  blocks, reduced to coarse-bin offsets from the window's first bin, and
+  sorted as 32-bit integers (64-bit only when the window spans more than
+  2**32 bins); runs of equal offsets give the sparse coarse histogram
+  (coarse_histogram).
+
+The background is every window bin, empty ones included, except the
+peak's +-refine_span_bins coarse bins (the peak span). Its mean is the
+window's pairs outside the span over those bins. Its sigma is
+sqrt(mean + spread), floored at one count, where spread is the variance
+across the window of the accidental counts that constant tag rates would
+give; a window as long as the session makes it large. The significance is
+(peak count - mean) / sigma.
+
+The fine stage then enumerates only the peak span's pairs, each with its
+local time t, and fits the line d = a + b*(t - t_mean) by least squares
+over an iterated member window: seeded with the coarse peak bin, each pass
+keeps the pairs within max(3 sigma, fine_bin) of the line, until the
+member set stops changing. Every output comes from that one
 member set: the offset is the exact integer-rounded mean member difference
 (the line at t_mean), the width is the residual sigma, and b the drift.
 
@@ -57,6 +75,14 @@ _CHUNK_PAIRS = 1 << 22  # pairs binned per sort: at most 16 MB of 32-bit bin off
 _BLOCK_PAIRS = 1 << 15  # pairs materialized at once: 256 KB int64 arrays stay in cache
 _WINDOW_SIGMAS = 3.0  # member window half-width, in residual sigmas of the member line
 _MAX_WINDOW_PASSES = 50  # the member set settles within a few passes; this bounds a cycle
+_SUPERBIN_BINS = 128  # coarse bins per superbin of the bounded peak search
+_MAX_SUPERBINS = 1 << 20  # larger folds cost more in FFTs than they save
+_VISIT_BUDGET = 64  # most superbins the bounded search enumerates
+# The bounded search costs about as much as enumerating _PAIRS_PER_BOUND
+# pairs per fold bin and per tag, plus a fixed cost that only windows of at
+# least _MIN_BOUND_PAIRS pairs repay.
+_PAIRS_PER_BOUND = 2
+_MIN_BOUND_PAIRS = 1 << 16
 
 
 class EstimationError(Exception):
@@ -245,6 +271,112 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> tuple[np.ndarray,
     return bins, counts, origin
 
 
+def _superbin_counts(
+    local_ts: np.ndarray, remote_ts: np.ndarray, origin: int, superbin: int, cfg: CorrelationConfig
+) -> np.ndarray:
+    """Exact counts of the _SUPERBIN_BINS coarse bins of one superbin, clipped to the window."""
+    width = _SUPERBIN_BINS * cfg.coarse_bin
+    lo = origin + superbin * width  # the superbin's first difference
+    start, stop = max(-cfg.search_window, lo), min(cfg.search_window + 1, lo + width)
+    runs = _pair_runs(local_ts, remote_ts, start, stop)
+    diffs = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), start)
+    diffs += start - lo
+    return np.bincount(diffs // cfg.coarse_bin, minlength=_SUPERBIN_BINS)
+
+
+def _bounded_peak(
+    local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig
+) -> tuple[int, int, int] | None:
+    """The first coarse bin with the most window pairs, its count, and the window's pairs.
+
+    A branch and bound over superbins. Superbin j groups coarse bins j*M ..
+    j*M + M - 1 (M = _SUPERBIN_BINS), so a pair's superbin is
+    floor((d - origin) / S) with S = M*coarse_bin. Folding each stream by
+    floor((t - t[0]) / S) mod N, one cyclic cross-correlation by FFT counts
+    the tag pairs c[k] whose folded superbins differ by k. A pair of
+    superbin j differs by j or j + 1, so superbin j holds at most
+    c[j] + c[j+1] pairs; aliased pairs only add to that bound. Superbins are
+    enumerated exactly in descending bound order until the bound falls
+    below the best count (a tie is still visited, so the smallest bin wins
+    it). Returns None, and the caller enumerates the whole window instead,
+    when N would exceed _MAX_SUPERBINS, when the window's pairs cannot repay
+    the FFTs, or when the visits would exceed _VISIT_BUDGET superbins or an
+    eighth of the window's pairs.
+    """
+    if len(local_ts) == 0 or len(remote_ts) == 0:
+        return None
+    origin = int(remote_ts[0]) - int(local_ts[0])
+    width = _SUPERBIN_BINS * cfg.coarse_bin
+    # superbins of the differences the streams can form inside the window
+    d_lo = max(-cfg.search_window, int(remote_ts[0]) - int(local_ts[-1]))
+    d_hi = min(cfg.search_window, int(remote_ts[-1]) - int(local_ts[0]))
+    sb_lo, sb_hi = (d_lo - origin) // width, (d_hi - origin) // width
+    n_superbins = sb_hi - sb_lo + 1
+    n = 1 << n_superbins.bit_length()  # > n_superbins, so no window superbin aliases another
+    spans = int(local_ts[-1]) - int(local_ts[0]), int(remote_ts[-1]) - int(remote_ts[0])
+    if n > _MAX_SUPERBINS or width > cfg.search_window or max(spans) >= 2**63:
+        return None
+    # Uniform streams would hold about this many window pairs. The estimate
+    # keeps windows with few pairs per tag off the binary searches below, so
+    # they are searched once, by coarse_histogram.
+    needed = max(_MIN_BOUND_PAIRS, _PAIRS_PER_BOUND * (n + len(local_ts) + len(remote_ts)))
+    if len(local_ts) * len(remote_ts) * min(1.0, (2 * cfg.search_window + 1) / (max(spans) + 1)) < needed:
+        return None
+    total = int(_pair_runs(local_ts, remote_ts, -cfg.search_window, cfg.search_window + 1).ends[-1])
+    if total < needed:
+        return None
+    fold_l = np.bincount((local_ts - local_ts[0]) // width & (n - 1), minlength=n)
+    fold_r = np.bincount((remote_ts - remote_ts[0]) // width & (n - 1), minlength=n)
+    cyclic = np.fft.irfft(np.conj(np.fft.rfft(fold_l)) * np.fft.rfft(fold_r), n)
+    # FFT round-off stays far below this margin, so c never undercounts
+    margin = 0.5 + 1e-13 * n.bit_length() * math.sqrt(float(fold_l @ fold_l) * float(fold_r @ fold_r))
+    c = np.take(np.floor(cyclic + margin).astype(np.int64), np.arange(sb_lo, sb_hi + 2), mode="wrap")
+    bounds = c[:-1] + c[1:]
+
+    # The visits may enumerate at most an eighth of the window's pairs.
+    best_bin, best_count, budget = 0, 0, total // 8
+    for _ in range(_VISIT_BUDGET):
+        k = int(np.argmax(bounds))
+        if bounds[k] < best_count:
+            return best_bin, best_count, total
+        budget -= int(bounds[k])
+        if budget < 0:
+            return None
+        bounds[k] = -1  # visited
+        counts = _superbin_counts(local_ts, remote_ts, origin, sb_lo + k, cfg)
+        i = int(np.argmax(counts))
+        bin_ = (sb_lo + k) * _SUPERBIN_BINS + i
+        if counts[i] > best_count or (counts[i] == best_count and bin_ < best_bin):
+            best_bin, best_count = bin_, int(counts[i])
+    return (best_bin, best_count, total) if bounds.max() < best_count else None
+
+
+def _background_spread(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> float:
+    """Variance across the window of the accidental counts per coarse bin expected at constant tag rates.
+
+    Tags spread evenly over each stream's span make the pair density, in
+    the difference d, a trapezoid; its counts per coarse bin are linear on
+    each of three pieces, so their mean and mean square over the window
+    are exact sums of piece integrals.
+    """
+    a = int(local_ts[-1]) - int(local_ts[0]) + 1
+    b = int(remote_ts[-1]) - int(remote_ts[0]) + 1
+    d0 = int(remote_ts[0]) - int(local_ts[0]) - a  # the smallest difference
+    top = len(local_ts) * len(remote_ts) * cfg.coarse_bin / max(a, b)  # counts per bin on the flat top
+    knots = ((d0, 0.0), (d0 + min(a, b), top), (d0 + max(a, b), top), (d0 + a + b, 0.0))
+    lo, hi = -cfg.search_window, cfg.search_window + 1
+    s1 = s2 = 0.0
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        u, v = max(x0, lo), min(x1, hi)
+        if u < v:
+            yu = y0 + (y1 - y0) * ((u - x0) / (x1 - x0))
+            yv = y0 + (y1 - y0) * ((v - x0) / (x1 - x0))
+            s1 += (v - u) * (yu + yv) / 2
+            s2 += (v - u) * (yu * yu + yu * yv + yv * yv) / 3
+    n = hi - lo
+    return max(s2 / n - (s1 / n) ** 2, 0.0)
+
+
 def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
     """Iterate the member window from the seed mask keep until it settles.
 
@@ -276,33 +408,35 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
     """
     cfg = cfg or CorrelationConfig()
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
-    bins, counts, origin = coarse_histogram(local_ts, remote_ts, cfg)
+    found = _bounded_peak(local_ts, remote_ts, cfg)
+    if found is None:
+        bins, counts, _ = coarse_histogram(local_ts, remote_ts, cfg)
+        i_max = int(np.argmax(counts))  # first max: ties break toward smallest offset
+        found = int(bins[i_max]), int(counts[i_max]), int(counts.sum())
+    peak_bin, peak_counts, total = found
+    origin = int(remote_ts[0]) - int(local_ts[0])
 
-    i_max = int(np.argmax(counts))  # first max: ties break toward smallest offset
-    peak_bin = int(bins[i_max])
-    peak_counts = int(counts[i_max])
+    # The peak span's pairs, each with its local time, in the window's order.
+    # They are exactly the pairs of the coarse bins the background excludes.
+    span_lo = origin + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
+    span = (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
+    window = cfg.search_window
+    runs = _pair_runs(local_ts, remote_ts, max(-window, span_lo), min(window + 1, span_lo + span))
 
     # Background over every coarse bin the window could populate, including
-    # empty ones, excluding the peak neighborhood. Its sums are the totals
-    # less the excluded slice of the sorted bins, taken as exact integers.
+    # empty ones, excluding the peak span. Its sigma adds the spread of the
+    # expected accidentals to the Poisson variance, and is floored at one
+    # count so that isolated accidental coincidences never register as
+    # significant.
     bin_lo, bin_hi = _window_bin_range(origin, cfg)
-    n_bins = bin_hi - bin_lo + 1
     excl_lo = max(peak_bin - cfg.refine_span_bins, bin_lo)
     excl_hi = min(peak_bin + cfg.refine_span_bins, bin_hi)
-    n_bg_bins = n_bins - (excl_hi - excl_lo + 1)
-    if n_bg_bins <= 0:
-        bg_mean, bg_sigma = 0.0, 1.0
+    n_bg_bins = (bin_hi - bin_lo + 1) - (excl_hi - excl_lo + 1)
+    if n_bg_bins > 0:
+        bg_mean = (total - int(runs.ends[-1])) / n_bg_bins
+        bg_sigma = max(math.sqrt(bg_mean + _background_spread(local_ts, remote_ts, cfg)), 1.0)
     else:
-        i, j = np.searchsorted(bins, (excl_lo, excl_hi + 1), side="left")
-        excluded = counts[i:j]
-        bg_sum = float(int(counts.sum()) - int(excluded.sum()))
-        bg_sumsq = float(int(np.dot(counts, counts)) - int(np.dot(excluded, excluded)))
-        bg_mean = bg_sum / n_bg_bins
-        variance = max(bg_sumsq / n_bg_bins - bg_mean**2, 0.0)
-        # Sparse histograms can have a deceptively small sample variance;
-        # floor at the Poisson value and at one count so that isolated
-        # accidental coincidences never register as significant.
-        bg_sigma = max(math.sqrt(variance), math.sqrt(bg_mean), 1.0)
+        bg_mean, bg_sigma = 0.0, 1.0
     significance = (peak_counts - bg_mean) / bg_sigma
     if significance < cfg.significance_sigma:
         raise NoPeakError(
@@ -311,11 +445,6 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
             significance=significance,
         )
 
-    # The peak span's pairs, each with its local time, in the window's order.
-    span_lo = origin + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
-    span = (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
-    window = cfg.search_window
-    runs = _pair_runs(local_ts, remote_ts, max(-window, span_lo), min(window + 1, span_lo + span))
     shifted = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), span_lo)
     times = np.repeat(local_ts, runs.counts)
     seed = shifted // cfg.coarse_bin == cfg.refine_span_bins  # the coarse peak bin's pairs

@@ -289,14 +289,36 @@ _VALIDATOR_CLASS.check_schema(SCENARIO_SCHEMA)
 _VALIDATOR = _VALIDATOR_CLASS(SCENARIO_SCHEMA)
 
 
+def _integers_as_int(value, schema: dict):
+    """value with each integral float that schema types as an integer made a Python int.
+
+    JSON Schema counts 1000.0 as an integer, but the builders need int
+    arithmetic: a float tagger resolution, say, would be written to tag-file
+    headers as "1000.0", which the reader rejects.
+    """
+    types = schema.get("type", ())
+    integer = "integer" in ([types] if isinstance(types, str) else types)
+    if integer and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, dict):
+        properties = dict(schema.get("properties", {}))
+        for variant in schema.get("oneOf", ()):
+            properties.update(variant.get("properties", {}))
+        return {key: _integers_as_int(item, properties.get(key, {})) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_integers_as_int(item, schema.get("items", {})) for item in value]
+    return value
+
+
 def validate_scenario(config: dict) -> dict:
+    """The config, validated, with its integer-typed values as Python ints."""
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
     if error is not None:
         path = "$" + "".join(
             f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in error.absolute_path
         )
         raise ConfigError(f"config invalid at {path}: {error.message}") from error
-    return config
+    return _integers_as_int(config, SCENARIO_SCHEMA)
 
 
 def load_scenario(path: str | Path) -> dict:

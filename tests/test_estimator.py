@@ -327,3 +327,263 @@ def test_frequency_track_insufficient_blocks():
     assert estimate_two_way(local_a, remote_ab, local_b, remote_ba, whole).clock_offset == 5 * 10**6
     with pytest.raises(InsufficientBlocksError):
         frequency_track(local_a, remote_ab, local_b, remote_ba, cfg)
+
+
+# The bounded peak search. Module constants shrink the superbins, the visit
+# budget and the size rule, so that small inputs run every branch; each case
+# is checked against the brute-force histogram's first argmax and count, and
+# cross_correlate must return the same result on both routes.
+
+
+def _force_bounded(monkeypatch, superbin_bins=4, budget=64):
+    monkeypatch.setattr(estimator, "_SUPERBIN_BINS", superbin_bins)
+    monkeypatch.setattr(estimator, "_VISIT_BUDGET", budget)
+    monkeypatch.setattr(estimator, "_MIN_BOUND_PAIRS", 1)
+    monkeypatch.setattr(estimator, "_PAIRS_PER_BOUND", 0)
+
+
+def _bounded(local, remote, cfg):
+    found = estimator._bounded_peak(local, remote, cfg)
+    if found is not None:
+        assert found[2] == len(_brute_diffs(local, remote, cfg.search_window))
+        return found[:2]
+
+
+def _brute_peak(local, remote, cfg):
+    bins, counts, _ = _brute_histogram(local, remote, cfg)
+    i = int(np.argmax(counts))
+    return int(bins[i]), int(counts[i])
+
+
+def _outcome(local, remote, cfg):
+    try:
+        result = cross_correlate(local, remote, cfg)
+    except NoPeakError as err:
+        return "no peak", err.significance
+    return result, result.members.local_times.tolist(), result.members.diffs.tolist()
+
+
+def _assert_routes_agree(monkeypatch, local, remote, cfg, bounded=True):
+    """The bounded search finds the brute-force peak (or falls back) and both routes agree."""
+    peak = _bounded(local, remote, cfg)
+    if bounded:
+        assert peak == _brute_peak(local, remote, cfg)
+    else:
+        assert peak is None
+    routed = _outcome(local, remote, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_MAX_SUPERBINS", 0)  # every window enumerated
+        assert _bounded(local, remote, cfg) is None
+        assert _outcome(local, remote, cfg) == routed
+    return peak
+
+
+def _peaked_streams(rng, n_peak, offset, n_background, span, jitter=0):
+    # n_peak remote tags at offset (+- jitter) from local tags, plus uniform
+    # background tags on both sides
+    local = rng.integers(0, span, n_peak + n_background)
+    remote = np.concatenate((local[:n_peak] + offset, rng.integers(0, span, n_background)))
+    if jitter:
+        remote[:n_peak] += rng.integers(-jitter, jitter + 1, n_peak)
+    return np.sort(local).astype(np.int64), np.sort(remote).astype(np.int64)
+
+
+def _anchored(local, remote, origin):
+    # a tag pair far below both streams sets the binning origin; its other
+    # pairs lie far outside the window
+    anchor = int(min(local.min(), remote.min())) - 10**10
+    return np.concatenate(([anchor], local)).astype(np.int64), np.sort(np.append(remote, anchor + origin))
+
+
+@pytest.mark.parametrize("span", [5 * 10**7, 4 * 10**8])
+def test_bounded_search_matches_brute_force(monkeypatch, span):
+    # within a 5e7 fs span every tag pair lies inside the window and the
+    # fold holds each difference once; over 4e8 fs the fold also aliases
+    # out-of-window pairs onto the window's superbins
+    rng = np.random.default_rng(41)
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100, significance_sigma=3.0)
+    routes = []
+    for trial in range(30):
+        superbin_bins, budget = int(rng.choice([1, 2, 4, 16])), int(rng.choice([1, 3, 64]))
+        _force_bounded(monkeypatch, superbin_bins, budget)
+        offset = int(rng.integers(-cfg.search_window // 2, cfg.search_window // 2))
+        n_peak, n_background = int(rng.integers(20, 80)), int(rng.integers(0, 60))
+        local, remote = _peaked_streams(rng, n_peak, offset, n_background, span, jitter=10**5)
+        peak = _bounded(local, remote, cfg)
+        routes.append(peak is not None)
+        _assert_routes_agree(monkeypatch, local, remote, cfg, bounded=peak is not None)
+    assert 5 <= sum(routes) <= 25
+
+
+def test_routes_and_pair_searches_with_shipped_constants(monkeypatch):
+    # A dense window with under one pair per tag and a window of few pairs
+    # are enumerated, searching the window once and the peak span once. A
+    # sparse window as long as the session takes the bounded search, and
+    # enumerating it instead gives the same result.
+    searches = []
+    pair_runs = estimator._pair_runs
+    monkeypatch.setattr(estimator, "_pair_runs", lambda *args: searches.append(args[2:]) or pair_runs(*args))
+    dense = _pair_streams(20000, offset=5 * 10**6, spacing=10**9, jitter=1000, seed=2)
+    few = _pair_streams(100, offset=5 * 10**6, spacing=10**8, seed=3)
+    for local, remote in (dense, few):
+        cross_correlate(local, remote, CorrelationConfig(search_window=2 * 10**8, fine_bin=10**5))
+        assert len(searches) == 2
+        searches.clear()
+
+    cfg = CorrelationConfig(search_window=2 * 10**12, fine_bin=2 * 10**5)
+    local, remote = _peaked_streams(np.random.default_rng(6), 500, 3 * 10**11, 500, 2 * 10**12, jitter=10**5)
+    bounded = cross_correlate(local, remote, cfg)
+    assert len(searches) > 2
+    searches.clear()
+    monkeypatch.setattr(estimator, "_MAX_SUPERBINS", 0)
+    assert cross_correlate(local, remote, cfg) == bounded
+    assert len(searches) == 2
+
+
+def _visit_order(monkeypatch):
+    visited = []
+    counts = estimator._superbin_counts
+
+    def record(local_ts, remote_ts, origin, superbin, cfg):
+        visited.append(superbin)
+        return counts(local_ts, remote_ts, origin, superbin, cfg)
+
+    monkeypatch.setattr(estimator, "_superbin_counts", record)
+    return visited
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_bounded_search_tie_goes_to_smaller_offset(monkeypatch, seed):
+    # the same tags shifted by -40 us and by +40 us give two identical
+    # patterns 8000 coarse bins apart, so their peaks tie. Three pairs of a
+    # far tag raise the upper peak's superbin bound, and with these seeds it
+    # is visited first; the lower bin must still win, and a one-superbin
+    # budget falls back.
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**4, fine_bin=100, significance_sigma=3.0)
+    rng = np.random.default_rng(seed)
+    tags = np.sort(rng.integers(0, 2 * 10**7, 40)).astype(np.int64)
+    far = 10**10
+    local = np.append(tags, far)
+    beside = far + 4 * 10**7 + 10**4 * np.arange(1, 4)
+    remote = np.sort(np.concatenate((tags - 4 * 10**7, tags + 4 * 10**7, beside)))
+    _force_bounded(monkeypatch)
+    visited = _visit_order(monkeypatch)
+    peak_bin, count = _assert_routes_agree(monkeypatch, local, remote, cfg)
+    bins, counts, origin = _brute_histogram(local, remote, cfg)
+    assert origin == -4 * 10**7 and counts[bins == 0] == counts[bins == 8000] == count
+    assert peak_bin == 0 and visited[0] == 2000 and 0 in visited  # superbin 2000 holds bin 8000
+    assert cross_correlate(local, remote, cfg).peak_offset < 0
+    _force_bounded(monkeypatch, budget=1)
+    _assert_routes_agree(monkeypatch, local, remote, cfg, bounded=False)
+
+
+def test_bounded_search_continues_on_equal_bound(monkeypatch):
+    # one-bin superbins over lattice tags: no pair splits across folded
+    # superbins, so the bound of the -40 us peak equals its count exactly.
+    # One extra tag's pair beside the +40 us peak makes that peak the first
+    # visit; the -40 us peak's bound then only equals the best count, and
+    # it must still be visited to win the tie.
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**4, fine_bin=100, significance_sigma=3.0)
+    _force_bounded(monkeypatch, superbin_bins=1)
+    tags = np.arange(40, dtype=np.int64) * 10 * cfg.coarse_bin
+    remote = np.sort(np.concatenate((tags - 4 * 10**7, tags + 4 * 10**7, [4 * 10**7 + cfg.coarse_bin])))
+    visited = _visit_order(monkeypatch)
+    assert _assert_routes_agree(monkeypatch, tags, remote, cfg) == (0, 40)
+    assert visited[0] == 8000
+
+
+def test_bounded_search_pair_budget_falls_back(monkeypatch):
+    # a window whose peak holds all its pairs: visiting it would enumerate
+    # more than an eighth of them, so the window is enumerated instead
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
+    local = np.arange(1, 41, dtype=np.int64) * 10**9
+    _force_bounded(monkeypatch)
+    _assert_routes_agree(monkeypatch, local, local + 12345, cfg, bounded=False)
+
+
+@pytest.mark.parametrize("below,above", [(30, 30), (29, 30), (30, 29)])
+def test_bounded_search_peak_straddling_superbin_edge(monkeypatch, below, above):
+    # the peak's pairs sit in coarse bin 39, the last of superbin 9, and in
+    # bin 40, the first of superbin 10; with the accidental pairs counted,
+    # the brute-force histogram decides which wins
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**4, fine_bin=100, significance_sigma=3.0)
+    _force_bounded(monkeypatch, superbin_bins=4)
+    rng = np.random.default_rng(below * 100 + above)
+    origin = 12345
+    edge = origin + 40 * cfg.coarse_bin
+    tags = np.sort(rng.integers(0, 2 * 10**7, below + above)).astype(np.int64)
+    remote = tags + np.repeat([edge - 1, edge], [below, above])
+    local, remote = _anchored(tags, np.sort(remote), origin)
+    peak_bin, count = _assert_routes_agree(monkeypatch, local, remote, cfg)
+    assert peak_bin in (39, 40) and count >= max(below, above)
+
+
+def test_bounded_search_superbins_clipped_at_window(monkeypatch):
+    # the superbins holding -W and +W reach past the window, and pairs just
+    # outside it share the edge coarse bins: those pairs must not count
+    window = 10**8
+    cfg = CorrelationConfig(search_window=window, coarse_bin=10**4, fine_bin=100, significance_sigma=3.0)
+    _force_bounded(monkeypatch, superbin_bins=4)
+    rng = np.random.default_rng(47)
+    tags = np.sort(rng.integers(0, 2 * 10**7, 60)).astype(np.int64)
+    diffs = np.repeat([window, window + 1, -window, -window - 1], [10, 12, 14, 16])
+    origin = 12345  # bins of -W - 1 and -W, and of W and W + 1, coincide
+    local, remote = _anchored(tags, np.sort(tags[:52] + diffs), origin)
+    bins, counts, _ = _brute_histogram(local, remote, cfg)
+    edge_bins = [(d - origin) // cfg.coarse_bin for d in (-window, window)]
+    assert edge_bins == [(d - origin) // cfg.coarse_bin for d in (-window - 1, window + 1)]
+    peak_bin, count = _assert_routes_agree(monkeypatch, local, remote, cfg)
+    assert peak_bin == edge_bins[0] and count < 14 + 16
+    assert int(counts[bins == edge_bins[1]][0]) < 10 + 12
+
+
+def test_bounded_search_common_shift(monkeypatch):
+    # shifting both streams by 2**40 fs relabels nothing: same peak, same result
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**4, fine_bin=100)
+    _force_bounded(monkeypatch)
+    local, remote = _peaked_streams(np.random.default_rng(43), 60, 4 * 10**7 + 777, 40, 5 * 10**7, 10**4)
+    peak = _assert_routes_agree(monkeypatch, local, remote, cfg)
+    assert _assert_routes_agree(monkeypatch, local + 2**40, remote + 2**40, cfg) == peak
+    assert cross_correlate(local + 2**40, remote + 2**40, cfg) == cross_correlate(local, remote, cfg)
+
+
+@pytest.mark.parametrize(
+    "rate_local,rate_remote,session,window",
+    [
+        (5e5, 2.75e5, 2 * 10**12, 2 * 10**12),  # sparse, the window as long as the session
+        (4e7, 2e7, 5 * 10**10, 5 * 10**10),  # dense, the window as long as the session
+        (4e6, 2e6, 2 * 10**13, 2 * 10**8),  # dense, a narrow window
+    ],
+)
+def test_independent_streams_have_no_peak(rate_local, rate_remote, session, window):
+    # Poisson streams with no common pairs. With the window as long as the
+    # session, accidental pairs are twice as dense at the window's centre as
+    # on average, so a background sigma that ignored this spread would pass
+    # the dense case's accidental maxima as peaks.
+    cfg = CorrelationConfig(search_window=window, coarse_bin=10**6, fine_bin=10**5)
+    for seed in range(8):
+        rng = np.random.default_rng([seed, 99])
+        local, remote = (
+            np.sort(rng.integers(0, session, rng.poisson(rate * session / 1e15))).astype(np.int64)
+            for rate in (rate_local, rate_remote)
+        )
+        with pytest.raises(NoPeakError):
+            cross_correlate(local, remote, cfg)
+
+
+@pytest.mark.parametrize("window,spread", [(6 * 10**10, 575.87), (3 * 10**10, 178.37), (10**10, 0.0)])
+def test_background_spread_matches_histogram_variance(window, spread):
+    # A trapezoid of accidental pairs: the window holds all of it and
+    # empty bins around it, cuts its slopes, or sees only its flat top. The
+    # variance of the window's counts over all its bins is their Poisson
+    # variance, the mean, plus the spread of the expected counts.
+    rng = np.random.default_rng(5)
+    local = np.sort(rng.integers(0, 5 * 10**10, 2000)).astype(np.int64)
+    remote = np.sort(rng.integers(10**10, 4 * 10**10, 1500)).astype(np.int64)
+    cfg = CorrelationConfig(search_window=window, coarse_bin=10**6, fine_bin=10**5)
+    assert estimator._background_spread(local, remote, cfg) == pytest.approx(spread, abs=0.01)
+    _, counts, _ = coarse_histogram(local, remote, cfg)
+    n_bins = 2 * window // cfg.coarse_bin + 1
+    mean = counts.sum() / n_bins
+    excess = float(np.dot(counts, counts)) / n_bins - mean**2 - mean
+    assert excess == pytest.approx(spread, rel=0.03, abs=0.3)

@@ -26,8 +26,8 @@ from qcsync.timebase import ClockModel, ClockState
 
 GOLDEN = {
     "2.4.6": {
-        "session": "1682a4d5c472620505c3f7c83923f0a029ee57e1e030874745127909995d8024",
-        "cli": "3731c8166ee36cd537fb7ce21477fd82073f7bc49ed124ccb26256bb2bdef8f9",
+        "session": "a248f9a5a26a704363eb09f20de8b7e2affb7064528f1f344e13bc60efd0d58a",
+        "cli": "e603a26d7d6c6b349c6b92f4f07a5d64a5ca96577ba686ed1421327f4b343a84",
         "network": "1e509b4077ffeffce2278aedb22a7d7724622f585f1557043045f516773b67c4",
     },
 }

@@ -489,6 +489,23 @@ def test_simulate_with_resolution_beyond_int64_exits_two(tmp_path, capsys):
         assert "resolution_fs" in err and "Traceback" not in err
 
 
+def test_integral_float_config_values_act_as_integers(tmp_path, capsys):
+    # JSON Schema's "integer" admits 1000.0; the run must match the 1000 one
+    config = json.loads((SCENARIOS / "paper_100pairs.json").read_text())
+    runs = []
+    for resolution in (1000, 1000.0):
+        config["tagger"]["resolution_fs"] = resolution
+        config["correlation"]["coarse_bin_fs"] = resolution * 1000
+        path = tmp_path / f"tagger_{resolution!r}.json"
+        path.write_text(json.dumps(config))
+        runs.append(tmp_path / f"out_{resolution!r}")
+        code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(runs[-1]))
+        assert code == 0, err
+    assert "1000.0" in (tmp_path / "tagger_1000.0.json").read_text()
+    for name in ("a_local.tags", "b_from_a.tags", "b_local.tags", "a_from_b.tags", "twoway_result.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 def test_net_past_int64_horizon_exits_two(tmp_path, capsys):
     # the sync at 10000 s would put tag times past 2^63 fs
     edge = {

@@ -38,16 +38,14 @@ from .netsync import TopologyError, gps_baseline_comparison, run_network
 from .scenario import (
     ConfigError,
     build_bell,
-    build_clock_model,
     build_correlation,
     build_link,
-    build_tagger,
+    build_session,
     build_topology,
-    build_detector,
-    build_source,
     load_scenario,
+    require_sections,
 )
-from .session import NodeInstruments, SessionSpec, run_session
+from .session import run_session
 from .tagfiles import TagFileError, atomic_write_text, read_timetag_file, write_timetag_file
 from .timebase import FS_PER_SECOND, ClockState, TimeRangeError
 
@@ -87,12 +85,6 @@ def _two_way_dict(result: TwoWayResult) -> dict:
     return payload
 
 
-def _require(config: dict, *keys: str) -> None:
-    missing = [k for k in keys if k not in config]
-    if missing:
-        raise ConfigError(f"config is missing required section(s) for this command: {missing}")
-
-
 def _scenario_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True).encode()
     return hashlib.sha256(canonical).hexdigest()[:16]
@@ -115,35 +107,13 @@ def _load_config(args) -> dict:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    _require(config, "duration_s", "clocks", "sources", "detectors", "link")
-    for side in ("a", "b"):
-        if side not in config["clocks"] or side not in config["sources"]:
-            raise ConfigError(f"simulate needs clocks.{side} and sources.{side}")
+    spec, model_a, model_b = build_session(config)
     cfg = build_correlation(config.get("correlation"))  # before any file is written
     seed = config["seed"]
-    tagger = build_tagger(config.get("tagger"))
-    instruments = {
-        side: NodeInstruments(
-            source=build_source(config["sources"][side]),
-            detector=build_detector((config.get("detectors") or {}).get(side)),
-            tagger=tagger,
-        )
-        for side in ("a", "b")
-    }
-    spec = SessionSpec(
-        duration=round(config["duration_s"] * FS_PER_SECOND),
-        instruments_a=instruments["a"],
-        instruments_b=instruments["b"],
-        link=build_link(config["link"]),
-    )
-    clocks = {
-        side: ClockState(build_clock_model(config["clocks"][side]), rng_stream=(seed, "clock", side))
-        for side in ("a", "b")
-    }
+    clock_a = ClockState(model_a, rng_stream=(seed, "clock", "a"))
+    clock_b = ClockState(model_b, rng_stream=(seed, "clock", "b"))
     metadata = {"scenario": _scenario_hash(config)}
-    streams = run_session(
-        spec, clocks["a"], clocks["b"], (seed, "session"), metadata=metadata
-    )
+    streams = run_session(spec, clock_a, clock_b, (seed, "session"), metadata=metadata)
 
     out_dir = _out_dir(args, config)
     files = {
@@ -191,7 +161,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_relativity(args) -> int:
     config = _load_config(args)
-    _require(config, "link")
+    require_sections(config, "link")
     link = build_link(config["link"])
     geometry = link.geometry
     rel_cfg = config.get("relativity") or {}
@@ -251,7 +221,7 @@ def cmd_relativity(args) -> int:
 
 def cmd_bell(args) -> int:
     config = _load_config(args)
-    _require(config, "bell")
+    require_sections(config, "bell")
     model, settings, pairs, policy = build_bell(config["bell"])
     counts = simulate_coincidences(model, settings, pairs, (config["seed"], "bell"))
     estimate = chsh_value(counts)
@@ -274,7 +244,7 @@ def cmd_bell(args) -> int:
 
 def cmd_net(args) -> int:
     config = _load_config(args)
-    _require(config, "topology")
+    require_sections(config, "topology")
     topology, horizon_fs, report_interval_fs = build_topology(config["topology"])
     report = run_network(topology, horizon_fs, config["seed"], report_interval_fs)
     payload = report.to_dict()

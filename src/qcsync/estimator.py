@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .photonics import TagStream
-from .timebase import _round_div
+from .timebase import INT64_LIMIT, _round_div
 
 __all__ = [
     "CorrelationConfig",
@@ -314,7 +314,7 @@ def _bounded_peak(
     n_superbins = sb_hi - sb_lo + 1
     n = 1 << n_superbins.bit_length()  # > n_superbins, so no window superbin aliases another
     spans = int(local_ts[-1]) - int(local_ts[0]), int(remote_ts[-1]) - int(remote_ts[0])
-    if n > _MAX_SUPERBINS or width > cfg.search_window or max(spans) >= 2**63:
+    if n > _MAX_SUPERBINS or width > cfg.search_window or max(spans) >= INT64_LIMIT:
         return None
     # Uniform streams would hold about this many window pairs. The estimate
     # keeps windows with few pairs per tag off the binary searches below, so

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import SeedSpec, spawn_rng
-from .timebase import INT64_LIMIT, ClockState, local_times
+from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, local_times
 
 __all__ = [
     "PairSource",
@@ -121,7 +121,7 @@ def _poisson_times(rate_per_s: float, horizon_fs: int, rng: np.random.Generator)
     """Sorted event times of a homogeneous Poisson process on [0, horizon)."""
     if horizon_fs < 0:
         raise ValueError("horizon must be >= 0")
-    expected = rate_per_s * horizon_fs / 1e15
+    expected = float(rate_per_s * horizon_fs) / FS_PER_SECOND  # a float product for int rates too
     if expected > MAX_EXPECTED_EVENTS:
         raise ValueError(f"expected event count {expected:.3g} exceeds {MAX_EXPECTED_EVENTS}")
     if horizon_fs == 0 or rate_per_s == 0.0:

@@ -8,8 +8,8 @@ into the dataclasses of the physical modules.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 from pathlib import Path
 
 import jsonschema
@@ -19,7 +19,7 @@ from .estimator import CorrelationConfig
 from .linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
 from .netsync import Node, SyncEdge, Topology
 from .photonics import Detector, PairSource, TimeTagger
-from .session import NodeInstruments
+from .session import NodeInstruments, SessionSpec
 from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel
 
 __all__ = ["ConfigError", "load_scenario", "validate_scenario", "SCENARIO_SCHEMA"]
@@ -339,133 +339,119 @@ def _fs(seconds: float) -> int:
     return round(seconds * FS_PER_SECOND)
 
 
+_UNIT_SUFFIXES = ("_fs", "_hz", "_m", "_rad")
+
+
+def _field(key: str, fields: set[str]) -> str:
+    """The field a config key sets: its own name, else its name without the unit suffix."""
+    stems = [key.removesuffix(suffix) for suffix in _UNIT_SUFFIXES if key.endswith(suffix)]
+    return next((name for name in (key, *stems) if name in fields), key)
+
+
+def _build(cls, section: dict | None, **nested):
+    """cls from a config section, each key setting the field _field names.
+
+    An omitted key keeps the field's default. nested gives the built value of
+    each field whose key holds a subsection, or that no key of the section sets.
+    """
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return cls(**({_field(key, fields): value for key, value in (section or {}).items()} | nested))
+
+
+def _without(section: dict, key: str) -> dict:
+    return {k: v for k, v in section.items() if k != key}
+
+
+def require_sections(config: dict, *keys: str) -> None:
+    missing = [k for k in keys if k not in config]
+    if missing:
+        raise ConfigError(f"config is missing required section(s) for this command: {missing}")
+
+
 def build_clock_model(section: dict | None) -> ClockModel:
-    section = section or {}
-    return ClockModel(
-        initial_offset_fs=section.get("initial_offset_fs", 0),
-        fractional_frequency=section.get("fractional_frequency", 0.0),
-        frequency_drift=section.get("frequency_drift", 0.0),
-        white_phase_sigma_fs=section.get("white_phase_sigma_fs", 0.0),
-        random_walk_freq_coeff=section.get("random_walk_freq_coeff", 0.0),
-    )
+    return _build(ClockModel, section)
 
 
 def build_source(section: dict) -> PairSource:
-    return PairSource(
-        pair_rate=section["pair_rate_hz"],
-        pair_correlation_sigma=section.get("pair_correlation_sigma_fs", 50),
-        heralding_efficiency_local=section.get("heralding_efficiency_local", 1.0),
-    )
+    return _build(PairSource, section)
 
 
 def build_detector(section: dict | None) -> Detector:
-    section = section or {}
-    return Detector(
-        efficiency=section.get("efficiency", 1.0),
-        jitter_sigma=section.get("jitter_sigma_fs", 0),
-        dark_rate=section.get("dark_rate_hz", 0.0),
-        dead_time=section.get("dead_time_fs", 0),
-    )
+    return _build(Detector, section)
 
 
 def build_tagger(section: dict | None) -> TimeTagger:
-    section = section or {}
-    return TimeTagger(
-        resolution=section.get("resolution_fs", 1000),
-        range_limit=section.get("range_limit_fs"),
-    )
+    return _build(TimeTagger, section)
 
 
 def build_geometry(section: dict):
     if section["variant"] == "static_range":
-        return StaticRange(range_m=section["range_m"])
-    gs = section.get("ground_station") or {}
-    kwargs = {
-        "altitude": section["altitude_m"],
-        "inclination": section.get("inclination_rad", 0.0),
-        "raan": section.get("raan_rad", 0.0),
-        "phase0": section.get("phase0_rad", 0.0),
-        "ground_station": GroundStation(
-            lat=gs.get("lat_rad", 0.0), lon=gs.get("lon_rad", 0.0), alt=gs.get("alt_m", 0.0)
-        ),
-    }
-    if "elevation_mask_rad" in section:
-        kwargs["elevation_mask"] = section["elevation_mask_rad"]
-    return CircularOrbit(**kwargs)
+        return _build(StaticRange, _without(section, "variant"))
+    ground_station = _build(GroundStation, section.get("ground_station"))
+    return _build(CircularOrbit, _without(section, "variant"), ground_station=ground_station)
 
 
 def build_link(section: dict) -> LinkModel:
-    return LinkModel(
-        geometry=build_geometry(section["geometry"]),
-        transmittance=section.get("transmittance", 1.0),
-        channel_jitter_sigma=section.get("channel_jitter_sigma_fs", 0),
-        nonreciprocity_bias=section.get("nonreciprocity_bias_fs", 0),
-        include_shapiro=section.get("include_shapiro", False),
-    )
+    return _build(LinkModel, section, geometry=build_geometry(section["geometry"]))
 
 
 def build_correlation(section: dict | None) -> CorrelationConfig:
-    section = section or {}
-    return CorrelationConfig(
-        search_window=section.get("search_window_fs", 10**13),
-        coarse_bin=section.get("coarse_bin_fs", 10**6),
-        fine_bin=section.get("fine_bin_fs", 1000),
-        refine_span_bins=section.get("refine_span_bins", 3),
-        significance_sigma=section.get("significance_sigma", 6.0),
-        block_count=section.get("block_count", 1),
-    )
+    return _build(CorrelationConfig, section)
 
 
 def build_bell(section: dict):
-    settings_cfg = section.get("settings") or {}
-    settings = ChshSettings(
-        a=settings_cfg.get("a_rad", 0.0),
-        a_prime=settings_cfg.get("a_prime_rad", math.pi / 4),
-        b=settings_cfg.get("b_rad", math.pi / 8),
-        b_prime=settings_cfg.get("b_prime_rad", 3 * math.pi / 8),
-    )
-    policy_cfg = section.get("policy") or {}
-    policy = AuthPolicy(
-        s_threshold=policy_cfg.get("s_threshold", 2.0),
-        min_pairs_per_setting=policy_cfg.get("min_pairs_per_setting", 20),
-        confidence_sigma=policy_cfg.get("confidence_sigma", 3.0),
-    )
+    settings = _build(ChshSettings, section.get("settings"))
+    policy = _build(AuthPolicy, section.get("policy"))
     model = EntanglementModel(visibility=section["visibility"])
     return model, settings, section["pairs_per_setting"], policy
 
 
-def _build_instruments(session: dict, side: str) -> NodeInstruments:
-    return NodeInstruments(
-        source=build_source(session[f"source_{side}"]),
-        detector=build_detector(session.get(f"detector_{side}")),
-        tagger=build_tagger(session.get("tagger")),
+def _build_instruments(source: dict, detector: dict | None, tagger: dict | None) -> NodeInstruments:
+    return NodeInstruments(build_source(source), build_detector(detector), build_tagger(tagger))
+
+
+def build_session(config: dict) -> tuple[SessionSpec, ClockModel, ClockModel]:
+    """The two-node session of a simulate config: its spec and the clock models of A and B."""
+    require_sections(config, "duration_s", "clocks", "sources", "detectors", "link")
+    clocks, sources, detectors = config["clocks"], config["sources"], config["detectors"]
+    for side in ("a", "b"):
+        if side not in clocks or side not in sources:
+            raise ConfigError(f"simulate needs clocks.{side} and sources.{side}")
+    spec = SessionSpec(
+        duration=_fs(config["duration_s"]),
+        instruments_a=_build_instruments(sources["a"], detectors.get("a"), config.get("tagger")),
+        instruments_b=_build_instruments(sources["b"], detectors.get("b"), config.get("tagger")),
+        link=build_link(config["link"]),
+    )
+    return spec, build_clock_model(clocks["a"]), build_clock_model(clocks["b"])
+
+
+def _build_edge(section: dict) -> SyncEdge:
+    session = section["session"]
+    instruments = {
+        side: _build_instruments(
+            session[f"source_{side}"], session.get(f"detector_{side}"), session.get("tagger")
+        )
+        for side in ("up", "down")
+    }
+    return _build(
+        SyncEdge,
+        _without(section, "session"),
+        link=build_link(section["link"]),
+        correlation=build_correlation(section.get("correlation")),
+        duration_fs=_fs(session["duration_s"]),
+        instruments_up=instruments["up"],
+        instruments_down=instruments["down"],
     )
 
 
 def build_topology(section: dict) -> tuple[Topology, int, int | None]:
     """Build (topology, horizon_fs, report_interval_fs) from the config section."""
     nodes = tuple(
-        Node(
-            id=n["id"],
-            clock_model=build_clock_model(n.get("clock")),
-            role=n.get("role", "ground"),
-        )
+        _build(Node, _without(n, "clock"), clock_model=build_clock_model(n.get("clock")))
         for n in section["nodes"]
     )
-    edges = tuple(
-        SyncEdge(
-            upstream=e["upstream"],
-            downstream=e["downstream"],
-            link=build_link(e["link"]),
-            correlation=build_correlation(e.get("correlation")),
-            interval_s=e["interval_s"],
-            duration_fs=_fs(e["session"]["duration_s"]),
-            instruments_up=_build_instruments(e["session"], "up"),
-            instruments_down=_build_instruments(e["session"], "down"),
-            track_frequency=e.get("track_frequency", False),
-        )
-        for e in section["edges"]
-    )
+    edges = tuple(_build_edge(e) for e in section["edges"])
     topology = Topology(
         nodes=nodes,
         edges=edges,

@@ -28,8 +28,7 @@ def seed_path(seed: SeedSpec) -> tuple:
 
 def spawn_rng(seed: SeedSpec, *suffix: int | str) -> np.random.Generator:
     """Generator for a sub-stream of ``seed`` named by ``suffix`` elements."""
-    path = seed_path(seed) + suffix
-    return derive_rng(stable_token(path[0]) if isinstance(path[0], str) else path[0], *path[1:])
+    return derive_rng(*seed_path(seed), *suffix)
 
 
 def stable_token(value: int | str) -> int:

@@ -79,22 +79,28 @@ class SessionStreams:
     truth: SessionTruth
 
 
+# Per direction: the channel and frame of the local stream, then of the remote one.
+_ARM_NAMES = {
+    Direction.A_TO_B: ("a_local", "a", "b_from_a", "b"),
+    Direction.B_TO_A: ("b_local", "b", "a_from_b", "a"),
+}
+
+
 def _one_source_arm(
+    spec: SessionSpec,
+    direction: Direction,
     births: np.ndarray,
-    instruments_local: NodeInstruments,
-    instruments_remote: NodeInstruments,
     clock_local: ClockState,
     clock_remote: ClockState,
-    link: LinkModel,
-    direction: Direction,
-    window_start: int,
-    duration: int,
     seed: SeedSpec,
-    names: tuple[str, str, str, str],
     constants: PhysicalConstants,
     metadata: dict,
 ) -> tuple[TagStream, TagStream]:
-    source = instruments_local.source
+    """The local and remote streams of the pairs born at the sending end of direction."""
+    local, remote = spec.instruments_a, spec.instruments_b
+    if direction is Direction.B_TO_A:
+        local, remote = remote, local
+    link, window_start, duration, source = spec.link, spec.start_time, spec.duration, local.source
     local_arm, remote_arm = split_pairs(births, source, seed_path(seed) + ("split",))
     if source.heralding_efficiency_local < 1.0:
         herald_rng = spawn_rng(seed, "herald")
@@ -102,12 +108,12 @@ def _one_source_arm(
     local_arm = np.sort(local_arm, kind="stable")
     remote_arm = np.sort(remote_arm, kind="stable")
 
-    channel_local, frame_local, channel_remote, frame_remote = names
+    channel_local, frame_local, channel_remote, frame_remote = _ARM_NAMES[direction]
     local_stream = detect(
         local_arm,
-        instruments_local.detector,
+        local.detector,
         clock_local,
-        instruments_local.tagger,
+        local.tagger,
         duration,
         seed_path(seed) + ("det-local",),
         window_start=window_start,
@@ -125,9 +131,9 @@ def _one_source_arm(
         remote_gate = window_start
     remote_stream = detect(
         arrivals,
-        instruments_remote.detector,
+        remote.detector,
         clock_remote,
-        instruments_remote.tagger,
+        remote.tagger,
         duration,
         seed_path(seed) + ("det-remote",),
         window_start=remote_gate,
@@ -165,34 +171,10 @@ def run_session(
     births_b = births_b + start
 
     local_a, remote_ab = _one_source_arm(
-        births_a,
-        spec.instruments_a,
-        spec.instruments_b,
-        clock_a,
-        clock_b,
-        spec.link,
-        Direction.A_TO_B,
-        start,
-        duration,
-        seed_path(seed) + ("arm-a",),
-        ("a_local", "a", "b_from_a", "b"),
-        constants,
-        metadata,
+        spec, Direction.A_TO_B, births_a, clock_a, clock_b, seed_path(seed) + ("arm-a",), constants, metadata
     )
     local_b, remote_ba = _one_source_arm(
-        births_b,
-        spec.instruments_b,
-        spec.instruments_a,
-        clock_b,
-        clock_a,
-        spec.link,
-        Direction.B_TO_A,
-        start,
-        duration,
-        seed_path(seed) + ("arm-b",),
-        ("b_local", "b", "a_from_b", "a"),
-        constants,
-        metadata,
+        spec, Direction.B_TO_A, births_b, clock_b, clock_a, seed_path(seed) + ("arm-b",), constants, metadata
     )
 
     midpoint = start + duration // 2

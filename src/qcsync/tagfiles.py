@@ -276,7 +276,7 @@ def _parse_strict_body(body: np.ndarray) -> np.ndarray | None:
         for col in range(1, width):
             total *= np.uint64(10)
             total += digits[:, col]
-    if np.any(magnitude > np.uint64(2**63 - 1) + negative):
+    if np.any(magnitude > np.uint64(INT64_LIMIT - 1) + negative):
         return None
     np.negative(magnitude, out=magnitude, where=negative)
     return magnitude.view(np.int64)

@@ -450,17 +450,28 @@ def test_simulate_config_error_writes_no_tag_files(tmp_path, capsys):
     assert list(out_dir.glob("*.tags")) == []
 
 
-def test_readme_relativity_example_runs(tmp_path, capsys, monkeypatch):
+def _run_readme_example(capsys, monkeypatch, command: str, out_dir: Path):
     readme = (SCENARIOS.parent / "README.md").read_text().splitlines()
-    (line,) = [l for l in readme if l.startswith("qcsync relativity ")]
+    (line,) = [l for l in readme if l.startswith(f"qcsync {command} ")]
     argv = shlex.split(line)[1:]
-    argv[argv.index("--out") + 1] = str(tmp_path / "rel")
+    argv[argv.index("--out") + 1] = str(out_dir)
     monkeypatch.chdir(SCENARIOS.parent)
-    code, out, err = _run(capsys, *argv)
+    return _run(capsys, *argv)
+
+
+def test_readme_relativity_example_runs(tmp_path, capsys, monkeypatch):
+    code, out, err = _run_readme_example(capsys, monkeypatch, "relativity", tmp_path / "rel")
     assert code == 0, err
     assert json.loads(out)["samples"]
     assert (tmp_path / "rel" / "relativity_report.json").exists()
     assert (tmp_path / "rel" / "relativity_samples.csv").exists()
+
+
+def test_readme_bell_example_runs(tmp_path, capsys, monkeypatch):
+    code, out, err = _run_readme_example(capsys, monkeypatch, "bell", tmp_path / "bell")
+    assert code == 0, err
+    assert json.loads(out)["decision"] == "authentic"
+    assert (tmp_path / "bell" / "bell_report.json").exists()
 
 
 def test_net_without_topology_exits_two(tmp_path, capsys):

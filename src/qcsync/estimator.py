@@ -3,7 +3,8 @@
 The correlator looks at pairwise differences (remote - local) inside a
 search window. Both streams are sorted, so the in-window partners of each
 local tag form one run of remote tags, found by binary search: cost scales
-with the number of in-window pairs, never len(local)*len(remote).
+with the number of in-window pairs, never len(local)*len(remote). The
+enumeration route below searches the window once per correlation.
 
 The coarse estimate is the first coarse bin holding the most pairs, found
 exactly by one of two routes that give the same bin and count:
@@ -28,13 +29,17 @@ across the window of the accidental counts that constant tag rates would
 give; a window as long as the session makes it large. The significance is
 (peak count - mean) / sigma.
 
-The fine stage then enumerates only the peak span's pairs, each with its
-local time t, and fits the line d = a + b*(t - t_mean) by least squares
-over an iterated member window: seeded with the coarse peak bin, each pass
-keeps the pairs within max(3 sigma, fine_bin) of the line, until the
-member set stops changing. Every output comes from that one
-member set: the offset is the exact integer-rounded mean member difference
-(the line at t_mean), the width is the residual sigma, and b the drift.
+The fine stage then takes only the peak span's pairs, each with its local
+time t. The enumeration route picks them out of the window's pairs by their
+coarse-bin offsets, kept when the window fits one sort, and rebuilds their
+exact differences from the window's runs; the bounded route, and a window
+of several sorts, search the span instead. The fine stage fits the line
+d = a + b*(t - t_mean) by least squares over an iterated member window:
+seeded with the coarse peak bin, each pass keeps the pairs within
+max(3 sigma, fine_bin) of the line, until the member set stops changing.
+Every output comes from that one member set: the offset is the exact
+integer-rounded mean member difference (the line at t_mean), the width is
+the residual sigma, and b the drift.
 
 Binning is anchored at the difference of the two first tags and local
 times at the first local tag, not at zero, so shifting one stream or both
@@ -54,6 +59,7 @@ from .photonics import TagStream
 from .timebase import INT64_LIMIT, _round_div
 
 __all__ = [
+    "CoarseHistogram",
     "CorrelationConfig",
     "CorrelationResult",
     "PeakMembers",
@@ -71,7 +77,7 @@ __all__ = [
     "estimate_two_way",
 ]
 
-_CHUNK_PAIRS = 1 << 22  # pairs binned per sort: at most 16 MB of 32-bit bin offsets
+_CHUNK_PAIRS = 1 << 22  # pairs per sort: 16 MB of 32-bit bin offsets, 32 MB when one sort keeps them
 _BLOCK_PAIRS = 1 << 15  # pairs materialized at once: 256 KB int64 arrays stay in cache
 _WINDOW_SIGMAS = 3.0  # member window half-width, in residual sigmas of the member line
 _MAX_WINDOW_PASSES = 50  # the member set settles within a few passes; this bounds a cycle
@@ -220,13 +226,24 @@ def _window_bin_range(origin: int, cfg: CorrelationConfig) -> tuple[int, int]:
     return bin_lo, bin_hi
 
 
-def coarse_histogram(local, remote, cfg: CorrelationConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sparse coarse histogram of in-window differences.
+class CoarseHistogram(NamedTuple):
+    """Sparse coarse histogram of a window's pairs, with the pairs themselves.
 
-    Returns (occupied bin indices, counts, origin). Bin i covers differences
-    d with floor((d - origin)/coarse_bin) == i; origin is remote[0]-local[0].
-    Bin indices are ascending int64.
+    Bin i covers differences d with floor((d - origin)/coarse_bin) == i;
+    origin is remote[0] - local[0]. offsets holds each window pair's bin
+    minus the window's first bin, numbered as in runs, or None when the
+    window took more than one _CHUNK_PAIRS chunk and they were not kept.
     """
+
+    bins: np.ndarray  # occupied bin indices, ascending int64
+    counts: np.ndarray  # pairs per occupied bin
+    origin: int
+    offsets: np.ndarray | None
+    runs: _PairRuns
+
+
+def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
+    """Sparse coarse histogram of in-window differences (see CoarseHistogram)."""
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
     if len(local_ts) == 0 or len(remote_ts) == 0:
         raise EmptyOverlapError("cannot correlate an empty stream")
@@ -234,13 +251,13 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> tuple[np.ndarray,
     bin_lo, bin_hi = _window_bin_range(origin, cfg)
     # Offsets from the window's first bin lie in [0, n_bins), so they sort
     # as 32-bit integers whenever the window allows it.
-    offset_dtype = np.uint32 if bin_hi - bin_lo < 2**32 else np.int64
+    offset_dtype = np.uint32 if bin_hi - bin_lo < 2**32 else np.uint64
     shift = origin + bin_lo * cfg.coarse_bin
     runs = _pair_runs(local_ts, remote_ts, -cfg.search_window, cfg.search_window + 1)
     total = int(runs.ends[-1])
     if total == 0:
         raise EmptyOverlapError("no pairwise differences inside the search window")
-    bins_parts, counts_parts = [], []
+    bins_parts, counts_parts, offsets = [], [], None
     for chunk_start in range(0, total, _CHUNK_PAIRS):
         chunk_stop = min(chunk_start + _CHUNK_PAIRS, total)
         rel = np.empty(chunk_stop - chunk_start, dtype=offset_dtype)
@@ -249,7 +266,10 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> tuple[np.ndarray,
             diffs = _pair_diffs(local_ts, remote_ts, runs, start, stop, shift)
             out = rel[start - chunk_start : stop - chunk_start]
             np.floor_divide(diffs, cfg.coarse_bin, out=out, casting="unsafe")
-        rel.sort()
+        if total <= _CHUNK_PAIRS:  # one chunk: keep the offsets in pair order for the peak span
+            offsets, rel = rel, np.sort(rel)
+        else:
+            rel.sort()
         change = np.empty(len(rel) + 1, dtype=bool)
         change[0] = change[-1] = True
         np.not_equal(rel[1:], rel[:-1], out=change[1:-1])
@@ -268,7 +288,7 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> tuple[np.ndarray,
         starts = np.flatnonzero(np.concatenate(([True], bins[1:] != bins[:-1])))
         bins, counts = bins[starts], np.add.reduceat(counts, starts)
     bins += bin_lo
-    return bins, counts, origin
+    return CoarseHistogram(bins, counts, origin, offsets, runs)
 
 
 def _superbin_counts(
@@ -408,32 +428,42 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
     """
     cfg = cfg or CorrelationConfig()
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
-    found = _bounded_peak(local_ts, remote_ts, cfg)
+    found, hist = _bounded_peak(local_ts, remote_ts, cfg), None
     if found is None:
-        bins, counts, _ = coarse_histogram(local_ts, remote_ts, cfg)
-        i_max = int(np.argmax(counts))  # first max: ties break toward smallest offset
-        found = int(bins[i_max]), int(counts[i_max]), int(counts.sum())
+        hist = coarse_histogram(local_ts, remote_ts, cfg)
+        i_max = int(np.argmax(hist.counts))  # first max: ties break toward smallest offset
+        found = int(hist.bins[i_max]), int(hist.counts[i_max]), int(hist.counts.sum())
     peak_bin, peak_counts, total = found
     origin = int(remote_ts[0]) - int(local_ts[0])
+    bin_lo, bin_hi = _window_bin_range(origin, cfg)
+    excl_lo = max(peak_bin - cfg.refine_span_bins, bin_lo)
+    excl_hi = min(peak_bin + cfg.refine_span_bins, bin_hi)
 
     # The peak span's pairs, each with its local time, in the window's order.
     # They are exactly the pairs of the coarse bins the background excludes.
     span_lo = origin + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
     span = (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
-    window = cfg.search_window
-    runs = _pair_runs(local_ts, remote_ts, max(-window, span_lo), min(window + 1, span_lo + span))
+    if hist is not None and hist.offsets is not None:
+        # Taken from the window's enumeration. The unsigned offsets relative
+        # to the span's first bin wrap past the last for the pairs below it.
+        pairs = np.flatnonzero(hist.offsets - (excl_lo - bin_lo) <= excl_hi - excl_lo)
+        tags = np.searchsorted(hist.runs.ends, pairs, side="right")
+        times = local_ts[tags]
+        shifted = remote_ts[hist.runs.base[tags] + pairs] - (times + span_lo)
+    else:
+        window = cfg.search_window
+        runs = _pair_runs(local_ts, remote_ts, max(-window, span_lo), min(window + 1, span_lo + span))
+        shifted = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), span_lo)
+        times = np.repeat(local_ts, runs.counts)
 
     # Background over every coarse bin the window could populate, including
     # empty ones, excluding the peak span. Its sigma adds the spread of the
     # expected accidentals to the Poisson variance, and is floored at one
     # count so that isolated accidental coincidences never register as
     # significant.
-    bin_lo, bin_hi = _window_bin_range(origin, cfg)
-    excl_lo = max(peak_bin - cfg.refine_span_bins, bin_lo)
-    excl_hi = min(peak_bin + cfg.refine_span_bins, bin_hi)
     n_bg_bins = (bin_hi - bin_lo + 1) - (excl_hi - excl_lo + 1)
     if n_bg_bins > 0:
-        bg_mean = (total - int(runs.ends[-1])) / n_bg_bins
+        bg_mean = (total - len(shifted)) / n_bg_bins
         bg_sigma = max(math.sqrt(bg_mean + _background_spread(local_ts, remote_ts, cfg)), 1.0)
     else:
         bg_mean, bg_sigma = 0.0, 1.0
@@ -445,8 +475,6 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
             significance=significance,
         )
 
-    shifted = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), span_lo)
-    times = np.repeat(local_ts, runs.counts)
     seed = shifted // cfg.coarse_bin == cfg.refine_span_bins  # the coarse peak bin's pairs
     x = (times - local_ts[0]).astype(np.float64)
     keep, slope, sigma = _member_line(x, shifted.astype(np.float64), seed, cfg.fine_bin)

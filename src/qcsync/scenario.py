@@ -412,8 +412,8 @@ def _build_instruments(source: dict, detector: dict | None, tagger: dict | None)
 
 def build_session(config: dict) -> tuple[SessionSpec, ClockModel, ClockModel]:
     """The two-node session of a simulate config: its spec and the clock models of A and B."""
-    require_sections(config, "duration_s", "clocks", "sources", "detectors", "link")
-    clocks, sources, detectors = config["clocks"], config["sources"], config["detectors"]
+    require_sections(config, "duration_s", "clocks", "sources", "link")
+    clocks, sources, detectors = config["clocks"], config["sources"], config.get("detectors") or {}
     for side in ("a", "b"):
         if side not in clocks or side not in sources:
             raise ConfigError(f"simulate needs clocks.{side} and sources.{side}")

@@ -8,6 +8,7 @@ bit-independent of each other.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -41,9 +42,17 @@ def stable_token(value: int | str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@functools.lru_cache(maxsize=4096, typed=True)  # typed: True must not hit the entry for 1
+def _token_words(value: int | str) -> tuple[int, ...]:
+    """stable_token(value) as SeedSequence splits an int: its little-endian 32-bit words, 0 as (0,)."""
+    token = stable_token(value)
+    return (token,) if token < 2**32 else (token & 0xFFFFFFFF, token >> 32)
+
+
 def derive_seed_sequence(master_seed: int, *path: int | str) -> np.random.SeedSequence:
-    entropy = [stable_token(master_seed)] + [stable_token(p) for p in path]
-    return np.random.SeedSequence(entropy)
+    """SeedSequence of the path's stable tokens, passed as the uint32 words numpy would split them into."""
+    words = [w for p in (master_seed, *path) for w in _token_words(p)]
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def derive_rng(master_seed: int, *path: int | str) -> np.random.Generator:

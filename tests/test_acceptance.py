@@ -226,7 +226,7 @@ def test_c05_histogram_matches_all_pairs_brute_force():
         n, m = int(rng.integers(1, 201)), int(rng.integers(1, 201))
         local = np.sort(rng.integers(0, 10**9, n)).astype(np.int64)
         remote = np.sort(rng.integers(0, 10**9, m)).astype(np.int64)
-        bins, counts, origin = coarse_histogram(local, remote, cfg)
+        bins, counts, origin = coarse_histogram(local, remote, cfg)[:3]
         diffs = (remote[None, :] - local[:, None]).ravel()
         diffs = diffs[np.abs(diffs) <= cfg.search_window]
         want_bins, want_counts = np.unique(

@@ -132,7 +132,7 @@ def _brute_histogram(local, remote, cfg):
 
 
 def _assert_matches_brute_force(local, remote, cfg):
-    bins, counts, origin = coarse_histogram(local, remote, cfg)
+    bins, counts, origin = coarse_histogram(local, remote, cfg)[:3]
     want_bins, want_counts, want_origin = _brute_histogram(local, remote, cfg)
     assert origin == want_origin
     assert bins.dtype == np.int64
@@ -181,7 +181,7 @@ def test_window_edges_are_inclusive():
     cfg = CorrelationConfig(search_window=window, coarse_bin=10**5, fine_bin=100)
     local = np.array([10**9], dtype=np.int64)
     remote = local + np.array([-window - 1, -window, window, window + 1], dtype=np.int64)
-    _, counts, _ = coarse_histogram(local, remote, cfg)
+    counts = coarse_histogram(local, remote, cfg).counts
     assert counts.sum() == 2
     _assert_matches_brute_force(local, remote, cfg)
 
@@ -417,9 +417,9 @@ def test_bounded_search_matches_brute_force(monkeypatch, span):
 
 def test_routes_and_pair_searches_with_shipped_constants(monkeypatch):
     # A dense window with under one pair per tag and a window of few pairs
-    # are enumerated, searching the window once and the peak span once. A
-    # sparse window as long as the session takes the bounded search, and
-    # enumerating it instead gives the same result.
+    # are enumerated, searching the window once; the peak span's pairs come
+    # from that enumeration. A sparse window as long as the session takes
+    # the bounded search, and enumerating it instead gives the same result.
     searches = []
     pair_runs = estimator._pair_runs
     monkeypatch.setattr(estimator, "_pair_runs", lambda *args: searches.append(args[2:]) or pair_runs(*args))
@@ -427,7 +427,7 @@ def test_routes_and_pair_searches_with_shipped_constants(monkeypatch):
     few = _pair_streams(100, offset=5 * 10**6, spacing=10**8, seed=3)
     for local, remote in (dense, few):
         cross_correlate(local, remote, CorrelationConfig(search_window=2 * 10**8, fine_bin=10**5))
-        assert len(searches) == 2
+        assert len(searches) == 1
         searches.clear()
 
     cfg = CorrelationConfig(search_window=2 * 10**12, fine_bin=2 * 10**5)
@@ -437,7 +437,101 @@ def test_routes_and_pair_searches_with_shipped_constants(monkeypatch):
     searches.clear()
     monkeypatch.setattr(estimator, "_MAX_SUPERBINS", 0)
     assert cross_correlate(local, remote, cfg) == bounded
-    assert len(searches) == 2
+    assert len(searches) == 1
+
+
+def _span_search(local, remote, cfg, peak_bin):
+    # the peak span's pairs as a second binary search over the span finds
+    # them: local times and differences from the span's first difference
+    span_lo = int(remote[0]) - int(local[0]) + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
+    span_hi = span_lo + (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
+    window = cfg.search_window
+    runs = estimator._pair_runs(local, remote, max(-window, span_lo), min(window + 1, span_hi))
+    shifted = estimator._pair_diffs(local, remote, runs, 0, int(runs.ends[-1]), span_lo)
+    return np.repeat(local, runs.counts), shifted
+
+
+def _fit_inputs_and_searches(monkeypatch, local, remote, cfg):
+    """cross_correlate's outcome, the pairs its member fit was given, and its pair searches."""
+    fits, searches = [], []
+    member_line, pair_runs = estimator._member_line, estimator._pair_runs
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_member_line", lambda x, d, *rest: fits.append((x, d)) or member_line(x, d, *rest))
+        m.setattr(estimator, "_pair_runs", lambda *args: searches.append(args[2:]) or pair_runs(*args))
+        outcome = _outcome(local, remote, cfg)
+    return outcome, fits, len(searches)
+
+
+def _assert_span_from_enumeration(monkeypatch, local, remote, cfg):
+    """The enumeration route takes the span's pairs from the window's and matches the span search."""
+    hist = coarse_histogram(local, remote, cfg)
+    assert hist.offsets is not None and estimator._bounded_peak(local, remote, cfg) is None
+    bin_lo = estimator._window_bin_range(hist.origin, cfg)[0]
+    assert np.array_equal(np.sort(hist.offsets).astype(np.int64) + bin_lo, np.repeat(hist.bins, hist.counts))
+    outcome, fits, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
+    assert searches == 1
+    times, shifted = _span_search(local, remote, cfg, int(hist.bins[np.argmax(hist.counts)]))
+    (x, d), *_ = fits
+    assert np.array_equal(x, (times - local[0]).astype(np.float64))
+    assert np.array_equal(d, shifted.astype(np.float64))
+    # without offsets the span is searched: the one search left, as the window's comes precomputed
+    dropped = hist._replace(offsets=None)
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "coarse_histogram", lambda *args: dropped)
+        assert _fit_inputs_and_searches(m, local, remote, cfg)[::2] == (outcome, 1)
+    return outcome
+
+
+def _edge_peaked_streams(offset, window, seed):
+    # 200 pairs at offset, background, and pairs just past both window edges
+    rng = np.random.default_rng(seed)
+    local, remote = _peaked_streams(rng, 200, offset, 200, 10**10, jitter=3 * 10**4)
+    outside = np.concatenate((local[:40] - window - 1, local[40:80] + window + 1, local[80:120] - window - 5000))
+    return local, np.sort(np.concatenate((remote, outside)))
+
+
+@pytest.mark.parametrize("edge", [-1, 1])
+@pytest.mark.parametrize("inset", [0, 1, 3])
+def test_span_from_enumeration_at_window_edges(monkeypatch, edge, inset):
+    # peaks in the window's first and last refine_span_bins bins clip the span at +-W
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
+    offset = edge * (cfg.search_window - inset * cfg.coarse_bin - 4 * 10**4)
+    local, remote = _edge_peaked_streams(offset, cfg.search_window, seed=20 + inset)
+    result, _, _ = _assert_span_from_enumeration(monkeypatch, local, remote, cfg)
+    assert abs(result.peak_offset - offset) < 10**4
+    assert np.abs(result.members.diffs).max() <= cfg.search_window
+
+
+def test_span_from_enumeration_beyond_uint32_bin_range(monkeypatch):
+    # 1 fs bins over +-3e9 fs: 64-bit offsets, the peak's more than 2**32 above the first bin
+    cfg = CorrelationConfig(search_window=3 * 10**9, coarse_bin=1, fine_bin=1, significance_sigma=3.0)
+    rng = np.random.default_rng(33)
+    local = np.sort(rng.integers(0, 10**12, 300)).astype(np.int64)
+    remote = np.sort(np.concatenate((local + 2 * 10**9 + rng.integers(0, 2, 300), local[::3] - 10**9)))
+    assert coarse_histogram(local, remote, cfg).offsets.dtype == np.uint64
+    result, _, _ = _assert_span_from_enumeration(monkeypatch, local, remote, cfg)
+    assert abs(result.peak_offset - 2 * 10**9) <= 1
+
+
+def test_span_from_enumeration_common_shift(monkeypatch):
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
+    local, remote = _edge_peaked_streams(3 * 10**7, cfg.search_window, seed=30)
+    result, times, diffs = _assert_span_from_enumeration(monkeypatch, local, remote, cfg)
+    shifted = _assert_span_from_enumeration(monkeypatch, local + 2**40, remote + 2**40, cfg)
+    assert shifted[0] == result
+    assert shifted[1] == [t + 2**40 for t in times] and shifted[2] == diffs
+
+
+def test_span_search_when_window_takes_several_chunks(monkeypatch):
+    # offsets of a multi-chunk window are not kept, so the span is searched again
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
+    local, remote = _edge_peaked_streams(-5 * 10**7, cfg.search_window, seed=31)
+    single = _assert_span_from_enumeration(monkeypatch, local, remote, cfg)
+    monkeypatch.setattr(estimator, "_CHUNK_PAIRS", 300)
+    monkeypatch.setattr(estimator, "_BLOCK_PAIRS", 64)
+    assert coarse_histogram(local, remote, cfg).offsets is None
+    outcome, _, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
+    assert outcome == single and searches == 2
 
 
 def _visit_order(monkeypatch):
@@ -582,7 +676,7 @@ def test_background_spread_matches_histogram_variance(window, spread):
     remote = np.sort(rng.integers(10**10, 4 * 10**10, 1500)).astype(np.int64)
     cfg = CorrelationConfig(search_window=window, coarse_bin=10**6, fine_bin=10**5)
     assert estimator._background_spread(local, remote, cfg) == pytest.approx(spread, abs=0.01)
-    _, counts, _ = coarse_histogram(local, remote, cfg)
+    counts = coarse_histogram(local, remote, cfg).counts
     n_bins = 2 * window // cfg.coarse_bin + 1
     mean = counts.sum() / n_bins
     excess = float(np.dot(counts, counts)) / n_bins - mean**2 - mean

@@ -517,6 +517,28 @@ def test_integral_float_config_values_act_as_integers(tmp_path, capsys):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
+def test_simulate_without_detectors_section_uses_default_detectors(tmp_path, capsys):
+    # every detector field is optional, so the whole section is too
+    config = json.loads((SCENARIOS / "noiseless.json").read_text())
+    runs = []
+    for label, detectors in (("omitted", None), ("empty", {})):
+        config.pop("detectors", None)
+        if detectors is not None:
+            config["detectors"] = detectors
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(config))
+        runs.append(tmp_path / label)
+        code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(runs[-1]))
+        assert code == 0, err
+    assert (runs[0] / "twoway_result.json").read_bytes() == (runs[1] / "twoway_result.json").read_bytes()
+    for name in ("a_local.tags", "b_from_a.tags", "b_local.tags", "a_from_b.tags"):
+        # the tag files differ only in the metadata line's hash of the config text
+        omitted, empty = ((run / name).read_bytes().split(b"\n") for run in runs)
+        assert [line for line in omitted if not line.startswith(b"# metadata: ")] == [
+            line for line in empty if not line.startswith(b"# metadata: ")
+        ]
+
+
 def test_net_past_int64_horizon_exits_two(tmp_path, capsys):
     # the sync at 10000 s would put tag times past 2^63 fs
     edge = {

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -22,16 +21,17 @@ from . import __version__
 from .bellauth import authenticate, chsh_value, simulate_coincidences
 from .estimator import EstimationError, TwoWayResult, estimate_two_way
 from .linkmodel import (
+    DEFAULT_CONSTANTS,
     Direction,
     GeometryError,
     LightTimeConvergenceError,
     NotVisibleError,
     StaticRange,
+    _flight_times_fs,
+    _geometry_at,
+    _shapiro_fs,
     orbital_period,
     relativistic_rate_offset,
-    sample_geometry,
-    shapiro_delay,
-    time_of_flight,
     visibility_windows,
 )
 from .netsync import TopologyError, gps_baseline_comparison, run_network
@@ -174,24 +174,19 @@ def cmd_relativity(args) -> int:
     horizon_fs = round(horizon_s * FS_PER_SECOND)
     step_fs = max(horizon_fs // (n_samples - 1), 1)
 
-    samples = []
-    for i in range(n_samples):
-        t = min(i * step_fs, horizon_fs)
-        geo = sample_geometry(geometry, t)
-        entry = {
-            "t_s": t / FS_PER_SECOND,
-            "range_m": geo.range_m,
-            "elevation_deg": math.degrees(geo.elevation),
-            "visible": geo.visible,
-            "shapiro_fs": shapiro_delay(geo.r_station_m, geo.r_sat_m, geo.range_m),
-        }
-        if geo.visible:
-            entry["flight_ab_fs"] = time_of_flight(link, t, Direction.A_TO_B)
-            entry["flight_ba_fs"] = time_of_flight(link, t, Direction.B_TO_A)
-        else:
-            entry["flight_ab_fs"] = None
-            entry["flight_ba_fs"] = None
-        samples.append(entry)
+    # a float grid: an int64 one would wrap past 2^63 fs (about 2.56 h)
+    t_fs = np.array([float(min(i * step_fs, horizon_fs)) for i in range(n_samples)])
+    t_s = t_fs / FS_PER_SECOND
+    geo = _geometry_at(geometry, t_s, DEFAULT_CONSTANTS)
+    visible = np.broadcast_to(geo.visible, t_s.shape)
+    flights = [
+        np.where(visible, _flight_times_fs(link, t_fs, direction, DEFAULT_CONSTANTS)[0], None)
+        for direction in Direction
+    ]
+    shapiro = _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, DEFAULT_CONSTANTS)
+    columns = np.broadcast_arrays(t_s, geo.range_m, np.degrees(geo.elevation), visible, *flights, shapiro)
+    keys = ("t_s", "range_m", "elevation_deg", "visible", "flight_ab_fs", "flight_ba_fs", "shapiro_fs")
+    samples = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
 
     payload = {
         "samples": samples,

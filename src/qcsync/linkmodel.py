@@ -16,11 +16,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .seeding import SeedSpec, spawn_rng
-from .timebase import FS_PER_SECOND
+from .timebase import FS_PER_SECOND, INT64_LIMIT, TimeRangeError, _checked_shift
 
 __all__ = [
     "PhysicalConstants",
@@ -37,7 +38,6 @@ __all__ = [
     "LightTimeConvergenceError",
     "GeometrySample",
     "sample_geometry",
-    "slant_range",
     "orbital_period",
     "shapiro_delay",
     "relativistic_rate_offset",
@@ -175,12 +175,40 @@ def _satellite_positions(
     return np.stack((x, y, z), axis=-1)
 
 
-def _elevations(station: np.ndarray, sat: np.ndarray) -> np.ndarray:
+class _Geometry(NamedTuple):
+    """The geometry at an array of true times; a static range has scalar fields."""
+
+    range_m: np.ndarray
+    elevation: np.ndarray  # rad; pi/2 for the static variant
+    visible: np.ndarray
+    r_station_m: np.ndarray
+    r_sat_m: np.ndarray
+    station: np.ndarray | None  # (..., 3) ECI positions; None for the static variant
+    sat: np.ndarray | None
+
+
+def _geometry_at(
+    geometry: GeometryScenario, t_s: np.ndarray, constants: PhysicalConstants
+) -> _Geometry:
+    """Range, elevation, visibility, endpoint radii and positions at true times t_s (s).
+
+    A static range is the same at every time: its fields are scalars that
+    broadcast against t_s, so it builds no per-time arrays. It has no endpoint
+    radii of its own; a vertical path from the surface keeps the Shapiro term
+    defined and direction-symmetric.
+    """
+    if isinstance(geometry, StaticRange):
+        r1, r = constants.earth_radius, geometry.range_m
+        return _Geometry(r, math.pi / 2, np.True_, r1, r1 + r, None, None)
+    station = _station_positions(geometry.ground_station, t_s, constants)
+    sat = _satellite_positions(geometry, t_s, constants)
     los = sat - station
-    rng = np.linalg.norm(los, axis=-1)
-    up = station / np.linalg.norm(station, axis=-1, keepdims=True)
-    sin_el = np.sum(up * los, axis=-1) / rng
-    return np.arcsin(np.clip(sin_el, -1.0, 1.0))
+    range_m = np.linalg.norm(los, axis=-1)
+    r_station = np.linalg.norm(station, axis=-1)
+    sin_el = np.sum(station / r_station[..., None] * los, axis=-1) / range_m
+    elevation = np.arcsin(np.clip(sin_el, -1.0, 1.0))
+    visible = elevation >= geometry.elevation_mask
+    return _Geometry(range_m, elevation, visible, r_station, np.linalg.norm(sat, axis=-1), station, sat)
 
 
 def sample_geometry(
@@ -189,41 +217,8 @@ def sample_geometry(
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> GeometrySample:
     """Range, elevation, and visibility at one instant (never raises on occlusion)."""
-    if isinstance(geometry, StaticRange):
-        r1 = constants.earth_radius
-        return GeometrySample(
-            range_m=geometry.range_m,
-            elevation=math.pi / 2,
-            visible=True,
-            r_station_m=r1,
-            r_sat_m=r1 + geometry.range_m,
-        )
-    t = np.array([true_time / FS_PER_SECOND])
-    station = _station_positions(geometry.ground_station, t, constants)
-    sat = _satellite_positions(geometry, t, constants)
-    elevation = float(_elevations(station, sat)[0])
-    return GeometrySample(
-        range_m=float(np.linalg.norm(sat[0] - station[0])),
-        elevation=elevation,
-        visible=elevation >= geometry.elevation_mask,
-        r_station_m=float(np.linalg.norm(station[0])),
-        r_sat_m=float(np.linalg.norm(sat[0])),
-    )
-
-
-def slant_range(
-    geometry: GeometryScenario,
-    true_time: int,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """Instantaneous separation in meters; raises NotVisibleError below the mask."""
-    sample = sample_geometry(geometry, true_time, constants)
-    if not sample.visible:
-        raise NotVisibleError(
-            f"satellite at elevation {math.degrees(sample.elevation):.2f} deg "
-            f"is below the mask at t={true_time} fs"
-        )
-    return sample.range_m
+    geo = _geometry_at(geometry, np.array([true_time / FS_PER_SECOND]), constants)
+    return GeometrySample(*(np.asarray(field).item() for field in geo[:5]))
 
 
 def orbital_period(
@@ -251,11 +246,15 @@ def shapiro_delay(
         raise DegenerateGeometryError("endpoint radii must be positive")
     if straight_range < 0:
         raise DegenerateGeometryError("straight_range must be >= 0")
-    denominator = r1 + r2 - straight_range
-    if denominator <= 0:
+    if r1 + r2 - straight_range <= 0:
         raise DegenerateGeometryError("need r1 + r2 > straight_range")
-    factor = 2.0 * constants.gm_earth / constants.c**3
-    return factor * math.log((r1 + r2 + straight_range) / denominator) * FS_PER_SECOND
+    return float(_shapiro_fs(r1, r2, straight_range, constants))
+
+
+def _shapiro_fs(r1, r2, straight_range, constants: PhysicalConstants):
+    """The Shapiro delay in fs, unvalidated, for scalars or arrays."""
+    factor = 2.0 * constants.gm_earth / constants.c**3 * FS_PER_SECOND
+    return factor * np.log((r1 + r2 + straight_range) / (r1 + r2 - straight_range))
 
 
 def relativistic_rate_offset(
@@ -279,24 +278,29 @@ def relativistic_rate_offset(
 
 def _light_time_flights_s(
     orbit: CircularOrbit,
+    geo: _Geometry,
     emit_t_s: np.ndarray,
     direction: Direction,
     constants: PhysicalConstants,
 ) -> np.ndarray:
-    """Flight times in seconds solving the light-time equation per photon."""
+    """Flight times in seconds solving the light-time equation per photon.
+
+    geo holds both endpoints at emit time; only the receiver is evaluated again,
+    at each estimate of the arrival time.
+    """
     if direction is Direction.A_TO_B:
-        emitter = _station_positions(orbit.ground_station, emit_t_s, constants)
+        emitter = geo.station
 
         def receiver_at(t_s):
             return _satellite_positions(orbit, t_s, constants)
 
     else:
-        emitter = _satellite_positions(orbit, emit_t_s, constants)
+        emitter = geo.sat
 
         def receiver_at(t_s):
             return _station_positions(orbit.ground_station, t_s, constants)
 
-    tau = np.linalg.norm(receiver_at(emit_t_s) - emitter, axis=-1) / constants.c
+    tau = geo.range_m / constants.c
     for _ in range(5):
         new_tau = np.linalg.norm(receiver_at(emit_t_s + tau) - emitter, axis=-1) / constants.c
         step = np.max(np.abs(new_tau - tau)) if len(tau) else 0.0
@@ -308,45 +312,32 @@ def _light_time_flights_s(
 
 def _flight_times_fs(
     link: LinkModel,
-    emit_times_fs: np.ndarray,
+    emit_fs: np.ndarray,
     direction: Direction,
     constants: PhysicalConstants,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-photon integer flight times and a visibility mask (emit-time check)."""
-    emit_times_fs = np.asarray(emit_times_fs, dtype=np.int64)
-    geometry = link.geometry
-    bias = direction.bias_sign * link.nonreciprocity_bias / 2.0
-    if isinstance(geometry, StaticRange):
-        flight_s = geometry.range_m / constants.c
-        extra = 0.0
-        if link.include_shapiro:
-            # Static variant lacks endpoint radii; assume a vertical path from
-            # the surface so the correction is defined and direction-symmetric.
-            extra = shapiro_delay(
-                constants.earth_radius,
-                constants.earth_radius + geometry.range_m,
-                geometry.range_m,
-                constants,
-            )
-        flight_fs = round(flight_s * FS_PER_SECOND + extra + bias)
-        return (
-            np.full(len(emit_times_fs), flight_fs, dtype=np.int64),
-            np.ones(len(emit_times_fs), dtype=bool),
-        )
+    """Integer flight times and the emit-time visibility mask, broadcast against emit_fs.
 
-    emit_t_s = emit_times_fs / FS_PER_SECOND
-    station = _station_positions(geometry.ground_station, emit_t_s, constants)
-    sat = _satellite_positions(geometry, emit_t_s, constants)
-    visible = _elevations(station, sat) >= geometry.elevation_mask
-    flights_s = _light_time_flights_s(geometry, emit_t_s, direction, constants)
-    total_fs = flights_s * FS_PER_SECOND + bias
+    emit_fs is int64, or float64 for a grid that reaches past 2^63 fs; emit
+    seconds are emit_fs / FS_PER_SECOND. A static range has one flight for
+    every photon, so both results are scalars and no per-photon array is built.
+    """
+    geometry = link.geometry
+    static = isinstance(geometry, StaticRange)
+    emit_t_s = 0.0 if static else emit_fs / FS_PER_SECOND  # a static range is the same at every time
+    geo = _geometry_at(geometry, emit_t_s, constants)
+    bias = direction.bias_sign * link.nonreciprocity_bias / 2.0
+    shapiro = 0.0
     if link.include_shapiro:
-        ranges = np.linalg.norm(sat - station, axis=-1)
-        r1 = np.linalg.norm(station, axis=-1)
-        r2 = np.linalg.norm(sat, axis=-1)
-        factor = 2.0 * constants.gm_earth / constants.c**3 * FS_PER_SECOND
-        total_fs = total_fs + factor * np.log((r1 + r2 + ranges) / (r1 + r2 - ranges))
-    return np.round(total_fs).astype(np.int64), visible
+        shapiro = _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, constants)
+    if static:
+        total_fs = geo.range_m / constants.c * FS_PER_SECOND + shapiro + bias
+    else:
+        flights_s = _light_time_flights_s(geometry, geo, emit_t_s, direction, constants)
+        total_fs = flights_s * FS_PER_SECOND + bias + shapiro
+    if not (np.abs(total_fs) < INT64_LIMIT).all():
+        raise TimeRangeError("flight time outside the int64 femtosecond range (|t| < 2^63 fs)")
+    return np.rint(total_fs).astype(np.int64), geo.visible
 
 
 def time_of_flight(
@@ -359,9 +350,9 @@ def time_of_flight(
     flights, visible = _flight_times_fs(
         link, np.array([true_emit_time], dtype=np.int64), direction, constants
     )
-    if not visible[0]:
+    if not visible.item():
         raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
-    return int(flights[0])
+    return flights.item()
 
 
 def propagate(
@@ -377,18 +368,19 @@ def propagate(
     sorted true arrival times at the far end.
     """
     photons = np.asarray(stream_true, dtype=np.int64)
-    if len(photons) > 1 and np.any(np.diff(photons) < 0):
+    if np.any(photons[1:] < photons[:-1]):  # compare neighbours: np.diff can wrap in int64
         raise ValueError("input stream must be sorted")
     if link.transmittance < 1.0:
         rng = spawn_rng(seed, "link-thin")
         photons = photons[rng.random(len(photons)) < link.transmittance]
     flights, visible = _flight_times_fs(link, photons, direction, constants)
-    arrived = photons[visible] + flights[visible]
-    if link.channel_jitter_sigma > 0 and len(arrived):
+    if np.ndim(visible):  # a static range is always visible
+        photons, flights = photons[visible], flights[visible]
+    shifts = [flights]
+    if link.channel_jitter_sigma > 0 and len(photons):
         rng = spawn_rng(seed, "link-jitter")
-        arrived = arrived + np.round(
-            rng.normal(0.0, link.channel_jitter_sigma, len(arrived))
-        ).astype(np.int64)
+        shifts.append(np.round(rng.normal(0.0, link.channel_jitter_sigma, len(photons))).astype(np.int64))
+    arrived = _checked_shift(photons, *shifts)
     arrived.sort(kind="stable")
     return arrived
 
@@ -402,45 +394,29 @@ def visibility_windows(
 ) -> list[dict]:
     """Contiguous visible intervals on a sampling grid, with peak elevation.
 
-    Window edges are resolved to the grid step; each entry reports
-    start_s, end_s (exclusive grid edge), and max_elevation_deg.
+    The grid runs from start_fs in steps of step_fs up to end_fs and is
+    evaluated in float seconds, so it may reach past 2^63 fs. Each entry
+    reports start_s and end_s, the first and the last visible grid sample of
+    the window, and max_elevation_deg. A static range is visible throughout:
+    one window from start_fs to end_fs.
     """
     if step_fs <= 0:
         raise ValueError("step_fs must be positive")
     if end_fs < start_fs:
         raise ValueError("end_fs must be >= start_fs")
-    # arange length via float division loses the inclusive endpoint at
-    # femtosecond magnitudes; build the grid from an exact integer count
     count = (end_fs - start_fs) // step_fs + 1
-    times = start_fs + step_fs * np.arange(count, dtype=np.int64)
-    if isinstance(geometry, StaticRange):
-        return [
-            {
-                "start_s": start_fs / FS_PER_SECOND,
-                "end_s": end_fs / FS_PER_SECOND,
-                "max_elevation_deg": 90.0,
-            }
-        ]
-    t_s = times / FS_PER_SECOND
-    station = _station_positions(geometry.ground_station, t_s, constants)
-    sat = _satellite_positions(geometry, t_s, constants)
-    elevations = _elevations(station, sat)
-    visible = elevations >= geometry.elevation_mask
-    windows = []
-    i = 0
-    while i < len(times):
-        if visible[i]:
-            j = i
-            while j + 1 < len(times) and visible[j + 1]:
-                j += 1
-            windows.append(
-                {
-                    "start_s": float(times[i] / FS_PER_SECOND),
-                    "end_s": float(times[j] / FS_PER_SECOND),
-                    "max_elevation_deg": float(np.degrees(np.max(elevations[i : j + 1]))),
-                }
-            )
-            i = j + 1
-        else:
-            i += 1
-    return windows
+    t_s = (start_fs + step_fs * np.arange(count, dtype=np.float64)) / FS_PER_SECOND
+    geo = _geometry_at(geometry, t_s, constants)
+    if np.ndim(geo.visible) == 0:  # a static range: the same at every time
+        peak = float(np.degrees(geo.elevation))
+        start_s, end_s = start_fs / FS_PER_SECOND, end_fs / FS_PER_SECOND
+        return [{"start_s": start_s, "end_s": end_s, "max_elevation_deg": peak}]
+    # window starts and one-past-ends, alternating
+    edges = np.flatnonzero(np.diff(geo.visible, prepend=False, append=False))
+    # Each reduction runs from a window's start to the next edge; past a last
+    # window's end it meets only samples below the mask, which cannot raise its peak.
+    peaks = np.degrees(np.maximum.reduceat(geo.elevation, edges[:-1])[::2]) if len(edges) else ()
+    return [
+        {"start_s": float(t_s[i]), "end_s": float(t_s[j - 1]), "max_elevation_deg": float(peak)}
+        for i, j, peak in zip(edges[::2], edges[1::2], peaks)
+    ]

@@ -13,8 +13,9 @@ accepted chain inside every cluster is followed with one searchsorted step
 per link across all clusters at once.
 
 Streams are held as sorted int64 femtosecond arrays, which bounds usable
-local times to about +-2.5 hours from the epoch; a reading beyond that raises
-``TimeRangeError``. The long-horizon integer arithmetic lives in timebase.
+true and local times to about +-2.5 hours from the epoch; an arrival or a
+reading beyond that raises ``TimeRangeError``. The long-horizon integer
+arithmetic lives in timebase.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import SeedSpec, spawn_rng
-from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, local_times
+from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, _checked_shift, local_times
 
 __all__ = [
     "PairSource",
@@ -222,12 +223,11 @@ def detect(
         arrivals = arrivals[thin_rng.random(len(arrivals)) < detector.efficiency]
     if detector.jitter_sigma > 0 and len(arrivals):
         jitter_rng = spawn_rng(seed, "detect-jitter")
-        arrivals = arrivals + np.round(
-            jitter_rng.normal(0.0, detector.jitter_sigma, len(arrivals))
-        ).astype(np.int64)
+        jitter = np.round(jitter_rng.normal(0.0, detector.jitter_sigma, len(arrivals))).astype(np.int64)
+        arrivals = _checked_shift(arrivals, jitter)
 
     darks = _poisson_times(detector.dark_rate, horizon, spawn_rng(seed, "detect-dark"))
-    merged = np.concatenate((arrivals, darks + window_start))
+    merged = np.concatenate((arrivals, _checked_shift(darks, window_start)))
     merged.sort(kind="stable")
     merged = _dead_time_filter(merged, detector.dead_time)
 

@@ -400,6 +400,24 @@ def _checked_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+def _checked_shift(times: np.ndarray, *shifts) -> np.ndarray:
+    """Sorted int64 times plus each shift (a scalar or a same-length array), in order.
+
+    Raises TimeRangeError unless every sum stays inside int64. The sums are
+    bounded by the ends of times and the extremes of the shifts, so the check
+    builds no per-element temporaries; a wrapped partial sum cancels once the
+    final sum is in range.
+    """
+    if len(times):
+        low, high = int(times[0]), int(times[-1])
+        for s in shifts:
+            s_low, s_high = (s.min(), s.max()) if isinstance(s, np.ndarray) else (s, s)
+            low, high = low + int(s_low), high + int(s_high)
+        if low < -INT64_LIMIT or high >= INT64_LIMIT:
+            raise TimeRangeError("true time outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays")
+    return sum(shifts, times)
+
+
 def true_time_of_local(state: ClockState, local: int) -> int:
     """Invert the noiseless mapping; round-trip error is at most 1 fs.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ GOLDEN = {
         "session": "a248f9a5a26a704363eb09f20de8b7e2affb7064528f1f344e13bc60efd0d58a",
         "cli": "e603a26d7d6c6b349c6b92f4f07a5d64a5ca96577ba686ed1421327f4b343a84",
         "network": "1e509b4077ffeffce2278aedb22a7d7724622f585f1557043045f516773b67c4",
+        "relativity": "3e2936db4541678f26eb759d25da17d5b986ed4606e90d435d4691f90891f552",
     },
 }
 
@@ -144,3 +146,14 @@ def test_golden_network_with_tracked_edge():
     report = run_network(topology, horizon, 23, report_interval)
     assert sum(report.edge_successes) == sum(report.edge_attempts) > 0
     assert _sha(report.to_dict()) == GOLDEN[np.__version__]["network"]
+
+
+def test_golden_relativity_orbit_link(tmp_path, capsys):
+    leo = json.loads((Path(__file__).parent.parent / "scenarios" / "leo_demo.json").read_text())
+    link = dict(leo["topology"]["edges"][0]["link"], include_shapiro=True)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"seed": 1, "link": link}))
+    assert main(["relativity", "--config", str(config_path), "--out", str(tmp_path), "--format", "csv"]) == 0
+    capsys.readouterr()
+    payload = [(tmp_path / name).read_text() for name in ("relativity_report.json", "relativity_samples.csv")]
+    assert _sha(payload) == GOLDEN[np.__version__]["relativity"]

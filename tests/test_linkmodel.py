@@ -24,10 +24,10 @@ from qcsync.linkmodel import (
     relativistic_rate_offset,
     sample_geometry,
     shapiro_delay,
-    slant_range,
     time_of_flight,
     visibility_windows,
 )
+from qcsync.timebase import INT64_LIMIT, TimeRangeError
 
 FS = 10**15
 C = DEFAULT_CONSTANTS.c
@@ -98,12 +98,17 @@ def test_overhead_pass_symmetric_elevation():
     assert before.elevation == pytest.approx(after.elevation, abs=2e-4)
 
 
-def test_slant_range_raises_below_mask():
+def test_below_mask_is_not_visible():
     orbit = _overhead_orbit()
     quarter = int(orbital_period(orbit) * FS / 4)
+    far_side = sample_geometry(orbit, 2 * quarter)  # antipodal: far side of the orbit
+    assert not far_side.visible
+    assert far_side.range_m > 2 * R_E
     with pytest.raises(NotVisibleError):
-        slant_range(orbit, 2 * quarter)  # antipodal: far side of the orbit
-    assert slant_range(orbit, 0) == pytest.approx(550e3, rel=1e-6)
+        time_of_flight(LinkModel(geometry=orbit), 2 * quarter, Direction.A_TO_B)
+    zenith = sample_geometry(orbit, 0)
+    assert zenith.visible
+    assert zenith.range_m == pytest.approx(550e3, rel=1e-6)
 
 
 def test_light_time_includes_receiver_motion():
@@ -115,7 +120,7 @@ def test_light_time_includes_receiver_motion():
     t = -15 * FS  # approaching
     ab = time_of_flight(link, t, Direction.A_TO_B)
     ba = time_of_flight(link, t, Direction.B_TO_A)
-    instantaneous = slant_range(orbit, t) / C * FS
+    instantaneous = sample_geometry(orbit, t).range_m / C * FS
     assert ab != ba
     # approaching satellite: A->B flight is shorter than the frozen-geometry value
     assert ab < instantaneous < ba + 5000
@@ -182,6 +187,38 @@ def test_propagate_requires_sorted_input():
     link = LinkModel(geometry=StaticRange(range_m=1.0))
     with pytest.raises(ValueError):
         propagate(np.array([5, 1], dtype=np.int64), link, Direction.A_TO_B, (24,))
+    # neighbours are compared, so a difference that wraps int64 is not misread
+    with pytest.raises(ValueError, match="sorted"):
+        propagate(np.array([7 * 10**18, -7 * 10**18], dtype=np.int64), link, Direction.A_TO_B, (24,))
+    wide = np.array([-7 * 10**18, 7 * 10**18], dtype=np.int64)
+    flight = time_of_flight(link, 0, Direction.A_TO_B)
+    assert propagate(wide, link, Direction.A_TO_B, (24,)).tolist() == (wide + flight).tolist()
+
+
+@pytest.mark.parametrize("jitter", [0, 400])
+def test_propagate_raises_where_arrivals_would_wrap_int64(jitter):
+    link = LinkModel(geometry=StaticRange(range_m=299792.458), channel_jitter_sigma=jitter)
+    flight = time_of_flight(link, 0, Direction.A_TO_B)  # 1 ms
+    last = INT64_LIMIT - 1 - flight - 10**5  # room for any jitter this seed draws
+    fits = np.array([0, last], dtype=np.int64)
+    assert propagate(fits, link, Direction.A_TO_B, (25,))[-1] >= last
+    with pytest.raises(TimeRangeError):
+        propagate(np.array([0, last + 10**6], dtype=np.int64), link, Direction.A_TO_B, (25,))
+    # an equatorial orbit overhead at the last int64 femtosecond
+    t_last = (INT64_LIMIT - 1) / FS
+    mean_motion = 2 * math.pi / orbital_period(_overhead_orbit())
+    phase0 = (DEFAULT_CONSTANTS.earth_rotation_rate - mean_motion) * t_last
+    overhead = LinkModel(geometry=CircularOrbit(altitude=550e3, phase0=phase0), channel_jitter_sigma=jitter)
+    assert sample_geometry(overhead.geometry, INT64_LIMIT - 1).elevation > math.radians(89)
+    with pytest.raises(TimeRangeError):
+        propagate(np.array([0, INT64_LIMIT - 10**6], dtype=np.int64), overhead, Direction.B_TO_A, (25,))
+
+
+def test_flight_time_outside_int64_raises():
+    far = [StaticRange(range_m=1e30), CircularOrbit(altitude=1e25)]
+    for geometry in far:
+        with pytest.raises(TimeRangeError):
+            time_of_flight(LinkModel(geometry=geometry), 0, Direction.A_TO_B)
 
 
 def test_visibility_windows_cover_overhead_pass():
@@ -193,6 +230,49 @@ def test_visibility_windows_cover_overhead_pass():
     assert w["max_elevation_deg"] == pytest.approx(90.0, abs=0.1)
     # pass length for a 550 km overhead pass above a 10 degree mask: minutes
     assert 300 < w["end_s"] - w["start_s"] < 900
+
+
+def _leo_demo_edge_orbit():
+    return CircularOrbit(altitude=550e3, phase0=-0.015354, ground_station=GroundStation(lat=0.0, lon=0.0))
+
+
+def test_visibility_windows_past_int64_femtoseconds():
+    # 20000 s is past 2^63 fs (about 9223 s), where an int64 grid wraps
+    horizon_s = 20000
+    windows = visibility_windows(_leo_demo_edge_orbit(), 0, horizon_s * FS, FS)
+    assert len(windows) == 4
+    starts = [w["start_s"] for w in windows]
+    assert starts == sorted(starts)
+    assert all(0 <= w["start_s"] <= w["end_s"] <= horizon_s for w in windows)
+    assert windows[0]["start_s"] == 0.0  # the pass under way at t = 0
+    # an equatorial prograde pass repeats at the synodic period 1/(1/T - 1/T_earth)
+    sidereal_day = 2 * math.pi / DEFAULT_CONSTANTS.earth_rotation_rate
+    synodic = 1 / (1 / orbital_period(_leo_demo_edge_orbit()) - 1 / sidereal_day)
+    centres = [(w["start_s"] + w["end_s"]) / 2 for w in windows[1:]]  # the first pass is cut at t = 0
+    assert np.diff(centres) == pytest.approx(synodic, abs=2.0)
+    assert synodic == pytest.approx(6139, abs=10)
+    static = visibility_windows(StaticRange(range_m=1.0), 0, horizon_s * FS, 7 * FS)
+    assert static == [{"start_s": 0.0, "end_s": horizon_s, "max_elevation_deg": 90.0}]
+
+
+def test_visibility_windows_match_per_sample_geometry():
+    orbit = _leo_demo_edge_orbit()
+    step = 10 * FS
+    # the grid ends in the middle of the third pass
+    windows = visibility_windows(orbit, -1000 * FS, 12300 * FS, step)
+    samples = [(t / FS, sample_geometry(orbit, t)) for t in range(-1000 * FS, 12300 * FS + 1, step)]
+    expected, run = [], []
+    for t_s, geo in samples + [(None, None)]:
+        if geo is not None and geo.visible:
+            run.append((t_s, geo.elevation))
+        elif run:
+            expected.append((run[0][0], run[-1][0], math.degrees(max(e for _, e in run))))
+            run = []
+    got = [(w["start_s"], w["end_s"], w["max_elevation_deg"]) for w in windows]
+    assert len(got) == len(expected) == 3
+    assert got[-1][1] == 12300.0
+    assert np.array(got) == pytest.approx(np.array(expected), rel=1e-12)
+    assert visibility_windows(orbit, 3000 * FS, 4000 * FS, step) == []  # between passes
 
 
 def test_geometry_validation():

@@ -15,7 +15,7 @@ from qcsync.photonics import (
     generate_pair_births,
     split_pairs,
 )
-from qcsync.timebase import ClockModel, ClockState
+from qcsync.timebase import INT64_LIMIT, ClockModel, ClockState, TimeRangeError
 
 FS = 10**15
 
@@ -185,6 +185,19 @@ def test_detect_converts_to_local_frame():
     arrivals = np.array([1000, 2000], dtype=np.int64)
     stream = detect(arrivals, Detector(), clock, TimeTagger(resolution=1), 10**6, (12,))
     assert stream.timestamps.tolist() == [1777, 2777]
+
+
+def test_detect_raises_where_jitter_or_darks_would_wrap_int64():
+    top = INT64_LIMIT - 100 + np.arange(50, dtype=np.int64)
+    with pytest.raises(TimeRangeError):
+        detect(top, Detector(jitter_sigma=10**6), _ideal_clock(), TimeTagger(resolution=1), 10, (14,))
+    darks = Detector(dark_rate=1e12)  # about 1000 darks in the 1 ns horizon
+    last_fit = INT64_LIMIT - 1 - 10**6
+    none, tagger = np.empty(0, dtype=np.int64), TimeTagger(resolution=1)
+    stream = detect(none, darks, _ideal_clock(), tagger, 10**6, (15,), window_start=last_fit)
+    assert len(stream) > 900 and stream.timestamps[0] >= last_fit
+    with pytest.raises(TimeRangeError):
+        detect(none, darks, _ideal_clock(), tagger, 10**6, (15,), window_start=last_fit + 10**6)
 
 
 def test_detect_unsorted_input_rejected():

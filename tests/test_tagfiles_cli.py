@@ -438,6 +438,61 @@ def test_relativity_static_link(tmp_path, capsys):
     assert len(csv_lines) == len(payload["samples"]) + 1
 
 
+def _leo_edge_link() -> dict:
+    leo = json.loads((SCENARIOS / "leo_demo.json").read_text())
+    return dict(leo["topology"]["edges"][0]["link"], include_shapiro=True)
+
+
+@pytest.mark.parametrize("variant", ["static_range", "circular_orbit"])
+def test_relativity_past_int64_horizon(tmp_path, capsys, variant):
+    # 20000 s is past 2^63 fs (about 9223 s), where an int64 time grid wraps
+    if variant == "static_range":
+        link = {"geometry": {"variant": "static_range", "range_m": 299.792458}}
+    else:
+        link = _leo_edge_link()
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"seed": 1, "link": link, "relativity": {"horizon_s": 20000}}))
+    code, out, err = _run(
+        capsys, "relativity", "--config", str(path), "--out", str(tmp_path), "--format", "csv"
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    samples = payload["samples"]
+    assert samples[-1]["t_s"] == 20000.0
+    assert [s["t_s"] for s in samples] == sorted(s["t_s"] for s in samples)
+    windows = payload["visibility_windows"]
+    assert all(0 <= w["start_s"] <= w["end_s"] <= 20000 for w in windows)
+    visible = [s for s in samples if s["visible"]]
+    assert all(s["flight_ab_fs"] is not None for s in visible)
+    assert all(s["flight_ab_fs"] is None for s in samples if not s["visible"])
+    if variant == "static_range":
+        assert windows == [{"start_s": 0.0, "end_s": 20000.0, "max_elevation_deg": 90.0}]
+        assert {s["flight_ab_fs"] for s in samples} == {10**9}
+    else:
+        assert len(windows) == 4 and 0 < len(visible) < len(samples)
+        # a LEO slant range of 550 to about 2000 km is 1.8 to 7 ms of flight
+        assert all(1.8e12 < s["flight_ab_fs"] < 7e12 for s in visible)
+
+
+def test_simulate_past_int64_arrivals_exits_two(tmp_path, capsys):
+    # the session ends inside int64, but 1 s flights carry its last arrivals past 2^63 fs
+    config = {
+        "seed": 3,
+        "duration_s": 9223.372,
+        "clocks": {"a": {}, "b": {}},
+        "sources": {"a": {"pair_rate_hz": 10}, "b": {"pair_rate_hz": 10}},
+        "link": {"geometry": {"variant": "static_range", "range_m": 300000000}},
+        "correlation": {"search_window_fs": 2 * 10**15, "coarse_bin_fs": 10**6, "fine_bin_fs": 1000},
+    }
+    path = tmp_path / "wrap.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(out_dir))
+    assert code == 2
+    assert "int64" in err and "Traceback" not in err
+    assert list(out_dir.glob("*.tags")) == []
+
+
 def test_simulate_config_error_writes_no_tag_files(tmp_path, capsys):
     config = json.loads((SCENARIOS / "noiseless.json").read_text())
     config["correlation"]["fine_bin_fs"] = 10**7  # coarser than coarse_bin_fs

@@ -212,9 +212,8 @@ def _pair_diffs(
     j = int(np.searchsorted(ends, stop - 1, side="right")) + 1
     per_tag = np.minimum(ends[i:j], stop) - np.maximum(ends[i:j] - counts[i:j], start)
     idx = np.repeat(base[i:j], per_tag)
-    diffs = np.arange(start, stop, dtype=np.int64)
-    idx += diffs
-    np.take(remote, idx, out=diffs)
+    idx += np.arange(start, stop, dtype=np.int64)
+    diffs = remote[idx]
     diffs -= np.repeat(local[i:j] + offset, per_tag)
     return diffs
 

@@ -135,8 +135,8 @@ class LinkModel:
     def __post_init__(self):
         if not 0.0 < self.transmittance <= 1.0:
             raise ValueError("transmittance must be in (0, 1]")
-        if self.channel_jitter_sigma < 0:
-            raise ValueError("channel_jitter_sigma must be >= 0")
+        if not 0 <= self.channel_jitter_sigma <= FS_PER_SECOND:
+            raise ValueError("channel_jitter_sigma must be in [0, 10^15] fs")
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,8 @@ class Detector:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
+        if not 0 <= self.jitter_sigma <= FS_PER_SECOND:
+            raise ValueError("jitter_sigma must be in [0, 10^15] fs")
         if self.dark_rate < 0:
             raise ValueError("dark_rate must be >= 0")
         if self.dead_time < 0:

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import qcsync
 from qcsync.bellauth import AuthPolicy, ChshSettings
 from qcsync.estimator import CorrelationConfig
 from qcsync.linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
@@ -168,3 +174,32 @@ def test_every_key_sets_exactly_one_field_and_every_field_has_a_key(name):
     all_fields = {f.name for f in dataclasses.fields(default)}
     assert sorted(fields_by_key.values()) == sorted(all_fields)
     assert set(_changed_fields(build(full), default)) == all_fields
+
+
+def test_scenario_schema_is_valid_against_its_metaschema():
+    jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
+
+# Imports jsonschema, makes check_schema of the scenario schema's validator
+# class record its calls, then imports qcsync.
+_IMPORT_PROBE = """
+import importlib, json, sys
+import jsonschema
+cls = getattr(importlib.import_module(sys.argv[1]), sys.argv[2])
+calls = []
+cls.check_schema = classmethod(lambda cls, schema, *args, **kwargs: calls.append(cls.__name__))
+import qcsync.scenario
+assert type(qcsync.scenario._VALIDATOR) is cls
+print(json.dumps(calls))
+"""
+
+
+def test_import_makes_no_metaschema_check():
+    # the check above costs about 0.1 s, which every qcsync process would pay
+    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+    src = str(Path(qcsync.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", _IMPORT_PROBE, cls.__module__, cls.__qualname__]
+    probe = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == []

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import runpy
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcsync.cli import main
-from qcsync.photonics import TagStream
+from qcsync.linkmodel import LinkModel, StaticRange
+from qcsync.photonics import Detector, TagStream
 from qcsync.scenario import ConfigError, validate_scenario
 from qcsync.tagfiles import (
     TagFileError,
@@ -493,6 +496,32 @@ def test_simulate_past_int64_arrivals_exits_two(tmp_path, capsys):
     assert list(out_dir.glob("*.tags")) == []
 
 
+_JITTER_FIELDS = [
+    (("detectors", "a"), "jitter_sigma_fs", lambda sigma: Detector(jitter_sigma=sigma)),
+    (("link",), "channel_jitter_sigma_fs", lambda sigma: LinkModel(StaticRange(1.0), channel_jitter_sigma=sigma)),
+]
+
+
+@pytest.mark.parametrize("section, key, build", _JITTER_FIELDS, ids=["detector", "link"])
+def test_simulate_with_jitter_beyond_one_second_exits_two(tmp_path, capsys, section, key, build):
+    # a sigma of 10^19 fs overflowed the int64 cast of the jitter draws to -2^63
+    config = json.loads((SCENARIOS / "noiseless.json").read_text())
+    parent = config
+    for name in section:
+        parent = parent[name]
+    parent[key] = 10**19
+    path = tmp_path / "jitter.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(out_dir))
+    assert code == 2
+    assert key in err and "maximum" in err and "Traceback" not in err
+    assert list(out_dir.glob("*.tags")) == []
+    build(10**15)  # 1 s is allowed
+    with pytest.raises(ValueError, match="jitter_sigma must be in"):
+        build(10**19)
+
+
 def test_simulate_config_error_writes_no_tag_files(tmp_path, capsys):
     config = json.loads((SCENARIOS / "noiseless.json").read_text())
     config["correlation"]["fine_bin_fs"] = 10**7  # coarser than coarse_bin_fs
@@ -503,6 +532,19 @@ def test_simulate_config_error_writes_no_tag_files(tmp_path, capsys):
     assert code == 2
     assert "config error" in err
     assert list(out_dir.glob("*.tags")) == []
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qcsync", "--version"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("qcsync", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == "qcsync 0.1.0\n"
+    monkeypatch.setattr(sys, "argv", ["qcsync", "simulate", "--config", str(tmp_path / "missing.json")])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("qcsync", run_name="__main__")
+    assert exit_.value.code == 2
+    assert "missing.json" in capsys.readouterr().err
 
 
 def _run_readme_example(capsys, monkeypatch, command: str, out_dir: Path):

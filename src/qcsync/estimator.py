@@ -9,10 +9,17 @@ enumeration route below searches the window once per correlation.
 The coarse estimate is the first coarse bin holding the most pairs, found
 exactly by one of two routes that give the same bin and count:
 - A bounded search, for windows with many pairs per tag. Both streams are
-  folded onto N superbins of _SUPERBIN_BINS coarse bins, and one FFT gives
-  an upper bound on each superbin's pairs. Superbins are enumerated in
-  descending bound order until the bound falls below the best count, so a
-  sparse window as long as the session enumerates one or two superbins.
+  folded onto N superbins of M coarse bins, N the smallest 5-smooth integer
+  above the window's superbin count, and one FFT gives an upper bound on
+  each superbin's pairs. Superbins are enumerated in descending bound order
+  until the bound falls below the best count. A wide window is probed
+  first: a fold of at most _PROBE_SUPERBINS superbins, whose top superbin
+  is enumerated, gives a real peak count B. The main fold then takes the
+  coarsest M, from _SUPERBIN_BINS up by powers of two, whose expected
+  accidental bound stays below B, and the search falls back to
+  M = _SUPERBIN_BINS when those bounds do not clear. A sparse window as
+  long as the session so enumerates one or two superbins, and its main FFT
+  is sized to the peak it has to find.
 - The enumeration of every window pair, when the window holds too few
   pairs to repay the FFTs, when N would be large, or when the bounds are
   too loose for the visit budget. The pairs are made in cache-sized int64
@@ -22,7 +29,8 @@ exactly by one of two routes that give the same bin and count:
   (coarse_histogram).
 
 The background is every window bin, empty ones included, except the
-peak's +-refine_span_bins coarse bins (the peak span). Its mean is the
+peak's +-refine_span_bins coarse bins (the peak span; a span reaching past
+every window bin is clipped to that reach). Its mean is the
 window's pairs outside the span over those bins. Its sigma is
 sqrt(mean + spread), floored at one count, where spread is the variance
 across the window of the accidental counts that constant tag rates would
@@ -81,9 +89,11 @@ _CHUNK_PAIRS = 1 << 22  # pairs per sort: 16 MB of 32-bit bin offsets, 32 MB whe
 _BLOCK_PAIRS = 1 << 15  # pairs materialized at once: 256 KB int64 arrays stay in cache
 _WINDOW_SIGMAS = 3.0  # member window half-width, in residual sigmas of the member line
 _MAX_WINDOW_PASSES = 50  # the member set settles within a few passes; this bounds a cycle
-_SUPERBIN_BINS = 128  # coarse bins per superbin of the bounded peak search
+_SUPERBIN_BINS = 128  # coarse bins per superbin at the bounded search's finest level, its floor
 _MAX_SUPERBINS = 1 << 20  # larger folds cost more in FFTs than they save
-_VISIT_BUDGET = 64  # most superbins the bounded search enumerates
+_VISIT_BUDGET = 64  # most superbins one level of the bounded search enumerates
+_PROBE_SUPERBINS = 1 << 11  # most superbins of the probe fold; windows with no more at the floor are not probed
+_BOUND_SIGMAS = 5.0  # Poisson sigmas the expected accidental bound of a coarse level keeps below the probe's count
 # The bounded search costs about as much as enumerating _PAIRS_PER_BOUND
 # pairs per fold bin and per tag, plus a fixed cost that only windows of at
 # least _MIN_BOUND_PAIRS pairs repay.
@@ -290,17 +300,64 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     return CoarseHistogram(bins, counts, origin, offsets, runs)
 
 
+def _fold_length(n: int) -> int:
+    """The smallest 5-smooth integer above n: an FFT length with no prime factor above 5."""
+    best = 1 << n.bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m <= n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _superbin_bounds(
+    local_ts: np.ndarray, remote_ts: np.ndarray, d_lo: int, d_hi: int, bins: int, cfg: CorrelationConfig
+) -> tuple[int, np.ndarray]:
+    """The superbin of difference d_lo and an upper bound on the pairs of each superbin up to d_hi's.
+
+    Superbins hold bins coarse bins each (see _bounded_peak).
+    """
+    width = bins * cfg.coarse_bin
+    origin = int(remote_ts[0]) - int(local_ts[0])
+    sb_lo, sb_hi = (d_lo - origin) // width, (d_hi - origin) // width
+    n = _fold_length(sb_hi - sb_lo + 1)  # so no superbin of the range aliases another
+    fold_l = np.bincount((local_ts - local_ts[0]) // width % n, minlength=n)
+    fold_r = np.bincount((remote_ts - remote_ts[0]) // width % n, minlength=n)
+    cyclic = np.fft.irfft(np.conj(np.fft.rfft(fold_l)) * np.fft.rfft(fold_r), n)
+    # FFT round-off stays far below this margin, so c never undercounts
+    margin = 0.5 + 1e-13 * n.bit_length() * math.sqrt(float(fold_l @ fold_l) * float(fold_r @ fold_r))
+    c = np.take(np.floor(cyclic + margin).astype(np.int64), np.arange(sb_lo, sb_hi + 2), mode="wrap")
+    return sb_lo, c[:-1] + c[1:]
+
+
 def _superbin_counts(
-    local_ts: np.ndarray, remote_ts: np.ndarray, origin: int, superbin: int, cfg: CorrelationConfig
-) -> np.ndarray:
-    """Exact counts of the _SUPERBIN_BINS coarse bins of one superbin, clipped to the window."""
-    width = _SUPERBIN_BINS * cfg.coarse_bin
+    local_ts: np.ndarray,
+    remote_ts: np.ndarray,
+    origin: int,
+    superbin: int,
+    bins: int,
+    limit: int,
+    cfg: CorrelationConfig,
+) -> np.ndarray | None:
+    """Exact counts of the coarse bins of one superbin of bins coarse bins, clipped to the window.
+
+    None, before any pair is made, when the superbin holds more than limit pairs.
+    """
+    width = bins * cfg.coarse_bin
     lo = origin + superbin * width  # the superbin's first difference
     start, stop = max(-cfg.search_window, lo), min(cfg.search_window + 1, lo + width)
     runs = _pair_runs(local_ts, remote_ts, start, stop)
+    if runs.ends[-1] > limit:
+        return None
     diffs = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), start)
     diffs += start - lo
-    return np.bincount(diffs // cfg.coarse_bin, minlength=_SUPERBIN_BINS)
+    return np.bincount(diffs // cfg.coarse_bin, minlength=bins)
 
 
 def _bounded_peak(
@@ -308,32 +365,51 @@ def _bounded_peak(
 ) -> tuple[int, int, int] | None:
     """The first coarse bin with the most window pairs, its count, and the window's pairs.
 
-    A branch and bound over superbins. Superbin j groups coarse bins j*M ..
-    j*M + M - 1 (M = _SUPERBIN_BINS), so a pair's superbin is
-    floor((d - origin) / S) with S = M*coarse_bin. Folding each stream by
-    floor((t - t[0]) / S) mod N, one cyclic cross-correlation by FFT counts
-    the tag pairs c[k] whose folded superbins differ by k. A pair of
-    superbin j differs by j or j + 1, so superbin j holds at most
-    c[j] + c[j+1] pairs; aliased pairs only add to that bound. Superbins are
-    enumerated exactly in descending bound order until the bound falls
-    below the best count (a tie is still visited, so the smallest bin wins
-    it). Returns None, and the caller enumerates the whole window instead,
-    when N would exceed _MAX_SUPERBINS, when the window's pairs cannot repay
-    the FFTs, or when the visits would exceed _VISIT_BUDGET superbins or an
-    eighth of the window's pairs.
+    A branch and bound over superbins. Superbin j of width M groups coarse
+    bins j*M .. j*M + M - 1, so a pair's superbin is floor((d - origin) / S)
+    with S = M*coarse_bin. Folding each stream by floor((t - t[0]) / S) mod N,
+    N the smallest 5-smooth integer above the window's superbin count, one
+    cyclic cross-correlation by FFT counts the tag pairs c[k] whose folded
+    superbins differ by k. A pair of superbin j differs by j or j + 1, so
+    superbin j holds at most c[j] + c[j+1] pairs; aliased pairs only add to
+    that bound. A level enumerates superbins exactly in descending bound
+    order until the bound falls below the best count (a tie is still
+    visited, so the smallest bin wins it), skipping those inside a superbin
+    an earlier level enumerated. A visit spends the pairs it enumerates.
+
+    The floor level has M = _SUPERBIN_BINS. When its fold would exceed
+    _PROBE_SUPERBINS superbins, a probe fold of at most that many, at the
+    floor width times a power of two, is made first and its top superbin
+    enumerated: the best count B found there is exact. The search then runs
+    at the coarsest power-of-two width M between the floor and the probe
+    whose expected accidental bound 2*M*a + _BOUND_SIGMAS*sqrt(2*M*a) stays
+    below B, reusing the probe's bounds at its width. a is the accidentals
+    per coarse bin: the flat top of the constant-rate trapezoid
+    (_accidentals), or the fold's mean when the streams reach past the
+    window and the fold aliases their pairs onto it. The probe and that
+    level share one budget of visits and pairs. When their bounds do not
+    clear within it, the floor level runs with a budget of its own, so the
+    probe never gives up where the floor alone succeeds.
+
+    Returns None, and the caller enumerates the whole window instead, when
+    the floor fold would exceed _MAX_SUPERBINS, when the window's pairs
+    cannot repay the FFTs, or when the floor level's visits would exceed
+    _VISIT_BUDGET superbins or an eighth of the window's pairs.
     """
     if len(local_ts) == 0 or len(remote_ts) == 0:
         return None
     origin = int(remote_ts[0]) - int(local_ts[0])
-    width = _SUPERBIN_BINS * cfg.coarse_bin
-    # superbins of the differences the streams can form inside the window
+    # the differences the streams can form inside the window
     d_lo = max(-cfg.search_window, int(remote_ts[0]) - int(local_ts[-1]))
     d_hi = min(cfg.search_window, int(remote_ts[-1]) - int(local_ts[0]))
-    sb_lo, sb_hi = (d_lo - origin) // width, (d_hi - origin) // width
-    n_superbins = sb_hi - sb_lo + 1
-    n = 1 << n_superbins.bit_length()  # > n_superbins, so no window superbin aliases another
+
+    def superbins(bins: int) -> int:
+        width = bins * cfg.coarse_bin
+        return (d_hi - origin) // width - (d_lo - origin) // width + 1
+
+    n = _fold_length(superbins(_SUPERBIN_BINS))
     spans = int(local_ts[-1]) - int(local_ts[0]), int(remote_ts[-1]) - int(remote_ts[0])
-    if n > _MAX_SUPERBINS or width > cfg.search_window or max(spans) >= INT64_LIMIT:
+    if n > _MAX_SUPERBINS or _SUPERBIN_BINS * cfg.coarse_bin > cfg.search_window or max(spans) >= INT64_LIMIT:
         return None
     # Uniform streams would hold about this many window pairs. The estimate
     # keeps windows with few pairs per tag off the binary searches below, so
@@ -344,45 +420,79 @@ def _bounded_peak(
     total = int(_pair_runs(local_ts, remote_ts, -cfg.search_window, cfg.search_window + 1).ends[-1])
     if total < needed:
         return None
-    fold_l = np.bincount((local_ts - local_ts[0]) // width & (n - 1), minlength=n)
-    fold_r = np.bincount((remote_ts - remote_ts[0]) // width & (n - 1), minlength=n)
-    cyclic = np.fft.irfft(np.conj(np.fft.rfft(fold_l)) * np.fft.rfft(fold_r), n)
-    # FFT round-off stays far below this margin, so c never undercounts
-    margin = 0.5 + 1e-13 * n.bit_length() * math.sqrt(float(fold_l @ fold_l) * float(fold_r @ fold_r))
-    c = np.take(np.floor(cyclic + margin).astype(np.int64), np.arange(sb_lo, sb_hi + 2), mode="wrap")
-    bounds = c[:-1] + c[1:]
 
-    # The visits may enumerate at most an eighth of the window's pairs.
-    best_bin, best_count, budget = 0, 0, total // 8
-    for _ in range(_VISIT_BUDGET):
-        k = int(np.argmax(bounds))
-        if bounds[k] < best_count:
-            return best_bin, best_count, total
-        budget -= int(bounds[k])
-        if budget < 0:
-            return None
-        bounds[k] = -1  # visited
-        counts = _superbin_counts(local_ts, remote_ts, origin, sb_lo + k, cfg)
+    best = [0, 0]  # the first coarse bin with the most pairs in the visited superbins, and its count
+    visited = []  # (width in coarse bins, superbin) of each enumerated superbin
+
+    def visit(bins: int, superbin: int, pairs: int) -> int:
+        """Enumerate one superbin within a budget of pairs; what is left of it, or -1."""
+        counts = _superbin_counts(local_ts, remote_ts, origin, superbin, bins, pairs, cfg)
+        if counts is None:
+            return -1
+        visited.append((bins, superbin))
         i = int(np.argmax(counts))
-        bin_ = (sb_lo + k) * _SUPERBIN_BINS + i
-        if counts[i] > best_count or (counts[i] == best_count and bin_ < best_bin):
-            best_bin, best_count = bin_, int(counts[i])
-    return (best_bin, best_count, total) if bounds.max() < best_count else None
+        bin_ = superbin * bins + i
+        if counts[i] > best[1] or (counts[i] == best[1] and bin_ < best[0]):
+            best[:] = bin_, int(counts[i])
+        return pairs - int(counts.sum())
+
+    def search(bins: int, sb_lo: int, bounds: np.ndarray, pairs: int, visits: int) -> bool:
+        """Whether every bound clears the best count within the visits and pairs given."""
+        for b, j in visited:  # widths only shrink, so each visit covers whole superbins here
+            bounds[max(j * b // bins - sb_lo, 0) : max((j + 1) * b // bins - sb_lo, 0)] = -1
+        for _ in range(visits):
+            k = int(np.argmax(bounds))
+            if bounds[k] < best[1]:
+                return True
+            bounds[k] = -1
+            pairs = visit(bins, sb_lo + k, pairs)
+            if pairs < 0:
+                return False
+        return bool(bounds.max() < best[1])
+
+    # The visits of a level may enumerate at most an eighth of the window's pairs.
+    probe = _SUPERBIN_BINS
+    while superbins(probe) > _PROBE_SUPERBINS:
+        probe *= 2
+    if probe > _SUPERBIN_BINS:
+        sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, probe, cfg)
+        pairs = visit(probe, sb_lo + int(np.argmax(bounds)), total // 8)
+        # A probe over budget leaves the best count at 0, which only the floor clears.
+        window_bins = (d_hi - d_lo) // cfg.coarse_bin + 1
+        density = max(_accidentals(local_ts, remote_ts, cfg)[1][1], len(local_ts) * len(remote_ts) / window_bins)
+        bins = probe
+        while bins > _SUPERBIN_BINS and 2 * bins * density + _BOUND_SIGMAS * math.sqrt(2 * bins * density) >= best[1]:
+            bins //= 2
+        if bins > _SUPERBIN_BINS:
+            if bins < probe:
+                sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, bins, cfg)
+            if search(bins, sb_lo, bounds, pairs, _VISIT_BUDGET - 1):
+                return best[0], best[1], total
+    floor = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, _SUPERBIN_BINS, cfg)
+    return (best[0], best[1], total) if search(_SUPERBIN_BINS, *floor, total // 8, _VISIT_BUDGET) else None
 
 
-def _background_spread(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> float:
-    """Variance across the window of the accidental counts per coarse bin expected at constant tag rates.
+def _accidentals(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> tuple:
+    """Knots (difference, pairs per coarse bin) of the accidental pair density at constant tag rates.
 
-    Tags spread evenly over each stream's span make the pair density, in
-    the difference d, a trapezoid; its counts per coarse bin are linear on
-    each of three pieces, so their mean and mean square over the window
-    are exact sums of piece integrals.
+    Tags spread evenly over each stream's span make that density, in the
+    difference d, a trapezoid; knot 1 starts its flat top.
     """
     a = int(local_ts[-1]) - int(local_ts[0]) + 1
     b = int(remote_ts[-1]) - int(remote_ts[0]) + 1
     d0 = int(remote_ts[0]) - int(local_ts[0]) - a  # the smallest difference
     top = len(local_ts) * len(remote_ts) * cfg.coarse_bin / max(a, b)  # counts per bin on the flat top
-    knots = ((d0, 0.0), (d0 + min(a, b), top), (d0 + max(a, b), top), (d0 + a + b, 0.0))
+    return (d0, 0.0), (d0 + min(a, b), top), (d0 + max(a, b), top), (d0 + a + b, 0.0)
+
+
+def _background_spread(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> float:
+    """Variance across the window of the accidental counts per coarse bin expected at constant tag rates.
+
+    The counts per bin are linear on each of the three pieces of the
+    trapezoid (_accidentals), so their mean and mean square over the window
+    are exact sums of piece integrals.
+    """
+    knots = _accidentals(local_ts, remote_ts, cfg)
     lo, hi = -cfg.search_window, cfg.search_window + 1
     s1 = s2 = 0.0
     for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
@@ -435,13 +545,15 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
     peak_bin, peak_counts, total = found
     origin = int(remote_ts[0]) - int(local_ts[0])
     bin_lo, bin_hi = _window_bin_range(origin, cfg)
-    excl_lo = max(peak_bin - cfg.refine_span_bins, bin_lo)
-    excl_hi = min(peak_bin + cfg.refine_span_bins, bin_hi)
+    # A span reaching past every window bin from any peak is clipped to that reach.
+    reach = min(cfg.refine_span_bins, bin_hi - bin_lo)
+    excl_lo = max(peak_bin - reach, bin_lo)
+    excl_hi = min(peak_bin + reach, bin_hi)
 
     # The peak span's pairs, each with its local time, in the window's order.
     # They are exactly the pairs of the coarse bins the background excludes.
-    span_lo = origin + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
-    span = (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
+    span_lo = origin + (peak_bin - reach) * cfg.coarse_bin
+    span = (2 * reach + 1) * cfg.coarse_bin
     if hist is not None and hist.offsets is not None:
         # Taken from the window's enumeration. The unsigned offsets relative
         # to the span's first bin wrap past the last for the pairs below it.
@@ -474,7 +586,7 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
             significance=significance,
         )
 
-    seed = shifted // cfg.coarse_bin == cfg.refine_span_bins  # the coarse peak bin's pairs
+    seed = shifted // cfg.coarse_bin == reach  # the coarse peak bin's pairs
     x = (times - local_ts[0]).astype(np.float64)
     keep, slope, sigma = _member_line(x, shifted.astype(np.float64), seed, cfg.fine_bin)
     diffs = shifted[keep]

@@ -36,7 +36,7 @@ _CLOCK = {
         "initial_offset_fs": {"type": "integer"},
         "fractional_frequency": {"type": "number"},
         "frequency_drift": {"type": "number"},
-        "white_phase_sigma_fs": {"type": "number", "minimum": 0},
+        "white_phase_sigma_fs": {"type": "number", "minimum": 0, "maximum": FS_PER_SECOND},
         "random_walk_freq_coeff": {"type": "number", "minimum": 0},
     },
 }

@@ -68,6 +68,7 @@ _LOW32 = 0xFFFFFFFF
 _BLOCK = 1 << 15  # tags per limb pass; one pass over 250k tags ran 2.5x slower (2-core Xeon)
 INT64_LIMIT = 2**63  # tag arrays, and so resolutions and session ends, stay below this many fs
 _INT64_MESSAGE = "clock reading outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays"
+_PHASE_MESSAGE = "random-walk clock phase outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays"
 
 
 class TimeRangeError(OverflowError):
@@ -190,9 +191,10 @@ class ClockModel:
             raise ValueError(
                 f"|fractional_frequency| must be < 1e-3, got {self.fractional_frequency}"
             )
-        for name in ("white_phase_sigma_fs", "random_walk_freq_coeff"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if not 0 <= self.white_phase_sigma_fs <= FS_PER_SECOND:
+            raise ValueError("white_phase_sigma_fs must be in [0, 10^15] fs")
+        if self.random_walk_freq_coeff < 0:
+            raise ValueError("random_walk_freq_coeff must be >= 0")
         for name in ("fractional_frequency", "frequency_drift"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -239,8 +241,10 @@ class _RandomWalkPhase:
         tau = t - node * _RW_GRID_FS
         y0 = self._y[node]
         slope = (self._y[node + 1] - y0) / _RW_GRID_FS
-        phase = self._phase[node] + y0 * tau + 0.5 * slope * tau * tau
-        return int(round(phase))
+        phase = float(self._phase[node] + y0 * tau + 0.5 * slope * tau * tau)
+        if not abs(phase) < INT64_LIMIT:
+            raise TimeRangeError(_PHASE_MESSAGE)
+        return round(phase)
 
     def phases_at(self, t: np.ndarray) -> np.ndarray:
         if self._coeff == 0.0 or len(t) == 0:
@@ -255,7 +259,10 @@ class _RandomWalkPhase:
         y0 = self._y[node]
         slope = (self._y[node + 1] - y0) / _RW_GRID_FS
         phase = self._phase[node] + y0 * tau + 0.5 * slope * tau * tau
-        return np.where(t > 0, np.round(phase), 0.0).astype(np.int64)
+        phase = np.where(t > 0, np.round(phase), 0.0)
+        if not np.abs(phase).max() < INT64_LIMIT:
+            raise TimeRangeError(_PHASE_MESSAGE)
+        return phase.astype(np.int64)
 
 
 class _ClockNoise:

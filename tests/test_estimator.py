@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from qcsync.estimator import (
     frequency_track,
     two_way_offset,
 )
+from qcsync.scenario import build_correlation, build_session, load_scenario
+from qcsync.session import run_session
+from qcsync.timebase import ClockState
 
 CFG = CorrelationConfig(
     search_window=10**10, coarse_bin=10**6, fine_bin=1000, refine_span_bins=3
@@ -215,6 +220,20 @@ def test_fine_span_clipped_at_window_edge():
     assert (inside & (diffs > window)).any()
 
 
+def test_refine_span_clipped_to_the_window():
+    # a span reaching past every window bin from any peak is clipped to that
+    # reach: 10^18 bins, whose first difference lies beyond int64, gives
+    # the result of the window's bin count less one
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**6, fine_bin=10**4)
+    local, remote = _pair_streams(300, offset=4 * 10**7, spacing=10**9, jitter=10**5, seed=12)
+    bin_lo, bin_hi = estimator._window_bin_range(int(remote[0]) - int(local[0]), cfg)
+    reach = bin_hi - bin_lo
+    clipped = _outcome(local, remote, replace(cfg, refine_span_bins=reach))
+    assert _outcome(local, remote, replace(cfg, refine_span_bins=10**18)) == clipped
+    assert clipped[0].histogram_summary["span_fs"] == (2 * reach + 1) * cfg.coarse_bin
+    assert abs(clipped[0].peak_offset - 4 * 10**7) < 10**5
+
+
 def test_uncertainty_scales_with_width_over_sqrt_n():
     local, remote = _pair_streams(10000, offset=10**9, jitter=70700, seed=5)
     cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=2 * 10**5)
@@ -336,6 +355,8 @@ def test_frequency_track_insufficient_blocks():
 
 
 def _force_bounded(monkeypatch, superbin_bins=4, budget=64):
+    # the probe is off: every window is searched at the floor level alone
+    monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", estimator._MAX_SUPERBINS)
     monkeypatch.setattr(estimator, "_SUPERBIN_BINS", superbin_bins)
     monkeypatch.setattr(estimator, "_VISIT_BUDGET", budget)
     monkeypatch.setattr(estimator, "_MIN_BOUND_PAIRS", 1)
@@ -538,9 +559,9 @@ def _visit_order(monkeypatch):
     visited = []
     counts = estimator._superbin_counts
 
-    def record(local_ts, remote_ts, origin, superbin, cfg):
+    def record(local_ts, remote_ts, origin, superbin, *rest):
         visited.append(superbin)
-        return counts(local_ts, remote_ts, origin, superbin, cfg)
+        return counts(local_ts, remote_ts, origin, superbin, *rest)
 
     monkeypatch.setattr(estimator, "_superbin_counts", record)
     return visited
@@ -639,6 +660,103 @@ def test_bounded_search_common_shift(monkeypatch):
     peak = _assert_routes_agree(monkeypatch, local, remote, cfg)
     assert _assert_routes_agree(monkeypatch, local + 2**40, remote + 2**40, cfg) == peak
     assert cross_correlate(local + 2**40, remote + 2**40, cfg) == cross_correlate(local, remote, cfg)
+
+
+# The coarse-to-fine search. With floor superbins of 2 coarse bins and a
+# probe fold of at most 256 or 2048 superbins, 100-tag streams end the
+# search at every level: at the probe's width, at a coarser width than the
+# floor, at the floor, or in enumeration.
+
+
+def _fold_widths(monkeypatch):
+    widths = []
+    bounds = estimator._superbin_bounds
+    monkeypatch.setattr(estimator, "_superbin_bounds", lambda *args: widths.append(args[4]) or bounds(*args))
+    return widths
+
+
+def _search_end(widths, found):
+    if found is None:
+        return "enumeration"
+    if widths[-1] == estimator._SUPERBIN_BINS:
+        return "floor"
+    return "probe" if len(widths) == 1 else "coarser"
+
+
+def test_coarse_to_fine_search_matches_brute_force(monkeypatch):
+    # the 4e8 fs streams reach past the window, so folds of 5-smooth
+    # lengths alias out-of-window pairs onto its superbins
+    rng = np.random.default_rng(1)
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**3, fine_bin=10, significance_sigma=3.0)
+    widths, ends = _fold_widths(monkeypatch), []
+    for trial in range(40):
+        probe_superbins, budget = int(rng.choice([256, 2048])), int(rng.choice([2, 64, 64]))
+        n_peak, span = int(rng.choice([4, 20, 50, 60])), int(rng.choice([10**8, 4 * 10**8]))
+        offset = int(rng.integers(-cfg.search_window // 2, cfg.search_window // 2))
+        local, remote = _peaked_streams(rng, n_peak, offset, 100 - n_peak, span, jitter=300)
+        _force_bounded(monkeypatch, superbin_bins=2, budget=budget)
+        floor_alone = _bounded(local, remote, cfg)
+        monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", probe_superbins)
+        widths.clear()
+        peak = _bounded(local, remote, cfg)
+        ends.append(_search_end(widths, peak))
+        # the probe never gives up where the floor alone succeeds
+        assert peak == floor_alone or floor_alone is None
+        _assert_routes_agree(monkeypatch, local, remote, cfg, bounded=peak is not None)
+    assert all(ends.count(end) >= 4 for end in ("probe", "coarser", "floor", "enumeration")), ends
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_coarse_to_fine_tie_across_levels(monkeypatch, seed):
+    # Two identical peaks 80000 coarse bins apart, as in the fixed-resolution
+    # tie test; 20 pairs of a far tag beside the upper peak make its superbin
+    # the probe's visit. The probe's count ties the lower peak's, which a
+    # finer level must still visit, and the lower bin wins. The accidentals
+    # crowd around the peaks, so the coarser level runs out of pairs; the
+    # floor level, skipping what the coarser visits enumerated, then finishes
+    # with the result of the floor alone.
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**3, fine_bin=10, significance_sigma=3.0)
+    rng = np.random.default_rng(seed)
+    tags = np.sort(rng.integers(0, 2 * 10**7, 40)).astype(np.int64)
+    far = 10**10
+    local = np.append(tags, far)
+    beside = far + 4 * 10**7 + 3 * 10**3 * np.arange(1, 21)
+    remote = np.sort(np.concatenate((tags - 4 * 10**7, tags + 4 * 10**7, beside)))
+    _force_bounded(monkeypatch, superbin_bins=2)
+    floor_alone = _bounded(local, remote, cfg)
+    monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", 256)
+    widths, visited = _fold_widths(monkeypatch), []
+    counts = estimator._superbin_counts
+
+    def record(local_ts, remote_ts, origin, superbin, bins, *rest):
+        found = counts(local_ts, remote_ts, origin, superbin, bins, *rest)
+        visited.append((bins, superbin, found))
+        return found
+
+    monkeypatch.setattr(estimator, "_superbin_counts", record)
+    assert _assert_routes_agree(monkeypatch, local, remote, cfg) == floor_alone == (0, 40)
+    assert widths[:3] == [1024, 256, 2]
+    probe_bins, probe_superbin, probe_counts = visited[0]
+    assert (probe_bins, probe_superbin) == (1024, 78)  # superbin 78 holds bin 80000
+    assert probe_counts[80000 - 78 * 1024] == probe_counts.max() == 40
+    assert any(bins < probe_bins and superbin * bins <= 0 < (superbin + 1) * bins for bins, superbin, _ in visited)
+
+
+def test_sparse_wide_window_folds_coarser_than_the_floor(monkeypatch):
+    # paper_100pairs.json over 3 ms in its +-2 ms window: the probe's count
+    # lets the main fold use superbins wider than 128 coarse bins, and the
+    # result is the enumeration's
+    config = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "paper_100pairs.json")
+    spec, model_a, model_b = build_session({**config, "duration_s": 0.003})
+    clock_a = ClockState(model_a, rng_stream=(3, "clock", "a"))
+    clock_b = ClockState(model_b, rng_stream=(3, "clock", "b"))
+    streams = run_session(spec, clock_a, clock_b, (3, "session"))
+    cfg = build_correlation(config["correlation"])
+    widths = _fold_widths(monkeypatch)
+    bounded = cross_correlate(streams.local_a, streams.remote_ab, cfg)
+    assert len(widths) == 2 and widths[0] > widths[1] > estimator._SUPERBIN_BINS == 128
+    monkeypatch.setattr(estimator, "_MAX_SUPERBINS", 0)
+    assert cross_correlate(streams.local_a, streams.remote_ab, cfg) == bounded
 
 
 @pytest.mark.parametrize(

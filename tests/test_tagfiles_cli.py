@@ -502,24 +502,52 @@ _JITTER_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("section, key, build", _JITTER_FIELDS, ids=["detector", "link"])
-def test_simulate_with_jitter_beyond_one_second_exits_two(tmp_path, capsys, section, key, build):
-    # a sigma of 10^19 fs overflowed the int64 cast of the jitter draws to -2^63
+def _simulate_edited(tmp_path, capsys, section, key, value):
+    """simulate on noiseless.json with config[section...][key] = value: exit code, stderr, tag files."""
     config = json.loads((SCENARIOS / "noiseless.json").read_text())
     parent = config
     for name in section:
         parent = parent[name]
-    parent[key] = 10**19
-    path = tmp_path / "jitter.json"
+    parent[key] = value
+    path = tmp_path / "edited.json"
     path.write_text(json.dumps(config))
     out_dir = tmp_path / "out"
     code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(out_dir))
+    return code, err, list(out_dir.glob("*.tags"))
+
+
+@pytest.mark.parametrize("section, key, build", _JITTER_FIELDS, ids=["detector", "link"])
+def test_simulate_with_jitter_beyond_one_second_exits_two(tmp_path, capsys, section, key, build):
+    # a sigma of 10^19 fs overflowed the int64 cast of the jitter draws to -2^63
+    code, err, tags = _simulate_edited(tmp_path, capsys, section, key, 10**19)
     assert code == 2
     assert key in err and "maximum" in err and "Traceback" not in err
-    assert list(out_dir.glob("*.tags")) == []
+    assert tags == []
     build(10**15)  # 1 s is allowed
     with pytest.raises(ValueError, match="jitter_sigma must be in"):
         build(10**19)
+
+
+def test_simulate_with_white_phase_noise_beyond_one_second_exits_two(tmp_path, capsys):
+    # a sigma of 1e30 fs cast its draws to int64 as invalid values and wrote the wrapped tags
+    code, err, tags = _simulate_edited(tmp_path, capsys, ("clocks", "b"), "white_phase_sigma_fs", 1e30)
+    assert code == 2
+    assert "white_phase_sigma_fs" in err and "maximum" in err and "Traceback" not in err
+    assert tags == []
+
+
+def test_simulate_with_random_walk_phase_beyond_int64_exits_two(tmp_path, capsys):
+    code, err, tags = _simulate_edited(tmp_path, capsys, ("clocks", "b"), "random_walk_freq_coeff", 1e10)
+    assert code == 2
+    assert "random-walk" in err and "int64" in err and "Traceback" not in err
+    assert tags == []
+
+
+def test_simulate_with_refine_span_beyond_int64_exits_cleanly(tmp_path, capsys):
+    # a span of 10^18 coarse bins put the span's first difference past int64
+    code, err, _ = _simulate_edited(tmp_path, capsys, ("correlation",), "refine_span_bins", 10**18)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
 
 
 def test_simulate_config_error_writes_no_tag_files(tmp_path, capsys):

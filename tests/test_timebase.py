@@ -53,6 +53,9 @@ def test_parameter_validation():
         ClockModel(fractional_frequency=1e-3)
     with pytest.raises(ValueError):
         ClockModel(white_phase_sigma_fs=-1.0)
+    ClockModel(white_phase_sigma_fs=1e15)  # 1 s is allowed
+    with pytest.raises(ValueError, match="white_phase_sigma_fs must be in"):
+        ClockModel(white_phase_sigma_fs=1e15 + 1)
     with pytest.raises(ValueError):
         ClockModel(random_walk_freq_coeff=-0.1)
     with pytest.raises(ValueError):
@@ -133,6 +136,18 @@ def test_random_walk_far_reading_matches_stepwise_extension():
     assert [far.phase_at(t) for t in times] == [stepwise.phase_at(t) for t in times]
     assert np.array_equal(far._y, stepwise._y)
     assert np.array_equal(far._phase, stepwise._phase)
+
+
+def test_random_walk_phase_beyond_int64_raises():
+    # a walk of 1e10/sqrt(s) reaches phases of about 1e20 fs within a few ms;
+    # casting them to int64 gave invalid values
+    times = np.array([1, 10**12, 10**13], dtype=np.int64)
+    with pytest.raises(TimeRangeError, match="random-walk"):
+        _RandomWalkPhase(1e10, np.random.default_rng(3)).phases_at(times)
+    walk = _RandomWalkPhase(1e10, np.random.default_rng(3))
+    assert walk.phase_at(1) == 0
+    with pytest.raises(TimeRangeError, match="random-walk"):
+        walk.phase_at(10**13)
 
 
 def test_random_walk_zero_before_epoch():

@@ -71,8 +71,8 @@ def _jsonable(value):
         return _jsonable(value.tolist())
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if np.isfinite(value) else None  # JSON has no inf or nan
     return value
 
 
@@ -80,8 +80,6 @@ def _two_way_dict(result: TwoWayResult) -> dict:
     payload = dataclasses.asdict(result)
     for side in ("forward", "backward"):
         del payload[side]["members"]  # per-pair arrays; region_total counts them
-    if result.frequency is None:
-        del payload["frequency"]
     return payload
 
 

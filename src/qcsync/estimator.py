@@ -23,10 +23,10 @@ exactly by one of two routes that give the same bin and count:
 - The enumeration of every window pair, when the window holds too few
   pairs to repay the FFTs, when N would be large, or when the bounds are
   too loose for the visit budget. The pairs are made in cache-sized int64
-  blocks, reduced to coarse-bin offsets from the window's first bin, and
-  sorted as 32-bit integers (64-bit only when the window spans more than
-  2**32 bins); runs of equal offsets give the sparse coarse histogram
-  (coarse_histogram).
+  blocks, reduced to coarse-bin offsets from the first bin a window pair
+  can fill, and sorted as 32-bit integers (64-bit only when the window
+  spans more than 2**32 bins); runs of equal offsets give the sparse
+  coarse histogram (coarse_histogram).
 
 The background is every window bin, empty ones included, except the
 peak's +-refine_span_bins coarse bins (the peak span; a span reaching past
@@ -58,7 +58,7 @@ changes its residual: the offset shifts by exactly that amount.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +76,6 @@ __all__ = [
     "EstimationError",
     "NoPeakError",
     "EmptyOverlapError",
-    "InsufficientBlocksError",
     "UnphysicalFlightTimeError",
     "cross_correlate",
     "coarse_histogram",
@@ -117,10 +116,6 @@ class EmptyOverlapError(EstimationError):
     """No pairwise differences fell inside the search window."""
 
 
-class InsufficientBlocksError(EstimationError):
-    """Fewer than two blocks hold peak members in both directions."""
-
-
 class UnphysicalFlightTimeError(EstimationError):
     """Two-way combination produced a negative flight time (swapped inputs?)."""
 
@@ -132,7 +127,7 @@ class CorrelationConfig:
     fine_bin: int = 1000  # fs (1 ps)
     refine_span_bins: int = 3  # fine stage covers coarse peak +- this many coarse bins
     significance_sigma: float = 6.0
-    block_count: int = 1  # for frequency tracking
+    block_count: int = 1  # diagnostic block offsets of the frequency fit
 
     def __post_init__(self):
         if not 1 <= self.fine_bin <= self.coarse_bin <= self.search_window:
@@ -146,11 +141,13 @@ class CorrelationConfig:
 
 
 class PeakMembers(NamedTuple):
-    """The peak's member pairs, local-major, and the slope of their line."""
+    """The peak's member pairs, local-major, and their least-squares line."""
 
     local_times: np.ndarray  # fs, int64, non-decreasing
     diffs: np.ndarray  # fs, int64, remote - local
     slope: float  # least-squares d(diff)/d(local time) over the members
+    time_mean: float  # fs, mean member local time, where the line is at peak_offset
+    sxx: float  # fs^2, sum of squared member local times about time_mean
 
 
 @dataclass(frozen=True)
@@ -167,19 +164,21 @@ class CorrelationResult:
 
 @dataclass(frozen=True)
 class TwoWayResult:
-    clock_offset: int  # fs, theta = (d_AB - d_BA)/2, halving rounded toward zero
-    flight_time: int  # fs, T_f = (d_AB + d_BA)/2, same rounding
-    offset_uncertainty: int  # fs, 1-sigma
+    clock_offset: int  # fs, theta = (d_AB - d_BA)/2 at epoch_fs, halving rounded toward zero
+    flight_time: int  # fs, T_f = (d_AB + d_BA)/2 at epoch_fs, same rounding
+    offset_uncertainty: int  # fs, 1-sigma of clock_offset
+    epoch_fs: int  # A's local time both member lines are read at: the midpoint of A's tags
     forward: CorrelationResult  # d_AB
     backward: CorrelationResult  # d_BA
-    frequency: FrequencyFit | None = None  # member-line fit, when block_count >= 2
+    frequency: FrequencyFit  # rate of the same member lines
 
 
 @dataclass(frozen=True)
 class FrequencyFit:
     fractional_frequency: float  # half-difference of the two member-line slopes
-    offset_at_epoch: int  # fs, theta of the two member lines at A's local time 0
-    residual_rms: int  # fs, RMS of the block offsets about that line
+    fractional_frequency_uncertainty: float  # 1-sigma, from the two slopes' standard errors
+    offset_at_epoch: int  # fs, theta along that rate back to A's local time 0
+    residual_rms: int  # fs, RMS of the block offsets about the line; 0 without block offsets
     block_offsets: list  # (block midpoint in A's local time fs, two-way theta of its members fs)
 
 
@@ -205,9 +204,21 @@ class _PairRuns(NamedTuple):
 
 
 def _pair_runs(local: np.ndarray, remote: np.ndarray, lo_off: int, hi_off: int) -> _PairRuns:
-    """The pairs whose difference d = remote - local lies in [lo_off, hi_off)."""
-    first = np.searchsorted(remote, local + lo_off, side="left")
-    counts = np.searchsorted(remote, local + hi_off, side="left") - first
+    """The pairs whose difference d = remote - local lies in [lo_off, hi_off).
+
+    Offsets are clamped to the differences the streams can form, and each
+    local tag t to where t + offset lies in [remote[0], remote[-1] + 1], so
+    no sum wraps.
+    """
+    l0, l1, r0, r1 = int(local[0]), int(local[-1]), int(remote[0]), int(remote[-1])
+
+    def first_at_or_after(off: int) -> np.ndarray:
+        off = min(max(off, r0 - l1), r1 + 1 - l0)
+        t = np.minimum(np.maximum(local, max(l0, r0 - off)), min(l1, r1 + 1 - off))
+        return np.searchsorted(remote, t + off, side="left")
+
+    first = first_at_or_after(lo_off)
+    counts = first_at_or_after(hi_off) - first
     np.maximum(counts, 0, out=counts)
     ends = np.cumsum(counts)
     return _PairRuns(first - (ends - counts), counts, ends)
@@ -240,8 +251,8 @@ class CoarseHistogram(NamedTuple):
 
     Bin i covers differences d with floor((d - origin)/coarse_bin) == i;
     origin is remote[0] - local[0]. offsets holds each window pair's bin
-    minus the window's first bin, numbered as in runs, or None when the
-    window took more than one _CHUNK_PAIRS chunk and they were not kept.
+    minus first_bin (the first bin a window pair can fill), numbered as in
+    runs, or None when the window took more than one _CHUNK_PAIRS chunk.
     """
 
     bins: np.ndarray  # occupied bin indices, ascending int64
@@ -249,6 +260,7 @@ class CoarseHistogram(NamedTuple):
     origin: int
     offsets: np.ndarray | None
     runs: _PairRuns
+    first_bin: int
 
 
 def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
@@ -258,8 +270,9 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
         raise EmptyOverlapError("cannot correlate an empty stream")
     origin = int(remote_ts[0]) - int(local_ts[0])
     bin_lo, bin_hi = _window_bin_range(origin, cfg)
-    # Offsets from the window's first bin lie in [0, n_bins), so they sort
-    # as 32-bit integers whenever the window allows it.
+    # Offsets count from the first bin a window pair can fill, so the shift
+    # stays in int64 for any window; they sort as 32-bit integers when it allows.
+    bin_lo = max(bin_lo, (int(local_ts[0]) - int(local_ts[-1])) // cfg.coarse_bin)
     offset_dtype = np.uint32 if bin_hi - bin_lo < 2**32 else np.uint64
     shift = origin + bin_lo * cfg.coarse_bin
     runs = _pair_runs(local_ts, remote_ts, -cfg.search_window, cfg.search_window + 1)
@@ -297,7 +310,7 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
         starts = np.flatnonzero(np.concatenate(([True], bins[1:] != bins[:-1])))
         bins, counts = bins[starts], np.add.reduceat(counts, starts)
     bins += bin_lo
-    return CoarseHistogram(bins, counts, origin, offsets, runs)
+    return CoarseHistogram(bins, counts, origin, offsets, runs, bin_lo)
 
 
 def _fold_length(n: int) -> int:
@@ -511,8 +524,8 @@ def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
 
     Each pass fits the least-squares line d = a + b*(x - x_mean) to the
     members and keeps the pairs within max(3 sigma, floor) of it, sigma
-    being the members' RMS residual. Returns the members with the slope and
-    sigma of their own line.
+    being the members' RMS residual. Returns the members with the slope,
+    sigma, x_mean and Sxx of their own line.
     """
     for passes in range(1, _MAX_WINDOW_PASSES + 1):
         xk, dk = x[keep], d[keep]
@@ -524,7 +537,7 @@ def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
         sigma = math.sqrt(float(np.mean(residuals[keep] ** 2)))
         inside = np.abs(residuals) <= max(_WINDOW_SIGMAS * sigma, floor)
         if passes == _MAX_WINDOW_PASSES or np.array_equal(inside, keep):
-            return keep, slope, sigma
+            return keep, slope, sigma, float(x_mean), sxx
         keep = inside
 
 
@@ -557,7 +570,8 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
     if hist is not None and hist.offsets is not None:
         # Taken from the window's enumeration. The unsigned offsets relative
         # to the span's first bin wrap past the last for the pairs below it.
-        pairs = np.flatnonzero(hist.offsets - (excl_lo - bin_lo) <= excl_hi - excl_lo)
+        first = max(excl_lo, hist.first_bin)
+        pairs = np.flatnonzero(hist.offsets - (first - hist.first_bin) <= excl_hi - first)
         tags = np.searchsorted(hist.runs.ends, pairs, side="right")
         times = local_ts[tags]
         shifted = remote_ts[hist.runs.base[tags] + pairs] - (times + span_lo)
@@ -588,7 +602,7 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
 
     seed = shifted // cfg.coarse_bin == reach  # the coarse peak bin's pairs
     x = (times - local_ts[0]).astype(np.float64)
-    keep, slope, sigma = _member_line(x, shifted.astype(np.float64), seed, cfg.fine_bin)
+    keep, slope, sigma, x_mean, sxx = _member_line(x, shifted.astype(np.float64), seed, cfg.fine_bin)
     diffs = shifted[keep]
     peak_offset = span_lo + _round_div(int(diffs.sum()), len(diffs))
     diffs += span_lo
@@ -605,60 +619,81 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
             "span_fs": span,
             "region_total": len(diffs),
         },
-        members=PeakMembers(times[keep], diffs, slope),
+        members=PeakMembers(times[keep], diffs, slope, int(local_ts[0]) + x_mean, sxx),
     )
 
 
-def two_way_offset(d_ab: CorrelationResult, d_ba: CorrelationResult) -> TwoWayResult:
-    """Combine the two one-way peaks into clock offset and flight time.
+def _line_at(result: CorrelationResult, t: int) -> tuple[int, float, float]:
+    """The member line d = peak_offset + slope*(t - t_mean) at local time t, rounded, and 1-sigmas.
 
-    theta = (d_AB - d_BA)/2 and T_f = (d_AB + d_BA)/2; both halvings round
-    toward zero so the algebra is exactly invertible up to that documented
-    rounding. The 1-sigma uncertainty combines each direction's residual
-    sigma over the square root of its member count.
+    Its own, sigma*sqrt(1/n + (t - t_mean)^2/Sxx), and the slope's, sigma/sqrt(Sxx) (inf if Sxx = 0)."""
+    members, sigma, n = result.members, result.peak_width_fs, result.histogram_summary["region_total"]
+    dt = t - members.time_mean
+    reading = result.peak_offset + round(members.slope * dt)
+    if members.sxx == 0:
+        return reading, sigma / math.sqrt(n), math.inf
+    return reading, sigma * math.sqrt(1 / n + dt * dt / members.sxx), sigma / math.sqrt(members.sxx)
+
+
+def two_way_offset(
+    d_ab: CorrelationResult, d_ba: CorrelationResult, a_span: tuple[int, int], block_count: int
+) -> TwoWayResult:
+    """Clock offset, flight time and rate from the two directions' member lines.
+
+    A's line is read at t_e, the midpoint of a_span (A's first and last tag),
+    B's at B's local time t_e + theta_m, theta_m being half the difference of
+    the peak offsets; theta and T_f are half the difference and sum of the
+    readings, rounded toward zero. block_count equal blocks of A's span (B's
+    shifted by theta_m) give the two-way offsets of their members.
     """
-    theta = _halve_toward_zero(d_ab.peak_offset - d_ba.peak_offset)
-    flight = _halve_toward_zero(d_ab.peak_offset + d_ba.peak_offset)
+    t0, t1 = a_span
+    epoch = (t0 + t1) // 2
+    theta_m = _halve_toward_zero(d_ab.peak_offset - d_ba.peak_offset)
+    at_ab, u_ab, s_ab = _line_at(d_ab, epoch)
+    at_ba, u_ba, s_ba = _line_at(d_ba, epoch + theta_m)
+    theta = _halve_toward_zero(at_ab - at_ba)
+    flight = _halve_toward_zero(at_ab + at_ba)
     if flight < 0:
-        raise UnphysicalFlightTimeError(
-            f"flight time {flight} fs is negative; are the directions swapped?"
-        )
-    u_ab = d_ab.peak_width_fs / math.sqrt(d_ab.histogram_summary["region_total"])
-    u_ba = d_ba.peak_width_fs / math.sqrt(d_ba.histogram_summary["region_total"])
-    uncertainty = int(round(0.5 * math.hypot(u_ab, u_ba)))
+        raise UnphysicalFlightTimeError(f"flight time {flight} fs is negative; are the directions swapped?")
+    rate = (d_ab.members.slope - d_ba.members.slope) / 2
+    edges = [t0 + round(k * (t1 + 1 - t0) / block_count) for k in range(block_count + 1)]
+    means = zip(_block_means(d_ab, edges), _block_means(d_ba, [e + theta_m for e in edges]))
+    block_offsets = [
+        ((e0 + e1) // 2, _halve_toward_zero(m_ab - m_ba))
+        for e0, e1, (m_ab, m_ba) in zip(edges, edges[1:], means)
+        if m_ab is not None and m_ba is not None
+    ]
+    residuals = [offset - theta - rate * (mid - epoch) for mid, offset in block_offsets]
     return TwoWayResult(
         clock_offset=theta,
         flight_time=flight,
-        offset_uncertainty=uncertainty,
+        offset_uncertainty=round(0.5 * math.hypot(u_ab, u_ba)),
+        epoch_fs=epoch,
         forward=d_ab,
         backward=d_ba,
+        frequency=FrequencyFit(
+            fractional_frequency=rate,
+            fractional_frequency_uncertainty=0.5 * math.hypot(s_ab, s_ba),
+            offset_at_epoch=theta - round(rate * epoch),
+            residual_rms=round(math.sqrt(sum(r * r for r in residuals) / max(len(residuals), 1))),
+            block_offsets=block_offsets,
+        ),
     )
 
 
 def estimate_two_way(
     local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig | None = None
 ) -> TwoWayResult:
-    """Two-way offset and flight time from a session's four streams.
-
-    Each direction is correlated once over the whole window. With
-    cfg.block_count >= 2 the result also carries a frequency fit from the
-    two directions' member lines, with per-block two-way offsets of the
-    same members; no further correlation runs.
-    """
+    """Two-way offset, flight time and rate: each direction correlated once, then two_way_offset."""
     cfg = cfg or CorrelationConfig()
-    la, rb = _timestamps(local_a), _timestamps(remote_ab)
-    lb, ra = _timestamps(local_b), _timestamps(remote_ba)
-    result = two_way_offset(cross_correlate(la, rb, cfg), cross_correlate(lb, ra, cfg))
-    if cfg.block_count < 2:
-        return result
-    fit = _fit_frequency(result, int(la[0]), int(la[-1]) + 1, cfg.block_count)
-    return replace(result, frequency=fit)
+    la = _timestamps(local_a)
+    d_ab = cross_correlate(la, remote_ab, cfg)
+    d_ba = cross_correlate(local_b, remote_ba, cfg)
+    return two_way_offset(d_ab, d_ba, (int(la[0]), int(la[-1])), cfg.block_count)
 
 
 def frequency_track(local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig) -> FrequencyFit:
     """Fractional frequency and offset at epoch: estimate_two_way's member-line fit."""
-    if cfg.block_count < 2:
-        raise ValueError("frequency tracking needs block_count >= 2")
     return estimate_two_way(local_a, remote_ab, local_b, remote_ba, cfg).frequency
 
 
@@ -673,39 +708,3 @@ def _block_means(result: CorrelationResult, edges: list[int]) -> list[int | None
         result.peak_offset + _round_div(s1 - s0, n1 - n0) if n1 > n0 else None
         for n0, n1, s0, s1 in zip(cuts, cuts[1:], sums, sums[1:])
     ]
-
-
-def _fit_frequency(two_way: TwoWayResult, t0: int, t1: int, block_count: int) -> FrequencyFit:
-    """Frequency fit from the two directions' member lines d = peak_offset + slope*(t - t_mean).
-
-    theta(t) is the half-difference of A's line at A's local time t and B's
-    at B's local time t + theta (the whole-window offset). Clock A's span
-    [t0, t1) is cut into block_count equal blocks, B's at the same blocks
-    shifted by theta; each block with members in both directions gives the
-    two-way offset of its members.
-    """
-    fwd, bwd, theta = two_way.forward, two_way.backward, two_way.clock_offset
-    edges = [t0 + round(k * (t1 - t0) / block_count) for k in range(block_count + 1)]
-    means = zip(_block_means(fwd, edges), _block_means(bwd, [e + theta for e in edges]))
-    block_offsets = [
-        ((e0 + e1) // 2, _halve_toward_zero(m_ab - m_ba))
-        for e0, e1, (m_ab, m_ba) in zip(edges, edges[1:], means)
-        if m_ab is not None and m_ba is not None
-    ]
-    if len(block_offsets) < 2:
-        raise InsufficientBlocksError(
-            f"only {len(block_offsets)} of {block_count} blocks hold peak members in both directions"
-        )
-
-    ab, ba = fwd.members, bwd.members  # mean local times from t0 (A) and t0 + theta (B)
-    t_ab = float(np.mean(ab.local_times - t0))
-    t_ba = float(np.mean(ba.local_times - (t0 + theta)))
-    rate = (ab.slope - ba.slope) / 2
-    theta_t0 = (fwd.peak_offset - ab.slope * t_ab - bwd.peak_offset + ba.slope * t_ba) / 2
-    residuals = [offset - theta_t0 - rate * (mid - t0) for mid, offset in block_offsets]
-    return FrequencyFit(
-        fractional_frequency=rate,
-        offset_at_epoch=round(theta_t0 - rate * t0),
-        residual_rms=round(math.sqrt(sum(r * r for r in residuals) / len(residuals))),
-        block_offsets=block_offsets,
-    )

@@ -81,19 +81,13 @@ class SyncEdge:
     duration_fs: int  # acquisition window per sync
     instruments_up: NodeInstruments
     instruments_down: NodeInstruments
-    track_frequency: bool = False  # steer rate too; needs correlation.block_count >= 2
+    track_frequency: bool = False  # steer rate too
 
     def __post_init__(self):
         if not self.interval_s > 0:
             raise ValueError("interval_s must be positive")
         if self.duration_fs <= 0:
             raise ValueError("duration_fs must be positive")
-        if self.track_frequency != (self.correlation.block_count >= 2):
-            raise ValueError(
-                f"track_frequency={self.track_frequency} disagrees with block_count="
-                f"{self.correlation.block_count}: a rate fit needs block_count >= 2, "
-                "an offset-only sync block_count 1"
-            )
 
     @property
     def interval_fs(self) -> int:

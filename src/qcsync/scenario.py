@@ -20,7 +20,7 @@ from .linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
 from .netsync import Node, SyncEdge, Topology
 from .photonics import Detector, PairSource, TimeTagger
 from .session import NodeInstruments, SessionSpec
-from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel
+from .timebase import FS_PER_SECOND, INT64_LIMIT, RANDOM_WALK_COEFF_LIMIT, ClockModel
 
 __all__ = ["ConfigError", "load_scenario", "validate_scenario", "SCENARIO_SCHEMA"]
 
@@ -37,7 +37,7 @@ _CLOCK = {
         "fractional_frequency": {"type": "number"},
         "frequency_drift": {"type": "number"},
         "white_phase_sigma_fs": {"type": "number", "minimum": 0, "maximum": FS_PER_SECOND},
-        "random_walk_freq_coeff": {"type": "number", "minimum": 0},
+        "random_walk_freq_coeff": {"type": "number", "minimum": 0, "maximum": RANDOM_WALK_COEFF_LIMIT},
     },
 }
 

@@ -45,6 +45,7 @@ __all__ = [
     "FS_PER_SECOND",
     "TIMESTAMP_RANGE",
     "INT64_LIMIT",
+    "RANDOM_WALK_COEFF_LIMIT",
     "TimeRangeError",
     "NonMonotonicClockError",
     "ClockModel",
@@ -61,6 +62,9 @@ Duration = int  # femtoseconds
 
 FS_PER_SECOND = 10**15
 TIMESTAMP_RANGE = 2**127  # |value| must stay strictly below this
+# Largest random_walk_freq_coeff, 1/sqrt(s): a walk that strong wanders as far
+# in a second as the largest fractional frequency (1e-3) a clock may have.
+RANDOM_WALK_COEFF_LIMIT = 1e-3
 
 _RW_GRID_FS = 10**12  # 1 ms random-walk grid
 _RW_CHUNK = 4096
@@ -193,8 +197,8 @@ class ClockModel:
             )
         if not 0 <= self.white_phase_sigma_fs <= FS_PER_SECOND:
             raise ValueError("white_phase_sigma_fs must be in [0, 10^15] fs")
-        if self.random_walk_freq_coeff < 0:
-            raise ValueError("random_walk_freq_coeff must be >= 0")
+        if not 0 <= self.random_walk_freq_coeff <= RANDOM_WALK_COEFF_LIMIT:
+            raise ValueError(f"random_walk_freq_coeff must be in [0, {RANDOM_WALK_COEFF_LIMIT}] /sqrt(s)")
         for name in ("fractional_frequency", "frequency_drift"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -408,3 +408,43 @@ def _pipeline_digest() -> str:
 
 def test_c11_fixed_seeds_are_bit_reproducible():
     assert _pipeline_digest() == _pipeline_digest()
+
+
+def test_c12_offset_and_rate_pulls_with_drifting_clocks():
+    # 40 sessions of 20 ms at 1e7 pairs/s, each clock with its own rate,
+    # white phase noise and random-walk frequency, |delta y| in [1e-8, 3e-8]:
+    # the offset read at the stated epoch and the rate of the member lines
+    # both have an error / reported uncertainty RMS near 1. Reading theta at
+    # the members' mean times instead gave an offset pull RMS of 1.5 to 2.
+    instruments = NodeInstruments(
+        source=PairSource(pair_rate=1e7, pair_correlation_sigma=500),
+        detector=Detector(efficiency=0.45, jitter_sigma=50_000, dark_rate=1e3, dead_time=25_000_000),
+        tagger=TimeTagger(resolution=1000),
+    )
+    link = LinkModel(geometry=StaticRange(range_m=30.0), transmittance=0.5)
+    spec = SessionSpec(duration=2 * 10**13, instruments_a=instruments, instruments_b=instruments, link=link)
+    cfg = CorrelationConfig(search_window=2 * 10**8, coarse_bin=10**6, block_count=8)
+    rng = np.random.default_rng(101)
+
+    def clock(offset, y):
+        return ClockModel(
+            initial_offset_fs=offset,
+            fractional_frequency=y,
+            white_phase_sigma_fs=float(rng.uniform(1000, 10000)),
+            random_walk_freq_coeff=float(rng.uniform(1e-13, 1e-12)),
+        )
+
+    offset_pulls, rate_pulls = [], []
+    for i in range(40):
+        y_a = float(rng.uniform(-1e-8, 1e-8))
+        y_b = y_a + float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-8, 3e-8))
+        model_a, model_b = clock(0, y_a), clock(int(rng.integers(-5 * 10**7, 5 * 10**7 + 1)), y_b)
+        clock_a = ClockState(model_a, rng_stream=(i, "clock", "a"))
+        clock_b = ClockState(model_b, rng_stream=(i, "clock", "b"))
+        streams = run_session(spec, clock_a, clock_b, (i, "session"))
+        result = estimate_session(streams, cfg)
+        fit = result.frequency
+        offset_pulls.append((result.clock_offset - streams.truth.theta_fs) / result.offset_uncertainty)
+        rate_pulls.append((fit.fractional_frequency - (y_b - y_a)) / fit.fractional_frequency_uncertainty)
+    assert 0.8 <= _rms(offset_pulls) <= 1.25
+    assert 0.8 <= _rms(rate_pulls) <= 1.25

@@ -13,7 +13,6 @@ from qcsync import estimator
 from qcsync.estimator import (
     CorrelationConfig,
     EmptyOverlapError,
-    InsufficientBlocksError,
     NoPeakError,
     UnphysicalFlightTimeError,
     coarse_histogram,
@@ -234,16 +233,50 @@ def test_refine_span_clipped_to_the_window():
     assert abs(clipped[0].peak_offset - 4 * 10**7) < 10**5
 
 
+@pytest.mark.parametrize("window", [2**63 - 2, 10**19])
+def test_window_past_int64_enumerates_like_a_window_of_1e18(window):
+    # every difference the streams can form lies inside all three windows;
+    # the window's offsets wrapped the int64 tags (2^63 - 2) or did not
+    # convert to int64 at all (10^19)
+    local, remote = _pair_streams(100, offset=4 * 10**7, jitter=10**5, seed=12)
+    cfg = CorrelationConfig(search_window=10**18, coarse_bin=10**6, fine_bin=10**4)
+    wide = replace(cfg, search_window=window)
+    assert np.array_equal(coarse_histogram(local, remote, wide).bins, coarse_histogram(local, remote, cfg).bins)
+    got, want = cross_correlate(local, remote, wide), cross_correlate(local, remote, cfg)
+    assert (got.peak_offset, got.peak_counts) == (want.peak_offset, want.peak_counts)
+    assert np.array_equal(got.members.diffs, want.members.diffs)
+
+
 def test_uncertainty_scales_with_width_over_sqrt_n():
     local, remote = _pair_streams(10000, offset=10**9, jitter=70700, seed=5)
     cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=2 * 10**5)
     result = cross_correlate(local, remote, cfg)
     assert result.peak_width_fs == pytest.approx(70700, rel=0.05)
-    # Two equal directions: 0.5 * hypot(u, u) = u / sqrt(2), u = width / sqrt(members)
     members = result.histogram_summary["region_total"]
     assert members == len(result.members.diffs)
-    width_over_sqrt_n = result.peak_width_fs / math.sqrt(members)
-    assert two_way_offset(result, result).offset_uncertainty == round(width_over_sqrt_n / math.sqrt(2))
+    # Two equal directions read at the same epoch: 0.5 * hypot(u, u) = u / sqrt(2),
+    # u = width * sqrt(1/n + (t_e - t_mean)^2 / Sxx)
+    span = (int(local[0]), int(local[-1]))
+    times = result.members.local_times.astype(float)
+    dt = (span[0] + span[1]) // 2 - times.mean()
+    u = result.peak_width_fs * math.sqrt(1 / members + dt**2 / np.sum((times - times.mean()) ** 2))
+    assert u > result.peak_width_fs / math.sqrt(members)
+    assert two_way_offset(result, result, span, 1).offset_uncertainty == round(u / math.sqrt(2))
+
+
+def test_members_at_one_local_time_have_no_slope_term():
+    # one local tag per direction: Sxx = 0, so the slope is 0, the reading is
+    # the mean member difference with sigma/sqrt(n), and the rate is unbounded
+    local = np.array([10**9], dtype=np.int64)
+    spread = np.arange(-4, 5, dtype=np.int64) * 1000
+    cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**5, fine_bin=10**4)
+    d = cross_correlate(local, local + 10**9 + 10**6 + spread, cfg)
+    assert d.members.sxx == 0 and d.members.slope == 0.0
+    result = estimate_two_way(local, local + 10**9 + 10**6 + spread, local, local + 10**9 - 10**6 + spread, cfg)
+    assert (result.clock_offset, result.flight_time) == (10**6, 10**9)
+    assert result.offset_uncertainty == round(d.peak_width_fs / math.sqrt(9) / math.sqrt(2))
+    assert result.frequency.fractional_frequency == 0.0
+    assert result.frequency.fractional_frequency_uncertainty == math.inf
 
 
 def test_two_way_combination_algebra():
@@ -251,9 +284,10 @@ def test_two_way_combination_algebra():
     d_ab = cross_correlate(local, remote, CFG)
     local2, remote2 = _pair_streams(50, offset=10**9 - 10**6)
     d_ba = cross_correlate(local2, remote2, CFG)
-    result = two_way_offset(d_ab, d_ba)
+    result = two_way_offset(d_ab, d_ba, (int(local[0]), int(local[-1])), 1)
     assert result.clock_offset == 10**6
     assert result.flight_time == 10**9
+    assert result.epoch_fs == (int(local[0]) + int(local[-1])) // 2
     assert result.forward is d_ab and result.backward is d_ba
 
 
@@ -262,7 +296,7 @@ def test_two_way_halving_rounds_toward_zero():
     d_ab = cross_correlate(local, remote, CFG)
     local2, remote2 = _pair_streams(50, offset=16)
     d_ba = cross_correlate(local2, remote2, CFG)
-    result = two_way_offset(d_ab, d_ba)
+    result = two_way_offset(d_ab, d_ba, (int(local[0]), int(local[-1])), 1)
     assert result.clock_offset == -2  # (11-16)/2 = -2.5 -> -2
     assert result.flight_time == 13  # (11+16)/2 = 13.5 -> 13
 
@@ -271,7 +305,7 @@ def test_negative_flight_time_rejected():
     local, remote = _pair_streams(50, offset=-10**6)
     d = cross_correlate(local, remote, CFG)
     with pytest.raises(UnphysicalFlightTimeError):
-        two_way_offset(d, d)
+        two_way_offset(d, d, (int(local[0]), int(local[-1])), 1)
 
 
 def test_config_validation():
@@ -304,20 +338,18 @@ def test_frequency_track_recovers_slope():
         search_window=10**10, coarse_bin=10**6, fine_bin=10**4, block_count=10
     )
     streams = _drifting_session(1e-9, 20000, jitter=0, seed=8)
-    fit = frequency_track(*streams, cfg)
+    result = estimate_two_way(*streams, cfg)
+    fit = result.frequency
+    assert fit == frequency_track(*streams, cfg)
     assert fit.fractional_frequency == pytest.approx(1e-9, abs=1e-11)
+    assert abs(fit.fractional_frequency - 1e-9) < 3 * fit.fractional_frequency_uncertainty < 1e-11
     assert fit.offset_at_epoch == pytest.approx(5 * 10**6, abs=100)
     assert len(fit.block_offsets) == 10
-
-
-def test_estimate_two_way_fits_frequency_only_with_blocks():
-    streams = _drifting_session(1e-9, 20000, jitter=0, seed=8)
-    cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4)
-    assert estimate_two_way(*streams, cfg).frequency is None
-    blocks = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4, block_count=10)
-    result = estimate_two_way(*streams, blocks)
-    assert result.frequency == frequency_track(*streams, blocks)
-    assert result.clock_offset == estimate_two_way(*streams, cfg).clock_offset
+    # theta(t) = 5e6 + y*t in A's local time, read at the midpoint of A's tags;
+    # the members' mean times lie about 1 us, 1 fs of drift, away from it
+    local_a = streams[0]
+    assert result.epoch_fs == (int(local_a[0]) + int(local_a[-1])) // 2
+    assert abs(result.clock_offset - (5 * 10**6 + 1e-9 * result.epoch_fs)) < 0.5
 
 
 def test_frequency_track_rejects_negative_flight():
@@ -328,10 +360,27 @@ def test_frequency_track_rejects_negative_flight():
         frequency_track(*_drifting_session(0.0, 2000, 0, 3, flight=-10**9), cfg)
 
 
+def test_estimate_two_way_fits_frequency_only_with_blocks():
+    # the fit is present with or without blocks; block_count changes neither
+    # the rate nor the offset, which come from the member lines
+    streams = _drifting_session(1e-9, 20000, jitter=0, seed=8)
+    cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4)
+    blocks = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4, block_count=10)
+    one, ten = estimate_two_way(*streams, cfg), estimate_two_way(*streams, blocks)
+    assert one.frequency == frequency_track(*streams, cfg)
+    assert ten.frequency == frequency_track(*streams, blocks)
+    assert one.clock_offset == ten.clock_offset
+
+
 def test_frequency_track_needs_two_blocks():
-    cfg = CorrelationConfig(search_window=10**10, block_count=1)
-    with pytest.raises(ValueError):
-        frequency_track(*_drifting_session(0.0, 100, 0, 1), cfg)
+    # a single block is enough: the rate and the offset come from the member
+    # lines, and block_count only sets the diagnostic block offsets
+    streams = _drifting_session(1e-9, 20000, jitter=0, seed=8)
+    fit = frequency_track(*streams, CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4))
+    ten = frequency_track(*streams, CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4, block_count=10))
+    assert len(fit.block_offsets) <= 1
+    assert fit.fractional_frequency == ten.fractional_frequency
+    assert fit.offset_at_epoch == ten.offset_at_epoch
 
 
 def test_frequency_track_insufficient_blocks():
@@ -344,8 +393,9 @@ def test_frequency_track_insufficient_blocks():
     local_a = np.append(local_a, 10**13)
     whole = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4)
     assert estimate_two_way(local_a, remote_ab, local_b, remote_ba, whole).clock_offset == 5 * 10**6
-    with pytest.raises(InsufficientBlocksError):
-        frequency_track(local_a, remote_ab, local_b, remote_ba, cfg)
+    fit = frequency_track(local_a, remote_ab, local_b, remote_ba, cfg)
+    assert len(fit.block_offsets) == 1
+    assert fit.fractional_frequency == frequency_track(local_a, remote_ab, local_b, remote_ba, whole).fractional_frequency
 
 
 # The bounded peak search. Module constants shrink the superbins, the visit

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qcsync.cli import main
-from qcsync.estimator import CorrelationConfig, frequency_track
+from qcsync.estimator import CorrelationConfig
 from qcsync.linkmodel import LinkModel, StaticRange
 from qcsync.netsync import run_network
 from qcsync.photonics import Detector, PairSource, TimeTagger
@@ -27,9 +27,9 @@ from qcsync.timebase import ClockModel, ClockState
 
 GOLDEN = {
     "2.4.6": {
-        "session": "a248f9a5a26a704363eb09f20de8b7e2affb7064528f1f344e13bc60efd0d58a",
-        "cli": "e603a26d7d6c6b349c6b92f4f07a5d64a5ca96577ba686ed1421327f4b343a84",
-        "network": "1e509b4077ffeffce2278aedb22a7d7724622f585f1557043045f516773b67c4",
+        "session": "744730a5fb7749e1fe5a75d2a85919496d6379f41cc817d86669fddbad5b5e5d",
+        "cli": "aab1e97e589ed2647f283cf5ee4fe8356586f8f17e30c013a77aa7b578e3033a",
+        "network": "a7ee9c3a04d72848f53e512b708df368a76de95f4fcc97105856a40c1b261cd2",
         "relativity": "3e2936db4541678f26eb759d25da17d5b986ed4606e90d435d4691f90891f552",
     },
 }
@@ -70,12 +70,11 @@ def test_golden_session_and_frequency_track():
     streams = run_session(spec, clock_a, clock_b, (5, "session"))
     cfg = CorrelationConfig(search_window=10**11, coarse_bin=10**6, fine_bin=10**5, block_count=4)
     result = estimate_session(streams, cfg)
-    fit = frequency_track(streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, cfg)
     payload = {
-        "two_way": [result.clock_offset, result.flight_time, result.offset_uncertainty],
+        "two_way": [result.clock_offset, result.flight_time, result.offset_uncertainty, result.epoch_fs],
         "forward": _correlation(result.forward),
         "backward": _correlation(result.backward),
-        "frequency": dataclasses.asdict(fit),
+        "frequency": dataclasses.asdict(result.frequency),
     }
     assert _sha(payload) == GOLDEN[np.__version__]["session"]
 

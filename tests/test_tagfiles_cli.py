@@ -280,6 +280,37 @@ def test_simulate_exit_zero_and_exact_recovery(tmp_path, capsys):
     assert payload["truth"]["theta_fs"] == 10**6
 
 
+@pytest.mark.parametrize("window", [2**63 - 2, 10**19])
+def test_simulate_with_window_past_int64_recovers_exactly(tmp_path, capsys, window):
+    # the window's offsets wrapped the int64 tags (2^63 - 2: no pairs, exit 3)
+    # or did not convert to int64 at all (10^19: a traceback)
+    config = json.loads((SCENARIOS / "noiseless.json").read_text())
+    config["correlation"]["search_window_fs"] = window
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert "theta_fs=1000000 flight_fs=1000000000" in out
+
+
+def test_unbounded_rate_uncertainty_is_written_as_null(tmp_path, capsys):
+    # one local tag per direction: the members share one local time, so the
+    # rate's uncertainty is inf, which JSON cannot hold
+    local = [10**9]
+    spread = [k * 1000 for k in range(-4, 5)]
+    streams = (local, [10**9 + 10**9 + 10**6 + s for s in spread], local, [10**9 + 10**9 - 10**6 + s for s in spread])
+    files = [str(tmp_path / f"{k}.tags") for k in range(4)]
+    for path, values in zip(files, streams):
+        write_timetag_file(path, _stream(values, resolution=1))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "correlation": {"search_window_fs": 10**10, "coarse_bin_fs": 10**5, "fine_bin_fs": 10**4}}))
+    code, out, err = _run(capsys, "estimate", *files, "--config", str(config))
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert payload["clock_offset"] == 10**6 and payload["frequency"]["fractional_frequency"] == 0.0
+    assert payload["frequency"]["fractional_frequency_uncertainty"] is None
+
+
 def test_simulate_then_estimate_round_trip(tmp_path, capsys):
     config = str(SCENARIOS / "noiseless.json")
     code, _, _ = _run(capsys, "simulate", "--config", config, "--out", str(tmp_path))
@@ -536,11 +567,15 @@ def test_simulate_with_white_phase_noise_beyond_one_second_exits_two(tmp_path, c
     assert tags == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_simulate_with_random_walk_phase_beyond_int64_exits_two(tmp_path, capsys):
-    code, err, tags = _simulate_edited(tmp_path, capsys, ("clocks", "b"), "random_walk_freq_coeff", 1e10)
-    assert code == 2
-    assert "random-walk" in err and "int64" in err and "Traceback" not in err
-    assert tags == []
+    # 1e300 made the walk's steps inf, and overflowed its phase sum with a
+    # warning, before the int64 phase check; the key is bounded at 1e-3 /sqrt(s)
+    for coeff in (1e10, 1e300):
+        code, err, tags = _simulate_edited(tmp_path, capsys, ("clocks", "b"), "random_walk_freq_coeff", coeff)
+        assert code == 2
+        assert "random_walk_freq_coeff" in err and "maximum" in err and "Traceback" not in err
+        assert tags == []
 
 
 def test_simulate_with_refine_span_beyond_int64_exits_cleanly(tmp_path, capsys):

@@ -58,6 +58,9 @@ def test_parameter_validation():
         ClockModel(white_phase_sigma_fs=1e15 + 1)
     with pytest.raises(ValueError):
         ClockModel(random_walk_freq_coeff=-0.1)
+    ClockModel(random_walk_freq_coeff=1e-3)
+    with pytest.raises(ValueError, match="random_walk_freq_coeff must be in"):
+        ClockModel(random_walk_freq_coeff=1.1e-3)
     with pytest.raises(ValueError):
         ClockModel(frequency_drift=float("nan"))
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import SeedSpec, spawn_rng
+from .timebase import INT64_LIMIT
 
 __all__ = [
     "EntanglementModel",
@@ -115,8 +116,8 @@ def simulate_coincidences(
     Each row is a multinomial draw over the outcome pairs with
     P(x, y | a, b) = (1 + x*y*E(a, b)) / 4, so marginals are unbiased.
     """
-    if pairs_per_setting <= 0:
-        raise ValueError("pairs_per_setting must be > 0")
+    if not 0 < pairs_per_setting < INT64_LIMIT:
+        raise ValueError("pairs_per_setting must be in [1, 2^63 - 1]")
     rng = spawn_rng(seed, "chsh-coincidences")
     counts = np.zeros((4, 4), dtype=np.int64)
     for row, (a, b) in enumerate(settings.setting_pairs):

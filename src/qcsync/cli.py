@@ -37,6 +37,7 @@ from .linkmodel import (
 from .netsync import TopologyError, gps_baseline_comparison, run_network
 from .scenario import (
     ConfigError,
+    _fs,
     build_bell,
     build_correlation,
     build_link,
@@ -169,7 +170,7 @@ def cmd_relativity(args) -> int:
         default_horizon = orbital_period(geometry)
     horizon_s = rel_cfg.get("horizon_s", default_horizon)
     n_samples = rel_cfg.get("samples", 100)
-    horizon_fs = round(horizon_s * FS_PER_SECOND)
+    horizon_fs = _fs(horizon_s, "relativity.horizon_s")
     step_fs = max(horizon_fs // (n_samples - 1), 1)
 
     # a float grid: an int64 one would wrap past 2^63 fs (about 2.56 h)

@@ -84,8 +84,9 @@ class SyncEdge:
     track_frequency: bool = False  # steer rate too
 
     def __post_init__(self):
-        if not self.interval_s > 0:
-            raise ValueError("interval_s must be positive")
+        interval = self.interval_s * FS_PER_SECOND
+        if not (math.isfinite(interval) and round(interval) >= 1):
+            raise ValueError(f"interval_s must be finite and at least 1 fs, got {self.interval_s}")
         if self.duration_fs <= 0:
             raise ValueError("duration_fs must be positive")
 
@@ -121,6 +122,9 @@ class Topology:
         for n in self.nodes:
             if n.role != ROLE_REFERENCE and not self.parent_edges(n.id):
                 raise TopologyError(f"node {n.id} has no parent edge")
+        for node_id, _ in self.failures:
+            if node_id not in known:
+                raise TopologyError(f"failure of unknown node {node_id}")
         for node_id, parents in self.failover_rules.items():
             if node_id not in known:
                 raise TopologyError(f"failover rule for unknown node {node_id}")
@@ -308,9 +312,9 @@ def run_network(
 
     for t, kind, edge_idx, occurrence in events:
         if kind == 1:
-            ref_reading = local_time(clocks[reference_id], t, readout_noise=False)
+            ref_reading = local_time(clocks[reference_id], t)
             for n in topology.nodes:
-                reading = local_time(clocks[n.id], t, readout_noise=False)
+                reading = local_time(clocks[n.id], t)
                 errors[n.id].append(reading - ref_reading)
             continue
 

@@ -14,8 +14,8 @@ per link across all clusters at once.
 
 Streams are held as sorted int64 femtosecond arrays, which bounds usable
 true and local times to about +-2.5 hours from the epoch; an arrival or a
-reading beyond that raises ``TimeRangeError``. The long-horizon integer
-arithmetic lives in timebase.
+reading beyond that raises ``TimeRangeError``. The exact clock mapping and
+its range checks live in timebase.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -142,7 +143,7 @@ _BELL = {
     "required": ["visibility", "pairs_per_setting"],
     "properties": {
         "visibility": {"type": "number", "minimum": 0, "maximum": 1},
-        "pairs_per_setting": {"type": "integer", "minimum": 1},
+        "pairs_per_setting": {"type": "integer", "minimum": 1, "maximum": INT64_LIMIT - 1},
         "settings": {
             "type": "object",
             "additionalProperties": False,
@@ -335,8 +336,12 @@ def load_scenario(path: str | Path) -> dict:
     return validate_scenario(config)
 
 
-def _fs(seconds: float) -> int:
-    return round(seconds * FS_PER_SECOND)
+def _fs(seconds: float, key: str) -> int:
+    """A config value in seconds as whole femtoseconds; ConfigError naming key past the float range."""
+    fs = seconds * FS_PER_SECOND
+    if not math.isfinite(fs):
+        raise ConfigError(f"{key} = {seconds} s is outside the float range in femtoseconds")
+    return round(fs)
 
 
 _UNIT_SUFFIXES = ("_fs", "_hz", "_m", "_rad")
@@ -418,7 +423,7 @@ def build_session(config: dict) -> tuple[SessionSpec, ClockModel, ClockModel]:
         if side not in clocks or side not in sources:
             raise ConfigError(f"simulate needs clocks.{side} and sources.{side}")
     spec = SessionSpec(
-        duration=_fs(config["duration_s"]),
+        duration=_fs(config["duration_s"], "duration_s"),
         instruments_a=_build_instruments(sources["a"], detectors.get("a"), config.get("tagger")),
         instruments_b=_build_instruments(sources["b"], detectors.get("b"), config.get("tagger")),
         link=build_link(config["link"]),
@@ -439,7 +444,7 @@ def _build_edge(section: dict) -> SyncEdge:
         _without(section, "session"),
         link=build_link(section["link"]),
         correlation=build_correlation(section.get("correlation")),
-        duration_fs=_fs(session["duration_s"]),
+        duration_fs=_fs(session["duration_s"], "topology.edges[].session.duration_s"),
         instruments_up=instruments["up"],
         instruments_down=instruments["down"],
     )
@@ -456,8 +461,10 @@ def build_topology(section: dict) -> tuple[Topology, int, int | None]:
         nodes=nodes,
         edges=edges,
         failover_rules=dict(section.get("failover") or {}),
-        failures=tuple((f["node"], _fs(f["at_s"])) for f in section.get("failures") or ()),
+        failures=tuple(
+            (f["node"], _fs(f["at_s"], "topology.failures[].at_s")) for f in section.get("failures") or ()
+        ),
     )
-    horizon_fs = _fs(section["horizon_s"])
+    horizon_fs = _fs(section["horizon_s"], "topology.horizon_s")
     interval = section.get("report_interval_s")
-    return topology, horizon_fs, _fs(interval) if interval is not None else None
+    return topology, horizon_fs, _fs(interval, "topology.report_interval_s") if interval is not None else None

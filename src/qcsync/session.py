@@ -178,9 +178,7 @@ def run_session(
     )
 
     midpoint = start + duration // 2
-    theta_true = local_time(clock_b, midpoint, readout_noise=False) - local_time(
-        clock_a, midpoint, readout_noise=False
-    )
+    theta_true = local_time(clock_b, midpoint) - local_time(clock_a, midpoint)
     truth = SessionTruth(
         theta_fs=theta_true,
         flight_ab_fs=time_of_flight(spec.link, midpoint, Direction.A_TO_B, constants),

@@ -1,9 +1,9 @@
 """Femtosecond-resolution time arithmetic and imperfect clock models.
 
-All times are signed Python integers counting femtoseconds from the scenario
-epoch (aliases ``TimeStamp`` / ``Duration``). Python integers are exact, so
-the only failure mode is exceeding the supported 128-bit range, which raises
-``TimeRangeError`` instead of wrapping.
+All times are signed integers counting femtoseconds from the scenario epoch,
+inside the int64 range of tag arrays, |t| < 2^63 fs (about 2.56 hours). A
+true time or a clock reading outside that range raises ``TimeRangeError``
+instead of wrapping.
 
 A clock maps true time t to its local reading
 
@@ -11,18 +11,18 @@ A clock maps true time t to its local reading
 
 where the rate terms are evaluated in exact rational arithmetic (the float
 parameters are converted to exact binary fractions once) and rounded to the
-nearest femtosecond, halves away from zero, so results are bit-reproducible
-and the noiseless mapping inverts to within 1 fs. Random-walk frequency noise
-x_rw is realized as a piecewise-linear frequency process on a fixed 1 ms grid,
-integrated exactly per segment; white phase noise is fresh per readout.
+nearest femtosecond, halves away from zero, so results are bit-reproducible.
+Random-walk frequency noise x_rw is realized as a piecewise-linear frequency
+process on a fixed 1 ms grid, integrated exactly per segment. ``local_time``
+is the noise-free reading at one true time (all but the white phase noise);
+``local_times`` reads an int64 tag array with the same results and adds
+white phase noise, fresh per tag, when it is given a generator.
 
-``local_times`` maps int64 tag arrays with the same results as the scalar
-``local_time``. A float rate is num / 2^k with |num| < 2^64, so its term
-round(num * t / 2^k) is computed exactly in 64-bit limb arithmetic, block by
-block. The drift term d*t^2/2 has a denominator that is not a power of two;
-a clock with d != 0 is evaluated per tag in Python integers, as are arrays
-whose readings could come near the int64 limits, where that loop range-checks
-each reading exactly. A reading outside int64 raises ``TimeRangeError``.
+A float rate is num / 2^k with |num| < 2^64, so its term round(num * t / 2^k)
+is computed exactly in 64-bit limb arithmetic, block by block. The drift term
+d*t^2/2 has a denominator that is not a power of two; a clock with d != 0 is
+evaluated per tag in Python integers, as are arrays whose readings could come
+near the int64 limits, where that loop range-checks each reading exactly.
 
 Note on granularity: the noiseless mapping is non-decreasing at single-fs
 granularity (a slope slightly below one can map adjacent ticks to the same
@@ -40,28 +40,18 @@ import numpy as np
 from .seeding import derive_rng
 
 __all__ = [
-    "TimeStamp",
-    "Duration",
     "FS_PER_SECOND",
-    "TIMESTAMP_RANGE",
     "INT64_LIMIT",
     "RANDOM_WALK_COEFF_LIMIT",
     "TimeRangeError",
-    "NonMonotonicClockError",
     "ClockModel",
     "ClockState",
     "local_time",
     "local_times",
-    "true_time_of_local",
     "apply_correction",
-    "check_time_range",
 ]
 
-TimeStamp = int  # femtoseconds since scenario epoch
-Duration = int  # femtoseconds
-
 FS_PER_SECOND = 10**15
-TIMESTAMP_RANGE = 2**127  # |value| must stay strictly below this
 # Largest random_walk_freq_coeff, 1/sqrt(s): a walk that strong wanders as far
 # in a second as the largest fractional frequency (1e-3) a clock may have.
 RANDOM_WALK_COEFF_LIMIT = 1e-3
@@ -70,23 +60,18 @@ _RW_GRID_FS = 10**12  # 1 ms random-walk grid
 _RW_CHUNK = 4096
 _LOW32 = 0xFFFFFFFF
 _BLOCK = 1 << 15  # tags per limb pass; one pass over 250k tags ran 2.5x slower (2-core Xeon)
-INT64_LIMIT = 2**63  # tag arrays, and so resolutions and session ends, stay below this many fs
+INT64_LIMIT = 2**63  # times, readings, resolutions and session ends stay below this many fs
 _INT64_MESSAGE = "clock reading outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays"
 _PHASE_MESSAGE = "random-walk clock phase outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays"
+_TRUE_TIME_MESSAGE = "true time outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays"
 
 
 class TimeRangeError(OverflowError):
-    """A time left its range: +-2^127 fs for scalar times, int64 for tag arrays."""
+    """A time or clock reading left the int64 femtosecond range (|t| < 2^63 fs)."""
 
 
-class NonMonotonicClockError(ValueError):
-    """The clock model is not invertible over the requested range."""
-
-
-def check_time_range(value: int) -> int:
-    if not -TIMESTAMP_RANGE < value < TIMESTAMP_RANGE:
-        raise TimeRangeError(f"time value {value} fs outside the +-2^127 fs range")
-    return value
+def _in_int64(value: int) -> bool:
+    return -INT64_LIMIT <= value < INT64_LIMIT
 
 
 def _round_div(num: int, den: int) -> int:
@@ -237,26 +222,12 @@ class _RandomWalkPhase:
             self._y = np.concatenate(ys)
             self._phase = np.concatenate(phases)
 
-    def phase_at(self, t: int) -> int:
-        if self._coeff == 0.0 or t <= 0:
-            return 0
-        node = t // _RW_GRID_FS
-        self._extend_to(int(node))
-        tau = t - node * _RW_GRID_FS
-        y0 = self._y[node]
-        slope = (self._y[node + 1] - y0) / _RW_GRID_FS
-        phase = float(self._phase[node] + y0 * tau + 0.5 * slope * tau * tau)
-        if not abs(phase) < INT64_LIMIT:
-            raise TimeRangeError(_PHASE_MESSAGE)
-        return round(phase)
-
     def phases_at(self, t: np.ndarray) -> np.ndarray:
         if self._coeff == 0.0 or len(t) == 0:
             return np.zeros(len(t), dtype=np.int64)
         t = np.asarray(t, dtype=np.int64)
-        tmax = int(t.max())
-        if tmax > 0:
-            self._extend_to(int(tmax // _RW_GRID_FS))
+        # through node 1 at least: a walk read only at t <= 0 still indexes node + 1
+        self._extend_to(max(int(t.max()) // _RW_GRID_FS, 0))
         node = np.maximum(t // _RW_GRID_FS, 0)
         # tau is finite but meaningless for t <= 0; those phases are zeroed below
         tau = (t - node * _RW_GRID_FS).astype(np.float64)
@@ -269,23 +240,12 @@ class _RandomWalkPhase:
         return phase.astype(np.int64)
 
 
-class _ClockNoise:
-    """Noise streams shared by a clock and all its corrected descendants."""
-
-    def __init__(self, model: ClockModel, rng_stream):
-        path = rng_stream if isinstance(rng_stream, tuple) else (rng_stream,)
-        self.white_rng = derive_rng(0, "clock-white", *path)
-        self.random_walk = _RandomWalkPhase(
-            model.random_walk_freq_coeff, derive_rng(0, "clock-rw", *path)
-        )
-
-
 class ClockState:
-    """A clock model plus accumulated sync corrections and its noise streams.
+    """A clock model plus accumulated sync corrections and its random-walk phase.
 
     Corrections are functional: ``apply_correction`` returns a new state and
-    the noise realization is shared, so a corrected clock is the same
-    physical oscillator steered by a different amount.
+    the random walk is shared, so a corrected clock is the same physical
+    oscillator steered by a different amount.
     """
 
     __slots__ = (
@@ -293,7 +253,7 @@ class ClockState:
         "accumulated_correction_fs",
         "accumulated_rate_correction",
         "rng_stream",
-        "_noise",
+        "_random_walk",
         "_y_rate",
         "_drift_rate",
         "_corr_rate",
@@ -305,21 +265,24 @@ class ClockState:
         rng_stream: int | str | tuple = 0,
         accumulated_correction_fs: int = 0,
         accumulated_rate_correction: float = 0.0,
-        _noise: _ClockNoise | None = None,
+        _random_walk: _RandomWalkPhase | None = None,
     ):
         self.model = model
         self.accumulated_correction_fs = accumulated_correction_fs
         self.accumulated_rate_correction = accumulated_rate_correction
         self.rng_stream = rng_stream
-        self._noise = _noise if _noise is not None else _ClockNoise(model, rng_stream)
+        if _random_walk is None:
+            path = rng_stream if isinstance(rng_stream, tuple) else (rng_stream,)
+            _random_walk = _RandomWalkPhase(model.random_walk_freq_coeff, derive_rng(0, "clock-rw", *path))
+        self._random_walk = _random_walk
         self._y_rate = _ExactRate(model.fractional_frequency)
         # d * t^2 / 2 with t in fs and d per second: d / (2 * FS_PER_SECOND) per fs^2
         self._drift_rate = _ExactRate(model.frequency_drift, 2 * FS_PER_SECOND)
         self._corr_rate = _ExactRate(accumulated_rate_correction)
 
     def deterministic_local(self, true_time: int) -> int:
-        """Noise-free part of the local-time mapping (used for inversion)."""
-        local = (
+        """Noise-free local reading without the random walk, as an unbounded Python int."""
+        return (
             true_time
             + self.model.initial_offset_fs
             - self.accumulated_correction_fs
@@ -327,45 +290,30 @@ class ClockState:
             + self._drift_rate(true_time * true_time)
             - self._corr_rate(true_time)
         )
-        return check_time_range(local)
-
-    def _ideal_local(self, true_time: int) -> int:
-        return check_time_range(
-            self.deterministic_local(true_time) + self._noise.random_walk.phase_at(true_time)
-        )
 
 
-def local_time(
-    state: ClockState,
-    true_time: int,
-    *,
-    rng: np.random.Generator | None = None,
-    readout_noise: bool = True,
-) -> int:
-    """Local clock reading at a true time.
+def local_time(state: ClockState, true_time: int) -> int:
+    """Noise-free local clock reading at a true time.
 
-    White phase noise (readout jitter) is drawn from ``rng`` or the clock's
-    own stream; pass ``readout_noise=False`` for the noise-free reading used
-    in error reporting. Random-walk frequency noise is part of the clock's
-    state and is always included (it is a reproducible function of t).
+    The reading includes the random-walk frequency noise, a reproducible
+    function of t that is part of the clock's state, but no white phase
+    noise; it is the truth that errors are reported against. Raises
+    TimeRangeError when the true time or the reading leaves int64.
     """
-    check_time_range(true_time)
-    local = state._ideal_local(true_time)
-    sigma = state.model.white_phase_sigma_fs
-    if readout_noise and sigma > 0:
-        gen = rng if rng is not None else state._noise.white_rng
-        local += int(round(gen.normal(0.0, sigma)))
-    return check_time_range(local)
+    if not _in_int64(true_time):
+        raise TimeRangeError(_TRUE_TIME_MESSAGE)
+    local = state.deterministic_local(true_time)
+    if state.model.random_walk_freq_coeff:
+        local += int(state._random_walk.phases_at(np.array([true_time], dtype=np.int64))[0])
+    if not _in_int64(local):
+        raise TimeRangeError(_INT64_MESSAGE)
+    return local
 
 
 def local_times(
-    state: ClockState,
-    true_times: np.ndarray,
-    *,
-    rng: np.random.Generator | None = None,
-    readout_noise: bool = True,
+    state: ClockState, true_times: np.ndarray, *, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Vectorized ``local_time`` over an int64 array of true times.
+    """``local_time`` over an int64 array of true times, plus white phase noise drawn from rng if given.
 
     Raises TimeRangeError when a reading leaves the int64 range of tag arrays.
     """
@@ -396,11 +344,10 @@ def local_times(
         except OverflowError:
             raise TimeRangeError(_INT64_MESSAGE) from None
     if state.model.random_walk_freq_coeff:
-        local = _checked_add(local, state._noise.random_walk.phases_at(t))
+        local = _checked_add(local, state._random_walk.phases_at(t))
     sigma = state.model.white_phase_sigma_fs
-    if readout_noise and sigma > 0:
-        gen = rng if rng is not None else state._noise.white_rng
-        local = _checked_add(local, np.round(gen.normal(0.0, sigma, len(t))).astype(np.int64))
+    if rng is not None and sigma > 0:
+        local = _checked_add(local, np.round(rng.normal(0.0, sigma, len(t))).astype(np.int64))
     return local
 
 
@@ -425,36 +372,8 @@ def _checked_shift(times: np.ndarray, *shifts) -> np.ndarray:
             s_low, s_high = (s.min(), s.max()) if isinstance(s, np.ndarray) else (s, s)
             low, high = low + int(s_low), high + int(s_high)
         if low < -INT64_LIMIT or high >= INT64_LIMIT:
-            raise TimeRangeError("true time outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays")
+            raise TimeRangeError(_TRUE_TIME_MESSAGE)
     return sum(shifts, times)
-
-
-def true_time_of_local(state: ClockState, local: int) -> int:
-    """Invert the noiseless mapping; round-trip error is at most 1 fs.
-
-    Noise terms (white phase and random walk) are excluded, matching the
-    analysis use case of mapping recorded tags back to true time.
-    """
-    check_time_range(local)
-    m = state.model
-    slope_min = 1.0 + m.fractional_frequency - state.accumulated_rate_correction
-    if slope_min <= 0.5:
-        raise NonMonotonicClockError("clock rate too far from nominal to invert")
-    t = local - m.initial_offset_fs + state.accumulated_correction_fs
-    for _ in range(64):
-        err = state.deterministic_local(t) - local
-        if err == 0:
-            return t
-        if abs(err) <= 1:
-            neighbor = t - err
-            if abs(state.deterministic_local(neighbor) - local) < abs(err):
-                return neighbor
-            return t
-        t -= err
-    deriv = 1.0 + m.fractional_frequency + m.frequency_drift * (t / FS_PER_SECOND)
-    if deriv <= 0:
-        raise NonMonotonicClockError("clock mapping not monotone at requested time")
-    raise NonMonotonicClockError("inversion did not converge")
 
 
 def apply_correction(state: ClockState, offset_fix_fs: int, rate_fix: float = 0.0) -> ClockState:
@@ -466,11 +385,12 @@ def apply_correction(state: ClockState, offset_fix_fs: int, rate_fix: float = 0.
     """
     if not math.isfinite(rate_fix):
         raise ValueError("rate_fix must be finite")
-    check_time_range(int(offset_fix_fs))
+    if not _in_int64(int(offset_fix_fs)):
+        raise TimeRangeError(f"offset fix {offset_fix_fs} fs outside the int64 femtosecond range")
     return ClockState(
         state.model,
         rng_stream=state.rng_stream,
         accumulated_correction_fs=state.accumulated_correction_fs + int(offset_fix_fs),
         accumulated_rate_correction=state.accumulated_rate_correction + rate_fix,
-        _noise=state._noise,
+        _random_walk=state._random_walk,
     )

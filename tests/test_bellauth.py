@@ -49,6 +49,14 @@ def test_counts_table_shape_and_totals():
     assert np.all(counts.sum(axis=1) == 500)
 
 
+def test_pairs_per_setting_bounded_at_int64():
+    counts = simulate_coincidences(EntanglementModel(), DEFAULT_SETTINGS, 2**63 - 1, (3,))
+    assert np.all(counts.sum(axis=1) == 2**63 - 1)
+    # 2^63 overflowed numpy's multinomial with OverflowError
+    with pytest.raises(ValueError, match="pairs_per_setting"):
+        simulate_coincidences(EntanglementModel(), DEFAULT_SETTINGS, 2**63, (3,))
+
+
 def test_simulation_deterministic_per_seed():
     a = simulate_coincidences(EntanglementModel(0.9), DEFAULT_SETTINGS, 1000, (7, "x"))
     b = simulate_coincidences(EntanglementModel(0.9), DEFAULT_SETTINGS, 1000, (7, "x"))

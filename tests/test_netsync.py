@@ -255,6 +255,19 @@ def test_cannot_fail_only_reference():
     assert inject_failure(topology, "n1", 10**12).failures == (("n1", 10**12),)
 
 
+def test_edge_interval_must_be_at_least_one_fs():
+    assert _edge("ref", "n1", interval_s=1e-15).interval_fs == 1
+    for interval_s in (1e-20, 0.0, -1.0, 1e300, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="interval_s"):
+            _edge("ref", "n1", interval_s=interval_s)
+
+
+def test_failure_of_unknown_node_rejected():
+    topology = _chain()
+    with pytest.raises(TopologyError, match="nosuch"):
+        Topology(nodes=topology.nodes, edges=topology.edges, failures=(("nosuch", 10**12),))
+
+
 def test_node_role_validation():
     with pytest.raises(ValueError, match="role"):
         Node("x", ClockModel(), role="router")

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import runpy
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -533,15 +536,23 @@ _JITTER_FIELDS = [
 ]
 
 
+def _set(config: dict, path: tuple, value) -> dict:
+    """config with config[path[0]][path[1]]... = value."""
+    parent = config
+    for name in path[:-1]:
+        parent = parent[name]
+    parent[path[-1]] = value
+    return config
+
+
+def _noiseless() -> dict:
+    return json.loads((SCENARIOS / "noiseless.json").read_text())
+
+
 def _simulate_edited(tmp_path, capsys, section, key, value):
     """simulate on noiseless.json with config[section...][key] = value: exit code, stderr, tag files."""
-    config = json.loads((SCENARIOS / "noiseless.json").read_text())
-    parent = config
-    for name in section:
-        parent = parent[name]
-    parent[key] = value
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(_set(_noiseless(), (*section, key), value)))
     out_dir = tmp_path / "out"
     code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(out_dir))
     return code, err, list(out_dir.glob("*.tags"))
@@ -617,6 +628,16 @@ def _run_readme_example(capsys, monkeypatch, command: str, out_dir: Path):
     argv[argv.index("--out") + 1] = str(out_dir)
     monkeypatch.chdir(SCENARIOS.parent)
     return _run(capsys, *argv)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    offset, flight = map(float, capsys.readouterr().out.split())
+    assert offset == pytest.approx(500_000_000, abs=50_000)
+    assert flight == pytest.approx(300_000.0 / 299_792_458.0 * 10**15, rel=1e-6)
 
 
 def test_readme_relativity_example_runs(tmp_path, capsys, monkeypatch):
@@ -699,20 +720,122 @@ def test_simulate_without_detectors_section_uses_default_detectors(tmp_path, cap
         ]
 
 
-def test_net_past_int64_horizon_exits_two(tmp_path, capsys):
-    # the sync at 10000 s would put tag times past 2^63 fs
+def _two_node_net(horizon_s, interval_s, report_interval_s) -> dict:
+    """A ground reference and one child on a 3 km static link, synced every interval_s."""
     edge = {
         "upstream": "ref",
         "downstream": "g1",
-        "interval_s": 5000,
+        "interval_s": interval_s,
         "link": {"geometry": {"variant": "static_range", "range_m": 3000.0}},
         "session": {"duration_s": 1e-5, "source_up": {"pair_rate_hz": 1e7}, "source_down": {"pair_rate_hz": 1e7}},
         "correlation": {"search_window_fs": 10**11, "coarse_bin_fs": 10**6, "fine_bin_fs": 2 * 10**5},
     }
     nodes = [{"id": "ref", "role": "reference", "clock": {}}, {"id": "g1", "clock": {"initial_offset_fs": 10**6}}]
-    config = {"seed": 3, "topology": {"horizon_s": 10001, "report_interval_s": 5000, "nodes": nodes, "edges": [edge]}}
-    path = tmp_path / "long_net.json"
+    topology = {"horizon_s": horizon_s, "report_interval_s": report_interval_s, "nodes": nodes, "edges": [edge]}
+    return {"seed": 3, "topology": topology}
+
+
+def _net(tmp_path, capsys, config):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(config))
+    return _run(capsys, "net", "--config", str(path), "--out", str(tmp_path / "out"))
+
+
+def test_net_past_int64_horizon_exits_two(tmp_path, capsys):
+    # the sync at 10000 s would put tag times past 2^63 fs
+    code, _, err = _net(tmp_path, capsys, _two_node_net(10001, 5000, 5000))
+    assert code == 2
+    assert "9223 s" in err and "Traceback" not in err
+
+
+def test_net_report_epoch_past_int64_exits_two(tmp_path, capsys):
+    # the one report epoch, at 9223.5 s, is past 2^63 fs; the sync at 5000 s is not
+    code, _, err = _net(tmp_path, capsys, _two_node_net(9224, 5000, 18447))
+    assert code == 2
+    assert "2^63" in err and "Traceback" not in err
+    code, _, err = _net(tmp_path, capsys, _two_node_net(9223, 5000, 18440))
+    assert code == 0, err
+
+
+def _net_with_failure() -> dict:
+    return _set(_two_node_net(10, 5, 5), ("topology", "failures"), [{"node": "g1", "at_s": 0}])
+
+
+_SECONDS_KEYS = [
+    ("simulate", _noiseless, ("duration_s",)),
+    ("relativity", lambda: _set(_noiseless(), ("relativity",), {}), ("relativity", "horizon_s")),
+    ("net", lambda: _two_node_net(10, 5, 5), ("topology", "horizon_s")),
+    ("net", lambda: _two_node_net(10, 5, 5), ("topology", "report_interval_s")),
+    ("net", lambda: _two_node_net(10, 5, 5), ("topology", "edges", 0, "interval_s")),
+    ("net", _net_with_failure, ("topology", "failures", 0, "at_s")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, key", _SECONDS_KEYS, ids=[".".join(map(str, key)) for _, _, key in _SECONDS_KEYS]
+)
+def test_seconds_past_the_float_range_exit_two(tmp_path, capsys, command, base, key):
+    # seconds * 10^15 overflowed to inf, and round(inf) raised OverflowError (exit 1)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_set(base(), key, 1e300)))
+    code, _, err = _run(capsys, command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert key[-1] in err and "Traceback" not in err
+
+
+def test_net_interval_below_one_fs_exits_two(tmp_path):
+    # interval_s 1e-20 rounded to a 0 fs interval, and the schedule loop never ended
+    path = tmp_path / "tiny_interval.json"
+    path.write_text(json.dumps(_two_node_net(10, 1e-20, 5)))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "qcsync", "net", "--config", str(path), "--out", str(tmp_path / "out")],
+        env=env,
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert result.returncode == 2
+    assert "interval_s" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_net_failure_of_unknown_node_exits_two(tmp_path, capsys):
+    config = json.loads((SCENARIOS / "leo_demo.json").read_text())
+    config["topology"]["failures"] = [{"node": "nosuch", "at_s": 1}]
+    path = tmp_path / "leo_failure.json"
     path.write_text(json.dumps(config))
     code, _, err = _run(capsys, "net", "--config", str(path), "--out", str(tmp_path / "out"))
     assert code == 2
-    assert "9223 s" in err and "Traceback" not in err
+    assert "nosuch" in err and "Traceback" not in err
+
+
+def test_bell_pairs_per_setting_past_int64_exits_two(tmp_path, capsys):
+    # 10**30 passed the schema and overflowed numpy's multinomial (exit 1)
+    config = json.loads((SCENARIOS / "bell_demo.json").read_text())
+    config["bell"]["pairs_per_setting"] = 10**30
+    path = tmp_path / "bell_huge.json"
+    path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "bell", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "pairs_per_setting" in err and "Traceback" not in err
+
+
+def test_simulate_with_lone_tag_before_epoch_on_random_walk_clocks(tmp_path, capsys):
+    # a lone tag jittered below t = 0 was the only reading of a fresh random walk,
+    # which then indexed past its one-node arrays (IndexError, exit 1)
+    config = _noiseless()
+    config["duration_s"] = 1e-9
+    for side in ("a", "b"):
+        config["sources"][side]["pair_rate_hz"] = 2e9
+        config["detectors"][side]["jitter_sigma_fs"] = 10**9
+        config["clocks"][side]["random_walk_freq_coeff"] = 1e-9
+    path = tmp_path / "lone_tag.json"
+    path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "simulate", "--config", str(path), "--seed", "10", "--out", str(tmp_path / "out"))
+    # the lone tags are read now, and too few to form a peak
+    assert code == 3 and "significance" in err, err

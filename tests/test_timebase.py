@@ -1,4 +1,4 @@
-"""Clock model arithmetic: exactness, inversion, corrections, noise streams."""
+"""Clock model arithmetic: exactness, int64 range, corrections, noise streams."""
 
 from __future__ import annotations
 
@@ -7,16 +7,12 @@ import pytest
 
 from qcsync.timebase import (
     FS_PER_SECOND,
-    TIMESTAMP_RANGE,
     ClockModel,
     ClockState,
-    NonMonotonicClockError,
     TimeRangeError,
     apply_correction,
-    check_time_range,
     local_time,
     local_times,
-    true_time_of_local,
     _ExactRate,
     _RandomWalkPhase,
 )
@@ -25,7 +21,7 @@ from qcsync.timebase import (
 def test_offset_only_clock_is_exact_shift():
     state = ClockState(ClockModel(initial_offset_fs=123456789), rng_stream=1)
     for t in (0, 1, -1, 10**15, 7 * 10**17, -(10**16)):
-        assert local_time(state, t, readout_noise=False) == t + 123456789
+        assert local_time(state, t) == t + 123456789
 
 
 def test_fractional_frequency_term_exact_rational():
@@ -33,10 +29,10 @@ def test_fractional_frequency_term_exact_rational():
     state = ClockState(ClockModel(fractional_frequency=1e-6), rng_stream=1)
     t = 10**15
     expected = t + round(1e-6 * t)
-    assert local_time(state, t, readout_noise=False) == expected
+    assert local_time(state, t) == expected
     # at t large enough that float64 loses integer resolution
     t_big = 10**17 + 3
-    reading = local_time(state, t_big, readout_noise=False)
+    reading = local_time(state, t_big)
     assert reading - t_big == pytest.approx(1e-6 * t_big, abs=1)
 
 
@@ -44,7 +40,7 @@ def test_drift_term_quadratic_in_seconds():
     # d = 1e-12 per second: after 100 s the rate term is d*t^2/2 = 5e-9 s = 5e6 fs
     state = ClockState(ClockModel(frequency_drift=1e-12), rng_stream=1)
     t = 100 * FS_PER_SECOND
-    reading = local_time(state, t, readout_noise=False)
+    reading = local_time(state, t)
     assert reading - t == pytest.approx(5.0e6, abs=1)
 
 
@@ -66,55 +62,37 @@ def test_parameter_validation():
 
 
 def test_time_range_enforced():
-    check_time_range(TIMESTAMP_RANGE - 1)
-    with pytest.raises(TimeRangeError):
-        check_time_range(TIMESTAMP_RANGE)
     state = ClockState(ClockModel(initial_offset_fs=10), rng_stream=1)
+    assert local_time(state, 2**63 - 11) == 2**63 - 1
     with pytest.raises(TimeRangeError):
-        local_time(state, TIMESTAMP_RANGE - 5, readout_noise=False)
-
-
-def test_inversion_roundtrip_within_1fs():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        model = ClockModel(
-            initial_offset_fs=int(rng.integers(-(10**12), 10**12)),
-            fractional_frequency=float(rng.uniform(-1e-4, 1e-4)),
-            frequency_drift=float(rng.uniform(-1e-9, 1e-9)),
-        )
-        state = ClockState(model, rng_stream=3)
-        t = int(rng.integers(-(10**16), 10**16))
-        reading = local_time(state, t, readout_noise=False)
-        t_back = true_time_of_local(state, reading)
-        assert abs(local_time(state, t_back, readout_noise=False) - reading) <= 1
-        assert abs(t_back - t) <= 1
-
-
-def test_inversion_rejects_pathological_rate():
-    state = ClockState(ClockModel(), rng_stream=1, accumulated_rate_correction=0.9)
-    with pytest.raises(NonMonotonicClockError):
-        true_time_of_local(state, 10**15)
+        local_time(state, 2**63 - 10)
+    with pytest.raises(TimeRangeError, match="true time"):
+        local_time(ClockState(ClockModel(initial_offset_fs=-10), rng_stream=1), 2**63)
+    assert local_time(ClockState(ClockModel(initial_offset_fs=10), rng_stream=1), -(2**63)) == 10 - 2**63
+    with pytest.raises(TimeRangeError):
+        apply_correction(state, 2**63)
+    apply_correction(state, -(2**63))
 
 
 def test_apply_correction_composes_additively():
     state = ClockState(ClockModel(initial_offset_fs=1000), rng_stream=1)
     once = apply_correction(apply_correction(state, 300), 700)
-    assert local_time(once, 5 * 10**14, readout_noise=False) == 5 * 10**14
+    assert local_time(once, 5 * 10**14) == 5 * 10**14
 
 
 def test_rate_correction_referenced_to_epoch():
     state = ClockState(ClockModel(fractional_frequency=1e-9), rng_stream=1)
     fixed = apply_correction(state, 0, 1e-9)
-    assert local_time(fixed, 10**15, readout_noise=False) == 10**15
-    assert local_time(fixed, 10**17, readout_noise=False) == 10**17
+    assert local_time(fixed, 10**15) == 10**15
+    assert local_time(fixed, 10**17) == 10**17
 
 
 def test_correction_preserves_noise_realization():
     model = ClockModel(random_walk_freq_coeff=1e-9)
     state = ClockState(model, rng_stream=5)
     t = 3 * 10**13
-    before = local_time(state, t, readout_noise=False)
-    after = local_time(apply_correction(state, 42), t, readout_noise=False)
+    before = local_time(state, t)
+    after = local_time(apply_correction(state, 42), t)
     assert before - after == 42
 
 
@@ -123,8 +101,8 @@ def test_random_walk_deterministic_and_query_order_free():
     a = ClockState(model, rng_stream=(9, "clock", "x"))
     b = ClockState(model, rng_stream=(9, "clock", "x"))
     times = [10**13, 5 * 10**12, 8 * 10**13, 10**12]
-    got_a = [local_time(a, t, readout_noise=False) for t in times]
-    got_b = [local_time(b, t, readout_noise=False) for t in sorted(times)]
+    got_a = [local_time(a, t) for t in times]
+    got_b = [local_time(b, t) for t in sorted(times)]
     by_time_b = dict(zip(sorted(times), got_b))
     assert got_a == [by_time_b[t] for t in times]
 
@@ -134,9 +112,10 @@ def test_random_walk_far_reading_matches_stepwise_extension():
     stepwise = _RandomWalkPhase(5e-13, np.random.default_rng(8))
     horizon = 40 * FS_PER_SECOND  # ten 4096-node chunks of 1 ms
     for t in range(FS_PER_SECOND, horizon, 3 * FS_PER_SECOND):
-        stepwise.phase_at(t)
+        stepwise.phases_at(np.array([t], dtype=np.int64))
     times = [horizon, horizon - 1, 17 * FS_PER_SECOND + 3, 10**9]
-    assert [far.phase_at(t) for t in times] == [stepwise.phase_at(t) for t in times]
+    one_by_one = [stepwise.phases_at(np.array([t], dtype=np.int64))[0] for t in times]
+    assert far.phases_at(np.array(times, dtype=np.int64)).tolist() == one_by_one
     assert np.array_equal(far._y, stepwise._y)
     assert np.array_equal(far._phase, stepwise._phase)
 
@@ -148,15 +127,15 @@ def test_random_walk_phase_beyond_int64_raises():
     with pytest.raises(TimeRangeError, match="random-walk"):
         _RandomWalkPhase(1e10, np.random.default_rng(3)).phases_at(times)
     walk = _RandomWalkPhase(1e10, np.random.default_rng(3))
-    assert walk.phase_at(1) == 0
+    assert walk.phases_at(np.array([1], dtype=np.int64)).tolist() == [0]
     with pytest.raises(TimeRangeError, match="random-walk"):
-        walk.phase_at(10**13)
+        walk.phases_at(np.array([10**13], dtype=np.int64))
 
 
 def test_random_walk_zero_before_epoch():
     state = ClockState(ClockModel(random_walk_freq_coeff=1e-6), rng_stream=2)
-    assert local_time(state, 0, readout_noise=False) == 0
-    assert local_time(state, -(10**14), readout_noise=False) == -(10**14)
+    assert local_time(state, 0) == 0
+    assert local_time(state, -(10**14)) == -(10**14)
 
 
 def test_random_walk_scale_matches_model():
@@ -166,7 +145,7 @@ def test_random_walk_scale_matches_model():
     phases = []
     for k in range(300):
         state = ClockState(ClockModel(random_walk_freq_coeff=coeff), rng_stream=(11, k))
-        phases.append(local_time(state, t, readout_noise=False) - t)
+        phases.append(local_time(state, t) - t)
     expected_fs = coeff * tau_s**1.5 / np.sqrt(3.0) * FS_PER_SECOND
     assert np.std(phases) == pytest.approx(expected_fs, rel=0.2)
 
@@ -189,8 +168,8 @@ def test_local_times_matches_scalar_path():
         )
         state_vec = apply_correction(ClockState(model, rng_stream=13), -5000, 2.5e-7)
         state_scl = apply_correction(ClockState(model, rng_stream=13), -5000, 2.5e-7)
-        got = local_times(state_vec, times, readout_noise=False)
-        want = [local_time(state_scl, int(t), readout_noise=False) for t in times]
+        got = local_times(state_vec, times)
+        want = [local_time(state_scl, int(t)) for t in times]
         assert got.tolist() == want, drift
 
 
@@ -236,35 +215,48 @@ def test_local_times_raises_when_a_reading_leaves_int64(fractional_frequency):
     model = ClockModel(initial_offset_fs=2**62, fractional_frequency=fractional_frequency)
     state = ClockState(model, rng_stream=1)
     with pytest.raises(TimeRangeError):
-        local_times(state, np.array([0, 2**62], dtype=np.int64), readout_noise=False)
+        local_times(state, np.array([0, 2**62], dtype=np.int64))
     # near the limit but inside it, the readings are the exact scalar ones
     times = np.array([-(2**62), 0, 2**62 - 2**40], dtype=np.int64)
-    want = [local_time(state, int(t), readout_noise=False) for t in times]
-    assert local_times(state, times, readout_noise=False).tolist() == want
+    want = [local_time(state, int(t)) for t in times]
+    assert local_times(state, times).tolist() == want
 
 
 def test_local_times_offset_beyond_int64_with_readings_inside():
     state = ClockState(ClockModel(initial_offset_fs=2**63 + 5), rng_stream=1)
     times = np.array([-(2**62), -10], dtype=np.int64)
-    assert local_times(state, times, readout_noise=False).tolist() == [2**62 + 5, 2**63 - 5]
+    assert local_times(state, times).tolist() == [2**62 + 5, 2**63 - 5]
     with pytest.raises(TimeRangeError):
-        local_times(state, np.array([-5], dtype=np.int64), readout_noise=False)
+        local_times(state, np.array([-5], dtype=np.int64))
 
 
 def test_local_times_raises_when_noise_leaves_int64():
     model = ClockModel(initial_offset_fs=2**63 - 2, white_phase_sigma_fs=1e6)
     state = ClockState(model, rng_stream=1)
     with pytest.raises(TimeRangeError):
-        local_times(state, np.zeros(64, dtype=np.int64))
+        local_times(state, np.zeros(64, dtype=np.int64), rng=np.random.default_rng(0))
 
 
 def test_white_noise_uses_supplied_stream():
     model = ClockModel(white_phase_sigma_fs=100.0)
     state = ClockState(model, rng_stream=21)
-    r1 = local_time(state, 10**12, rng=np.random.default_rng(0))
-    r2 = local_time(state, 10**12, rng=np.random.default_rng(0))
-    assert r1 == r2
-    spread = {
-        local_time(state, 10**12, rng=np.random.default_rng(k)) for k in range(20)
-    }
+    t = np.array([10**12], dtype=np.int64)
+    r1 = local_times(state, t, rng=np.random.default_rng(0))
+    r2 = local_times(state, t, rng=np.random.default_rng(0))
+    assert r1.tolist() == r2.tolist()
+    spread = {int(local_times(state, t, rng=np.random.default_rng(k))[0]) for k in range(20)}
     assert len(spread) > 5
+    # without a generator the reading is the noise-free one
+    assert local_times(state, t).tolist() == [local_time(state, 10**12)] == [10**12]
+
+
+def test_random_walk_read_only_before_epoch():
+    # a fresh walk read only at t <= 0 indexed past its one-node arrays
+    state = ClockState(ClockModel(random_walk_freq_coeff=1e-9), rng_stream=1)
+    assert local_times(state, np.array([0, -5], dtype=np.int64)).tolist() == [0, -5]
+    fresh = ClockState(ClockModel(random_walk_freq_coeff=1e-9), rng_stream=1)
+    assert local_time(fresh, -5) == -5
+    # extending the walk there changes no later reading
+    later = np.array([10**12 + 7, 5 * 10**12], dtype=np.int64)
+    untouched = ClockState(ClockModel(random_walk_freq_coeff=1e-9), rng_stream=1)
+    assert local_times(state, later).tolist() == local_times(untouched, later).tolist()

@@ -1,23 +1,31 @@
 """NTP-like hierarchical time distribution built from pairwise sync links.
 
 A topology is a set of clocked nodes and directed sync edges (upstream to
-downstream). A discrete-event loop walks scheduled sync events in (time,
-edge index) order; each event runs a full photon acquisition plus two-way
-estimation on that edge and steps the downstream clock by the measured
-offset (optionally also steering its rate). Every event derives its
-randomness from (master seed, edge index, event index), so removing one
-node's events never perturbs any other node's randomness, and single events
-can be replayed in isolation.
+downstream). A discrete-event loop walks one lazily merged stream of events
+in (time, kind, index) order: node failures, each edge's scheduled syncs and
+the report epochs. Nothing is scheduled ahead, so a horizon past 2^63 fs
+runs every event before the first one past that int64 range of tag arrays
+and stops there with TimeRangeError. Each sync runs a full photon
+acquisition plus two-way estimation on its edge and steps the downstream
+clock by the measured offset (optionally also steering its rate). Every sync
+derives its randomness from (master seed, edge index, event index), so
+removing one node's events never perturbs any other node's randomness, and
+single events can be replayed in isolation.
 
-Node failures disable a node's edges from the failure time onward; orphaned
-children fall back to the next live parent in their preference order at
-that edge's own next scheduled sync, and strata are recomputed as shortest
-hop distance from the live reference set.
+A node failure is an event at its instant, ordered before the syncs at the
+same time: the node is down from then on, and the strata are recomputed
+once as shortest hop distance from the live reference set. A sync whose
+downstream node is down logs downstream-down; otherwise the downstream's
+first candidate parent (in its failover preference order) that has a
+stratum is the active one, so orphaned children fall back at their own next
+scheduled sync, and with no such parent the sync logs holdover.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import graphlib
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -118,9 +126,16 @@ class Topology:
         refs = [n for n in self.nodes if n.role == ROLE_REFERENCE]
         if not refs:
             raise TopologyError("topology needs at least one reference node")
-        self._validate_acyclic()
+        sorter = graphlib.TopologicalSorter()
+        for e in self.edges:
+            sorter.add(e.downstream, e.upstream)
+        try:
+            sorter.prepare()
+        except graphlib.CycleError:
+            raise TopologyError("sync edges form a cycle") from None
+        children = {e.downstream for e in self.edges}
         for n in self.nodes:
-            if n.role != ROLE_REFERENCE and not self.parent_edges(n.id):
+            if n.role != ROLE_REFERENCE and n.id not in children:
                 raise TopologyError(f"node {n.id} has no parent edge")
         for node_id, _ in self.failures:
             if node_id not in known:
@@ -132,33 +147,6 @@ class Topology:
             for p in parents:
                 if p not in available:
                     raise TopologyError(f"failover parent {p} of {node_id} has no edge")
-
-    def _validate_acyclic(self):
-        order, seen = [], {}
-        adjacency = {}
-        for e in self.edges:
-            adjacency.setdefault(e.upstream, []).append(e.downstream)
-
-        def visit(node):
-            state = seen.get(node, 0)
-            if state == 1:
-                raise TopologyError("sync edges form a cycle")
-            if state == 2:
-                return
-            seen[node] = 1
-            for child in adjacency.get(node, ()):
-                visit(child)
-            seen[node] = 2
-            order.append(node)
-
-        for n in self.nodes:
-            visit(n.id)
-
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
 
     def parent_edges(self, node_id: str) -> list[int]:
         """Indices of this node's candidate parent edges, in preference order."""
@@ -174,7 +162,7 @@ class Topology:
 
 def inject_failure(topology: Topology, node_id: str, fail_at: int) -> Topology:
     """Return a topology where node_id dies at true time fail_at (fs)."""
-    node = topology.node(node_id)
+    node = {n.id: n for n in topology.nodes}[node_id]
     if node.role == ROLE_REFERENCE:
         refs = [n for n in topology.nodes if n.role == ROLE_REFERENCE]
         if len(refs) == 1:
@@ -213,32 +201,20 @@ class NetworkReport:
         }
 
 
-def _alive_fn(failures):
-    fail_at = {}
-    for node_id, t in failures:
-        fail_at[node_id] = min(t, fail_at.get(node_id, t))
-
-    def alive(node_id: str, t: int) -> bool:
-        return node_id not in fail_at or t < fail_at[node_id]
-
-    return alive
-
-
-def _strata_at(topology: Topology, alive, t: int) -> dict:
-    """Shortest-hop stratum from live reference nodes over live edges."""
+def _strata(topology: Topology, dead: set) -> dict:
+    """Shortest-hop stratum from live reference nodes over edges into live nodes."""
     strata = {n.id: None for n in topology.nodes}
-    frontier = [n.id for n in topology.nodes if n.role == ROLE_REFERENCE and alive(n.id, t)]
-    for node_id in frontier:
-        strata[node_id] = 0
+    frontier = {n.id for n in topology.nodes if n.role == ROLE_REFERENCE and n.id not in dead}
     level = 0
     while frontier:
+        for node_id in frontier:
+            strata[node_id] = level
         level += 1
-        next_frontier = []
-        for e in topology.edges:
-            if e.upstream in frontier and alive(e.downstream, t) and strata[e.downstream] is None:
-                strata[e.downstream] = level
-                next_frontier.append(e.downstream)
-        frontier = next_frontier
+        frontier = {
+            e.downstream
+            for e in topology.edges
+            if e.upstream in frontier and e.downstream not in dead and strata[e.downstream] is None
+        }
     return strata
 
 
@@ -260,6 +236,29 @@ def _ephemeris_asymmetry_fs(link: LinkModel, t_mid: int, constants: PhysicalCons
     return _halve_toward_zero(t_ab - t_ba)
 
 
+def _stream(times: range, kind: int, index: int):
+    """Events (t, kind, index, occurrence) at the given times, produced lazily."""
+    return ((t, kind, index, k) for k, t in enumerate(times))
+
+
+def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple, constants: PhysicalConstants):
+    """Run one acquisition on the edge at true time t: (offset fix fs, rate fix)."""
+    spec = SessionSpec(
+        duration=edge.duration_fs,
+        instruments_a=edge.instruments_up,
+        instruments_b=edge.instruments_down,
+        link=edge.link,
+        start_time=t,
+    )
+    streams = run_session(spec, clocks[edge.upstream], clocks[edge.downstream], event_seed, constants)
+    if not edge.track_frequency:
+        return estimate_session(streams, edge.correlation).clock_offset, 0.0
+    fit = frequency_track(
+        streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, edge.correlation
+    )
+    return fit.offset_at_epoch, fit.fractional_frequency
+
+
 def run_network(
     topology: Topology,
     horizon: int,
@@ -269,9 +268,10 @@ def run_network(
 ) -> NetworkReport:
     """Discrete-event simulation of the whole sync hierarchy.
 
-    Sync events are ordered by (true time, edge index); error-series samples
-    fall between sync times (half a report interval off the grid) so an
-    epoch always reflects a consistent post-correction state.
+    Events run in (true time, kind, index) order: failures, then syncs by
+    edge index, then error-series samples. The samples fall between sync
+    times (half a report interval off the grid) so an epoch always reflects
+    a consistent post-correction state.
     """
     min_interval = min((e.interval_fs for e in topology.edges), default=horizon)
     if horizon < min_interval:
@@ -281,113 +281,71 @@ def run_network(
     if report_interval_fs <= 0:
         raise ValueError("report_interval_fs must be positive")
 
-    alive = _alive_fn(topology.failures)
     reference_id = next(n.id for n in topology.nodes if n.role == ROLE_REFERENCE)
     clocks: dict[str, ClockState] = {
         n.id: ClockState(n.clock_model, rng_stream=(seed, "clock", n.id)) for n in topology.nodes
     }
     preference = {n.id: topology.parent_edges(n.id) for n in topology.nodes}
 
-    # kind 0 = sync (ordered by edge index), kind 1 = report sample
-    events: list[tuple[int, int, int, int]] = []
-    for edge_idx, edge in enumerate(topology.edges):
-        k = 0
-        t = edge.interval_fs
-        while t + edge.duration_fs <= horizon:
-            events.append((t, 0, edge_idx, k))
-            k += 1
-            t += edge.interval_fs
-    epochs = []
-    t = report_interval_fs // 2
-    while t <= horizon:
-        epochs.append(t)
-        events.append((t, 1, 0, len(epochs) - 1))
-        t += report_interval_fs
-    events.sort()
+    # kind 0 = node failure, 1 = sync (ordered by edge index), 2 = report sample;
+    # a failure comes first at its instant, so a node is down at t == fail_at
+    failures = sorted((t, 0, i, 0) for i, (_, t) in enumerate(topology.failures) if t <= horizon)
+    syncs = [
+        _stream(range(e.interval_fs, horizon - e.duration_fs + 1, e.interval_fs), 1, edge_idx)
+        for edge_idx, e in enumerate(topology.edges)
+    ]
+    epochs = range(report_interval_fs // 2, horizon + 1, report_interval_fs)
 
+    dead: set[str] = set()
+    strata = _strata(topology, dead)
     errors: dict[str, list[int]] = {n.id: [] for n in topology.nodes}
     attempts = [0] * len(topology.edges)
     successes = [0] * len(topology.edges)
     event_log: list[dict] = []
 
-    for t, kind, edge_idx, occurrence in events:
-        if kind == 1:
+    for t, kind, index, occurrence in heapq.merge(failures, *syncs, _stream(epochs, 2, 0)):
+        if kind == 0:
+            dead.add(topology.failures[index][0])
+            strata = _strata(topology, dead)
+            continue
+        if kind == 2:
             ref_reading = local_time(clocks[reference_id], t)
             for n in topology.nodes:
-                reading = local_time(clocks[n.id], t)
-                errors[n.id].append(reading - ref_reading)
+                errors[n.id].append(local_time(clocks[n.id], t) - ref_reading)
             continue
 
-        edge = topology.edges[edge_idx]
+        edge = topology.edges[index]
         record = {
-            "edge": edge_idx,
+            "edge": index,
             "event": occurrence,
             "t_s": t / FS_PER_SECOND,
             "upstream": edge.upstream,
             "downstream": edge.downstream,
         }
-        if not alive(edge.downstream, t):
+        parents = (c for c in preference[edge.downstream] if strata[topology.edges[c].upstream] is not None)
+        if edge.downstream in dead:
             record["outcome"] = "downstream-down"
-            event_log.append(record)
-            continue
-        strata_now = _strata_at(topology, alive, t)
-        active_edge = None
-        for candidate in preference[edge.downstream]:
-            upstream = topology.edges[candidate].upstream
-            if alive(upstream, t) and strata_now[upstream] is not None:
-                active_edge = candidate
-                break
-        if active_edge is None:
+        elif (parent := next(parents, None)) is None:
             record["outcome"] = "holdover"
-            event_log.append(record)
-            continue
-        if active_edge != edge_idx:
+        elif parent != index:
             record["outcome"] = "standby"
-            event_log.append(record)
-            continue
-
-        attempts[edge_idx] += 1
-        spec = SessionSpec(
-            duration=edge.duration_fs,
-            instruments_a=edge.instruments_up,
-            instruments_b=edge.instruments_down,
-            link=edge.link,
-            start_time=t,
-        )
-        event_seed = (seed, "edge", edge_idx, "event", occurrence)
-        try:
-            streams = run_session(
-                spec, clocks[edge.upstream], clocks[edge.downstream], event_seed, constants
-            )
-            if edge.track_frequency:
-                fit = frequency_track(
-                    streams.local_a,
-                    streams.remote_ab,
-                    streams.local_b,
-                    streams.remote_ba,
-                    edge.correlation,
-                )
-                offset_fix, rate_fix = fit.offset_at_epoch, fit.fractional_frequency
+        else:
+            attempts[index] += 1
+            event_seed = (seed, "edge", index, "event", occurrence)
+            try:
+                offset_fix, rate_fix = _measure(edge, clocks, t, event_seed, constants)
+            except (EstimationError, NotVisibleError) as exc:
+                record["outcome"] = f"failed: {exc}"
             else:
-                result = estimate_session(streams, edge.correlation)
-                offset_fix, rate_fix = result.clock_offset, 0.0
-        except (EstimationError, NotVisibleError) as exc:
-            record["outcome"] = f"failed: {exc}"
-            event_log.append(record)
-            continue
-
-        offset_fix -= _ephemeris_asymmetry_fs(edge.link, t + edge.duration_fs // 2, constants)
-        clocks[edge.downstream] = apply_correction(clocks[edge.downstream], offset_fix, rate_fix)
-        successes[edge_idx] += 1
-        record["outcome"] = "applied"
-        record["offset_fix_fs"] = offset_fix
-        record["rate_fix"] = rate_fix
+                offset_fix -= _ephemeris_asymmetry_fs(edge.link, t + edge.duration_fs // 2, constants)
+                clocks[edge.downstream] = apply_correction(clocks[edge.downstream], offset_fix, rate_fix)
+                successes[index] += 1
+                record.update(outcome="applied", offset_fix_fs=offset_fix, rate_fix=rate_fix)
         event_log.append(record)
 
-    final_strata = _strata_at(topology, alive, horizon)
     by_stratum: dict[int, list[int]] = {}
     for n in topology.nodes:
-        stratum = final_strata[n.id]
+        stratum = strata[n.id]
         if stratum is None:
             continue
         by_stratum.setdefault(stratum, []).extend(errors[n.id])
@@ -403,7 +361,7 @@ def run_network(
     return NetworkReport(
         node_ids=tuple(n.id for n in topology.nodes),
         roles={n.id: n.role for n in topology.nodes},
-        strata=final_strata,
+        strata=strata,
         epochs_fs=tuple(epochs),
         errors_fs={k: tuple(v) for k, v in errors.items()},
         edge_attempts=tuple(attempts),
@@ -426,23 +384,18 @@ def gps_baseline_comparison(report: NetworkReport) -> dict:
         "within_0.7ns": BOUND_MICIUS_FS,
         "within_20ns": BOUND_GPS_FS,
     }
-    per_node = {}
-    for node_id in report.node_ids:
-        series = report.errors_fs[node_id]
-        per_node[node_id] = {
-            name: sum(1 for v in series if abs(v) <= limit) / len(series)
-            for name, limit in bounds.items()
-        }
+
+    def fractions(values) -> dict:
+        return {name: sum(1 for v in values if abs(v) <= limit) / len(values) for name, limit in bounds.items()}
+
+    per_node = {node_id: fractions(report.errors_fs[node_id]) for node_id in report.node_ids}
     non_reference = [
         node_id for node_id in report.node_ids if report.roles[node_id] != ROLE_REFERENCE
     ]
     overall_pool = non_reference or list(report.node_ids)
-    overall = {}
-    for name, limit in bounds.items():
-        values = [v for node_id in overall_pool for v in report.errors_fs[node_id]]
-        overall[name] = sum(1 for v in values if abs(v) <= limit) / len(values)
+    overall = fractions([v for node_id in overall_pool for v in report.errors_fs[node_id]])
     return {
-        "bounds_fs": {name: limit for name, limit in bounds.items()},
+        "bounds_fs": dict(bounds),
         "per_node": per_node,
         "overall": overall,
     }

@@ -20,6 +20,7 @@ from qcsync.netsync import (
     run_network,
 )
 from qcsync.photonics import Detector, PairSource, TimeTagger
+from qcsync.scenario import build_topology
 from qcsync.session import NodeInstruments
 from qcsync.timebase import ClockModel
 
@@ -175,6 +176,40 @@ def test_failover_reparents_within_one_interval():
     assert abs(report.errors_fs["leaf"][-1]) < 2 * 10**5
 
 
+def test_failure_at_a_sync_instant_takes_effect_at_that_sync():
+    # syncs run at 0.01 s and 0.02 s on both edges; a node is down from its failure time on
+    at = 2 * 10**13
+    leaf_down = run_network(inject_failure(_chain(), "n2", at), horizon=3 * 10**13, seed=5)
+    parent_down = run_network(inject_failure(_chain(), "n1", at), horizon=3 * 10**13, seed=5)
+
+    def outcomes(report, node):
+        return [e["outcome"] for e in report.events if e["downstream"] == node]
+
+    assert outcomes(leaf_down, "n1") == ["applied", "applied"]
+    assert outcomes(leaf_down, "n2") == ["applied", "downstream-down"]
+    assert outcomes(parent_down, "n1") == ["applied", "downstream-down"]
+    assert outcomes(parent_down, "n2") == ["applied", "holdover"]
+
+
+def test_deep_chain_builds_from_config():
+    # a 1500-node chain once overflowed the recursion of the cycle check
+    edge = {
+        "interval_s": 5,
+        "link": {"geometry": {"variant": "static_range", "range_m": 3000.0}},
+        "session": {"duration_s": 1e-5, "source_up": {"pair_rate_hz": 1e7}, "source_down": {"pair_rate_hz": 1e7}},
+        "correlation": {"search_window_fs": 10**11, "coarse_bin_fs": 10**6, "fine_bin_fs": 2 * 10**5},
+    }
+    ids = [f"n{i}" for i in range(1500)]
+    section = {
+        "horizon_s": 6,
+        "nodes": [{"id": ids[0], "role": "reference", "clock": {}}] + [{"id": i, "clock": {}} for i in ids[1:]],
+        "edges": [dict(edge, upstream=up, downstream=down) for up, down in zip(ids, ids[1:])],
+    }
+    topology, horizon, _ = build_topology(section)
+    assert len(topology.edges) == 1499 and horizon == 6 * FS
+    assert topology.parent_edges(ids[-1]) == [1498]
+
+
 def _tracked_topology(block_count):
     nodes = (
         Node("ref", ClockModel(), role=ROLE_REFERENCE),
@@ -238,6 +273,11 @@ def test_topology_validation():
         Topology(nodes=(a,), edges=())
     with pytest.raises(TopologyError, match="cycle"):
         Topology(nodes=(ref, a, b), edges=(_edge("ref", "a"), _edge("a", "b"), _edge("b", "a")))
+    # the cycle closes through each node's second parent edge, in either edge order
+    edges = (_edge("ref", "a"), _edge("ref", "b"), _edge("a", "b"), _edge("b", "a"))
+    for ordered in (edges, edges[::-1]):
+        with pytest.raises(TopologyError, match="cycle"):
+            Topology(nodes=(ref, a, b), edges=ordered)
     with pytest.raises(TopologyError, match="no parent"):
         Topology(nodes=(ref, a), edges=())
     with pytest.raises(TopologyError, match="failover"):

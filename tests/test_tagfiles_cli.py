@@ -783,16 +783,16 @@ def test_seconds_past_the_float_range_exit_two(tmp_path, capsys, command, base, 
     assert key[-1] in err and "Traceback" not in err
 
 
-def test_net_interval_below_one_fs_exits_two(tmp_path):
-    # interval_s 1e-20 rounded to a 0 fs interval, and the schedule loop never ended
-    path = tmp_path / "tiny_interval.json"
-    path.write_text(json.dumps(_two_node_net(10, 1e-20, 5)))
+def _net_subprocess(tmp_path, config) -> subprocess.CompletedProcess:
+    """Run `python -m qcsync net` on config in a child capped at 20 s and 1 GiB."""
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(config))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = {**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")}
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "qcsync", "net", "--config", str(path), "--out", str(tmp_path / "out")],
         env=env,
         preexec_fn=limit_memory,
@@ -800,8 +800,21 @@ def test_net_interval_below_one_fs_exits_two(tmp_path):
         text=True,
         timeout=20,
     )
+
+
+def test_net_interval_below_one_fs_exits_two(tmp_path):
+    # interval_s 1e-20 rounded to a 0 fs interval, and the schedule loop never ended
+    result = _net_subprocess(tmp_path, _two_node_net(10, 1e-20, 5))
     assert result.returncode == 2
     assert "interval_s" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_net_huge_horizon_stops_at_the_first_event_past_int64(tmp_path):
+    # the whole schedule to 10^12 s was built before the first sync ran, and the run hung;
+    # the syncs up to 9000 s run, and the one at 10000 s is past 2^63 fs
+    result = _net_subprocess(tmp_path, _two_node_net(1e12, 1000, 1e12))
+    assert result.returncode == 2
+    assert "9223 s" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_net_failure_of_unknown_node_exits_two(tmp_path, capsys):

@@ -6,192 +6,26 @@ free-space link geometry and relativistic delays (linkmodel), the
 coarse-to-fine correlation estimator and two-way combination (estimator),
 CHSH-based link authentication (bellauth), multi-node network sync
 (netsync), and a timetag file format plus CLI (tagfiles, cli).
+
+The package re-exports each module's __all__, and its own __all__ is their
+union.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .bellauth import (
-    AUTHENTIC,
-    INCONCLUSIVE,
-    REJECTED,
-    AuthPolicy,
-    ChshEstimate,
-    ChshSettings,
-    EntanglementModel,
-    authenticate,
-    chsh_value,
-    simulate_coincidences,
-)
-from .estimator import (
-    CoarseHistogram,
-    CorrelationConfig,
-    CorrelationResult,
-    EmptyOverlapError,
-    EstimationError,
-    FrequencyFit,
-    NoPeakError,
-    PeakMembers,
-    TwoWayResult,
-    UnphysicalFlightTimeError,
-    coarse_histogram,
-    cross_correlate,
-    estimate_two_way,
-    frequency_track,
-    two_way_offset,
-)
-from .linkmodel import (
-    DEFAULT_CONSTANTS,
-    CircularOrbit,
-    DegenerateGeometryError,
-    Direction,
-    GeometryError,
-    GeometrySample,
-    GroundStation,
-    LightTimeConvergenceError,
-    LinkModel,
-    NotVisibleError,
-    PhysicalConstants,
-    StaticRange,
-    orbital_period,
-    propagate,
-    relativistic_rate_offset,
-    sample_geometry,
-    shapiro_delay,
-    time_of_flight,
-    visibility_windows,
-)
-from .netsync import (
-    ROLE_GROUND,
-    ROLE_REFERENCE,
-    ROLE_SATELLITE,
-    NetworkReport,
-    Node,
-    SyncEdge,
-    Topology,
-    TopologyError,
-    gps_baseline_comparison,
-    inject_failure,
-    run_network,
-)
-from .photonics import (
-    Detector,
-    PairSource,
-    TagStream,
-    TimeTagger,
-    detect,
-    generate_pair_births,
-    split_pairs,
-)
-from .scenario import ConfigError, load_scenario, validate_scenario
-from .seeding import SeedSpec, derive_rng, derive_seed_sequence, seed_path, spawn_rng, stable_token
-from .session import (
-    NodeInstruments,
-    SessionSpec,
-    SessionStreams,
-    SessionTruth,
-    estimate_session,
-    run_session,
-)
-from .tagfiles import TagFileError, read_timetag_file, write_timetag_file
-from .timebase import (
-    FS_PER_SECOND,
-    ClockModel,
-    ClockState,
-    TimeRangeError,
-    apply_correction,
-    local_time,
-    local_times,
-)
+from . import bellauth, estimator, linkmodel, netsync, photonics, scenario, seeding, session, tagfiles, timebase
+from .bellauth import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .linkmodel import *  # noqa: F403
+from .netsync import *  # noqa: F403
+from .photonics import *  # noqa: F403
+from .scenario import *  # noqa: F403
+from .seeding import *  # noqa: F403
+from .session import *  # noqa: F403
+from .tagfiles import *  # noqa: F403
+from .timebase import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "AUTHENTIC",
-    "INCONCLUSIVE",
-    "REJECTED",
-    "AuthPolicy",
-    "ChshEstimate",
-    "ChshSettings",
-    "CircularOrbit",
-    "ClockModel",
-    "ClockState",
-    "ConfigError",
-    "CoarseHistogram",
-    "CorrelationConfig",
-    "CorrelationResult",
-    "PeakMembers",
-    "DEFAULT_CONSTANTS",
-    "DegenerateGeometryError",
-    "Detector",
-    "Direction",
-    "EmptyOverlapError",
-    "EntanglementModel",
-    "EstimationError",
-    "FS_PER_SECOND",
-    "FrequencyFit",
-    "GeometryError",
-    "GeometrySample",
-    "GroundStation",
-    "LightTimeConvergenceError",
-    "LinkModel",
-    "NetworkReport",
-    "NoPeakError",
-    "Node",
-    "NodeInstruments",
-    "NotVisibleError",
-    "PairSource",
-    "PhysicalConstants",
-    "ROLE_GROUND",
-    "ROLE_REFERENCE",
-    "ROLE_SATELLITE",
-    "SeedSpec",
-    "SessionSpec",
-    "SessionStreams",
-    "SessionTruth",
-    "StaticRange",
-    "SyncEdge",
-    "TagFileError",
-    "TagStream",
-    "TimeRangeError",
-    "TimeTagger",
-    "Topology",
-    "TopologyError",
-    "TwoWayResult",
-    "UnphysicalFlightTimeError",
-    "apply_correction",
-    "authenticate",
-    "chsh_value",
-    "coarse_histogram",
-    "cross_correlate",
-    "derive_rng",
-    "derive_seed_sequence",
-    "detect",
-    "estimate_session",
-    "estimate_two_way",
-    "frequency_track",
-    "generate_pair_births",
-    "gps_baseline_comparison",
-    "inject_failure",
-    "load_scenario",
-    "local_time",
-    "local_times",
-    "orbital_period",
-    "propagate",
-    "read_timetag_file",
-    "relativistic_rate_offset",
-    "run_network",
-    "run_session",
-    "sample_geometry",
-    "seed_path",
-    "shapiro_delay",
-    "simulate_coincidences",
-    "spawn_rng",
-    "split_pairs",
-    "stable_token",
-    "time_of_flight",
-    "two_way_offset",
-    "validate_scenario",
-    "visibility_windows",
-    "write_timetag_file",
-]
+_MODULES = (bellauth, estimator, linkmodel, netsync, photonics, scenario, seeding, session, tagfiles, timebase)
+__all__ = sorted({name for module in _MODULES for name in module.__all__})

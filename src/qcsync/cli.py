@@ -46,7 +46,7 @@ from .scenario import (
     load_scenario,
     require_sections,
 )
-from .session import run_session
+from .session import estimate_session, run_session
 from .tagfiles import TagFileError, atomic_write_text, read_timetag_file, write_timetag_file
 from .timebase import FS_PER_SECOND, ClockState, TimeRangeError
 
@@ -128,13 +128,7 @@ def cmd_simulate(args) -> int:
     for path in files.values():
         read_timetag_file(path)  # zero exit promises artifacts that validate
 
-    result = estimate_two_way(
-        streams.local_a,
-        streams.remote_ab,
-        streams.local_b,
-        streams.remote_ba,
-        cfg,
-    )
+    result = estimate_session(streams, cfg)
     payload = _two_way_dict(result)
     payload["truth"] = dataclasses.asdict(streams.truth)
     # basenames keep the artifact byte-identical across output directories
@@ -306,10 +300,7 @@ def main(argv=None) -> int:
     except _ESTIMATION_ERRORS as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except TagFileError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (TagFileError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except _CONFIG_ERRORS as exc:

@@ -693,7 +693,11 @@ def estimate_two_way(
 
 
 def frequency_track(local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig) -> FrequencyFit:
-    """Fractional frequency and offset at epoch: estimate_two_way's member-line fit."""
+    """Fractional frequency and offset at epoch: estimate_two_way's member-line fit.
+
+    No library code calls it; it stays because bench/spans.py traces it and
+    bench/workloads.py NetMonteCarlo rebinds netsync.frequency_track, both by name.
+    """
     return estimate_two_way(local_a, remote_ab, local_b, remote_ba, cfg).frequency
 
 

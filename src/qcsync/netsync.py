@@ -3,18 +3,19 @@
 A topology is a set of clocked nodes and directed sync edges (upstream to
 downstream). A discrete-event loop walks one lazily merged stream of events
 in (time, kind, index) order: node failures, each edge's scheduled syncs and
-the report epochs. Nothing is scheduled ahead, so a horizon past 2^63 fs
-runs every event before the first one past that int64 range of tag arrays
-and stops there with TimeRangeError. Each sync runs a full photon
-acquisition plus two-way estimation on its edge and steps the downstream
-clock by the measured offset (optionally also steering its rate). Every sync
+the report epochs. A horizon at or past 2^63 fs, the int64 range of tag
+arrays, raises TimeRangeError before the first event. Each sync runs one
+photon acquisition and one two-way estimate on its edge and steps the
+downstream clock by the measured offset (optionally also steering its rate
+by the measured fractional frequency). Every sync
 derives its randomness from (master seed, edge index, event index), so
 removing one node's events never perturbs any other node's randomness, and
 single events can be replayed in isolation.
 
 A node failure is an event at its instant, ordered before the syncs at the
 same time: the node is down from then on, and the strata are recomputed
-once as shortest hop distance from the live reference set. A sync whose
+once as shortest hop distance from the live reference set. At least one
+reference node never fails. A sync whose
 downstream node is down logs downstream-down; otherwise the downstream's
 first candidate parent (in its failover preference order) that has a
 stratum is the active one, so orphaned children fall back at their own next
@@ -29,7 +30,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .estimator import CorrelationConfig, EstimationError, _halve_toward_zero, frequency_track
+# frequency_track is bound here but not called: bench/workloads.py rebinds it by name
+from .estimator import CorrelationConfig, EstimationError, _halve_toward_zero, frequency_track  # noqa: F401
 from .linkmodel import (
     DEFAULT_CONSTANTS,
     Direction,
@@ -39,7 +41,7 @@ from .linkmodel import (
     time_of_flight,
 )
 from .session import NodeInstruments, SessionSpec, estimate_session, run_session
-from .timebase import FS_PER_SECOND, ClockModel, ClockState, apply_correction, local_time
+from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel, ClockState, TimeRangeError, apply_correction, local_time
 
 __all__ = [
     "Node",
@@ -48,11 +50,13 @@ __all__ = [
     "NetworkReport",
     "TopologyError",
     "run_network",
-    "inject_failure",
     "gps_baseline_comparison",
     "BOUND_QCS_FS",
     "BOUND_MICIUS_FS",
     "BOUND_GPS_FS",
+    "ROLE_REFERENCE",
+    "ROLE_SATELLITE",
+    "ROLE_GROUND",
 ]
 
 BOUND_QCS_FS = 10_000  # 10 ps, entangled-pair demo target
@@ -109,6 +113,10 @@ class Topology:
     edges: tuple[SyncEdge, ...]
     failover_rules: dict = field(default_factory=dict)  # node id -> ordered upstream ids
     failures: tuple = ()  # (node id, fail_at_fs) pairs
+    # built once from the fields above: node id -> parent edge indices in
+    # preference order, and every node id in an upstream-first order
+    _parents: dict = field(init=False, repr=False, compare=False)
+    _order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -117,62 +125,45 @@ class Topology:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise TopologyError("duplicate node ids")
-        known = set(ids)
-        for e in self.edges:
-            if e.upstream not in known or e.downstream not in known:
+        incoming: dict[str, list[int]] = {node_id: [] for node_id in ids}
+        for i, e in enumerate(self.edges):
+            if e.upstream not in incoming or e.downstream not in incoming:
                 raise TopologyError(f"edge {e.upstream}->{e.downstream} references unknown node")
             if e.upstream == e.downstream:
                 raise TopologyError("self-loop edge")
-        refs = [n for n in self.nodes if n.role == ROLE_REFERENCE]
+            incoming[e.downstream].append(i)
+        refs = {n.id for n in self.nodes if n.role == ROLE_REFERENCE}
         if not refs:
             raise TopologyError("topology needs at least one reference node")
-        sorter = graphlib.TopologicalSorter()
-        for e in self.edges:
-            sorter.add(e.downstream, e.upstream)
+        sorter = graphlib.TopologicalSorter(
+            {node_id: [self.edges[i].upstream for i in edges] for node_id, edges in incoming.items()}
+        )
         try:
-            sorter.prepare()
+            object.__setattr__(self, "_order", tuple(sorter.static_order()))
         except graphlib.CycleError:
             raise TopologyError("sync edges form a cycle") from None
-        children = {e.downstream for e in self.edges}
         for n in self.nodes:
-            if n.role != ROLE_REFERENCE and n.id not in children:
+            if n.role != ROLE_REFERENCE and not incoming[n.id]:
                 raise TopologyError(f"node {n.id} has no parent edge")
         for node_id, _ in self.failures:
-            if node_id not in known:
+            if node_id not in incoming:
                 raise TopologyError(f"failure of unknown node {node_id}")
+        if refs <= {node_id for node_id, _ in self.failures}:
+            raise TopologyError("at least one reference node must never fail")
         for node_id, parents in self.failover_rules.items():
-            if node_id not in known:
+            if node_id not in incoming:
                 raise TopologyError(f"failover rule for unknown node {node_id}")
-            available = {e.upstream for e in self.edges if e.downstream == node_id}
+            by_upstream = {self.edges[i].upstream: i for i in incoming[node_id]}
             for p in parents:
-                if p not in available:
+                if p not in by_upstream:
                     raise TopologyError(f"failover parent {p} of {node_id} has no edge")
+            preferred = [by_upstream[p] for p in parents]
+            incoming[node_id] = preferred + [i for i in incoming[node_id] if i not in preferred]
+        object.__setattr__(self, "_parents", {node_id: tuple(edges) for node_id, edges in incoming.items()})
 
     def parent_edges(self, node_id: str) -> list[int]:
         """Indices of this node's candidate parent edges, in preference order."""
-        incoming = [i for i, e in enumerate(self.edges) if e.downstream == node_id]
-        rule = self.failover_rules.get(node_id)
-        if not rule:
-            return incoming
-        by_upstream = {self.edges[i].upstream: i for i in incoming}
-        ordered = [by_upstream[p] for p in rule if p in by_upstream]
-        ordered += [i for i in incoming if i not in ordered]
-        return ordered
-
-
-def inject_failure(topology: Topology, node_id: str, fail_at: int) -> Topology:
-    """Return a topology where node_id dies at true time fail_at (fs)."""
-    node = {n.id: n for n in topology.nodes}[node_id]
-    if node.role == ROLE_REFERENCE:
-        refs = [n for n in topology.nodes if n.role == ROLE_REFERENCE]
-        if len(refs) == 1:
-            raise TopologyError("cannot fail the only reference node")
-    return Topology(
-        nodes=topology.nodes,
-        edges=topology.edges,
-        failover_rules=dict(topology.failover_rules),
-        failures=topology.failures + ((node_id, int(fail_at)),),
-    )
+        return list(self._parents[node_id])
 
 
 @dataclass(frozen=True)
@@ -202,20 +193,23 @@ class NetworkReport:
 
 
 def _strata(topology: Topology, dead: set) -> dict:
-    """Shortest-hop stratum from live reference nodes over edges into live nodes."""
-    strata = {n.id: None for n in topology.nodes}
-    frontier = {n.id for n in topology.nodes if n.role == ROLE_REFERENCE and n.id not in dead}
-    level = 0
-    while frontier:
-        for node_id in frontier:
-            strata[node_id] = level
-        level += 1
-        frontier = {
-            e.downstream
-            for e in topology.edges
-            if e.upstream in frontier and e.downstream not in dead and strata[e.downstream] is None
-        }
-    return strata
+    """Shortest-hop stratum from live reference nodes over edges into live nodes.
+
+    One pass in topological order, so every parent's stratum is final before
+    its children read it: 0 for a live reference, None for a dead node, and
+    otherwise 1 + the smallest parent stratum (None with no reachable parent).
+    """
+    refs = {n.id for n in topology.nodes if n.role == ROLE_REFERENCE}
+    strata: dict = {}
+    for node_id in topology._order:
+        if node_id in dead:
+            strata[node_id] = None
+        elif node_id in refs:
+            strata[node_id] = 0
+        else:
+            hops = (strata[topology.edges[i].upstream] for i in topology._parents[node_id])
+            strata[node_id] = min((h + 1 for h in hops if h is not None), default=None)
+    return {n.id: strata[n.id] for n in topology.nodes}
 
 
 def _ephemeris_asymmetry_fs(link: LinkModel, t_mid: int, constants: PhysicalConstants) -> int:
@@ -251,12 +245,10 @@ def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple, constants:
         start_time=t,
     )
     streams = run_session(spec, clocks[edge.upstream], clocks[edge.downstream], event_seed, constants)
-    if not edge.track_frequency:
-        return estimate_session(streams, edge.correlation).clock_offset, 0.0
-    fit = frequency_track(
-        streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, edge.correlation
-    )
-    return fit.offset_at_epoch, fit.fractional_frequency
+    result = estimate_session(streams, edge.correlation)
+    if edge.track_frequency:
+        return result.frequency.offset_at_epoch, result.frequency.fractional_frequency
+    return result.clock_offset, 0.0
 
 
 def run_network(
@@ -271,8 +263,14 @@ def run_network(
     Events run in (true time, kind, index) order: failures, then syncs by
     edge index, then error-series samples. The samples fall between sync
     times (half a report interval off the grid) so an epoch always reflects
-    a consistent post-correction state.
+    a consistent post-correction state. A horizon at or past 2^63 fs raises
+    TimeRangeError before the first event.
     """
+    if horizon >= INT64_LIMIT:
+        raise TimeRangeError(
+            f"horizon {horizon / FS_PER_SECOND:g} s is past the int64 femtosecond range of "
+            f"tag arrays (2^63 fs, about {INT64_LIMIT // FS_PER_SECOND} s)"
+        )
     min_interval = min((e.interval_fs for e in topology.edges), default=horizon)
     if horizon < min_interval:
         raise ValueError("horizon must cover at least one schedule interval")
@@ -285,7 +283,6 @@ def run_network(
     clocks: dict[str, ClockState] = {
         n.id: ClockState(n.clock_model, rng_stream=(seed, "clock", n.id)) for n in topology.nodes
     }
-    preference = {n.id: topology.parent_edges(n.id) for n in topology.nodes}
 
     # kind 0 = node failure, 1 = sync (ordered by edge index), 2 = report sample;
     # a failure comes first at its instant, so a node is down at t == fail_at
@@ -322,7 +319,7 @@ def run_network(
             "upstream": edge.upstream,
             "downstream": edge.downstream,
         }
-        parents = (c for c in preference[edge.downstream] if strata[topology.edges[c].upstream] is not None)
+        parents = (c for c in topology.parent_edges(edge.downstream) if strata[topology.edges[c].upstream] is not None)
         if edge.downstream in dead:
             record["outcome"] = "downstream-down"
         elif (parent := next(parents, None)) is None:

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stable_token", "derive_rng", "derive_seed_sequence", "seed_path", "spawn_rng"]
+__all__ = ["SeedSpec", "stable_token", "derive_rng", "derive_seed_sequence", "seed_path", "spawn_rng"]
 
 SeedSpec = int | str | tuple
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -33,7 +34,6 @@ from qcsync.netsync import (
     SyncEdge,
     Topology,
     gps_baseline_comparison,
-    inject_failure,
     run_network,
 )
 from qcsync.photonics import Detector, PairSource, TimeTagger
@@ -353,8 +353,9 @@ def test_c09_strata_rms_scaling_failover_and_isolation():
         edges=(edge("ref", "relay"), edge("relay", "leaf"), edge("ref", "leaf")),
         failover_rules={"leaf": ["relay", "ref"]},
     )
-    failed = inject_failure(topology, "relay", 15 * 10**12)
+    failed = dataclasses.replace(topology, failures=(("relay", 15 * 10**12),))
     report = run_network(failed, horizon=4 * 10**13, seed=9)
+    assert report.strata == {"ref": 0, "relay": None, "leaf": 1}
     leaf_events = [e for e in report.events if e["downstream"] == "leaf"]
     applied_after = [
         e for e in leaf_events if e["t_s"] > 0.015 and e["outcome"] == "applied"
@@ -366,7 +367,8 @@ def test_c09_strata_rms_scaling_failover_and_isolation():
     # killing a leaf must leave every other node's series bit-identical
     base = _chain_topology()
     a = run_network(base, horizon=4 * 10**13, seed=5)
-    b = run_network(inject_failure(base, "n2", 2 * 10**13), horizon=4 * 10**13, seed=5)
+    b = run_network(dataclasses.replace(base, failures=(("n2", 2 * 10**13),)), horizon=4 * 10**13, seed=5)
+    assert b.strata == {"ref": 0, "n1": 1, "n2": None}
     assert a.errors_fs["n1"] == b.errors_fs["n1"]
     assert a.errors_fs["ref"] == b.errors_fs["ref"]
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
 
 import pytest
 
+from qcsync import netsync
 from qcsync.estimator import CorrelationConfig
 from qcsync.linkmodel import LinkModel, StaticRange
 from qcsync.netsync import (
@@ -16,7 +19,6 @@ from qcsync.netsync import (
     Topology,
     TopologyError,
     gps_baseline_comparison,
-    inject_failure,
     run_network,
 )
 from qcsync.photonics import Detector, PairSource, TimeTagger
@@ -125,7 +127,7 @@ def test_leaf_failure_leaves_other_nodes_bit_identical():
     base = _chain(
         offsets=(0, 3 * 10**6, -2 * 10**6),
     )
-    with_failure = inject_failure(base, "n2", 2 * 10**13)
+    with_failure = dataclasses.replace(base, failures=(("n2", 2 * 10**13),))
     a = run_network(base, horizon=4 * 10**13, seed=5)
     b = run_network(with_failure, horizon=4 * 10**13, seed=5)
     # n1 never sees n2's failure: identical randomness, identical series
@@ -138,7 +140,7 @@ def test_leaf_failure_leaves_other_nodes_bit_identical():
 
 def test_holdover_when_parent_dies_without_failover():
     base = _chain()
-    dead_parent = inject_failure(base, "n1", 15 * 10**12)
+    dead_parent = dataclasses.replace(base, failures=(("n1", 15 * 10**12),))
     report = run_network(dead_parent, horizon=4 * 10**13, seed=5)
     outcomes = [e["outcome"] for e in report.events if e["downstream"] == "n2"]
     assert "holdover" in outcomes
@@ -164,6 +166,8 @@ def test_failover_reparents_within_one_interval():
         failover_rules={"leaf": ["relay", "ref"]},
         failures=(("relay", 15 * 10**12),),
     )
+    assert topology.parent_edges("leaf") == [1, 2]
+    assert dataclasses.replace(topology, failover_rules={"leaf": ["ref"]}).parent_edges("leaf") == [2, 1]
     report = run_network(topology, horizon=4 * 10**13, seed=9)
     leaf_events = [e for e in report.events if e["downstream"] == "leaf"]
     before = [e for e in leaf_events if e["t_s"] < 0.015]
@@ -173,14 +177,15 @@ def test_failover_reparents_within_one_interval():
     assert {e["outcome"] for e in after if e["upstream"] == "ref"} == {"applied"}
     # leaf stays synced through the failure: within one interval of slack
     assert report.strata["leaf"] == 1
+    assert report.strata == {"ref": 0, "relay": None, "leaf": 1}
     assert abs(report.errors_fs["leaf"][-1]) < 2 * 10**5
 
 
 def test_failure_at_a_sync_instant_takes_effect_at_that_sync():
     # syncs run at 0.01 s and 0.02 s on both edges; a node is down from its failure time on
     at = 2 * 10**13
-    leaf_down = run_network(inject_failure(_chain(), "n2", at), horizon=3 * 10**13, seed=5)
-    parent_down = run_network(inject_failure(_chain(), "n1", at), horizon=3 * 10**13, seed=5)
+    leaf_down = run_network(_chain(failures=(("n2", at),)), horizon=3 * 10**13, seed=5)
+    parent_down = run_network(_chain(failures=(("n1", at),)), horizon=3 * 10**13, seed=5)
 
     def outcomes(report, node):
         return [e["outcome"] for e in report.events if e["downstream"] == node]
@@ -290,9 +295,72 @@ def test_topology_validation():
 
 def test_cannot_fail_only_reference():
     topology = _chain()
-    with pytest.raises(TopologyError, match="only reference"):
-        inject_failure(topology, "ref", 10**12)
-    assert inject_failure(topology, "n1", 10**12).failures == (("n1", 10**12),)
+    with pytest.raises(TopologyError, match="reference node must never fail"):
+        dataclasses.replace(topology, failures=(("ref", 10**12),))
+    assert dataclasses.replace(topology, failures=(("n1", 10**12),)).failures == (("n1", 10**12),)
+    # with a second reference, either may fail, but not both
+    ref2 = Node("ref2", ClockModel(), role=ROLE_REFERENCE)
+    two_refs = Topology(nodes=topology.nodes + (ref2,), edges=topology.edges, failures=(("ref", 10**12),))
+    assert run_network(two_refs, horizon=2 * 10**13, seed=1).strata == {"ref": None, "n1": None, "n2": None, "ref2": 0}
+    with pytest.raises(TopologyError, match="reference node must never fail"):
+        dataclasses.replace(two_refs, failures=(("ref", 10**12), ("ref2", 2 * 10**12)))
+
+
+def _strata_by_search(topology, dead):
+    """Breadth-first hop count from the live reference nodes, level by level over every edge."""
+    strata = {n.id: None for n in topology.nodes}
+    frontier = {n.id for n in topology.nodes if n.role == ROLE_REFERENCE and n.id not in dead}
+    level = 0
+    while frontier:
+        for node_id in frontier:
+            strata[node_id] = level
+        level += 1
+        frontier = {
+            e.downstream
+            for e in topology.edges
+            if e.upstream in frontier and e.downstream not in dead and strata[e.downstream] is None
+        }
+    return strata
+
+
+def test_strata_match_breadth_first_search():
+    rng = random.Random(7)
+    for _ in range(200):
+        size = rng.randint(2, 9)
+        ids = [f"n{i}" for i in range(size)]
+        refs = set(ids[: rng.randint(1, 2)])
+        nodes = tuple(Node(i, ClockModel(), role=ROLE_REFERENCE if i in refs else ROLE_GROUND) for i in ids)
+        # every edge points from a lower index to a higher one, so there is no cycle
+        edges = [_edge(rng.choice(ids[:k]), ids[k]) for k in range(1, size) if ids[k] not in refs]
+        edges += [_edge(ids[a], ids[b]) for a in range(size) for b in range(a + 1, size) if rng.random() < 0.2]
+        rng.shuffle(edges)
+        topology = Topology(nodes=nodes, edges=tuple(edges))
+        dead = {i for i in ids if rng.random() < 0.3}
+        assert netsync._strata(topology, dead) == _strata_by_search(topology, dead)
+
+
+def test_each_sync_runs_one_session_and_one_estimate(monkeypatch):
+    # bench/workloads.py NetMonteCarlo rebinds these netsync globals to count
+    # tags and record one estimate per attempted sync, tracked edges included
+    calls = {"run_session": 0, "estimate_session": 0}
+    for name, original in [(name, getattr(netsync, name)) for name in calls]:
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(netsync, name, counted)
+
+    def frequency_track(*args, **kwargs):
+        raise AssertionError("run_network called frequency_track")
+
+    monkeypatch.setattr(netsync, "frequency_track", frequency_track)
+    nodes = _chain().nodes
+    edges = (_edge("ref", "n1", track_frequency=True), _edge("n1", "n2"))
+    topology = Topology(nodes=nodes, edges=edges, failures=(("n2", 2 * 10**13),))
+    report = run_network(topology, horizon=3 * 10**13, seed=4)
+    assert report.edge_attempts == (2, 1)
+    assert calls == {"run_session": 3, "estimate_session": 3}
 
 
 def test_edge_interval_must_be_at_least_one_fs():

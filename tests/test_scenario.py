@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -203,3 +205,13 @@ def test_import_makes_no_metaschema_check():
     probe = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert probe.returncode == 0, probe.stderr
     assert json.loads(probe.stdout) == []
+
+
+def test_package_exports_the_union_of_module_exports():
+    # every library module declares __all__; the CLI and its __main__ are entry points
+    names = [m.name for m in pkgutil.iter_modules(qcsync.__path__) if m.name not in ("cli", "__main__")]
+    modules = [importlib.import_module(f"qcsync.{name}") for name in names]
+    assert qcsync.__all__ == sorted({name for module in modules for name in module.__all__})
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qcsync, name) is getattr(module, name)

@@ -9,6 +9,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -809,12 +810,22 @@ def test_net_interval_below_one_fs_exits_two(tmp_path):
     assert "interval_s" in result.stderr and "Traceback" not in result.stderr
 
 
-def test_net_huge_horizon_stops_at_the_first_event_past_int64(tmp_path):
+def test_net_huge_horizon_exits_two_before_the_first_event(tmp_path):
     # the whole schedule to 10^12 s was built before the first sync ran, and the run hung;
-    # the syncs up to 9000 s run, and the one at 10000 s is past 2^63 fs
-    result = _net_subprocess(tmp_path, _two_node_net(1e12, 1000, 1e12))
+    # later every sync up to 9223 s ran, about 16 s, before the one past 2^63 fs exited 2
+    started = time.monotonic()
+    result = _net_subprocess(tmp_path, _two_node_net(1e12, 1, 1e12))
+    assert time.monotonic() - started < 5
     assert result.returncode == 2
     assert "9223 s" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_net_failure_of_the_only_reference_exits_two(tmp_path, capsys):
+    # it exited 0, and every sync after the failure logged holdover
+    config = _set(_two_node_net(10, 5, 5), ("topology", "failures"), [{"node": "ref", "at_s": 5}])
+    code, _, err = _net(tmp_path, capsys, config)
+    assert code == 2
+    assert "reference node must never fail" in err and "Traceback" not in err
 
 
 def test_net_failure_of_unknown_node_exits_two(tmp_path, capsys):

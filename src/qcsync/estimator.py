@@ -13,13 +13,14 @@ exactly by one of two routes that give the same bin and count:
   above the window's superbin count, and one FFT gives an upper bound on
   each superbin's pairs. Superbins are enumerated in descending bound order
   until the bound falls below the best count. A wide window is probed
-  first: a fold of at most _PROBE_SUPERBINS superbins, whose top superbin
-  is enumerated, gives a real peak count B. The main fold then takes the
-  coarsest M, from _SUPERBIN_BINS up by powers of two, whose expected
-  accidental bound stays below B, and the search falls back to
-  M = _SUPERBIN_BINS when those bounds do not clear. A sparse window as
-  long as the session so enumerates one or two superbins, and its main FFT
-  is sized to the peak it has to find.
+  first: a fold of at most _PROBE_SUPERBINS superbins, whose top superbins
+  are enumerated until one gives a real peak count B that a coarser level
+  than the floor can clear. The main fold then takes the widest M, in
+  coarse bins, whose expected accidental bound stays below B; the search
+  falls back to the floor, M = _SUPERBIN_BINS, only when those bounds do
+  not clear. A sparse window as long as the session so enumerates a few
+  superbins and makes one FFT fold after the probe's, sized to the peak
+  it has to find.
 - The enumeration of every window pair, when the window holds too few
   pairs to repay the FFTs, when N would be large, or when the bounds are
   too loose for the visit budget. The pairs are made in cache-sized int64
@@ -57,6 +58,7 @@ changes its residual: the offset shifts by exactly that amount.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -92,6 +94,7 @@ _SUPERBIN_BINS = 128  # coarse bins per superbin at the bounded search's finest 
 _MAX_SUPERBINS = 1 << 20  # larger folds cost more in FFTs than they save
 _VISIT_BUDGET = 64  # most superbins one level of the bounded search enumerates
 _PROBE_SUPERBINS = 1 << 11  # most superbins of the probe fold; windows with no more at the floor are not probed
+_PROBE_VISITS = 4  # most probe superbins enumerated to find a count that a level coarser than the floor clears
 _BOUND_SIGMAS = 5.0  # Poisson sigmas the expected accidental bound of a coarse level keeps below the probe's count
 # The bounded search costs about as much as enumerating _PAIRS_PER_BOUND
 # pairs per fold bin and per tag, plus a fixed cost that only windows of at
@@ -313,20 +316,23 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     return CoarseHistogram(bins, counts, origin, offsets, runs, bin_lo)
 
 
+def _smooth_lengths(limit: int) -> list[int]:
+    """Every 5-smooth integer up to limit, ascending: FFT lengths with no prime factor above 5."""
+    lengths = [1]
+    for p in (2, 3, 5):
+        lengths = [m * p**e for m in lengths for e in range(limit.bit_length()) if m * p**e <= limit]
+    return sorted(lengths)
+
+
+# A power of two lies above _MAX_SUPERBINS and within twice it, so the table
+# holds the length of every fold the bounded search may make.
+_FOLD_LENGTHS = _smooth_lengths(2 * _MAX_SUPERBINS)
+
+
 def _fold_length(n: int) -> int:
-    """The smallest 5-smooth integer above n: an FFT length with no prime factor above 5."""
-    best = 1 << n.bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m <= n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+    """The smallest 5-smooth integer above n; past the table, n + 1, longer than any fold may be."""
+    i = bisect.bisect_right(_FOLD_LENGTHS, n)
+    return _FOLD_LENGTHS[i] if i < len(_FOLD_LENGTHS) else n + 1
 
 
 def _superbin_bounds(
@@ -387,22 +393,28 @@ def _bounded_peak(
     superbin j holds at most c[j] + c[j+1] pairs; aliased pairs only add to
     that bound. A level enumerates superbins exactly in descending bound
     order until the bound falls below the best count (a tie is still
-    visited, so the smallest bin wins it), skipping those inside a superbin
-    an earlier level enumerated. A visit spends the pairs it enumerates.
+    visited, so the smallest bin wins it), skipping those whose coarse bins
+    an earlier level's visit covers whole: widths need not divide one
+    another, so a superbin that visit covers only in part is still visited.
+    A visit spends the pairs it enumerates.
 
     The floor level has M = _SUPERBIN_BINS. When its fold would exceed
     _PROBE_SUPERBINS superbins, a probe fold of at most that many, at the
-    floor width times a power of two, is made first and its top superbin
-    enumerated: the best count B found there is exact. The search then runs
-    at the coarsest power-of-two width M between the floor and the probe
-    whose expected accidental bound 2*M*a + _BOUND_SIGMAS*sqrt(2*M*a) stays
-    below B, reusing the probe's bounds at its width. a is the accidentals
-    per coarse bin: the flat top of the constant-rate trapezoid
+    floor width times a power of two, is made first. Its superbins are
+    enumerated in descending bound order, at most _PROBE_VISITS of them,
+    until the best count B, which is exact, lets a level coarser than the
+    floor clear: one whose width M has an expected accidental bound
+    2*M*a + _BOUND_SIGMAS*sqrt(2*M*a) below B. The search then runs at the
+    widest such integer M up to the probe's width, solved in closed form,
+    reusing the probe's bounds at its width; when the probe's own bounds
+    clear first, the search ends there. a is the accidentals per
+    coarse bin: the flat top of the constant-rate trapezoid
     (_accidentals), or the fold's mean when the streams reach past the
     window and the fold aliases their pairs onto it. The probe and that
-    level share one budget of visits and pairs. When their bounds do not
-    clear within it, the floor level runs with a budget of its own, so the
-    probe never gives up where the floor alone succeeds.
+    level share one budget of visits and pairs. When no count lets a
+    coarser level clear, or its bounds do not clear within the budget, the
+    floor level runs with a budget of its own, so the probe never gives up
+    where the floor alone succeeds.
 
     Returns None, and the caller enumerates the whole window instead, when
     the floor fold would exceed _MAX_SUPERBINS, when the window's pairs
@@ -451,8 +463,10 @@ def _bounded_peak(
 
     def search(bins: int, sb_lo: int, bounds: np.ndarray, pairs: int, visits: int) -> bool:
         """Whether every bound clears the best count within the visits and pairs given."""
-        for b, j in visited:  # widths only shrink, so each visit covers whole superbins here
-            bounds[max(j * b // bins - sb_lo, 0) : max((j + 1) * b // bins - sb_lo, 0)] = -1
+        # Widths need not divide one another, so a visit of coarse bins
+        # j*b .. (j+1)*b - 1 skips only the superbins it covers whole.
+        for b, j in visited:
+            bounds[max(-(-j * b // bins) - sb_lo, 0) : max((j + 1) * b // bins - sb_lo, 0)] = -1
         for _ in range(visits):
             k = int(np.argmax(bounds))
             if bounds[k] < best[1]:
@@ -469,18 +483,27 @@ def _bounded_peak(
         probe *= 2
     if probe > _SUPERBIN_BINS:
         sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, probe, cfg)
-        pairs = visit(probe, sb_lo + int(np.argmax(bounds)), total // 8)
-        # A probe over budget leaves the best count at 0, which only the floor clears.
         window_bins = (d_hi - d_lo) // cfg.coarse_bin + 1
         density = max(_accidentals(local_ts, remote_ts, cfg)[1][1], len(local_ts) * len(remote_ts) / window_bins)
-        bins = probe
-        while bins > _SUPERBIN_BINS and 2 * bins * density + _BOUND_SIGMAS * math.sqrt(2 * bins * density) >= best[1]:
-            bins //= 2
-        if bins > _SUPERBIN_BINS:
-            if bins < probe:
-                sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, bins, cfg)
-            if search(bins, sb_lo, bounds, pairs, _VISIT_BUDGET - 1):
+        pairs = total // 8
+        # A probe visit over budget leaves the floor to search alone.
+        for visits in range(1, min(_PROBE_VISITS, _VISIT_BUDGET) + 1):
+            k = int(np.argmax(bounds))
+            if bounds[k] < best[1]:
                 return best[0], best[1], total
+            bounds[k] = -1
+            pairs = visit(probe, sb_lo + k, pairs)
+            if pairs < 0:
+                break
+            # 2*M*a + s*sqrt(2*M*a) < B exactly when sqrt(2*M*a) < x, the positive root of x*x + s*x = B
+            x = (math.sqrt(_BOUND_SIGMAS**2 + 4 * best[1]) - _BOUND_SIGMAS) / 2
+            bins = min(probe, math.ceil(x * x / (2 * density)) - 1)
+            if bins > _SUPERBIN_BINS:
+                if bins < probe:
+                    sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, bins, cfg)
+                if search(bins, sb_lo, bounds, pairs, _VISIT_BUDGET - visits):
+                    return best[0], best[1], total
+                break
     floor = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, _SUPERBIN_BINS, cfg)
     return (best[0], best[1], total) if search(_SUPERBIN_BINS, *floor, total // 8, _VISIT_BUDGET) else None
 

@@ -15,7 +15,8 @@ single events can be replayed in isolation.
 A node failure is an event at its instant, ordered before the syncs at the
 same time: the node is down from then on, and the strata are recomputed
 once as shortest hop distance from the live reference set. At least one
-reference node never fails. A sync whose
+reference node never fails, and the report epochs measure every node
+against the first reference, in topology order, still live. A sync whose
 downstream node is down logs downstream-down; otherwise the downstream's
 first candidate parent (in its failover preference order) that has a
 stratum is the active one, so orphaned children fall back at their own next
@@ -172,7 +173,7 @@ class NetworkReport:
     roles: dict
     strata: dict  # final stratum per node (None = unreachable)
     epochs_fs: tuple
-    errors_fs: dict  # node id -> tuple of ints, offset vs reference at each epoch
+    errors_fs: dict  # node id -> tuple of ints, offset vs the first live reference at each epoch
     edge_attempts: tuple
     edge_successes: tuple
     events: tuple  # per-event dicts
@@ -279,7 +280,8 @@ def run_network(
     if report_interval_fs <= 0:
         raise ValueError("report_interval_fs must be positive")
 
-    reference_id = next(n.id for n in topology.nodes if n.role == ROLE_REFERENCE)
+    references = [n.id for n in topology.nodes if n.role == ROLE_REFERENCE]
+    reference_id = references[0]
     clocks: dict[str, ClockState] = {
         n.id: ClockState(n.clock_model, rng_stream=(seed, "clock", n.id)) for n in topology.nodes
     }
@@ -304,6 +306,7 @@ def run_network(
         if kind == 0:
             dead.add(topology.failures[index][0])
             strata = _strata(topology, dead)
+            reference_id = next(r for r in references if r not in dead)
             continue
         if kind == 2:
             ref_reading = local_time(clocks[reference_id], t)

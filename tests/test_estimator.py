@@ -398,6 +398,30 @@ def test_frequency_track_insufficient_blocks():
     assert fit.fractional_frequency == frequency_track(local_a, remote_ab, local_b, remote_ba, whole).fractional_frequency
 
 
+def _smallest_smooth_above(n):
+    # the search the fold-length table replaced: the smallest 2^i 3^j 5^k above n
+    best = 1 << n.bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m <= n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def test_fold_length_table_matches_the_search():
+    rng = np.random.default_rng(17)
+    for n in [*range(1 << 16), *rng.integers(0, estimator._MAX_SUPERBINS + 1, 20000).tolist()]:
+        assert estimator._fold_length(n) == _smallest_smooth_above(n), n
+    # past the table a length only has to exceed the largest fold
+    assert estimator._fold_length(2**40) > estimator._MAX_SUPERBINS
+
+
 # The bounded peak search. Module constants shrink the superbins, the visit
 # budget and the size rule, so that small inputs run every branch; each case
 # is checked against the brute-force histogram's first argmax and count, and
@@ -785,28 +809,66 @@ def test_coarse_to_fine_tie_across_levels(monkeypatch, seed):
 
     monkeypatch.setattr(estimator, "_superbin_counts", record)
     assert _assert_routes_agree(monkeypatch, local, remote, cfg) == floor_alone == (0, 40)
-    assert widths[:3] == [1024, 256, 2]
+    assert widths[:3] == [1024, 451, 2]
     probe_bins, probe_superbin, probe_counts = visited[0]
     assert (probe_bins, probe_superbin) == (1024, 78)  # superbin 78 holds bin 80000
     assert probe_counts[80000 - 78 * 1024] == probe_counts.max() == 40
     assert any(bins < probe_bins and superbin * bins <= 0 < (superbin + 1) * bins for bins, superbin, _ in visited)
 
 
-def test_sparse_wide_window_folds_coarser_than_the_floor(monkeypatch):
-    # paper_100pairs.json over 3 ms in its +-2 ms window: the probe's count
-    # lets the main fold use superbins wider than 128 coarse bins, and the
-    # result is the enumeration's
+def test_level_superbin_half_covered_by_a_probe_visit(monkeypatch):
+    # Two 40-pair peaks tie at coarse bins 79850 and 80000, and 20 pairs of a
+    # far tag make probe superbin 78 (bins 79872 .. 80895) the probe's visit,
+    # which finds the upper peak. The level's width, 436, and the probe's,
+    # 1024, do not divide each other: level superbin 183 (bins 79788 ..
+    # 80223) holds both peaks but that visit covers it only in part, so the
+    # level must still visit it for the lower bin to win the tie.
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**3, fine_bin=10, significance_sigma=3.0)
+    rng = np.random.default_rng(2)
+    tags = np.sort(rng.integers(0, 2 * 10**8, 40)).astype(np.int64)
+    origin, far = 500, 10**10
+    beside = far + origin + cfg.coarse_bin * (80100 + 30 * np.arange(1, 21))
+    peaks = [tags + origin + cfg.coarse_bin * peak_bin for peak_bin in (79850, 80000)]
+    local, remote = _anchored(np.append(tags, far), np.sort(np.concatenate((*peaks, beside))), origin)
+    _force_bounded(monkeypatch, superbin_bins=2)
+    monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", 256)
+    widths, visited = _fold_widths(monkeypatch), _visit_order(monkeypatch)
+    assert _assert_routes_agree(monkeypatch, local, remote, cfg) == (79850, 40)
+    assert widths[:2] == [1024, 436] and estimator._SUPERBIN_BINS not in widths
+    assert visited[:2] == [78, 183]
+
+
+def test_sparse_wide_sessions_fold_once_after_the_probe(monkeypatch):
+    # paper_100pairs.json over 1-4 ms in its +-2 ms window, both directions:
+    # the probe's count lets one fold at a width coarser than the floor
+    # finish, so at most one of these 24 correlations folds at the floor
+    # (9 did when the level width was a power of two), and each finds the
+    # peak of the floor-only search
     config = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "paper_100pairs.json")
-    spec, model_a, model_b = build_session({**config, "duration_s": 0.003})
-    clock_a = ClockState(model_a, rng_stream=(3, "clock", "a"))
-    clock_b = ClockState(model_b, rng_stream=(3, "clock", "b"))
-    streams = run_session(spec, clock_a, clock_b, (3, "session"))
     cfg = build_correlation(config["correlation"])
-    widths = _fold_widths(monkeypatch)
-    bounded = cross_correlate(streams.local_a, streams.remote_ab, cfg)
-    assert len(widths) == 2 and widths[0] > widths[1] > estimator._SUPERBIN_BINS == 128
+    widths, floor_folds = _fold_widths(monkeypatch), 0
+    for k in range(12):
+        clocks = {"a": {}, "b": {"initial_offset_fs": (k - 6) * 8 * 10**10}}  # within +-0.5 ms
+        spec, model_a, model_b = build_session({**config, "duration_s": 1e-3 + 3e-3 * k / 11, "clocks": clocks})
+        clock_a = ClockState(model_a, rng_stream=(k, "clock", "a"))
+        clock_b = ClockState(model_b, rng_stream=(k, "clock", "b"))
+        streams = run_session(spec, clock_a, clock_b, (k, "session"))
+        for pair in ((streams.local_a, streams.remote_ab), (streams.local_b, streams.remote_ba)):
+            local, remote = (stream.timestamps for stream in pair)
+            widths.clear()
+            found = estimator._bounded_peak(local, remote, cfg)
+            assert found is not None and widths[0] > estimator._SUPERBIN_BINS == 128
+            floor_folds += widths.count(estimator._SUPERBIN_BINS)
+            with monkeypatch.context() as m:
+                m.setattr(estimator, "_PROBE_SUPERBINS", estimator._MAX_SUPERBINS)  # no probe: the floor alone
+                widths.clear()
+                assert estimator._bounded_peak(local, remote, cfg) == found
+                assert widths == [estimator._SUPERBIN_BINS]
+    assert floor_folds <= 1
+    # and the last one, 4 ms from B to A, gives the enumeration's result
+    bounded = cross_correlate(local, remote, cfg)
     monkeypatch.setattr(estimator, "_MAX_SUPERBINS", 0)
-    assert cross_correlate(streams.local_a, streams.remote_ab, cfg) == bounded
+    assert cross_correlate(local, remote, cfg) == bounded
 
 
 @pytest.mark.parametrize(

@@ -181,6 +181,30 @@ def test_failover_reparents_within_one_interval():
     assert abs(report.errors_fs["leaf"][-1]) < 2 * 10**5
 
 
+def test_errors_follow_the_first_live_reference():
+    # ref runs fast by 1e-7 and fails at 0.015 s; n1 fails over to the ideal
+    # ref2. From that epoch on, errors are taken against ref2: its own are
+    # 0, and n1's stay near 0 rather than following the dead ref's drift
+    # (about -5.5 ns by 0.055 s).
+    nodes = (
+        Node("ref", ClockModel(fractional_frequency=1e-7), role=ROLE_REFERENCE),
+        Node("ref2", ClockModel(), role=ROLE_REFERENCE),
+        Node("n1", ClockModel(initial_offset_fs=2 * 10**6)),
+    )
+    topology = Topology(
+        nodes=nodes,
+        edges=(_edge("ref", "n1"), _edge("ref2", "n1")),
+        failover_rules={"n1": ["ref", "ref2"]},
+        failures=(("ref", 15 * 10**12),),
+    )
+    report = run_network(topology, horizon=6 * 10**13, seed=3)
+    assert report.epochs_fs[1] == 15 * 10**12
+    assert report.errors_fs["ref2"][0] != 0  # before the failure, ref is the reference
+    assert set(report.errors_fs["ref2"][1:]) == {0}
+    assert {e["outcome"] for e in report.events if e["upstream"] == "ref2" and e["t_s"] > 0.015} == {"applied"}
+    assert max(abs(v) for v in report.errors_fs["n1"][2:]) < 2 * 10**5
+
+
 def test_failure_at_a_sync_instant_takes_effect_at_that_sync():
     # syncs run at 0.01 s and 0.02 s on both edges; a node is down from its failure time on
     at = 2 * 10**13

@@ -4,7 +4,10 @@ The correlator looks at pairwise differences (remote - local) inside a
 search window. Both streams are sorted, so the in-window partners of each
 local tag form one run of remote tags, found by binary search: cost scales
 with the number of in-window pairs, never len(local)*len(remote). The
-enumeration route below searches the window once per correlation.
+enumeration route below searches the window once per correlation. A window
+that holds every pair the streams can form, as when a session's span plus
+its offset stays inside the window, needs no search: each run is the whole
+remote stream, and the pairs of a block are one broadcast subtraction.
 
 The coarse estimate is the first coarse bin holding the most pairs, found
 exactly by one of two routes that give the same bin and count:
@@ -209,11 +212,17 @@ class _PairRuns(NamedTuple):
 def _pair_runs(local: np.ndarray, remote: np.ndarray, lo_off: int, hi_off: int) -> _PairRuns:
     """The pairs whose difference d = remote - local lies in [lo_off, hi_off).
 
-    Offsets are clamped to the differences the streams can form, and each
-    local tag t to where t + offset lies in [remote[0], remote[-1] + 1], so
-    no sum wraps.
+    A window that holds every pair the streams can form gives each local tag
+    t all of remote: counts R, ends (t+1)*R and base -t*R, with no search.
+    Otherwise each run is found by binary search. Offsets are clamped to the
+    differences the streams can form, and each local tag t to where
+    t + offset lies in [remote[0], remote[-1] + 1], so no sum wraps.
     """
     l0, l1, r0, r1 = int(local[0]), int(local[-1]), int(remote[0]), int(remote[-1])
+    if lo_off <= r0 - l1 and r1 - l0 < hi_off:
+        n = len(remote)
+        ends = np.arange(1, len(local) + 1, dtype=np.int64) * n
+        return _PairRuns(n - ends, np.full(len(local), n, dtype=np.int64), ends)
 
     def first_at_or_after(off: int) -> np.ndarray:
         off = min(max(off, r0 - l1), r1 + 1 - l0)
@@ -230,8 +239,20 @@ def _pair_runs(local: np.ndarray, remote: np.ndarray, lo_off: int, hi_off: int) 
 def _pair_diffs(
     local: np.ndarray, remote: np.ndarray, runs: _PairRuns, start: int, stop: int, offset: int
 ) -> np.ndarray:
-    """Differences minus offset of pairs start .. stop-1, as a fresh int64 array."""
+    """Differences minus offset of pairs start .. stop-1, as a fresh int64 array.
+
+    When the runs hold every pair, pair p is remote[p % R] - local[p // R]:
+    the rows of local tags that pairs start .. stop-1 fall in come from one
+    broadcast subtraction, sliced to those pairs. Otherwise each pair's
+    remote tag is gathered by index.
+    """
     base, counts, ends = runs
+    n = len(remote)
+    if int(ends[-1]) == len(local) * n:
+        i, j = start // n, (stop - 1) // n + 1
+        if j - i == 1:  # within one row
+            return remote[start - i * n : stop - i * n] - (local[i : i + 1] + offset)
+        return (remote - (local[i:j, None] + offset)).ravel()[start - i * n : stop - i * n]
     i = int(np.searchsorted(ends, start, side="right"))
     j = int(np.searchsorted(ends, stop - 1, side="right")) + 1
     per_tag = np.minimum(ends[i:j], stop) - np.maximum(ends[i:j] - counts[i:j], start)
@@ -438,7 +459,7 @@ def _bounded_peak(
         return None
     # Uniform streams would hold about this many window pairs. The estimate
     # keeps windows with few pairs per tag off the binary searches below, so
-    # they are searched once, by coarse_histogram.
+    # they are searched at most once, by coarse_histogram.
     needed = max(_MIN_BOUND_PAIRS, _PAIRS_PER_BOUND * (n + len(local_ts) + len(remote_ts)))
     if len(local_ts) * len(remote_ts) * min(1.0, (2 * cfg.search_window + 1) / (max(spans) + 1)) < needed:
         return None
@@ -552,14 +573,16 @@ def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
     """
     for passes in range(1, _MAX_WINDOW_PASSES + 1):
         xk, dk = x[keep], d[keep]
-        x_mean, d_mean = xk.mean(), dk.mean()
+        n = len(xk)
+        x_mean, d_mean = xk.sum() / n, dk.sum() / n  # what np.mean computes, without its overhead
         xc = xk - x_mean
         sxx = float(np.dot(xc, xc))
         slope = float(np.dot(xc, dk - d_mean)) / sxx if sxx > 0 else 0.0
         residuals = d - d_mean - slope * (x - x_mean)
-        sigma = math.sqrt(float(np.mean(residuals[keep] ** 2)))
+        rk = residuals[keep]
+        sigma = math.sqrt(float((rk * rk).sum() / n))
         inside = np.abs(residuals) <= max(_WINDOW_SIGMAS * sigma, floor)
-        if passes == _MAX_WINDOW_PASSES or np.array_equal(inside, keep):
+        if passes == _MAX_WINDOW_PASSES or (inside == keep).all():
             return keep, slope, sigma, float(x_mean), sxx
         keep = inside
 

@@ -190,6 +190,92 @@ def test_window_edges_are_inclusive():
     _assert_matches_brute_force(local, remote, cfg)
 
 
+def _every_pair_streams():
+    # 61 local tags over 4e7 fs and 63 remote tags, 60 of them a peak at
+    # 3e7 fs; the first and last remote tags lie exactly -W from the last
+    # local tag and +W from the first, so the window holds every pair
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
+    rng = np.random.default_rng(43)
+    local = np.sort(np.concatenate(([0, 4 * 10**7], rng.integers(0, 4 * 10**7, 59)))).astype(np.int64)
+    peak = local[:60] + 3 * 10**7 + rng.integers(-10**4, 10**4, 60)
+    remote = np.sort(np.concatenate((peak, [local[-1] - cfg.search_window, 5 * 10**7, cfg.search_window])))
+    return local, remote, cfg
+
+
+def _searched_runs(local, remote, lo_off, hi_off):
+    # the runs by binary search, for windows whose sums stay in int64
+    first = np.searchsorted(remote, local + lo_off, side="left")
+    counts = np.searchsorted(remote, local + hi_off, side="left") - first
+    ends = np.cumsum(counts)
+    return estimator._PairRuns(first - (ends - counts), counts, ends)
+
+
+def _gathered_diffs(local, remote, runs, start, stop, offset):
+    # each pair's remote tag gathered by a per-pair index
+    tags = np.repeat(np.arange(len(local)), runs.counts)[start:stop]
+    return remote[runs.base[tags] + np.arange(start, stop)] - local[tags] - offset
+
+
+@pytest.mark.parametrize("chunk_pairs,block_pairs", [(1 << 22, 37), (1 << 22, 150), (500, 37)])
+def test_every_pair_window_matches_searched_runs(monkeypatch, chunk_pairs, block_pairs):
+    # 63 remote tags per row: blocks of 37 lie inside one row or straddle
+    # two, blocks of 150 span several rows, and chunks of 500 split the window
+    local, remote, cfg = _every_pair_streams()
+    window = cfg.search_window
+    monkeypatch.setattr(estimator, "_CHUNK_PAIRS", chunk_pairs)
+    monkeypatch.setattr(estimator, "_BLOCK_PAIRS", block_pairs)
+    all_diffs = (remote[None, :] - local[:, None]).ravel()
+    # every pair, then one fs short of it at the bottom and at the top
+    for lo, hi in ((-window, window + 1), (1 - window, window + 1), (-window, window)):
+        runs = estimator._pair_runs(local, remote, lo, hi)
+        assert (int(runs.ends[-1]) == all_diffs.size) == (hi - lo == 2 * window + 1)
+        for got, want in zip(runs, _searched_runs(local, remote, lo, hi)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for start in range(0, int(runs.ends[-1]), block_pairs):
+            stop = min(start + block_pairs, int(runs.ends[-1]))
+            diffs = estimator._pair_diffs(local, remote, runs, start, stop, 12345)
+            assert diffs.dtype == np.int64
+            assert np.array_equal(diffs, _gathered_diffs(local, remote, runs, start, stop, 12345))
+    for w in (window, window - 1):
+        _assert_matches_brute_force(local, remote, replace(cfg, search_window=w))
+    hist = coarse_histogram(local, remote, cfg)
+    assert (hist.offsets is None) == (all_diffs.size > chunk_pairs)
+    if hist.offsets is not None:  # numbered local-major, remote-ascending
+        want = (all_diffs - hist.origin) // cfg.coarse_bin - hist.first_bin
+        assert np.array_equal(hist.offsets.astype(np.int64), want)
+    enumerated = _outcome(local, remote, cfg)
+    assert abs(enumerated[0].peak_offset - 3 * 10**7) < 10**4
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_pair_runs", _searched_runs)
+        m.setattr(estimator, "_pair_diffs", _gathered_diffs)
+        assert _outcome(local, remote, cfg) == enumerated
+
+
+def test_every_pair_window_makes_no_search(monkeypatch):
+    local, remote, cfg = _every_pair_streams()
+    short = replace(cfg, search_window=cfg.search_window - 1)
+    want = coarse_histogram(local, remote, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched or built a per-pair index array")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "searchsorted", refuse)
+        m.setattr(np, "repeat", refuse)
+        got = coarse_histogram(local, remote, cfg)
+        with pytest.raises(AssertionError):
+            coarse_histogram(local, remote, short)
+    assert all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2]))
+    # one fs short of every pair, the window is searched once: two searches of remote
+    searched, windows = [], []
+    searchsorted, pair_runs = np.searchsorted, estimator._pair_runs
+    with monkeypatch.context() as m:
+        m.setattr(np, "searchsorted", lambda a, *rest, **kw: searched.append(a is remote) or searchsorted(a, *rest, **kw))
+        m.setattr(estimator, "_pair_runs", lambda *args: windows.append(args[2:]) or pair_runs(*args))
+        coarse_histogram(local, remote, short)
+    assert windows == [(-short.search_window, short.search_window + 1)] and sum(searched) == 2
+
+
 def test_fine_span_clipped_at_window_edge():
     # the peak sits 5 ps inside +W, so the fine span and the member window
     # reach past the window and the fine pass must drop those pairs

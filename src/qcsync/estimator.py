@@ -17,13 +17,13 @@ exactly by one of two routes that give the same bin and count:
   each superbin's pairs. Superbins are enumerated in descending bound order
   until the bound falls below the best count. A wide window is probed
   first: a fold of at most _PROBE_SUPERBINS superbins, whose top superbins
-  are enumerated until one gives a real peak count B that a coarser level
-  than the floor can clear. The main fold then takes the widest M, in
-  coarse bins, whose expected accidental bound stays below B; the search
-  falls back to the floor, M = _SUPERBIN_BINS, only when those bounds do
-  not clear. A sparse window as long as the session so enumerates a few
-  superbins and makes one FFT fold after the probe's, sized to the peak
-  it has to find.
+  are enumerated while each raises the real peak count B, until B lets a
+  level coarser than the floor clear. The main fold then takes the widest
+  M, in coarse bins, whose expected accidental bound stays below B; the
+  search falls back to the floor, M = _SUPERBIN_BINS, when a probe visit
+  leaves B where it was or those bounds do not clear. A sparse window as
+  long as the session so enumerates a few superbins and makes one FFT
+  fold after the probe's, sized to the peak it has to find.
 - The enumeration of every window pair, when the window holds too few
   pairs to repay the FFTs, when N would be large, or when the bounds are
   too loose for the visit budget. The pairs are made in cache-sized int64
@@ -97,7 +97,6 @@ _SUPERBIN_BINS = 128  # coarse bins per superbin at the bounded search's finest 
 _MAX_SUPERBINS = 1 << 20  # larger folds cost more in FFTs than they save
 _VISIT_BUDGET = 64  # most superbins one level of the bounded search enumerates
 _PROBE_SUPERBINS = 1 << 11  # most superbins of the probe fold; windows with no more at the floor are not probed
-_PROBE_VISITS = 4  # most probe superbins enumerated to find a count that a level coarser than the floor clears
 _BOUND_SIGMAS = 5.0  # Poisson sigmas the expected accidental bound of a coarse level keeps below the probe's count
 # The bounded search costs about as much as enumerating _PAIRS_PER_BOUND
 # pairs per fold bin and per tag, plus a fixed cost that only windows of at
@@ -422,9 +421,9 @@ def _bounded_peak(
     The floor level has M = _SUPERBIN_BINS. When its fold would exceed
     _PROBE_SUPERBINS superbins, a probe fold of at most that many, at the
     floor width times a power of two, is made first. Its superbins are
-    enumerated in descending bound order, at most _PROBE_VISITS of them,
-    until the best count B, which is exact, lets a level coarser than the
-    floor clear: one whose width M has an expected accidental bound
+    enumerated in descending bound order, each visit raising the best count
+    B, which is exact, until B lets a level coarser than the floor clear:
+    one whose width M has an expected accidental bound
     2*M*a + _BOUND_SIGMAS*sqrt(2*M*a) below B. The search then runs at the
     widest such integer M up to the probe's width, solved in closed form,
     reusing the probe's bounds at its width; when the probe's own bounds
@@ -432,10 +431,12 @@ def _bounded_peak(
     coarse bin: the flat top of the constant-rate trapezoid
     (_accidentals), or the fold's mean when the streams reach past the
     window and the fold aliases their pairs onto it. The probe and that
-    level share one budget of visits and pairs. When no count lets a
-    coarser level clear, or its bounds do not clear within the budget, the
-    floor level runs with a budget of its own, so the probe never gives up
-    where the floor alone succeeds.
+    level share one budget of visits and pairs. A probe visit that leaves B
+    where it was ends the probe: the peak found so far is too small for any
+    coarser level, and further probe visits would only spend pairs. Then,
+    or when the level's bounds do not clear within the budget, the floor
+    level runs with a budget of its own, so the probe never gives up where
+    the floor alone succeeds.
 
     Returns None, and the caller enumerates the whole window instead, when
     the floor fold would exceed _MAX_SUPERBINS, when the window's pairs
@@ -470,63 +471,51 @@ def _bounded_peak(
     best = [0, 0]  # the first coarse bin with the most pairs in the visited superbins, and its count
     visited = []  # (width in coarse bins, superbin) of each enumerated superbin
 
-    def visit(bins: int, superbin: int, pairs: int) -> int:
-        """Enumerate one superbin within a budget of pairs; what is left of it, or -1."""
-        counts = _superbin_counts(local_ts, remote_ts, origin, superbin, bins, pairs, cfg)
-        if counts is None:
-            return -1
-        visited.append((bins, superbin))
-        i = int(np.argmax(counts))
-        bin_ = superbin * bins + i
-        if counts[i] > best[1] or (counts[i] == best[1] and bin_ < best[0]):
-            best[:] = bin_, int(counts[i])
-        return pairs - int(counts.sum())
+    def search(bins: int, pairs: int, visits: int, density: float | None = None) -> bool:
+        """Whether every bound of the fold at bins clears the best count within the visits and pairs given.
 
-    def search(bins: int, sb_lo: int, bounds: np.ndarray, pairs: int, visits: int) -> bool:
-        """Whether every bound clears the best count within the visits and pairs given."""
+        Given the accidentals per coarse bin, density, the fold is a probe.
+        """
+        sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, bins, cfg)
         # Widths need not divide one another, so a visit of coarse bins
         # j*b .. (j+1)*b - 1 skips only the superbins it covers whole.
         for b, j in visited:
             bounds[max(-(-j * b // bins) - sb_lo, 0) : max((j + 1) * b // bins - sb_lo, 0)] = -1
-        for _ in range(visits):
+        while True:
             k = int(np.argmax(bounds))
             if bounds[k] < best[1]:
                 return True
-            bounds[k] = -1
-            pairs = visit(bins, sb_lo + k, pairs)
-            if pairs < 0:
+            counts = _superbin_counts(local_ts, remote_ts, origin, sb_lo + k, bins, pairs, cfg) if visits else None
+            if counts is None:
                 return False
-        return bool(bounds.max() < best[1])
+            bounds[k] = -1
+            pairs, visits = pairs - int(counts.sum()), visits - 1
+            visited.append((bins, sb_lo + k))
+            i = int(np.argmax(counts))
+            raised, bin_ = counts[i] > best[1], (sb_lo + k) * bins + i
+            if raised or (counts[i] == best[1] and bin_ < best[0]):
+                best[:] = bin_, int(counts[i])
+            if density is not None:
+                if not raised:
+                    return False
+                # 2*M*a + s*sqrt(2*M*a) < B exactly when sqrt(2*M*a) < x, the positive root of x*x + s*x = B
+                x = (math.sqrt(_BOUND_SIGMAS**2 + 4 * best[1]) - _BOUND_SIGMAS) / 2
+                level = min(bins, math.ceil(x * x / (2 * density)) - 1)
+                if level == bins:  # the probe's own bounds are the level's
+                    density = None
+                elif level > _SUPERBIN_BINS:
+                    return search(level, pairs, visits)
 
     # The visits of a level may enumerate at most an eighth of the window's pairs.
     probe = _SUPERBIN_BINS
     while superbins(probe) > _PROBE_SUPERBINS:
         probe *= 2
     if probe > _SUPERBIN_BINS:
-        sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, probe, cfg)
         window_bins = (d_hi - d_lo) // cfg.coarse_bin + 1
         density = max(_accidentals(local_ts, remote_ts, cfg)[1][1], len(local_ts) * len(remote_ts) / window_bins)
-        pairs = total // 8
-        # A probe visit over budget leaves the floor to search alone.
-        for visits in range(1, min(_PROBE_VISITS, _VISIT_BUDGET) + 1):
-            k = int(np.argmax(bounds))
-            if bounds[k] < best[1]:
-                return best[0], best[1], total
-            bounds[k] = -1
-            pairs = visit(probe, sb_lo + k, pairs)
-            if pairs < 0:
-                break
-            # 2*M*a + s*sqrt(2*M*a) < B exactly when sqrt(2*M*a) < x, the positive root of x*x + s*x = B
-            x = (math.sqrt(_BOUND_SIGMAS**2 + 4 * best[1]) - _BOUND_SIGMAS) / 2
-            bins = min(probe, math.ceil(x * x / (2 * density)) - 1)
-            if bins > _SUPERBIN_BINS:
-                if bins < probe:
-                    sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, bins, cfg)
-                if search(bins, sb_lo, bounds, pairs, _VISIT_BUDGET - visits):
-                    return best[0], best[1], total
-                break
-    floor = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, _SUPERBIN_BINS, cfg)
-    return (best[0], best[1], total) if search(_SUPERBIN_BINS, *floor, total // 8, _VISIT_BUDGET) else None
+        if search(probe, total // 8, _VISIT_BUDGET, density):
+            return best[0], best[1], total
+    return (best[0], best[1], total) if search(_SUPERBIN_BINS, total // 8, _VISIT_BUDGET) else None
 
 
 def _accidentals(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> tuple:

@@ -34,12 +34,10 @@ __all__ = [
     "Direction",
     "GeometryError",
     "NotVisibleError",
-    "DegenerateGeometryError",
     "LightTimeConvergenceError",
     "GeometrySample",
     "sample_geometry",
     "orbital_period",
-    "shapiro_delay",
     "relativistic_rate_offset",
     "time_of_flight",
     "propagate",
@@ -66,10 +64,6 @@ class GeometryError(ValueError):
 
 class NotVisibleError(RuntimeError):
     """Satellite below the elevation mask at the requested time."""
-
-
-class DegenerateGeometryError(ValueError):
-    """Endpoint radii and straight range violate the triangle condition."""
 
 
 class LightTimeConvergenceError(RuntimeError):
@@ -231,28 +225,12 @@ def orbital_period(
     return 2.0 * math.pi * math.sqrt(a**3 / constants.gm_earth)
 
 
-def shapiro_delay(
-    r1: float,
-    r2: float,
-    straight_range: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """General-relativistic extra delay (2GM/c^3)ln((r1+r2+R)/(r1+r2-R)), in fs.
-
-    Returned as a float because the quantity is sub-fs-resolvable; callers
-    round once when composing it into an integer flight time.
-    """
-    if r1 <= 0 or r2 <= 0:
-        raise DegenerateGeometryError("endpoint radii must be positive")
-    if straight_range < 0:
-        raise DegenerateGeometryError("straight_range must be >= 0")
-    if r1 + r2 - straight_range <= 0:
-        raise DegenerateGeometryError("need r1 + r2 > straight_range")
-    return float(_shapiro_fs(r1, r2, straight_range, constants))
-
-
 def _shapiro_fs(r1, r2, straight_range, constants: PhysicalConstants):
-    """The Shapiro delay in fs, unvalidated, for scalars or arrays."""
+    """General-relativistic extra delay (2GM/c^3)ln((r1+r2+R)/(r1+r2-R)), in fs, for scalars or arrays.
+
+    A float, because the quantity is sub-fs-resolvable; callers round once
+    when composing it into an integer flight time.
+    """
     factor = 2.0 * constants.gm_earth / constants.c**3 * FS_PER_SECOND
     return factor * np.log((r1 + r2 + straight_range) / (r1 + r2 - straight_range))
 

@@ -265,7 +265,8 @@ def run_network(
     edge index, then error-series samples. The samples fall between sync
     times (half a report interval off the grid) so an epoch always reflects
     a consistent post-correction state. A horizon at or past 2^63 fs raises
-    TimeRangeError before the first event.
+    TimeRangeError, and more than 10^6 report epochs ValueError, before the
+    first event.
     """
     if horizon >= INT64_LIMIT:
         raise TimeRangeError(
@@ -279,6 +280,9 @@ def run_network(
         report_interval_fs = min_interval
     if report_interval_fs <= 0:
         raise ValueError("report_interval_fs must be positive")
+    epochs = range(report_interval_fs // 2, horizon + 1, report_interval_fs)
+    if len(epochs) > 10**6:
+        raise ValueError(f"report interval {report_interval_fs} fs gives {len(epochs)} report epochs, more than 10^6")
 
     references = [n.id for n in topology.nodes if n.role == ROLE_REFERENCE]
     reference_id = references[0]
@@ -293,7 +297,6 @@ def run_network(
         _stream(range(e.interval_fs, horizon - e.duration_fs + 1, e.interval_fs), 1, edge_idx)
         for edge_idx, e in enumerate(topology.edges)
     ]
-    epochs = range(report_interval_fs // 2, horizon + 1, report_interval_fs)
 
     dead: set[str] = set()
     strata = _strata(topology, dead)

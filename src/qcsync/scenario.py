@@ -271,7 +271,7 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "horizon_s": {"type": "number", "exclusiveMinimum": 0},
-                "samples": {"type": "integer", "minimum": 2},
+                "samples": {"type": "integer", "minimum": 2, "maximum": 100000},
             },
         },
         "output": {

@@ -27,7 +27,7 @@ from qcsync.estimator import (
     cross_correlate,
     frequency_track,
 )
-from qcsync.linkmodel import DEFAULT_CONSTANTS, LinkModel, StaticRange, shapiro_delay
+from qcsync.linkmodel import DEFAULT_CONSTANTS, LinkModel, StaticRange, _shapiro_fs
 from qcsync.netsync import (
     ROLE_REFERENCE,
     Node,
@@ -284,11 +284,9 @@ def test_c07_shapiro_closed_form_and_meo_magnitude():
         r2 = r1 + rng.uniform(1e5, 4e7)
         straight = rng.uniform(abs(r2 - r1) + 1.0, 0.999 * (r1 + r2))
         want_fs = factor * math.log((r1 + r2 + straight) / (r1 + r2 - straight)) * 10**15
-        assert abs(shapiro_delay(r1, r2, straight) - want_fs) < 1e-3
+        assert abs(_shapiro_fs(r1, r2, straight, constants) - want_fs) < 1e-3
     # vertical ground-to-MEO pass: tens of picoseconds
-    meo = shapiro_delay(
-        constants.earth_radius, constants.earth_radius + 20_200_000.0, 20_200_000.0
-    )
+    meo = _shapiro_fs(constants.earth_radius, constants.earth_radius + 20_200_000.0, 20_200_000.0, constants)
     assert 10**4 <= meo <= 10**5
 
 

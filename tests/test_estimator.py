@@ -957,6 +957,27 @@ def test_sparse_wide_sessions_fold_once_after_the_probe(monkeypatch):
     assert cross_correlate(local, remote, cfg) == bounded
 
 
+def test_probe_stops_at_a_visit_that_leaves_its_count(monkeypatch):
+    # acquire_wide's seed 7, op 86, from A to B: the probe's first visit finds
+    # the 61-pair peak, too small for any level coarser than the floor, and
+    # its second finds no more, so the probe stops there (a probe capped at 4
+    # visits made 2 more) and the floor fold finishes with the floor's result
+    config = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "paper_100pairs.json")
+    cfg = build_correlation(config["correlation"])
+    master, clocks = 3307023289804378348, {"a": {}, "b": {"initial_offset_fs": 240584960342}}
+    spec, model_a, model_b = build_session({**config, "duration_s": 0.001275225912445066, "clocks": clocks})
+    clock_a = ClockState(model_a, rng_stream=(master, "clock", "a"))
+    clock_b = ClockState(model_b, rng_stream=(master, "clock", "b"))
+    streams = run_session(spec, clock_a, clock_b, (master, "session"))
+    local, remote = streams.local_a.timestamps, streams.remote_ab.timestamps
+    widths, visited = _fold_widths(monkeypatch), _visit_order(monkeypatch)
+    found = estimator._bounded_peak(local, remote, cfg)
+    assert found == (-2797, 61, 163845)
+    assert widths == [1024, estimator._SUPERBIN_BINS] and visited == [-3, -4]
+    monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", estimator._MAX_SUPERBINS)  # no probe: the floor alone
+    assert estimator._bounded_peak(local, remote, cfg) == found
+
+
 @pytest.mark.parametrize(
     "rate_local,rate_remote,session,window",
     [

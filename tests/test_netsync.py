@@ -409,3 +409,10 @@ def test_node_role_validation():
 def test_horizon_must_cover_one_interval():
     with pytest.raises(ValueError, match="horizon"):
         run_network(_chain(), horizon=10**12, seed=1)
+
+
+def test_report_epochs_bounded_before_the_first_event(monkeypatch):
+    monkeypatch.setattr(netsync, "run_session", lambda *args: pytest.fail("a sync ran"))
+    # epochs fall at 5e6, 1.5e7, ... fs: 10^6 of them up to 10^13 fs, and one more at the horizon
+    with pytest.raises(ValueError, match="1000001 report epochs"):
+        run_network(_chain(), horizon=10**13 + 5 * 10**6, seed=1, report_interval_fs=10**7)

@@ -784,9 +784,9 @@ def test_seconds_past_the_float_range_exit_two(tmp_path, capsys, command, base, 
     assert key[-1] in err and "Traceback" not in err
 
 
-def _net_subprocess(tmp_path, config) -> subprocess.CompletedProcess:
-    """Run `python -m qcsync net` on config in a child capped at 20 s and 1 GiB."""
-    path = tmp_path / "net.json"
+def _cli_subprocess(tmp_path, command, config) -> subprocess.CompletedProcess:
+    """Run `python -m qcsync <command>` on config in a child capped at 20 s and 1 GiB."""
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
 
     def limit_memory():
@@ -794,7 +794,7 @@ def _net_subprocess(tmp_path, config) -> subprocess.CompletedProcess:
 
     env = {**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")}
     return subprocess.run(
-        [sys.executable, "-m", "qcsync", "net", "--config", str(path), "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "qcsync", command, "--config", str(path), "--out", str(tmp_path / "out")],
         env=env,
         preexec_fn=limit_memory,
         capture_output=True,
@@ -805,7 +805,7 @@ def _net_subprocess(tmp_path, config) -> subprocess.CompletedProcess:
 
 def test_net_interval_below_one_fs_exits_two(tmp_path):
     # interval_s 1e-20 rounded to a 0 fs interval, and the schedule loop never ended
-    result = _net_subprocess(tmp_path, _two_node_net(10, 1e-20, 5))
+    result = _cli_subprocess(tmp_path, "net", _two_node_net(10, 1e-20, 5))
     assert result.returncode == 2
     assert "interval_s" in result.stderr and "Traceback" not in result.stderr
 
@@ -814,10 +814,30 @@ def test_net_huge_horizon_exits_two_before_the_first_event(tmp_path):
     # the whole schedule to 10^12 s was built before the first sync ran, and the run hung;
     # later every sync up to 9223 s ran, about 16 s, before the one past 2^63 fs exited 2
     started = time.monotonic()
-    result = _net_subprocess(tmp_path, _two_node_net(1e12, 1, 1e12))
+    result = _cli_subprocess(tmp_path, "net", _two_node_net(1e12, 1, 1e12))
     assert time.monotonic() - started < 5
     assert result.returncode == 2
     assert "9223 s" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_net_report_epochs_past_the_bound_exit_two_before_the_first_event(tmp_path):
+    # 1e-9 s over leo_demo's 30 s horizon asks for 3e10 report epochs; the run was still going after 20 s
+    leo = json.loads((SCENARIOS / "leo_demo.json").read_text())
+    started = time.monotonic()
+    result = _cli_subprocess(tmp_path, "net", _set(leo, ("topology", "report_interval_s"), 1e-9))
+    assert time.monotonic() - started < 5
+    assert result.returncode == 2
+    assert "report epochs" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("samples", [100001, 10**9])
+def test_relativity_samples_past_the_bound_exit_two(tmp_path, samples):
+    # the time grid is built in a Python loop: 10^9 samples ended in a MemoryError traceback (exit 1)
+    started = time.monotonic()
+    result = _cli_subprocess(tmp_path, "relativity", _set(_noiseless(), ("relativity",), {"samples": samples}))
+    assert time.monotonic() - started < 5
+    assert result.returncode == 2
+    assert "samples" in result.stderr and "100000" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_net_failure_of_the_only_reference_exits_two(tmp_path, capsys):

@@ -202,8 +202,9 @@ def cmd_relativity(args) -> int:
             for s in samples
         ]
         atomic_write_text(out_dir / "relativity_samples.csv", "\n".join([header] + rows) + "\n")
-    atomic_write_text(out_dir / "relativity_report.json", _stable_json(payload))
-    sys.stdout.write(_stable_json(payload))
+    text = _stable_json(payload)
+    atomic_write_text(out_dir / "relativity_report.json", text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

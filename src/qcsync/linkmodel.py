@@ -14,6 +14,7 @@ interchangeable points).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -298,24 +299,35 @@ def _flight_times_fs(
 
     emit_fs is int64, or float64 for a grid that reaches past 2^63 fs; emit
     seconds are emit_fs / FS_PER_SECOND. A static range has one flight for
-    every photon, so both results are scalars and no per-photon array is built.
+    every photon (``_static_flight_fs``), so both results are scalars and no
+    per-photon array is built.
     """
     geometry = link.geometry
-    static = isinstance(geometry, StaticRange)
-    emit_t_s = 0.0 if static else emit_fs / FS_PER_SECOND  # a static range is the same at every time
+    if isinstance(geometry, StaticRange):
+        return _static_flight_fs(link, direction, constants), np.True_
+    emit_t_s = emit_fs / FS_PER_SECOND
     geo = _geometry_at(geometry, emit_t_s, constants)
-    bias = direction.bias_sign * link.nonreciprocity_bias / 2.0
-    shapiro = 0.0
+    flights_s = _light_time_flights_s(geometry, geo, emit_t_s, direction, constants)
+    total_fs = flights_s * FS_PER_SECOND + direction.bias_sign * link.nonreciprocity_bias / 2.0
     if link.include_shapiro:
-        shapiro = _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, constants)
-    if static:
-        total_fs = geo.range_m / constants.c * FS_PER_SECOND + shapiro + bias
-    else:
-        flights_s = _light_time_flights_s(geometry, geo, emit_t_s, direction, constants)
-        total_fs = flights_s * FS_PER_SECOND + bias + shapiro
+        total_fs = total_fs + _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, constants)
+    return _rounded_fs(total_fs), geo.visible
+
+
+@functools.lru_cache(maxsize=256)
+def _static_flight_fs(link: LinkModel, direction: Direction, constants: PhysicalConstants) -> np.int64:
+    """The flight time of a static range, computed once per link, direction and constants."""
+    geo = _geometry_at(link.geometry, 0.0, constants)
+    total_fs = geo.range_m / constants.c * FS_PER_SECOND
+    if link.include_shapiro:
+        total_fs += _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, constants)
+    return _rounded_fs(total_fs + direction.bias_sign * link.nonreciprocity_bias / 2.0)
+
+
+def _rounded_fs(total_fs):
     if not (np.abs(total_fs) < INT64_LIMIT).all():
         raise TimeRangeError("flight time outside the int64 femtosecond range (|t| < 2^63 fs)")
-    return np.rint(total_fs).astype(np.int64), geo.visible
+    return np.rint(total_fs).astype(np.int64)
 
 
 def time_of_flight(

@@ -118,8 +118,12 @@ class TagStream:
         return len(self.timestamps)
 
 
-def _poisson_times(rate_per_s: float, horizon_fs: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted event times of a homogeneous Poisson process on [0, horizon)."""
+def _poisson_times(rate_per_s: float, horizon_fs: int, seed: SeedSpec, stream: str) -> np.ndarray:
+    """Sorted event times of a homogeneous Poisson process on [0, horizon).
+
+    The generator of the named sub-stream of seed is derived only when an
+    event can occur.
+    """
     if horizon_fs < 0:
         raise ValueError("horizon must be >= 0")
     expected = float(rate_per_s * horizon_fs) / FS_PER_SECOND  # a float product for int rates too
@@ -127,6 +131,7 @@ def _poisson_times(rate_per_s: float, horizon_fs: int, rng: np.random.Generator)
         raise ValueError(f"expected event count {expected:.3g} exceeds {MAX_EXPECTED_EVENTS}")
     if horizon_fs == 0 or rate_per_s == 0.0:
         return np.empty(0, dtype=np.int64)
+    rng = spawn_rng(seed, stream)
     count = rng.poisson(expected)
     # Conditioned on the count, event times are iid uniform over the horizon
     # (order-statistics construction of the Poisson process).
@@ -138,8 +143,7 @@ def _poisson_times(rate_per_s: float, horizon_fs: int, rng: np.random.Generator)
 
 def generate_pair_births(source: PairSource, horizon: int, seed: SeedSpec) -> np.ndarray:
     """Pair birth times (true time, int64 fs) over [0, horizon)."""
-    rng = spawn_rng(seed, "pair-births")
-    return _poisson_times(source.pair_rate, horizon, rng)
+    return _poisson_times(source.pair_rate, horizon, seed, "pair-births")
 
 
 def split_pairs(
@@ -226,12 +230,13 @@ def detect(
         jitter = np.round(jitter_rng.normal(0.0, detector.jitter_sigma, len(arrivals))).astype(np.int64)
         arrivals = _checked_shift(arrivals, jitter)
 
-    darks = _poisson_times(detector.dark_rate, horizon, spawn_rng(seed, "detect-dark"))
+    darks = _poisson_times(detector.dark_rate, horizon, seed, "detect-dark")
     merged = np.concatenate((arrivals, _checked_shift(darks, window_start)))
     merged.sort(kind="stable")
     merged = _dead_time_filter(merged, detector.dead_time)
 
-    local = local_times(clock, merged, rng=spawn_rng(seed, "detect-readout"))
+    readout_rng = spawn_rng(seed, "detect-readout") if clock.model.white_phase_sigma_fs > 0 else None
+    local = local_times(clock, merged, rng=readout_rng)
     local.sort(kind="stable")  # clock noise can reorder near-simultaneous events
     quantized = (local // tagger.resolution) * tagger.resolution
     if tagger.range_limit is not None:

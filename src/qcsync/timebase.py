@@ -18,11 +18,15 @@ is the noise-free reading at one true time (all but the white phase noise);
 ``local_times`` reads an int64 tag array with the same results and adds
 white phase noise, fresh per tag, when it is given a generator.
 
-A float rate is num / 2^k with |num| < 2^64, so its term round(num * t / 2^k)
-is computed exactly in 64-bit limb arithmetic, block by block. The drift term
-d*t^2/2 has a denominator that is not a power of two; a clock with d != 0 is
-evaluated per tag in Python integers, as are arrays whose readings could come
-near the int64 limits, where that loop range-checks each reading exactly.
+A rate term round(y * t) over a tag array starts from the float product
+p = float(t) * y, which lies within |y * t| * 2^-52 of the exact value. Where
+p is more than |p| * 2^-50 from the nearest half-integer, rounding p gives the
+exact term; the few other tags, and every tag with |p| >= 2^49, are evaluated
+exactly in Python integers (a filter with an exact fallback, as in Shewchuk's
+adaptive-precision predicates, 1997). The drift term d*t^2/2 has a denominator
+that is not a power of two; a clock with d != 0 is evaluated per tag in Python
+integers, as are arrays whose readings could come near the int64 limits, where
+that loop range-checks each reading exactly.
 
 Note on granularity: the noiseless mapping is non-decreasing at single-fs
 granularity (a slope slightly below one can map adjacent ticks to the same
@@ -58,8 +62,7 @@ RANDOM_WALK_COEFF_LIMIT = 1e-3
 
 _RW_GRID_FS = 10**12  # 1 ms random-walk grid
 _RW_CHUNK = 4096
-_LOW32 = 0xFFFFFFFF
-_BLOCK = 1 << 15  # tags per limb pass; one pass over 250k tags ran 2.5x slower (2-core Xeon)
+_BLOCK = 1 << 15  # tags per float pass, which bounds the temporaries of a long array
 INT64_LIMIT = 2**63  # times, readings, resolutions and session ends stay below this many fs
 _INT64_MESSAGE = "clock reading outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays"
 _PHASE_MESSAGE = "random-walk clock phase outside the int64 femtosecond range (|t| < 2^63 fs) of tag arrays"
@@ -82,18 +85,16 @@ def _round_div(num: int, den: int) -> int:
 
 
 class _ExactRate:
-    """Exact rational multiplier for a float rate: term(t) = round(rate * t)."""
+    """Exact rational multiplier for a float rate: term(t) = round(rate * t), halves away from zero."""
 
-    __slots__ = ("num", "den", "_shift")
+    __slots__ = ("num", "den", "_float")
 
     def __init__(self, rate: float, per_fs_scale: int = 1):
         frac = Fraction(rate) / per_fs_scale
         self.num = frac.numerator
         self.den = frac.denominator
-        # Fraction(float) has a power-of-two denominator 2^k; ``terms`` needs
-        # that and |num| < 2^64, which every float rate below 2^64 meets.
-        shift = self.den.bit_length() - 1
-        self._shift = shift if self.den == 1 << shift and abs(self.num) < 1 << 64 else None
+        # ``terms`` multiplies by the rate as a float, so it needs one that is exact
+        self._float = float(rate) if per_fs_scale == 1 and float(rate) == rate else None
 
     def __call__(self, t: int) -> int:
         if self.num == 0:
@@ -102,7 +103,7 @@ class _ExactRate:
 
     @property
     def has_array_form(self) -> bool:
-        return self._shift is not None
+        return self._float is not None
 
     def bound(self, span: int) -> int:
         """An upper bound on |term(t)| for |t| <= span."""
@@ -111,51 +112,27 @@ class _ExactRate:
     def terms(self, t: np.ndarray) -> np.ndarray:
         """``term`` over an int64 array, exactly, in blocks of _BLOCK values.
 
-        Needs ``has_array_form``. |num * t| < 2^127, so the product of the
-        magnitudes is held in two uint64 limbs built from 32-bit halves;
-        rounding half away from zero is a carried add of 2^(k-1) and a right
-        shift by k, and the sign is restored last. Raises TimeRangeError when
-        a term leaves int64.
+        Needs ``has_array_form``. The float product p = float(t) * rate is
+        within |p| * 2^-52 (and a little more) of the exact product, counting
+        both roundings, so rounding p is exact wherever p lies more than
+        |p| * 2^-50 from a half-integer. That filter passes no tie and no
+        |p| >= 2^49; those tags take ``__call__``, and their floats are never
+        cast. Raises TimeRangeError when a term leaves int64.
         """
-        out = np.zeros(len(t), dtype=np.int64)
-        if self.num == 0 or self._shift >= 128:  # |num * t| / 2^k < 1/2
-            return out
-        mag = abs(self.num)
-        n0, n1 = np.uint64(mag & _LOW32), np.uint64(mag >> 32)
+        out = np.empty(len(t), dtype=np.int64)
         for start in range(0, len(t), _BLOCK):
-            out[start : start + _BLOCK] = _scaled_block(
-                t[start : start + _BLOCK], n0, n1, self._shift, self.num < 0
-            )
+            block = t[start : start + _BLOCK]
+            p = block * self._float
+            rounded = np.rint(p)
+            unsure = np.flatnonzero(np.abs(p - rounded) >= 0.5 - np.abs(p) * 2.0**-50)
+            rounded[unsure] = 0.0  # a rejected float may lie past int64: it is never cast
+            out[start : start + _BLOCK] = rounded
+            for i in unsure.tolist():
+                term = self(int(block[i]))
+                if not _in_int64(term):
+                    raise TimeRangeError("clock rate term outside the int64 femtosecond range")
+                out[start + i] = term
         return out
-
-
-def _scaled_block(t: np.ndarray, n0, n1, shift: int, negative_rate: bool) -> np.ndarray:
-    """round((n1 * 2^32 + n0) * t / 2^shift), halves away from zero; shift < 128."""
-    negative = (t < 0) != negative_rate
-    u = np.abs(t).view(np.uint64)  # |t|, also for -2^63, whose abs wraps to itself
-    t0, t1 = u & _LOW32, u >> 32
-    p00, p01, p10, p11 = t0 * n0, t0 * n1, t1 * n0, t1 * n1
-    col1 = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
-    col2 = (p01 >> 32) + (p10 >> 32) + (p11 & _LOW32) + (col1 >> 32)
-    lo = (col1 << 32) | (p00 & _LOW32)
-    hi = (col2 & _LOW32) | (((p11 >> 32) + (col2 >> 32)) << 32)
-    if 0 < shift <= 64:
-        rounded = lo + np.uint64(1 << (shift - 1))
-        hi += rounded < lo
-        lo = rounded
-    elif shift > 64:
-        hi += np.uint64(1 << (shift - 65))
-    if shift == 0:
-        q_lo, q_hi = lo, hi
-    elif shift < 64:
-        q_lo, q_hi = (lo >> shift) | (hi << (64 - shift)), hi >> shift
-    else:
-        q_lo, q_hi = hi >> (shift - 64), np.zeros_like(hi)
-    if np.any(q_hi) or np.any(q_lo > np.uint64(INT64_LIMIT - 1) + negative):
-        raise TimeRangeError("clock rate term outside the int64 femtosecond range")
-    q = q_lo.view(np.int64)
-    np.negative(q, out=q, where=negative)  # -(2^63) wraps to itself, as it should
-    return q
 
 
 @dataclass(frozen=True)
@@ -199,7 +176,6 @@ class _RandomWalkPhase:
     """
 
     def __init__(self, coeff: float, rng: np.random.Generator):
-        self._coeff = coeff
         self._rng = rng
         self._step_sigma = coeff * math.sqrt(_RW_GRID_FS / FS_PER_SECOND)
         self._y = np.zeros(1)
@@ -223,7 +199,7 @@ class _RandomWalkPhase:
             self._phase = np.concatenate(phases)
 
     def phases_at(self, t: np.ndarray) -> np.ndarray:
-        if self._coeff == 0.0 or len(t) == 0:
+        if len(t) == 0:
             return np.zeros(len(t), dtype=np.int64)
         t = np.asarray(t, dtype=np.int64)
         # through node 1 at least: a walk read only at t <= 0 still indexes node + 1
@@ -271,10 +247,10 @@ class ClockState:
         self.accumulated_correction_fs = accumulated_correction_fs
         self.accumulated_rate_correction = accumulated_rate_correction
         self.rng_stream = rng_stream
-        if _random_walk is None:
+        if _random_walk is None and model.random_walk_freq_coeff > 0:
             path = rng_stream if isinstance(rng_stream, tuple) else (rng_stream,)
             _random_walk = _RandomWalkPhase(model.random_walk_freq_coeff, derive_rng(0, "clock-rw", *path))
-        self._random_walk = _random_walk
+        self._random_walk = _random_walk  # None for a clock without random walk
         self._y_rate = _ExactRate(model.fractional_frequency)
         # d * t^2 / 2 with t in fs and d per second: d / (2 * FS_PER_SECOND) per fs^2
         self._drift_rate = _ExactRate(model.frequency_drift, 2 * FS_PER_SECOND)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qcsync import linkmodel
 from qcsync.linkmodel import (
     DEFAULT_CONSTANTS,
     CircularOrbit,
@@ -51,6 +52,19 @@ def test_nonreciprocity_bias_split_between_directions():
     ba = time_of_flight(link, 0, Direction.B_TO_A)
     assert ab - ba == 2000
     assert ab + ba == 2 * 10**9
+
+
+def test_static_flight_is_computed_once_per_link_and_direction(monkeypatch):
+    linkmodel._static_flight_fs.cache_clear()
+    geometry_at, calls = linkmodel._geometry_at, []
+    monkeypatch.setattr(linkmodel, "_geometry_at", lambda *args: calls.append(args) or geometry_at(*args))
+    link = LinkModel(geometry=StaticRange(range_m=299.792458), nonreciprocity_bias=2000, include_shapiro=True)
+    flights = {d: {time_of_flight(link, t, d) for t in (0, 10**15, -(10**15))} for d in Direction}
+    arrivals = propagate(np.array([0, 10**12], dtype=np.int64), link, Direction.B_TO_A, seed=1)
+    assert len(calls) == 2  # one per direction
+    (ab,), (ba,) = flights[Direction.A_TO_B], flights[Direction.B_TO_A]
+    assert ab - ba == 2000
+    assert arrivals.tolist() == [ba, 10**12 + ba]
 
 
 def test_orbital_period_closed_form():

@@ -251,3 +251,18 @@ def test_detect_deterministic_per_seed():
     other = detect(arrivals, det, _ideal_clock(3), TimeTagger(), 10**12, (15, "s"), **kwargs)
     assert np.array_equal(one.timestamps, two.timestamps)
     assert not np.array_equal(one.timestamps, other.timestamps)
+
+
+def test_noiseless_detect_derives_no_dark_or_readout_generator(monkeypatch):
+    streams = []
+    spawn = photonics.spawn_rng
+    monkeypatch.setattr(photonics, "spawn_rng", lambda seed, *suffix: streams.append(suffix) or spawn(seed, *suffix))
+    arrivals = np.arange(0, 10**9, 10**6, dtype=np.int64)
+    clock = ClockState(ClockModel(initial_offset_fs=5), rng_stream=1)
+    stream = detect(arrivals, Detector(), clock, TimeTagger(resolution=1), 10**9, (2, "a"))
+    assert streams == []
+    assert stream.timestamps.tolist() == (arrivals + 5).tolist()
+    # dark counts and white phase noise still draw from their own sub-streams
+    noisy = ClockState(ClockModel(white_phase_sigma_fs=10.0), rng_stream=1)
+    detect(arrivals, Detector(dark_rate=1e6), noisy, TimeTagger(resolution=1), 10**9, (2, "a"))
+    assert streams == [("detect-dark",), ("detect-readout",)]

@@ -468,6 +468,7 @@ def test_relativity_static_link(tmp_path, capsys):
         capsys, "relativity", "--config", config, "--out", str(tmp_path), "--format", "csv"
     )
     assert code == 0, err
+    assert out == (tmp_path / "relativity_report.json").read_text()
     payload = json.loads(out)
     assert payload["orbital_period_s"] is None
     assert all(s["flight_ab_fs"] == 10**9 for s in payload["samples"])

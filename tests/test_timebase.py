@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from qcsync import timebase
 from qcsync.timebase import (
     FS_PER_SECOND,
     ClockModel,
@@ -13,6 +16,7 @@ from qcsync.timebase import (
     apply_correction,
     local_time,
     local_times,
+    _BLOCK,
     _ExactRate,
     _RandomWalkPhase,
 )
@@ -158,7 +162,7 @@ def test_local_times_matches_scalar_path():
             rng.integers(-(10**16), 10**16, 400),
         )
     ).astype(np.int64)
-    # drift 0 takes the limb kernel, drift != 0 the per-tag Python-int loop
+    # drift 0 takes the float rate kernel, drift != 0 the per-tag Python-int loop
     for drift in (0.0, 2e-11):
         model = ClockModel(
             initial_offset_fs=987,
@@ -175,17 +179,17 @@ def test_local_times_matches_scalar_path():
 
 def _rate_kernel_times(rng):
     edges = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63)]
+    # from 2^53 up, float(t) rounds t itself
+    near_2_53 = [sign * (2**53 + d) for sign in (1, -1) for d in (-3, -1, 1, 3)]
     spread = np.concatenate(
         [rng.integers(-(2**e), 2**e, 60) for e in (8, 24, 40, 52, 62)]
     )
-    return np.concatenate((edges, spread)).astype(np.int64)
+    return np.concatenate((edges, near_2_53, spread)).astype(np.int64)
 
 
-def test_rate_kernel_matches_scalar_rounding():
+def test_rate_kernel_matches_scalar_rounding(monkeypatch):
     rng = np.random.default_rng(23)
     rates = [*rng.uniform(-1e-3, 1e-3, 12), 0.9, -0.9, 1e-20, -1e-20, 0.5, 2.0**-64, 2.0**-65, 1.0]
-    shifts = {_ExactRate(rate)._shift for rate in rates}
-    assert min(shifts) < 64 < max(shifts)
     times = _rate_kernel_times(rng)
     for rate in rates:
         exact = _ExactRate(rate)
@@ -196,11 +200,61 @@ def test_rate_kernel_matches_scalar_rounding():
     odd = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=np.int64)
     for exact in (_ExactRate(0.5), _ExactRate(-1.5), _ExactRate(2.0**-60)):
         assert exact.terms(odd * 2**59).tolist() == [exact(int(t) * 2**59) for t in odd]
+    # Products exactly on a half, far below 2^50, fail the float filter: each
+    # takes the exact path, also in the second block of a long array.
+    half = _ExactRate(2.0**-20)
+    ties = np.array([1, -1, 3, -5, 2**43 - 1, -(2**43 - 1)], dtype=np.int64) * 2**19
+    long = np.concatenate((np.arange(_BLOCK, dtype=np.int64) << 20, ties))
+    want = [half(int(t)) for t in long]
+    reference, exact_calls = _ExactRate.__call__, []
+    monkeypatch.setattr(_ExactRate, "__call__", lambda self, t: exact_calls.append(t) or reference(self, t))
+    assert half.terms(long).tolist() == want
+    assert exact_calls == ties.tolist()
+    assert want[-6:] == [1, -1, 2, -3, 2**42, -(2**42)]
+
+
+def test_rate_kernel_matches_exact_terms_on_a_seeded_sweep():
+    # 1000 rates x 100 times: 10^5 (rate, time) pairs against the Python-int terms
+    rng = np.random.default_rng(31)
+    signs = rng.choice([-1.0, 1.0], 1000)
+    rates = signs * 10.0 ** rng.uniform(-20, 0, 1000)
+    rates[:200] = signs[:200] * 2.0 ** -rng.integers(1, 70, 200).astype(float)  # dyadic rates
+    for rate in rates.tolist():
+        exact = _ExactRate(rate)
+        times = rng.integers(-(2**63), 2**63 - 1, 100, dtype=np.int64, endpoint=True)
+        times >>= rng.integers(0, 63, 100)  # magnitudes spread over every scale
+        times[:2] = -(2**63), 2**63 - 1
+        assert exact.terms(times).tolist() == [exact(t) for t in times.tolist()], rate
+
+
+def test_local_times_near_the_int64_end_reads_without_warning():
+    # |rate * t| is about 2^53, past the float filter: the exact path runs,
+    # and no float at or past 2^63 is cast to int64
+    times = np.array([2**63 - 2**40 - k for k in (2**39, 2**20, 1, 0)], dtype=np.int64)
+    exact = _ExactRate(9.99e-4)
+    state = ClockState(ClockModel(initial_offset_fs=-(2**54), fractional_frequency=9.99e-4), rng_stream=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exact.terms(times).tolist() == [exact(t) for t in times.tolist()]
+        assert local_times(state, times).tolist() == [local_time(state, t) for t in times.tolist()]
+
+
+def test_noiseless_clock_derives_no_random_walk_generator(monkeypatch):
+    paths = []
+    derive = timebase.derive_rng
+    monkeypatch.setattr(timebase, "derive_rng", lambda *path: paths.append(path) or derive(*path))
+    quiet = ClockState(ClockModel(fractional_frequency=1e-9, white_phase_sigma_fs=10.0), rng_stream=(4, "a"))
+    apply_correction(quiet, 5, 1e-12)
+    assert paths == []
+    walk = ClockState(ClockModel(random_walk_freq_coeff=1e-9), rng_stream=(4, "a"))
+    assert paths == [(0, "clock-rw", 4, "a")]
+    apply_correction(walk, 5)  # a corrected clock shares its walk
+    assert paths == [(0, "clock-rw", 4, "a")]
 
 
 def test_rate_kernel_raises_outside_int64():
     assert _ExactRate(1.0).terms(np.array([-(2**63)], dtype=np.int64)).tolist() == [-(2**63)]
-    wide = _ExactRate(2.0**62 + 2.0**40)  # numerator above 2^32, in both limbs
+    wide = _ExactRate(2.0**62 + 2.0**40)  # every nonzero product is past the float filter
     assert wide.terms(np.array([-1, 0, 1], dtype=np.int64)).tolist() == [-wide.num, 0, wide.num]
     with pytest.raises(TimeRangeError):
         wide.terms(np.array([2], dtype=np.int64))

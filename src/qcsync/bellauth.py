@@ -23,7 +23,6 @@ __all__ = [
     "ChshSettings",
     "ChshEstimate",
     "AuthPolicy",
-    "DEFAULT_SETTINGS",
     "OUTCOME_ORDER",
     "AUTHENTIC",
     "REJECTED",
@@ -78,9 +77,6 @@ class ChshSettings:
             (self.a_prime, self.b),
             (self.a_prime, self.b_prime),
         )
-
-
-DEFAULT_SETTINGS = ChshSettings()
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,6 @@ __all__ = [
     "GeometryError",
     "NotVisibleError",
     "LightTimeConvergenceError",
-    "GeometrySample",
-    "sample_geometry",
     "orbital_period",
     "relativistic_rate_offset",
     "time_of_flight",
@@ -134,15 +132,6 @@ class LinkModel:
             raise ValueError("channel_jitter_sigma must be in [0, 10^15] fs")
 
 
-@dataclass(frozen=True)
-class GeometrySample:
-    range_m: float
-    elevation: float  # rad; pi/2 for the static variant
-    visible: bool
-    r_station_m: float
-    r_sat_m: float
-
-
 def _station_positions(
     gs: GroundStation, t_s: np.ndarray, constants: PhysicalConstants
 ) -> np.ndarray:
@@ -204,16 +193,6 @@ def _geometry_at(
     elevation = np.arcsin(np.clip(sin_el, -1.0, 1.0))
     visible = elevation >= geometry.elevation_mask
     return _Geometry(range_m, elevation, visible, r_station, np.linalg.norm(sat, axis=-1), station, sat)
-
-
-def sample_geometry(
-    geometry: GeometryScenario,
-    true_time: int,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> GeometrySample:
-    """Range, elevation, and visibility at one instant (never raises on occlusion)."""
-    geo = _geometry_at(geometry, np.array([true_time / FS_PER_SECOND]), constants)
-    return GeometrySample(*(np.asarray(field).item() for field in geo[:5]))
 
 
 def orbital_period(

@@ -7,10 +7,12 @@ the report epochs. A horizon at or past 2^63 fs, the int64 range of tag
 arrays, raises TimeRangeError before the first event. Each sync runs one
 photon acquisition and one two-way estimate on its edge and steps the
 downstream clock by the measured offset (optionally also steering its rate
-by the measured fractional frequency). Every sync
-derives its randomness from (master seed, edge index, event index), so
-removing one node's events never perturbs any other node's randomness, and
-single events can be replayed in isolation.
+by the measured fractional frequency). The applied offset has the orbit
+model's half flight asymmetry (T_AB - T_BA)/2 removed, read from the
+session's own midpoint flights; a configured nonreciprocity_bias_fs stays in
+the error as b/2. Every sync derives its randomness from (master seed, edge
+index, event index), so removing one node's events never perturbs any other
+node's randomness, and single events can be replayed in isolation.
 
 A node failure is an event at its instant, ordered before the syncs at the
 same time: the node is down from then on, and the strata are recomputed
@@ -25,7 +27,6 @@ scheduled sync, and with no such parent the sync logs holdover.
 
 from __future__ import annotations
 
-import dataclasses
 import graphlib
 import heapq
 import math
@@ -33,14 +34,7 @@ from dataclasses import dataclass, field
 
 # frequency_track is bound here but not called: bench/workloads.py rebinds it by name
 from .estimator import CorrelationConfig, EstimationError, _halve_toward_zero, frequency_track  # noqa: F401
-from .linkmodel import (
-    DEFAULT_CONSTANTS,
-    Direction,
-    LinkModel,
-    NotVisibleError,
-    PhysicalConstants,
-    time_of_flight,
-)
+from .linkmodel import DEFAULT_CONSTANTS, LinkModel, NotVisibleError, PhysicalConstants
 from .session import NodeInstruments, SessionSpec, estimate_session, run_session
 from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel, ClockState, TimeRangeError, apply_correction, local_time
 
@@ -213,31 +207,21 @@ def _strata(topology: Topology, dead: set) -> dict:
     return {n.id: strata[n.id] for n in topology.nodes}
 
 
-def _ephemeris_asymmetry_fs(link: LinkModel, t_mid: int, constants: PhysicalConstants) -> int:
-    """Predicted two-way asymmetry (T_AB - T_BA)/2 from the known geometry.
-
-    A moving endpoint breaks flight-time reciprocity by about T_f * rdot / c
-    (nanoseconds for LEO), so the controller subtracts the asymmetry the
-    orbit model predicts. The configured nonreciprocity_bias is deliberately
-    excluded: it stands for asymmetry the operator does not know about, and
-    must surface in the error budget as b/2.
-    """
-    known = dataclasses.replace(link, nonreciprocity_bias=0)
-    try:
-        t_ab = time_of_flight(known, t_mid, Direction.A_TO_B, constants)
-        t_ba = time_of_flight(known, t_mid, Direction.B_TO_A, constants)
-    except NotVisibleError:
-        return 0
-    return _halve_toward_zero(t_ab - t_ba)
-
-
 def _stream(times: range, kind: int, index: int):
     """Events (t, kind, index, occurrence) at the given times, produced lazily."""
     return ((t, kind, index, k) for k, t in enumerate(times))
 
 
 def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple, constants: PhysicalConstants):
-    """Run one acquisition on the edge at true time t: (offset fix fs, rate fix)."""
+    """Run one acquisition on the edge at true time t: (offset fix fs, rate fix).
+
+    A two-way estimate cancels the flight time only on a reciprocal link, and
+    a moving endpoint breaks reciprocity by about T_f * rdot / c (nanoseconds
+    for LEO). So the offset fix has the orbit model's half flight asymmetry
+    (T_AB - T_BA)/2 removed, read from the session's own midpoint flights
+    (0 on a static range). A configured nonreciprocity_bias stays in the
+    error as b/2.
+    """
     spec = SessionSpec(
         duration=edge.duration_fs,
         instruments_a=edge.instruments_up,
@@ -247,9 +231,15 @@ def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple, constants:
     )
     streams = run_session(spec, clocks[edge.upstream], clocks[edge.downstream], event_seed, constants)
     result = estimate_session(streams, edge.correlation)
+    # The configured nonreciprocity_bias is left out because it stands for
+    # asymmetry the operator does not know about. The truth flights are the
+    # ephemeris solve plus the bias split, so any future linkmodel term that
+    # the controller cannot know must also be subtracted here.
+    truth = streams.truth
+    asymmetry = _halve_toward_zero(truth.flight_ab_fs - truth.flight_ba_fs - edge.link.nonreciprocity_bias)
     if edge.track_frequency:
-        return result.frequency.offset_at_epoch, result.frequency.fractional_frequency
-    return result.clock_offset, 0.0
+        return result.frequency.offset_at_epoch - asymmetry, result.frequency.fractional_frequency
+    return result.clock_offset - asymmetry, 0.0
 
 
 def run_network(
@@ -340,7 +330,6 @@ def run_network(
             except (EstimationError, NotVisibleError) as exc:
                 record["outcome"] = f"failed: {exc}"
             else:
-                offset_fix -= _ephemeris_asymmetry_fs(edge.link, t + edge.duration_fs // 2, constants)
                 clocks[edge.downstream] = apply_correction(clocks[edge.downstream], offset_fix, rate_fix)
                 successes[index] += 1
                 record.update(outcome="applied", offset_fix_fs=offset_fix, rate_fix=rate_fix)

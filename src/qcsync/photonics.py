@@ -36,9 +36,11 @@ __all__ = [
     "split_pairs",
     "detect",
     "MAX_EXPECTED_EVENTS",
+    "PAIR_CORRELATION_SIGMA_LIMIT",
 ]
 
 MAX_EXPECTED_EVENTS = 10**9  # resource guard on Poisson generation
+PAIR_CORRELATION_SIGMA_LIMIT = 10**6  # fs, largest pair_correlation_sigma (1 ns)
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class PairSource:
     def __post_init__(self):
         if not self.pair_rate > 0:
             raise ValueError("pair_rate must be > 0")
-        if not 0 <= self.pair_correlation_sigma <= 10**6:
-            raise ValueError("pair_correlation_sigma must be within [0, 1e6] fs")
+        if not 0 <= self.pair_correlation_sigma <= PAIR_CORRELATION_SIGMA_LIMIT:
+            raise ValueError(f"pair_correlation_sigma must be within [0, {PAIR_CORRELATION_SIGMA_LIMIT}] fs")
         if not 0.0 <= self.heralding_efficiency_local <= 1.0:
             raise ValueError("heralding_efficiency_local must be in [0, 1]")
 

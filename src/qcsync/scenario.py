@@ -19,7 +19,7 @@ from .bellauth import AuthPolicy, ChshSettings, EntanglementModel
 from .estimator import CorrelationConfig
 from .linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
 from .netsync import Node, SyncEdge, Topology
-from .photonics import Detector, PairSource, TimeTagger
+from .photonics import PAIR_CORRELATION_SIGMA_LIMIT, Detector, PairSource, TimeTagger
 from .session import NodeInstruments, SessionSpec
 from .timebase import FS_PER_SECOND, INT64_LIMIT, RANDOM_WALK_COEFF_LIMIT, ClockModel
 
@@ -48,7 +48,7 @@ _SOURCE = {
     "required": ["pair_rate_hz"],
     "properties": {
         "pair_rate_hz": {"type": "number", "exclusiveMinimum": 0},
-        "pair_correlation_sigma_fs": {"type": "integer", "minimum": 0, "maximum": 10**6},
+        "pair_correlation_sigma_fs": {"type": "integer", "minimum": 0, "maximum": PAIR_CORRELATION_SIGMA_LIMIT},
         "heralding_efficiency_local": {"type": "number", "minimum": 0, "maximum": 1},
     },
 }

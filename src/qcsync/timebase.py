@@ -56,9 +56,10 @@ __all__ = [
 ]
 
 FS_PER_SECOND = 10**15
+_FREQUENCY_LIMIT = 1e-3  # |fractional_frequency| of a clock stays below this
 # Largest random_walk_freq_coeff, 1/sqrt(s): a walk that strong wanders as far
-# in a second as the largest fractional frequency (1e-3) a clock may have.
-RANDOM_WALK_COEFF_LIMIT = 1e-3
+# in a second as the largest fractional frequency a clock may have.
+RANDOM_WALK_COEFF_LIMIT = _FREQUENCY_LIMIT
 
 _RW_GRID_FS = 10**12  # 1 ms random-walk grid
 _RW_CHUNK = 4096
@@ -153,10 +154,8 @@ class ClockModel:
     random_walk_freq_coeff: float = 0.0
 
     def __post_init__(self):
-        if not abs(self.fractional_frequency) < 1e-3:
-            raise ValueError(
-                f"|fractional_frequency| must be < 1e-3, got {self.fractional_frequency}"
-            )
+        if not abs(self.fractional_frequency) < _FREQUENCY_LIMIT:
+            raise ValueError(f"|fractional_frequency| must be < {_FREQUENCY_LIMIT}, got {self.fractional_frequency}")
         if not 0 <= self.white_phase_sigma_fs <= FS_PER_SECOND:
             raise ValueError("white_phase_sigma_fs must be in [0, 10^15] fs")
         if not 0 <= self.random_walk_freq_coeff <= RANDOM_WALK_COEFF_LIMIT:

@@ -14,8 +14,8 @@ import pytest
 
 from qcsync.bellauth import (
     AUTHENTIC,
-    DEFAULT_SETTINGS,
     AuthPolicy,
+    ChshSettings,
     EntanglementModel,
     authenticate,
     chsh_value,
@@ -293,7 +293,7 @@ def test_c07_shapiro_closed_form_and_meo_magnitude():
 def test_c08_chsh_scaling_and_false_authentication_rate():
     for index, visibility in enumerate((1.0, 0.9, 1 / math.sqrt(2), 0.5)):
         counts = simulate_coincidences(
-            EntanglementModel(visibility), DEFAULT_SETTINGS, 10**4, (5, "grid", index)
+            EntanglementModel(visibility), ChshSettings(), 10**4, (5, "grid", index)
         )
         est = chsh_value(counts)
         assert est.S == pytest.approx(
@@ -305,7 +305,7 @@ def test_c08_chsh_scaling_and_false_authentication_rate():
     cap = EntanglementModel(1 / math.sqrt(2))
     false_auth = sum(
         authenticate(
-            chsh_value(simulate_coincidences(cap, DEFAULT_SETTINGS, 10**4, (seed, "auth"))),
+            chsh_value(simulate_coincidences(cap, ChshSettings(), 10**4, (seed, "auth"))),
             policy,
         )
         == AUTHENTIC
@@ -401,7 +401,7 @@ def _pipeline_digest() -> str:
     )
     report = run_network(_chain_topology(), horizon=3 * 10**13, seed=7)
     digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
-    counts = simulate_coincidences(EntanglementModel(0.9), DEFAULT_SETTINGS, 5000, (9, "bell"))
+    counts = simulate_coincidences(EntanglementModel(0.9), ChshSettings(), 5000, (9, "bell"))
     digest.update(counts.tobytes())
     return digest.hexdigest()
 

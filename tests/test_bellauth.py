@@ -14,7 +14,6 @@ from qcsync.bellauth import (
     REJECTED,
     AuthPolicy,
     ChshSettings,
-    DEFAULT_SETTINGS,
     EntanglementModel,
     authenticate,
     chsh_value,
@@ -24,7 +23,7 @@ from qcsync.bellauth import (
 
 def _estimate(visibility, pairs, seed=1):
     model = EntanglementModel(visibility=visibility)
-    counts = simulate_coincidences(model, DEFAULT_SETTINGS, pairs, (seed, "bell"))
+    counts = simulate_coincidences(model, ChshSettings(), pairs, (seed, "bell"))
     return chsh_value(counts)
 
 
@@ -43,24 +42,24 @@ def test_correlation_model():
 
 
 def test_counts_table_shape_and_totals():
-    counts = simulate_coincidences(EntanglementModel(), DEFAULT_SETTINGS, 500, (3,))
+    counts = simulate_coincidences(EntanglementModel(), ChshSettings(), 500, (3,))
     assert counts.shape == (4, 4)
     assert counts.dtype == np.int64
     assert np.all(counts.sum(axis=1) == 500)
 
 
 def test_pairs_per_setting_bounded_at_int64():
-    counts = simulate_coincidences(EntanglementModel(), DEFAULT_SETTINGS, 2**63 - 1, (3,))
+    counts = simulate_coincidences(EntanglementModel(), ChshSettings(), 2**63 - 1, (3,))
     assert np.all(counts.sum(axis=1) == 2**63 - 1)
     # 2^63 overflowed numpy's multinomial with OverflowError
     with pytest.raises(ValueError, match="pairs_per_setting"):
-        simulate_coincidences(EntanglementModel(), DEFAULT_SETTINGS, 2**63, (3,))
+        simulate_coincidences(EntanglementModel(), ChshSettings(), 2**63, (3,))
 
 
 def test_simulation_deterministic_per_seed():
-    a = simulate_coincidences(EntanglementModel(0.9), DEFAULT_SETTINGS, 1000, (7, "x"))
-    b = simulate_coincidences(EntanglementModel(0.9), DEFAULT_SETTINGS, 1000, (7, "x"))
-    c = simulate_coincidences(EntanglementModel(0.9), DEFAULT_SETTINGS, 1000, (8, "x"))
+    a = simulate_coincidences(EntanglementModel(0.9), ChshSettings(), 1000, (7, "x"))
+    b = simulate_coincidences(EntanglementModel(0.9), ChshSettings(), 1000, (7, "x"))
+    c = simulate_coincidences(EntanglementModel(0.9), ChshSettings(), 1000, (8, "x"))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -161,7 +160,7 @@ def test_settings_and_policy_validation():
     with pytest.raises(ValueError):
         AuthPolicy(confidence_sigma=0.0)
     with pytest.raises(ValueError):
-        simulate_coincidences(EntanglementModel(), DEFAULT_SETTINGS, 0, (1,))
+        simulate_coincidences(EntanglementModel(), ChshSettings(), 0, (1,))
 
 
 def test_setting_pair_row_order():

@@ -31,6 +31,7 @@ GOLDEN = {
         "cli": "aab1e97e589ed2647f283cf5ee4fe8356586f8f17e30c013a77aa7b578e3033a",
         "network": "a7ee9c3a04d72848f53e512b708df368a76de95f4fcc97105856a40c1b261cd2",
         "relativity": "3e2936db4541678f26eb759d25da17d5b986ed4606e90d435d4691f90891f552",
+        "network_orbit": "ed92992f2159005e9edbddeb0e392a541819a676f546c14f4852eb5d514aee2a",
     },
 }
 
@@ -156,3 +157,14 @@ def test_golden_relativity_orbit_link(tmp_path, capsys):
     capsys.readouterr()
     payload = [(tmp_path / name).read_text() for name in ("relativity_report.json", "relativity_samples.csv")]
     assert _sha(payload) == GOLDEN[np.__version__]["relativity"]
+
+
+def test_golden_network_on_an_orbit_edge(tmp_path, capsys):
+    # leo_demo's one edge is a circular orbit, so this covers the orbit flight
+    # solves and the ephemeris correction of every applied sync; the pin is
+    # the sha256 of the report file's bytes, as ``sha256sum`` prints it
+    leo = Path(__file__).parent.parent / "scenarios" / "leo_demo.json"
+    assert main(["net", "--config", str(leo), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "network_report.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN[np.__version__]["network_orbit"]

@@ -11,6 +11,7 @@ from qcsync import linkmodel
 from qcsync.linkmodel import (
     DEFAULT_CONSTANTS,
     CircularOrbit,
+    _geometry_at,
     _satellite_positions,
     _shapiro_fs,
     _station_positions,
@@ -23,7 +24,6 @@ from qcsync.linkmodel import (
     orbital_period,
     propagate,
     relativistic_rate_offset,
-    sample_geometry,
     time_of_flight,
     visibility_windows,
 )
@@ -96,23 +96,23 @@ def test_relativistic_rate_gps_and_leo_magnitudes():
 
 def test_overhead_pass_symmetric_elevation():
     orbit = _overhead_orbit()
-    zenith = sample_geometry(orbit, 0)
+    zenith = _geometry_at(orbit, 0.0, DEFAULT_CONSTANTS)
     assert zenith.elevation == pytest.approx(math.pi / 2, abs=1e-4)
     assert zenith.range_m == pytest.approx(550e3, rel=1e-6)
-    before = sample_geometry(orbit, -20 * FS)
-    after = sample_geometry(orbit, 20 * FS)
+    before = _geometry_at(orbit, -20.0, DEFAULT_CONSTANTS)
+    after = _geometry_at(orbit, 20.0, DEFAULT_CONSTANTS)
     assert before.elevation == pytest.approx(after.elevation, abs=2e-4)
 
 
 def test_below_mask_is_not_visible():
     orbit = _overhead_orbit()
     quarter = int(orbital_period(orbit) * FS / 4)
-    far_side = sample_geometry(orbit, 2 * quarter)  # antipodal: far side of the orbit
+    far_side = _geometry_at(orbit, 2 * quarter / FS, DEFAULT_CONSTANTS)  # antipodal: far side of the orbit
     assert not far_side.visible
     assert far_side.range_m > 2 * R_E
     with pytest.raises(NotVisibleError):
         time_of_flight(LinkModel(geometry=orbit), 2 * quarter, Direction.A_TO_B)
-    zenith = sample_geometry(orbit, 0)
+    zenith = _geometry_at(orbit, 0.0, DEFAULT_CONSTANTS)
     assert zenith.visible
     assert zenith.range_m == pytest.approx(550e3, rel=1e-6)
 
@@ -126,7 +126,7 @@ def test_light_time_includes_receiver_motion():
     t = -15 * FS  # approaching
     ab = time_of_flight(link, t, Direction.A_TO_B)
     ba = time_of_flight(link, t, Direction.B_TO_A)
-    instantaneous = sample_geometry(orbit, t).range_m / C * FS
+    instantaneous = _geometry_at(orbit, t / FS, DEFAULT_CONSTANTS).range_m / C * FS
     assert ab != ba
     # approaching satellite: A->B flight is shorter than the frozen-geometry value
     assert ab < instantaneous < ba + 5000
@@ -160,7 +160,7 @@ def test_shapiro_included_when_enabled():
     delta = time_of_flight(with_gr, 0, Direction.A_TO_B) - time_of_flight(
         plain, 0, Direction.A_TO_B
     )
-    geo = sample_geometry(orbit, 0)
+    geo = _geometry_at(orbit, 0.0, DEFAULT_CONSTANTS)
     expected = _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, DEFAULT_CONSTANTS)
     assert delta == pytest.approx(expected, abs=1.0)
     assert 10**4 <= delta <= 10**5  # tens of picoseconds for ground-to-MEO
@@ -215,7 +215,7 @@ def test_propagate_raises_where_arrivals_would_wrap_int64(jitter):
     mean_motion = 2 * math.pi / orbital_period(_overhead_orbit())
     phase0 = (DEFAULT_CONSTANTS.earth_rotation_rate - mean_motion) * t_last
     overhead = LinkModel(geometry=CircularOrbit(altitude=550e3, phase0=phase0), channel_jitter_sigma=jitter)
-    assert sample_geometry(overhead.geometry, INT64_LIMIT - 1).elevation > math.radians(89)
+    assert _geometry_at(overhead.geometry, t_last, DEFAULT_CONSTANTS).elevation > math.radians(89)
     with pytest.raises(TimeRangeError):
         propagate(np.array([0, INT64_LIMIT - 10**6], dtype=np.int64), overhead, Direction.B_TO_A, (25,))
 
@@ -266,7 +266,8 @@ def test_visibility_windows_match_per_sample_geometry():
     step = 10 * FS
     # the grid ends in the middle of the third pass
     windows = visibility_windows(orbit, -1000 * FS, 12300 * FS, step)
-    samples = [(t / FS, sample_geometry(orbit, t)) for t in range(-1000 * FS, 12300 * FS + 1, step)]
+    grid = range(-1000 * FS, 12300 * FS + 1, step)
+    samples = [(t / FS, _geometry_at(orbit, t / FS, DEFAULT_CONSTANTS)) for t in grid]
     expected, run = [], []
     for t_s, geo in samples + [(None, None)]:
         if geo is not None and geo.visible:

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from qcsync import netsync
-from qcsync.estimator import CorrelationConfig
-from qcsync.linkmodel import LinkModel, StaticRange
+from qcsync.estimator import CorrelationConfig, _halve_toward_zero
+from qcsync.linkmodel import DEFAULT_CONSTANTS, Direction, LinkModel, StaticRange, time_of_flight
 from qcsync.netsync import (
     ROLE_GROUND,
     ROLE_REFERENCE,
@@ -24,7 +28,7 @@ from qcsync.netsync import (
 from qcsync.photonics import Detector, PairSource, TimeTagger
 from qcsync.scenario import build_topology
 from qcsync.session import NodeInstruments
-from qcsync.timebase import ClockModel
+from qcsync.timebase import ClockModel, ClockState
 
 FS = 10**15
 
@@ -385,6 +389,62 @@ def test_each_sync_runs_one_session_and_one_estimate(monkeypatch):
     report = run_network(topology, horizon=3 * 10**13, seed=4)
     assert report.edge_attempts == (2, 1)
     assert calls == {"run_session": 3, "estimate_session": 3}
+
+
+def _leo_demo_topology(**overrides):
+    leo = json.loads((Path(__file__).parent.parent / "scenarios" / "leo_demo.json").read_text())
+    return build_topology({**leo["topology"], **overrides})
+
+
+def test_each_orbit_sync_solves_the_midpoint_flights_once(monkeypatch):
+    # per applied sync: the two remote gates and the two truth flights; the
+    # ephemeris correction reads the truth flights instead of solving again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return time_of_flight(*args, **kwargs)
+
+    qcsync_modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qcsync"]
+    for module in qcsync_modules:
+        if getattr(module, "time_of_flight", None) is time_of_flight:
+            monkeypatch.setattr(module, "time_of_flight", counted)
+    topology, horizon, report_interval = _leo_demo_topology(horizon_s=3)
+    report = run_network(topology, horizon, 2026, report_interval)
+    applied = sum(report.edge_successes)
+    assert applied == sum(report.edge_attempts) == 2
+    assert len(calls) == 4 * applied
+
+
+def _correction(edge, t):
+    """What _measure subtracts from the estimate at true time t."""
+    clocks = {edge.upstream: ClockState(ClockModel()), edge.downstream: ClockState(ClockModel())}
+    offset_fix, rate_fix = netsync._measure(edge, clocks, t, (9, "oracle", t), DEFAULT_CONSTANTS)
+    assert rate_fix == 0.0
+    return -offset_fix
+
+
+def test_ephemeris_correction_matches_a_bias_free_solve(monkeypatch):
+    # The correction once came from a second midpoint solve on a copy of the
+    # link with the bias removed. Reading the session's truth flights instead
+    # gives the same value at even b; at odd b the b/2 split rounds in each
+    # direction, which may move it by 1 fs.
+    monkeypatch.setattr(netsync, "estimate_session", lambda streams, cfg: SimpleNamespace(clock_offset=0))
+    (edge,) = _leo_demo_topology()[0].edges
+    known = dataclasses.replace(edge.link, nonreciprocity_bias=0)
+    rng = random.Random(21)
+    solved = {}
+    for t in (rng.randrange(0, 270 * FS) for _ in range(50)):  # leo_demo's pass is visible over 0-270 s
+        mid = t + edge.duration_fs // 2
+        t_ab, t_ba = (time_of_flight(known, mid, d) for d in (Direction.A_TO_B, Direction.B_TO_A))
+        solved[t] = _halve_toward_zero(t_ab - t_ba)
+        assert abs(solved[t]) > 1000  # a moving endpoint: nanoseconds apart
+    for bias in (0, 2, 2000, 1, -5, 2001):
+        biased = dataclasses.replace(edge, link=dataclasses.replace(edge.link, nonreciprocity_bias=bias))
+        for t, want in solved.items():
+            assert abs(_correction(biased, t) - want) <= bias % 2, (bias, t)
+        static = _edge("ref", "n1", link=dataclasses.replace(LINK, nonreciprocity_bias=bias))
+        assert _correction(static, 10**12) == 0
 
 
 def test_edge_interval_must_be_at_least_one_fs():

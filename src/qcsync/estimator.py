@@ -6,8 +6,10 @@ local tag form one run of remote tags, found by binary search: cost scales
 with the number of in-window pairs, never len(local)*len(remote). The
 enumeration route below searches the window once per correlation. A window
 that holds every pair the streams can form, as when a session's span plus
-its offset stays inside the window, needs no search: each run is the whole
-remote stream, and the pairs of a block are one broadcast subtraction.
+its offset stays inside the window, is never searched: coarse_histogram
+makes its offsets by rows of local tags, each block of rows one broadcast
+subtraction from the remote stream, and pair p is local tag p // R with
+remote tag p % R, R the remote stream's length.
 
 The coarse estimate is the first coarse bin holding the most pairs, found
 exactly by one of two routes that give the same bin and count:
@@ -27,10 +29,11 @@ exactly by one of two routes that give the same bin and count:
 - The enumeration of every window pair, when the window holds too few
   pairs to repay the FFTs, when N would be large, or when the bounds are
   too loose for the visit budget. The pairs are made in cache-sized int64
-  blocks, reduced to coarse-bin offsets from the first bin a window pair
-  can fill, and sorted as 32-bit integers (64-bit only when the window
-  spans more than 2**32 bins); runs of equal offsets give the sparse
-  coarse histogram (coarse_histogram).
+  blocks (whole rows of local tags when the window holds every pair),
+  reduced to coarse-bin offsets from the first bin a window pair can fill,
+  and sorted as 32-bit integers (64-bit only when the window spans more
+  than 2**32 bins); runs of equal offsets give the sparse coarse histogram
+  (coarse_histogram).
 
 The background is every window bin, empty ones included, except the
 peak's +-refine_span_bins coarse bins (the peak span; a span reaching past
@@ -44,8 +47,9 @@ give; a window as long as the session makes it large. The significance is
 The fine stage then takes only the peak span's pairs, each with its local
 time t. The enumeration route picks them out of the window's pairs by their
 coarse-bin offsets, kept when the window fits one sort, and rebuilds their
-exact differences from the window's runs; the bounded route, and a window
-of several sorts, search the span instead. The fine stage fits the line
+exact differences from the window's runs, or by index arithmetic when the
+window holds every pair; the bounded route, and a window of several sorts,
+search the span instead. The fine stage fits the line
 d = a + b*(t - t_mean) by least squares over an iterated member window:
 seeded with the coarse peak bin, each pass keeps the pairs within
 max(3 sigma, fine_bin) of the line, until the member set stops changing.
@@ -211,17 +215,12 @@ class _PairRuns(NamedTuple):
 def _pair_runs(local: np.ndarray, remote: np.ndarray, lo_off: int, hi_off: int) -> _PairRuns:
     """The pairs whose difference d = remote - local lies in [lo_off, hi_off).
 
-    A window that holds every pair the streams can form gives each local tag
-    t all of remote: counts R, ends (t+1)*R and base -t*R, with no search.
-    Otherwise each run is found by binary search. Offsets are clamped to the
+    Each run is found by binary search. Offsets are clamped to the
     differences the streams can form, and each local tag t to where
-    t + offset lies in [remote[0], remote[-1] + 1], so no sum wraps.
+    t + offset lies in [remote[0], remote[-1] + 1], so no sum wraps. A
+    window that holds every pair never comes here from coarse_histogram.
     """
     l0, l1, r0, r1 = int(local[0]), int(local[-1]), int(remote[0]), int(remote[-1])
-    if lo_off <= r0 - l1 and r1 - l0 < hi_off:
-        n = len(remote)
-        ends = np.arange(1, len(local) + 1, dtype=np.int64) * n
-        return _PairRuns(n - ends, np.full(len(local), n, dtype=np.int64), ends)
 
     def first_at_or_after(off: int) -> np.ndarray:
         off = min(max(off, r0 - l1), r1 + 1 - l0)
@@ -240,18 +239,9 @@ def _pair_diffs(
 ) -> np.ndarray:
     """Differences minus offset of pairs start .. stop-1, as a fresh int64 array.
 
-    When the runs hold every pair, pair p is remote[p % R] - local[p // R]:
-    the rows of local tags that pairs start .. stop-1 fall in come from one
-    broadcast subtraction, sliced to those pairs. Otherwise each pair's
-    remote tag is gathered by index.
+    Each pair's remote tag is gathered by index.
     """
     base, counts, ends = runs
-    n = len(remote)
-    if int(ends[-1]) == len(local) * n:
-        i, j = start // n, (stop - 1) // n + 1
-        if j - i == 1:  # within one row
-            return remote[start - i * n : stop - i * n] - (local[i : i + 1] + offset)
-        return (remote - (local[i:j, None] + offset)).ravel()[start - i * n : stop - i * n]
     i = int(np.searchsorted(ends, start, side="right"))
     j = int(np.searchsorted(ends, stop - 1, side="right")) + 1
     per_tag = np.minimum(ends[i:j], stop) - np.maximum(ends[i:j] - counts[i:j], start)
@@ -275,19 +265,27 @@ class CoarseHistogram(NamedTuple):
     Bin i covers differences d with floor((d - origin)/coarse_bin) == i;
     origin is remote[0] - local[0]. offsets holds each window pair's bin
     minus first_bin (the first bin a window pair can fill), numbered as in
-    runs, or None when the window took more than one _CHUNK_PAIRS chunk.
+    runs, or None when the window took more than one sort. runs is None when
+    the window holds every pair the streams can form: pair p is then local
+    tag p // R with remote tag p % R, R = len(remote), and the window holds
+    len(local) * R pairs.
     """
 
     bins: np.ndarray  # occupied bin indices, ascending int64
     counts: np.ndarray  # pairs per occupied bin
     origin: int
     offsets: np.ndarray | None
-    runs: _PairRuns
+    runs: _PairRuns | None
     first_bin: int
 
 
 def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
-    """Sparse coarse histogram of in-window differences (see CoarseHistogram)."""
+    """Sparse coarse histogram of in-window differences (see CoarseHistogram).
+
+    A window that holds every pair is not searched: each block of whole rows
+    of local tags is one broadcast subtraction from the remote stream,
+    written as coarse-bin offsets straight into the sort's array.
+    """
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
     if len(local_ts) == 0 or len(remote_ts) == 0:
         raise EmptyOverlapError("cannot correlate an empty stream")
@@ -298,20 +296,32 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     bin_lo = max(bin_lo, (int(local_ts[0]) - int(local_ts[-1])) // cfg.coarse_bin)
     offset_dtype = np.uint32 if bin_hi - bin_lo < 2**32 else np.uint64
     shift = origin + bin_lo * cfg.coarse_bin
-    runs = _pair_runs(local_ts, remote_ts, -cfg.search_window, cfg.search_window + 1)
-    total = int(runs.ends[-1])
-    if total == 0:
-        raise EmptyOverlapError("no pairwise differences inside the search window")
+    n = len(remote_ts)
+    window = cfg.search_window
+    if -window <= int(remote_ts[0]) - int(local_ts[-1]) and int(remote_ts[-1]) - int(local_ts[0]) <= window:
+        # Sorts and blocks take whole rows: at least one, each no longer than its remote stream.
+        runs, total = None, len(local_ts) * n
+        chunk_pairs, block_pairs = max(_CHUNK_PAIRS // n, 1) * n, max(_BLOCK_PAIRS // n, 1) * n
+    else:
+        runs = _pair_runs(local_ts, remote_ts, -window, window + 1)
+        total = int(runs.ends[-1])
+        if total == 0:
+            raise EmptyOverlapError("no pairwise differences inside the search window")
+        chunk_pairs, block_pairs = _CHUNK_PAIRS, _BLOCK_PAIRS
     bins_parts, counts_parts, offsets = [], [], None
-    for chunk_start in range(0, total, _CHUNK_PAIRS):
-        chunk_stop = min(chunk_start + _CHUNK_PAIRS, total)
+    for chunk_start in range(0, total, chunk_pairs):
+        chunk_stop = min(chunk_start + chunk_pairs, total)
         rel = np.empty(chunk_stop - chunk_start, dtype=offset_dtype)
-        for start in range(chunk_start, chunk_stop, _BLOCK_PAIRS):
-            stop = min(start + _BLOCK_PAIRS, chunk_stop)
-            diffs = _pair_diffs(local_ts, remote_ts, runs, start, stop, shift)
+        for start in range(chunk_start, chunk_stop, block_pairs):
+            stop = min(start + block_pairs, chunk_stop)
             out = rel[start - chunk_start : stop - chunk_start]
+            if runs is None:
+                diffs = remote_ts - (local_ts[start // n : stop // n, None] + shift)
+                out = out.reshape(diffs.shape)
+            else:
+                diffs = _pair_diffs(local_ts, remote_ts, runs, start, stop, shift)
             np.floor_divide(diffs, cfg.coarse_bin, out=out, casting="unsafe")
-        if total <= _CHUNK_PAIRS:  # one chunk: keep the offsets in pair order for the peak span
+        if total <= chunk_pairs:  # one sort: keep the offsets in pair order for the peak span
             offsets, rel = rel, np.sort(rel)
         else:
             rel.sort()
@@ -589,7 +599,8 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
     if found is None:
         hist = coarse_histogram(local_ts, remote_ts, cfg)
         i_max = int(np.argmax(hist.counts))  # first max: ties break toward smallest offset
-        found = int(hist.bins[i_max]), int(hist.counts[i_max]), int(hist.counts.sum())
+        total = len(local_ts) * len(remote_ts) if hist.runs is None else int(hist.runs.ends[-1])
+        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total
     peak_bin, peak_counts, total = found
     origin = int(remote_ts[0]) - int(local_ts[0])
     bin_lo, bin_hi = _window_bin_range(origin, cfg)
@@ -607,9 +618,13 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
         # to the span's first bin wrap past the last for the pairs below it.
         first = max(excl_lo, hist.first_bin)
         pairs = np.flatnonzero(hist.offsets - (first - hist.first_bin) <= excl_hi - first)
-        tags = np.searchsorted(hist.runs.ends, pairs, side="right")
+        if hist.runs is None:  # every pair: pair p is local tag p // R with remote tag p % R
+            tags, partners = np.divmod(pairs, len(remote_ts))
+        else:
+            tags = np.searchsorted(hist.runs.ends, pairs, side="right")
+            partners = hist.runs.base[tags] + pairs
         times = local_ts[tags]
-        shifted = remote_ts[hist.runs.base[tags] + pairs] - (times + span_lo)
+        shifted = remote_ts[partners] - (times + span_lo)
     else:
         window = cfg.search_window
         runs = _pair_runs(local_ts, remote_ts, max(-window, span_lo), min(window + 1, span_lo + span))

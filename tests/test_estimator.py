@@ -202,52 +202,50 @@ def _every_pair_streams():
     return local, remote, cfg
 
 
-def _searched_runs(local, remote, lo_off, hi_off):
-    # the runs by binary search, for windows whose sums stay in int64
-    first = np.searchsorted(remote, local + lo_off, side="left")
-    counts = np.searchsorted(remote, local + hi_off, side="left") - first
-    ends = np.cumsum(counts)
-    return estimator._PairRuns(first - (ends - counts), counts, ends)
-
-
-def _gathered_diffs(local, remote, runs, start, stop, offset):
-    # each pair's remote tag gathered by a per-pair index
-    tags = np.repeat(np.arange(len(local)), runs.counts)[start:stop]
-    return remote[runs.base[tags] + np.arange(start, stop)] - local[tags] - offset
+def _assert_offsets_match_brute_force(local, remote, cfg):
+    """The histogram and its kept offsets, pair for pair in local-major order, as brute force gives them."""
+    _assert_matches_brute_force(local, remote, cfg)
+    hist = coarse_histogram(local, remote, cfg)
+    diffs = (remote[None, :] - local[:, None]).ravel()
+    want = (diffs[np.abs(diffs) <= cfg.search_window] - hist.origin) // cfg.coarse_bin - hist.first_bin
+    assert np.array_equal(hist.offsets.astype(np.int64), want)
+    return hist
 
 
 @pytest.mark.parametrize("chunk_pairs,block_pairs", [(1 << 22, 37), (1 << 22, 150), (500, 37)])
 def test_every_pair_window_matches_searched_runs(monkeypatch, chunk_pairs, block_pairs):
-    # 63 remote tags per row: blocks of 37 lie inside one row or straddle
-    # two, blocks of 150 span several rows, and chunks of 500 split the window
+    # 63 remote tags per row: blocks of 37 take one row each, blocks of 150
+    # two rows, and sorts of 500 pairs seven rows, so the window takes several
     local, remote, cfg = _every_pair_streams()
     window = cfg.search_window
     monkeypatch.setattr(estimator, "_CHUNK_PAIRS", chunk_pairs)
     monkeypatch.setattr(estimator, "_BLOCK_PAIRS", block_pairs)
-    all_diffs = (remote[None, :] - local[:, None]).ravel()
-    # every pair, then one fs short of it at the bottom and at the top
-    for lo, hi in ((-window, window + 1), (1 - window, window + 1), (-window, window)):
-        runs = estimator._pair_runs(local, remote, lo, hi)
-        assert (int(runs.ends[-1]) == all_diffs.size) == (hi - lo == 2 * window + 1)
-        for got, want in zip(runs, _searched_runs(local, remote, lo, hi)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        for start in range(0, int(runs.ends[-1]), block_pairs):
-            stop = min(start + block_pairs, int(runs.ends[-1]))
-            diffs = estimator._pair_diffs(local, remote, runs, start, stop, 12345)
-            assert diffs.dtype == np.int64
-            assert np.array_equal(diffs, _gathered_diffs(local, remote, runs, start, stop, 12345))
-    for w in (window, window - 1):
-        _assert_matches_brute_force(local, remote, replace(cfg, search_window=w))
-    hist = coarse_histogram(local, remote, cfg)
-    assert (hist.offsets is None) == (all_diffs.size > chunk_pairs)
-    if hist.offsets is not None:  # numbered local-major, remote-ascending
-        want = (all_diffs - hist.origin) // cfg.coarse_bin - hist.first_bin
-        assert np.array_equal(hist.offsets.astype(np.int64), want)
+    _assert_matches_brute_force(local, remote, cfg)
+    # no difference array is longer than a block or, when a row is longer, one row
+    sizes, floor_divide = [], np.floor_divide
+    with monkeypatch.context() as m:
+        m.setattr(np, "floor_divide", lambda diffs, *rest, **kw: sizes.append(diffs.size) or floor_divide(diffs, *rest, **kw))
+        hist = coarse_histogram(local, remote, cfg)
+    assert sum(sizes) == len(local) * len(remote) and max(sizes) <= max(block_pairs, len(remote))
+    assert hist.runs is None
+    # the offsets the searched runs give, pair for pair
+    runs = estimator._pair_runs(local, remote, -window, window + 1)
+    assert int(runs.ends[-1]) == len(local) * len(remote)
+    shift = hist.origin + hist.first_bin * cfg.coarse_bin
+    searched = estimator._pair_diffs(local, remote, runs, 0, int(runs.ends[-1]), shift) // cfg.coarse_bin
+    assert (hist.offsets is None) == (searched.size > chunk_pairs)
+    if hist.offsets is not None:
+        assert hist.offsets.dtype == np.uint32 and np.array_equal(hist.offsets.astype(np.int64), searched)
+    # one fs short of every pair, at the top, at the bottom or at both ends, the window is searched
+    for w, delta in ((window, 1), (window, -1), (window - 1, 0)):
+        short = replace(cfg, search_window=w)
+        assert coarse_histogram(local, remote + delta, short).runs is not None
+        _assert_matches_brute_force(local, remote + delta, short)
     enumerated = _outcome(local, remote, cfg)
     assert abs(enumerated[0].peak_offset - 3 * 10**7) < 10**4
+    # the window's total and the span's pairs by index arithmetic are those the searched runs give
     with monkeypatch.context() as m:
-        m.setattr(estimator, "_pair_runs", _searched_runs)
-        m.setattr(estimator, "_pair_diffs", _gathered_diffs)
+        m.setattr(estimator, "coarse_histogram", lambda *args: hist._replace(runs=runs))
         assert _outcome(local, remote, cfg) == enumerated
 
 
@@ -255,6 +253,7 @@ def test_every_pair_window_makes_no_search(monkeypatch):
     local, remote, cfg = _every_pair_streams()
     short = replace(cfg, search_window=cfg.search_window - 1)
     want = coarse_histogram(local, remote, cfg)
+    enumerated = _outcome(local, remote, cfg)
 
     def refuse(*args, **kwargs):
         raise AssertionError("searched or built a per-pair index array")
@@ -263,6 +262,7 @@ def test_every_pair_window_makes_no_search(monkeypatch):
         m.setattr(np, "searchsorted", refuse)
         m.setattr(np, "repeat", refuse)
         got = coarse_histogram(local, remote, cfg)
+        assert _outcome(local, remote, cfg) == enumerated
         with pytest.raises(AssertionError):
             coarse_histogram(local, remote, short)
     assert all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2]))
@@ -273,7 +273,10 @@ def test_every_pair_window_makes_no_search(monkeypatch):
         m.setattr(np, "searchsorted", lambda a, *rest, **kw: searched.append(a is remote) or searchsorted(a, *rest, **kw))
         m.setattr(estimator, "_pair_runs", lambda *args: windows.append(args[2:]) or pair_runs(*args))
         coarse_histogram(local, remote, short)
-    assert windows == [(-short.search_window, short.search_window + 1)] and sum(searched) == 2
+        assert windows == [(-short.search_window, short.search_window + 1)] and sum(searched) == 2
+        windows.clear()
+        cross_correlate(local, remote, short)
+    assert windows == [(-short.search_window, short.search_window + 1)]
 
 
 def test_fine_span_clipped_at_window_edge():
@@ -644,13 +647,15 @@ def _fit_inputs_and_searches(monkeypatch, local, remote, cfg):
 
 
 def _assert_span_from_enumeration(monkeypatch, local, remote, cfg):
-    """The enumeration route takes the span's pairs from the window's and matches the span search."""
+    """The enumeration route takes the span's pairs from the window's and matches the span search.
+
+    A window that holds every pair is not searched at all; any other is searched once.
+    """
     hist = coarse_histogram(local, remote, cfg)
     assert hist.offsets is not None and estimator._bounded_peak(local, remote, cfg) is None
-    bin_lo = estimator._window_bin_range(hist.origin, cfg)[0]
-    assert np.array_equal(np.sort(hist.offsets).astype(np.int64) + bin_lo, np.repeat(hist.bins, hist.counts))
+    assert np.array_equal(np.sort(hist.offsets).astype(np.int64) + hist.first_bin, np.repeat(hist.bins, hist.counts))
     outcome, fits, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
-    assert searches == 1
+    assert searches == (hist.runs is not None)
     times, shifted = _span_search(local, remote, cfg, int(hist.bins[np.argmax(hist.counts)]))
     (x, d), *_ = fits
     assert np.array_equal(x, (times - local[0]).astype(np.float64))
@@ -701,6 +706,39 @@ def test_span_from_enumeration_common_shift(monkeypatch):
     shifted = _assert_span_from_enumeration(monkeypatch, local + 2**40, remote + 2**40, cfg)
     assert shifted[0] == result
     assert shifted[1] == [t + 2**40 for t in times] and shifted[2] == diffs
+
+
+def _beyond_uint32_every_pair_streams():
+    # 1 fs bins over +-3e9 fs, and the streams' extreme pairs exactly at -W
+    # and +W: the window holds every pair, and its offsets reach 6e9 > 2**32
+    cfg = CorrelationConfig(search_window=3 * 10**9, coarse_bin=1, fine_bin=1, significance_sigma=3.0)
+    rng = np.random.default_rng(37)
+    local = np.sort(np.concatenate(([0, 22 * 10**8], rng.integers(0, 10**9, 100)))).astype(np.int64)
+    peak = local[local < 10**9] + 2 * 10**9 + rng.integers(0, 2, int((local < 10**9).sum()))
+    remote = np.sort(np.concatenate((peak, [local[-1] - cfg.search_window, cfg.search_window])))
+    return local, remote, cfg
+
+
+@pytest.mark.parametrize("block_pairs", [1 << 15, 150, 37])
+@pytest.mark.parametrize("wide", [False, True])
+def test_span_from_enumeration_every_pair_window(monkeypatch, wide, block_pairs):
+    # one block, blocks of whole rows, and rows longer than a block; the
+    # histogram and offsets are brute force's, and neither the window nor the
+    # span is searched or gathered by pair runs
+    local, remote, cfg = _beyond_uint32_every_pair_streams() if wide else _every_pair_streams()
+    monkeypatch.setattr(estimator, "_BLOCK_PAIRS", block_pairs)
+    hist = _assert_offsets_match_brute_force(local, remote, cfg)
+    assert hist.runs is None
+    assert hist.offsets.dtype == (np.uint64 if wide else np.uint32)
+    assert (int(hist.offsets.max()) >= 2**32) == wide
+    outcome = _assert_span_from_enumeration(monkeypatch, local, remote, cfg)
+    calls = []
+    with monkeypatch.context() as m:
+        for name in ("_pair_runs", "_pair_diffs"):
+            m.setattr(estimator, name, lambda *args, name=name: calls.append(name))
+        assert _outcome(local, remote, cfg) == outcome
+    assert calls == []
+    assert abs(outcome[0].peak_offset - (2 * 10**9 if wide else 3 * 10**7)) < 10**4
 
 
 def test_span_search_when_window_takes_several_chunks(monkeypatch):

@@ -575,8 +575,9 @@ def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
         n = len(xk)
         x_mean, d_mean = xk.sum() / n, dk.sum() / n  # what np.mean computes, without its overhead
         xc = xk - x_mean
-        sxx = float(np.dot(xc, xc))
-        slope = float(np.dot(xc, dk - d_mean)) / sxx if sxx > 0 else 0.0
+        # sums, not BLAS dot products, whose rounding follows the BLAS thread count
+        sxx = float((xc * xc).sum())
+        slope = float((xc * (dk - d_mean)).sum()) / sxx if sxx > 0 else 0.0
         residuals = d - d_mean - slope * (x - x_mean)
         rk = residuals[keep]
         sigma = math.sqrt(float((rk * rk).sum() / n))

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -334,6 +338,35 @@ def test_window_past_int64_enumerates_like_a_window_of_1e18(window):
     got, want = cross_correlate(local, remote, wide), cross_correlate(local, remote, cfg)
     assert (got.peak_offset, got.peak_counts) == (want.peak_offset, want.peak_counts)
     assert np.array_equal(got.members.diffs, want.members.diffs)
+
+
+# One seeded drifting correlation with about 3e4 members, long enough that a
+# BLAS dot product would split its sum across threads.
+_THREADS_PROBE = """
+import json
+import numpy as np
+from qcsync.estimator import CorrelationConfig, cross_correlate
+rng = np.random.default_rng(7)
+local = np.sort(rng.integers(0, 3 * 10**12, 30000)).astype(np.int64)
+drift = (2e-8 * local).round().astype(np.int64)
+remote = np.sort(local + 5 * 10**6 + drift + rng.normal(0, 2 * 10**4, 30000).round().astype(np.int64))
+result = cross_correlate(local, remote, CorrelationConfig(search_window=10**9, coarse_bin=10**6, fine_bin=10**5))
+members = result.members
+print(json.dumps([len(members.diffs), members.slope.hex(), members.sxx.hex(), result.peak_width_fs.hex()]))
+"""
+
+
+def test_member_line_does_not_depend_on_blas_threads():
+    src = str(Path(estimator.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env, capture_output=True, text=True, timeout=120)
+        assert probe.returncode == 0, probe.stderr
+        outputs.append(json.loads(probe.stdout))
+    assert outputs[0][0] > 10**4
+    assert outputs[0] == outputs[1]
 
 
 def test_uncertainty_scales_with_width_over_sqrt_n():

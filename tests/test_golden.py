@@ -29,7 +29,7 @@ GOLDEN = {
     "2.4.6": {
         "session": "744730a5fb7749e1fe5a75d2a85919496d6379f41cc817d86669fddbad5b5e5d",
         "cli": "aab1e97e589ed2647f283cf5ee4fe8356586f8f17e30c013a77aa7b578e3033a",
-        "network": "a7ee9c3a04d72848f53e512b708df368a76de95f4fcc97105856a40c1b261cd2",
+        "network": "caaf53bdbd7207c9106162088297e5bebdb5f65b904ff065685035e749941ce5",
         "relativity": "3e2936db4541678f26eb759d25da17d5b986ed4606e90d435d4691f90891f552",
         "network_orbit": "ed92992f2159005e9edbddeb0e392a541819a676f546c14f4852eb5d514aee2a",
     },

@@ -33,7 +33,8 @@ exactly by one of two routes that give the same bin and count:
   reduced to coarse-bin offsets from the first bin a window pair can fill,
   and sorted as 32-bit integers (64-bit only when the window spans more
   than 2**32 bins); runs of equal offsets give the sparse coarse histogram
-  (coarse_histogram).
+  (coarse_histogram). A window of one chunk whose pairs can fill no more
+  bins than it has pairs counts its offsets by bin instead of sorting them.
 
 The background is every window bin, empty ones included, except the
 peak's +-refine_span_bins coarse bins (the peak span; a span reaching past
@@ -217,8 +218,8 @@ def _pair_runs(local: np.ndarray, remote: np.ndarray, lo_off: int, hi_off: int) 
 
     Each run is found by binary search. Offsets are clamped to the
     differences the streams can form, and each local tag t to where
-    t + offset lies in [remote[0], remote[-1] + 1], so no sum wraps. A
-    window that holds every pair never comes here from coarse_histogram.
+    t + offset lies in [remote[0], remote[-1] + 1], so no sum wraps.
+    coarse_histogram does not search a window that holds every pair.
     """
     l0, l1, r0, r1 = int(local[0]), int(local[-1]), int(remote[0]), int(remote[-1])
 
@@ -265,7 +266,7 @@ class CoarseHistogram(NamedTuple):
     Bin i covers differences d with floor((d - origin)/coarse_bin) == i;
     origin is remote[0] - local[0]. offsets holds each window pair's bin
     minus first_bin (the first bin a window pair can fill), numbered as in
-    runs, or None when the window took more than one sort. runs is None when
+    runs, or None when the window took more than one chunk. runs is None when
     the window holds every pair the streams can form: pair p is then local
     tag p // R with remote tag p % R, R = len(remote), and the window holds
     len(local) * R pairs.
@@ -279,12 +280,26 @@ class CoarseHistogram(NamedTuple):
     first_bin: int
 
 
+def _runs_of_equal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value of a sorted array, as int64, and how many times it occurs."""
+    change = np.empty(len(values) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:-1])
+    edges = np.flatnonzero(change)
+    counts = edges[1:] - edges[:-1]
+    bins = edges[:-1]  # reuse the int64 buffer for the run values
+    bins[...] = values[bins]
+    return bins, counts
+
+
 def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     """Sparse coarse histogram of in-window differences (see CoarseHistogram).
 
     A window that holds every pair is not searched: each block of whole rows
     of local tags is one broadcast subtraction from the remote stream,
-    written as coarse-bin offsets straight into the sort's array.
+    written as coarse-bin offsets straight into the chunk's array. A chunk
+    is sorted and read as runs of equal offsets, except that a window of one
+    chunk with no more bins than pairs counts its offsets by bin.
     """
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
     if len(local_ts) == 0 or len(remote_ts) == 0:
@@ -298,6 +313,8 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     shift = origin + bin_lo * cfg.coarse_bin
     n = len(remote_ts)
     window = cfg.search_window
+    # offsets lie below top: one past the last bin an in-window pair can fill
+    top = (min(window, int(remote_ts[-1]) - int(local_ts[0])) - shift) // cfg.coarse_bin + 1
     if -window <= int(remote_ts[0]) - int(local_ts[-1]) and int(remote_ts[-1]) - int(local_ts[0]) <= window:
         # Sorts and blocks take whole rows: at least one, each no longer than its remote stream.
         runs, total = None, len(local_ts) * n
@@ -321,18 +338,18 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
             else:
                 diffs = _pair_diffs(local_ts, remote_ts, runs, start, stop, shift)
             np.floor_divide(diffs, cfg.coarse_bin, out=out, casting="unsafe")
-        if total <= chunk_pairs:  # one sort: keep the offsets in pair order for the peak span
-            offsets, rel = rel, np.sort(rel)
-        else:
+        if total > chunk_pairs:
             rel.sort()
-        change = np.empty(len(rel) + 1, dtype=bool)
-        change[0] = change[-1] = True
-        np.not_equal(rel[1:], rel[:-1], out=change[1:-1])
-        edges = np.flatnonzero(change)
-        counts_parts.append(np.diff(edges))
-        bins = edges[:-1]  # reuse the int64 buffer for the run values
-        bins[...] = rel[bins]
+            bins, counts = _runs_of_equal(rel)
+        elif top <= total:  # one chunk with no more bins than pairs: count them, no sort
+            offsets, dense = rel, np.bincount(rel.astype(np.intp), minlength=top)
+            bins = np.flatnonzero(dense != 0)  # nonzero of a mask is several times faster than of counts
+            counts = dense[bins]
+        else:  # one sort: keep the offsets in pair order for the peak span
+            offsets = rel
+            bins, counts = _runs_of_equal(np.sort(rel))
         bins_parts.append(bins)
+        counts_parts.append(counts)
     if len(bins_parts) == 1:
         bins, counts = bins_parts[0], counts_parts[0]
     else:
@@ -453,7 +470,7 @@ def _bounded_peak(
     cannot repay the FFTs, or when the floor level's visits would exceed
     _VISIT_BUDGET superbins or an eighth of the window's pairs.
     """
-    if len(local_ts) == 0 or len(remote_ts) == 0:
+    if len(local_ts) * len(remote_ts) < _MIN_BOUND_PAIRS:  # too few pairs in any window, or none
         return None
     origin = int(remote_ts[0]) - int(local_ts[0])
     # the differences the streams can form inside the window

@@ -184,6 +184,29 @@ def test_histogram_beyond_uint32_bin_range():
     _assert_matches_brute_force(local, remote, cfg)
 
 
+@pytest.mark.parametrize("window", [10**8, 10**18])
+def test_one_chunk_counts_its_bins_or_sorts_its_offsets(monkeypatch, window):
+    # a window of one chunk with no more bins than pairs is counted by bin,
+    # any other sorted; 10^18 fs makes the offsets 64-bit either way
+    cfg = CorrelationConfig(search_window=window, coarse_bin=10**5, fine_bin=100)
+    streams = {
+        "count": [
+            _pair_streams(400, offset=3 * 10**7, spacing=10**5, jitter=2000, seed=9),  # every pair: 1.6e5 pairs
+            _pair_streams(1000, offset=3 * 10**7, spacing=10**6, jitter=2000, seed=9),  # at 10^8 fs, 2e5 pairs in 2001 bins
+        ],
+        "sort": [_pair_streams(40, offset=3 * 10**7, spacing=10**7, jitter=2000, seed=9)],  # 1600 pairs
+    }
+    calls, bincount, sort = [], np.bincount, np.sort
+    monkeypatch.setattr(np, "bincount", lambda *args, **kw: calls.append("count") or bincount(*args, **kw))
+    monkeypatch.setattr(np, "sort", lambda *args, **kw: calls.append("sort") or sort(*args, **kw))
+    for route, pairs in streams.items():
+        for local, remote in pairs:
+            calls.clear()
+            hist = _assert_offsets_match_brute_force(local, remote, cfg)
+            assert calls == [route, route]
+            assert hist.offsets.dtype == (np.uint64 if window == 10**18 else np.uint32)
+
+
 def test_window_edges_are_inclusive():
     window = 10**8
     cfg = CorrelationConfig(search_window=window, coarse_bin=10**5, fine_bin=100)

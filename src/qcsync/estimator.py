@@ -311,11 +311,11 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     bin_lo = max(bin_lo, (int(local_ts[0]) - int(local_ts[-1])) // cfg.coarse_bin)
     offset_dtype = np.uint32 if bin_hi - bin_lo < 2**32 else np.uint64
     shift = origin + bin_lo * cfg.coarse_bin
-    n = len(remote_ts)
-    window = cfg.search_window
-    # offsets lie below top: one past the last bin an in-window pair can fill
-    top = (min(window, int(remote_ts[-1]) - int(local_ts[0])) - shift) // cfg.coarse_bin + 1
-    if -window <= int(remote_ts[0]) - int(local_ts[-1]) and int(remote_ts[-1]) - int(local_ts[0]) <= window:
+    n, window = len(remote_ts), cfg.search_window
+    # the smallest and largest differences the streams can form
+    d_min, d_max = int(remote_ts[0]) - int(local_ts[-1]), int(remote_ts[-1]) - int(local_ts[0])
+    top = (min(window, d_max) - shift) // cfg.coarse_bin + 1  # one past the last bin a window pair can fill
+    if -window <= d_min and d_max <= window:
         # Sorts and blocks take whole rows: at least one, each no longer than its remote stream.
         runs, total = None, len(local_ts) * n
         chunk_pairs, block_pairs = max(_CHUNK_PAIRS // n, 1) * n, max(_BLOCK_PAIRS // n, 1) * n

@@ -242,7 +242,8 @@ def _assert_offsets_match_brute_force(local, remote, cfg):
 @pytest.mark.parametrize("chunk_pairs,block_pairs", [(1 << 22, 37), (1 << 22, 150), (500, 37)])
 def test_every_pair_window_matches_searched_runs(monkeypatch, chunk_pairs, block_pairs):
     # 63 remote tags per row: blocks of 37 take one row each, blocks of 150
-    # two rows, and sorts of 500 pairs seven rows, so the window takes several
+    # two rows, and chunks of 500 pairs seven rows, so the window takes
+    # several sorts; in one chunk its 3843 pairs fill no more than 2001 bins
     local, remote, cfg = _every_pair_streams()
     window = cfg.search_window
     monkeypatch.setattr(estimator, "_CHUNK_PAIRS", chunk_pairs)

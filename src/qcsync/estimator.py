@@ -15,17 +15,19 @@ The coarse estimate is the first coarse bin holding the most pairs, found
 exactly by one of two routes that give the same bin and count:
 - A bounded search, for windows with many pairs per tag. Both streams are
   folded onto N superbins of M coarse bins, N the smallest 5-smooth integer
-  above the window's superbin count, and one FFT gives an upper bound on
-  each superbin's pairs. Superbins are enumerated in descending bound order
-  until the bound falls below the best count. A wide window is probed
-  first: a fold of at most _PROBE_SUPERBINS superbins, whose top superbins
-  are enumerated while each raises the real peak count B, until B lets a
-  level coarser than the floor clear. The main fold then takes the widest
-  M, in coarse bins, whose expected accidental bound stays below B; the
-  search falls back to the floor, M = _SUPERBIN_BINS, when a probe visit
-  leaves B where it was or those bounds do not clear. A sparse window as
-  long as the session so enumerates a few superbins and makes one FFT
-  fold after the probe's, sized to the peak it has to find.
+  above the window's superbin count (for folds coarser than the floor,
+  above the longer stream's span in superbins plus two when that is
+  shorter), and one FFT gives an upper bound on each superbin's pairs.
+  Superbins are enumerated in descending bound order until the bound falls
+  below the best count. A wide window is probed first: a fold of at most
+  _PROBE_SUPERBINS superbins, whose top superbins are enumerated while
+  each raises the real peak count B, until B lets a level coarser than the
+  floor clear. The main fold then takes the widest M, in coarse bins,
+  whose expected accidental bound stays below B; the search falls back to
+  the floor, M = _SUPERBIN_BINS, when a probe visit leaves B where it was
+  or those bounds do not clear. A sparse window as long as the session so
+  enumerates a few superbins and makes one FFT fold after the probe's,
+  sized to the peak it has to find.
 - The enumeration of every window pair, when the window holds too few
   pairs to repay the FFTs, when N would be large, or when the bounds are
   too loose for the visit budget. The pairs are made in cache-sized int64
@@ -49,11 +51,13 @@ The fine stage then takes only the peak span's pairs, each with its local
 time t. The enumeration route picks them out of the window's pairs by their
 coarse-bin offsets, kept when the window fits one sort, and rebuilds their
 exact differences from the window's runs, or by index arithmetic when the
-window holds every pair; the bounded route, and a window of several sorts,
-search the span instead. The fine stage fits the line
-d = a + b*(t - t_mean) by least squares over an iterated member window:
-seeded with the coarse peak bin, each pass keeps the pairs within
-max(3 sigma, fine_bin) of the line, until the member set stops changing.
+window holds every pair. The bounded route picks them the same way out of
+the superbin visit that set the peak, when that superbin holds the whole
+span. A span reaching past that superbin, and a window of several sorts,
+is searched instead. The fine stage fits the line d = a + b*(t - t_mean)
+by least squares over an iterated member window: seeded with the coarse
+peak bin, each pass keeps the pairs within max(3 sigma, fine_bin) of the
+line, until the member set stops changing.
 Every output comes from that one member set: the offset is the exact
 integer-rounded mean member difference (the line at t_mean), the width is
 the residual sigma, and b the drift.
@@ -387,12 +391,20 @@ def _superbin_bounds(
 ) -> tuple[int, np.ndarray]:
     """The superbin of difference d_lo and an upper bound on the pairs of each superbin up to d_hi's.
 
-    Superbins hold bins coarse bins each (see _bounded_peak).
+    Superbins hold bins coarse bins each (see _bounded_peak). The fold has
+    the smallest 5-smooth length above the range's superbin count, so that
+    no superbin of the range aliases another; a fold coarser than the floor,
+    whose bounds keep a density margin, needs only a length above the
+    longer stream's span in superbins plus two, when that is shorter.
     """
     width = bins * cfg.coarse_bin
     origin = int(remote_ts[0]) - int(local_ts[0])
     sb_lo, sb_hi = (d_lo - origin) // width, (d_hi - origin) // width
-    n = _fold_length(sb_hi - sb_lo + 1)  # so no superbin of the range aliases another
+    cells = sb_hi - sb_lo + 1
+    if bins > _SUPERBIN_BINS:
+        longer = max(int(local_ts[-1]) - int(local_ts[0]), int(remote_ts[-1]) - int(remote_ts[0]))
+        cells = min(cells, longer // width + 2)
+    n = _fold_length(cells)
     fold_l = np.bincount((local_ts - local_ts[0]) // width % n, minlength=n)
     fold_r = np.bincount((remote_ts - remote_ts[0]) // width % n, minlength=n)
     cyclic = np.fft.irfft(np.conj(np.fft.rfft(fold_l)) * np.fft.rfft(fold_r), n)
@@ -400,6 +412,20 @@ def _superbin_bounds(
     margin = 0.5 + 1e-13 * n.bit_length() * math.sqrt(float(fold_l @ fold_l) * float(fold_r @ fold_r))
     c = np.take(np.floor(cyclic + margin).astype(np.int64), np.arange(sb_lo, sb_hi + 2), mode="wrap")
     return sb_lo, c[:-1] + c[1:]
+
+
+class _Visit(NamedTuple):
+    """The window pairs of one superbin, as _superbin_counts enumerated them.
+
+    offsets holds each pair's coarse bin minus first_bin, numbered as in
+    runs, like CoarseHistogram's; counts holds the pairs of each of the
+    superbin's coarse bins.
+    """
+
+    first_bin: int
+    counts: np.ndarray
+    offsets: np.ndarray  # uint64
+    runs: _PairRuns
 
 
 def _superbin_counts(
@@ -410,10 +436,11 @@ def _superbin_counts(
     bins: int,
     limit: int,
     cfg: CorrelationConfig,
-) -> np.ndarray | None:
+) -> _Visit | None:
     """Exact counts of the coarse bins of one superbin of bins coarse bins, clipped to the window.
 
-    None, before any pair is made, when the superbin holds more than limit pairs.
+    They come with the superbin's pairs and their runs (see _Visit). None,
+    before any pair is made, when the superbin holds more than limit pairs.
     """
     width = bins * cfg.coarse_bin
     lo = origin + superbin * width  # the superbin's first difference
@@ -421,29 +448,37 @@ def _superbin_counts(
     runs = _pair_runs(local_ts, remote_ts, start, stop)
     if runs.ends[-1] > limit:
         return None
-    diffs = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), start)
-    diffs += start - lo
-    return np.bincount(diffs // cfg.coarse_bin, minlength=bins)
+    offsets = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), start)
+    offsets += start - lo
+    offsets //= cfg.coarse_bin
+    return _Visit(superbin * bins, np.bincount(offsets, minlength=bins), offsets.view(np.uint64), runs)
 
 
 def _bounded_peak(
     local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig
-) -> tuple[int, int, int] | None:
-    """The first coarse bin with the most window pairs, its count, and the window's pairs.
+) -> tuple[int, int, int, _Visit] | None:
+    """The first coarse bin with the most window pairs, its count, the window's pairs, and the bin's visit.
 
     A branch and bound over superbins. Superbin j of width M groups coarse
     bins j*M .. j*M + M - 1, so a pair's superbin is floor((d - origin) / S)
     with S = M*coarse_bin. Folding each stream by floor((t - t[0]) / S) mod N,
-    N the smallest 5-smooth integer above the window's superbin count, one
-    cyclic cross-correlation by FFT counts the tag pairs c[k] whose folded
-    superbins differ by k. A pair of superbin j differs by j or j + 1, so
-    superbin j holds at most c[j] + c[j+1] pairs; aliased pairs only add to
-    that bound. A level enumerates superbins exactly in descending bound
-    order until the bound falls below the best count (a tie is still
-    visited, so the smallest bin wins it), skipping those whose coarse bins
-    an earlier level's visit covers whole: widths need not divide one
-    another, so a superbin that visit covers only in part is still visited.
-    A visit spends the pairs it enumerates.
+    one cyclic cross-correlation by FFT counts the tag pairs c[k] whose
+    folded superbins differ by k. A pair of superbin j differs by j or
+    j + 1, so superbin j holds at most c[j] + c[j+1] pairs; aliased pairs
+    only add to that bound, for any N. At the floor, N is the smallest
+    5-smooth integer above the window's superbin count. Coarser folds take
+    the smallest above the longer stream's span in superbins plus two when
+    that is shorter (_superbin_bounds): two differences that alias are then
+    at least that span apart, so at most one lies on the flat top of the
+    constant-rate trapezoid (_accidentals), and together they expect no more
+    than the top, which prices those levels below. A level enumerates
+    superbins exactly in descending bound order until the bound falls below
+    the best count (a tie is still visited, so the smallest bin wins it),
+    skipping those whose coarse bins an earlier level's visit covers whole:
+    widths need not divide one another, so a superbin that visit covers only
+    in part is still visited. A visit spends the pairs it enumerates, and
+    the one that set the best bin is returned with it, so that the caller
+    can take the peak span's pairs from it.
 
     The floor level has M = _SUPERBIN_BINS. When its fold would exceed
     _PROBE_SUPERBINS superbins, a probe fold of at most that many, at the
@@ -495,33 +530,40 @@ def _bounded_peak(
     if total < needed:
         return None
 
-    best = [0, 0]  # the first coarse bin with the most pairs in the visited superbins, and its count
+    best = [0, 0, None]  # the first coarse bin with the most pairs in the visited superbins, its count and visit
     visited = []  # (width in coarse bins, superbin) of each enumerated superbin
 
-    def search(bins: int, pairs: int, visits: int, density: float | None = None) -> bool:
-        """Whether every bound of the fold at bins clears the best count within the visits and pairs given.
-
-        Given the accidentals per coarse bin, density, the fold is a probe.
-        """
+    def fold(bins: int) -> tuple[int, np.ndarray]:
+        """The fold's first superbin and bounds at bins, -1 where an earlier visit covers a superbin whole."""
         sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, bins, cfg)
         # Widths need not divide one another, so a visit of coarse bins
         # j*b .. (j+1)*b - 1 skips only the superbins it covers whole.
         for b, j in visited:
             bounds[max(-(-j * b // bins) - sb_lo, 0) : max((j + 1) * b // bins - sb_lo, 0)] = -1
+        return sb_lo, bounds
+
+    def search(bins: int, pairs: int, visits: int, density: float | None = None) -> bool:
+        """Whether every bound of the fold at bins clears the best count within the visits and pairs given.
+
+        Given the accidentals per coarse bin, density, the fold is a probe,
+        which hands what is left of both to the level its count clears.
+        """
+        sb_lo, bounds = fold(bins)
         while True:
             k = int(np.argmax(bounds))
             if bounds[k] < best[1]:
                 return True
-            counts = _superbin_counts(local_ts, remote_ts, origin, sb_lo + k, bins, pairs, cfg) if visits else None
-            if counts is None:
+            visit = _superbin_counts(local_ts, remote_ts, origin, sb_lo + k, bins, pairs, cfg) if visits else None
+            if visit is None:
                 return False
+            counts = visit.counts
             bounds[k] = -1
             pairs, visits = pairs - int(counts.sum()), visits - 1
             visited.append((bins, sb_lo + k))
             i = int(np.argmax(counts))
             raised, bin_ = counts[i] > best[1], (sb_lo + k) * bins + i
             if raised or (counts[i] == best[1] and bin_ < best[0]):
-                best[:] = bin_, int(counts[i])
+                best[:] = bin_, int(counts[i]), visit
             if density is not None:
                 if not raised:
                     return False
@@ -531,7 +573,10 @@ def _bounded_peak(
                 if level == bins:  # the probe's own bounds are the level's
                     density = None
                 elif level > _SUPERBIN_BINS:
-                    return search(level, pairs, visits)
+                    # The level runs in this loop: a recursive call would make search a reference
+                    # cycle, holding the best visit until the cycle collector ran.
+                    bins, density = level, None
+                    sb_lo, bounds = fold(bins)
 
     # The visits of a level may enumerate at most an eighth of the window's pairs.
     probe = _SUPERBIN_BINS
@@ -541,8 +586,8 @@ def _bounded_peak(
         window_bins = (d_hi - d_lo) // cfg.coarse_bin + 1
         density = max(_accidentals(local_ts, remote_ts, cfg)[1][1], len(local_ts) * len(remote_ts) / window_bins)
         if search(probe, total // 8, _VISIT_BUDGET, density):
-            return best[0], best[1], total
-    return (best[0], best[1], total) if search(_SUPERBIN_BINS, total // 8, _VISIT_BUDGET) else None
+            return best[0], best[1], total, best[2]
+    return (best[0], best[1], total, best[2]) if search(_SUPERBIN_BINS, total // 8, _VISIT_BUDGET) else None
 
 
 def _accidentals(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> tuple:
@@ -618,8 +663,8 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
         hist = coarse_histogram(local_ts, remote_ts, cfg)
         i_max = int(np.argmax(hist.counts))  # first max: ties break toward smallest offset
         total = len(local_ts) * len(remote_ts) if hist.runs is None else int(hist.runs.ends[-1])
-        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total
-    peak_bin, peak_counts, total = found
+        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total, None
+    peak_bin, peak_counts, total, visit = found
     origin = int(remote_ts[0]) - int(local_ts[0])
     bin_lo, bin_hi = _window_bin_range(origin, cfg)
     # A span reaching past every window bin from any peak is clipped to that reach.
@@ -631,16 +676,20 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
     # They are exactly the pairs of the coarse bins the background excludes.
     span_lo = origin + (peak_bin - reach) * cfg.coarse_bin
     span = (2 * reach + 1) * cfg.coarse_bin
-    if hist is not None and hist.offsets is not None:
-        # Taken from the window's enumeration. The unsigned offsets relative
+    if hist is None:  # the bounded route: the peak's visit lists them when it covers the span
+        listed = visit if visit.first_bin <= excl_lo and excl_hi < visit.first_bin + len(visit.counts) else None
+    else:
+        listed = hist if hist.offsets is not None else None
+    if listed is not None:
+        # Taken from the pairs already enumerated. The unsigned offsets relative
         # to the span's first bin wrap past the last for the pairs below it.
-        first = max(excl_lo, hist.first_bin)
-        pairs = np.flatnonzero(hist.offsets - (first - hist.first_bin) <= excl_hi - first)
-        if hist.runs is None:  # every pair: pair p is local tag p // R with remote tag p % R
+        first = max(excl_lo, listed.first_bin)
+        pairs = np.flatnonzero(listed.offsets - (first - listed.first_bin) <= excl_hi - first)
+        if listed.runs is None:  # every pair: pair p is local tag p // R with remote tag p % R
             tags, partners = np.divmod(pairs, len(remote_ts))
         else:
-            tags = np.searchsorted(hist.runs.ends, pairs, side="right")
-            partners = hist.runs.base[tags] + pairs
+            tags = np.searchsorted(listed.runs.ends, pairs, side="right")
+            partners = listed.runs.base[tags] + pairs
         times = local_ts[tags]
         shifted = remote_ts[partners] - (times + span_lo)
     else:

@@ -30,6 +30,7 @@ __all__ = [
     "GroundStation",
     "StaticRange",
     "CircularOrbit",
+    "ALTITUDE_LIMIT",
     "GeometryScenario",
     "LinkModel",
     "Direction",
@@ -55,6 +56,9 @@ class PhysicalConstants:
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
+# m, the distance light covers in 2^63 fs: no flight from an orbit this high
+# fits int64, and far higher ones overflow the orbit's float mean motion
+ALTITUDE_LIMIT = DEFAULT_CONSTANTS.c * INT64_LIMIT / FS_PER_SECOND
 
 
 class GeometryError(ValueError):
@@ -99,8 +103,8 @@ class CircularOrbit:
     elevation_mask: float = math.radians(10.0)
 
     def __post_init__(self):
-        if not self.altitude > 100e3:
-            raise ValueError("orbit altitude must exceed 100 km")
+        if not 100e3 < self.altitude < ALTITUDE_LIMIT:
+            raise ValueError(f"orbit altitude must exceed 100 km and stay below {ALTITUDE_LIMIT:.6g} m (c * 2^63 fs)")
         if not 0.0 <= self.elevation_mask < math.pi / 2:
             raise ValueError("elevation_mask must be in [0, pi/2)")
 

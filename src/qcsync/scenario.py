@@ -17,7 +17,7 @@ import jsonschema
 
 from .bellauth import AuthPolicy, ChshSettings, EntanglementModel
 from .estimator import CorrelationConfig
-from .linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
+from .linkmodel import ALTITUDE_LIMIT, CircularOrbit, GroundStation, LinkModel, StaticRange
 from .netsync import Node, SyncEdge, Topology
 from .photonics import PAIR_CORRELATION_SIGMA_LIMIT, Detector, PairSource, TimeTagger
 from .session import NodeInstruments, SessionSpec
@@ -100,7 +100,7 @@ _GEOMETRY = {
             "required": ["variant", "altitude_m"],
             "properties": {
                 "variant": {"const": "circular_orbit"},
-                "altitude_m": {"type": "number", "exclusiveMinimum": 100000},
+                "altitude_m": {"type": "number", "exclusiveMinimum": 100000, "exclusiveMaximum": ALTITUDE_LIMIT},
                 "inclination_rad": {"type": "number"},
                 "raan_rad": {"type": "number"},
                 "phase0_rad": {"type": "number"},

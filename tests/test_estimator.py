@@ -660,7 +660,9 @@ def test_routes_and_pair_searches_with_shipped_constants(monkeypatch):
     # A dense window with under one pair per tag and a window of few pairs
     # are enumerated, searching the window once; the peak span's pairs come
     # from that enumeration. A sparse window as long as the session takes
-    # the bounded search, and enumerating it instead gives the same result.
+    # the bounded search, searching the window for its total and one
+    # superbin, whose pairs also give the span; enumerating it instead gives
+    # the same result.
     searches = []
     pair_runs = estimator._pair_runs
     monkeypatch.setattr(estimator, "_pair_runs", lambda *args: searches.append(args[2:]) or pair_runs(*args))
@@ -674,33 +676,45 @@ def test_routes_and_pair_searches_with_shipped_constants(monkeypatch):
     cfg = CorrelationConfig(search_window=2 * 10**12, fine_bin=2 * 10**5)
     local, remote = _peaked_streams(np.random.default_rng(6), 500, 3 * 10**11, 500, 2 * 10**12, jitter=10**5)
     bounded = cross_correlate(local, remote, cfg)
-    assert len(searches) > 2
+    assert len(searches) == 2
     searches.clear()
     monkeypatch.setattr(estimator, "_MAX_SUPERBINS", 0)
     assert cross_correlate(local, remote, cfg) == bounded
     assert len(searches) == 1
 
 
+def _span_range(local, remote, cfg, peak_bin):
+    # the first difference of the peak span, and the differences a search of it covers
+    span_lo = int(remote[0]) - int(local[0]) + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
+    span_hi = span_lo + (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
+    return span_lo, (max(-cfg.search_window, span_lo), min(cfg.search_window + 1, span_hi))
+
+
 def _span_search(local, remote, cfg, peak_bin):
     # the peak span's pairs as a second binary search over the span finds
     # them: local times and differences from the span's first difference
-    span_lo = int(remote[0]) - int(local[0]) + (peak_bin - cfg.refine_span_bins) * cfg.coarse_bin
-    span_hi = span_lo + (2 * cfg.refine_span_bins + 1) * cfg.coarse_bin
-    window = cfg.search_window
-    runs = estimator._pair_runs(local, remote, max(-window, span_lo), min(window + 1, span_hi))
+    span_lo, searched = _span_range(local, remote, cfg, peak_bin)
+    runs = estimator._pair_runs(local, remote, *searched)
     shifted = estimator._pair_diffs(local, remote, runs, 0, int(runs.ends[-1]), span_lo)
     return np.repeat(local, runs.counts), shifted
 
 
 def _fit_inputs_and_searches(monkeypatch, local, remote, cfg):
-    """cross_correlate's outcome, the pairs its member fit was given, and its pair searches."""
+    """cross_correlate's outcome, the pairs its member fit was given, and the differences each pair search covered."""
     fits, searches = [], []
     member_line, pair_runs = estimator._member_line, estimator._pair_runs
     with monkeypatch.context() as m:
         m.setattr(estimator, "_member_line", lambda x, d, *rest: fits.append((x, d)) or member_line(x, d, *rest))
         m.setattr(estimator, "_pair_runs", lambda *args: searches.append(args[2:]) or pair_runs(*args))
         outcome = _outcome(local, remote, cfg)
-    return outcome, fits, len(searches)
+    return outcome, fits, searches
+
+
+def _assert_fit_inputs_are_the_span_search(fits, local, remote, cfg, peak_bin):
+    times, shifted = _span_search(local, remote, cfg, peak_bin)
+    (x, d), *_ = fits
+    assert np.array_equal(x, (times - local[0]).astype(np.float64))
+    assert np.array_equal(d, shifted.astype(np.float64))
 
 
 def _assert_span_from_enumeration(monkeypatch, local, remote, cfg):
@@ -712,16 +726,15 @@ def _assert_span_from_enumeration(monkeypatch, local, remote, cfg):
     assert hist.offsets is not None and estimator._bounded_peak(local, remote, cfg) is None
     assert np.array_equal(np.sort(hist.offsets).astype(np.int64) + hist.first_bin, np.repeat(hist.bins, hist.counts))
     outcome, fits, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
-    assert searches == (hist.runs is not None)
-    times, shifted = _span_search(local, remote, cfg, int(hist.bins[np.argmax(hist.counts)]))
-    (x, d), *_ = fits
-    assert np.array_equal(x, (times - local[0]).astype(np.float64))
-    assert np.array_equal(d, shifted.astype(np.float64))
+    assert len(searches) == (hist.runs is not None)
+    peak_bin = int(hist.bins[np.argmax(hist.counts)])
+    _assert_fit_inputs_are_the_span_search(fits, local, remote, cfg, peak_bin)
     # without offsets the span is searched: the one search left, as the window's comes precomputed
     dropped = hist._replace(offsets=None)
     with monkeypatch.context() as m:
         m.setattr(estimator, "coarse_histogram", lambda *args: dropped)
-        assert _fit_inputs_and_searches(m, local, remote, cfg)[::2] == (outcome, 1)
+        span = _span_range(local, remote, cfg, peak_bin)[1]
+        assert _fit_inputs_and_searches(m, local, remote, cfg)[::2] == (outcome, [span])
     return outcome
 
 
@@ -807,7 +820,61 @@ def test_span_search_when_window_takes_several_chunks(monkeypatch):
     monkeypatch.setattr(estimator, "_BLOCK_PAIRS", 64)
     assert coarse_histogram(local, remote, cfg).offsets is None
     outcome, _, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
-    assert outcome == single and searches == 2
+    assert outcome == single and len(searches) == 2
+
+
+def _assert_span_from_peak_visit(monkeypatch, local, remote, cfg):
+    """The bounded route fits the span search's pairs, searching the span only when the peak's visit misses part of it.
+
+    For peaks away from the window's edges. Returns the peak's visit, and the pair searches.
+    """
+    found = estimator._bounded_peak(local, remote, cfg)
+    peak_bin, visit = found[0], found[3]
+    assert visit.first_bin <= peak_bin < visit.first_bin + len(visit.counts)
+    outcome, fits, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
+    assert outcome[0].peak_counts == found[1]
+    _assert_fit_inputs_are_the_span_search(fits, local, remote, cfg, peak_bin)
+    reach = cfg.refine_span_bins
+    held = visit.first_bin <= peak_bin - reach and peak_bin + reach < visit.first_bin + len(visit.counts)
+    assert (_span_range(local, remote, cfg, peak_bin)[1] in searches) != held
+    return visit, searches
+
+
+@pytest.mark.parametrize("inset,searched", [(2, True), (3, False), (8, False), (12, False), (13, True)])
+def test_span_from_the_peak_visit_unless_it_reaches_past(monkeypatch, inset, searched):
+    # the peak sits inset coarse bins into a 16-bin superbin: its +-3-bin span
+    # lies inside that superbin from inset 3 to 12, and only there are the
+    # visit's pairs enough
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**4, fine_bin=100, significance_sigma=3.0)
+    _force_bounded(monkeypatch, superbin_bins=16)
+    rng = np.random.default_rng(50 + inset)
+    origin, peak_bin = 12345, 16 * 40 + inset
+    tags = np.sort(rng.integers(0, 2 * 10**8, 60)).astype(np.int64)
+    remote = tags[:45] + origin + peak_bin * cfg.coarse_bin + rng.integers(0, cfg.coarse_bin, 45)
+    local, remote = _anchored(tags, np.sort(np.concatenate((remote, rng.integers(0, 2 * 10**8, 30)))), origin)
+    assert _assert_routes_agree(monkeypatch, local, remote, cfg)[0] == peak_bin
+    visit, searches = _assert_span_from_peak_visit(monkeypatch, local, remote, cfg)
+    assert visit.first_bin == 16 * 40
+    assert (_span_range(local, remote, cfg, peak_bin)[1] in searches) == searched
+
+
+def test_span_from_the_finer_visit_that_wins_a_tie(monkeypatch):
+    # the probe's visit finds the upper of two tied peaks, and the level's
+    # visit of superbin 183 the lower, which wins; its visit is the one kept,
+    # and it holds the lower peak's span
+    local, remote, cfg = _half_covered_tie_streams(monkeypatch)
+    visit, _ = _assert_span_from_peak_visit(monkeypatch, local, remote, cfg)
+    assert (visit.first_bin, len(visit.counts)) == (183 * 436, 436)
+
+
+def test_span_from_the_probe_visit(monkeypatch):
+    # acquire_wide's seed 7, op 86, from A to B (see the probe test below):
+    # the probe's first visit finds the peak and no later one beats it, so
+    # the window's total and the probe's two visits are the only searches
+    cfg, directions = _paper_session(0.001275225912445066, 240584960342, 3307023289804378348)
+    local, remote = directions[0]
+    visit, searches = _assert_span_from_peak_visit(monkeypatch, local, remote, cfg)
+    assert (visit.first_bin, len(visit.counts), len(searches)) == (-3 * 1024, 1024, 3)
 
 
 def _visit_order(monkeypatch):
@@ -991,19 +1058,13 @@ def test_coarse_to_fine_tie_across_levels(monkeypatch, seed):
     monkeypatch.setattr(estimator, "_superbin_counts", record)
     assert _assert_routes_agree(monkeypatch, local, remote, cfg) == floor_alone == (0, 40)
     assert widths[:3] == [1024, 451, 2]
-    probe_bins, probe_superbin, probe_counts = visited[0]
+    probe_bins, probe_superbin, probe_visit = visited[0]
     assert (probe_bins, probe_superbin) == (1024, 78)  # superbin 78 holds bin 80000
-    assert probe_counts[80000 - 78 * 1024] == probe_counts.max() == 40
+    assert probe_visit.counts[80000 - 78 * 1024] == probe_visit.counts.max() == 40
     assert any(bins < probe_bins and superbin * bins <= 0 < (superbin + 1) * bins for bins, superbin, _ in visited)
 
 
-def test_level_superbin_half_covered_by_a_probe_visit(monkeypatch):
-    # Two 40-pair peaks tie at coarse bins 79850 and 80000, and 20 pairs of a
-    # far tag make probe superbin 78 (bins 79872 .. 80895) the probe's visit,
-    # which finds the upper peak. The level's width, 436, and the probe's,
-    # 1024, do not divide each other: level superbin 183 (bins 79788 ..
-    # 80223) holds both peaks but that visit covers it only in part, so the
-    # level must still visit it for the lower bin to win the tie.
+def _half_covered_tie_streams(monkeypatch):
     cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**3, fine_bin=10, significance_sigma=3.0)
     rng = np.random.default_rng(2)
     tags = np.sort(rng.integers(0, 2 * 10**8, 40)).astype(np.int64)
@@ -1013,10 +1074,33 @@ def test_level_superbin_half_covered_by_a_probe_visit(monkeypatch):
     local, remote = _anchored(np.append(tags, far), np.sort(np.concatenate((*peaks, beside))), origin)
     _force_bounded(monkeypatch, superbin_bins=2)
     monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", 256)
+    return local, remote, cfg
+
+
+def test_level_superbin_half_covered_by_a_probe_visit(monkeypatch):
+    # Two 40-pair peaks tie at coarse bins 79850 and 80000, and 20 pairs of a
+    # far tag make probe superbin 78 (bins 79872 .. 80895) the probe's visit,
+    # which finds the upper peak. The level's width, 436, and the probe's,
+    # 1024, do not divide each other: level superbin 183 (bins 79788 ..
+    # 80223) holds both peaks but that visit covers it only in part, so the
+    # level must still visit it for the lower bin to win the tie.
+    local, remote, cfg = _half_covered_tie_streams(monkeypatch)
     widths, visited = _fold_widths(monkeypatch), _visit_order(monkeypatch)
     assert _assert_routes_agree(monkeypatch, local, remote, cfg) == (79850, 40)
     assert widths[:2] == [1024, 436] and estimator._SUPERBIN_BINS not in widths
     assert visited[:2] == [78, 183]
+
+
+def _paper_session(duration_s, theta_fs, master):
+    """paper_100pairs.json over duration_s, as acquire_wide runs it: its correlation config and both directions."""
+    config = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "paper_100pairs.json")
+    clocks = {"a": {}, "b": {"initial_offset_fs": theta_fs}}
+    spec, model_a, model_b = build_session({**config, "duration_s": duration_s, "clocks": clocks})
+    clock_a = ClockState(model_a, rng_stream=(master, "clock", "a"))
+    clock_b = ClockState(model_b, rng_stream=(master, "clock", "b"))
+    streams = run_session(spec, clock_a, clock_b, (master, "session"))
+    directions = ((streams.local_a, streams.remote_ab), (streams.local_b, streams.remote_ba))
+    return build_correlation(config["correlation"]), [(a.timestamps, b.timestamps) for a, b in directions]
 
 
 def test_sparse_wide_sessions_fold_once_after_the_probe(monkeypatch):
@@ -1025,17 +1109,10 @@ def test_sparse_wide_sessions_fold_once_after_the_probe(monkeypatch):
     # finish, so at most one of these 24 correlations folds at the floor
     # (9 did when the level width was a power of two), and each finds the
     # peak of the floor-only search
-    config = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "paper_100pairs.json")
-    cfg = build_correlation(config["correlation"])
     widths, floor_folds = _fold_widths(monkeypatch), 0
     for k in range(12):
-        clocks = {"a": {}, "b": {"initial_offset_fs": (k - 6) * 8 * 10**10}}  # within +-0.5 ms
-        spec, model_a, model_b = build_session({**config, "duration_s": 1e-3 + 3e-3 * k / 11, "clocks": clocks})
-        clock_a = ClockState(model_a, rng_stream=(k, "clock", "a"))
-        clock_b = ClockState(model_b, rng_stream=(k, "clock", "b"))
-        streams = run_session(spec, clock_a, clock_b, (k, "session"))
-        for pair in ((streams.local_a, streams.remote_ab), (streams.local_b, streams.remote_ba)):
-            local, remote = (stream.timestamps for stream in pair)
+        cfg, directions = _paper_session(1e-3 + 3e-3 * k / 11, (k - 6) * 8 * 10**10, k)  # theta within +-0.5 ms
+        for local, remote in directions:
             widths.clear()
             found = estimator._bounded_peak(local, remote, cfg)
             assert found is not None and widths[0] > estimator._SUPERBIN_BINS == 128
@@ -1043,7 +1120,7 @@ def test_sparse_wide_sessions_fold_once_after_the_probe(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(estimator, "_PROBE_SUPERBINS", estimator._MAX_SUPERBINS)  # no probe: the floor alone
                 widths.clear()
-                assert estimator._bounded_peak(local, remote, cfg) == found
+                assert estimator._bounded_peak(local, remote, cfg)[:3] == found[:3]
                 assert widths == [estimator._SUPERBIN_BINS]
     assert floor_folds <= 1
     # and the last one, 4 ms from B to A, gives the enumeration's result
@@ -1057,20 +1134,58 @@ def test_probe_stops_at_a_visit_that_leaves_its_count(monkeypatch):
     # the 61-pair peak, too small for any level coarser than the floor, and
     # its second finds no more, so the probe stops there (a probe capped at 4
     # visits made 2 more) and the floor fold finishes with the floor's result
-    config = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "paper_100pairs.json")
-    cfg = build_correlation(config["correlation"])
-    master, clocks = 3307023289804378348, {"a": {}, "b": {"initial_offset_fs": 240584960342}}
-    spec, model_a, model_b = build_session({**config, "duration_s": 0.001275225912445066, "clocks": clocks})
-    clock_a = ClockState(model_a, rng_stream=(master, "clock", "a"))
-    clock_b = ClockState(model_b, rng_stream=(master, "clock", "b"))
-    streams = run_session(spec, clock_a, clock_b, (master, "session"))
-    local, remote = streams.local_a.timestamps, streams.remote_ab.timestamps
+    cfg, directions = _paper_session(0.001275225912445066, 240584960342, 3307023289804378348)
+    local, remote = directions[0]
     widths, visited = _fold_widths(monkeypatch), _visit_order(monkeypatch)
-    found = estimator._bounded_peak(local, remote, cfg)
+    found = estimator._bounded_peak(local, remote, cfg)[:3]
     assert found == (-2797, 61, 163845)
     assert widths == [1024, estimator._SUPERBIN_BINS] and visited == [-3, -4]
     monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", estimator._MAX_SUPERBINS)  # no probe: the floor alone
-    assert estimator._bounded_peak(local, remote, cfg) == found
+    assert estimator._bounded_peak(local, remote, cfg)[:3] == found
+
+
+@pytest.mark.parametrize("duration_s", [1e-3, 2.5e-3, 4e-3])
+def test_coarser_folds_reach_as_far_as_the_streams(monkeypatch, duration_s):
+    # Sessions shaped like acquire_wide's, whose +-2 ms window reaches past
+    # both streams until they last 4 ms. Probe and level folds stop at the
+    # longer stream's span, aliasing differences at least that span apart;
+    # their bounds still hold every superbin's exact count, the search finds
+    # the enumeration's peak, and floor folds keep the window's length.
+    fold_length, superbin_bounds = estimator._fold_length, estimator._superbin_bounds
+    folds = []  # the floor's size check, then each fold's width in coarse bins and the cells it must exceed
+    monkeypatch.setattr(estimator, "_fold_length", lambda n: folds.append(n) or fold_length(n))
+    monkeypatch.setattr(estimator, "_superbin_bounds", lambda *args: folds.append(args[4]) or superbin_bounds(*args))
+    cfg, directions = _paper_session(duration_s, 3 * 10**11, round(duration_s * 1e4))
+    for local, remote in directions:
+        folds.clear()
+        found = estimator._bounded_peak(local, remote, cfg)
+        hist = coarse_histogram(local, remote, cfg)
+        i = int(np.argmax(hist.counts))
+        assert found[:3] == (int(hist.bins[i]), int(hist.counts[i]), int(hist.counts.sum()))
+        d_lo = max(-cfg.search_window, int(remote[0]) - int(local[-1]))
+        d_hi = min(cfg.search_window, int(remote[-1]) - int(local[0]))
+        longer = max(int(local[-1] - local[0]), int(remote[-1] - remote[0]))
+
+        def window_cells(bins):
+            width = bins * cfg.coarse_bin
+            return (d_hi - hist.origin) // width - (d_lo - hist.origin) // width + 1
+
+        assert folds[0] == window_cells(estimator._SUPERBIN_BINS)
+        widths = folds[1::2]
+        assert widths[0] > estimator._SUPERBIN_BINS
+        for bins, cells in zip(widths, folds[2::2]):
+            if bins == estimator._SUPERBIN_BINS:
+                assert cells == window_cells(bins)
+                continue
+            assert cells == min(window_cells(bins), longer // (bins * cfg.coarse_bin) + 2)
+            if duration_s < 4e-3:
+                assert cells < window_cells(bins) * 0.9
+            else:  # the window is as long as the streams: the fold keeps its length
+                assert fold_length(cells) == fold_length(window_cells(bins))
+            sb_lo, bounds = superbin_bounds(local, remote, d_lo, d_hi, bins, cfg)
+            exact = np.zeros_like(bounds)
+            np.add.at(exact, hist.bins // bins - sb_lo, hist.counts)
+            assert (bounds >= exact).all() and exact.sum() == hist.counts.sum()
 
 
 @pytest.mark.parametrize(

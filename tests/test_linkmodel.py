@@ -9,6 +9,7 @@ import pytest
 
 from qcsync import linkmodel
 from qcsync.linkmodel import (
+    ALTITUDE_LIMIT,
     DEFAULT_CONSTANTS,
     CircularOrbit,
     _geometry_at,
@@ -221,7 +222,9 @@ def test_propagate_raises_where_arrivals_would_wrap_int64(jitter):
 
 
 def test_flight_time_outside_int64_raises():
-    far = [StaticRange(range_m=1e30), CircularOrbit(altitude=1e25)]
+    # an orbit just below the altitude bound, seen 69 degrees from overhead, is farther than c * 2^63 fs
+    edge = CircularOrbit(altitude=ALTITUDE_LIMIT - 1e6, ground_station=GroundStation(lat=0.0, lon=1.2))
+    far = [StaticRange(range_m=1e30), edge]
     for geometry in far:
         with pytest.raises(TimeRangeError):
             time_of_flight(LinkModel(geometry=geometry), 0, Direction.A_TO_B)
@@ -287,5 +290,11 @@ def test_geometry_validation():
         StaticRange(range_m=0.0)
     with pytest.raises(ValueError):
         CircularOrbit(altitude=50e3, ground_station=GroundStation(lat=0, lon=0))
+    # a**3 in the mean motion overflowed above about 5.6e102 m
+    for altitude in (ALTITUDE_LIMIT, 1e120, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="below 2.7651e"):
+            CircularOrbit(altitude=altitude)
+    overhead = LinkModel(geometry=CircularOrbit(altitude=ALTITUDE_LIMIT - 1e6))
+    assert time_of_flight(overhead, 0, Direction.A_TO_B) < INT64_LIMIT
     with pytest.raises(ValueError):
         LinkModel(geometry=StaticRange(range_m=1.0), transmittance=0.0)

@@ -532,6 +532,24 @@ def test_simulate_past_int64_arrivals_exits_two(tmp_path, capsys):
     assert list(out_dir.glob("*.tags")) == []
 
 
+@pytest.mark.parametrize("altitude", [1e40, 1e120, 1e300])
+def test_orbit_altitude_past_the_bound_exits_two(tmp_path, capsys, altitude):
+    # above about 5.6e102 m, a**3 in the orbit's mean motion overflowed with
+    # a traceback; the bound, c * 2^63 fs, is where no flight fits int64
+    leo = json.loads((SCENARIOS / "leo_demo.json").read_text())
+    link = leo["topology"]["edges"][0]["link"]
+    link["geometry"]["altitude_m"] = altitude
+    relativity = tmp_path / "relativity.json"
+    relativity.write_text(json.dumps({"seed": 1, "link": link, "relativity": {"samples": 5}}))
+    leo["topology"]["horizon_s"] = 3
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(leo))
+    for command, path in (("relativity", relativity), ("net", net)):
+        code, _, err = _run(capsys, command, "--config", str(path), "--out", str(tmp_path / command))
+        assert code == 2
+        assert "config error" in err and "altitude_m" in err and "maximum" in err and "Traceback" not in err
+
+
 _JITTER_FIELDS = [
     (("detectors", "a"), "jitter_sigma_fs", lambda sigma: Detector(jitter_sigma=sigma)),
     (("link",), "channel_jitter_sigma_fs", lambda sigma: LinkModel(StaticRange(1.0), channel_jitter_sigma=sigma)),

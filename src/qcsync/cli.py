@@ -21,7 +21,6 @@ from . import __version__
 from .bellauth import authenticate, chsh_value, simulate_coincidences
 from .estimator import EstimationError, TwoWayResult, estimate_two_way
 from .linkmodel import (
-    DEFAULT_CONSTANTS,
     Direction,
     GeometryError,
     LightTimeConvergenceError,
@@ -170,13 +169,13 @@ def cmd_relativity(args) -> int:
     # a float grid: an int64 one would wrap past 2^63 fs (about 2.56 h)
     t_fs = np.array([float(min(i * step_fs, horizon_fs)) for i in range(n_samples)])
     t_s = t_fs / FS_PER_SECOND
-    geo = _geometry_at(geometry, t_s, DEFAULT_CONSTANTS)
+    geo = _geometry_at(geometry, t_s)
     visible = np.broadcast_to(geo.visible, t_s.shape)
     flights = [
-        np.where(visible, _flight_times_fs(link, t_fs, direction, DEFAULT_CONSTANTS)[0], None)
+        np.where(visible, _flight_times_fs(link, t_fs, direction)[0], None)
         for direction in Direction
     ]
-    shapiro = _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, DEFAULT_CONSTANTS)
+    shapiro = _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m)
     columns = np.broadcast_arrays(t_s, geo.range_m, np.degrees(geo.elevation), visible, *flights, shapiro)
     keys = ("t_s", "range_m", "elevation_deg", "visible", "flight_ab_fs", "flight_ba_fs", "shapiro_fs")
     samples = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]

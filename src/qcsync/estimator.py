@@ -83,6 +83,7 @@ from .timebase import INT64_LIMIT, _round_div
 __all__ = [
     "CoarseHistogram",
     "CorrelationConfig",
+    "BLOCK_COUNT_LIMIT",
     "CorrelationResult",
     "PeakMembers",
     "TwoWayResult",
@@ -98,6 +99,7 @@ __all__ = [
     "estimate_two_way",
 ]
 
+BLOCK_COUNT_LIMIT = 10**6  # most diagnostic blocks of the frequency fit, as many as net report epochs
 _CHUNK_PAIRS = 1 << 22  # pairs per sort: 16 MB of 32-bit bin offsets, 32 MB when one sort keeps them
 _BLOCK_PAIRS = 1 << 15  # pairs materialized at once: 256 KB int64 arrays stay in cache
 _WINDOW_SIGMAS = 3.0  # member window half-width, in residual sigmas of the member line
@@ -150,8 +152,8 @@ class CorrelationConfig:
             raise ValueError("refine_span_bins must be >= 1")
         if not self.significance_sigma > 0:
             raise ValueError("significance_sigma must be > 0")
-        if self.block_count < 1:
-            raise ValueError("block_count must be >= 1")
+        if not 1 <= self.block_count <= BLOCK_COUNT_LIMIT:
+            raise ValueError(f"block_count must be within [1, {BLOCK_COUNT_LIMIT}]")
 
 
 class PeakMembers(NamedTuple):
@@ -819,9 +821,15 @@ def frequency_track(local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConf
 
 
 def _block_means(result: CorrelationResult, edges: list[int]) -> list[int | None]:
-    """Integer-rounded mean member difference per block [edges[k], edges[k+1]); None if empty."""
+    """Integer-rounded mean member difference per block [edges[k], edges[k+1]); None if empty.
+
+    An edge past the int64 range cuts before every member (below it) or after
+    every member (above it).
+    """
     members = result.members
-    cuts = np.searchsorted(members.local_times, np.array(edges, dtype=np.int64))
+    top = INT64_LIMIT - 1
+    cuts = np.searchsorted(members.local_times, np.array([min(max(e, -INT64_LIMIT), top) for e in edges], np.int64))
+    cuts[[e > top for e in edges]] = len(members.local_times)
     # sums of differences from the peak offset stay small, so they are exact
     sums = np.concatenate(([0], np.cumsum(members.diffs - result.peak_offset)))[cuts].tolist()
     cuts = cuts.tolist()

@@ -5,6 +5,8 @@ orbit over a rotating spherical Earth, evaluated in an Earth-centered
 inertial frame. Flight times solve the light-time equation (receiver
 position at arrival) and optionally add the Shapiro delay. Deliberate
 non-reciprocity is a constant signed bias split across the two directions.
+The physical constants (c, the Earth's GM, radius and rotation rate) are
+module constants in SI units.
 
 Convention: direction A_TO_B points from the ground-side endpoint to the
 space-side endpoint (for the static variant the two endpoints are symmetric
@@ -25,8 +27,10 @@ from .seeding import SeedSpec, spawn_rng
 from .timebase import FS_PER_SECOND, INT64_LIMIT, TimeRangeError, _checked_shift
 
 __all__ = [
-    "PhysicalConstants",
-    "DEFAULT_CONSTANTS",
+    "SPEED_OF_LIGHT",
+    "GM_EARTH",
+    "EARTH_RADIUS",
+    "EARTH_ROTATION_RATE",
     "GroundStation",
     "StaticRange",
     "CircularOrbit",
@@ -45,20 +49,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Standard constants; override only through an explicit argument, never config."""
-
-    c: float = 299792458.0  # m/s
-    gm_earth: float = 3.986004418e14  # m^3/s^2
-    earth_radius: float = 6371000.0  # m
-    earth_rotation_rate: float = 7.2921159e-5  # rad/s
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+SPEED_OF_LIGHT = 299792458.0  # m/s
+GM_EARTH = 3.986004418e14  # m^3/s^2
+EARTH_RADIUS = 6371000.0  # m
+EARTH_ROTATION_RATE = 7.2921159e-5  # rad/s
 # m, the distance light covers in 2^63 fs: no flight from an orbit this high
 # fits int64, and far higher ones overflow the orbit's float mean motion
-ALTITUDE_LIMIT = DEFAULT_CONSTANTS.c * INT64_LIMIT / FS_PER_SECOND
+ALTITUDE_LIMIT = SPEED_OF_LIGHT * INT64_LIMIT / FS_PER_SECOND
 
 
 class GeometryError(ValueError):
@@ -136,11 +133,9 @@ class LinkModel:
             raise ValueError("channel_jitter_sigma must be in [0, 10^15] fs")
 
 
-def _station_positions(
-    gs: GroundStation, t_s: np.ndarray, constants: PhysicalConstants
-) -> np.ndarray:
-    r = constants.earth_radius + gs.alt
-    phi = gs.lon + constants.earth_rotation_rate * t_s
+def _station_positions(gs: GroundStation, t_s: np.ndarray) -> np.ndarray:
+    r = EARTH_RADIUS + gs.alt
+    phi = gs.lon + EARTH_ROTATION_RATE * t_s
     cos_lat = math.cos(gs.lat)
     return r * np.stack(
         (cos_lat * np.cos(phi), cos_lat * np.sin(phi), np.full_like(phi, math.sin(gs.lat))),
@@ -148,11 +143,9 @@ def _station_positions(
     )
 
 
-def _satellite_positions(
-    orbit: CircularOrbit, t_s: np.ndarray, constants: PhysicalConstants
-) -> np.ndarray:
-    a = constants.earth_radius + orbit.altitude
-    n = math.sqrt(constants.gm_earth / a**3)
+def _satellite_positions(orbit: CircularOrbit, t_s: np.ndarray) -> np.ndarray:
+    a = EARTH_RADIUS + orbit.altitude
+    n = math.sqrt(GM_EARTH / a**3)
     u = orbit.phase0 + n * t_s
     cu, su = np.cos(u), np.sin(u)
     ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
@@ -175,9 +168,7 @@ class _Geometry(NamedTuple):
     sat: np.ndarray | None
 
 
-def _geometry_at(
-    geometry: GeometryScenario, t_s: np.ndarray, constants: PhysicalConstants
-) -> _Geometry:
+def _geometry_at(geometry: GeometryScenario, t_s: np.ndarray) -> _Geometry:
     """Range, elevation, visibility, endpoint radii and positions at true times t_s (s).
 
     A static range is the same at every time: its fields are scalars that
@@ -186,10 +177,10 @@ def _geometry_at(
     defined and direction-symmetric.
     """
     if isinstance(geometry, StaticRange):
-        r1, r = constants.earth_radius, geometry.range_m
+        r1, r = EARTH_RADIUS, geometry.range_m
         return _Geometry(r, math.pi / 2, np.True_, r1, r1 + r, None, None)
-    station = _station_positions(geometry.ground_station, t_s, constants)
-    sat = _satellite_positions(geometry, t_s, constants)
+    station = _station_positions(geometry.ground_station, t_s)
+    sat = _satellite_positions(geometry, t_s)
     los = sat - station
     range_m = np.linalg.norm(los, axis=-1)
     r_station = np.linalg.norm(station, axis=-1)
@@ -199,29 +190,25 @@ def _geometry_at(
     return _Geometry(range_m, elevation, visible, r_station, np.linalg.norm(sat, axis=-1), station, sat)
 
 
-def orbital_period(
-    geometry: CircularOrbit, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
+def orbital_period(geometry: CircularOrbit) -> float:
     """Keplerian period 2*pi*sqrt(a^3/GM) in seconds."""
     if not isinstance(geometry, CircularOrbit):
         raise GeometryError("orbital_period requires the circular-orbit variant")
-    a = constants.earth_radius + geometry.altitude
-    return 2.0 * math.pi * math.sqrt(a**3 / constants.gm_earth)
+    a = EARTH_RADIUS + geometry.altitude
+    return 2.0 * math.pi * math.sqrt(a**3 / GM_EARTH)
 
 
-def _shapiro_fs(r1, r2, straight_range, constants: PhysicalConstants):
+def _shapiro_fs(r1, r2, straight_range):
     """General-relativistic extra delay (2GM/c^3)ln((r1+r2+R)/(r1+r2-R)), in fs, for scalars or arrays.
 
     A float, because the quantity is sub-fs-resolvable; callers round once
     when composing it into an integer flight time.
     """
-    factor = 2.0 * constants.gm_earth / constants.c**3 * FS_PER_SECOND
+    factor = 2.0 * GM_EARTH / SPEED_OF_LIGHT**3 * FS_PER_SECOND
     return factor * np.log((r1 + r2 + straight_range) / (r1 + r2 - straight_range))
 
 
-def relativistic_rate_offset(
-    geometry: CircularOrbit, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
+def relativistic_rate_offset(geometry: CircularOrbit) -> float:
     """Fractional rate of the satellite clock relative to a ground clock.
 
     y = GM/c^2 (1/R_ground - 1/r_sat) - v^2/(2 c^2) with v the circular
@@ -230,20 +217,16 @@ def relativistic_rate_offset(
     """
     if not isinstance(geometry, CircularOrbit):
         raise GeometryError("relativistic_rate_offset requires the circular-orbit variant")
-    r_sat = constants.earth_radius + geometry.altitude
-    r_ground = constants.earth_radius + geometry.ground_station.alt
-    gm_c2 = constants.gm_earth / constants.c**2
+    r_sat = EARTH_RADIUS + geometry.altitude
+    r_ground = EARTH_RADIUS + geometry.ground_station.alt
+    gm_c2 = GM_EARTH / SPEED_OF_LIGHT**2
     potential = gm_c2 * (1.0 / r_ground - 1.0 / r_sat)
     velocity = gm_c2 / (2.0 * r_sat)  # v^2/(2c^2) for circular speed v = sqrt(GM/r)
     return potential - velocity
 
 
 def _light_time_flights_s(
-    orbit: CircularOrbit,
-    geo: _Geometry,
-    emit_t_s: np.ndarray,
-    direction: Direction,
-    constants: PhysicalConstants,
+    orbit: CircularOrbit, geo: _Geometry, emit_t_s: np.ndarray, direction: Direction
 ) -> np.ndarray:
     """Flight times in seconds solving the light-time equation per photon.
 
@@ -254,17 +237,17 @@ def _light_time_flights_s(
         emitter = geo.station
 
         def receiver_at(t_s):
-            return _satellite_positions(orbit, t_s, constants)
+            return _satellite_positions(orbit, t_s)
 
     else:
         emitter = geo.sat
 
         def receiver_at(t_s):
-            return _station_positions(orbit.ground_station, t_s, constants)
+            return _station_positions(orbit.ground_station, t_s)
 
-    tau = geo.range_m / constants.c
+    tau = geo.range_m / SPEED_OF_LIGHT
     for _ in range(5):
-        new_tau = np.linalg.norm(receiver_at(emit_t_s + tau) - emitter, axis=-1) / constants.c
+        new_tau = np.linalg.norm(receiver_at(emit_t_s + tau) - emitter, axis=-1) / SPEED_OF_LIGHT
         step = np.max(np.abs(new_tau - tau)) if len(tau) else 0.0
         tau = new_tau
         if step < 1e-15:
@@ -272,12 +255,7 @@ def _light_time_flights_s(
     raise LightTimeConvergenceError("light-time iteration exceeded 5 iterations")
 
 
-def _flight_times_fs(
-    link: LinkModel,
-    emit_fs: np.ndarray,
-    direction: Direction,
-    constants: PhysicalConstants,
-) -> tuple[np.ndarray, np.ndarray]:
+def _flight_times_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
     """Integer flight times and the emit-time visibility mask, broadcast against emit_fs.
 
     emit_fs is int64, or float64 for a grid that reaches past 2^63 fs; emit
@@ -287,23 +265,23 @@ def _flight_times_fs(
     """
     geometry = link.geometry
     if isinstance(geometry, StaticRange):
-        return _static_flight_fs(link, direction, constants), np.True_
+        return _static_flight_fs(link, direction), np.True_
     emit_t_s = emit_fs / FS_PER_SECOND
-    geo = _geometry_at(geometry, emit_t_s, constants)
-    flights_s = _light_time_flights_s(geometry, geo, emit_t_s, direction, constants)
+    geo = _geometry_at(geometry, emit_t_s)
+    flights_s = _light_time_flights_s(geometry, geo, emit_t_s, direction)
     total_fs = flights_s * FS_PER_SECOND + direction.bias_sign * link.nonreciprocity_bias / 2.0
     if link.include_shapiro:
-        total_fs = total_fs + _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, constants)
+        total_fs = total_fs + _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m)
     return _rounded_fs(total_fs), geo.visible
 
 
 @functools.lru_cache(maxsize=256)
-def _static_flight_fs(link: LinkModel, direction: Direction, constants: PhysicalConstants) -> np.int64:
-    """The flight time of a static range, computed once per link, direction and constants."""
-    geo = _geometry_at(link.geometry, 0.0, constants)
-    total_fs = geo.range_m / constants.c * FS_PER_SECOND
+def _static_flight_fs(link: LinkModel, direction: Direction) -> np.int64:
+    """The flight time of a static range, computed once per link and direction."""
+    geo = _geometry_at(link.geometry, 0.0)
+    total_fs = geo.range_m / SPEED_OF_LIGHT * FS_PER_SECOND
     if link.include_shapiro:
-        total_fs += _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, constants)
+        total_fs += _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m)
     return _rounded_fs(total_fs + direction.bias_sign * link.nonreciprocity_bias / 2.0)
 
 
@@ -313,28 +291,15 @@ def _rounded_fs(total_fs):
     return np.rint(total_fs).astype(np.int64)
 
 
-def time_of_flight(
-    link: LinkModel,
-    true_emit_time: int,
-    direction: Direction,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> int:
+def time_of_flight(link: LinkModel, true_emit_time: int, direction: Direction) -> int:
     """One-way flight time in integer fs for a photon emitted at true_emit_time."""
-    flights, visible = _flight_times_fs(
-        link, np.array([true_emit_time], dtype=np.int64), direction, constants
-    )
+    flights, visible = _flight_times_fs(link, np.array([true_emit_time], dtype=np.int64), direction)
     if not visible.item():
         raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
     return flights.item()
 
 
-def propagate(
-    stream_true: np.ndarray,
-    link: LinkModel,
-    direction: Direction,
-    seed: SeedSpec,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> np.ndarray:
+def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, seed: SeedSpec) -> np.ndarray:
     """Send photons across the link: loss, flight-time shift, channel jitter.
 
     Photons emitted while the link is occluded are dropped. Output is the
@@ -346,7 +311,7 @@ def propagate(
     if link.transmittance < 1.0:
         rng = spawn_rng(seed, "link-thin")
         photons = photons[rng.random(len(photons)) < link.transmittance]
-    flights, visible = _flight_times_fs(link, photons, direction, constants)
+    flights, visible = _flight_times_fs(link, photons, direction)
     if np.ndim(visible):  # a static range is always visible
         photons, flights = photons[visible], flights[visible]
     shifts = [flights]
@@ -358,13 +323,7 @@ def propagate(
     return arrived
 
 
-def visibility_windows(
-    geometry: GeometryScenario,
-    start_fs: int,
-    end_fs: int,
-    step_fs: int,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> list[dict]:
+def visibility_windows(geometry: GeometryScenario, start_fs: int, end_fs: int, step_fs: int) -> list[dict]:
     """Contiguous visible intervals on a sampling grid, with peak elevation.
 
     The grid runs from start_fs in steps of step_fs up to end_fs and is
@@ -379,7 +338,7 @@ def visibility_windows(
         raise ValueError("end_fs must be >= start_fs")
     count = (end_fs - start_fs) // step_fs + 1
     t_s = (start_fs + step_fs * np.arange(count, dtype=np.float64)) / FS_PER_SECOND
-    geo = _geometry_at(geometry, t_s, constants)
+    geo = _geometry_at(geometry, t_s)
     if np.ndim(geo.visible) == 0:  # a static range: the same at every time
         peak = float(np.degrees(geo.elevation))
         start_s, end_s = start_fs / FS_PER_SECOND, end_fs / FS_PER_SECOND

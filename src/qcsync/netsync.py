@@ -4,8 +4,9 @@ A topology is a set of clocked nodes and directed sync edges (upstream to
 downstream). A discrete-event loop walks one lazily merged stream of events
 in (time, kind, index) order: node failures, each edge's scheduled syncs and
 the report epochs. A horizon at or past 2^63 fs, the int64 range of tag
-arrays, raises TimeRangeError before the first event. Each sync runs one
-photon acquisition and one two-way estimate on its edge and steps the
+arrays, raises TimeRangeError before the first event, and more than 10^6
+report epochs, or 10^6 syncs over all edges, raise ValueError. Each sync
+runs one photon acquisition and one two-way estimate on its edge and steps the
 downstream clock by the measured offset (optionally also steering its rate
 by the measured fractional frequency). The applied offset has the orbit
 model's half flight asymmetry (T_AB - T_BA)/2 removed, read from the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 # frequency_track is bound here but not called: bench/workloads.py rebinds it by name
 from .estimator import CorrelationConfig, EstimationError, _halve_toward_zero, frequency_track  # noqa: F401
-from .linkmodel import DEFAULT_CONSTANTS, LinkModel, NotVisibleError, PhysicalConstants
+from .linkmodel import LinkModel, NotVisibleError
 from .session import NodeInstruments, SessionSpec, estimate_session, run_session
 from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel, ClockState, TimeRangeError, apply_correction, local_time
 
@@ -57,6 +58,7 @@ __all__ = [
 BOUND_QCS_FS = 10_000  # 10 ps, entangled-pair demo target
 BOUND_MICIUS_FS = 700_000  # 0.7 ns, Micius average sync error
 BOUND_GPS_FS = 20_000_000  # 20 ns, lower edge of the GPS accuracy band
+_SCHEDULE_LIMIT = 10**6  # most report epochs, and most syncs over all edges, in one run
 
 ROLE_REFERENCE = "reference"
 ROLE_SATELLITE = "satellite"
@@ -212,7 +214,7 @@ def _stream(times: range, kind: int, index: int):
     return ((t, kind, index, k) for k, t in enumerate(times))
 
 
-def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple, constants: PhysicalConstants):
+def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple):
     """Run one acquisition on the edge at true time t: (offset fix fs, rate fix).
 
     A two-way estimate cancels the flight time only on a reciprocal link, and
@@ -229,7 +231,7 @@ def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple, constants:
         link=edge.link,
         start_time=t,
     )
-    streams = run_session(spec, clocks[edge.upstream], clocks[edge.downstream], event_seed, constants)
+    streams = run_session(spec, clocks[edge.upstream], clocks[edge.downstream], event_seed)
     result = estimate_session(streams, edge.correlation)
     # The configured nonreciprocity_bias is left out because it stands for
     # asymmetry the operator does not know about. The truth flights are the
@@ -247,7 +249,6 @@ def run_network(
     horizon: int,
     seed: int,
     report_interval_fs: int | None = None,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> NetworkReport:
     """Discrete-event simulation of the whole sync hierarchy.
 
@@ -255,8 +256,8 @@ def run_network(
     edge index, then error-series samples. The samples fall between sync
     times (half a report interval off the grid) so an epoch always reflects
     a consistent post-correction state. A horizon at or past 2^63 fs raises
-    TimeRangeError, and more than 10^6 report epochs ValueError, before the
-    first event.
+    TimeRangeError, and more than 10^6 report epochs or 10^6 scheduled syncs
+    ValueError, before the first event.
     """
     if horizon >= INT64_LIMIT:
         raise TimeRangeError(
@@ -271,8 +272,11 @@ def run_network(
     if report_interval_fs <= 0:
         raise ValueError("report_interval_fs must be positive")
     epochs = range(report_interval_fs // 2, horizon + 1, report_interval_fs)
-    if len(epochs) > 10**6:
+    if len(epochs) > _SCHEDULE_LIMIT:
         raise ValueError(f"report interval {report_interval_fs} fs gives {len(epochs)} report epochs, more than 10^6")
+    sync_times = [range(e.interval_fs, horizon - e.duration_fs + 1, e.interval_fs) for e in topology.edges]
+    if (sync_count := sum(map(len, sync_times))) > _SCHEDULE_LIMIT:
+        raise ValueError(f"the edges' sync intervals schedule {sync_count} syncs over the horizon, more than 10^6")
 
     references = [n.id for n in topology.nodes if n.role == ROLE_REFERENCE]
     reference_id = references[0]
@@ -283,10 +287,7 @@ def run_network(
     # kind 0 = node failure, 1 = sync (ordered by edge index), 2 = report sample;
     # a failure comes first at its instant, so a node is down at t == fail_at
     failures = sorted((t, 0, i, 0) for i, (_, t) in enumerate(topology.failures) if t <= horizon)
-    syncs = [
-        _stream(range(e.interval_fs, horizon - e.duration_fs + 1, e.interval_fs), 1, edge_idx)
-        for edge_idx, e in enumerate(topology.edges)
-    ]
+    syncs = [_stream(times, 1, edge_idx) for edge_idx, times in enumerate(sync_times)]
 
     dead: set[str] = set()
     strata = _strata(topology, dead)
@@ -326,7 +327,7 @@ def run_network(
             attempts[index] += 1
             event_seed = (seed, "edge", index, "event", occurrence)
             try:
-                offset_fix, rate_fix = _measure(edge, clocks, t, event_seed, constants)
+                offset_fix, rate_fix = _measure(edge, clocks, t, event_seed)
             except (EstimationError, NotVisibleError) as exc:
                 record["outcome"] = f"failed: {exc}"
             else:

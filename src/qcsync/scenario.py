@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 
 from .bellauth import AuthPolicy, ChshSettings, EntanglementModel
-from .estimator import CorrelationConfig
+from .estimator import BLOCK_COUNT_LIMIT, CorrelationConfig
 from .linkmodel import ALTITUDE_LIMIT, CircularOrbit, GroundStation, LinkModel, StaticRange
 from .netsync import Node, SyncEdge, Topology
 from .photonics import PAIR_CORRELATION_SIGMA_LIMIT, Detector, PairSource, TimeTagger
@@ -133,7 +133,7 @@ _CORRELATION = {
         "fine_bin_fs": {"type": "integer", "minimum": 1},
         "refine_span_bins": {"type": "integer", "minimum": 1},
         "significance_sigma": {"type": "number", "exclusiveMinimum": 0},
-        "block_count": {"type": "integer", "minimum": 1},
+        "block_count": {"type": "integer", "minimum": 1, "maximum": BLOCK_COUNT_LIMIT},
     },
 }
 

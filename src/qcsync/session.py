@@ -15,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import CorrelationConfig, TwoWayResult, estimate_two_way
-from .linkmodel import (
-    DEFAULT_CONSTANTS,
-    Direction,
-    LinkModel,
-    NotVisibleError,
-    PhysicalConstants,
-    propagate,
-    time_of_flight,
-)
+from .linkmodel import Direction, LinkModel, NotVisibleError, propagate, time_of_flight
 from .photonics import Detector, PairSource, TagStream, TimeTagger, detect, generate_pair_births, split_pairs
 from .seeding import SeedSpec, seed_path, spawn_rng
 from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, TimeRangeError, local_time
@@ -93,7 +85,6 @@ def _one_source_arm(
     clock_local: ClockState,
     clock_remote: ClockState,
     seed: SeedSpec,
-    constants: PhysicalConstants,
     metadata: dict,
 ) -> tuple[TagStream, TagStream]:
     """The local and remote streams of the pairs born at the sending end of direction."""
@@ -121,12 +112,12 @@ def _one_source_arm(
         frame=frame_local,
         metadata=metadata,
     )
-    arrivals = propagate(remote_arm, link, direction, seed_path(seed) + ("link",), constants)
+    arrivals = propagate(remote_arm, link, direction, seed_path(seed) + ("link",))
     # The remote acquisition gate covers the arrival band, one flight time
     # after the emission window; with the link occluded the gate position is
     # moot (no signal), so fall back to the emission window.
     try:
-        remote_gate = window_start + time_of_flight(link, window_start, direction, constants)
+        remote_gate = window_start + time_of_flight(link, window_start, direction)
     except NotVisibleError:
         remote_gate = window_start
     remote_stream = detect(
@@ -149,7 +140,6 @@ def run_session(
     clock_a: ClockState,
     clock_b: ClockState,
     seed: SeedSpec,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
     metadata: dict | None = None,
 ) -> SessionStreams:
     """Simulate the four timetag streams of one acquisition window.
@@ -171,18 +161,18 @@ def run_session(
     births_b = births_b + start
 
     local_a, remote_ab = _one_source_arm(
-        spec, Direction.A_TO_B, births_a, clock_a, clock_b, seed_path(seed) + ("arm-a",), constants, metadata
+        spec, Direction.A_TO_B, births_a, clock_a, clock_b, seed_path(seed) + ("arm-a",), metadata
     )
     local_b, remote_ba = _one_source_arm(
-        spec, Direction.B_TO_A, births_b, clock_b, clock_a, seed_path(seed) + ("arm-b",), constants, metadata
+        spec, Direction.B_TO_A, births_b, clock_b, clock_a, seed_path(seed) + ("arm-b",), metadata
     )
 
     midpoint = start + duration // 2
     theta_true = local_time(clock_b, midpoint) - local_time(clock_a, midpoint)
     truth = SessionTruth(
         theta_fs=theta_true,
-        flight_ab_fs=time_of_flight(spec.link, midpoint, Direction.A_TO_B, constants),
-        flight_ba_fs=time_of_flight(spec.link, midpoint, Direction.B_TO_A, constants),
+        flight_ab_fs=time_of_flight(spec.link, midpoint, Direction.A_TO_B),
+        flight_ba_fs=time_of_flight(spec.link, midpoint, Direction.B_TO_A),
         midpoint_fs=midpoint,
         births_a=len(births_a),
         births_b=len(births_b),

@@ -27,7 +27,7 @@ from qcsync.estimator import (
     cross_correlate,
     frequency_track,
 )
-from qcsync.linkmodel import DEFAULT_CONSTANTS, LinkModel, StaticRange, _shapiro_fs
+from qcsync.linkmodel import EARTH_RADIUS, GM_EARTH, SPEED_OF_LIGHT, LinkModel, StaticRange, _shapiro_fs
 from qcsync.netsync import (
     ROLE_REFERENCE,
     Node,
@@ -276,17 +276,16 @@ def test_c06_frequency_recovery_noiseless_and_jittered():
 
 
 def test_c07_shapiro_closed_form_and_meo_magnitude():
-    constants = DEFAULT_CONSTANTS
     rng = np.random.default_rng(77)
-    factor = 2.0 * constants.gm_earth / constants.c**3
+    factor = 2.0 * GM_EARTH / SPEED_OF_LIGHT**3
     for _ in range(20):
-        r1 = constants.earth_radius * (1.0 + rng.random())
+        r1 = EARTH_RADIUS * (1.0 + rng.random())
         r2 = r1 + rng.uniform(1e5, 4e7)
         straight = rng.uniform(abs(r2 - r1) + 1.0, 0.999 * (r1 + r2))
         want_fs = factor * math.log((r1 + r2 + straight) / (r1 + r2 - straight)) * 10**15
-        assert abs(_shapiro_fs(r1, r2, straight, constants) - want_fs) < 1e-3
+        assert abs(_shapiro_fs(r1, r2, straight) - want_fs) < 1e-3
     # vertical ground-to-MEO pass: tens of picoseconds
-    meo = _shapiro_fs(constants.earth_radius, constants.earth_radius + 20_200_000.0, 20_200_000.0, constants)
+    meo = _shapiro_fs(EARTH_RADIUS, EARTH_RADIUS + 20_200_000.0, 20_200_000.0)
     assert 10**4 <= meo <= 10**5
 
 

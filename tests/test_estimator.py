@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from qcsync.estimator import (
 )
 from qcsync.scenario import build_correlation, build_session, load_scenario
 from qcsync.session import run_session
-from qcsync.timebase import ClockState
+from qcsync.timebase import ClockState, _round_div
 
 CFG = CorrelationConfig(
     search_window=10**10, coarse_bin=10**6, fine_bin=1000, refine_span_bins=3
@@ -463,6 +464,10 @@ def test_config_validation():
         CorrelationConfig(coarse_bin=10**14, search_window=10**13)
     with pytest.raises(ValueError):
         CorrelationConfig(significance_sigma=0.0)
+    # two_way_offset builds block_count + 1 edges and _block_means arrays as long
+    with pytest.raises(ValueError, match="block_count must be within \\[1, 1000000\\]"):
+        CorrelationConfig(block_count=10**9)
+    assert CorrelationConfig(block_count=10**6).block_count == 10**6
 
 
 def _drifting_session(y, n, jitter, seed, theta0=5 * 10**6, flight=10**9):
@@ -542,6 +547,49 @@ def test_frequency_track_insufficient_blocks():
     fit = frequency_track(local_a, remote_ab, local_b, remote_ba, cfg)
     assert len(fit.block_offsets) == 1
     assert fit.fractional_frequency == frequency_track(local_a, remote_ab, local_b, remote_ba, whole).fractional_frequency
+
+
+def _bisect_means(result, edges):
+    """Integer-rounded mean member difference per block [edges[k], edges[k+1]), members found by bisect."""
+    times, diffs = result.members.local_times.tolist(), result.members.diffs.tolist()
+    cuts = [bisect.bisect_left(times, e) for e in edges]
+    return [_round_div(sum(diffs[i:j]), j - i) if j > i else None for i, j in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("stray, theta0", [(2**63 - 1, 5 * 10**6), (-(2**63), -5 * 10**6)])
+def test_block_edges_past_the_int64_range_cut_like_bisect(stray, theta0):
+    # B's block edges are A's shifted by theta_m. With an unpaired tag of A at
+    # the top of the int64 range and theta_m > 0 they passed 2^63 - 1, as did
+    # A's own last edge; with one at the bottom and theta_m < 0 they passed
+    # -2^63. Casting them to int64 raised OverflowError.
+    local_a, remote_ab, local_b, remote_ba = _drifting_session(1e-9, 2000, jitter=0, seed=9, theta0=theta0)
+    local_a = np.sort(np.append(local_a, stray))
+    blocks = 4
+    cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4, block_count=blocks)
+    result = estimate_two_way(local_a, remote_ab, local_b, remote_ba, cfg)
+    t0, t1 = int(local_a[0]), int(local_a[-1])
+    edges = [t0 + round(k * (t1 + 1 - t0) / blocks) for k in range(blocks + 1)]
+    theta_m = estimator._halve_toward_zero(result.forward.peak_offset - result.backward.peak_offset)
+    assert max(edges) + theta_m > 2**63 - 1 if theta0 > 0 else min(edges) + theta_m < -(2**63)
+    means = zip(_bisect_means(result.forward, edges), _bisect_means(result.backward, [e + theta_m for e in edges]))
+    expected = [
+        ((e0 + e1) // 2, estimator._halve_toward_zero(m_ab - m_ba))
+        for e0, e1, (m_ab, m_ba) in zip(edges, edges[1:], means)
+        if m_ab is not None and m_ba is not None
+    ]
+    assert expected and result.frequency.block_offsets == expected
+
+
+def test_block_means_keep_a_member_at_the_top_of_the_int64_range():
+    # an edge past 2^63 - 1 cuts after every member, a member at 2^63 - 1 included
+    local, remote = _pair_streams(200, offset=-(10**6))
+    top = 2**63 - 1
+    result = cross_correlate(np.append(local, top), np.append(remote, top - 10**6), CFG)
+    assert result.members.local_times[-1] == top
+    edges = [-(2**64), -(2**63), 0, int(local[100]), top, 2**63, 2**64]
+    means = estimator._block_means(result, edges)
+    assert means == _bisect_means(result, edges)
+    assert means[4] == -(10**6)  # the block [2^63 - 1, 2^63) holds the top member
 
 
 def _smallest_smooth_above(n):

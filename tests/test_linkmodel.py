@@ -10,7 +10,10 @@ import pytest
 from qcsync import linkmodel
 from qcsync.linkmodel import (
     ALTITUDE_LIMIT,
-    DEFAULT_CONSTANTS,
+    EARTH_RADIUS,
+    EARTH_ROTATION_RATE,
+    GM_EARTH,
+    SPEED_OF_LIGHT,
     CircularOrbit,
     _geometry_at,
     _satellite_positions,
@@ -31,9 +34,9 @@ from qcsync.linkmodel import (
 from qcsync.timebase import INT64_LIMIT, TimeRangeError
 
 FS = 10**15
-C = DEFAULT_CONSTANTS.c
-GM = DEFAULT_CONSTANTS.gm_earth
-R_E = DEFAULT_CONSTANTS.earth_radius
+C = SPEED_OF_LIGHT
+GM = GM_EARTH
+R_E = EARTH_RADIUS
 
 
 def _overhead_orbit(altitude=550e3):
@@ -85,7 +88,7 @@ def test_shapiro_delay_oracle():
         rmax = r1 + r2 - 1.0
         rr = float(rng.uniform(abs(r2 - r1) + 1.0, min(rmax, r2 + r1 - 1.0)))
         expected = factor * math.log((r1 + r2 + rr) / (r1 + r2 - rr)) * FS
-        assert _shapiro_fs(r1, r2, rr, DEFAULT_CONSTANTS) == pytest.approx(expected, abs=1e-3)
+        assert _shapiro_fs(r1, r2, rr) == pytest.approx(expected, abs=1e-3)
 
 
 def test_relativistic_rate_gps_and_leo_magnitudes():
@@ -97,23 +100,23 @@ def test_relativistic_rate_gps_and_leo_magnitudes():
 
 def test_overhead_pass_symmetric_elevation():
     orbit = _overhead_orbit()
-    zenith = _geometry_at(orbit, 0.0, DEFAULT_CONSTANTS)
+    zenith = _geometry_at(orbit, 0.0)
     assert zenith.elevation == pytest.approx(math.pi / 2, abs=1e-4)
     assert zenith.range_m == pytest.approx(550e3, rel=1e-6)
-    before = _geometry_at(orbit, -20.0, DEFAULT_CONSTANTS)
-    after = _geometry_at(orbit, 20.0, DEFAULT_CONSTANTS)
+    before = _geometry_at(orbit, -20.0)
+    after = _geometry_at(orbit, 20.0)
     assert before.elevation == pytest.approx(after.elevation, abs=2e-4)
 
 
 def test_below_mask_is_not_visible():
     orbit = _overhead_orbit()
     quarter = int(orbital_period(orbit) * FS / 4)
-    far_side = _geometry_at(orbit, 2 * quarter / FS, DEFAULT_CONSTANTS)  # antipodal: far side of the orbit
+    far_side = _geometry_at(orbit, 2 * quarter / FS)  # antipodal: far side of the orbit
     assert not far_side.visible
     assert far_side.range_m > 2 * R_E
     with pytest.raises(NotVisibleError):
         time_of_flight(LinkModel(geometry=orbit), 2 * quarter, Direction.A_TO_B)
-    zenith = _geometry_at(orbit, 0.0, DEFAULT_CONSTANTS)
+    zenith = _geometry_at(orbit, 0.0)
     assert zenith.visible
     assert zenith.range_m == pytest.approx(550e3, rel=1e-6)
 
@@ -127,7 +130,7 @@ def test_light_time_includes_receiver_motion():
     t = -15 * FS  # approaching
     ab = time_of_flight(link, t, Direction.A_TO_B)
     ba = time_of_flight(link, t, Direction.B_TO_A)
-    instantaneous = _geometry_at(orbit, t / FS, DEFAULT_CONSTANTS).range_m / C * FS
+    instantaneous = _geometry_at(orbit, t / FS).range_m / C * FS
     assert ab != ba
     # approaching satellite: A->B flight is shorter than the frozen-geometry value
     assert ab < instantaneous < ba + 5000
@@ -143,10 +146,10 @@ def test_flight_times_satisfy_light_time_equation():
             flight = time_of_flight(link, t, direction)
             t_arr = np.array([t / FS])
             t_rx = np.array([(t + flight) / FS])
-            station = _station_positions(orbit.ground_station, t_arr, DEFAULT_CONSTANTS)[0]
-            station_rx = _station_positions(orbit.ground_station, t_rx, DEFAULT_CONSTANTS)[0]
-            sat = _satellite_positions(orbit, t_arr, DEFAULT_CONSTANTS)[0]
-            sat_rx = _satellite_positions(orbit, t_rx, DEFAULT_CONSTANTS)[0]
+            station = _station_positions(orbit.ground_station, t_arr)[0]
+            station_rx = _station_positions(orbit.ground_station, t_rx)[0]
+            sat = _satellite_positions(orbit, t_arr)[0]
+            sat_rx = _satellite_positions(orbit, t_rx)[0]
             if direction is Direction.A_TO_B:
                 dist = np.linalg.norm(sat_rx - station)
             else:
@@ -161,8 +164,8 @@ def test_shapiro_included_when_enabled():
     delta = time_of_flight(with_gr, 0, Direction.A_TO_B) - time_of_flight(
         plain, 0, Direction.A_TO_B
     )
-    geo = _geometry_at(orbit, 0.0, DEFAULT_CONSTANTS)
-    expected = _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m, DEFAULT_CONSTANTS)
+    geo = _geometry_at(orbit, 0.0)
+    expected = _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m)
     assert delta == pytest.approx(expected, abs=1.0)
     assert 10**4 <= delta <= 10**5  # tens of picoseconds for ground-to-MEO
 
@@ -214,9 +217,9 @@ def test_propagate_raises_where_arrivals_would_wrap_int64(jitter):
     # an equatorial orbit overhead at the last int64 femtosecond
     t_last = (INT64_LIMIT - 1) / FS
     mean_motion = 2 * math.pi / orbital_period(_overhead_orbit())
-    phase0 = (DEFAULT_CONSTANTS.earth_rotation_rate - mean_motion) * t_last
+    phase0 = (EARTH_ROTATION_RATE - mean_motion) * t_last
     overhead = LinkModel(geometry=CircularOrbit(altitude=550e3, phase0=phase0), channel_jitter_sigma=jitter)
-    assert _geometry_at(overhead.geometry, t_last, DEFAULT_CONSTANTS).elevation > math.radians(89)
+    assert _geometry_at(overhead.geometry, t_last).elevation > math.radians(89)
     with pytest.raises(TimeRangeError):
         propagate(np.array([0, INT64_LIMIT - 10**6], dtype=np.int64), overhead, Direction.B_TO_A, (25,))
 
@@ -255,7 +258,7 @@ def test_visibility_windows_past_int64_femtoseconds():
     assert all(0 <= w["start_s"] <= w["end_s"] <= horizon_s for w in windows)
     assert windows[0]["start_s"] == 0.0  # the pass under way at t = 0
     # an equatorial prograde pass repeats at the synodic period 1/(1/T - 1/T_earth)
-    sidereal_day = 2 * math.pi / DEFAULT_CONSTANTS.earth_rotation_rate
+    sidereal_day = 2 * math.pi / EARTH_ROTATION_RATE
     synodic = 1 / (1 / orbital_period(_leo_demo_edge_orbit()) - 1 / sidereal_day)
     centres = [(w["start_s"] + w["end_s"]) / 2 for w in windows[1:]]  # the first pass is cut at t = 0
     assert np.diff(centres) == pytest.approx(synodic, abs=2.0)
@@ -270,7 +273,7 @@ def test_visibility_windows_match_per_sample_geometry():
     # the grid ends in the middle of the third pass
     windows = visibility_windows(orbit, -1000 * FS, 12300 * FS, step)
     grid = range(-1000 * FS, 12300 * FS + 1, step)
-    samples = [(t / FS, _geometry_at(orbit, t / FS, DEFAULT_CONSTANTS)) for t in grid]
+    samples = [(t / FS, _geometry_at(orbit, t / FS)) for t in grid]
     expected, run = [], []
     for t_s, geo in samples + [(None, None)]:
         if geo is not None and geo.visible:

@@ -13,7 +13,7 @@ import pytest
 
 from qcsync import netsync
 from qcsync.estimator import CorrelationConfig, _halve_toward_zero
-from qcsync.linkmodel import DEFAULT_CONSTANTS, Direction, LinkModel, StaticRange, time_of_flight
+from qcsync.linkmodel import Direction, LinkModel, StaticRange, time_of_flight
 from qcsync.netsync import (
     ROLE_GROUND,
     ROLE_REFERENCE,
@@ -419,7 +419,7 @@ def test_each_orbit_sync_solves_the_midpoint_flights_once(monkeypatch):
 def _correction(edge, t):
     """What _measure subtracts from the estimate at true time t."""
     clocks = {edge.upstream: ClockState(ClockModel()), edge.downstream: ClockState(ClockModel())}
-    offset_fix, rate_fix = netsync._measure(edge, clocks, t, (9, "oracle", t), DEFAULT_CONSTANTS)
+    offset_fix, rate_fix = netsync._measure(edge, clocks, t, (9, "oracle", t))
     assert rate_fix == 0.0
     return -offset_fix
 
@@ -476,3 +476,13 @@ def test_report_epochs_bounded_before_the_first_event(monkeypatch):
     # epochs fall at 5e6, 1.5e7, ... fs: 10^6 of them up to 10^13 fs, and one more at the horizon
     with pytest.raises(ValueError, match="1000001 report epochs"):
         run_network(_chain(), horizon=10**13 + 5 * 10**6, seed=1, report_interval_fs=10**7)
+
+
+def test_syncs_bounded_before_the_first_event(monkeypatch):
+    # a 1 fs interval over a 3 s horizon scheduled 3e15 syncs, and the run did not end
+    monkeypatch.setattr(netsync, "run_session", lambda *args: pytest.fail("a sync ran"))
+    # each edge syncs every 10^13 fs up to the horizon less its 10^10 fs session:
+    # 500001 times, so the bound holds for each edge alone but not for the two together
+    horizon = 500001 * 10**13 + 10**10
+    with pytest.raises(ValueError, match="schedule 1000002 syncs over the horizon, more than 10\\^6"):
+        run_network(_chain(), horizon=horizon, seed=1, report_interval_fs=horizon)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import resource
@@ -395,6 +396,42 @@ def test_out_of_range_tagfile_exits_four(tmp_path, capsys):
     code, _, err = _run(capsys, "estimate", str(bad), str(bad), str(bad), str(bad))
     assert code == 4
     assert "line 5" in err and "Traceback" not in err
+
+
+_TAG_FILES = ("a_local.tags", "b_from_a.tags", "b_local.tags", "a_from_b.tags")
+
+
+@pytest.mark.parametrize("theta_fs, stray", [(5 * 10**8, 9223372036854775000), (-5 * 10**8, -9223372036854775000)])
+def test_estimate_with_a_tag_near_the_int64_end_exits_cleanly(tmp_path, capsys, theta_fs, stray):
+    # B's block edges are A's shifted by theta_m, +-500 ns here; past the int64
+    # range they ended in an OverflowError traceback (exit 1)
+    config = json.loads((SCENARIOS / "paper_100pairs.json").read_text())
+    config["clocks"]["b"]["initial_offset_fs"] = theta_fs
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+    assert code == 0, err
+    a_local = read_timetag_file(tmp_path / "a_local.tags")
+    timestamps = np.sort(np.append(a_local.timestamps, stray))
+    write_timetag_file(tmp_path / "a_local.tags", dataclasses.replace(a_local, timestamps=timestamps))
+    code, _, err = _run(capsys, "estimate", *(str(tmp_path / name) for name in _TAG_FILES))
+    assert code in (0, 3), err
+    assert "Traceback" not in err
+
+
+def test_block_count_past_the_bound_exits_two(tmp_path, capsys):
+    # two_way_offset builds block_count + 1 edges: 10^9 blocks ran for more than 60 s
+    config = _set(json.loads((SCENARIOS / "paper_100pairs.json").read_text()), ("correlation", "block_count"), 10**9)
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2 and "block_count" in err and "1000000" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    files = [tmp_path / name for name in _TAG_FILES]
+    for file in files:
+        write_timetag_file(file, _stream([1000, 2000, 3000]))
+    code, _, err = _run(capsys, "estimate", *map(str, files), "--config", str(path))
+    assert code == 2 and "block_count" in err and "Traceback" not in err
 
 
 def test_format_is_a_relativity_option_only(tmp_path, capsys):
@@ -847,6 +884,16 @@ def test_net_report_epochs_past_the_bound_exit_two_before_the_first_event(tmp_pa
     assert time.monotonic() - started < 5
     assert result.returncode == 2
     assert "report epochs" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_net_syncs_past_the_bound_exit_two_before_the_first_event(tmp_path):
+    # a 1 fs sync interval over a 3 s horizon asks for 3e15 syncs; the run was still going after 60 s
+    leo = _set(json.loads((SCENARIOS / "leo_demo.json").read_text()), ("topology", "horizon_s"), 3)
+    started = time.monotonic()
+    result = _cli_subprocess(tmp_path, "net", _set(leo, ("topology", "edges", 0, "interval_s"), 1e-15))
+    assert time.monotonic() - started < 5
+    assert result.returncode == 2
+    assert "syncs" in result.stderr and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("samples", [100001, 10**9])

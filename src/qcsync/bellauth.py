@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields, param
 from .seeding import SeedSpec, spawn_rng
 from .timebase import INT64_LIMIT
 
@@ -46,11 +47,9 @@ OUTCOME_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 @dataclass(frozen=True)
 class EntanglementModel:
-    visibility: float = 1.0
+    visibility: float = param(1.0, ge=0, le=1)
 
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must be in [0, 1]")
+    __post_init__ = check_fields
 
     def correlation(self, a: float, b: float) -> float:
         return -self.visibility * math.cos(2.0 * (a - b))
@@ -58,15 +57,12 @@ class EntanglementModel:
 
 @dataclass(frozen=True)
 class ChshSettings:
-    a: float = 0.0
-    a_prime: float = math.pi / 4
-    b: float = math.pi / 8
-    b_prime: float = 3 * math.pi / 8
+    a: float = param(0.0, unit="_rad")
+    a_prime: float = param(math.pi / 4, unit="_rad")
+    b: float = param(math.pi / 8, unit="_rad")
+    b_prime: float = param(3 * math.pi / 8, unit="_rad")
 
-    def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"angle {name} must be finite")
+    __post_init__ = check_fields
 
     @property
     def setting_pairs(self) -> tuple[tuple[float, float], ...]:
@@ -81,17 +77,11 @@ class ChshSettings:
 
 @dataclass(frozen=True)
 class AuthPolicy:
-    s_threshold: float = 2.0
-    min_pairs_per_setting: int = 20
-    confidence_sigma: float = 3.0
+    s_threshold: float = param(2.0, ge=2, le=2 * math.sqrt(2))
+    min_pairs_per_setting: int = param(20, ge=1)
+    confidence_sigma: float = param(3.0, gt=0)
 
-    def __post_init__(self):
-        if not 2.0 <= self.s_threshold <= 2.0 * math.sqrt(2.0):
-            raise ValueError("s_threshold must be within [2, 2*sqrt(2)]")
-        if self.min_pairs_per_setting < 1:
-            raise ValueError("min_pairs_per_setting must be >= 1")
-        if not self.confidence_sigma > 0:
-            raise ValueError("confidence_sigma must be > 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

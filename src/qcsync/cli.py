@@ -55,7 +55,7 @@ EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
 _ESTIMATION_ERRORS = (EstimationError, NotVisibleError, LightTimeConvergenceError)
-_CONFIG_ERRORS = (ConfigError, TopologyError, GeometryError, TimeRangeError, ValueError, KeyError)
+_CONFIG_ERRORS = (ConfigError, TopologyError, GeometryError, TimeRangeError)
 
 
 def _stable_json(payload) -> str:

@@ -77,6 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fields import ConfigError, check_fields, param
 from .photonics import TagStream
 from .timebase import INT64_LIMIT, _round_div
 
@@ -138,22 +139,17 @@ class UnphysicalFlightTimeError(EstimationError):
 
 @dataclass(frozen=True)
 class CorrelationConfig:
-    search_window: int = 10**13  # fs, max |candidate offset| (10 ms)
-    coarse_bin: int = 10**6  # fs (1 ns)
-    fine_bin: int = 1000  # fs (1 ps)
-    refine_span_bins: int = 3  # fine stage covers coarse peak +- this many coarse bins
-    significance_sigma: float = 6.0
-    block_count: int = 1  # diagnostic block offsets of the frequency fit
+    search_window: int = param(10**13, unit="_fs", ge=1)  # max |candidate offset| (10 ms)
+    coarse_bin: int = param(10**6, unit="_fs", ge=1)  # 1 ns
+    fine_bin: int = param(1000, unit="_fs", ge=1)  # 1 ps
+    refine_span_bins: int = param(3, ge=1)  # fine stage covers coarse peak +- this many coarse bins
+    significance_sigma: float = param(6.0, gt=0)
+    block_count: int = param(1, ge=1, le=BLOCK_COUNT_LIMIT)  # diagnostic block offsets of the frequency fit
 
     def __post_init__(self):
-        if not 1 <= self.fine_bin <= self.coarse_bin <= self.search_window:
-            raise ValueError("need 1 <= fine_bin <= coarse_bin <= search_window")
-        if self.refine_span_bins < 1:
-            raise ValueError("refine_span_bins must be >= 1")
-        if not self.significance_sigma > 0:
-            raise ValueError("significance_sigma must be > 0")
-        if not 1 <= self.block_count <= BLOCK_COUNT_LIMIT:
-            raise ValueError(f"block_count must be within [1, {BLOCK_COUNT_LIMIT}]")
+        check_fields(self)
+        if not self.fine_bin <= self.coarse_bin <= self.search_window:
+            raise ConfigError("need fine_bin_fs <= coarse_bin_fs <= search_window_fs")
 
 
 class PeakMembers(NamedTuple):
@@ -754,6 +750,12 @@ def _line_at(result: CorrelationResult, t: int) -> tuple[int, float, float]:
     return reading, sigma * math.sqrt(1 / n + dt * dt / members.sxx), sigma / math.sqrt(members.sxx)
 
 
+def _round_half_even(num: int, den: int) -> int:
+    """num/den rounded to the nearest integer, halves to even as round() does, exactly at any size. den > 0."""
+    q, r = divmod(num, den)
+    return q + (2 * r > den or (2 * r == den and q % 2 == 1))
+
+
 def two_way_offset(
     d_ab: CorrelationResult, d_ba: CorrelationResult, a_span: tuple[int, int], block_count: int
 ) -> TwoWayResult:
@@ -763,7 +765,8 @@ def two_way_offset(
     B's at B's local time t_e + theta_m, theta_m being half the difference of
     the peak offsets; theta and T_f are half the difference and sum of the
     readings, rounded toward zero. block_count equal blocks of A's span (B's
-    shifted by theta_m) give the two-way offsets of their members.
+    shifted by theta_m), their edges rounded in integers so the last one is
+    t1 + 1 at any span, give the two-way offsets of their members.
     """
     t0, t1 = a_span
     epoch = (t0 + t1) // 2
@@ -775,7 +778,7 @@ def two_way_offset(
     if flight < 0:
         raise UnphysicalFlightTimeError(f"flight time {flight} fs is negative; are the directions swapped?")
     rate = (d_ab.members.slope - d_ba.members.slope) / 2
-    edges = [t0 + round(k * (t1 + 1 - t0) / block_count) for k in range(block_count + 1)]
+    edges = [t0 + _round_half_even(k * (t1 + 1 - t0), block_count) for k in range(block_count + 1)]
     means = zip(_block_means(d_ab, edges), _block_means(d_ba, [e + theta_m for e in edges]))
     block_offsets = [
         ((e0 + e1) // 2, _halve_toward_zero(m_ab - m_ba))

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fields import check_fields, param
 from .seeding import SeedSpec, spawn_rng
 from .timebase import FS_PER_SECOND, INT64_LIMIT, TimeRangeError, _checked_shift
 
@@ -72,38 +73,34 @@ class LightTimeConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundStation:
-    lat: float = 0.0  # rad
-    lon: float = 0.0  # rad
-    alt: float = 0.0  # m
+    lat: float = param(0.0, unit="_rad")
+    lon: float = param(0.0, unit="_rad")
+    alt: float = param(0.0, unit="_m")
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class StaticRange:
     """Fixed separation between the two endpoints."""
 
-    range_m: float
+    range_m: float = param(gt=0)
 
-    def __post_init__(self):
-        if not self.range_m > 0:
-            raise ValueError("range_m must be > 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class CircularOrbit:
     """Circular Keplerian orbit plus the ground station it talks to."""
 
-    altitude: float  # m above earth_radius
-    inclination: float = 0.0  # rad
-    raan: float = 0.0  # rad
-    phase0: float = 0.0  # rad, argument of latitude at t=0
+    altitude: float = param(unit="_m", gt=100_000, lt=ALTITUDE_LIMIT)  # above earth_radius
+    inclination: float = param(0.0, unit="_rad")
+    raan: float = param(0.0, unit="_rad")
+    phase0: float = param(0.0, unit="_rad")  # argument of latitude at t=0
     ground_station: GroundStation = GroundStation()
-    elevation_mask: float = math.radians(10.0)
+    elevation_mask: float = param(math.radians(10.0), unit="_rad", ge=0, lt=math.pi / 2)
 
-    def __post_init__(self):
-        if not 100e3 < self.altitude < ALTITUDE_LIMIT:
-            raise ValueError(f"orbit altitude must exceed 100 km and stay below {ALTITUDE_LIMIT:.6g} m (c * 2^63 fs)")
-        if not 0.0 <= self.elevation_mask < math.pi / 2:
-            raise ValueError("elevation_mask must be in [0, pi/2)")
+    __post_init__ = check_fields
 
 
 GeometryScenario = StaticRange | CircularOrbit
@@ -121,16 +118,12 @@ class Direction(enum.Enum):
 @dataclass(frozen=True)
 class LinkModel:
     geometry: GeometryScenario
-    transmittance: float = 1.0
-    channel_jitter_sigma: int = 0  # fs
-    nonreciprocity_bias: int = 0  # fs, A->B minus B->A flight-time asymmetry
+    transmittance: float = param(1.0, gt=0, le=1)
+    channel_jitter_sigma: int = param(0, unit="_fs", ge=0, le=FS_PER_SECOND)
+    nonreciprocity_bias: int = param(0, unit="_fs")  # A->B minus B->A flight-time asymmetry
     include_shapiro: bool = False
 
-    def __post_init__(self):
-        if not 0.0 < self.transmittance <= 1.0:
-            raise ValueError("transmittance must be in (0, 1]")
-        if not 0 <= self.channel_jitter_sigma <= FS_PER_SECOND:
-            raise ValueError("channel_jitter_sigma must be in [0, 10^15] fs")
+    __post_init__ = check_fields
 
 
 def _station_positions(gs: GroundStation, t_s: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ A topology is a set of clocked nodes and directed sync edges (upstream to
 downstream). A discrete-event loop walks one lazily merged stream of events
 in (time, kind, index) order: node failures, each edge's scheduled syncs and
 the report epochs. A horizon at or past 2^63 fs, the int64 range of tag
-arrays, raises TimeRangeError before the first event, and more than 10^6
-report epochs, or 10^6 syncs over all edges, raise ValueError. Each sync
+arrays, raises TimeRangeError before the first event, and no report epoch,
+more than 10^6 of them or 10^6 syncs over all edges raise ConfigError. Each sync
 runs one photon acquisition and one two-way estimate on its edge and steps the
 downstream clock by the measured offset (optionally also steering its rate
 by the measured fractional frequency). The applied offset has the orbit
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 # frequency_track is bound here but not called: bench/workloads.py rebinds it by name
 from .estimator import CorrelationConfig, EstimationError, _halve_toward_zero, frequency_track  # noqa: F401
+from .fields import ConfigError
 from .linkmodel import LinkModel, NotVisibleError
 from .session import NodeInstruments, SessionSpec, estimate_session, run_session
 from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel, ClockState, TimeRangeError, apply_correction, local_time
@@ -95,9 +96,9 @@ class SyncEdge:
     def __post_init__(self):
         interval = self.interval_s * FS_PER_SECOND
         if not (math.isfinite(interval) and round(interval) >= 1):
-            raise ValueError(f"interval_s must be finite and at least 1 fs, got {self.interval_s}")
+            raise ConfigError(f"interval_s must be finite and at least 1 fs, got {self.interval_s}")
         if self.duration_fs <= 0:
-            raise ValueError("duration_fs must be positive")
+            raise ConfigError("duration_fs must be positive")
 
     @property
     def interval_fs(self) -> int:
@@ -256,8 +257,8 @@ def run_network(
     edge index, then error-series samples. The samples fall between sync
     times (half a report interval off the grid) so an epoch always reflects
     a consistent post-correction state. A horizon at or past 2^63 fs raises
-    TimeRangeError, and more than 10^6 report epochs or 10^6 scheduled syncs
-    ValueError, before the first event.
+    TimeRangeError, and no report epoch, more than 10^6 of them or 10^6
+    scheduled syncs ConfigError, before the first event.
     """
     if horizon >= INT64_LIMIT:
         raise TimeRangeError(
@@ -266,17 +267,17 @@ def run_network(
         )
     min_interval = min((e.interval_fs for e in topology.edges), default=horizon)
     if horizon < min_interval:
-        raise ValueError("horizon must cover at least one schedule interval")
+        raise ConfigError("horizon must cover at least one schedule interval")
     if report_interval_fs is None:
         report_interval_fs = min_interval
     if report_interval_fs <= 0:
-        raise ValueError("report_interval_fs must be positive")
+        raise ConfigError("report_interval_fs must be positive")
     epochs = range(report_interval_fs // 2, horizon + 1, report_interval_fs)
-    if len(epochs) > _SCHEDULE_LIMIT:
-        raise ValueError(f"report interval {report_interval_fs} fs gives {len(epochs)} report epochs, more than 10^6")
+    if not 0 < len(epochs) <= _SCHEDULE_LIMIT:
+        raise ConfigError(f"report interval {report_interval_fs} fs gives {len(epochs)} report epochs, not 1 to 10^6")
     sync_times = [range(e.interval_fs, horizon - e.duration_fs + 1, e.interval_fs) for e in topology.edges]
     if (sync_count := sum(map(len, sync_times))) > _SCHEDULE_LIMIT:
-        raise ValueError(f"the edges' sync intervals schedule {sync_count} syncs over the horizon, more than 10^6")
+        raise ConfigError(f"the edges' sync intervals schedule {sync_count} syncs over the horizon, more than 10^6")
 
     references = [n.id for n in topology.nodes if n.role == ROLE_REFERENCE]
     reference_id = references[0]

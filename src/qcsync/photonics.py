@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import ConfigError, check_fields, param
 from .seeding import SeedSpec, spawn_rng
 from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, _checked_shift, local_times
 
@@ -47,51 +48,34 @@ PAIR_CORRELATION_SIGMA_LIMIT = 10**6  # fs, largest pair_correlation_sigma (1 ns
 class PairSource:
     """Entangled-pair source: rate, pair correlation width, heralding."""
 
-    pair_rate: float  # pairs per second
-    pair_correlation_sigma: int = 50  # fs, std of the pair time difference
-    heralding_efficiency_local: float = 1.0
+    pair_rate: float = param(unit="_hz", gt=0)  # pairs per second
+    # std of the pair time difference
+    pair_correlation_sigma: int = param(50, unit="_fs", ge=0, le=PAIR_CORRELATION_SIGMA_LIMIT)
+    heralding_efficiency_local: float = param(1.0, ge=0, le=1)
 
-    def __post_init__(self):
-        if not self.pair_rate > 0:
-            raise ValueError("pair_rate must be > 0")
-        if not 0 <= self.pair_correlation_sigma <= PAIR_CORRELATION_SIGMA_LIMIT:
-            raise ValueError(f"pair_correlation_sigma must be within [0, {PAIR_CORRELATION_SIGMA_LIMIT}] fs")
-        if not 0.0 <= self.heralding_efficiency_local <= 1.0:
-            raise ValueError("heralding_efficiency_local must be in [0, 1]")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class Detector:
     """Single-photon detector: efficiency, jitter, dark counts, dead time."""
 
-    efficiency: float = 1.0
-    jitter_sigma: int = 0  # fs
-    dark_rate: float = 0.0  # counts per second
-    dead_time: int = 0  # fs
+    efficiency: float = param(1.0, ge=0, le=1)
+    jitter_sigma: int = param(0, unit="_fs", ge=0, le=FS_PER_SECOND)
+    dark_rate: float = param(0.0, unit="_hz", ge=0)  # counts per second
+    dead_time: int = param(0, unit="_fs", ge=0)
 
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
-        if not 0 <= self.jitter_sigma <= FS_PER_SECOND:
-            raise ValueError("jitter_sigma must be in [0, 10^15] fs")
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be >= 0")
-        if self.dead_time < 0:
-            raise ValueError("dead_time must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class TimeTagger:
     """Time-tagging back end: quantization resolution and optional range."""
 
-    resolution: int = 1000  # fs
-    range_limit: int | None = None  # drop tags with |local time| beyond this
+    resolution: int = param(1000, unit="_fs", ge=1, lt=INT64_LIMIT)
+    range_limit: int | None = param(None, unit="_fs", gt=0)  # drop tags with |local time| beyond this
 
-    def __post_init__(self):
-        if not 1 <= self.resolution < INT64_LIMIT:
-            raise ValueError("resolution must be in [1, 2^63) fs")
-        if self.range_limit is not None and self.range_limit <= 0:
-            raise ValueError("range_limit must be positive when set")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -130,7 +114,7 @@ def _poisson_times(rate_per_s: float, horizon_fs: int, seed: SeedSpec, stream: s
         raise ValueError("horizon must be >= 0")
     expected = float(rate_per_s * horizon_fs) / FS_PER_SECOND  # a float product for int rates too
     if expected > MAX_EXPECTED_EVENTS:
-        raise ValueError(f"expected event count {expected:.3g} exceeds {MAX_EXPECTED_EVENTS}")
+        raise ConfigError(f"expected event count {expected:.3g} exceeds {MAX_EXPECTED_EVENTS}")
     if horizon_fs == 0 or rate_per_s == 0.0:
         return np.empty(0, dtype=np.int64)
     rng = spawn_rng(seed, stream)

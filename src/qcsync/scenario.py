@@ -3,7 +3,9 @@
 Configs are validated before any simulation runs: unknown keys are
 rejected everywhere and a master seed is mandatory, because reproducibility
 is part of the toolkit's contract. Builders translate validated sections
-into the dataclasses of the physical modules.
+into the dataclasses of the physical modules, and the schema's leaf sections
+are built from those dataclasses' field declarations (qcsync.fields): each
+key's type, bounds and unit suffix are written once, on the field.
 """
 
 from __future__ import annotations
@@ -16,153 +18,74 @@ from pathlib import Path
 import jsonschema
 
 from .bellauth import AuthPolicy, ChshSettings, EntanglementModel
-from .estimator import BLOCK_COUNT_LIMIT, CorrelationConfig
-from .linkmodel import ALTITUDE_LIMIT, CircularOrbit, GroundStation, LinkModel, StaticRange
+from .estimator import CorrelationConfig
+from .fields import ConfigError, config_key
+from .linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
 from .netsync import Node, SyncEdge, Topology
-from .photonics import PAIR_CORRELATION_SIGMA_LIMIT, Detector, PairSource, TimeTagger
+from .photonics import Detector, PairSource, TimeTagger
 from .session import NodeInstruments, SessionSpec
-from .timebase import FS_PER_SECOND, INT64_LIMIT, RANDOM_WALK_COEFF_LIMIT, ClockModel
+from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel
 
-__all__ = ["ConfigError", "load_scenario", "validate_scenario", "SCENARIO_SCHEMA"]
-
-
-class ConfigError(ValueError):
-    """Scenario config rejected; message names the failing schema path."""
+__all__ = ["load_scenario", "validate_scenario", "SCENARIO_SCHEMA"]
 
 
-_CLOCK = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "initial_offset_fs": {"type": "integer"},
-        "fractional_frequency": {"type": "number"},
-        "frequency_drift": {"type": "number"},
-        "white_phase_sigma_fs": {"type": "number", "minimum": 0, "maximum": FS_PER_SECOND},
-        "random_walk_freq_coeff": {"type": "number", "minimum": 0, "maximum": RANDOM_WALK_COEFF_LIMIT},
-    },
-}
+_JSON_TYPES = {"int": "integer", "float": "number", "bool": "boolean", "int | None": ["integer", "null"]}
+_JSON_BOUNDS = {"ge": "minimum", "gt": "exclusiveMinimum", "le": "maximum", "lt": "exclusiveMaximum"}
 
-_SOURCE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["pair_rate_hz"],
-    "properties": {
-        "pair_rate_hz": {"type": "number", "exclusiveMinimum": 0},
-        "pair_correlation_sigma_fs": {"type": "integer", "minimum": 0, "maximum": PAIR_CORRELATION_SIGMA_LIMIT},
-        "heralding_efficiency_local": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-}
 
-_DETECTOR = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "efficiency": {"type": "number", "minimum": 0, "maximum": 1},
-        "jitter_sigma_fs": {"type": "integer", "minimum": 0, "maximum": FS_PER_SECOND},
-        "dark_rate_hz": {"type": "number", "minimum": 0},
-        "dead_time_fs": {"type": "integer", "minimum": 0},
-    },
-}
+def _property(field: dataclasses.Field) -> dict:
+    bounds = {_JSON_BOUNDS[op]: bound for op, bound in field.metadata.get("bounds", {}).items()}
+    return {"type": _JSON_TYPES[field.type], **bounds}
 
-_TAGGER = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "resolution_fs": {"type": "integer", "minimum": 1, "maximum": INT64_LIMIT - 1},
-        "range_limit_fs": {"type": ["integer", "null"], "exclusiveMinimum": 0},
-    },
-}
 
-_GROUND_STATION = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "lat_rad": {"type": "number"},
-        "lon_rad": {"type": "number"},
-        "alt_m": {"type": "number"},
-    },
-}
+def _section(cls, **nested) -> dict:
+    """The schema of the config section that builds cls, from its fields.
 
+    Each field is a property keyed by config_key, typed by its annotation and
+    bounded as declared; a field with no default is required. nested gives
+    the schema of each field whose key holds a subsection.
+    """
+    fields = dataclasses.fields(cls)
+    required = [config_key(f) for f in fields if f.default is dataclasses.MISSING]
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        **({"required": required} if required else {}),
+        "properties": {config_key(f): nested[f.name] if f.name in nested else _property(f) for f in fields},
+    }
+
+
+def _variant(name: str, cls, **nested) -> dict:
+    """The section of cls, tagged by a required "variant": name."""
+    section = _section(cls, **nested)
+    return section | {
+        "required": ["variant", *section["required"]],
+        "properties": {"variant": {"const": name}, **section["properties"]},
+    }
+
+
+_CLOCK = _section(ClockModel)
+_SOURCE = _section(PairSource)
+_DETECTOR = _section(Detector)
+_TAGGER = _section(TimeTagger)
 _GEOMETRY = {
     "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["variant", "range_m"],
-            "properties": {
-                "variant": {"const": "static_range"},
-                "range_m": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["variant", "altitude_m"],
-            "properties": {
-                "variant": {"const": "circular_orbit"},
-                "altitude_m": {"type": "number", "exclusiveMinimum": 100000, "exclusiveMaximum": ALTITUDE_LIMIT},
-                "inclination_rad": {"type": "number"},
-                "raan_rad": {"type": "number"},
-                "phase0_rad": {"type": "number"},
-                "ground_station": _GROUND_STATION,
-                "elevation_mask_rad": {"type": "number", "minimum": 0},
-            },
-        },
+        _variant("static_range", StaticRange),
+        _variant("circular_orbit", CircularOrbit, ground_station=_section(GroundStation)),
     ]
 }
-
-_LINK = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["geometry"],
-    "properties": {
-        "geometry": _GEOMETRY,
-        "transmittance": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "channel_jitter_sigma_fs": {"type": "integer", "minimum": 0, "maximum": FS_PER_SECOND},
-        "nonreciprocity_bias_fs": {"type": "integer"},
-        "include_shapiro": {"type": "boolean"},
-    },
-}
-
-_CORRELATION = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "search_window_fs": {"type": "integer", "minimum": 1},
-        "coarse_bin_fs": {"type": "integer", "minimum": 1},
-        "fine_bin_fs": {"type": "integer", "minimum": 1},
-        "refine_span_bins": {"type": "integer", "minimum": 1},
-        "significance_sigma": {"type": "number", "exclusiveMinimum": 0},
-        "block_count": {"type": "integer", "minimum": 1, "maximum": BLOCK_COUNT_LIMIT},
-    },
-}
+_LINK = _section(LinkModel, geometry=_GEOMETRY)
+_CORRELATION = _section(CorrelationConfig)
 
 _BELL = {
     "type": "object",
     "additionalProperties": False,
     "required": ["visibility", "pairs_per_setting"],
     "properties": {
-        "visibility": {"type": "number", "minimum": 0, "maximum": 1},
+        **_section(EntanglementModel)["properties"],
         "pairs_per_setting": {"type": "integer", "minimum": 1, "maximum": INT64_LIMIT - 1},
-        "settings": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "a_rad": {"type": "number"},
-                "a_prime_rad": {"type": "number"},
-                "b_rad": {"type": "number"},
-                "b_prime_rad": {"type": "number"},
-            },
-        },
-        "policy": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "s_threshold": {"type": "number"},
-                "min_pairs_per_setting": {"type": "integer", "minimum": 1},
-                "confidence_sigma": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
+        "settings": _section(ChshSettings),
+        "policy": _section(AuthPolicy),
     },
 }
 
@@ -344,23 +267,14 @@ def _fs(seconds: float, key: str) -> int:
     return round(fs)
 
 
-_UNIT_SUFFIXES = ("_fs", "_hz", "_m", "_rad")
-
-
-def _field(key: str, fields: set[str]) -> str:
-    """The field a config key sets: its own name, else its name without the unit suffix."""
-    stems = [key.removesuffix(suffix) for suffix in _UNIT_SUFFIXES if key.endswith(suffix)]
-    return next((name for name in (key, *stems) if name in fields), key)
-
-
 def _build(cls, section: dict | None, **nested):
-    """cls from a config section, each key setting the field _field names.
+    """cls from a config section, each key setting the field whose config_key it is.
 
     An omitted key keeps the field's default. nested gives the built value of
     each field whose key holds a subsection, or that no key of the section sets.
     """
-    fields = {f.name for f in dataclasses.fields(cls)}
-    return cls(**({_field(key, fields): value for key, value in (section or {}).items()} | nested))
+    fields = {config_key(f): f.name for f in dataclasses.fields(cls)}
+    return cls(**({fields[key]: value for key, value in (section or {}).items()} | nested))
 
 
 def _without(section: dict, key: str) -> dict:

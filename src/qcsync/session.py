@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import CorrelationConfig, TwoWayResult, estimate_two_way
+from .fields import ConfigError
 from .linkmodel import Direction, LinkModel, NotVisibleError, propagate, time_of_flight
 from .photonics import Detector, PairSource, TagStream, TimeTagger, detect, generate_pair_births, split_pairs
 from .seeding import SeedSpec, seed_path, spawn_rng
@@ -47,7 +48,7 @@ class SessionSpec:
 
     def __post_init__(self):
         if self.duration <= 0:
-            raise ValueError("duration must be positive")
+            raise ConfigError("duration must be positive")
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .fields import check_fields, param
 from .seeding import derive_rng
 
 __all__ = [
@@ -148,21 +149,12 @@ class ClockModel:
     """
 
     initial_offset_fs: int = 0
-    fractional_frequency: float = 0.0
+    fractional_frequency: float = param(0.0, gt=-_FREQUENCY_LIMIT, lt=_FREQUENCY_LIMIT)
     frequency_drift: float = 0.0
-    white_phase_sigma_fs: float = 0.0
-    random_walk_freq_coeff: float = 0.0
+    white_phase_sigma_fs: float = param(0.0, ge=0, le=FS_PER_SECOND)
+    random_walk_freq_coeff: float = param(0.0, ge=0, le=RANDOM_WALK_COEFF_LIMIT)
 
-    def __post_init__(self):
-        if not abs(self.fractional_frequency) < _FREQUENCY_LIMIT:
-            raise ValueError(f"|fractional_frequency| must be < {_FREQUENCY_LIMIT}, got {self.fractional_frequency}")
-        if not 0 <= self.white_phase_sigma_fs <= FS_PER_SECOND:
-            raise ValueError("white_phase_sigma_fs must be in [0, 10^15] fs")
-        if not 0 <= self.random_walk_freq_coeff <= RANDOM_WALK_COEFF_LIMIT:
-            raise ValueError(f"random_walk_freq_coeff must be in [0, {RANDOM_WALK_COEFF_LIMIT}] /sqrt(s)")
-        for name in ("fractional_frequency", "frequency_drift"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+    __post_init__ = check_fields
 
 
 class _RandomWalkPhase:

@@ -6,9 +6,11 @@ import bisect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -465,7 +467,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CorrelationConfig(significance_sigma=0.0)
     # two_way_offset builds block_count + 1 edges and _block_means arrays as long
-    with pytest.raises(ValueError, match="block_count must be within \\[1, 1000000\\]"):
+    with pytest.raises(ValueError, match="block_count must be in \\[1, 1000000\\]"):
         CorrelationConfig(block_count=10**9)
     assert CorrelationConfig(block_count=10**6).block_count == 10**6
 
@@ -568,7 +570,7 @@ def test_block_edges_past_the_int64_range_cut_like_bisect(stray, theta0):
     cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**6, fine_bin=10**4, block_count=blocks)
     result = estimate_two_way(local_a, remote_ab, local_b, remote_ba, cfg)
     t0, t1 = int(local_a[0]), int(local_a[-1])
-    edges = [t0 + round(k * (t1 + 1 - t0) / blocks) for k in range(blocks + 1)]
+    edges = [t0 + round(Fraction(k * (t1 + 1 - t0), blocks)) for k in range(blocks + 1)]  # exact, halves to even
     theta_m = estimator._halve_toward_zero(result.forward.peak_offset - result.backward.peak_offset)
     assert max(edges) + theta_m > 2**63 - 1 if theta0 > 0 else min(edges) + theta_m < -(2**63)
     means = zip(_bisect_means(result.forward, edges), _bisect_means(result.backward, [e + theta_m for e in edges]))
@@ -590,6 +592,35 @@ def test_block_means_keep_a_member_at_the_top_of_the_int64_range():
     means = estimator._block_means(result, edges)
     assert means == _bisect_means(result, edges)
     assert means[4] == -(10**6)  # the block [2^63 - 1, 2^63) holds the top member
+
+
+def test_last_of_four_blocks_keeps_a_member_at_the_top_of_the_int64_range():
+    # A's span 2^63 - 1000 has no float: float block edges put the last one
+    # 24 fs short of t1 + 1, past the member at t1, which was in no block
+    top = 2**63 - 1
+    local_a, remote_ab = _pair_streams(200, offset=-(10**6))
+    d_ab = cross_correlate(
+        np.concatenate(([1000], local_a, [top])), np.concatenate(([1000 - 10**6], remote_ab, [top - 10**6])), CFG
+    )
+    assert d_ab.members.local_times[-1] == top
+    # B's blocks are A's shifted by theta_m = -2 * 10^6; B's last one holds a member too
+    local_b, remote_ba = _pair_streams(200, offset=3 * 10**6, seed=1)
+    d_ba = cross_correlate(np.append(local_b, top - 5 * 10**6), np.append(remote_ba, top - 2 * 10**6), CFG)
+    blocks = two_way_offset(d_ab, d_ba, (1000, top), 4).frequency.block_offsets
+    assert len(blocks) == 2 and blocks[-1][0] > 3 * 2**61  # the first block and the last
+
+
+def test_block_edges_round_as_the_float_quotient_while_it_is_exact_enough():
+    # with block_count * span below 2^52 the float quotient k * span / n is
+    # within 1/(2n) of the exact one, so round() of it rounds the same way,
+    # ties to even included: no edge of a shorter session moves
+    rng = random.Random(26)
+    for _ in range(5000):
+        n = rng.choice((1, 2, 3, 4, 8, 10, rng.randint(1, 10**6)))
+        span = rng.randrange(1, 2**52 // n)
+        for k in (0, 1, rng.randint(0, n), n - 1, n):
+            assert estimator._round_half_even(k * span, n) == round(k * span / n), (k, span, n)
+    assert [estimator._round_half_even(k, 2) for k in range(-3, 4)] == [round(k / 2) for k in range(-3, 4)]
 
 
 def _smallest_smooth_above(n):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -19,6 +21,7 @@ from qcsync.bellauth import AuthPolicy, ChshSettings
 from qcsync.estimator import CorrelationConfig
 from qcsync.linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
 from qcsync.photonics import Detector, PairSource, TimeTagger
+from qcsync.fields import ConfigError
 from qcsync.scenario import (
     SCENARIO_SCHEMA,
     build_bell,
@@ -29,8 +32,12 @@ from qcsync.scenario import (
     build_link,
     build_source,
     build_tagger,
+    load_scenario,
+    validate_scenario,
 )
 from qcsync.timebase import ClockModel
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 _TOP = SCENARIO_SCHEMA["properties"]
 _GEOMETRY = _TOP["link"]["properties"]["geometry"]["oneOf"]
@@ -215,3 +222,210 @@ def test_package_exports_the_union_of_module_exports():
     for module in modules:
         for name in module.__all__:
             assert getattr(qcsync, name) is getattr(module, name)
+
+
+_ORBIT = {"variant": "circular_orbit", "altitude_m": 5e5}
+_BELL = {"visibility": 1.0, "pairs_per_setting": 1}
+
+# section: (a config that holds it, the path to it in that config, what
+# builds its dataclass from that config without validating it)
+_HOSTS = {
+    "clock": ({"clocks": {"a": {}}}, ("clocks", "a"), lambda c: build_clock_model(c["clocks"]["a"])),
+    "source": ({"sources": {"a": {"pair_rate_hz": 1e6}}}, ("sources", "a"), lambda c: build_source(c["sources"]["a"])),
+    "detector": ({"detectors": {"a": {}}}, ("detectors", "a"), lambda c: build_detector(c["detectors"]["a"])),
+    "tagger": ({"tagger": {}}, ("tagger",), lambda c: build_tagger(c["tagger"])),
+    "static_range": ({"link": {"geometry": _STATIC}}, ("link", "geometry"), lambda c: build_link(c["link"])),
+    "circular_orbit": ({"link": {"geometry": _ORBIT}}, ("link", "geometry"), lambda c: build_link(c["link"])),
+    "ground_station": (
+        {"link": {"geometry": _ORBIT | {"ground_station": {}}}},
+        ("link", "geometry", "ground_station"),
+        lambda c: build_link(c["link"]),
+    ),
+    "link": ({"link": {"geometry": _STATIC}}, ("link",), lambda c: build_link(c["link"])),
+    "correlation": ({"correlation": {}}, ("correlation",), lambda c: build_correlation(c["correlation"])),
+    "bell": ({"bell": _BELL}, ("bell",), lambda c: build_bell(c["bell"])),
+    "bell_settings": ({"bell": _BELL | {"settings": {}}}, ("bell", "settings"), lambda c: build_bell(c["bell"])),
+    "bell_policy": ({"bell": _BELL | {"policy": {}}}, ("bell", "policy"), lambda c: build_bell(c["bell"])),
+}
+
+
+def _below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x):
+    return math.nextafter(x, math.inf)
+
+
+_TINY = _above(0.0)
+_ALTITUDE_LIMIT = 299792458.0 * 2**63 / 10**15  # m, light's path in 2^63 fs
+_S_MAX = 2 * math.sqrt(2)
+
+# (section, key, value, accepted): each bound a config key has, with one
+# float step or one integer past it and, where it admits one, inside it
+_BOUNDARY = [
+    ("clock", "fractional_frequency", -1e-3, False),
+    ("clock", "fractional_frequency", _above(-1e-3), True),
+    ("clock", "fractional_frequency", _below(1e-3), True),
+    ("clock", "fractional_frequency", 1e-3, False),
+    ("clock", "white_phase_sigma_fs", -_TINY, False),
+    ("clock", "white_phase_sigma_fs", 0.0, True),
+    ("clock", "white_phase_sigma_fs", 1e15, True),
+    ("clock", "white_phase_sigma_fs", _above(1e15), False),
+    ("clock", "random_walk_freq_coeff", -_TINY, False),
+    ("clock", "random_walk_freq_coeff", 0.0, True),
+    ("clock", "random_walk_freq_coeff", 1e-3, True),
+    ("clock", "random_walk_freq_coeff", _above(1e-3), False),
+    ("source", "pair_rate_hz", 0.0, False),
+    ("source", "pair_rate_hz", _TINY, True),
+    ("source", "pair_correlation_sigma_fs", -1, False),
+    ("source", "pair_correlation_sigma_fs", 0, True),
+    ("source", "pair_correlation_sigma_fs", 10**6, True),
+    ("source", "pair_correlation_sigma_fs", 10**6 + 1, False),
+    ("source", "heralding_efficiency_local", -_TINY, False),
+    ("source", "heralding_efficiency_local", 0.0, True),
+    ("source", "heralding_efficiency_local", 1.0, True),
+    ("source", "heralding_efficiency_local", _above(1.0), False),
+    ("detector", "efficiency", -_TINY, False),
+    ("detector", "efficiency", 0.0, True),
+    ("detector", "efficiency", 1.0, True),
+    ("detector", "efficiency", _above(1.0), False),
+    ("detector", "jitter_sigma_fs", -1, False),
+    ("detector", "jitter_sigma_fs", 0, True),
+    ("detector", "jitter_sigma_fs", 10**15, True),
+    ("detector", "jitter_sigma_fs", 10**15 + 1, False),
+    ("detector", "dark_rate_hz", -_TINY, False),
+    ("detector", "dark_rate_hz", 0.0, True),
+    ("detector", "dead_time_fs", -1, False),
+    ("detector", "dead_time_fs", 0, True),
+    ("tagger", "resolution_fs", 0, False),
+    ("tagger", "resolution_fs", 1, True),
+    ("tagger", "resolution_fs", 2**63 - 1, True),
+    ("tagger", "resolution_fs", 2**63, False),
+    ("tagger", "range_limit_fs", 0, False),
+    ("tagger", "range_limit_fs", 1, True),
+    ("tagger", "range_limit_fs", None, True),
+    ("static_range", "range_m", 0.0, False),
+    ("static_range", "range_m", _TINY, True),
+    ("circular_orbit", "altitude_m", 1e5, False),
+    ("circular_orbit", "altitude_m", _above(1e5), True),
+    ("circular_orbit", "altitude_m", _below(_ALTITUDE_LIMIT), True),
+    ("circular_orbit", "altitude_m", _ALTITUDE_LIMIT, False),
+    ("circular_orbit", "elevation_mask_rad", -_TINY, False),
+    ("circular_orbit", "elevation_mask_rad", 0.0, True),
+    ("circular_orbit", "elevation_mask_rad", _below(math.pi / 2), True),
+    ("circular_orbit", "elevation_mask_rad", math.pi / 2, False),
+    ("link", "transmittance", 0.0, False),
+    ("link", "transmittance", _TINY, True),
+    ("link", "transmittance", 1.0, True),
+    ("link", "transmittance", _above(1.0), False),
+    ("link", "channel_jitter_sigma_fs", -1, False),
+    ("link", "channel_jitter_sigma_fs", 0, True),
+    ("link", "channel_jitter_sigma_fs", 10**15, True),
+    ("link", "channel_jitter_sigma_fs", 10**15 + 1, False),
+    ("correlation", "search_window_fs", 0, False),
+    ("correlation", "coarse_bin_fs", 0, False),
+    ("correlation", "fine_bin_fs", 0, False),
+    ("correlation", "fine_bin_fs", 1, True),
+    ("correlation", "refine_span_bins", 0, False),
+    ("correlation", "refine_span_bins", 1, True),
+    ("correlation", "significance_sigma", 0.0, False),
+    ("correlation", "significance_sigma", _TINY, True),
+    ("correlation", "block_count", 0, False),
+    ("correlation", "block_count", 1, True),
+    ("correlation", "block_count", 10**6, True),
+    ("correlation", "block_count", 10**6 + 1, False),
+    ("bell", "visibility", -_TINY, False),
+    ("bell", "visibility", 0.0, True),
+    ("bell", "visibility", 1.0, True),
+    ("bell", "visibility", _above(1.0), False),
+    ("bell_policy", "s_threshold", _below(2.0), False),
+    ("bell_policy", "s_threshold", 2.0, True),
+    ("bell_policy", "s_threshold", _S_MAX, True),
+    ("bell_policy", "s_threshold", _above(_S_MAX), False),
+    ("bell_policy", "min_pairs_per_setting", 0, False),
+    ("bell_policy", "min_pairs_per_setting", 1, True),
+    ("bell_policy", "confidence_sigma", 0.0, False),
+    ("bell_policy", "confidence_sigma", _TINY, True),
+]
+
+
+def _config_with(section: str, key: str, value) -> tuple[dict, object]:
+    """A config whose section sets key to value, and what builds that section's dataclass."""
+    host, path, build = _HOSTS[section]
+    config = {"seed": 1, **copy.deepcopy(host)}
+    parent = config
+    for name in path:
+        parent = parent[name]
+    parent[key] = value
+    return config, build
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "section, key, value, accepted", _BOUNDARY, ids=[f"{s}.{k}={v!r}" for s, k, v, _ in _BOUNDARY]
+)
+def test_schema_and_dataclass_agree_at_each_bound(section, key, value, accepted):
+    config, build = _config_with(section, key, value)
+    assert _accepts(lambda: validate_scenario(config)) == accepted
+    assert _accepts(lambda: build(config)) == accepted
+
+
+# every float key; the schema cannot say finite, so the dataclass check does
+_FLOAT_KEYS = [
+    ("clock", "fractional_frequency"),
+    ("clock", "frequency_drift"),
+    ("clock", "white_phase_sigma_fs"),
+    ("clock", "random_walk_freq_coeff"),
+    ("source", "pair_rate_hz"),
+    ("source", "heralding_efficiency_local"),
+    ("detector", "efficiency"),
+    ("detector", "dark_rate_hz"),
+    ("static_range", "range_m"),
+    ("circular_orbit", "altitude_m"),
+    ("circular_orbit", "inclination_rad"),
+    ("circular_orbit", "raan_rad"),
+    ("circular_orbit", "phase0_rad"),
+    ("circular_orbit", "elevation_mask_rad"),
+    ("ground_station", "lat_rad"),
+    ("ground_station", "lon_rad"),
+    ("ground_station", "alt_m"),
+    ("link", "transmittance"),
+    ("correlation", "significance_sigma"),
+    ("bell", "visibility"),
+    ("bell_settings", "a_rad"),
+    ("bell_settings", "a_prime_rad"),
+    ("bell_settings", "b_rad"),
+    ("bell_settings", "b_prime_rad"),
+    ("bell_policy", "s_threshold"),
+    ("bell_policy", "confidence_sigma"),
+]
+
+
+@pytest.mark.parametrize("section, key", _FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in _FLOAT_KEYS])
+def test_dataclasses_reject_non_finite_floats_naming_the_key(section, key):
+    for value in (math.nan, math.inf, -math.inf, 10**400):
+        config, build = _config_with(section, key, value)
+        with pytest.raises(ConfigError, match=f"^{key} must be in "):
+            build(config)
+
+
+def test_float_keys_cover_every_number_property():
+    assert {key for section, key in _FLOAT_KEYS} == {
+        key
+        for schema, *_ in _SECTIONS.values()
+        for key, prop in schema["properties"].items()
+        if prop.get("type") == "number"
+    } | {"visibility"}
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_scenarios_validate(path):
+    assert load_scenario(path)["seed"] is not None

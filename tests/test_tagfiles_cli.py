@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import resource
 import runpy
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qcsync import cli
 from qcsync.cli import main
 from qcsync.linkmodel import LinkModel, StaticRange
 from qcsync.photonics import Detector, TagStream
@@ -623,7 +625,7 @@ def test_simulate_with_jitter_beyond_one_second_exits_two(tmp_path, capsys, sect
     assert key in err and "maximum" in err and "Traceback" not in err
     assert tags == []
     build(10**15)  # 1 s is allowed
-    with pytest.raises(ValueError, match="jitter_sigma must be in"):
+    with pytest.raises(ValueError, match="jitter_sigma_fs must be in"):
         build(10**19)
 
 
@@ -894,6 +896,80 @@ def test_net_syncs_past_the_bound_exit_two_before_the_first_event(tmp_path):
     assert time.monotonic() - started < 5
     assert result.returncode == 2
     assert "syncs" in result.stderr and "Traceback" not in result.stderr
+
+
+def _leo() -> dict:
+    return json.loads((SCENARIOS / "leo_demo.json").read_text())
+
+
+def _paper() -> dict:
+    return json.loads((SCENARIOS / "paper_100pairs.json").read_text())
+
+
+_ORBIT_KEYS = ("topology", "edges", 0, "link", "geometry")
+_NON_FINITE = [
+    ("net", _leo, (*_ORBIT_KEYS, "inclination_rad"), math.inf),
+    ("net", _leo, (*_ORBIT_KEYS, "inclination_rad"), math.nan),
+    ("net", _leo, (*_ORBIT_KEYS, "ground_station", "lat_rad"), math.nan),
+    ("net", _leo, (*_ORBIT_KEYS, "ground_station", "alt_m"), math.inf),
+    ("simulate", _paper, ("correlation", "significance_sigma"), math.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value", _NON_FINITE, ids=[f"{key[-1]}={value}" for _, _, key, value in _NON_FINITE]
+)
+def test_non_finite_values_exit_two_naming_the_key(tmp_path, capsys, command, base, key, value):
+    # json reads NaN and Infinity, and NaN passes every schema bound: an inf
+    # inclination exited 2 as "math domain error" from math.cos, the NaN
+    # angles exited 3 when the light-time iteration never converged, an inf
+    # station altitude exited 3 with a numpy warning, and an inf
+    # significance exited 3 as "below threshold inf"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_set(base(), key, value)))
+    code, _, err = _run(capsys, command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"config error: {key[-1]} must be in" in err and "math domain" not in err and "Traceback" not in err
+
+
+_SUB_FS_DURATIONS = [
+    ("simulate", _noiseless, ("duration_s",)),
+    ("net", lambda: _two_node_net(10, 5, 5), ("topology", "edges", 0, "session", "duration_s")),
+]
+
+
+@pytest.mark.parametrize("command, base, key", _SUB_FS_DURATIONS, ids=["simulate", "net"])
+def test_session_below_one_fs_exits_two(tmp_path, command, base, key):
+    # 1e-20 s rounds to an empty session, which the session and edge checks reject
+    result = _cli_subprocess(tmp_path, command, _set(base(), key, 1e-20))
+    assert result.returncode == 2
+    assert "duration" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_net_horizon_shorter_than_one_interval_exits_two(tmp_path, capsys):
+    code, _, err = _net(tmp_path, capsys, _two_node_net(1, 5, 5))
+    assert code == 2
+    assert "horizon must cover" in err and "Traceback" not in err
+
+
+def test_net_report_interval_past_the_horizon_exits_two(tmp_path, capsys):
+    # no report epoch falls in the horizon; the baseline comparison of the empty report raised ValueError
+    code, _, err = _net(tmp_path, capsys, _two_node_net(10, 5, 1e30))
+    assert code == 2
+    assert " 0 report epochs" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", [("sources", "a", "pair_rate_hz"), ("detectors", "a", "dark_rate_hz")])
+def test_event_count_past_the_guard_exits_two(tmp_path, capsys, key):
+    code, err, tags = _simulate_edited(tmp_path, capsys, key[:-1], key[-1], 1e30)
+    assert code == 2
+    assert "expected event count" in err and "Traceback" not in err
+    assert tags == []
+
+
+def test_config_errors_are_qcsync_types_only():
+    # a bare ValueError or KeyError there printed internal bugs as "config error"
+    assert all(cls.__module__.startswith("qcsync.") for cls in cli._CONFIG_ERRORS)
 
 
 @pytest.mark.parametrize("samples", [100001, 10**9])

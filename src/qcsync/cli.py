@@ -22,7 +22,6 @@ from .bellauth import authenticate, chsh_value, simulate_coincidences
 from .estimator import EstimationError, TwoWayResult, estimate_two_way
 from .linkmodel import (
     Direction,
-    GeometryError,
     LightTimeConvergenceError,
     NotVisibleError,
     StaticRange,
@@ -33,7 +32,7 @@ from .linkmodel import (
     relativistic_rate_offset,
     visibility_windows,
 )
-from .netsync import TopologyError, gps_baseline_comparison, run_network
+from .netsync import gps_baseline_comparison, run_network
 from .scenario import (
     ConfigError,
     _fs,
@@ -55,7 +54,7 @@ EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
 _ESTIMATION_ERRORS = (EstimationError, NotVisibleError, LightTimeConvergenceError)
-_CONFIG_ERRORS = (ConfigError, TopologyError, GeometryError, TimeRangeError)
+_CONFIG_ERRORS = (ConfigError, TimeRangeError)
 
 
 def _stable_json(payload) -> str:

@@ -40,11 +40,16 @@ def _interval(bounds: dict) -> str:
     return f"{'[' if 'ge' in bounds else '('}{_text(low)}, {_text(high)}{']' if 'le' in bounds else ')'}"
 
 
-def _finite(value) -> bool:
+def finite(value) -> bool:
     try:
         return math.isfinite(value)
     except OverflowError:  # an int past the float range
         return False
+
+
+def bounds_error(key: str, bounds: dict, value) -> ConfigError:
+    """The error for value at key outside bounds, or not finite."""
+    return ConfigError(f"{key} must be in {_interval(bounds)}, got {value}")
 
 
 def check_fields(obj) -> None:
@@ -58,7 +63,7 @@ def check_fields(obj) -> None:
         value, bounds = getattr(obj, f.name), f.metadata.get("bounds", {})
         if value is None and f.type == "int | None":
             continue
-        if (f.type == "float" and not _finite(value)) or not all(
+        if (f.type == "float" and not finite(value)) or not all(
             getattr(operator, op)(value, bound) for op, bound in bounds.items()
         ):
-            raise ConfigError(f"{config_key(f)} must be in {_interval(bounds)}, got {value}")
+            raise bounds_error(config_key(f), bounds, value)

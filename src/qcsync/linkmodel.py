@@ -75,7 +75,7 @@ class LightTimeConvergenceError(RuntimeError):
 class GroundStation:
     lat: float = param(0.0, unit="_rad")
     lon: float = param(0.0, unit="_rad")
-    alt: float = param(0.0, unit="_m")
+    alt: float = param(0.0, unit="_m", gt=-EARTH_RADIUS)  # above the Earth's centre
 
     __post_init__ = check_fields
 

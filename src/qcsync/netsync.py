@@ -31,13 +31,13 @@ from __future__ import annotations
 import graphlib
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # frequency_track is bound here but not called: bench/workloads.py rebinds it by name
 from .estimator import CorrelationConfig, EstimationError, _halve_toward_zero, frequency_track  # noqa: F401
-from .fields import ConfigError
-from .linkmodel import LinkModel, NotVisibleError
-from .session import NodeInstruments, SessionSpec, estimate_session, run_session
+from .fields import ConfigError, check_fields, param
+from .linkmodel import NotVisibleError
+from .session import SessionSpec, estimate_session, run_session
 from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel, ClockState, TimeRangeError, apply_correction, local_time
 
 __all__ = [
@@ -66,7 +66,7 @@ ROLE_SATELLITE = "satellite"
 ROLE_GROUND = "ground"
 
 
-class TopologyError(ValueError):
+class TopologyError(ConfigError):
     """Topology fails a structural invariant."""
 
 
@@ -85,24 +85,12 @@ class Node:
 class SyncEdge:
     upstream: str
     downstream: str
-    link: LinkModel
+    session: SessionSpec  # the acquisition each sync runs, from start_time 0
     correlation: CorrelationConfig
-    interval_s: float
-    duration_fs: int  # acquisition window per sync
-    instruments_up: NodeInstruments
-    instruments_down: NodeInstruments
+    interval_fs: int = param(ge=1)
     track_frequency: bool = False  # steer rate too
 
-    def __post_init__(self):
-        interval = self.interval_s * FS_PER_SECOND
-        if not (math.isfinite(interval) and round(interval) >= 1):
-            raise ConfigError(f"interval_s must be finite and at least 1 fs, got {self.interval_s}")
-        if self.duration_fs <= 0:
-            raise ConfigError("duration_fs must be positive")
-
-    @property
-    def interval_fs(self) -> int:
-        return round(self.interval_s * FS_PER_SECOND)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -225,13 +213,7 @@ def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple):
     (0 on a static range). A configured nonreciprocity_bias stays in the
     error as b/2.
     """
-    spec = SessionSpec(
-        duration=edge.duration_fs,
-        instruments_a=edge.instruments_up,
-        instruments_b=edge.instruments_down,
-        link=edge.link,
-        start_time=t,
-    )
+    spec = replace(edge.session, start_time=t)
     streams = run_session(spec, clocks[edge.upstream], clocks[edge.downstream], event_seed)
     result = estimate_session(streams, edge.correlation)
     # The configured nonreciprocity_bias is left out because it stands for
@@ -239,7 +221,7 @@ def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple):
     # ephemeris solve plus the bias split, so any future linkmodel term that
     # the controller cannot know must also be subtracted here.
     truth = streams.truth
-    asymmetry = _halve_toward_zero(truth.flight_ab_fs - truth.flight_ba_fs - edge.link.nonreciprocity_bias)
+    asymmetry = _halve_toward_zero(truth.flight_ab_fs - truth.flight_ba_fs - spec.link.nonreciprocity_bias)
     if edge.track_frequency:
         return result.frequency.offset_at_epoch - asymmetry, result.frequency.fractional_frequency
     return result.clock_offset - asymmetry, 0.0
@@ -275,7 +257,7 @@ def run_network(
     epochs = range(report_interval_fs // 2, horizon + 1, report_interval_fs)
     if not 0 < len(epochs) <= _SCHEDULE_LIMIT:
         raise ConfigError(f"report interval {report_interval_fs} fs gives {len(epochs)} report epochs, not 1 to 10^6")
-    sync_times = [range(e.interval_fs, horizon - e.duration_fs + 1, e.interval_fs) for e in topology.edges]
+    sync_times = [range(e.interval_fs, horizon - e.session.duration + 1, e.interval_fs) for e in topology.edges]
     if (sync_count := sum(map(len, sync_times))) > _SCHEDULE_LIMIT:
         raise ConfigError(f"the edges' sync intervals schedule {sync_count} syncs over the horizon, more than 10^6")
 

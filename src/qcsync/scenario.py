@@ -19,7 +19,7 @@ import jsonschema
 
 from .bellauth import AuthPolicy, ChshSettings, EntanglementModel
 from .estimator import CorrelationConfig
-from .fields import ConfigError, config_key
+from .fields import ConfigError, bounds_error, config_key, finite
 from .linkmodel import CircularOrbit, GroundStation, LinkModel, StaticRange
 from .netsync import Node, SyncEdge, Topology
 from .photonics import Detector, PairSource, TimeTagger
@@ -213,36 +213,40 @@ SCENARIO_SCHEMA = {
 _VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
-def _integers_as_int(value, schema: dict):
-    """value with each integral float that schema types as an integer made a Python int.
+def _checked_numbers(value, schema: dict, key: str):
+    """value, found at key, with each integral float that schema types as an integer made a Python int.
 
     JSON Schema counts 1000.0 as an integer, but the builders need int
     arithmetic: a float tagger resolution, say, would be written to tag-file
-    headers as "1000.0", which the reader rejects.
+    headers as "1000.0", which the reader rejects. A number that is not a
+    finite float raises ConfigError naming its key: JSON parsing takes NaN,
+    Infinity and integers past the float range, and NaN passes every bound.
     """
     types = schema.get("type", ())
-    integer = "integer" in ([types] if isinstance(types, str) else types)
-    if integer and isinstance(value, float) and value.is_integer():
+    types = [types] if isinstance(types, str) else types
+    if "number" in types and not finite(value):
+        raise bounds_error(key, {op: schema[word] for op, word in _JSON_BOUNDS.items() if word in schema}, value)
+    if "integer" in types and isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, dict):
         properties = dict(schema.get("properties", {}))
         for variant in schema.get("oneOf", ()):
             properties.update(variant.get("properties", {}))
-        return {key: _integers_as_int(item, properties.get(key, {})) for key, item in value.items()}
+        return {name: _checked_numbers(item, properties.get(name, {}), name) for name, item in value.items()}
     if isinstance(value, list):
-        return [_integers_as_int(item, schema.get("items", {})) for item in value]
+        return [_checked_numbers(item, schema.get("items", {}), key) for item in value]
     return value
 
 
 def validate_scenario(config: dict) -> dict:
-    """The config, validated, with its integer-typed values as Python ints."""
+    """The config, validated, with its integer-typed values as Python ints; ConfigError if it fails."""
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
     if error is not None:
         path = "$" + "".join(
             f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in error.absolute_path
         )
         raise ConfigError(f"config invalid at {path}: {error.message}") from error
-    return _integers_as_int(config, SCENARIO_SCHEMA)
+    return _checked_numbers(config, SCENARIO_SCHEMA, "$")
 
 
 def load_scenario(path: str | Path) -> dict:
@@ -267,6 +271,14 @@ def _fs(seconds: float, key: str) -> int:
     return round(fs)
 
 
+def _span_fs(seconds: float, key: str) -> int:
+    """A session duration or sync interval in whole femtoseconds; ConfigError naming key below 1 fs."""
+    fs = _fs(seconds, key)
+    if fs < 1:
+        raise ConfigError(f"{key} must be at least 1 fs, got {seconds} s")
+    return fs
+
+
 def _build(cls, section: dict | None, **nested):
     """cls from a config section, each key setting the field whose config_key it is.
 
@@ -277,8 +289,8 @@ def _build(cls, section: dict | None, **nested):
     return cls(**({fields[key]: value for key, value in (section or {}).items()} | nested))
 
 
-def _without(section: dict, key: str) -> dict:
-    return {k: v for k, v in section.items() if k != key}
+def _without(section: dict, *keys: str) -> dict:
+    return {k: v for k, v in section.items() if k not in keys}
 
 
 def require_sections(config: dict, *keys: str) -> None:
@@ -325,8 +337,12 @@ def build_bell(section: dict):
     return model, settings, section["pairs_per_setting"], policy
 
 
-def _build_instruments(source: dict, detector: dict | None, tagger: dict | None) -> NodeInstruments:
-    return NodeInstruments(build_source(source), build_detector(detector), build_tagger(tagger))
+def _session(section: dict, link: dict, sides: list, prefix: str = "") -> SessionSpec:
+    """section's session from 0 fs, sides holding A's then B's (source, detector); prefix leads its keys."""
+    tagger = build_tagger(section.get("tagger"))
+    a, b = (NodeInstruments(build_source(source), build_detector(detector), tagger) for source, detector in sides)
+    duration = _span_fs(section["duration_s"], prefix + "duration_s")
+    return SessionSpec(duration=duration, instruments_a=a, instruments_b=b, link=build_link(link))
 
 
 def build_session(config: dict) -> tuple[SessionSpec, ClockModel, ClockModel]:
@@ -336,31 +352,19 @@ def build_session(config: dict) -> tuple[SessionSpec, ClockModel, ClockModel]:
     for side in ("a", "b"):
         if side not in clocks or side not in sources:
             raise ConfigError(f"simulate needs clocks.{side} and sources.{side}")
-    spec = SessionSpec(
-        duration=_fs(config["duration_s"], "duration_s"),
-        instruments_a=_build_instruments(sources["a"], detectors.get("a"), config.get("tagger")),
-        instruments_b=_build_instruments(sources["b"], detectors.get("b"), config.get("tagger")),
-        link=build_link(config["link"]),
-    )
+    spec = _session(config, config["link"], [(sources[side], detectors.get(side)) for side in ("a", "b")])
     return spec, build_clock_model(clocks["a"]), build_clock_model(clocks["b"])
 
 
 def _build_edge(section: dict) -> SyncEdge:
     session = section["session"]
-    instruments = {
-        side: _build_instruments(
-            session[f"source_{side}"], session.get(f"detector_{side}"), session.get("tagger")
-        )
-        for side in ("up", "down")
-    }
+    sides = [(session[f"source_{side}"], session.get(f"detector_{side}")) for side in ("up", "down")]
     return _build(
         SyncEdge,
-        _without(section, "session"),
-        link=build_link(section["link"]),
+        _without(section, "link", "session", "interval_s"),
+        session=_session(session, section["link"], sides, "topology.edges[].session."),
         correlation=build_correlation(section.get("correlation")),
-        duration_fs=_fs(session["duration_s"], "topology.edges[].session.duration_s"),
-        instruments_up=instruments["up"],
-        instruments_down=instruments["down"],
+        interval_fs=_span_fs(section["interval_s"], "topology.edges[].interval_s"),
     )
 
 

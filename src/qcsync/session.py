@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import CorrelationConfig, TwoWayResult, estimate_two_way
-from .fields import ConfigError
+from .fields import check_fields, param
 from .linkmodel import Direction, LinkModel, NotVisibleError, propagate, time_of_flight
 from .photonics import Detector, PairSource, TagStream, TimeTagger, detect, generate_pair_births, split_pairs
 from .seeding import SeedSpec, seed_path, spawn_rng
@@ -40,15 +40,13 @@ class NodeInstruments:
 
 @dataclass(frozen=True)
 class SessionSpec:
-    duration: int  # fs, acquisition window length
+    duration: int = param(ge=1)  # fs, acquisition window length
     instruments_a: NodeInstruments
     instruments_b: NodeInstruments
     link: LinkModel
     start_time: int = 0  # true time of window start
 
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

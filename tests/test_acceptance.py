@@ -78,12 +78,9 @@ def _chain_topology(jitter=20_000):
         return SyncEdge(
             upstream=up,
             downstream=down,
-            link=link,
+            session=SessionSpec(duration=10**10, instruments_a=instruments, instruments_b=instruments, link=link),
             correlation=cfg,
-            interval_s=0.01,
-            duration_fs=10**10,
-            instruments_up=instruments,
-            instruments_down=instruments,
+            interval_fs=10**13,
         )
 
     return Topology(
@@ -333,12 +330,9 @@ def test_c09_strata_rms_scaling_failover_and_isolation():
         return SyncEdge(
             upstream=up,
             downstream=down,
-            link=link,
+            session=SessionSpec(duration=10**10, instruments_a=instruments, instruments_b=instruments, link=link),
             correlation=cfg,
-            interval_s=0.01,
-            duration_fs=10**10,
-            instruments_up=instruments,
-            instruments_down=instruments,
+            interval_fs=10**13,
         )
 
     topology = Topology(

@@ -13,6 +13,7 @@ import pytest
 
 from qcsync import netsync
 from qcsync.estimator import CorrelationConfig, _halve_toward_zero
+from qcsync.fields import ConfigError
 from qcsync.linkmodel import Direction, LinkModel, StaticRange, time_of_flight
 from qcsync.netsync import (
     ROLE_GROUND,
@@ -27,7 +28,7 @@ from qcsync.netsync import (
 )
 from qcsync.photonics import Detector, PairSource, TimeTagger
 from qcsync.scenario import build_topology
-from qcsync.session import NodeInstruments
+from qcsync.session import NodeInstruments, SessionSpec
 from qcsync.timebase import ClockModel, ClockState
 
 FS = 10**15
@@ -44,16 +45,14 @@ CORR = CorrelationConfig(
 )
 
 
-def _edge(up, down, interval_s=0.01, link=LINK, track_frequency=False):
+def _edge(up, down, link=LINK, track_frequency=False):
     return SyncEdge(
         upstream=up,
         downstream=down,
-        link=link,
+        # 10 us acquisition
+        session=SessionSpec(duration=10**10, instruments_a=INSTRUMENTS, instruments_b=INSTRUMENTS, link=link),
         correlation=CORR,
-        interval_s=interval_s,
-        duration_fs=10**10,  # 10 us acquisition
-        instruments_up=INSTRUMENTS,
-        instruments_down=INSTRUMENTS,
+        interval_fs=10**13,
         track_frequency=track_frequency,
     )
 
@@ -74,15 +73,13 @@ def test_two_node_noiseless_sync_is_exact():
         detector=Detector(),
         tagger=TimeTagger(resolution=1),
     )
+    link = LinkModel(geometry=StaticRange(range_m=3000.0))
     edge = SyncEdge(
         upstream="ref",
         downstream="n1",
-        link=LinkModel(geometry=StaticRange(range_m=3000.0)),
+        session=SessionSpec(duration=10**10, instruments_a=instruments, instruments_b=instruments, link=link),
         correlation=CorrelationConfig(search_window=10**11, coarse_bin=10**6, fine_bin=1000),
-        interval_s=0.01,
-        duration_fs=10**10,
-        instruments_up=instruments,
-        instruments_down=instruments,
+        interval_fs=10**13,
     )
     topology = Topology(
         nodes=(
@@ -259,15 +256,13 @@ def _tracked_topology(block_count):
         fine_bin=1000,
         block_count=block_count,
     )
+    link = LinkModel(geometry=StaticRange(range_m=3000.0))
     edge = SyncEdge(
         upstream="ref",
         downstream="n1",
-        link=LinkModel(geometry=StaticRange(range_m=3000.0)),
+        session=SessionSpec(duration=10**11, instruments_a=instruments, instruments_b=instruments, link=link),
         correlation=corr,
-        interval_s=0.01,
-        duration_fs=10**11,
-        instruments_up=instruments,
-        instruments_down=instruments,
+        interval_fs=10**13,
         track_frequency=True,
     )
     return Topology(nodes=nodes, edges=(edge,))
@@ -431,27 +426,46 @@ def test_ephemeris_correction_matches_a_bias_free_solve(monkeypatch):
     # direction, which may move it by 1 fs.
     monkeypatch.setattr(netsync, "estimate_session", lambda streams, cfg: SimpleNamespace(clock_offset=0))
     (edge,) = _leo_demo_topology()[0].edges
-    known = dataclasses.replace(edge.link, nonreciprocity_bias=0)
+    known = dataclasses.replace(edge.session.link, nonreciprocity_bias=0)
     rng = random.Random(21)
     solved = {}
     for t in (rng.randrange(0, 270 * FS) for _ in range(50)):  # leo_demo's pass is visible over 0-270 s
-        mid = t + edge.duration_fs // 2
+        mid = t + edge.session.duration // 2
         t_ab, t_ba = (time_of_flight(known, mid, d) for d in (Direction.A_TO_B, Direction.B_TO_A))
         solved[t] = _halve_toward_zero(t_ab - t_ba)
         assert abs(solved[t]) > 1000  # a moving endpoint: nanoseconds apart
     for bias in (0, 2, 2000, 1, -5, 2001):
-        biased = dataclasses.replace(edge, link=dataclasses.replace(edge.link, nonreciprocity_bias=bias))
+        link = dataclasses.replace(edge.session.link, nonreciprocity_bias=bias)
+        biased = dataclasses.replace(edge, session=dataclasses.replace(edge.session, link=link))
         for t, want in solved.items():
             assert abs(_correction(biased, t) - want) <= bias % 2, (bias, t)
         static = _edge("ref", "n1", link=dataclasses.replace(LINK, nonreciprocity_bias=bias))
         assert _correction(static, 10**12) == 0
 
 
+def _two_node_section(interval_s):
+    """A config topology section: a reference and one child on a 3 km static link, synced every interval_s."""
+    edge = {
+        "upstream": "ref",
+        "downstream": "n1",
+        "interval_s": interval_s,
+        "link": {"geometry": {"variant": "static_range", "range_m": 3000.0}},
+        "session": {"duration_s": 1e-5, "source_up": {"pair_rate_hz": 1e7}, "source_down": {"pair_rate_hz": 1e7}},
+    }
+    return {"horizon_s": 1, "nodes": [{"id": "ref", "role": "reference"}, {"id": "n1"}], "edges": [edge]}
+
+
 def test_edge_interval_must_be_at_least_one_fs():
-    assert _edge("ref", "n1", interval_s=1e-15).interval_fs == 1
+    (edge,) = build_topology(_two_node_section(1e-15))[0].edges
+    assert edge.interval_fs == 1
     for interval_s in (1e-20, 0.0, -1.0, 1e300, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="interval_s"):
-            _edge("ref", "n1", interval_s=interval_s)
+        with pytest.raises(ConfigError, match="topology.edges\\[\\].interval_s"):
+            build_topology(_two_node_section(interval_s))
+
+
+def test_library_edge_interval_must_be_at_least_one_fs():
+    with pytest.raises(ConfigError, match="interval_fs must be in \\[1, inf\\), got 0"):
+        SyncEdge("ref", "n1", _edge("ref", "n1").session, CORR, interval_fs=0)
 
 
 def test_failure_of_unknown_node_rejected():

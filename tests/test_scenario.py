@@ -315,6 +315,8 @@ _BOUNDARY = [
     ("circular_orbit", "elevation_mask_rad", 0.0, True),
     ("circular_orbit", "elevation_mask_rad", _below(math.pi / 2), True),
     ("circular_orbit", "elevation_mask_rad", math.pi / 2, False),
+    ("ground_station", "alt_m", -6371000.0, False),
+    ("ground_station", "alt_m", _above(-6371000.0), True),
     ("link", "transmittance", 0.0, False),
     ("link", "transmittance", _TINY, True),
     ("link", "transmittance", 1.0, True),
@@ -424,6 +426,33 @@ def test_float_keys_cover_every_number_property():
         for key, prop in schema["properties"].items()
         if prop.get("type") == "number"
     } | {"visibility"}
+
+
+_NON_FINITE_CONFIGS = [
+    ({"correlation": {"significance_sigma": math.nan}}, "significance_sigma must be in (0, inf), got nan"),
+    ({"duration_s": math.inf}, "duration_s must be in (0, inf), got inf"),
+    ({"link": {"geometry": _STATIC, "transmittance": math.nan}}, "transmittance must be in (0, 1], got nan"),
+    (
+        {"link": {"geometry": _ORBIT | {"inclination_rad": -math.inf}}},
+        "inclination_rad must be in (-inf, inf), got -inf",
+    ),
+    ({"clocks": {"a": {"frequency_drift": math.inf}}}, "frequency_drift must be in (-inf, inf), got inf"),
+    # an integer past the float range overflowed seconds * 10^15 in a traceback
+    ({"duration_s": 10**400}, f"duration_s must be in (0, inf), got {10**400}"),
+    # below a schema bound: the schema's message, with the path
+    ({"duration_s": -math.inf}, "config invalid at $['duration_s']: -inf is less than or equal to the minimum of 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, message", _NON_FINITE_CONFIGS, ids=[message.split(" ")[0] for _, message in _NON_FINITE_CONFIGS]
+)
+def test_validation_rejects_non_finite_numbers_naming_the_key(section, message):
+    # NaN passes every schema bound and an infinity every bound on its other
+    # side, so these passed validation and only a builder rejected them
+    with pytest.raises(ConfigError) as raised:
+        validate_scenario({"seed": 1, **section})
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)

@@ -19,7 +19,7 @@ import pytest
 
 from qcsync import cli
 from qcsync.cli import main
-from qcsync.linkmodel import LinkModel, StaticRange
+from qcsync.linkmodel import GroundStation, LinkModel, StaticRange
 from qcsync.photonics import Detector, TagStream
 from qcsync.scenario import ConfigError, validate_scenario
 from qcsync.tagfiles import (
@@ -933,17 +933,43 @@ def test_non_finite_values_exit_two_naming_the_key(tmp_path, capsys, command, ba
 
 
 _SUB_FS_DURATIONS = [
-    ("simulate", _noiseless, ("duration_s",)),
-    ("net", lambda: _two_node_net(10, 5, 5), ("topology", "edges", 0, "session", "duration_s")),
+    ("simulate", _noiseless, ("duration_s",), "duration_s"),
+    (
+        "net",
+        lambda: _two_node_net(10, 5, 5),
+        ("topology", "edges", 0, "session", "duration_s"),
+        "topology.edges[].session.duration_s",
+    ),
 ]
 
 
-@pytest.mark.parametrize("command, base, key", _SUB_FS_DURATIONS, ids=["simulate", "net"])
-def test_session_below_one_fs_exits_two(tmp_path, command, base, key):
-    # 1e-20 s rounds to an empty session, which the session and edge checks reject
+@pytest.mark.parametrize("command, base, key, name", _SUB_FS_DURATIONS, ids=["simulate", "net"])
+def test_session_below_one_fs_exits_two(tmp_path, command, base, key, name):
+    # 1e-20 s rounds to an empty session, which the session builder rejects naming the key
     result = _cli_subprocess(tmp_path, command, _set(base(), key, 1e-20))
     assert result.returncode == 2
-    assert "duration" in result.stderr and "Traceback" not in result.stderr
+    assert f"config error: {name} must be at least 1 fs, got 1e-20 s" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_ground_station_at_the_earth_centre_exits_two(tmp_path, capsys):
+    # alt_m -6371000 put the station at the Earth's centre: relativity ended in
+    # a ZeroDivisionError traceback, and below it reported a rate offset from
+    # a negative radius; net ran with a numpy warning and no sync visible
+    leo = _set(_leo(), ("topology", "horizon_s"), 3)
+    link = leo["topology"]["edges"][0]["link"]
+    for alt_m in (-6371000, -7e6):
+        link["geometry"]["ground_station"]["alt_m"] = alt_m
+        relativity, net = tmp_path / "relativity.json", tmp_path / "net.json"
+        relativity.write_text(json.dumps({"seed": 1, "link": link, "relativity": {"samples": 5}}))
+        net.write_text(json.dumps(leo))
+        for command, path in (("relativity", relativity), ("net", net)):
+            code, _, err = _run(capsys, command, "--config", str(path), "--out", str(tmp_path / command))
+            assert code == 2
+            assert "['alt_m']" in err and "minimum of -6371000.0" in err and "Traceback" not in err
+    # the schema bound is the field's declaration, which a library caller meets too
+    with pytest.raises(ConfigError, match=r"^alt_m must be in \(-6\.371e\+06, inf\), got -6371000"):
+        GroundStation(alt=-6371000)
 
 
 def test_net_horizon_shorter_than_one_interval_exits_two(tmp_path, capsys):

@@ -8,6 +8,34 @@ non-reciprocity is a constant signed bias split across the two directions.
 The physical constants (c, the Earth's GM, radius and rotation rate) are
 module constants in SI units.
 
+Orbit flights have two solvers that give the same integers. The array solve
+iterates the light-time equation for every time of a numpy array; the
+`qcsync relativity` grid, Shapiro links and every case the other declines
+use it. The scalar solve makes the same IEEE operations, in the same order,
+for one time in Python floats. That equality holds where numpy's float64
+sin, cos and row norm give the bits of math.sin, math.cos and a left-to-right
+sum; numpy may send sin and cos to SIMD kernels by CPU and build, so each
+process compares them once on fixed angles and rows
+(`_scalar_solve_is_exact`) and keeps the array solve everywhere if any
+differs.
+
+`time_of_flight` takes the scalar solve unless the elevation lies at the
+mask or the endpoints coincide. `propagate` solves the scalar at three
+knots, the first, middle and last emit time of a span up to about a
+millisecond on a LEO link, and takes each photon's flight from the
+quadratic through them. Two bounds decide where that is exact:
+- the truncation bound, from the third derivative of the range, sets the
+  longest span;
+- the rounding bound, a multiple of the float noise of one flight
+  evaluation, marks the photons whose interpolated flight lies near a
+  half-fs. Those photons are solved exactly, at the iteration count that
+  the array solve takes, and every other one is rounded. The multiple is
+  measured on LEO to GEO orbits, not proven.
+
+Visibility comes from the knots where each clears the elevation mask by
+the elevation rate times the distance to the furthest photon; otherwise
+from each photon.
+
 Convention: direction A_TO_B points from the ground-side endpoint to the
 space-side endpoint (for the static variant the two endpoints are symmetric
 interchangeable points).
@@ -19,7 +47,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,7 +103,9 @@ class LightTimeConvergenceError(RuntimeError):
 class GroundStation:
     lat: float = param(0.0, unit="_rad")
     lon: float = param(0.0, unit="_rad")
-    alt: float = param(0.0, unit="_m", gt=-EARTH_RADIUS)  # above the Earth's centre
+    # above the Earth's centre, and below the orbit altitude bound: a station
+    # higher than light covers in 2^63 fs has no flight that fits int64
+    alt: float = param(0.0, unit="_m", gt=-EARTH_RADIUS, lt=ALTITUDE_LIMIT)
 
     __post_init__ = check_fields
 
@@ -218,6 +248,12 @@ def relativistic_rate_offset(geometry: CircularOrbit) -> float:
     return potential - velocity
 
 
+# The light-time iteration updates the receiver at most this many times and
+# stops at the first update whose largest change is below the tolerance (s).
+_LIGHT_TIME_ITERATIONS = 5
+_LIGHT_TIME_TOLERANCE_S = 1e-15
+
+
 def _light_time_flights_s(
     orbit: CircularOrbit, geo: _Geometry, emit_t_s: np.ndarray, direction: Direction
 ) -> np.ndarray:
@@ -239,13 +275,13 @@ def _light_time_flights_s(
             return _station_positions(orbit.ground_station, t_s)
 
     tau = geo.range_m / SPEED_OF_LIGHT
-    for _ in range(5):
+    for _ in range(_LIGHT_TIME_ITERATIONS):
         new_tau = np.linalg.norm(receiver_at(emit_t_s + tau) - emitter, axis=-1) / SPEED_OF_LIGHT
         step = np.max(np.abs(new_tau - tau)) if len(tau) else 0.0
         tau = new_tau
-        if step < 1e-15:
+        if step < _LIGHT_TIME_TOLERANCE_S:
             return tau
-    raise LightTimeConvergenceError("light-time iteration exceeded 5 iterations")
+    raise LightTimeConvergenceError(f"light-time iteration exceeded {_LIGHT_TIME_ITERATIONS} iterations")
 
 
 def _flight_times_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
@@ -262,10 +298,15 @@ def _flight_times_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction)
     emit_t_s = emit_fs / FS_PER_SECOND
     geo = _geometry_at(geometry, emit_t_s)
     flights_s = _light_time_flights_s(geometry, geo, emit_t_s, direction)
-    total_fs = flights_s * FS_PER_SECOND + direction.bias_sign * link.nonreciprocity_bias / 2.0
+    total_fs = _total_fs(link, flights_s, direction)
     if link.include_shapiro:
         total_fs = total_fs + _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m)
     return _rounded_fs(total_fs), geo.visible
+
+
+def _total_fs(link: LinkModel, flight_s, direction: Direction):
+    """Flight seconds as float fs, plus this direction's half of the bias."""
+    return flight_s * FS_PER_SECOND + direction.bias_sign * link.nonreciprocity_bias / 2.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -284,19 +325,310 @@ def _rounded_fs(total_fs):
     return np.rint(total_fs).astype(np.int64)
 
 
+# Orbit flights from scalar solves. The functions below make, in Python floats
+# and math, the IEEE operations that the array code above makes for one time,
+# in the same order. Where numpy's float64 sin and cos are the C library's and
+# np.linalg.norm sums a row of three squares left to right, a scalar flight
+# equals its element of the array solve bit for bit; _scalar_solve_is_exact
+# checks that once per process. numpy's arcsin and log are its own SIMD code:
+# the scalar elevation is only near the array's, and Shapiro links keep the
+# array path.
+
+# rad: the scalar elevation lies within a few ulps of np.arcsin's; within
+# this of the mask the array decides visibility
+_ELEVATION_SLACK = 1e-9
+# The rounding bound, in multiples of _noise_fs: a flight further than this
+# from a half-fs rounds the same way however it is solved. One evaluation's
+# noise was measured at up to 0.8 noise scales (RMS 0.2) on LEO to GEO orbits
+# against an 80-bit solve. A quadratic through three even knots carries at
+# most 1.25 times their noise, so an interpolated flight strays from the array
+# solve's by at most 2.25 times one evaluation's; 3.5 leaves room for 1.5
+# noise scales each. The bound is measured on five orbits, not proven; over
+# seeded leo_demo sessions the interpolation stays within half of it
+# (tests/test_linkmodel.py).
+_NOISE_MARGIN = 3.5
+# fs: the truncation of the three-knot quadratic over its longest span stays below this
+_TRUNCATION_FS = 1e-3
+# The knots serve where at most this share of photons, those within the bound
+# of a half-fs, is expected to take the exact solve: at about 4 us each, more
+# would cost more than the array solve's 0.4 us per photon.
+_EXACT_SHARE_LIMIT = 0.1
+
+
+class _ScalarPositions(NamedTuple):
+    """Station and satellite positions at one time t_s (s), as float triples.
+
+    Op for op a row of _station_positions and of _satellite_positions.
+    """
+
+    station_at: Callable[[float], tuple]
+    sat_at: Callable[[float], tuple]
+
+
+@functools.lru_cache(maxsize=256)
+def _scalar_positions(orbit: CircularOrbit) -> _ScalarPositions:
+    """orbit's position functions, built once per orbit."""
+    gs = orbit.ground_station
+    r, cos_lat = EARTH_RADIUS + gs.alt, math.cos(gs.lat)
+    z_station = r * math.sin(gs.lat)
+    a = EARTH_RADIUS + orbit.altitude
+    n = math.sqrt(GM_EARTH / a**3)
+    ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
+    co, so = math.cos(orbit.raan), math.sin(orbit.raan)
+    so_ci, co_ci = so * ci, co * ci
+
+    def station_at(t_s):
+        phi = gs.lon + EARTH_ROTATION_RATE * t_s
+        return r * (cos_lat * math.cos(phi)), r * (cos_lat * math.sin(phi)), z_station
+
+    def sat_at(t_s):
+        u = orbit.phase0 + n * t_s
+        cu, su = math.cos(u), math.sin(u)
+        return a * (co * cu - so_ci * su), a * (so * cu + co_ci * su), a * (si * su)
+
+    return _ScalarPositions(station_at, sat_at)
+
+
+def _distance(p, q) -> float:
+    """|p - q|, summed as np.linalg.norm sums a row: (dx² + dy²) + dz²."""
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+@functools.cache
+def _scalar_solve_is_exact() -> bool:
+    """Whether numpy's float64 sin, cos and row norm give the bits of math's on this host.
+
+    The scalar solve equals the array solve only where they do. They are
+    compared on 1024 fixed angles and rows as one long array (numpy's SIMD
+    loops), and on the first 64 as one-element arrays; a kernel of other
+    rounding would differ on some of them. It is a check, not a proof.
+    """
+    angles = np.random.default_rng(0).uniform(-100.0, 100.0, 1024)
+    rows = np.stack((7e6 * np.cos(angles), 7e6 * np.sin(angles), 1e6 * angles), axis=-1)
+
+    def numpy_values(i, j):
+        chunk = angles[i:j]
+        return np.cos(chunk), np.sin(chunk), np.linalg.norm(rows[i:j], axis=-1)
+
+    origin = (0.0, 0.0, 0.0)
+    scalar = [
+        [math.cos(u) for u in angles.tolist()],
+        [math.sin(u) for u in angles.tolist()],
+        [_distance(row, origin) for row in rows.tolist()],
+    ]
+    return all(np.array_equal(ours, theirs) for ours, theirs in zip(numpy_values(0, len(angles)), scalar)) and all(
+        np.array_equal(ours, [theirs[i]]) for i in range(64) for ours, theirs in zip(numpy_values(i, i + 1), scalar)
+    )
+
+
+def _scalar_elevation(station, sat) -> float:
+    """Elevation (rad) of sat seen from station, within a few ulps of _geometry_at's."""
+    (gx, gy, gz), (sx, sy, sz) = station, sat
+    dx, dy, dz = sx - gx, sy - gy, sz - gz
+    sin_el = (gx * dx + gy * dy + gz * dz) / (math.hypot(gx, gy, gz) * math.hypot(dx, dy, dz))
+    return math.asin(min(max(sin_el, -1.0), 1.0))
+
+
+def _light_time_equation(positions: _ScalarPositions, t_s: float, direction: Direction):
+    """The light-time equation of emit time t_s (s), op for op as _light_time_flights_s has it for one photon.
+
+    Returns the endpoints at t_s, the first flight estimate (s) and the
+    update that takes a flight estimate to the next.
+    """
+    station, sat = positions.station_at(t_s), positions.sat_at(t_s)
+    if direction is Direction.A_TO_B:
+        emitter, receiver_at = station, positions.sat_at
+    else:
+        emitter, receiver_at = sat, positions.station_at
+
+    def next_flight_s(tau):
+        return _distance(receiver_at(t_s + tau), emitter) / SPEED_OF_LIGHT
+
+    return station, sat, _distance(sat, station) / SPEED_OF_LIGHT, next_flight_s
+
+
+def _emit_seconds(emit_fs: int) -> float:
+    # as the array path divides int64 times: the integer rounds to a float first
+    return float(emit_fs) / FS_PER_SECOND
+
+
+def _noise_fs(orbit: CircularOrbit, t_s: float, total_fs: float) -> float:
+    """The float noise scale (fs) of one flight evaluation at emit time t_s.
+
+    Each rounding moves the result by at most 2^-53 of the magnitude it
+    rounds. The largest magnitudes are the endpoint radii, turned through
+    their angles (the orbit's argument of latitude and the station's
+    longitude, with the roundings of rate * t and of t itself), over c, and
+    the total itself. This sums them once, times 2^-53.
+    """
+    gs, t = orbit.ground_station, abs(t_s)
+    a, r = EARTH_RADIUS + orbit.altitude, EARTH_RADIUS + gs.alt
+    n = math.sqrt(GM_EARTH / a**3)
+    turned_m = a * (1 + abs(orbit.phase0) + 3 * n * t) + r * (1 + abs(gs.lon) + 3 * EARTH_ROTATION_RATE * t)
+    return 2.0**-53 * (turned_m / SPEED_OF_LIGHT * FS_PER_SECOND + 4 * abs(total_fs))
+
+
+def _near_half(total_fs, rounded, bound_fs):
+    """Whether a total lies within bound_fs of a half-fs, where its rounding is at stake."""
+    return abs(abs(total_fs - rounded) - 0.5) <= bound_fs
+
+
 def time_of_flight(link: LinkModel, true_emit_time: int, direction: Direction) -> int:
-    """One-way flight time in integer fs for a photon emitted at true_emit_time."""
+    """One-way flight time in integer fs for a photon emitted at true_emit_time.
+
+    An orbit link solves the one emit time in Python floats, with the array
+    solve's iteration limit and errors. Where the endpoints coincide, the
+    elevation lies within _ELEVATION_SLACK of the mask or the total nears
+    the int64 range, the array solve decides, as it does for static and
+    Shapiro links and on a host where the scalar solve is not exact.
+    """
+    orbit = link.geometry
+    if (
+        isinstance(orbit, CircularOrbit)
+        and not link.include_shapiro
+        and abs(true_emit_time) < INT64_LIMIT
+        and _scalar_solve_is_exact()
+    ):
+        station, sat, tau, next_flight_s = _light_time_equation(
+            _scalar_positions(orbit), _emit_seconds(true_emit_time), direction
+        )
+        range_s = tau
+        for _ in range(_LIGHT_TIME_ITERATIONS):
+            tau, previous = next_flight_s(tau), tau
+            if abs(tau - previous) < _LIGHT_TIME_TOLERANCE_S:
+                break
+        else:
+            raise LightTimeConvergenceError(f"light-time iteration exceeded {_LIGHT_TIME_ITERATIONS} iterations")
+        total = _total_fs(link, tau, direction)
+        if range_s > 0 and abs(total) < INT64_LIMIT / 2:
+            elevation = _scalar_elevation(station, sat)
+            if abs(elevation - orbit.elevation_mask) > _ELEVATION_SLACK:
+                if elevation < orbit.elevation_mask:
+                    raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
+                return round(total)
     flights, visible = _flight_times_fs(link, np.array([true_emit_time], dtype=np.int64), direction)
     if not visible.item():
         raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
     return flights.item()
 
 
+class _Motion(NamedTuple):
+    longest_span_s: float  # the longest knot span whose truncation stays below _TRUNCATION_FS
+    elevation_rate: float  # rad/s, at least |d elevation / dt|
+
+
+@functools.lru_cache(maxsize=256)
+def _motion(orbit: CircularOrbit) -> _Motion | None:
+    """Bounds from the endpoints' two circular motions; None where they may meet.
+
+    The endpoints move on circles of radius a and at most r, at rates n and
+    w, so the k-th derivative of their separation vector is at most
+    V_k = a n^k + r w^k, and the range rho never falls below |a - r|. The
+    third derivative of rho is at most V_3 + 6 V_1 V_2 / rho + 6 V_1^3 / rho^2.
+    The light-time flight follows rho / c; the bound is doubled for the
+    flight's arrival-time argument. A quadratic through knots h/2 apart
+    misses a function by at most its third derivative times h^3 / (72 sqrt 3).
+    The line of sight turns at most at V_1 / rho, and the local vertical at w.
+    """
+    a, r = EARTH_RADIUS + orbit.altitude, EARTH_RADIUS + orbit.ground_station.alt
+    rho = abs(a - r)
+    if rho == 0:
+        return None
+    n, w = math.sqrt(GM_EARTH / a**3), EARTH_ROTATION_RATE
+    v1, v2, v3 = (a * n**k + r * w**k for k in (1, 2, 3))
+    third_fs = 2 * (v3 + 6 * v1 * v2 / rho + 6 * v1**3 / rho**2) / SPEED_OF_LIGHT * FS_PER_SECOND
+    return _Motion((_TRUNCATION_FS * 72 * math.sqrt(3) / third_fs) ** (1 / 3), v1 / rho + w)
+
+
+def _knot_flights_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction):
+    """Flights and visibility of sorted int64 emit times, from scalar solves at three knots.
+
+    Returns None where the array solve must decide, and for a span longer
+    than _Motion.longest_span_s. The knots are the first, middle and last
+    emit times. Each photon's flight is the quadratic through them:
+    - further than _NOISE_MARGIN noise scales plus the truncation from a
+      half-fs, it is rounded;
+    - otherwise that photon is solved exactly, at the array solve's
+      iteration count.
+
+    The knots are solved in lockstep, as the array solves its photons. The
+    array stops at the first iteration in which every photon's step is below
+    the tolerance. An end knot still stepping past it in each earlier
+    iteration shows that the array needs as many. A step scales with a
+    power of the range rate over c, which moves little between knots, so
+    knot steps below half the tolerance show that every photon's is below
+    it. Visibility comes from the knots where each clears the mask by the
+    elevation rate times a quarter span, the furthest a photon lies from
+    its nearest knot; otherwise from each photon, as the array path does.
+    """
+    orbit = link.geometry
+    if not isinstance(orbit, CircularOrbit) or link.include_shapiro or not len(emit_fs):
+        return None
+    motion = _motion(orbit)
+    first, last = int(emit_fs[0]), int(emit_fs[-1])
+    span_s = (last - first) / FS_PER_SECOND
+    if motion is None or span_s > motion.longest_span_s or last - first < 2 or not _scalar_solve_is_exact():
+        return None  # too long a span, or no three distinct knots
+    knots_fs = [first, first + (last - first) // 2, last]
+    knots_s = [_emit_seconds(k) for k in knots_fs]
+    positions = _scalar_positions(orbit)
+    equations = [_light_time_equation(positions, t_s, direction) for t_s in knots_s]
+    taus = [tau for _, _, tau, _ in equations]
+    for iterations in range(1, _LIGHT_TIME_ITERATIONS + 1):
+        new_taus = [next_flight_s(tau) for (*_, next_flight_s), tau in zip(equations, taus)]
+        steps = [abs(new - tau) for new, tau in zip(new_taus, taus)]
+        taus = new_taus
+        if max(steps) < _LIGHT_TIME_TOLERANCE_S:
+            break
+        if max(steps[0], steps[-1]) < _LIGHT_TIME_TOLERANCE_S:
+            return None  # only a knot between photons holds the iteration open
+    else:
+        return None  # the array solve raises, or takes every iteration
+    if max(steps) > _LIGHT_TIME_TOLERANCE_S / 2:
+        return None
+    totals = [_total_fs(link, tau, direction) for tau in taus]
+    largest = max(map(abs, totals))
+    if largest >= INT64_LIMIT / 2:
+        return None  # the array solve checks the int64 range
+    noise = _noise_fs(orbit, max(knots_s, key=abs), largest)  # it grows with |t| and |total|
+    bound = _NOISE_MARGIN * noise + _TRUNCATION_FS * (span_s / motion.longest_span_s) ** 3
+    if 2 * bound > _EXACT_SHARE_LIMIT:
+        return None
+
+    elevations = [_scalar_elevation(station, sat) for station, sat, _, _ in equations]
+    margin = motion.elevation_rate * span_s / 4 + _ELEVATION_SLACK
+    if min(elevations) >= orbit.elevation_mask + margin:
+        visible = np.True_
+    elif max(elevations) < orbit.elevation_mask - margin:
+        visible = np.zeros(len(emit_fs), dtype=bool)
+    else:
+        visible = _geometry_at(orbit, emit_fs / FS_PER_SECOND).visible
+
+    # the quadratic in Newton form, over fs since the first knot
+    (f0, f1, f2), x1, x2 = totals, float(knots_fs[1] - first), float(last - first)
+    d1 = (f1 - f0) / x1
+    c2 = ((f2 - f0) / x2 - d1) / (x2 - x1)
+    x = (emit_fs - first).astype(np.float64)
+    flights = f0 + x * (d1 + (x - x1) * c2)
+    rounded = np.rint(flights)
+    exact = np.flatnonzero(_near_half(flights, rounded, bound)).tolist()
+    flights = rounded.astype(np.int64)
+    for i in exact:
+        _, _, tau, next_flight_s = _light_time_equation(positions, _emit_seconds(int(emit_fs[i])), direction)
+        for _ in range(iterations):
+            tau = next_flight_s(tau)
+        flights[i] = round(_total_fs(link, tau, direction))
+    return flights, visible
+
+
 def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, seed: SeedSpec) -> np.ndarray:
     """Send photons across the link: loss, flight-time shift, channel jitter.
 
     Photons emitted while the link is occluded are dropped. Output is the
-    sorted true arrival times at the far end.
+    sorted true arrival times at the far end. Orbit flights come from knots
+    (``_knot_flights_fs``) where they can, from the array solve otherwise;
+    the two give the same integers.
     """
     photons = np.asarray(stream_true, dtype=np.int64)
     if np.any(photons[1:] < photons[:-1]):  # compare neighbours: np.diff can wrap in int64
@@ -304,7 +636,7 @@ def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, se
     if link.transmittance < 1.0:
         rng = spawn_rng(seed, "link-thin")
         photons = photons[rng.random(len(photons)) < link.transmittance]
-    flights, visible = _flight_times_fs(link, photons, direction)
+    flights, visible = _knot_flights_fs(link, photons, direction) or _flight_times_fs(link, photons, direction)
     if np.ndim(visible):  # a static range is always visible
         photons, flights = photons[visible], flights[visible]
     shifts = [flights]

@@ -301,3 +301,213 @@ def test_geometry_validation():
     assert time_of_flight(overhead, 0, Direction.A_TO_B) < INT64_LIMIT
     with pytest.raises(ValueError):
         LinkModel(geometry=StaticRange(range_m=1.0), transmittance=0.0)
+
+
+# The scalar solve, and with it the knots, is off on a host whose numpy sin,
+# cos or row norm differ from math's; the tests that count its use need it on.
+scalar_solve_on = pytest.mark.skipif(
+    not linkmodel._scalar_solve_is_exact(), reason="numpy's sin, cos or norm differ from math's on this host"
+)
+
+
+def _lockstep_flights(link, emit_fs, direction):
+    """Scalar solves of each emit time, stopped together as the array solve stops its photons."""
+    positions = linkmodel._scalar_positions(link.geometry)
+    equations = [linkmodel._light_time_equation(positions, float(t) / FS, direction) for t in emit_fs.tolist()]
+    taus = [tau for _, _, tau, _ in equations]
+    for _ in range(5):
+        new_taus = [next_flight_s(tau) for (*_, next_flight_s), tau in zip(equations, taus)]
+        steps, taus = [abs(new - tau) for new, tau in zip(new_taus, taus)], new_taus
+        if max(steps) < 1e-15:
+            break
+    return np.array([round(linkmodel._total_fs(link, tau, direction)) for tau in taus])
+
+
+@scalar_solve_on
+@pytest.mark.parametrize("direction", list(Direction))
+def test_scalar_light_time_matches_the_array_solve(direction):
+    # 5000 seeded emit times a direction over leo_demo's pass (0-270 s); an
+    # odd bias puts the half-fs on the other side of each integer
+    link = LinkModel(geometry=_leo_demo_edge_orbit(), nonreciprocity_bias=3)
+    emit = np.sort(np.random.default_rng(31).integers(0, 270 * FS, 5000))
+    flights, _ = linkmodel._flight_times_fs(link, emit, direction)
+    assert np.array_equal(_lockstep_flights(link, emit, direction), flights)
+    for t in emit.tolist():
+        (alone,), _ = linkmodel._flight_times_fs(link, np.array([t]), direction)
+        assert _lockstep_flights(link, np.array([t]), direction)[0] == alone == time_of_flight(link, t, direction)
+
+
+def test_shapiro_links_keep_the_array_solve(monkeypatch):
+    # numpy's log is not the C library's, so no scalar Shapiro term is exact
+    link = LinkModel(geometry=_leo_demo_edge_orbit(), include_shapiro=True)
+    emit = np.sort(np.random.default_rng(32).integers(0, 2 * 10**10, 200))
+    assert linkmodel._knot_flights_fs(link, emit, Direction.A_TO_B) is None
+    solve, calls = linkmodel._light_time_flights_s, []
+    monkeypatch.setattr(linkmodel, "_light_time_flights_s", lambda *args: calls.append(args) or solve(*args))
+    time_of_flight(link, 0, Direction.A_TO_B)
+    propagate(emit, link, Direction.B_TO_A, (33,))
+    assert len(calls) == 2
+
+
+def test_a_host_whose_numpy_differs_keeps_the_array_solve(monkeypatch):
+    monkeypatch.setattr(linkmodel, "_scalar_solve_is_exact", lambda: False)
+    solve, calls = linkmodel._light_time_flights_s, []
+    monkeypatch.setattr(linkmodel, "_light_time_flights_s", lambda *args: calls.append(args) or solve(*args))
+    link = LinkModel(geometry=_leo_demo_edge_orbit())
+    emit = np.sort(np.random.default_rng(42).integers(0, 2 * 10**10, 200))
+    assert linkmodel._knot_flights_fs(link, emit, Direction.A_TO_B) is None
+    time_of_flight(link, 0, Direction.A_TO_B)
+    propagate(emit, link, Direction.B_TO_A, (43,))
+    assert len(calls) == 2
+
+
+def test_coincident_endpoints_are_not_visible():
+    # station and satellite both at (R + 550 km, 0, 0) at t = 0: a zero range
+    # has no elevation (0/0, which numpy warns of), and the array solve calls
+    # it not visible
+    link = LinkModel(geometry=CircularOrbit(altitude=550e3, ground_station=GroundStation(alt=550e3)))
+    with np.errstate(invalid="ignore"):
+        assert _geometry_at(link.geometry, np.array([0.0])).range_m[0] == 0
+        for direction in Direction:
+            with pytest.raises(NotVisibleError):
+                time_of_flight(link, 0, direction)
+            assert len(propagate(np.array([0]), link, direction, (44,))) == 0
+
+
+class _ExactCounter:
+    """Counts the photons whose interpolated flight lay near a half-fs, and keeps each filter's inputs."""
+
+    def __init__(self, monkeypatch):
+        self.exact, self.filtered = 0, []
+        near_half = linkmodel._near_half
+
+        def counted(total, rounded, bound):
+            near = near_half(total, rounded, bound)
+            if isinstance(total, np.ndarray):
+                self.exact += int(near.sum())
+                self.filtered.append((total, bound))
+            return near
+
+        monkeypatch.setattr(linkmodel, "_near_half", counted)
+
+
+def _array_propagate(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(linkmodel, "_knot_flights_fs", lambda *_: None)
+        return propagate(*args)
+
+
+def _both_propagates(monkeypatch, emit, link, direction, seed):
+    """propagate through the knots, and through the array solve alone; each result or error."""
+    results = []
+    for run in (propagate, lambda *args: _array_propagate(monkeypatch, *args)):
+        try:
+            results.append(run(emit, link, direction, seed))
+        except TimeRangeError as exc:
+            results.append(type(exc))
+    return results
+
+
+@scalar_solve_on
+@pytest.mark.parametrize("duration_s, photons, on_knots", [(2e-5, 200, True), (1e-3, 5000, True), (0.1, 20000, False)])
+def test_orbit_propagate_matches_the_array_solve(monkeypatch, duration_s, photons, on_knots):
+    # seeded sessions over leo_demo's pass, with loss and channel jitter; a
+    # span past _Motion.longest_span_s (about 1.19 ms here) keeps the array solve
+    counter = _ExactCounter(monkeypatch)
+    link = LinkModel(geometry=_leo_demo_edge_orbit(), transmittance=0.9, channel_jitter_sigma=400)
+    rng = np.random.default_rng(34)
+    taken = sent = 0
+    for start in rng.integers(0, 260 * FS, 4).tolist():
+        emit = np.sort(rng.integers(start, start + int(duration_s * FS), photons))
+        for direction in Direction:
+            knotted, array = _both_propagates(monkeypatch, emit, link, direction, (35, start))
+            assert np.array_equal(knotted, array)
+            taken, sent = taken + len(counter.filtered), sent + len(emit)
+            counter.filtered.clear()
+    assert taken == (8 if on_knots else 0)
+    # the photons within the bound of a half-fs, about 5 %, were solved exactly
+    assert 0.02 * sent < counter.exact < 0.1 * sent if on_knots else counter.exact == 0
+
+
+def test_orbit_propagate_matches_on_a_few_photons(monkeypatch):
+    # one photon, or photons too close for three distinct knots, keep the array solve
+    link = LinkModel(geometry=_leo_demo_edge_orbit())
+    for emit in ([10**15], [10**15, 10**15], [10**15, 10**15 + 1], [10**15, 10**15 + 2, 10**15 + 4]):
+        emit = np.array(emit, dtype=np.int64)
+        for direction in Direction:
+            knotted, array = _both_propagates(monkeypatch, emit, link, direction, (41,))
+            assert np.array_equal(knotted, array) and len(knotted) == len(emit)
+
+
+@scalar_solve_on
+def test_orbit_propagate_matches_across_the_elevation_mask(monkeypatch):
+    orbit = _leo_demo_edge_orbit()
+    lo, hi = 200 * FS, 300 * FS  # leo_demo's pass sets below the mask in between
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _geometry_at(orbit, mid / FS).visible else (lo, mid)
+    counter = _ExactCounter(monkeypatch)
+    link = LinkModel(geometry=orbit)
+    rng = np.random.default_rng(36)
+    for start in (hi - 5 * 10**11, hi - 10**13, hi + 10**13):  # straddling, before, after
+        emit = np.sort(rng.integers(start, start + 10**12, 5000))
+        for direction in Direction:
+            knotted, array = _both_propagates(monkeypatch, emit, link, direction, (37,))
+            assert np.array_equal(knotted, array)
+            if start == hi - 5 * 10**11:
+                assert 0 < len(knotted) < len(emit)
+            else:
+                assert len(knotted) == (len(emit) if start < hi else 0)
+    assert len(counter.filtered) == 6
+    assert counter.exact > 0
+
+
+@scalar_solve_on
+@pytest.mark.parametrize("share_limit", [None, 2.0])
+def test_orbit_propagate_matches_at_the_int64_edge(monkeypatch, share_limit):
+    # the overhead orbit of test_propagate_raises_where_arrivals_would_wrap_int64.
+    # Rounding noise grows with the time: this late, the knots would send most
+    # photons to the exact solve, so they leave the session to the array solve.
+    # With the share limit lifted they take it, and must still match.
+    if share_limit:
+        monkeypatch.setattr(linkmodel, "_EXACT_SHARE_LIMIT", share_limit)
+    counter = _ExactCounter(monkeypatch)
+    t_last = (INT64_LIMIT - 1) / FS
+    mean_motion = 2 * math.pi / orbital_period(_overhead_orbit())
+    link = LinkModel(geometry=CircularOrbit(altitude=550e3, phase0=(EARTH_ROTATION_RATE - mean_motion) * t_last))
+    rng = np.random.default_rng(38)
+    for end, fits in ((INT64_LIMIT - 3 * 10**12, True), (INT64_LIMIT - 10**12, False)):
+        emit = np.sort(rng.integers(end - 2 * 10**10, end, 200))
+        for direction in Direction:
+            knotted, array = _both_propagates(monkeypatch, emit, link, direction, (39,))
+            if fits:
+                assert np.array_equal(knotted, array) and len(knotted) == len(emit)
+            else:
+                assert knotted is array is TimeRangeError
+    assert len(counter.filtered) == (4 if share_limit else 0)
+    assert (counter.exact > 4 * 200 / 2) == bool(share_limit)
+
+
+@scalar_solve_on
+def test_interpolated_flights_stay_within_half_the_rounding_bound(monkeypatch):
+    # the bound's margin: over seeded leo_demo sessions, the interpolated flight
+    # lies within half of it from the array solve's unrounded flight
+    counter = _ExactCounter(monkeypatch)
+    orbit = _leo_demo_edge_orbit()
+    link = LinkModel(geometry=orbit)
+    rng = np.random.default_rng(40)
+    declined = 0
+    for start in rng.integers(0, 270 * FS, 100).tolist():
+        emit = np.sort(rng.integers(start, start + 2 * 10**10, 200))
+        emit_s = emit / FS
+        geo = _geometry_at(orbit, emit_s)
+        for direction in Direction:
+            if linkmodel._knot_flights_fs(link, emit, direction) is None:
+                declined += 1  # near closest approach the iteration count may be in doubt
+                continue
+            ((interpolated, bound),) = counter.filtered
+            counter.filtered.clear()
+            flights_s = linkmodel._light_time_flights_s(orbit, geo, emit_s, direction)
+            unrounded = linkmodel._total_fs(link, flights_s, direction)
+            assert np.abs(interpolated - unrounded).max() <= bound / 2
+    assert declined <= 10

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qcsync import netsync
+from qcsync import linkmodel, netsync
 from qcsync.estimator import CorrelationConfig, _halve_toward_zero
 from qcsync.fields import ConfigError
 from qcsync.linkmodel import Direction, LinkModel, StaticRange, time_of_flight
@@ -392,9 +392,11 @@ def _leo_demo_topology(**overrides):
 
 
 def test_each_orbit_sync_solves_the_midpoint_flights_once(monkeypatch):
-    # per applied sync: the two remote gates and the two truth flights; the
-    # ephemeris correction reads the truth flights instead of solving again
-    calls = []
+    # per applied sync: the two remote gates and the two truth flights, each
+    # one scalar solve; the ephemeris correction reads the truth flights
+    # instead of solving again, and the photons' flights come from knots: on
+    # a host where the scalar solve is exact, no array solve runs at all.
+    calls, array_solves = [], []
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -404,11 +406,14 @@ def test_each_orbit_sync_solves_the_midpoint_flights_once(monkeypatch):
     for module in qcsync_modules:
         if getattr(module, "time_of_flight", None) is time_of_flight:
             monkeypatch.setattr(module, "time_of_flight", counted)
+    array_solve = linkmodel._light_time_flights_s
+    monkeypatch.setattr(linkmodel, "_light_time_flights_s", lambda *args: array_solves.append(args) or array_solve(*args))
     topology, horizon, report_interval = _leo_demo_topology(horizon_s=3)
     report = run_network(topology, horizon, 2026, report_interval)
     applied = sum(report.edge_successes)
     assert applied == sum(report.edge_attempts) == 2
     assert len(calls) == 4 * applied
+    assert array_solves == [] or not linkmodel._scalar_solve_is_exact()
 
 
 def _correction(edge, t):

@@ -317,6 +317,8 @@ _BOUNDARY = [
     ("circular_orbit", "elevation_mask_rad", math.pi / 2, False),
     ("ground_station", "alt_m", -6371000.0, False),
     ("ground_station", "alt_m", _above(-6371000.0), True),
+    ("ground_station", "alt_m", _below(_ALTITUDE_LIMIT), True),
+    ("ground_station", "alt_m", _ALTITUDE_LIMIT, False),
     ("link", "transmittance", 0.0, False),
     ("link", "transmittance", _TINY, True),
     ("link", "transmittance", 1.0, True),

@@ -911,7 +911,7 @@ _NON_FINITE = [
     ("net", _leo, (*_ORBIT_KEYS, "inclination_rad"), math.inf),
     ("net", _leo, (*_ORBIT_KEYS, "inclination_rad"), math.nan),
     ("net", _leo, (*_ORBIT_KEYS, "ground_station", "lat_rad"), math.nan),
-    ("net", _leo, (*_ORBIT_KEYS, "ground_station", "alt_m"), math.inf),
+    ("net", _leo, (*_ORBIT_KEYS, "ground_station", "lon_rad"), math.inf),
     ("simulate", _paper, ("correlation", "significance_sigma"), math.inf),
 ]
 
@@ -922,9 +922,10 @@ _NON_FINITE = [
 def test_non_finite_values_exit_two_naming_the_key(tmp_path, capsys, command, base, key, value):
     # json reads NaN and Infinity, and NaN passes every schema bound: an inf
     # inclination exited 2 as "math domain error" from math.cos, the NaN
-    # angles exited 3 when the light-time iteration never converged, an inf
-    # station altitude exited 3 with a numpy warning, and an inf
-    # significance exited 3 as "below threshold inf"
+    # angles exited 3 when the light-time iteration never converged, and an
+    # inf significance exited 3 as "below threshold inf". (An inf station
+    # altitude, which exited 3 with a numpy warning, now meets its upper
+    # bound in the schema: test_ground_station_past_the_altitude_bound_exits_two.)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_set(base(), key, value)))
     code, _, err = _run(capsys, command, "--config", str(path), "--out", str(tmp_path / "out"))
@@ -968,8 +969,23 @@ def test_ground_station_at_the_earth_centre_exits_two(tmp_path, capsys):
             assert code == 2
             assert "['alt_m']" in err and "minimum of -6371000.0" in err and "Traceback" not in err
     # the schema bound is the field's declaration, which a library caller meets too
-    with pytest.raises(ConfigError, match=r"^alt_m must be in \(-6\.371e\+06, inf\), got -6371000"):
+    with pytest.raises(ConfigError, match=r"^alt_m must be in \(-6\.371e\+06, 2\.7651e\+12\), got -6371000"):
         GroundStation(alt=-6371000)
+
+
+@pytest.mark.parametrize("alt_m", [2.7651e12, 1e300, math.inf])
+def test_ground_station_past_the_altitude_bound_exits_two(tmp_path, capsys, alt_m):
+    # alt_m 1e300 made net warn "invalid value encountered in sin" and exit 3
+    # on a light-time iteration that could not converge, and inf exited 3
+    # with a numpy warning; a station as high as the orbit altitude bound,
+    # c * 2^63 fs, has no flight that fits int64
+    leo = _set(_leo(), ("topology", "horizon_s"), 3)
+    leo["topology"]["edges"][0]["link"]["geometry"]["ground_station"]["alt_m"] = alt_m
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(leo))
+    code, _, err = _run(capsys, "net", "--config", str(net), "--out", str(tmp_path / "net"))
+    assert code == 2
+    assert "['alt_m']" in err and "maximum" in err and "Traceback" not in err
 
 
 def test_net_horizon_shorter_than_one_interval_exits_two(tmp_path, capsys):

@@ -8,33 +8,27 @@ non-reciprocity is a constant signed bias split across the two directions.
 The physical constants (c, the Earth's GM, radius and rotation rate) are
 module constants in SI units.
 
-Orbit flights have two solvers that give the same integers. The array solve
-iterates the light-time equation for every time of a numpy array; the
-`qcsync relativity` grid, Shapiro links and every case the other declines
-use it. The scalar solve makes the same IEEE operations, in the same order,
-for one time in Python floats. That equality holds where numpy's float64
-sin, cos and row norm give the bits of math.sin, math.cos and a left-to-right
-sum; numpy may send sin and cos to SIMD kernels by CPU and build, so each
-process compares them once on fixed angles and rows
+Orbit geometry (endpoint positions, their distance, sin(elevation) and the
+light-time update) is written once over a number module: numpy evaluates it
+for an array of times, math for one time in Python floats. Both make the same
+IEEE operations in the same order, and they give the same bits where numpy's
+float64 sin and cos are math's. numpy may send them to SIMD kernels by CPU
+and build, so each process compares them once on fixed angles
 (`_scalar_solve_is_exact`) and keeps the array solve everywhere if any
-differs.
+differs. Visibility is sin(elevation) >= math.sin(mask) on both.
 
-`time_of_flight` takes the scalar solve unless the elevation lies at the
-mask or the endpoints coincide. `propagate` solves the scalar at three
-knots, the first, middle and last emit time of a span up to about a
-millisecond on a LEO link, and takes each photon's flight from the
-quadratic through them. Two bounds decide where that is exact:
-- the truncation bound, from the third derivative of the range, sets the
-  longest span;
-- the rounding bound, a multiple of the float noise of one flight
-  evaluation, marks the photons whose interpolated flight lies near a
-  half-fs. Those photons are solved exactly, at the iteration count that
-  the array solve takes, and every other one is rounded. The multiple is
-  measured on LEO to GEO orbits, not proven.
-
-Visibility comes from the knots where each clears the elevation mask by
-the elevation rate times the distance to the furthest photon; otherwise
-from each photon.
+The array solve serves grids (`qcsync relativity`, visibility windows),
+Shapiro links (numpy's log is its own SIMD code), coincident endpoints, the
+int64 edge and what the knots decline. `time_of_flight` solves one time in
+floats. `propagate` solves three knots, the first, middle and last emit time
+of a span up to about a millisecond on a LEO link, and takes each photon's
+flight from the quadratic through them. The truncation bound, from the third
+derivative of the range, sets the longest span. The rounding bound, a
+multiple of one evaluation's float noise measured on LEO to GEO orbits,
+marks the photons whose interpolated flight lies near a half-fs: those are
+solved exactly, at the array solve's iteration count, and the rest rounded.
+Visibility comes from the knots where each clears the mask by the rate bound
+over the span plus float noise, from each photon otherwise.
 
 Convention: direction A_TO_B points from the ground-side endpoint to the
 space-side endpoint (for the static variant the two endpoints are symmetric
@@ -156,27 +150,66 @@ class LinkModel:
     __post_init__ = check_fields
 
 
-def _station_positions(gs: GroundStation, t_s: np.ndarray) -> np.ndarray:
-    r = EARTH_RADIUS + gs.alt
-    phi = gs.lon + EARTH_ROTATION_RATE * t_s
-    cos_lat = math.cos(gs.lat)
-    return r * np.stack(
-        (cos_lat * np.cos(phi), cos_lat * np.sin(phi), np.full_like(phi, math.sin(gs.lat))),
-        axis=-1,
-    )
-
-
-def _satellite_positions(orbit: CircularOrbit, t_s: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _positions(orbit: CircularOrbit, m) -> tuple[Callable, Callable]:
+    """orbit's station and satellite ECI positions (m) as (x, y, z), each a function of true time t_s (s) in m."""
+    cos, sin = m.cos, m.sin
+    gs = orbit.ground_station
+    r, cos_lat = EARTH_RADIUS + gs.alt, math.cos(gs.lat)
+    z_station = r * math.sin(gs.lat)
     a = EARTH_RADIUS + orbit.altitude
     n = math.sqrt(GM_EARTH / a**3)
-    u = orbit.phase0 + n * t_s
-    cu, su = np.cos(u), np.sin(u)
     ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
     co, so = math.cos(orbit.raan), math.sin(orbit.raan)
-    x = a * (co * cu - so * ci * su)
-    y = a * (so * cu + co * ci * su)
-    z = a * (si * su)
-    return np.stack((x, y, z), axis=-1)
+    so_ci, co_ci = so * ci, co * ci
+
+    def station_at(t_s):
+        phi = gs.lon + EARTH_ROTATION_RATE * t_s
+        return r * (cos_lat * cos(phi)), r * (cos_lat * sin(phi)), z_station
+
+    def sat_at(t_s):
+        u = orbit.phase0 + n * t_s
+        cu, su = cos(u), sin(u)
+        return a * (co * cu - so_ci * su), a * (so * cu + co_ci * su), a * (si * su)
+
+    return station_at, sat_at
+
+
+_ORIGIN = (0.0, 0.0, 0.0)
+
+
+def _distance(p, q, m):
+    """|p - q|, summed (dx² + dy²) + dz²."""
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    return m.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _sin_elevation(station, sat, range_m, m):
+    """sin(elevation) of sat seen from station: the line of sight on the station's vertical, over range_m."""
+    r_station = _distance(station, _ORIGIN, m)
+    (gx, gy, gz), (sx, sy, sz) = station, sat
+    return (gx / r_station * (sx - gx) + gy / r_station * (sy - gy) + gz / r_station * (sz - gz)) / range_m
+
+
+def _visible(orbit: CircularOrbit, sin_el):
+    """Whether the satellite clears the mask; floats and arrays meet the same math.sin bound."""
+    return sin_el >= math.sin(orbit.elevation_mask)
+
+
+@functools.cache
+def _scalar_solve_is_exact() -> bool:
+    """Whether numpy's float64 sin and cos give the bits of math's on this host.
+
+    The geometry's other operations are arithmetic and sqrt, correctly rounded
+    in both. The two are compared on 1024 fixed angles as one long array, and
+    on the first 64 as one-element arrays. It is a check, not a proof.
+    """
+    angles = np.random.default_rng(0).uniform(-100.0, 100.0, 1024)
+    return all(
+        np.array_equal(ours(chunk), [theirs(u) for u in chunk.tolist()])
+        for ours, theirs in ((np.sin, math.sin), (np.cos, math.cos))
+        for chunk in (angles, *angles[:64, None])
+    )
 
 
 class _Geometry(NamedTuple):
@@ -187,8 +220,8 @@ class _Geometry(NamedTuple):
     visible: np.ndarray
     r_station_m: np.ndarray
     r_sat_m: np.ndarray
-    station: np.ndarray | None  # (..., 3) ECI positions; None for the static variant
-    sat: np.ndarray | None
+    station: tuple | None  # ECI (x, y, z) positions; None for the static variant
+    sat: tuple | None
 
 
 def _geometry_at(geometry: GeometryScenario, t_s: np.ndarray) -> _Geometry:
@@ -202,15 +235,14 @@ def _geometry_at(geometry: GeometryScenario, t_s: np.ndarray) -> _Geometry:
     if isinstance(geometry, StaticRange):
         r1, r = EARTH_RADIUS, geometry.range_m
         return _Geometry(r, math.pi / 2, np.True_, r1, r1 + r, None, None)
-    station = _station_positions(geometry.ground_station, t_s)
-    sat = _satellite_positions(geometry, t_s)
-    los = sat - station
-    range_m = np.linalg.norm(los, axis=-1)
-    r_station = np.linalg.norm(station, axis=-1)
-    sin_el = np.sum(station / r_station[..., None] * los, axis=-1) / range_m
+    station_at, sat_at = _positions(geometry, np)
+    station, sat = station_at(t_s), sat_at(t_s)
+    range_m = _distance(sat, station, np)
+    # a zero range has no elevation: NaN, not visible, without 0/0's warning
+    sin_el = _sin_elevation(station, sat, np.where(range_m > 0, range_m, np.nan), np)
     elevation = np.arcsin(np.clip(sin_el, -1.0, 1.0))
-    visible = elevation >= geometry.elevation_mask
-    return _Geometry(range_m, elevation, visible, r_station, np.linalg.norm(sat, axis=-1), station, sat)
+    r_station, r_sat = _distance(station, _ORIGIN, np), _distance(sat, _ORIGIN, np)
+    return _Geometry(range_m, elevation, _visible(geometry, sin_el), r_station, r_sat, station, sat)
 
 
 def orbital_period(geometry: CircularOrbit) -> float:
@@ -254,29 +286,27 @@ _LIGHT_TIME_ITERATIONS = 5
 _LIGHT_TIME_TOLERANCE_S = 1e-15
 
 
-def _light_time_flights_s(
-    orbit: CircularOrbit, geo: _Geometry, emit_t_s: np.ndarray, direction: Direction
-) -> np.ndarray:
-    """Flight times in seconds solving the light-time equation per photon.
+def _light_time_update(positions, station, sat, t_s, direction: Direction, m):
+    """The next flight estimate (s) from tau: the emitter at t_s to the receiver at t_s + tau, over c."""
+    station_at, sat_at = positions
+    emitter, receiver_at = (station, sat_at) if direction is Direction.A_TO_B else (sat, station_at)
+
+    def next_flight_s(tau):
+        return _distance(receiver_at(t_s + tau), emitter, m) / SPEED_OF_LIGHT
+
+    return next_flight_s
+
+
+def _light_time_flights_s(orbit: CircularOrbit, geo: _Geometry, emit_t_s: np.ndarray, direction: Direction):
+    """Flight times in seconds solving the light-time equation per photon: the array solve.
 
     geo holds both endpoints at emit time; only the receiver is evaluated again,
     at each estimate of the arrival time.
     """
-    if direction is Direction.A_TO_B:
-        emitter = geo.station
-
-        def receiver_at(t_s):
-            return _satellite_positions(orbit, t_s)
-
-    else:
-        emitter = geo.sat
-
-        def receiver_at(t_s):
-            return _station_positions(orbit.ground_station, t_s)
-
+    next_flight_s = _light_time_update(_positions(orbit, np), geo.station, geo.sat, emit_t_s, direction, np)
     tau = geo.range_m / SPEED_OF_LIGHT
     for _ in range(_LIGHT_TIME_ITERATIONS):
-        new_tau = np.linalg.norm(receiver_at(emit_t_s + tau) - emitter, axis=-1) / SPEED_OF_LIGHT
+        new_tau = next_flight_s(tau)
         step = np.max(np.abs(new_tau - tau)) if len(tau) else 0.0
         tau = new_tau
         if step < _LIGHT_TIME_TOLERANCE_S:
@@ -325,18 +355,6 @@ def _rounded_fs(total_fs):
     return np.rint(total_fs).astype(np.int64)
 
 
-# Orbit flights from scalar solves. The functions below make, in Python floats
-# and math, the IEEE operations that the array code above makes for one time,
-# in the same order. Where numpy's float64 sin and cos are the C library's and
-# np.linalg.norm sums a row of three squares left to right, a scalar flight
-# equals its element of the array solve bit for bit; _scalar_solve_is_exact
-# checks that once per process. numpy's arcsin and log are its own SIMD code:
-# the scalar elevation is only near the array's, and Shapiro links keep the
-# array path.
-
-# rad: the scalar elevation lies within a few ulps of np.arcsin's; within
-# this of the mask the array decides visibility
-_ELEVATION_SLACK = 1e-9
 # The rounding bound, in multiples of _noise_fs: a flight further than this
 # from a half-fs rounds the same way however it is solved. One evaluation's
 # noise was measured at up to 0.8 noise scales (RMS 0.2) on LEO to GEO orbits
@@ -355,97 +373,11 @@ _TRUNCATION_FS = 1e-3
 _EXACT_SHARE_LIMIT = 0.1
 
 
-class _ScalarPositions(NamedTuple):
-    """Station and satellite positions at one time t_s (s), as float triples.
-
-    Op for op a row of _station_positions and of _satellite_positions.
-    """
-
-    station_at: Callable[[float], tuple]
-    sat_at: Callable[[float], tuple]
-
-
-@functools.lru_cache(maxsize=256)
-def _scalar_positions(orbit: CircularOrbit) -> _ScalarPositions:
-    """orbit's position functions, built once per orbit."""
-    gs = orbit.ground_station
-    r, cos_lat = EARTH_RADIUS + gs.alt, math.cos(gs.lat)
-    z_station = r * math.sin(gs.lat)
-    a = EARTH_RADIUS + orbit.altitude
-    n = math.sqrt(GM_EARTH / a**3)
-    ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
-    co, so = math.cos(orbit.raan), math.sin(orbit.raan)
-    so_ci, co_ci = so * ci, co * ci
-
-    def station_at(t_s):
-        phi = gs.lon + EARTH_ROTATION_RATE * t_s
-        return r * (cos_lat * math.cos(phi)), r * (cos_lat * math.sin(phi)), z_station
-
-    def sat_at(t_s):
-        u = orbit.phase0 + n * t_s
-        cu, su = math.cos(u), math.sin(u)
-        return a * (co * cu - so_ci * su), a * (so * cu + co_ci * su), a * (si * su)
-
-    return _ScalarPositions(station_at, sat_at)
-
-
-def _distance(p, q) -> float:
-    """|p - q|, summed as np.linalg.norm sums a row: (dx² + dy²) + dz²."""
-    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
-@functools.cache
-def _scalar_solve_is_exact() -> bool:
-    """Whether numpy's float64 sin, cos and row norm give the bits of math's on this host.
-
-    The scalar solve equals the array solve only where they do. They are
-    compared on 1024 fixed angles and rows as one long array (numpy's SIMD
-    loops), and on the first 64 as one-element arrays; a kernel of other
-    rounding would differ on some of them. It is a check, not a proof.
-    """
-    angles = np.random.default_rng(0).uniform(-100.0, 100.0, 1024)
-    rows = np.stack((7e6 * np.cos(angles), 7e6 * np.sin(angles), 1e6 * angles), axis=-1)
-
-    def numpy_values(i, j):
-        chunk = angles[i:j]
-        return np.cos(chunk), np.sin(chunk), np.linalg.norm(rows[i:j], axis=-1)
-
-    origin = (0.0, 0.0, 0.0)
-    scalar = [
-        [math.cos(u) for u in angles.tolist()],
-        [math.sin(u) for u in angles.tolist()],
-        [_distance(row, origin) for row in rows.tolist()],
-    ]
-    return all(np.array_equal(ours, theirs) for ours, theirs in zip(numpy_values(0, len(angles)), scalar)) and all(
-        np.array_equal(ours, [theirs[i]]) for i in range(64) for ours, theirs in zip(numpy_values(i, i + 1), scalar)
-    )
-
-
-def _scalar_elevation(station, sat) -> float:
-    """Elevation (rad) of sat seen from station, within a few ulps of _geometry_at's."""
-    (gx, gy, gz), (sx, sy, sz) = station, sat
-    dx, dy, dz = sx - gx, sy - gy, sz - gz
-    sin_el = (gx * dx + gy * dy + gz * dz) / (math.hypot(gx, gy, gz) * math.hypot(dx, dy, dz))
-    return math.asin(min(max(sin_el, -1.0), 1.0))
-
-
-def _light_time_equation(positions: _ScalarPositions, t_s: float, direction: Direction):
-    """The light-time equation of emit time t_s (s), op for op as _light_time_flights_s has it for one photon.
-
-    Returns the endpoints at t_s, the first flight estimate (s) and the
-    update that takes a flight estimate to the next.
-    """
-    station, sat = positions.station_at(t_s), positions.sat_at(t_s)
-    if direction is Direction.A_TO_B:
-        emitter, receiver_at = station, positions.sat_at
-    else:
-        emitter, receiver_at = sat, positions.station_at
-
-    def next_flight_s(tau):
-        return _distance(receiver_at(t_s + tau), emitter) / SPEED_OF_LIGHT
-
-    return station, sat, _distance(sat, station) / SPEED_OF_LIGHT, next_flight_s
+def _scalar_equation(positions, t_s: float, direction: Direction):
+    """The endpoints at emit time t_s (s) in Python floats, their range and the light-time update."""
+    station, sat = positions[0](t_s), positions[1](t_s)
+    next_flight_s = _light_time_update(positions, station, sat, t_s, direction, math)
+    return station, sat, _distance(sat, station, math), next_flight_s
 
 
 def _emit_seconds(emit_fs: int) -> float:
@@ -478,8 +410,8 @@ def time_of_flight(link: LinkModel, true_emit_time: int, direction: Direction) -
     """One-way flight time in integer fs for a photon emitted at true_emit_time.
 
     An orbit link solves the one emit time in Python floats, with the array
-    solve's iteration limit and errors. Where the endpoints coincide, the
-    elevation lies within _ELEVATION_SLACK of the mask or the total nears
+    solve's iteration limit and errors, and compares sin(elevation) with the
+    mask as the array does. Where the endpoints coincide or the total nears
     the int64 range, the array solve decides, as it does for static and
     Shapiro links and on a host where the scalar solve is not exact.
     """
@@ -490,10 +422,10 @@ def time_of_flight(link: LinkModel, true_emit_time: int, direction: Direction) -
         and abs(true_emit_time) < INT64_LIMIT
         and _scalar_solve_is_exact()
     ):
-        station, sat, tau, next_flight_s = _light_time_equation(
-            _scalar_positions(orbit), _emit_seconds(true_emit_time), direction
+        station, sat, range_m, next_flight_s = _scalar_equation(
+            _positions(orbit, math), _emit_seconds(true_emit_time), direction
         )
-        range_s = tau
+        tau = range_m / SPEED_OF_LIGHT
         for _ in range(_LIGHT_TIME_ITERATIONS):
             tau, previous = next_flight_s(tau), tau
             if abs(tau - previous) < _LIGHT_TIME_TOLERANCE_S:
@@ -501,12 +433,10 @@ def time_of_flight(link: LinkModel, true_emit_time: int, direction: Direction) -
         else:
             raise LightTimeConvergenceError(f"light-time iteration exceeded {_LIGHT_TIME_ITERATIONS} iterations")
         total = _total_fs(link, tau, direction)
-        if range_s > 0 and abs(total) < INT64_LIMIT / 2:
-            elevation = _scalar_elevation(station, sat)
-            if abs(elevation - orbit.elevation_mask) > _ELEVATION_SLACK:
-                if elevation < orbit.elevation_mask:
-                    raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
-                return round(total)
+        if range_m > 0 and abs(total) < INT64_LIMIT / 2:
+            if not _visible(orbit, _sin_elevation(station, sat, range_m, math)):
+                raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
+            return round(total)
     flights, visible = _flight_times_fs(link, np.array([true_emit_time], dtype=np.int64), direction)
     if not visible.item():
         raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
@@ -515,7 +445,8 @@ def time_of_flight(link: LinkModel, true_emit_time: int, direction: Direction) -
 
 class _Motion(NamedTuple):
     longest_span_s: float  # the longest knot span whose truncation stays below _TRUNCATION_FS
-    elevation_rate: float  # rad/s, at least |d elevation / dt|
+    elevation_rate: float  # rad/s, at least |d elevation / dt|, and so at least |d sin(elevation) / dt|
+    least_range_m: float
 
 
 @functools.lru_cache(maxsize=256)
@@ -538,7 +469,7 @@ def _motion(orbit: CircularOrbit) -> _Motion | None:
     n, w = math.sqrt(GM_EARTH / a**3), EARTH_ROTATION_RATE
     v1, v2, v3 = (a * n**k + r * w**k for k in (1, 2, 3))
     third_fs = 2 * (v3 + 6 * v1 * v2 / rho + 6 * v1**3 / rho**2) / SPEED_OF_LIGHT * FS_PER_SECOND
-    return _Motion((_TRUNCATION_FS * 72 * math.sqrt(3) / third_fs) ** (1 / 3), v1 / rho + w)
+    return _Motion((_TRUNCATION_FS * 72 * math.sqrt(3) / third_fs) ** (1 / 3), v1 / rho + w, rho)
 
 
 def _knot_flights_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction):
@@ -558,9 +489,10 @@ def _knot_flights_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction)
     iteration shows that the array needs as many. A step scales with a
     power of the range rate over c, which moves little between knots, so
     knot steps below half the tolerance show that every photon's is below
-    it. Visibility comes from the knots where each clears the mask by the
-    elevation rate times a quarter span, the furthest a photon lies from
-    its nearest knot; otherwise from each photon, as the array path does.
+    it. Visibility comes from the knots where each sin(elevation) clears
+    the mask's by the elevation rate times a quarter span, the furthest a
+    photon lies from its nearest knot, plus its float noise; otherwise from
+    each photon, as the array path does.
     """
     orbit = link.geometry
     if not isinstance(orbit, CircularOrbit) or link.include_shapiro or not len(emit_fs):
@@ -572,9 +504,9 @@ def _knot_flights_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction)
         return None  # too long a span, or no three distinct knots
     knots_fs = [first, first + (last - first) // 2, last]
     knots_s = [_emit_seconds(k) for k in knots_fs]
-    positions = _scalar_positions(orbit)
-    equations = [_light_time_equation(positions, t_s, direction) for t_s in knots_s]
-    taus = [tau for _, _, tau, _ in equations]
+    positions = _positions(orbit, math)
+    equations = [_scalar_equation(positions, t_s, direction) for t_s in knots_s]
+    taus = [range_m / SPEED_OF_LIGHT for _, _, range_m, _ in equations]
     for iterations in range(1, _LIGHT_TIME_ITERATIONS + 1):
         new_taus = [next_flight_s(tau) for (*_, next_flight_s), tau in zip(equations, taus)]
         steps = [abs(new - tau) for new, tau in zip(new_taus, taus)]
@@ -596,11 +528,14 @@ def _knot_flights_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction)
     if 2 * bound > _EXACT_SHARE_LIMIT:
         return None
 
-    elevations = [_scalar_elevation(station, sat) for station, sat, _, _ in equations]
-    margin = motion.elevation_rate * span_s / 4 + _ELEVATION_SLACK
-    if min(elevations) >= orbit.elevation_mask + margin:
+    sins = [_sin_elevation(station, sat, range_m, math) for station, sat, range_m, _ in equations]
+    sin_mask = math.sin(orbit.elevation_mask)
+    # a sine errs by about its line of sight's float noise over the range; the
+    # rounding bound, as metres over the least range, covers that
+    margin = motion.elevation_rate * span_s / 4 + bound / FS_PER_SECOND * SPEED_OF_LIGHT / motion.least_range_m
+    if min(sins) >= sin_mask + margin:
         visible = np.True_
-    elif max(elevations) < orbit.elevation_mask - margin:
+    elif max(sins) < sin_mask - margin:
         visible = np.zeros(len(emit_fs), dtype=bool)
     else:
         visible = _geometry_at(orbit, emit_fs / FS_PER_SECOND).visible
@@ -615,7 +550,8 @@ def _knot_flights_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction)
     exact = np.flatnonzero(_near_half(flights, rounded, bound)).tolist()
     flights = rounded.astype(np.int64)
     for i in exact:
-        _, _, tau, next_flight_s = _light_time_equation(positions, _emit_seconds(int(emit_fs[i])), direction)
+        _, _, range_m, next_flight_s = _scalar_equation(positions, _emit_seconds(int(emit_fs[i])), direction)
+        tau = range_m / SPEED_OF_LIGHT
         for _ in range(iterations):
             tau = next_flight_s(tau)
         flights[i] = round(_total_fs(link, tau, direction))

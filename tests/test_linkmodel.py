@@ -16,9 +16,8 @@ from qcsync.linkmodel import (
     SPEED_OF_LIGHT,
     CircularOrbit,
     _geometry_at,
-    _satellite_positions,
+    _positions,
     _shapiro_fs,
-    _station_positions,
     Direction,
     GeometryError,
     GroundStation,
@@ -141,15 +140,13 @@ def test_flight_times_satisfy_light_time_equation():
     # t + T, for both directions and across the pass.
     orbit = _overhead_orbit()
     link = LinkModel(geometry=orbit)
+    station_at, sat_at = _positions(orbit, math)
     for t in (-20 * FS, -3 * FS, 0, 11 * FS):
         for direction in (Direction.A_TO_B, Direction.B_TO_A):
             flight = time_of_flight(link, t, direction)
-            t_arr = np.array([t / FS])
-            t_rx = np.array([(t + flight) / FS])
-            station = _station_positions(orbit.ground_station, t_arr)[0]
-            station_rx = _station_positions(orbit.ground_station, t_rx)[0]
-            sat = _satellite_positions(orbit, t_arr)[0]
-            sat_rx = _satellite_positions(orbit, t_rx)[0]
+            t_s, t_rx = t / FS, (t + flight) / FS
+            station, station_rx = np.array(station_at(t_s)), np.array(station_at(t_rx))
+            sat, sat_rx = np.array(sat_at(t_s)), np.array(sat_at(t_rx))
             if direction is Direction.A_TO_B:
                 dist = np.linalg.norm(sat_rx - station)
             else:
@@ -303,18 +300,18 @@ def test_geometry_validation():
         LinkModel(geometry=StaticRange(range_m=1.0), transmittance=0.0)
 
 
-# The scalar solve, and with it the knots, is off on a host whose numpy sin,
-# cos or row norm differ from math's; the tests that count its use need it on.
+# The scalar solve, and with it the knots, is off on a host whose numpy sin or
+# cos differ from math's; the tests that count its use need it on.
 scalar_solve_on = pytest.mark.skipif(
-    not linkmodel._scalar_solve_is_exact(), reason="numpy's sin, cos or norm differ from math's on this host"
+    not linkmodel._scalar_solve_is_exact(), reason="numpy's sin or cos differ from math's on this host"
 )
 
 
 def _lockstep_flights(link, emit_fs, direction):
     """Scalar solves of each emit time, stopped together as the array solve stops its photons."""
-    positions = linkmodel._scalar_positions(link.geometry)
-    equations = [linkmodel._light_time_equation(positions, float(t) / FS, direction) for t in emit_fs.tolist()]
-    taus = [tau for _, _, tau, _ in equations]
+    positions = _positions(link.geometry, math)
+    equations = [linkmodel._scalar_equation(positions, float(t) / FS, direction) for t in emit_fs.tolist()]
+    taus = [range_m / C for _, _, range_m, _ in equations]
     for _ in range(5):
         new_taus = [next_flight_s(tau) for (*_, next_flight_s), tau in zip(equations, taus)]
         steps, taus = [abs(new - tau) for new, tau in zip(new_taus, taus)], new_taus
@@ -335,6 +332,40 @@ def test_scalar_light_time_matches_the_array_solve(direction):
     for t in emit.tolist():
         (alone,), _ = linkmodel._flight_times_fs(link, np.array([t]), direction)
         assert _lockstep_flights(link, np.array([t]), direction)[0] == alone == time_of_flight(link, t, direction)
+
+
+def _mask_crossing(orbit, lo, hi):
+    """The first integer fs in (lo, hi] whose visibility differs from lo's, by bisection."""
+    rising = not _geometry_at(orbit, lo / FS).visible
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bool(_geometry_at(orbit, mid / FS).visible) != rising else (lo, mid)
+    return hi
+
+
+@scalar_solve_on
+def test_time_of_flight_at_the_mask_needs_no_array_solve(monkeypatch):
+    # sin(elevation) is the same float on both paths and meets the same
+    # sin(mask), so at leo_demo's rise and set, and within 1000 fs of them,
+    # the scalar solve decides visibility as the array does
+    orbit = _leo_demo_edge_orbit()
+    link = LinkModel(geometry=orbit)
+    solve, calls = linkmodel._light_time_flights_s, []
+    monkeypatch.setattr(linkmodel, "_light_time_flights_s", lambda *args: calls.append(args) or solve(*args))
+    for crossing in (_mask_crossing(orbit, -300 * FS, 0), _mask_crossing(orbit, 200 * FS, 300 * FS)):
+        seen = set()
+        for t in (crossing + d for d in (0, 1, -1, 10, -10, 1000, -1000)):
+            for direction in Direction:
+                (flight,), (visible,) = linkmodel._flight_times_fs(link, np.array([t]), direction)
+                seen.add(bool(visible))
+                calls.clear()
+                if visible:
+                    assert time_of_flight(link, t, direction) == flight
+                else:
+                    with pytest.raises(NotVisibleError):
+                        time_of_flight(link, t, direction)
+                assert calls == []
+        assert seen == {True, False}
 
 
 def test_shapiro_links_keep_the_array_solve(monkeypatch):
@@ -363,15 +394,14 @@ def test_a_host_whose_numpy_differs_keeps_the_array_solve(monkeypatch):
 
 def test_coincident_endpoints_are_not_visible():
     # station and satellite both at (R + 550 km, 0, 0) at t = 0: a zero range
-    # has no elevation (0/0, which numpy warns of), and the array solve calls
-    # it not visible
+    # has no elevation, and the array solve calls it not visible without
+    # dividing by it (pytest turns numpy's 0/0 warning into an error)
     link = LinkModel(geometry=CircularOrbit(altitude=550e3, ground_station=GroundStation(alt=550e3)))
-    with np.errstate(invalid="ignore"):
-        assert _geometry_at(link.geometry, np.array([0.0])).range_m[0] == 0
-        for direction in Direction:
-            with pytest.raises(NotVisibleError):
-                time_of_flight(link, 0, direction)
-            assert len(propagate(np.array([0]), link, direction, (44,))) == 0
+    assert _geometry_at(link.geometry, np.array([0.0])).range_m[0] == 0
+    for direction in Direction:
+        with pytest.raises(NotVisibleError):
+            time_of_flight(link, 0, direction)
+        assert len(propagate(np.array([0]), link, direction, (44,))) == 0
 
 
 class _ExactCounter:
@@ -442,10 +472,7 @@ def test_orbit_propagate_matches_on_a_few_photons(monkeypatch):
 @scalar_solve_on
 def test_orbit_propagate_matches_across_the_elevation_mask(monkeypatch):
     orbit = _leo_demo_edge_orbit()
-    lo, hi = 200 * FS, 300 * FS  # leo_demo's pass sets below the mask in between
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _geometry_at(orbit, mid / FS).visible else (lo, mid)
+    hi = _mask_crossing(orbit, 200 * FS, 300 * FS)  # leo_demo's pass sets below the mask in between
     counter = _ExactCounter(monkeypatch)
     link = LinkModel(geometry=orbit)
     rng = np.random.default_rng(36)

@@ -988,6 +988,21 @@ def test_ground_station_past_the_altitude_bound_exits_two(tmp_path, capsys, alt_
     assert "['alt_m']" in err and "maximum" in err and "Traceback" not in err
 
 
+def test_relativity_at_coincident_endpoints_exits_zero(tmp_path):
+    # a ground station at the orbit's altitude meets the satellite at t = 0:
+    # relativity printed numpy's "invalid value encountered in divide" for the
+    # elevation of the zero range, which now reads not visible without it
+    link = _leo()["topology"]["edges"][0]["link"]
+    geometry = link["geometry"]
+    geometry["ground_station"]["alt_m"] = geometry["altitude_m"] = 550000
+    del geometry["phase0_rad"]
+    result = _cli_subprocess(tmp_path, "relativity", {"seed": 1, "link": link})
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    first = json.loads(result.stdout)["samples"][0]
+    assert first["t_s"] == 0 and first["range_m"] == 0 and first["visible"] is False
+
+
 def test_net_horizon_shorter_than_one_interval_exits_two(tmp_path, capsys):
     code, _, err = _net(tmp_path, capsys, _two_node_net(1, 5, 5))
     assert code == 2

@@ -12,7 +12,7 @@ subtraction from the remote stream, and pair p is local tag p // R with
 remote tag p % R, R the remote stream's length.
 
 The coarse estimate is the first coarse bin holding the most pairs, found
-exactly by one of two routes that give the same bin and count:
+exactly by one of two window routes that give the same bin and count:
 - A bounded search, for windows with many pairs per tag. Both streams are
   folded onto N superbins of M coarse bins, N the smallest 5-smooth integer
   above the window's superbin count (for folds coarser than the floor,
@@ -37,6 +37,20 @@ exactly by one of two routes that give the same bin and count:
   than 2**32 bins); runs of equal offsets give the sparse coarse histogram
   (coarse_histogram). A window of one chunk whose pairs can fill no more
   bins than it has pairs counts its offsets by bin instead of sorting them.
+
+A correlation given a predicted difference, as estimate_two_way gives the
+B->A one from the link's round trip (d_BA = T_AB + T_BA - d_AB, where the
+clock offset cancels), first enumerates only the coarse bins within
+refine_span_bins + _RETURN_SLACK_BINS of it, as one visit. That applies to
+a window that holds every pair or takes the bounded search, whose pair
+count is known without enumerating them; a window enumerated by runs is
+searched whole at once, since counting its pairs costs what the region
+saves. The region's first largest bin is the window's whenever the
+window's lies in the region, and everything after the peak is computed
+over the window as on the other routes, so the result is then the same.
+A region holding no pair, a region peak within refine_span_bins of the
+region's edge, and one that fails the significance test send the search
+to the whole window.
 
 The background is every window bin, empty ones included, except the
 peak's +-refine_span_bins coarse bins (the peak span; a span reaching past
@@ -110,6 +124,7 @@ _MAX_SUPERBINS = 1 << 20  # larger folds cost more in FFTs than they save
 _VISIT_BUDGET = 64  # most superbins one level of the bounded search enumerates
 _PROBE_SUPERBINS = 1 << 11  # most superbins of the probe fold; windows with no more at the floor are not probed
 _BOUND_SIGMAS = 5.0  # Poisson sigmas the expected accidental bound of a coarse level keeps below the probe's count
+_RETURN_SLACK_BINS = 64  # coarse bins beyond the peak span that a predicted search covers on each side
 # The bounded search costs about as much as enumerating _PAIRS_PER_BOUND
 # pairs per fold bin and per tag, plus a fixed cost that only windows of at
 # least _MIN_BOUND_PAIRS pairs repay.
@@ -314,10 +329,9 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     offset_dtype = np.uint32 if bin_hi - bin_lo < 2**32 else np.uint64
     shift = origin + bin_lo * cfg.coarse_bin
     n, window = len(remote_ts), cfg.search_window
-    # the smallest and largest differences the streams can form
-    d_min, d_max = int(remote_ts[0]) - int(local_ts[-1]), int(remote_ts[-1]) - int(local_ts[0])
+    d_max = int(remote_ts[-1]) - int(local_ts[0])  # the largest difference the streams can form
     top = (min(window, d_max) - shift) // cfg.coarse_bin + 1  # one past the last bin a window pair can fill
-    if -window <= d_min and d_max <= window:
+    if _holds_every_pair(local_ts, remote_ts, cfg):
         # Sorts and blocks take whole rows: at least one, each no longer than its remote stream.
         runs, total = None, len(local_ts) * n
         chunk_pairs, block_pairs = max(_CHUNK_PAIRS // n, 1) * n, max(_BLOCK_PAIRS // n, 1) * n
@@ -413,17 +427,42 @@ def _superbin_bounds(
 
 
 class _Visit(NamedTuple):
-    """The window pairs of one superbin, as _superbin_counts enumerated them.
+    """The window pairs of a run of coarse bins, as _bin_counts enumerated them.
 
     offsets holds each pair's coarse bin minus first_bin, numbered as in
     runs, like CoarseHistogram's; counts holds the pairs of each of the
-    superbin's coarse bins.
+    run's coarse bins.
     """
 
     first_bin: int
     counts: np.ndarray
     offsets: np.ndarray  # uint64
     runs: _PairRuns
+
+
+def _bin_counts(
+    local_ts: np.ndarray,
+    remote_ts: np.ndarray,
+    origin: int,
+    first_bin: int,
+    bins: int,
+    limit: int,
+    cfg: CorrelationConfig,
+) -> _Visit | None:
+    """Exact counts of coarse bins first_bin .. first_bin + bins - 1, clipped to the window.
+
+    They come with the bins' pairs and their runs (see _Visit). None,
+    before any pair is made, when the bins hold more than limit pairs.
+    """
+    lo = origin + first_bin * cfg.coarse_bin  # the first bin's first difference
+    start, stop = max(-cfg.search_window, lo), min(cfg.search_window + 1, lo + bins * cfg.coarse_bin)
+    runs = _pair_runs(local_ts, remote_ts, start, stop)
+    if runs.ends[-1] > limit:
+        return None
+    offsets = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), start)
+    offsets += start - lo
+    offsets //= cfg.coarse_bin
+    return _Visit(first_bin, np.bincount(offsets, minlength=bins), offsets.view(np.uint64), runs)
 
 
 def _superbin_counts(
@@ -435,25 +474,40 @@ def _superbin_counts(
     limit: int,
     cfg: CorrelationConfig,
 ) -> _Visit | None:
-    """Exact counts of the coarse bins of one superbin of bins coarse bins, clipped to the window.
+    """_bin_counts of one superbin of bins coarse bins."""
+    return _bin_counts(local_ts, remote_ts, origin, superbin * bins, bins, limit, cfg)
 
-    They come with the superbin's pairs and their runs (see _Visit). None,
-    before any pair is made, when the superbin holds more than limit pairs.
+
+def _bounded_total(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> int:
+    """The window's pair count when the bounded search may repay its FFTs, else 0.
+
+    0 sends the window to the enumeration (see _bounded_peak), when the
+    floor fold would exceed _MAX_SUPERBINS or the window's pairs, estimated
+    and then counted, are too few.
     """
-    width = bins * cfg.coarse_bin
-    lo = origin + superbin * width  # the superbin's first difference
-    start, stop = max(-cfg.search_window, lo), min(cfg.search_window + 1, lo + width)
-    runs = _pair_runs(local_ts, remote_ts, start, stop)
-    if runs.ends[-1] > limit:
-        return None
-    offsets = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), start)
-    offsets += start - lo
-    offsets //= cfg.coarse_bin
-    return _Visit(superbin * bins, np.bincount(offsets, minlength=bins), offsets.view(np.uint64), runs)
+    if len(local_ts) * len(remote_ts) < _MIN_BOUND_PAIRS:  # too few pairs in any window, or none
+        return 0
+    origin = int(remote_ts[0]) - int(local_ts[0])
+    # the differences the streams can form inside the window
+    d_lo = max(-cfg.search_window, int(remote_ts[0]) - int(local_ts[-1]))
+    d_hi = min(cfg.search_window, int(remote_ts[-1]) - int(local_ts[0]))
+    width = _SUPERBIN_BINS * cfg.coarse_bin
+    n = _fold_length((d_hi - origin) // width - (d_lo - origin) // width + 1)
+    spans = int(local_ts[-1]) - int(local_ts[0]), int(remote_ts[-1]) - int(remote_ts[0])
+    if n > _MAX_SUPERBINS or width > cfg.search_window or max(spans) >= INT64_LIMIT:
+        return 0
+    # Uniform streams would hold about this many window pairs. The estimate
+    # keeps windows with few pairs per tag off the binary searches below, so
+    # they are searched at most once, by coarse_histogram.
+    needed = max(_MIN_BOUND_PAIRS, _PAIRS_PER_BOUND * (n + len(local_ts) + len(remote_ts)))
+    if len(local_ts) * len(remote_ts) * min(1.0, (2 * cfg.search_window + 1) / (max(spans) + 1)) < needed:
+        return 0
+    total = int(_pair_runs(local_ts, remote_ts, -cfg.search_window, cfg.search_window + 1).ends[-1])
+    return total if total >= needed else 0
 
 
 def _bounded_peak(
-    local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig
+    local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig, total: int | None = None
 ) -> tuple[int, int, int, _Visit] | None:
     """The first coarse bin with the most window pairs, its count, the window's pairs, and the bin's visit.
 
@@ -498,12 +552,14 @@ def _bounded_peak(
     level runs with a budget of its own, so the probe never gives up where
     the floor alone succeeds.
 
-    Returns None, and the caller enumerates the whole window instead, when
-    the floor fold would exceed _MAX_SUPERBINS, when the window's pairs
-    cannot repay the FFTs, or when the floor level's visits would exceed
-    _VISIT_BUDGET superbins or an eighth of the window's pairs.
+    total is the window's pair count as _bounded_total gives it, counted
+    here when not given. Returns None, and the caller enumerates the whole
+    window instead, when that count is 0 or when the floor level's visits
+    would exceed _VISIT_BUDGET superbins or an eighth of the window's pairs.
     """
-    if len(local_ts) * len(remote_ts) < _MIN_BOUND_PAIRS:  # too few pairs in any window, or none
+    if total is None:
+        total = _bounded_total(local_ts, remote_ts, cfg)
+    if not total:
         return None
     origin = int(remote_ts[0]) - int(local_ts[0])
     # the differences the streams can form inside the window
@@ -513,20 +569,6 @@ def _bounded_peak(
     def superbins(bins: int) -> int:
         width = bins * cfg.coarse_bin
         return (d_hi - origin) // width - (d_lo - origin) // width + 1
-
-    n = _fold_length(superbins(_SUPERBIN_BINS))
-    spans = int(local_ts[-1]) - int(local_ts[0]), int(remote_ts[-1]) - int(remote_ts[0])
-    if n > _MAX_SUPERBINS or _SUPERBIN_BINS * cfg.coarse_bin > cfg.search_window or max(spans) >= INT64_LIMIT:
-        return None
-    # Uniform streams would hold about this many window pairs. The estimate
-    # keeps windows with few pairs per tag off the binary searches below, so
-    # they are searched at most once, by coarse_histogram.
-    needed = max(_MIN_BOUND_PAIRS, _PAIRS_PER_BOUND * (n + len(local_ts) + len(remote_ts)))
-    if len(local_ts) * len(remote_ts) * min(1.0, (2 * cfg.search_window + 1) / (max(spans) + 1)) < needed:
-        return None
-    total = int(_pair_runs(local_ts, remote_ts, -cfg.search_window, cfg.search_window + 1).ends[-1])
-    if total < needed:
-        return None
 
     best = [0, 0, None]  # the first coarse bin with the most pairs in the visited superbins, its count and visit
     visited = []  # (width in coarse bins, superbin) of each enumerated superbin
@@ -647,22 +689,87 @@ def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
         keep = inside
 
 
-def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> CorrelationResult:
+def _holds_every_pair(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> bool:
+    """Whether every difference the (non-empty) streams can form lies inside the window."""
+    window = cfg.search_window
+    return -window <= int(remote_ts[0]) - int(local_ts[-1]) and int(remote_ts[-1]) - int(local_ts[0]) <= window
+
+
+def _region_peak(
+    local_ts: np.ndarray, remote_ts: np.ndarray, predicted: int, total: int, cfg: CorrelationConfig
+) -> tuple[int, int, int, _Visit] | None:
+    """The first coarse bin with the most pairs near a predicted difference, its count, total and visit.
+
+    The region is the coarse bins within refine_span_bins +
+    _RETURN_SLACK_BINS of predicted's bin, clipped to the window, enumerated
+    as one visit; total is the window's pair count, passed through. None,
+    and the caller searches the window, when the region holds no pair or
+    its peak lies within refine_span_bins of the region's edge.
+    """
+    origin = int(remote_ts[0]) - int(local_ts[0])
+    bin_lo, bin_hi = _window_bin_range(origin, cfg)
+    reach, centre = cfg.refine_span_bins, (predicted - origin) // cfg.coarse_bin
+    first = max(centre - reach - _RETURN_SLACK_BINS, bin_lo)
+    bins = min(centre + reach + _RETURN_SLACK_BINS, bin_hi) + 1 - first
+    if bins < 2 * reach + 3:  # no bin lies more than reach bins inside the region, or it misses the window
+        return None
+    visit = _bin_counts(local_ts, remote_ts, origin, first, bins, total, cfg)
+    i = int(np.argmax(visit.counts))
+    if visit.counts[i] == 0 or not reach < i < bins - 1 - reach:
+        return None
+    return first + i, int(visit.counts[i]), total, visit
+
+
+def cross_correlate(
+    local, remote, cfg: CorrelationConfig | None = None, predicted: int | None = None
+) -> CorrelationResult:
     """Locate the coincidence peak of (remote - local) differences.
 
-    Raises NoPeakError when the best coarse bin is not significant against
-    the off-peak background, and EmptyOverlapError when the window holds no
-    pairs at all.
+    Given predicted, the difference (fs) where the peak is expected, a window
+    that holds every pair or takes the bounded search is first searched only
+    near it (_region_peak). A region peak that is not significant, or that
+    _region_peak declines, sends the search to the whole window; a window
+    enumerated by runs is searched whole at once. Raises NoPeakError when
+    the best coarse bin is not significant against the off-peak background,
+    and EmptyOverlapError when the window holds no pairs at all.
     """
     cfg = cfg or CorrelationConfig()
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
-    found, hist = _bounded_peak(local_ts, remote_ts, cfg), None
+    total = None  # the window's pairs as _bounded_total counts them, once counted
+    if predicted is not None and len(local_ts) and len(remote_ts):
+        if _holds_every_pair(local_ts, remote_ts, cfg):
+            region_total = len(local_ts) * len(remote_ts)
+        else:
+            region_total = total = _bounded_total(local_ts, remote_ts, cfg)
+        found = _region_peak(local_ts, remote_ts, int(predicted), region_total, cfg) if region_total else None
+        if found is not None:
+            try:
+                return _peak_result(local_ts, remote_ts, cfg, *found)
+            except NoPeakError:
+                pass
+    found = _bounded_peak(local_ts, remote_ts, cfg, total)
     if found is None:
         hist = coarse_histogram(local_ts, remote_ts, cfg)
         i_max = int(np.argmax(hist.counts))  # first max: ties break toward smallest offset
         total = len(local_ts) * len(remote_ts) if hist.runs is None else int(hist.runs.ends[-1])
-        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total, None
-    peak_bin, peak_counts, total, visit = found
+        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total, hist
+    return _peak_result(local_ts, remote_ts, cfg, *found)
+
+
+def _peak_result(
+    local_ts: np.ndarray,
+    remote_ts: np.ndarray,
+    cfg: CorrelationConfig,
+    peak_bin: int,
+    peak_counts: int,
+    total: int,
+    enumerated: _Visit | CoarseHistogram,
+) -> CorrelationResult:
+    """cross_correlate's result from the coarse peak, the window's pair count and the pairs that found the peak.
+
+    The peak span's pairs are taken from enumerated when it lists them all:
+    a visit covering the span, or a histogram that kept its offsets.
+    """
     origin = int(remote_ts[0]) - int(local_ts[0])
     bin_lo, bin_hi = _window_bin_range(origin, cfg)
     # A span reaching past every window bin from any peak is clipped to that reach.
@@ -674,10 +781,11 @@ def cross_correlate(local, remote, cfg: CorrelationConfig | None = None) -> Corr
     # They are exactly the pairs of the coarse bins the background excludes.
     span_lo = origin + (peak_bin - reach) * cfg.coarse_bin
     span = (2 * reach + 1) * cfg.coarse_bin
-    if hist is None:  # the bounded route: the peak's visit lists them when it covers the span
-        listed = visit if visit.first_bin <= excl_lo and excl_hi < visit.first_bin + len(visit.counts) else None
-    else:
-        listed = hist if hist.offsets is not None else None
+    if isinstance(enumerated, _Visit):  # when it covers the span
+        covers = enumerated.first_bin <= excl_lo and excl_hi < enumerated.first_bin + len(enumerated.counts)
+        listed = enumerated if covers else None
+    else:  # when the window took one sort
+        listed = enumerated if enumerated.offsets is not None else None
     if listed is not None:
         # Taken from the pairs already enumerated. The unsigned offsets relative
         # to the span's first bin wrap past the last for the pairs below it.
@@ -804,13 +912,18 @@ def two_way_offset(
 
 
 def estimate_two_way(
-    local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig | None = None
+    local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig | None = None, round_trip: int | None = None
 ) -> TwoWayResult:
-    """Two-way offset, flight time and rate: each direction correlated once, then two_way_offset."""
+    """Two-way offset, flight time and rate: each direction correlated once, then two_way_offset.
+
+    Given round_trip, the link's T_AB + T_BA in fs, the B->A peak is
+    searched first at round_trip - d_AB, where the round trip puts it
+    whatever the clock offset (see cross_correlate's predicted).
+    """
     cfg = cfg or CorrelationConfig()
     la = _timestamps(local_a)
     d_ab = cross_correlate(la, remote_ab, cfg)
-    d_ba = cross_correlate(local_b, remote_ba, cfg)
+    d_ba = cross_correlate(local_b, remote_ba, cfg, None if round_trip is None else round_trip - d_ab.peak_offset)
     return two_way_offset(d_ab, d_ba, (int(la[0]), int(la[-1])), cfg.block_count)
 
 

@@ -68,6 +68,11 @@ class SessionStreams:
     local_b: TagStream
     remote_ba: TagStream
     truth: SessionTruth
+    # fs, the link model's flight_ab + flight_ba at the midpoint: the
+    # ephemeris, independent of both clocks (the clock offset and any
+    # nonreciprocity_bias cancel in it), as an operator would know it.
+    # estimate_session uses it only to place the B->A peak search.
+    round_trip_fs: int
 
 
 # Per direction: the channel and frame of the local stream, then of the remote one.
@@ -182,9 +187,15 @@ def run_session(
         local_b=local_b,
         remote_ba=remote_ba,
         truth=truth,
+        round_trip_fs=truth.flight_ab_fs + truth.flight_ba_fs,
     )
 
 
 def estimate_session(streams: SessionStreams, cfg: CorrelationConfig | None = None) -> TwoWayResult:
-    """Full two-way estimate from a session's four streams (see estimate_two_way)."""
-    return estimate_two_way(streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, cfg)
+    """Full two-way estimate from a session's four streams, the return search placed by its round trip.
+
+    See estimate_two_way.
+    """
+    return estimate_two_way(
+        streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, cfg, streams.round_trip_fs
+    )

@@ -38,11 +38,13 @@ exactly by one of two window routes that give the same bin and count:
   (coarse_histogram). A window of one chunk whose pairs can fill no more
   bins than it has pairs counts its offsets by bin instead of sorting them.
 
-A correlation given a predicted difference, as estimate_two_way gives the
-B->A one from the link's round trip (d_BA = T_AB + T_BA - d_AB, where the
-clock offset cancels), first enumerates only the coarse bins within
-refine_span_bins + _RETURN_SLACK_BINS of it, as one visit. That applies to
-a window that holds every pair or takes the bounded search, whose pair
+A correlation given a predicted difference first enumerates only the
+coarse bins within refine_span_bins + _RETURN_SLACK_BINS of it, as one
+visit. estimate_two_way predicts the B->A difference from the link's round
+trip (d_BA = T_AB + T_BA - d_AB, where the clock offset cancels) and,
+given the clock offset theta_pred that a network sync predicts, the A->B
+one as (T_AB + T_BA) // 2 + theta_pred. The region search applies to a
+window that holds every pair or takes the bounded search, whose pair
 count is known without enumerating them; a window enumerated by runs is
 searched whole at once, since counting its pairs costs what the region
 saves. The region's first largest bin is the window's whenever the
@@ -912,17 +914,27 @@ def two_way_offset(
 
 
 def estimate_two_way(
-    local_a, remote_ab, local_b, remote_ba, cfg: CorrelationConfig | None = None, round_trip: int | None = None
+    local_a,
+    remote_ab,
+    local_b,
+    remote_ba,
+    cfg: CorrelationConfig | None = None,
+    round_trip: int | None = None,
+    predicted_offset: int | None = None,
 ) -> TwoWayResult:
     """Two-way offset, flight time and rate: each direction correlated once, then two_way_offset.
 
     Given round_trip, the link's T_AB + T_BA in fs, the B->A peak is
     searched first at round_trip - d_AB, where the round trip puts it
-    whatever the clock offset (see cross_correlate's predicted).
+    whatever the clock offset (see cross_correlate's predicted). Given
+    predicted_offset too, the clock offset (fs) that the A->B peak is
+    expected to show, that peak is searched first at round_trip // 2 +
+    predicted_offset.
     """
     cfg = cfg or CorrelationConfig()
     la = _timestamps(local_a)
-    d_ab = cross_correlate(la, remote_ab, cfg)
+    forward = None if round_trip is None or predicted_offset is None else round_trip // 2 + predicted_offset
+    d_ab = cross_correlate(la, remote_ab, cfg, forward)
     d_ba = cross_correlate(local_b, remote_ba, cfg, None if round_trip is None else round_trip - d_ab.peak_offset)
     return two_way_offset(d_ab, d_ba, (int(la[0]), int(la[-1])), cfg.block_count)
 

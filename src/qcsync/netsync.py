@@ -15,6 +15,21 @@ the error as b/2. Every sync derives its randomness from (master seed, edge
 index, event index), so removing one node's events never perturbs any other
 node's randomness, and single events can be replayed in isolation.
 
+The controller keeps a predicted offset of each node from the reference
+timescale, built only from what it measured and applied: 0 for every
+reference, unknown for every other node until it syncs. An applied sync on
+up -> down at true time t sets predicted[down] to predicted[up] + theta_hat
+- (offset_fix + round(rate_fix * t)), theta_hat being the estimate's
+clock_offset, or makes it unknown when predicted[up] is; a failed sync
+changes nothing. A sync whose two ends are both predicted passes their
+difference to the estimate, which searches the forward peak near it before
+the whole window (see estimate_two_way). The prediction only places that
+search: the fix is the whole window's whenever the window's peak lies in
+the searched region, and a clock that moved in a way the controller does
+not know about sends the search to the window. The first sync of an
+unsynced node, and any sync under an unpredicted upstream, still acquires
+over the whole window.
+
 A node failure is an event at its instant, ordered before the syncs at the
 same time: the node is down from then on, and the strata are recomputed
 once as shortest hop distance from the live reference set. At least one
@@ -203,19 +218,23 @@ def _stream(times: range, kind: int, index: int):
     return ((t, kind, index, k) for k, t in enumerate(times))
 
 
-def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple):
-    """Run one acquisition on the edge at true time t: (offset fix fs, rate fix).
+def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple, predicted_offset: int | None):
+    """Run one acquisition on the edge at true time t: (offset fix fs, rate fix, measured offset fs).
 
     A two-way estimate cancels the flight time only on a reciprocal link, and
     a moving endpoint breaks reciprocity by about T_f * rdot / c (nanoseconds
     for LEO). So the offset fix has the orbit model's half flight asymmetry
     (T_AB - T_BA)/2 removed, read from the session's own midpoint flights
     (0 on a static range). A configured nonreciprocity_bias stays in the
-    error as b/2.
+    error as b/2. The measured offset is the estimate's clock_offset, the
+    asymmetry still in it. Given predicted_offset, the offset the controller
+    expects it to be, the forward peak is searched there first; without
+    one, as at the first sync of an unsynced node, the forward peak is
+    acquired over the whole window.
     """
     spec = replace(edge.session, start_time=t)
     streams = run_session(spec, clocks[edge.upstream], clocks[edge.downstream], event_seed)
-    result = estimate_session(streams, edge.correlation)
+    result = estimate_session(streams, edge.correlation, predicted_offset)
     # The configured nonreciprocity_bias is left out because it stands for
     # asymmetry the operator does not know about. The truth flights are the
     # ephemeris solve plus the bias split, so any future linkmodel term that
@@ -223,8 +242,8 @@ def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple):
     truth = streams.truth
     asymmetry = _halve_toward_zero(truth.flight_ab_fs - truth.flight_ba_fs - spec.link.nonreciprocity_bias)
     if edge.track_frequency:
-        return result.frequency.offset_at_epoch - asymmetry, result.frequency.fractional_frequency
-    return result.clock_offset - asymmetry, 0.0
+        return result.frequency.offset_at_epoch - asymmetry, result.frequency.fractional_frequency, result.clock_offset
+    return result.clock_offset - asymmetry, 0.0, result.clock_offset
 
 
 def run_network(
@@ -272,6 +291,9 @@ def run_network(
     failures = sorted((t, 0, i, 0) for i, (_, t) in enumerate(topology.failures) if t <= horizon)
     syncs = [_stream(times, 1, edge_idx) for edge_idx, times in enumerate(sync_times)]
 
+    # the controller's predicted offset of each node from the reference
+    # timescale, from what it measured and applied alone; absent is unknown
+    predicted: dict[str, int] = dict.fromkeys(references, 0)
     dead: set[str] = set()
     strata = _strata(topology, dead)
     errors: dict[str, list[int]] = {n.id: [] for n in topology.nodes}
@@ -309,12 +331,19 @@ def run_network(
         else:
             attempts[index] += 1
             event_seed = (seed, "edge", index, "event", occurrence)
+            up_pred, down_pred = predicted.get(edge.upstream), predicted.get(edge.downstream)
             try:
-                offset_fix, rate_fix = _measure(edge, clocks, t, event_seed)
+                offset_fix, rate_fix, theta = _measure(
+                    edge, clocks, t, event_seed, None if up_pred is None or down_pred is None else down_pred - up_pred
+                )
             except (EstimationError, NotVisibleError) as exc:
                 record["outcome"] = f"failed: {exc}"
             else:
                 clocks[edge.downstream] = apply_correction(clocks[edge.downstream], offset_fix, rate_fix)
+                if up_pred is None:
+                    predicted.pop(edge.downstream, None)
+                else:
+                    predicted[edge.downstream] = up_pred + theta - (offset_fix + round(rate_fix * t))
                 successes[index] += 1
                 record.update(outcome="applied", offset_fix_fs=offset_fix, rate_fix=rate_fix)
         event_log.append(record)

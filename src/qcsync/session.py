@@ -71,7 +71,7 @@ class SessionStreams:
     # fs, the link model's flight_ab + flight_ba at the midpoint: the
     # ephemeris, independent of both clocks (the clock offset and any
     # nonreciprocity_bias cancel in it), as an operator would know it.
-    # estimate_session uses it only to place the B->A peak search.
+    # estimate_session uses it only to place the peak searches.
     round_trip_fs: int
 
 
@@ -191,11 +191,21 @@ def run_session(
     )
 
 
-def estimate_session(streams: SessionStreams, cfg: CorrelationConfig | None = None) -> TwoWayResult:
+def estimate_session(
+    streams: SessionStreams, cfg: CorrelationConfig | None = None, predicted_offset: int | None = None
+) -> TwoWayResult:
     """Full two-way estimate from a session's four streams, the return search placed by its round trip.
 
+    Given predicted_offset, the clock offset (fs) the estimate is expected
+    to show, the forward search is placed by it and the round trip as well.
     See estimate_two_way.
     """
     return estimate_two_way(
-        streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, cfg, streams.round_trip_fs
+        streams.local_a,
+        streams.remote_ab,
+        streams.local_b,
+        streams.remote_ba,
+        cfg,
+        streams.round_trip_fs,
+        predicted_offset,
     )

@@ -105,7 +105,8 @@ def test_golden_cli_simulate_and_estimate(tmp_path, capsys):
     assert _sha(payload) == GOLDEN[np.__version__]["cli"]
 
 
-def test_golden_network_with_tracked_edge():
+def tracked_network_section() -> dict:
+    """A reference steering g1 on a tracked edge and g1 steering g2 on an untracked one, over 30 ms."""
     quiet = {"pair_rate_hz": 2e7, "pair_correlation_sigma_fs": 0}
 
     def edge(up, down, tracked):
@@ -132,7 +133,7 @@ def test_golden_network_with_tracked_edge():
             out["track_frequency"] = True
         return out
 
-    section = {
+    return {
         "horizon_s": 0.03,
         "report_interval_s": 0.01,
         "nodes": [
@@ -142,7 +143,10 @@ def test_golden_network_with_tracked_edge():
         ],
         "edges": [edge("ref", "g1", True), edge("g1", "g2", False)],
     }
-    topology, horizon, report_interval = build_topology(section)
+
+
+def test_golden_network_with_tracked_edge():
+    topology, horizon, report_interval = build_topology(tracked_network_section())
     report = run_network(topology, horizon, 23, report_interval)
     assert sum(report.edge_successes) == sum(report.edge_attempts) > 0
     assert _sha(report.to_dict()) == GOLDEN[np.__version__]["network"]

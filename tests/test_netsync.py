@@ -419,7 +419,7 @@ def test_each_orbit_sync_solves_the_midpoint_flights_once(monkeypatch):
 def _correction(edge, t):
     """What _measure subtracts from the estimate at true time t."""
     clocks = {edge.upstream: ClockState(ClockModel()), edge.downstream: ClockState(ClockModel())}
-    offset_fix, rate_fix = netsync._measure(edge, clocks, t, (9, "oracle", t))
+    offset_fix, rate_fix, _ = netsync._measure(edge, clocks, t, (9, "oracle", t), None)
     assert rate_fix == 0.0
     return -offset_fix
 
@@ -429,7 +429,9 @@ def test_ephemeris_correction_matches_a_bias_free_solve(monkeypatch):
     # link with the bias removed. Reading the session's truth flights instead
     # gives the same value at even b; at odd b the b/2 split rounds in each
     # direction, which may move it by 1 fs.
-    monkeypatch.setattr(netsync, "estimate_session", lambda streams, cfg: SimpleNamespace(clock_offset=0))
+    monkeypatch.setattr(
+        netsync, "estimate_session", lambda streams, cfg, predicted_offset: SimpleNamespace(clock_offset=0)
+    )
     (edge,) = _leo_demo_topology()[0].edges
     known = dataclasses.replace(edge.session.link, nonreciprocity_bias=0)
     rng = random.Random(21)

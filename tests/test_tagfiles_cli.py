@@ -988,6 +988,62 @@ def test_ground_station_past_the_altitude_bound_exits_two(tmp_path, capsys, alt_
     assert "['alt_m']" in err and "maximum" in err and "Traceback" not in err
 
 
+def _station_at_the_earth_centre() -> dict:
+    link = _leo()["topology"]["edges"][0]["link"]
+    link["geometry"]["ground_station"]["alt_m"] = -6371000
+    return {"seed": 1, "link": link}
+
+
+# (id, command, config, what stderr must name or None), each run through
+# `python -m qcsync` as the installed console script runs it
+_EXIT_TWO = [
+    ("horizon-past-int64", "net", lambda: _set(_leo(), ("topology", "horizon_s"), 1e30), None),
+    ("report-epochs-past-the-bound", "net", lambda: _set(_leo(), ("topology", "report_interval_s"), 1e-9), None),
+    (
+        "syncs-past-the-bound",
+        "net",
+        lambda: _set(_set(_leo(), ("topology", "horizon_s"), 3), ("topology", "edges", 0, "interval_s"), 1e-15),
+        None,
+    ),
+    ("block-count-past-the-bound", "simulate", lambda: _set(_paper(), ("correlation", "block_count"), 10**9), None),
+    ("inclination-inf", "net", lambda: _set(_leo(), (*_ORBIT_KEYS, "inclination_rad"), math.inf), None),
+    ("significance-inf", "simulate", lambda: _set(_paper(), ("correlation", "significance_sigma"), math.inf), None),
+    (
+        "session-below-one-fs",
+        "net",
+        lambda: _set(_leo(), ("topology", "edges", 0, "session", "duration_s"), 1e-20),
+        "topology.edges[].session.duration_s",
+    ),
+    (
+        "interval-below-one-fs",
+        "net",
+        lambda: _set(_leo(), ("topology", "edges", 0, "interval_s"), 1e-20),
+        "topology.edges[].interval_s",
+    ),
+    ("station-at-the-earth-centre", "relativity", _station_at_the_earth_centre, "['alt_m']"),
+    (
+        "station-past-the-altitude-bound",
+        "net",
+        lambda: _set(_set(_leo(), ("topology", "horizon_s"), 3), (*_ORBIT_KEYS, "ground_station", "alt_m"), 1e300),
+        "alt_m",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, config, key", [case[1:] for case in _EXIT_TWO], ids=[case[0] for case in _EXIT_TWO])
+def test_config_error_exits_two_from_the_command_line(tmp_path, command, config, key):
+    # a horizon past 2^63 fs, more than 10^6 report epochs or syncs, and a
+    # block_count past 10^6 are config errors before the first sync or
+    # session; an infinite orbit inclination or significance exits 2, not as
+    # the "math domain error" of math.cos; a sub-fs session or interval and a
+    # ground station at the Earth's centre name their key; a station at
+    # alt_m 1e300 does too, with no numpy RuntimeWarning from its sines
+    result = _cli_subprocess(tmp_path, command, config())
+    assert result.returncode == 2, result.stderr
+    assert key is None or key in result.stderr
+    assert "math domain" not in result.stderr and "RuntimeWarning" not in result.stderr
+
+
 def test_relativity_at_coincident_endpoints_exits_zero(tmp_path):
     # a ground station at the orbit's altitude meets the satellite at t = 0:
     # relativity printed numpy's "invalid value encountered in divide" for the

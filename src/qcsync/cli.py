@@ -25,11 +25,11 @@ from .linkmodel import (
     LightTimeConvergenceError,
     NotVisibleError,
     StaticRange,
-    _flight_times_fs,
     _geometry_at,
     _shapiro_fs,
     orbital_period,
     relativistic_rate_offset,
+    time_of_flight,
     visibility_windows,
 )
 from .netsync import gps_baseline_comparison, run_network
@@ -170,8 +170,9 @@ def cmd_relativity(args) -> int:
     t_s = t_fs / FS_PER_SECOND
     geo = _geometry_at(geometry, t_s)
     visible = np.broadcast_to(geo.visible, t_s.shape)
+    # a grid time is an integral float, so its int is the same time
     flights = [
-        np.where(visible, _flight_times_fs(link, t_fs, direction)[0], None)
+        [time_of_flight(link, int(t), direction) if v else None for t, v in zip(t_fs.tolist(), visible.tolist())]
         for direction in Direction
     ]
     shapiro = _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m)

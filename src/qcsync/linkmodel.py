@@ -8,27 +8,21 @@ non-reciprocity is a constant signed bias split across the two directions.
 The physical constants (c, the Earth's GM, radius and rotation rate) are
 module constants in SI units.
 
-Orbit geometry (endpoint positions, their distance, sin(elevation) and the
-light-time update) is written once over a number module: numpy evaluates it
-for an array of times, math for one time in Python floats. Both make the same
-IEEE operations in the same order, and they give the same bits where numpy's
-float64 sin and cos are math's. numpy may send them to SIMD kernels by CPU
-and build, so each process compares them once on fixed angles
-(`_scalar_solve_is_exact`) and keeps the array solve everywhere if any
-differs. Visibility is sin(elevation) >= math.sin(mask) on both.
-
-The array solve serves grids (`qcsync relativity`, visibility windows),
-Shapiro links (numpy's log is its own SIMD code), coincident endpoints, the
-int64 edge and what the knots decline. `time_of_flight` solves one time in
-floats. `propagate` solves three knots, the first, middle and last emit time
-of a span up to about a millisecond on a LEO link, and takes each photon's
-flight from the quadratic through them. The truncation bound, from the third
-derivative of the range, sets the longest span. The rounding bound, a
-multiple of one evaluation's float noise measured on LEO to GEO orbits,
-marks the photons whose interpolated flight lies near a half-fs: those are
-solved exactly, at the array solve's iteration count, and the rest rounded.
-Visibility comes from the knots where each clears the mask by the rate bound
-over the span plus float noise, from each photon otherwise.
+Orbit geometry (endpoint positions, their distance and sin(elevation)) is
+written once over a number module: numpy evaluates it for an array of times
+(visibility windows, the sample grid of `qcsync relativity`), math for one
+time in Python floats. An orbit flight is one scalar solve at one emit time
+(`_knot`): the light-time iteration to convergence, the bias half and the
+Shapiro term. `time_of_flight` rounds that solve. `propagate` defines each
+photon's flight as the rounded value of a piecewise quadratic through such
+solves at knots half a piece apart, each piece at most
+`_Motion.longest_span_s` long (about 1.19 ms on a 550 km LEO link), so that
+its truncation stays below `_TRUNCATION_FS`. A photon whose flight lies
+within about 1e-3 fs of a half-fs, plus the solves' float noise (up to about
+0.005 fs over leo_demo's first pass, 0.04 fs over its second), may therefore
+round 1 fs away from `time_of_flight` at its emit time. Visibility is sin(elevation) >=
+math.sin(mask); `propagate` takes it from the knots where each clears the
+mask by a margin, from each photon otherwise.
 
 Convention: direction A_TO_B points from the ground-side endpoint to the
 space-side endpoint (for the static variant the two endpoints are symmetric
@@ -41,6 +35,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -196,22 +191,6 @@ def _visible(orbit: CircularOrbit, sin_el):
     return sin_el >= math.sin(orbit.elevation_mask)
 
 
-@functools.cache
-def _scalar_solve_is_exact() -> bool:
-    """Whether numpy's float64 sin and cos give the bits of math's on this host.
-
-    The geometry's other operations are arithmetic and sqrt, correctly rounded
-    in both. The two are compared on 1024 fixed angles as one long array, and
-    on the first 64 as one-element arrays. It is a check, not a proof.
-    """
-    angles = np.random.default_rng(0).uniform(-100.0, 100.0, 1024)
-    return all(
-        np.array_equal(ours(chunk), [theirs(u) for u in chunk.tolist()])
-        for ours, theirs in ((np.sin, math.sin), (np.cos, math.cos))
-        for chunk in (angles, *angles[:64, None])
-    )
-
-
 class _Geometry(NamedTuple):
     """The geometry at an array of true times; a static range has scalar fields."""
 
@@ -220,12 +199,10 @@ class _Geometry(NamedTuple):
     visible: np.ndarray
     r_station_m: np.ndarray
     r_sat_m: np.ndarray
-    station: tuple | None  # ECI (x, y, z) positions; None for the static variant
-    sat: tuple | None
 
 
 def _geometry_at(geometry: GeometryScenario, t_s: np.ndarray) -> _Geometry:
-    """Range, elevation, visibility, endpoint radii and positions at true times t_s (s).
+    """Range, elevation, visibility and endpoint radii at true times t_s (s).
 
     A static range is the same at every time: its fields are scalars that
     broadcast against t_s, so it builds no per-time arrays. It has no endpoint
@@ -234,7 +211,7 @@ def _geometry_at(geometry: GeometryScenario, t_s: np.ndarray) -> _Geometry:
     """
     if isinstance(geometry, StaticRange):
         r1, r = EARTH_RADIUS, geometry.range_m
-        return _Geometry(r, math.pi / 2, np.True_, r1, r1 + r, None, None)
+        return _Geometry(r, math.pi / 2, np.True_, r1, r1 + r)
     station_at, sat_at = _positions(geometry, np)
     station, sat = station_at(t_s), sat_at(t_s)
     range_m = _distance(sat, station, np)
@@ -242,7 +219,7 @@ def _geometry_at(geometry: GeometryScenario, t_s: np.ndarray) -> _Geometry:
     sin_el = _sin_elevation(station, sat, np.where(range_m > 0, range_m, np.nan), np)
     elevation = np.arcsin(np.clip(sin_el, -1.0, 1.0))
     r_station, r_sat = _distance(station, _ORIGIN, np), _distance(sat, _ORIGIN, np)
-    return _Geometry(range_m, elevation, _visible(geometry, sin_el), r_station, r_sat, station, sat)
+    return _Geometry(range_m, elevation, _visible(geometry, sin_el), r_station, r_sat)
 
 
 def orbital_period(geometry: CircularOrbit) -> float:
@@ -253,14 +230,14 @@ def orbital_period(geometry: CircularOrbit) -> float:
     return 2.0 * math.pi * math.sqrt(a**3 / GM_EARTH)
 
 
-def _shapiro_fs(r1, r2, straight_range):
-    """General-relativistic extra delay (2GM/c^3)ln((r1+r2+R)/(r1+r2-R)), in fs, for scalars or arrays.
+def _shapiro_fs(r1, r2, straight_range, m=np):
+    """General-relativistic extra delay (2GM/c^3)ln((r1+r2+R)/(r1+r2-R)), in fs, with number module m's log.
 
     A float, because the quantity is sub-fs-resolvable; callers round once
     when composing it into an integer flight time.
     """
     factor = 2.0 * GM_EARTH / SPEED_OF_LIGHT**3 * FS_PER_SECOND
-    return factor * np.log((r1 + r2 + straight_range) / (r1 + r2 - straight_range))
+    return factor * m.log((r1 + r2 + straight_range) / (r1 + r2 - straight_range))
 
 
 def relativistic_rate_offset(geometry: CircularOrbit) -> float:
@@ -281,62 +258,9 @@ def relativistic_rate_offset(geometry: CircularOrbit) -> float:
 
 
 # The light-time iteration updates the receiver at most this many times and
-# stops at the first update whose largest change is below the tolerance (s).
+# stops at the first update that changes the flight by less than the tolerance (s).
 _LIGHT_TIME_ITERATIONS = 5
 _LIGHT_TIME_TOLERANCE_S = 1e-15
-
-
-def _light_time_update(positions, station, sat, t_s, direction: Direction, m):
-    """The next flight estimate (s) from tau: the emitter at t_s to the receiver at t_s + tau, over c."""
-    station_at, sat_at = positions
-    emitter, receiver_at = (station, sat_at) if direction is Direction.A_TO_B else (sat, station_at)
-
-    def next_flight_s(tau):
-        return _distance(receiver_at(t_s + tau), emitter, m) / SPEED_OF_LIGHT
-
-    return next_flight_s
-
-
-def _light_time_flights_s(orbit: CircularOrbit, geo: _Geometry, emit_t_s: np.ndarray, direction: Direction):
-    """Flight times in seconds solving the light-time equation per photon: the array solve.
-
-    geo holds both endpoints at emit time; only the receiver is evaluated again,
-    at each estimate of the arrival time.
-    """
-    next_flight_s = _light_time_update(_positions(orbit, np), geo.station, geo.sat, emit_t_s, direction, np)
-    tau = geo.range_m / SPEED_OF_LIGHT
-    for _ in range(_LIGHT_TIME_ITERATIONS):
-        new_tau = next_flight_s(tau)
-        step = np.max(np.abs(new_tau - tau)) if len(tau) else 0.0
-        tau = new_tau
-        if step < _LIGHT_TIME_TOLERANCE_S:
-            return tau
-    raise LightTimeConvergenceError(f"light-time iteration exceeded {_LIGHT_TIME_ITERATIONS} iterations")
-
-
-def _flight_times_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Integer flight times and the emit-time visibility mask, broadcast against emit_fs.
-
-    emit_fs is int64, or float64 for a grid that reaches past 2^63 fs; emit
-    seconds are emit_fs / FS_PER_SECOND. A static range has one flight for
-    every photon (``_static_flight_fs``), so both results are scalars and no
-    per-photon array is built.
-    """
-    geometry = link.geometry
-    if isinstance(geometry, StaticRange):
-        return _static_flight_fs(link, direction), np.True_
-    emit_t_s = emit_fs / FS_PER_SECOND
-    geo = _geometry_at(geometry, emit_t_s)
-    flights_s = _light_time_flights_s(geometry, geo, emit_t_s, direction)
-    total_fs = _total_fs(link, flights_s, direction)
-    if link.include_shapiro:
-        total_fs = total_fs + _shapiro_fs(geo.r_station_m, geo.r_sat_m, geo.range_m)
-    return _rounded_fs(total_fs), geo.visible
-
-
-def _total_fs(link: LinkModel, flight_s, direction: Direction):
-    """Flight seconds as float fs, plus this direction's half of the bias."""
-    return flight_s * FS_PER_SECOND + direction.bias_sign * link.nonreciprocity_bias / 2.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -355,98 +279,63 @@ def _rounded_fs(total_fs):
     return np.rint(total_fs).astype(np.int64)
 
 
-# The rounding bound, in multiples of _noise_fs: a flight further than this
-# from a half-fs rounds the same way however it is solved. One evaluation's
-# noise was measured at up to 0.8 noise scales (RMS 0.2) on LEO to GEO orbits
-# against an 80-bit solve. A quadratic through three even knots carries at
-# most 1.25 times their noise, so an interpolated flight strays from the array
-# solve's by at most 2.25 times one evaluation's; 3.5 leaves room for 1.5
-# noise scales each. The bound is measured on five orbits, not proven; over
-# seeded leo_demo sessions the interpolation stays within half of it
-# (tests/test_linkmodel.py).
-_NOISE_MARGIN = 3.5
-# fs: the truncation of the three-knot quadratic over its longest span stays below this
+# fs: the truncation of a knot piece's quadratic stays below this
 _TRUNCATION_FS = 1e-3
-# The knots serve where at most this share of photons, those within the bound
-# of a half-fs, is expected to take the exact solve: at about 4 us each, more
-# would cost more than the array solve's 0.4 us per photon.
-_EXACT_SHARE_LIMIT = 0.1
-
-
-def _scalar_equation(positions, t_s: float, direction: Direction):
-    """The endpoints at emit time t_s (s) in Python floats, their range and the light-time update."""
-    station, sat = positions[0](t_s), positions[1](t_s)
-    next_flight_s = _light_time_update(positions, station, sat, t_s, direction, math)
-    return station, sat, _distance(sat, station, math), next_flight_s
 
 
 def _emit_seconds(emit_fs: int) -> float:
-    # as the array path divides int64 times: the integer rounds to a float first
+    # the integer rounds to a float first, as in emit_fs / FS_PER_SECOND on an int64 array
     return float(emit_fs) / FS_PER_SECOND
 
 
-def _noise_fs(orbit: CircularOrbit, t_s: float, total_fs: float) -> float:
-    """The float noise scale (fs) of one flight evaluation at emit time t_s.
+def _knot(link: LinkModel, t_s: float, direction: Direction) -> tuple[float, float]:
+    """An orbit link's flight at emit time t_s (s), as float fs, and sin(elevation) there.
 
-    Each rounding moves the result by at most 2^-53 of the magnitude it
-    rounds. The largest magnitudes are the endpoint radii, turned through
-    their angles (the orbit's argument of latitude and the station's
-    longitude, with the roundings of rate * t and of t itself), over c, and
-    the total itself. This sums them once, times 2^-53.
+    The flight is the light-time solve in Python floats: the receiver is
+    evaluated again at each estimate of the arrival time, at most
+    _LIGHT_TIME_ITERATIONS times, until an update moves the flight by less
+    than _LIGHT_TIME_TOLERANCE_S. It carries this direction's half of the
+    bias and, if the link includes it, the Shapiro term at emit time. The
+    sine is NaN, not visible, where the endpoints coincide.
     """
-    gs, t = orbit.ground_station, abs(t_s)
-    a, r = EARTH_RADIUS + orbit.altitude, EARTH_RADIUS + gs.alt
-    n = math.sqrt(GM_EARTH / a**3)
-    turned_m = a * (1 + abs(orbit.phase0) + 3 * n * t) + r * (1 + abs(gs.lon) + 3 * EARTH_ROTATION_RATE * t)
-    return 2.0**-53 * (turned_m / SPEED_OF_LIGHT * FS_PER_SECOND + 4 * abs(total_fs))
-
-
-def _near_half(total_fs, rounded, bound_fs):
-    """Whether a total lies within bound_fs of a half-fs, where its rounding is at stake."""
-    return abs(abs(total_fs - rounded) - 0.5) <= bound_fs
+    station_at, sat_at = _positions(link.geometry, math)
+    station, sat = station_at(t_s), sat_at(t_s)
+    emitter, receiver_at = (station, sat_at) if direction is Direction.A_TO_B else (sat, station_at)
+    range_m = _distance(sat, station, math)
+    tau = range_m / SPEED_OF_LIGHT
+    for _ in range(_LIGHT_TIME_ITERATIONS):
+        tau, previous = _distance(receiver_at(t_s + tau), emitter, math) / SPEED_OF_LIGHT, tau
+        if abs(tau - previous) < _LIGHT_TIME_TOLERANCE_S:
+            break
+    else:
+        raise LightTimeConvergenceError(f"light-time iteration exceeded {_LIGHT_TIME_ITERATIONS} iterations")
+    total = tau * FS_PER_SECOND + direction.bias_sign * link.nonreciprocity_bias / 2.0
+    if link.include_shapiro:
+        total += _shapiro_fs(_distance(station, _ORIGIN, math), _distance(sat, _ORIGIN, math), range_m, math)
+    return total, _sin_elevation(station, sat, range_m, math) if range_m > 0 else math.nan
 
 
 def time_of_flight(link: LinkModel, true_emit_time: int, direction: Direction) -> int:
     """One-way flight time in integer fs for a photon emitted at true_emit_time.
 
-    An orbit link solves the one emit time in Python floats, with the array
-    solve's iteration limit and errors, and compares sin(elevation) with the
-    mask as the array does. Where the endpoints coincide or the total nears
-    the int64 range, the array solve decides, as it does for static and
-    Shapiro links and on a host where the scalar solve is not exact.
+    An orbit link rounds one scalar solve (``_knot``) and compares
+    sin(elevation) with the mask. ``propagate`` may give a photon emitted at
+    the same time a flight 1 fs away, where the flight lies within about
+    1e-3 fs of a half-fs plus the solves' float noise.
     """
-    orbit = link.geometry
-    if (
-        isinstance(orbit, CircularOrbit)
-        and not link.include_shapiro
-        and abs(true_emit_time) < INT64_LIMIT
-        and _scalar_solve_is_exact()
-    ):
-        station, sat, range_m, next_flight_s = _scalar_equation(
-            _positions(orbit, math), _emit_seconds(true_emit_time), direction
-        )
-        tau = range_m / SPEED_OF_LIGHT
-        for _ in range(_LIGHT_TIME_ITERATIONS):
-            tau, previous = next_flight_s(tau), tau
-            if abs(tau - previous) < _LIGHT_TIME_TOLERANCE_S:
-                break
-        else:
-            raise LightTimeConvergenceError(f"light-time iteration exceeded {_LIGHT_TIME_ITERATIONS} iterations")
-        total = _total_fs(link, tau, direction)
-        if range_m > 0 and abs(total) < INT64_LIMIT / 2:
-            if not _visible(orbit, _sin_elevation(station, sat, range_m, math)):
-                raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
-            return round(total)
-    flights, visible = _flight_times_fs(link, np.array([true_emit_time], dtype=np.int64), direction)
-    if not visible.item():
+    if isinstance(link.geometry, StaticRange):
+        return int(_static_flight_fs(link, direction))
+    total, sin_el = _knot(link, _emit_seconds(true_emit_time), direction)
+    flight = int(_rounded_fs(total))
+    if not _visible(link.geometry, sin_el):
         raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
-    return flights.item()
+    return flight
 
 
 class _Motion(NamedTuple):
-    longest_span_s: float  # the longest knot span whose truncation stays below _TRUNCATION_FS
+    longest_span_s: float  # the longest knot piece whose truncation stays below _TRUNCATION_FS
     elevation_rate: float  # rad/s, at least |d elevation / dt|, and so at least |d sin(elevation) / dt|
-    least_range_m: float
+    sine_noise: float  # at least the float noise of sin(elevation) at any int64 emit time
 
 
 @functools.lru_cache(maxsize=256)
@@ -461,101 +350,72 @@ def _motion(orbit: CircularOrbit) -> _Motion | None:
     flight's arrival-time argument. A quadratic through knots h/2 apart
     misses a function by at most its third derivative times h^3 / (72 sqrt 3).
     The line of sight turns at most at V_1 / rho, and the local vertical at w.
+    A position's float noise grows with the angle its endpoint has turned
+    through, largest at the end of the int64 range; over rho it bounds the
+    sine's, here with a factor 8 to spare.
     """
-    a, r = EARTH_RADIUS + orbit.altitude, EARTH_RADIUS + orbit.ground_station.alt
+    gs = orbit.ground_station
+    a, r = EARTH_RADIUS + orbit.altitude, EARTH_RADIUS + gs.alt
     rho = abs(a - r)
     if rho == 0:
         return None
     n, w = math.sqrt(GM_EARTH / a**3), EARTH_ROTATION_RATE
     v1, v2, v3 = (a * n**k + r * w**k for k in (1, 2, 3))
     third_fs = 2 * (v3 + 6 * v1 * v2 / rho + 6 * v1**3 / rho**2) / SPEED_OF_LIGHT * FS_PER_SECOND
-    return _Motion((_TRUNCATION_FS * 72 * math.sqrt(3) / third_fs) ** (1 / 3), v1 / rho + w, rho)
+    t = INT64_LIMIT / FS_PER_SECOND
+    turned_m = a * (1 + abs(orbit.phase0) + n * t) + r * (1 + abs(gs.lon) + w * t)
+    return _Motion((_TRUNCATION_FS * 72 * math.sqrt(3) / third_fs) ** (1 / 3), v1 / rho + w, 2.0**-50 * turned_m / rho)
 
 
-def _knot_flights_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction):
-    """Flights and visibility of sorted int64 emit times, from scalar solves at three knots.
+def _orbit_flights_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction):
+    """Flights and visibility of sorted int64 emit times on an orbit link, from knots.
 
-    Returns None where the array solve must decide, and for a span longer
-    than _Motion.longest_span_s. The knots are the first, middle and last
-    emit times. Each photon's flight is the quadratic through them:
-    - further than _NOISE_MARGIN noise scales plus the truncation from a
-      half-fs, it is rounded;
-    - otherwise that photon is solved exactly, at the array solve's
-      iteration count.
-
-    The knots are solved in lockstep, as the array solves its photons. The
-    array stops at the first iteration in which every photon's step is below
-    the tolerance. An end knot still stepping past it in each earlier
-    iteration shows that the array needs as many. A step scales with a
-    power of the range rate over c, which moves little between knots, so
-    knot steps below half the tolerance show that every photon's is below
-    it. Visibility comes from the knots where each sin(elevation) clears
-    the mask's by the elevation rate times a quarter span, the furthest a
-    photon lies from its nearest knot, plus its float noise; otherwise from
-    each photon, as the array path does.
+    The span from the first to the last emit time is cut into the fewest
+    even pieces no longer than _Motion.longest_span_s. Each piece has knots
+    at its ends and its middle, and a photon's flight is the rounded
+    quadratic through its piece's three. Each photon is its own knot where
+    the endpoints may meet (no truncation bound), where the span holds no
+    three distinct knots, or where there would be as many knots as photons.
+    Visibility comes from the knots where each sin(elevation) clears the
+    mask's by the elevation rate times a quarter piece, the furthest a
+    photon lies from its nearest knot, plus float noise; otherwise from
+    each photon's ``_geometry_at``.
     """
-    orbit = link.geometry
-    if not isinstance(orbit, CircularOrbit) or link.include_shapiro or not len(emit_fs):
-        return None
+    orbit, count = link.geometry, len(emit_fs)
     motion = _motion(orbit)
-    first, last = int(emit_fs[0]), int(emit_fs[-1])
-    span_s = (last - first) / FS_PER_SECOND
-    if motion is None or span_s > motion.longest_span_s or last - first < 2 or not _scalar_solve_is_exact():
-        return None  # too long a span, or no three distinct knots
-    knots_fs = [first, first + (last - first) // 2, last]
-    knots_s = [_emit_seconds(k) for k in knots_fs]
-    positions = _positions(orbit, math)
-    equations = [_scalar_equation(positions, t_s, direction) for t_s in knots_s]
-    taus = [range_m / SPEED_OF_LIGHT for _, _, range_m, _ in equations]
-    for iterations in range(1, _LIGHT_TIME_ITERATIONS + 1):
-        new_taus = [next_flight_s(tau) for (*_, next_flight_s), tau in zip(equations, taus)]
-        steps = [abs(new - tau) for new, tau in zip(new_taus, taus)]
-        taus = new_taus
-        if max(steps) < _LIGHT_TIME_TOLERANCE_S:
-            break
-        if max(steps[0], steps[-1]) < _LIGHT_TIME_TOLERANCE_S:
-            return None  # only a knot between photons holds the iteration open
-    else:
-        return None  # the array solve raises, or takes every iteration
-    if max(steps) > _LIGHT_TIME_TOLERANCE_S / 2:
-        return None
-    totals = [_total_fs(link, tau, direction) for tau in taus]
-    largest = max(map(abs, totals))
-    if largest >= INT64_LIMIT / 2:
-        return None  # the array solve checks the int64 range
-    noise = _noise_fs(orbit, max(knots_s, key=abs), largest)  # it grows with |t| and |total|
-    bound = _NOISE_MARGIN * noise + _TRUNCATION_FS * (span_s / motion.longest_span_s) ** 3
-    if 2 * bound > _EXACT_SHARE_LIMIT:
-        return None
+    span = int(emit_fs[-1]) - int(emit_fs[0]) if count else 0
+    pieces = math.ceil(span / FS_PER_SECOND / motion.longest_span_s) if motion else count
+    if span < 2 or 2 * pieces + 1 >= count:
+        totals, sins = np.array([_knot(link, _emit_seconds(t), direction) for t in emit_fs.tolist()]).reshape(-1, 2).T
+        return _rounded_fs(totals), _visible(orbit, sins)
 
-    sins = [_sin_elevation(station, sat, range_m, math) for station, sat, range_m, _ in equations]
+    first = int(emit_fs[0])
+    knots_fs = [first + span * k // (2 * pieces) for k in range(2 * pieces + 1)]
+    knots_s = [_emit_seconds(k) for k in knots_fs]
+    totals, sins = np.array([_knot(link, t_s, direction) for t_s in knots_s]).T
+    flights = np.empty(count)
+    cuts = [0, *np.searchsorted(emit_fs, knots_fs[2:-1:2]).tolist(), count]
+    for piece, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        # The piece's quadratic in Newton form, over fs since its first knot's
+        # integer time. Each knot sits at the time its float seconds stand for
+        # exactly, up to about 2 ps from its integer time late in the int64 range.
+        start, knots = knots_fs[2 * piece], slice(2 * piece, 2 * piece + 3)
+        x0, x1, x2 = (float(Fraction(t_s) * FS_PER_SECOND - start) for t_s in knots_s[knots])
+        f0, f1, f2 = totals[knots].tolist()
+        d1 = (f1 - f0) / (x1 - x0)
+        c2 = ((f2 - f0) / (x2 - x0) - d1) / (x2 - x1)
+        x = (emit_fs[lo:hi] - start).astype(np.float64)
+        flights[lo:hi] = f0 + (x - x0) * (d1 + (x - x1) * c2)
+
     sin_mask = math.sin(orbit.elevation_mask)
-    # a sine errs by about its line of sight's float noise over the range; the
-    # rounding bound, as metres over the least range, covers that
-    margin = motion.elevation_rate * span_s / 4 + bound / FS_PER_SECOND * SPEED_OF_LIGHT / motion.least_range_m
-    if min(sins) >= sin_mask + margin:
+    margin = motion.elevation_rate * span / FS_PER_SECOND / pieces / 4 + motion.sine_noise
+    if sins.min() >= sin_mask + margin:
         visible = np.True_
-    elif max(sins) < sin_mask - margin:
-        visible = np.zeros(len(emit_fs), dtype=bool)
+    elif sins.max() < sin_mask - margin:
+        visible = np.zeros(count, dtype=bool)
     else:
         visible = _geometry_at(orbit, emit_fs / FS_PER_SECOND).visible
-
-    # the quadratic in Newton form, over fs since the first knot
-    (f0, f1, f2), x1, x2 = totals, float(knots_fs[1] - first), float(last - first)
-    d1 = (f1 - f0) / x1
-    c2 = ((f2 - f0) / x2 - d1) / (x2 - x1)
-    x = (emit_fs - first).astype(np.float64)
-    flights = f0 + x * (d1 + (x - x1) * c2)
-    rounded = np.rint(flights)
-    exact = np.flatnonzero(_near_half(flights, rounded, bound)).tolist()
-    flights = rounded.astype(np.int64)
-    for i in exact:
-        _, _, range_m, next_flight_s = _scalar_equation(positions, _emit_seconds(int(emit_fs[i])), direction)
-        tau = range_m / SPEED_OF_LIGHT
-        for _ in range(iterations):
-            tau = next_flight_s(tau)
-        flights[i] = round(_total_fs(link, tau, direction))
-    return flights, visible
+    return _rounded_fs(flights), visible
 
 
 def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, seed: SeedSpec) -> np.ndarray:
@@ -563,8 +423,9 @@ def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, se
 
     Photons emitted while the link is occluded are dropped. Output is the
     sorted true arrival times at the far end. Orbit flights come from knots
-    (``_knot_flights_fs``) where they can, from the array solve otherwise;
-    the two give the same integers.
+    (``_orbit_flights_fs``): a photon's flight may differ by 1 fs from
+    ``time_of_flight`` at its emit time, where it lies within about 1e-3 fs
+    of a half-fs plus the solves' float noise.
     """
     photons = np.asarray(stream_true, dtype=np.int64)
     if np.any(photons[1:] < photons[:-1]):  # compare neighbours: np.diff can wrap in int64
@@ -572,8 +433,11 @@ def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, se
     if link.transmittance < 1.0:
         rng = spawn_rng(seed, "link-thin")
         photons = photons[rng.random(len(photons)) < link.transmittance]
-    flights, visible = _knot_flights_fs(link, photons, direction) or _flight_times_fs(link, photons, direction)
-    if np.ndim(visible):  # a static range is always visible
+    if isinstance(link.geometry, StaticRange):
+        flights, visible = _static_flight_fs(link, direction), np.True_
+    else:
+        flights, visible = _orbit_flights_fs(link, photons, direction)
+    if np.ndim(visible):  # a scalar np.True_: every photon is visible
         photons, flights = photons[visible], flights[visible]
     shifts = [flights]
     if link.channel_jitter_sigma > 0 and len(photons):

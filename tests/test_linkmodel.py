@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,9 @@ from qcsync.linkmodel import (
     time_of_flight,
     visibility_windows,
 )
-from qcsync.timebase import INT64_LIMIT, TimeRangeError
+from qcsync.scenario import build_topology
+from qcsync.session import run_session
+from qcsync.timebase import INT64_LIMIT, ClockModel, ClockState, TimeRangeError
 
 FS = 10**15
 C = SPEED_OF_LIGHT
@@ -219,6 +224,17 @@ def test_propagate_raises_where_arrivals_would_wrap_int64(jitter):
     assert _geometry_at(overhead.geometry, t_last).elevation > math.radians(89)
     with pytest.raises(TimeRangeError):
         propagate(np.array([0, INT64_LIMIT - 10**6], dtype=np.int64), overhead, Direction.B_TO_A, (25,))
+    # 20 us sessions of 200 photons, on knots, ending 3 ms and 1 ms before the
+    # edge: their arrivals, about 1.8 ms later, fit and do not
+    rng = np.random.default_rng(38)
+    for end, fits in ((INT64_LIMIT - 3 * 10**12, True), (INT64_LIMIT - 10**12, False)):
+        emit = np.sort(rng.integers(end - 2 * 10**10, end, 200))
+        for direction in Direction:
+            if fits:
+                assert len(propagate(emit, overhead, direction, (39,))) == 200
+            else:
+                with pytest.raises(TimeRangeError):
+                    propagate(emit, overhead, direction, (39,))
 
 
 def test_flight_time_outside_int64_raises():
@@ -300,40 +316,6 @@ def test_geometry_validation():
         LinkModel(geometry=StaticRange(range_m=1.0), transmittance=0.0)
 
 
-# The scalar solve, and with it the knots, is off on a host whose numpy sin or
-# cos differ from math's; the tests that count its use need it on.
-scalar_solve_on = pytest.mark.skipif(
-    not linkmodel._scalar_solve_is_exact(), reason="numpy's sin or cos differ from math's on this host"
-)
-
-
-def _lockstep_flights(link, emit_fs, direction):
-    """Scalar solves of each emit time, stopped together as the array solve stops its photons."""
-    positions = _positions(link.geometry, math)
-    equations = [linkmodel._scalar_equation(positions, float(t) / FS, direction) for t in emit_fs.tolist()]
-    taus = [range_m / C for _, _, range_m, _ in equations]
-    for _ in range(5):
-        new_taus = [next_flight_s(tau) for (*_, next_flight_s), tau in zip(equations, taus)]
-        steps, taus = [abs(new - tau) for new, tau in zip(new_taus, taus)], new_taus
-        if max(steps) < 1e-15:
-            break
-    return np.array([round(linkmodel._total_fs(link, tau, direction)) for tau in taus])
-
-
-@scalar_solve_on
-@pytest.mark.parametrize("direction", list(Direction))
-def test_scalar_light_time_matches_the_array_solve(direction):
-    # 5000 seeded emit times a direction over leo_demo's pass (0-270 s); an
-    # odd bias puts the half-fs on the other side of each integer
-    link = LinkModel(geometry=_leo_demo_edge_orbit(), nonreciprocity_bias=3)
-    emit = np.sort(np.random.default_rng(31).integers(0, 270 * FS, 5000))
-    flights, _ = linkmodel._flight_times_fs(link, emit, direction)
-    assert np.array_equal(_lockstep_flights(link, emit, direction), flights)
-    for t in emit.tolist():
-        (alone,), _ = linkmodel._flight_times_fs(link, np.array([t]), direction)
-        assert _lockstep_flights(link, np.array([t]), direction)[0] == alone == time_of_flight(link, t, direction)
-
-
 def _mask_crossing(orbit, lo, hi):
     """The first integer fs in (lo, hi] whose visibility differs from lo's, by bisection."""
     rising = not _geometry_at(orbit, lo / FS).visible
@@ -343,198 +325,146 @@ def _mask_crossing(orbit, lo, hi):
     return hi
 
 
-@scalar_solve_on
-def test_time_of_flight_at_the_mask_needs_no_array_solve(monkeypatch):
-    # sin(elevation) is the same float on both paths and meets the same
-    # sin(mask), so at leo_demo's rise and set, and within 1000 fs of them,
-    # the scalar solve decides visibility as the array does
+def test_visibility_at_the_elevation_mask():
+    # At leo_demo's rise and set, and within 1000 fs of them, time_of_flight
+    # raises NotVisibleError exactly where its solve's sin(elevation) is below
+    # sin(mask); 1000 fs away the sine is clear of float noise, and the grid
+    # geometry agrees.
     orbit = _leo_demo_edge_orbit()
     link = LinkModel(geometry=orbit)
-    solve, calls = linkmodel._light_time_flights_s, []
-    monkeypatch.setattr(linkmodel, "_light_time_flights_s", lambda *args: calls.append(args) or solve(*args))
-    for crossing in (_mask_crossing(orbit, -300 * FS, 0), _mask_crossing(orbit, 200 * FS, 300 * FS)):
+    sin_mask = math.sin(orbit.elevation_mask)
+    rise, set_ = _mask_crossing(orbit, -300 * FS, 0), _mask_crossing(orbit, 200 * FS, 300 * FS)
+    for crossing in (rise, set_):
         seen = set()
         for t in (crossing + d for d in (0, 1, -1, 10, -10, 1000, -1000)):
             for direction in Direction:
-                (flight,), (visible,) = linkmodel._flight_times_fs(link, np.array([t]), direction)
-                seen.add(bool(visible))
-                calls.clear()
+                visible = linkmodel._knot(link, linkmodel._emit_seconds(t), direction)[1] >= sin_mask
+                seen.add(visible)
+                if abs(t - crossing) == 1000:
+                    expected = (t > crossing) == (crossing == rise)  # after the rise, before the set
+                    assert visible == bool(_geometry_at(orbit, t / FS).visible) == expected
                 if visible:
-                    assert time_of_flight(link, t, direction) == flight
+                    assert time_of_flight(link, t, direction) > 0
                 else:
                     with pytest.raises(NotVisibleError):
                         time_of_flight(link, t, direction)
-                assert calls == []
         assert seen == {True, False}
-
-
-def test_shapiro_links_keep_the_array_solve(monkeypatch):
-    # numpy's log is not the C library's, so no scalar Shapiro term is exact
-    link = LinkModel(geometry=_leo_demo_edge_orbit(), include_shapiro=True)
-    emit = np.sort(np.random.default_rng(32).integers(0, 2 * 10**10, 200))
-    assert linkmodel._knot_flights_fs(link, emit, Direction.A_TO_B) is None
-    solve, calls = linkmodel._light_time_flights_s, []
-    monkeypatch.setattr(linkmodel, "_light_time_flights_s", lambda *args: calls.append(args) or solve(*args))
-    time_of_flight(link, 0, Direction.A_TO_B)
-    propagate(emit, link, Direction.B_TO_A, (33,))
-    assert len(calls) == 2
-
-
-def test_a_host_whose_numpy_differs_keeps_the_array_solve(monkeypatch):
-    monkeypatch.setattr(linkmodel, "_scalar_solve_is_exact", lambda: False)
-    solve, calls = linkmodel._light_time_flights_s, []
-    monkeypatch.setattr(linkmodel, "_light_time_flights_s", lambda *args: calls.append(args) or solve(*args))
-    link = LinkModel(geometry=_leo_demo_edge_orbit())
-    emit = np.sort(np.random.default_rng(42).integers(0, 2 * 10**10, 200))
-    assert linkmodel._knot_flights_fs(link, emit, Direction.A_TO_B) is None
-    time_of_flight(link, 0, Direction.A_TO_B)
-    propagate(emit, link, Direction.B_TO_A, (43,))
-    assert len(calls) == 2
+    # 1 ms sessions of 5000 photons before, across and after the set: the
+    # knots keep all or none of them, and across it each photon's geometry decides
+    rng = np.random.default_rng(36)
+    cases = ((set_ - 10**13, (5000, 5000)), (set_ - 5 * 10**11, (1, 4999)), (set_ + 10**13, (0, 0)))
+    for start, (least, most) in cases:
+        emit = np.sort(rng.integers(start, start + 10**12, 5000))
+        visible = _geometry_at(orbit, emit / FS).visible
+        assert least <= visible.sum() <= most
+        for direction in Direction:
+            assert len(propagate(emit, link, direction, (37,))) == visible.sum()
 
 
 def test_coincident_endpoints_are_not_visible():
     # station and satellite both at (R + 550 km, 0, 0) at t = 0: a zero range
-    # has no elevation, and the array solve calls it not visible without
-    # dividing by it (pytest turns numpy's 0/0 warning into an error)
+    # has no elevation, and reads not visible without dividing by it (pytest
+    # turns numpy's 0/0 warning into an error)
     link = LinkModel(geometry=CircularOrbit(altitude=550e3, ground_station=GroundStation(alt=550e3)))
     assert _geometry_at(link.geometry, np.array([0.0])).range_m[0] == 0
     for direction in Direction:
         with pytest.raises(NotVisibleError):
             time_of_flight(link, 0, direction)
         assert len(propagate(np.array([0]), link, direction, (44,))) == 0
+        # where the endpoints may meet, each photon is its own knot; on one
+        # sphere the satellite never rises above the station's horizon
+        emit = np.array([0, 10**12, 2 * 10**12, 3 * 10**12])
+        flights, visible = linkmodel._orbit_flights_fs(link, emit, direction)
+        assert not visible.any()
+        solves = [linkmodel._knot(link, linkmodel._emit_seconds(t), direction) for t in emit.tolist()]
+        assert flights.tolist() == [round(total) for total, _ in solves]
 
 
-class _ExactCounter:
-    """Counts the photons whose interpolated flight lay near a half-fs, and keeps each filter's inputs."""
-
-    def __init__(self, monkeypatch):
-        self.exact, self.filtered = 0, []
-        near_half = linkmodel._near_half
-
-        def counted(total, rounded, bound):
-            near = near_half(total, rounded, bound)
-            if isinstance(total, np.ndarray):
-                self.exact += int(near.sum())
-                self.filtered.append((total, bound))
-            return near
-
-        monkeypatch.setattr(linkmodel, "_near_half", counted)
-
-
-def _array_propagate(monkeypatch, *args):
-    with monkeypatch.context() as m:
-        m.setattr(linkmodel, "_knot_flights_fs", lambda *_: None)
-        return propagate(*args)
-
-
-def _both_propagates(monkeypatch, emit, link, direction, seed):
-    """propagate through the knots, and through the array solve alone; each result or error."""
-    results = []
-    for run in (propagate, lambda *args: _array_propagate(monkeypatch, *args)):
-        try:
-            results.append(run(emit, link, direction, seed))
-        except TimeRangeError as exc:
-            results.append(type(exc))
-    return results
-
-
-@scalar_solve_on
-@pytest.mark.parametrize("duration_s, photons, on_knots", [(2e-5, 200, True), (1e-3, 5000, True), (0.1, 20000, False)])
-def test_orbit_propagate_matches_the_array_solve(monkeypatch, duration_s, photons, on_knots):
-    # seeded sessions over leo_demo's pass, with loss and channel jitter; a
-    # span past _Motion.longest_span_s (about 1.19 ms here) keeps the array solve
-    counter = _ExactCounter(monkeypatch)
-    link = LinkModel(geometry=_leo_demo_edge_orbit(), transmittance=0.9, channel_jitter_sigma=400)
-    rng = np.random.default_rng(34)
-    taken = sent = 0
-    for start in rng.integers(0, 260 * FS, 4).tolist():
-        emit = np.sort(rng.integers(start, start + int(duration_s * FS), photons))
+def test_a_few_photons_are_each_their_own_knot():
+    # one photon, photons too close for three distinct knots, and no more
+    # photons than the knots of their span: each photon's flight is its own
+    # solve, as time_of_flight gives it
+    link = LinkModel(geometry=_leo_demo_edge_orbit(), nonreciprocity_bias=3)
+    t = 10**15
+    for emit in ([t], [t, t], [t, t + 1], [t, t + 1, t + 1, t + 1], [t, t + 2, t + 4], [t, 2 * t, 2 * t + 1, 3 * t]):
         for direction in Direction:
-            knotted, array = _both_propagates(monkeypatch, emit, link, direction, (35, start))
-            assert np.array_equal(knotted, array)
-            taken, sent = taken + len(counter.filtered), sent + len(emit)
-            counter.filtered.clear()
-    assert taken == (8 if on_knots else 0)
-    # the photons within the bound of a half-fs, about 5 %, were solved exactly
-    assert 0.02 * sent < counter.exact < 0.1 * sent if on_knots else counter.exact == 0
+            expected = sorted(e + time_of_flight(link, e, direction) for e in emit)
+            assert propagate(np.array(emit), link, direction, (41,)).tolist() == expected
 
 
-def test_orbit_propagate_matches_on_a_few_photons(monkeypatch):
-    # one photon, or photons too close for three distinct knots, keep the array solve
-    link = LinkModel(geometry=_leo_demo_edge_orbit())
-    for emit in ([10**15], [10**15, 10**15], [10**15, 10**15 + 1], [10**15, 10**15 + 2, 10**15 + 4]):
-        emit = np.array(emit, dtype=np.int64)
-        for direction in Direction:
-            knotted, array = _both_propagates(monkeypatch, emit, link, direction, (41,))
-            assert np.array_equal(knotted, array) and len(knotted) == len(emit)
+def _longdouble_flights_fs(link, emit_fs, direction):
+    """The light-time equation solved per photon in np.longdouble (80-bit on x86): the reference for the knots.
+
+    The same circular orbit, rotating station, bias half and Shapiro term as
+    linkmodel, with every constant and angle taken to 64-bit mantissas and
+    the emit times exact.
+    """
+    ld = np.longdouble
+    orbit, gs = link.geometry, link.geometry.ground_station
+    t = np.asarray(emit_fs).astype(ld) / ld(FS)
+    a, r, c = ld(R_E) + ld(orbit.altitude), ld(R_E) + ld(gs.alt), ld(C)
+    n = np.sqrt(ld(GM) / a**3)
+    lat, inc, raan = ld(gs.lat), ld(orbit.inclination), ld(orbit.raan)
+
+    def station_at(t):
+        phi = ld(gs.lon) + ld(EARTH_ROTATION_RATE) * t
+        return np.stack([r * np.cos(lat) * np.cos(phi), r * np.cos(lat) * np.sin(phi), r * np.sin(lat) + 0 * t])
+
+    def sat_at(t):
+        cu, su = np.cos(ld(orbit.phase0) + n * t), np.sin(ld(orbit.phase0) + n * t)
+        co, so, ci = np.cos(raan), np.sin(raan), np.cos(inc)
+        return np.stack([a * (co * cu - so * ci * su), a * (so * cu + co * ci * su), a * np.sin(inc) * su])
+
+    station, sat = station_at(t), sat_at(t)
+    emitter, receiver_at = (station, sat_at) if direction is Direction.A_TO_B else (sat, station_at)
+    range_m = np.sqrt(((sat - station) ** 2).sum(axis=0))
+    tau = range_m / c
+    for _ in range(6):  # a contraction by about v/c per step: far below 1e-19 s after six
+        tau = np.sqrt(((receiver_at(t + tau) - emitter) ** 2).sum(axis=0)) / c
+    total = tau * FS + ld(direction.bias_sign * link.nonreciprocity_bias) / 2
+    if link.include_shapiro:
+        r1, r2 = np.sqrt((station**2).sum(axis=0)), np.sqrt((sat**2).sum(axis=0))
+        total += 2 * ld(GM) / c**3 * FS * np.log((r1 + r2 + range_m) / (r1 + r2 - range_m))
+    return total
 
 
-@scalar_solve_on
-def test_orbit_propagate_matches_across_the_elevation_mask(monkeypatch):
-    orbit = _leo_demo_edge_orbit()
-    hi = _mask_crossing(orbit, 200 * FS, 300 * FS)  # leo_demo's pass sets below the mask in between
-    counter = _ExactCounter(monkeypatch)
-    link = LinkModel(geometry=orbit)
-    rng = np.random.default_rng(36)
-    for start in (hi - 5 * 10**11, hi - 10**13, hi + 10**13):  # straddling, before, after
-        emit = np.sort(rng.integers(start, start + 10**12, 5000))
-        for direction in Direction:
-            knotted, array = _both_propagates(monkeypatch, emit, link, direction, (37,))
-            assert np.array_equal(knotted, array)
-            if start == hi - 5 * 10**11:
-                assert 0 < len(knotted) < len(emit)
-            else:
-                assert len(knotted) == (len(emit) if start < hi else 0)
-    assert len(counter.filtered) == 6
-    assert counter.exact > 0
+def test_orbit_flights_lie_within_0_55_fs_of_an_80_bit_solve(monkeypatch):
+    # Seeded leo_demo-edge sessions of 20 us, 1 ms and 0.5 s, each arm about
+    # 4000 photons, in both passes and both directions, with an odd bias and
+    # with and without the Shapiro term. Every knotted flight, and the
+    # midpoint flights time_of_flight gives the session's truth, lies within
+    # half a fs of rounding plus 0.05 fs of float noise of the reference; the
+    # noise grows with the emit time, to about 0.04 fs in the second pass.
+    # 0.5 s spans about 420 knot pieces.
+    knotted, solve = [], linkmodel._orbit_flights_fs
 
+    def recorded(link, emit, direction):
+        flights, visible = solve(link, emit, direction)
+        knotted.append((emit, direction, flights))
+        return flights, visible
 
-@scalar_solve_on
-@pytest.mark.parametrize("share_limit", [None, 2.0])
-def test_orbit_propagate_matches_at_the_int64_edge(monkeypatch, share_limit):
-    # the overhead orbit of test_propagate_raises_where_arrivals_would_wrap_int64.
-    # Rounding noise grows with the time: this late, the knots would send most
-    # photons to the exact solve, so they leave the session to the array solve.
-    # With the share limit lifted they take it, and must still match.
-    if share_limit:
-        monkeypatch.setattr(linkmodel, "_EXACT_SHARE_LIMIT", share_limit)
-    counter = _ExactCounter(monkeypatch)
-    t_last = (INT64_LIMIT - 1) / FS
-    mean_motion = 2 * math.pi / orbital_period(_overhead_orbit())
-    link = LinkModel(geometry=CircularOrbit(altitude=550e3, phase0=(EARTH_ROTATION_RATE - mean_motion) * t_last))
-    rng = np.random.default_rng(38)
-    for end, fits in ((INT64_LIMIT - 3 * 10**12, True), (INT64_LIMIT - 10**12, False)):
-        emit = np.sort(rng.integers(end - 2 * 10**10, end, 200))
-        for direction in Direction:
-            knotted, array = _both_propagates(monkeypatch, emit, link, direction, (39,))
-            if fits:
-                assert np.array_equal(knotted, array) and len(knotted) == len(emit)
-            else:
-                assert knotted is array is TimeRangeError
-    assert len(counter.filtered) == (4 if share_limit else 0)
-    assert (counter.exact > 4 * 200 / 2) == bool(share_limit)
-
-
-@scalar_solve_on
-def test_interpolated_flights_stay_within_half_the_rounding_bound(monkeypatch):
-    # the bound's margin: over seeded leo_demo sessions, the interpolated flight
-    # lies within half of it from the array solve's unrounded flight
-    counter = _ExactCounter(monkeypatch)
-    orbit = _leo_demo_edge_orbit()
-    link = LinkModel(geometry=orbit)
-    rng = np.random.default_rng(40)
-    declined = 0
-    for start in rng.integers(0, 270 * FS, 100).tolist():
-        emit = np.sort(rng.integers(start, start + 2 * 10**10, 200))
-        emit_s = emit / FS
-        geo = _geometry_at(orbit, emit_s)
-        for direction in Direction:
-            if linkmodel._knot_flights_fs(link, emit, direction) is None:
-                declined += 1  # near closest approach the iteration count may be in doubt
-                continue
-            ((interpolated, bound),) = counter.filtered
-            counter.filtered.clear()
-            flights_s = linkmodel._light_time_flights_s(orbit, geo, emit_s, direction)
-            unrounded = linkmodel._total_fs(link, flights_s, direction)
-            assert np.abs(interpolated - unrounded).max() <= bound / 2
-    assert declined <= 10
+    monkeypatch.setattr(linkmodel, "_orbit_flights_fs", recorded)
+    leo = json.loads((Path(__file__).parent.parent / "scenarios" / "leo_demo.json").read_text())
+    session = build_topology(leo["topology"])[0].edges[0].session
+    rng = np.random.default_rng(45)
+    for first_s, last_s in ((0, 270), (5899, 6408)):
+        for duration_s in (2e-5, 1e-3, 0.5):
+            for shapiro in (False, True):
+                a, b = (
+                    dataclasses.replace(arm, source=dataclasses.replace(arm.source, pair_rate=4000 / duration_s))
+                    for arm in (session.instruments_a, session.instruments_b)
+                )
+                start = int(rng.integers(first_s * FS, (last_s - duration_s) * FS))
+                link = dataclasses.replace(session.link, nonreciprocity_bias=3, include_shapiro=shapiro)
+                spec = dataclasses.replace(
+                    session, duration=int(duration_s * FS), start_time=start, link=link,
+                    instruments_a=a, instruments_b=b,
+                )
+                knotted.clear()
+                truth = run_session(spec, ClockState(ClockModel()), ClockState(ClockModel()), (46, start)).truth
+                assert [(d, len(emit) > 3000) for emit, d, _ in knotted] == [(d, True) for d in Direction]
+                for emit, direction, flights in knotted:
+                    assert np.abs(flights - _longdouble_flights_fs(link, emit, direction)).max() <= 0.55
+                midpoint = np.array([truth.midpoint_fs])
+                for direction, flight in zip(Direction, (truth.flight_ab_fs, truth.flight_ba_fs)):
+                    assert abs(flight - _longdouble_flights_fs(link, midpoint, direction)[0]) <= 0.55

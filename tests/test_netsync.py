@@ -393,10 +393,10 @@ def _leo_demo_topology(**overrides):
 
 def test_each_orbit_sync_solves_the_midpoint_flights_once(monkeypatch):
     # per applied sync: the two remote gates and the two truth flights, each
-    # one scalar solve; the ephemeris correction reads the truth flights
-    # instead of solving again, and the photons' flights come from knots: on
-    # a host where the scalar solve is exact, no array solve runs at all.
-    calls, array_solves = [], []
+    # one scalar light-time solve; the ephemeris correction reads the truth
+    # flights instead of solving again. Each 20 us arm's photons take their
+    # flights from one knot piece, three solves, not one solve per photon.
+    calls, solves = [], []
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -406,14 +406,14 @@ def test_each_orbit_sync_solves_the_midpoint_flights_once(monkeypatch):
     for module in qcsync_modules:
         if getattr(module, "time_of_flight", None) is time_of_flight:
             monkeypatch.setattr(module, "time_of_flight", counted)
-    array_solve = linkmodel._light_time_flights_s
-    monkeypatch.setattr(linkmodel, "_light_time_flights_s", lambda *args: array_solves.append(args) or array_solve(*args))
+    knot = linkmodel._knot
+    monkeypatch.setattr(linkmodel, "_knot", lambda *args: solves.append(args) or knot(*args))
     topology, horizon, report_interval = _leo_demo_topology(horizon_s=3)
     report = run_network(topology, horizon, 2026, report_interval)
     applied = sum(report.edge_successes)
     assert applied == sum(report.edge_attempts) == 2
     assert len(calls) == 4 * applied
-    assert array_solves == [] or not linkmodel._scalar_solve_is_exact()
+    assert len(solves) == (4 + 2 * 3) * applied
 
 
 def _correction(edge, t):

@@ -468,3 +468,106 @@ def test_orbit_flights_lie_within_0_55_fs_of_an_80_bit_solve(monkeypatch):
                 midpoint = np.array([truth.midpoint_fs])
                 for direction, flight in zip(Direction, (truth.flight_ab_fs, truth.flight_ba_fs)):
                     assert abs(flight - _longdouble_flights_fs(link, midpoint, direction)[0]) <= 0.55
+
+
+def _inclined_meo_orbit():
+    return CircularOrbit(
+        altitude=20200e3, inclination=math.radians(55), raan=0.4, phase0=1.1,
+        ground_station=GroundStation(lat=0.8, lon=0.3, alt=1500.0),
+    )
+
+
+def _geo_orbit():
+    # equatorial, over the station's meridian: visible at every time
+    return CircularOrbit(altitude=35786e3)
+
+
+_ORBITS = {"leo_demo-edge": _leo_demo_edge_orbit, "inclined-meo": _inclined_meo_orbit, "geo": _geo_orbit}
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("orbit_name", list(_ORBITS))
+def test_a_knot_piece_truncates_below_the_bound(orbit_name, direction):
+    # The quadratic through 80-bit solves at a longest_span_s piece's ends and
+    # middle misses the 80-bit flight inside the piece by less than
+    # _TRUNCATION_FS, for pieces spread over the int64 range, Shapiro term included.
+    link = LinkModel(geometry=_ORBITS[orbit_name](), include_shapiro=True)
+    h = int(linkmodel._motion(link.geometry).longest_span_s * FS)
+    ld = np.longdouble
+    for t0 in np.linspace(-9.2 * 10**18, 9.2 * 10**18 - 2 * h, 9).astype(np.int64).tolist():
+        knots = np.array([t0, t0 + h // 2, t0 + h])
+        f0, f1, f2 = _longdouble_flights_fs(link, knots, direction)
+        x0, x1, x2 = (knots - t0).astype(ld)
+        d1 = (f1 - f0) / (x1 - x0)
+        c2 = ((f2 - f0) / (x2 - x0) - d1) / (x2 - x1)
+        inside = np.arange(t0, t0 + h, h // 200)
+        x = (inside - t0).astype(ld)
+        quadratic = f0 + (x - x0) * (d1 + (x - x1) * c2)
+        assert np.abs(quadratic - _longdouble_flights_fs(link, inside, direction)).max() < linkmodel._TRUNCATION_FS
+
+
+def test_motion_has_no_bound_where_the_endpoints_may_meet():
+    assert linkmodel._motion(CircularOrbit(altitude=550e3, ground_station=GroundStation(alt=550e3))) is None
+    # a 550 km LEO link's pieces are about 1.19 ms; slower geometry allows longer ones
+    spans = [linkmodel._motion(_ORBITS[name]()).longest_span_s for name in _ORBITS]
+    assert spans[0] == pytest.approx(1.19e-3, rel=0.01)
+    assert spans == sorted(spans)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_light_time_iteration_limit_raises(monkeypatch, direction):
+    # One receiver update cannot converge on a LEO link (the receiver moves
+    # tens of metres in a flight), so time_of_flight and both of propagate's
+    # paths, one photon and knots, raise; a static range has no iteration.
+    link = LinkModel(geometry=_leo_demo_edge_orbit())
+    emit = np.sort(np.random.default_rng(47).integers(0, 10**12, 4000))
+    assert time_of_flight(link, 0, direction) > 0
+    monkeypatch.setattr(linkmodel, "_LIGHT_TIME_ITERATIONS", 1)
+    with pytest.raises(linkmodel.LightTimeConvergenceError, match="exceeded 1 iterations"):
+        time_of_flight(link, 0, direction)
+    for photons in (emit[:1], emit):
+        with pytest.raises(linkmodel.LightTimeConvergenceError):
+            propagate(photons, link, direction, (48,))
+    assert time_of_flight(LinkModel(geometry=StaticRange(range_m=299.792458)), 0, direction) == 10**9
+
+
+_TOF_CASES = {
+    # name: (orbit, include_shapiro, emit-time ranges in s)
+    "leo_demo-edge": (_leo_demo_edge_orbit, False, ((0, 270), (5899, 6408))),
+    "leo_demo-edge-shapiro": (_leo_demo_edge_orbit, True, ((0, 270), (5899, 6408))),
+    "geo": (_geo_orbit, True, ((-9223, 9223),)),
+}
+
+
+@pytest.mark.parametrize("case", list(_TOF_CASES))
+def test_time_of_flight_lies_within_0_55_fs_of_an_80_bit_solve(case):
+    # Seeded visible emit times, a GEO link's across the whole int64 range:
+    # each flight lies within half a fs of rounding plus float noise of the
+    # reference, including the emit time's rounding to float seconds.
+    make_orbit, shapiro, ranges = _TOF_CASES[case]
+    link = LinkModel(geometry=make_orbit(), include_shapiro=shapiro, nonreciprocity_bias=3)
+    rng = np.random.default_rng(49)
+    for first_s, last_s in ranges:
+        emit = rng.integers(first_s * FS, last_s * FS, 150)
+        assert _geometry_at(link.geometry, emit / FS).visible.all()
+        for direction in Direction:
+            flights = [time_of_flight(link, t, direction) for t in emit.tolist()]
+            assert np.abs(flights - _longdouble_flights_fs(link, emit, direction)).max() <= 0.55
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_orbit_flights_at_the_int64_edge_lie_within_0_55_fs_of_an_80_bit_solve(direction):
+    # Sessions of 20 us, 1 ms and 0.5 s, about 4000 photons each, ending 3 ms
+    # before the last int64 fs on an orbit overhead there, where the emit
+    # times' float seconds are coarsest: the knotted flights keep the bound.
+    t_last = (INT64_LIMIT - 1) / FS
+    mean_motion = 2 * math.pi / orbital_period(_overhead_orbit())
+    phase0 = (EARTH_ROTATION_RATE - mean_motion) * t_last
+    link = LinkModel(geometry=CircularOrbit(altitude=550e3, phase0=phase0), nonreciprocity_bias=3)
+    end = INT64_LIMIT - 3 * 10**12
+    rng = np.random.default_rng(50)
+    for duration_fs in (2 * 10**10, 10**12, 5 * 10**14):
+        emit = np.sort(rng.integers(end - duration_fs, end, 4000))
+        flights, visible = linkmodel._orbit_flights_fs(link, emit, direction)
+        assert visible is np.True_  # from the knots, so the knots were solved
+        assert np.abs(flights - _longdouble_flights_fs(link, emit, direction)).max() <= 0.55

@@ -1,9 +1,10 @@
 """Command-line entry point: simulate, estimate, relativity, bell, net.
 
 Exit codes: 0 success, 2 configuration error, 3 estimation/simulation
-failure (no significant peak, link not visible, insufficient data),
-4 file I/O or parse error. All artifact files are written atomically and
-JSON output is key-sorted so fixed seeds give byte-identical files.
+failure (no significant peak, link not visible, insufficient data, out of
+memory), 4 file I/O or parse error. All artifact files are written
+atomically and JSON output is key-sorted so fixed seeds give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -306,6 +307,10 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a session too large for the host; its arrays are freed by now
+        detail = str(exc) or "no detail"
+        print(f"simulation failed: out of memory ({detail}); shorten the session or lower its rates", file=sys.stderr)
+        return EXIT_ESTIMATION
 
 
 def entry() -> None:

@@ -64,13 +64,15 @@ give; a window as long as the session makes it large. The significance is
 (peak count - mean) / sigma.
 
 The fine stage then takes only the peak span's pairs, each with its local
-time t. The enumeration route picks them out of the window's pairs by their
-coarse-bin offsets, kept when the window fits one sort, and rebuilds their
-exact differences from the window's runs, or by index arithmetic when the
-window holds every pair. The bounded route picks them the same way out of
-the superbin visit that set the peak, when that superbin holds the whole
-span. A span reaching past that superbin, and a window of several sorts,
-is searched instead. The fine stage fits the line d = a + b*(t - t_mean)
+time t, from the listing of the route that found the peak: the window pairs
+of a run of coarse bins, by coarse-bin offset, numbered by the window's
+runs or, when the window holds every pair, by index arithmetic. A region or
+superbin visit lists its own bins; the enumeration lists every bin the
+window reaches when the window fits one sort. When that listing misses part
+of the span (a peak near its superbin's edge, or a window of several
+sorts), one _bin_counts over the span's bins lists them instead. Either way
+the pairs' exact differences are rebuilt from the listing's numbering. The
+fine stage fits the line d = a + b*(t - t_mean)
 by least squares over an iterated member window: seeded with the coarse
 peak bin, each pass keeps the pairs within max(3 sigma, fine_bin) of the
 line, until the member set stops changing.
@@ -279,6 +281,28 @@ def _window_bin_range(origin: int, cfg: CorrelationConfig) -> tuple[int, int]:
     return bin_lo, bin_hi
 
 
+class _Reach(NamedTuple):
+    """The smallest and largest difference the streams can form inside the window (lo > hi when none).
+
+    Coarse bins and superbins count from origin, the two first tags' difference.
+    """
+
+    origin: int
+    lo: int
+    hi: int
+
+    def cells(self, width: int) -> tuple[int, int]:
+        """The cells of width fs, counted from origin, that lo and hi fall in."""
+        return (self.lo - self.origin) // width, (self.hi - self.origin) // width
+
+
+def _window_reach(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> _Reach:
+    if len(local_ts) == 0 or len(remote_ts) == 0:
+        raise EmptyOverlapError("cannot correlate an empty stream")
+    r0, l0, window = int(remote_ts[0]), int(local_ts[0]), cfg.search_window
+    return _Reach(r0 - l0, max(-window, r0 - int(local_ts[-1])), min(window, int(remote_ts[-1]) - l0))
+
+
 class CoarseHistogram(NamedTuple):
     """Sparse coarse histogram of a window's pairs, with the pairs themselves.
 
@@ -321,18 +345,15 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     chunk with no more bins than pairs counts its offsets by bin.
     """
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
-    if len(local_ts) == 0 or len(remote_ts) == 0:
-        raise EmptyOverlapError("cannot correlate an empty stream")
-    origin = int(remote_ts[0]) - int(local_ts[0])
-    bin_lo, bin_hi = _window_bin_range(origin, cfg)
+    reach = _window_reach(local_ts, remote_ts, cfg)
+    origin = reach.origin
     # Offsets count from the first bin a window pair can fill, so the shift
-    # stays in int64 for any window; they sort as 32-bit integers when it allows.
-    bin_lo = max(bin_lo, (int(local_ts[0]) - int(local_ts[-1])) // cfg.coarse_bin)
-    offset_dtype = np.uint32 if bin_hi - bin_lo < 2**32 else np.uint64
+    # stays in int64 for any window; they sort as 32-bit integers when the
+    # window's bins allow. top is one past the last bin a window pair can fill.
+    bin_lo, bin_last = reach.cells(cfg.coarse_bin)
+    offset_dtype = np.uint32 if _window_bin_range(origin, cfg)[1] - bin_lo < 2**32 else np.uint64
     shift = origin + bin_lo * cfg.coarse_bin
-    n, window = len(remote_ts), cfg.search_window
-    d_max = int(remote_ts[-1]) - int(local_ts[0])  # the largest difference the streams can form
-    top = (min(window, d_max) - shift) // cfg.coarse_bin + 1  # one past the last bin a window pair can fill
+    n, window, top = len(remote_ts), cfg.search_window, bin_last - bin_lo + 1
     if _holds_every_pair(local_ts, remote_ts, cfg):
         # Sorts and blocks take whole rows: at least one, each no longer than its remote stream.
         runs, total = None, len(local_ts) * n
@@ -401,9 +422,9 @@ def _fold_length(n: int) -> int:
 
 
 def _superbin_bounds(
-    local_ts: np.ndarray, remote_ts: np.ndarray, d_lo: int, d_hi: int, bins: int, cfg: CorrelationConfig
-) -> tuple[int, np.ndarray]:
-    """The superbin of difference d_lo and an upper bound on the pairs of each superbin up to d_hi's.
+    local_ts: np.ndarray, remote_ts: np.ndarray, sb_lo: int, sb_hi: int, bins: int, cfg: CorrelationConfig
+) -> np.ndarray:
+    """An upper bound on the pairs of each superbin sb_lo .. sb_hi.
 
     Superbins hold bins coarse bins each (see _bounded_peak). The fold has
     the smallest 5-smooth length above the range's superbin count, so that
@@ -412,8 +433,6 @@ def _superbin_bounds(
     longer stream's span in superbins plus two, when that is shorter.
     """
     width = bins * cfg.coarse_bin
-    origin = int(remote_ts[0]) - int(local_ts[0])
-    sb_lo, sb_hi = (d_lo - origin) // width, (d_hi - origin) // width
     cells = sb_hi - sb_lo + 1
     if bins > _SUPERBIN_BINS:
         longer = max(int(local_ts[-1]) - int(local_ts[0]), int(remote_ts[-1]) - int(remote_ts[0]))
@@ -425,21 +444,24 @@ def _superbin_bounds(
     # FFT round-off stays far below this margin, so c never undercounts
     margin = 0.5 + 1e-13 * n.bit_length() * math.sqrt(float(fold_l @ fold_l) * float(fold_r @ fold_r))
     c = np.take(np.floor(cyclic + margin).astype(np.int64), np.arange(sb_lo, sb_hi + 2), mode="wrap")
-    return sb_lo, c[:-1] + c[1:]
+    return c[:-1] + c[1:]
 
 
-class _Visit(NamedTuple):
-    """The window pairs of a run of coarse bins, as _bin_counts enumerated them.
+class _Listing(NamedTuple):
+    """Every window pair of coarse bins first_bin .. first_bin + bins - 1, with its coarse bin.
 
     offsets holds each pair's coarse bin minus first_bin, numbered as in
-    runs, like CoarseHistogram's; counts holds the pairs of each of the
-    run's coarse bins.
+    runs or, when runs is None (a window that holds every pair), pair p is
+    local tag p // R with remote tag p % R, R the remote stream's length, as
+    in CoarseHistogram. counts holds the pairs of each bin when _bin_counts
+    made the listing, None when a histogram did.
     """
 
     first_bin: int
-    counts: np.ndarray
-    offsets: np.ndarray  # uint64
-    runs: _PairRuns
+    bins: int
+    offsets: np.ndarray | None
+    runs: _PairRuns | None
+    counts: np.ndarray | None = None
 
 
 def _bin_counts(
@@ -450,11 +472,10 @@ def _bin_counts(
     bins: int,
     limit: int,
     cfg: CorrelationConfig,
-) -> _Visit | None:
-    """Exact counts of coarse bins first_bin .. first_bin + bins - 1, clipped to the window.
+) -> _Listing | None:
+    """The listing of coarse bins first_bin .. first_bin + bins - 1, clipped to the window, with their counts.
 
-    They come with the bins' pairs and their runs (see _Visit). None,
-    before any pair is made, when the bins hold more than limit pairs.
+    None, before any pair is made, when the bins hold more than limit pairs.
     """
     lo = origin + first_bin * cfg.coarse_bin  # the first bin's first difference
     start, stop = max(-cfg.search_window, lo), min(cfg.search_window + 1, lo + bins * cfg.coarse_bin)
@@ -464,7 +485,7 @@ def _bin_counts(
     offsets = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), start)
     offsets += start - lo
     offsets //= cfg.coarse_bin
-    return _Visit(first_bin, np.bincount(offsets, minlength=bins), offsets.view(np.uint64), runs)
+    return _Listing(first_bin, bins, offsets.view(np.uint64), runs, np.bincount(offsets, minlength=bins))
 
 
 def _superbin_counts(
@@ -475,7 +496,7 @@ def _superbin_counts(
     bins: int,
     limit: int,
     cfg: CorrelationConfig,
-) -> _Visit | None:
+) -> _Listing | None:
     """_bin_counts of one superbin of bins coarse bins."""
     return _bin_counts(local_ts, remote_ts, origin, superbin * bins, bins, limit, cfg)
 
@@ -489,12 +510,9 @@ def _bounded_total(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: Correlation
     """
     if len(local_ts) * len(remote_ts) < _MIN_BOUND_PAIRS:  # too few pairs in any window, or none
         return 0
-    origin = int(remote_ts[0]) - int(local_ts[0])
-    # the differences the streams can form inside the window
-    d_lo = max(-cfg.search_window, int(remote_ts[0]) - int(local_ts[-1]))
-    d_hi = min(cfg.search_window, int(remote_ts[-1]) - int(local_ts[0]))
     width = _SUPERBIN_BINS * cfg.coarse_bin
-    n = _fold_length((d_hi - origin) // width - (d_lo - origin) // width + 1)
+    sb_lo, sb_hi = _window_reach(local_ts, remote_ts, cfg).cells(width)
+    n = _fold_length(sb_hi - sb_lo + 1)
     spans = int(local_ts[-1]) - int(local_ts[0]), int(remote_ts[-1]) - int(remote_ts[0])
     if n > _MAX_SUPERBINS or width > cfg.search_window or max(spans) >= INT64_LIMIT:
         return 0
@@ -510,7 +528,7 @@ def _bounded_total(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: Correlation
 
 def _bounded_peak(
     local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig, total: int | None = None
-) -> tuple[int, int, int, _Visit] | None:
+) -> tuple[int, int, int, _Listing] | None:
     """The first coarse bin with the most window pairs, its count, the window's pairs, and the bin's visit.
 
     A branch and bound over superbins. Superbin j of width M groups coarse
@@ -563,21 +581,19 @@ def _bounded_peak(
         total = _bounded_total(local_ts, remote_ts, cfg)
     if not total:
         return None
-    origin = int(remote_ts[0]) - int(local_ts[0])
-    # the differences the streams can form inside the window
-    d_lo = max(-cfg.search_window, int(remote_ts[0]) - int(local_ts[-1]))
-    d_hi = min(cfg.search_window, int(remote_ts[-1]) - int(local_ts[0]))
+    reach = _window_reach(local_ts, remote_ts, cfg)
 
     def superbins(bins: int) -> int:
-        width = bins * cfg.coarse_bin
-        return (d_hi - origin) // width - (d_lo - origin) // width + 1
+        sb_lo, sb_hi = reach.cells(bins * cfg.coarse_bin)
+        return sb_hi - sb_lo + 1
 
     best = [0, 0, None]  # the first coarse bin with the most pairs in the visited superbins, its count and visit
     visited = []  # (width in coarse bins, superbin) of each enumerated superbin
 
     def fold(bins: int) -> tuple[int, np.ndarray]:
         """The fold's first superbin and bounds at bins, -1 where an earlier visit covers a superbin whole."""
-        sb_lo, bounds = _superbin_bounds(local_ts, remote_ts, d_lo, d_hi, bins, cfg)
+        sb_lo, sb_hi = reach.cells(bins * cfg.coarse_bin)
+        bounds = _superbin_bounds(local_ts, remote_ts, sb_lo, sb_hi, bins, cfg)
         # Widths need not divide one another, so a visit of coarse bins
         # j*b .. (j+1)*b - 1 skips only the superbins it covers whole.
         for b, j in visited:
@@ -595,7 +611,7 @@ def _bounded_peak(
             k = int(np.argmax(bounds))
             if bounds[k] < best[1]:
                 return True
-            visit = _superbin_counts(local_ts, remote_ts, origin, sb_lo + k, bins, pairs, cfg) if visits else None
+            visit = _superbin_counts(local_ts, remote_ts, reach.origin, sb_lo + k, bins, pairs, cfg) if visits else None
             if visit is None:
                 return False
             counts = visit.counts
@@ -625,7 +641,7 @@ def _bounded_peak(
     while superbins(probe) > _PROBE_SUPERBINS:
         probe *= 2
     if probe > _SUPERBIN_BINS:
-        window_bins = (d_hi - d_lo) // cfg.coarse_bin + 1
+        window_bins = (reach.hi - reach.lo) // cfg.coarse_bin + 1
         density = max(_accidentals(local_ts, remote_ts, cfg)[1][1], len(local_ts) * len(remote_ts) / window_bins)
         if search(probe, total // 8, _VISIT_BUDGET, density):
             return best[0], best[1], total, best[2]
@@ -699,8 +715,8 @@ def _holds_every_pair(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: Correlat
 
 def _region_peak(
     local_ts: np.ndarray, remote_ts: np.ndarray, predicted: int, total: int, cfg: CorrelationConfig
-) -> tuple[int, int, int, _Visit] | None:
-    """The first coarse bin with the most pairs near a predicted difference, its count, total and visit.
+) -> tuple[int, int, int, _Listing] | None:
+    """The first coarse bin with the most pairs near a predicted difference, its count, total and listing.
 
     The region is the coarse bins within refine_span_bins +
     _RETURN_SLACK_BINS of predicted's bin, clipped to the window, enumerated
@@ -708,7 +724,7 @@ def _region_peak(
     and the caller searches the window, when the region holds no pair or
     its peak lies within refine_span_bins of the region's edge.
     """
-    origin = int(remote_ts[0]) - int(local_ts[0])
+    origin = _window_reach(local_ts, remote_ts, cfg).origin
     bin_lo, bin_hi = _window_bin_range(origin, cfg)
     reach, centre = cfg.refine_span_bins, (predicted - origin) // cfg.coarse_bin
     first = max(centre - reach - _RETURN_SLACK_BINS, bin_lo)
@@ -737,8 +753,9 @@ def cross_correlate(
     """
     cfg = cfg or CorrelationConfig()
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
+    reach = _window_reach(local_ts, remote_ts, cfg)
     total = None  # the window's pairs as _bounded_total counts them, once counted
-    if predicted is not None and len(local_ts) and len(remote_ts):
+    if predicted is not None:
         if _holds_every_pair(local_ts, remote_ts, cfg):
             region_total = len(local_ts) * len(remote_ts)
         else:
@@ -746,7 +763,7 @@ def cross_correlate(
         found = _region_peak(local_ts, remote_ts, int(predicted), region_total, cfg) if region_total else None
         if found is not None:
             try:
-                return _peak_result(local_ts, remote_ts, cfg, *found)
+                return _peak_result(local_ts, remote_ts, cfg, reach, *found)
             except NoPeakError:
                 pass
     found = _bounded_peak(local_ts, remote_ts, cfg, total)
@@ -754,57 +771,52 @@ def cross_correlate(
         hist = coarse_histogram(local_ts, remote_ts, cfg)
         i_max = int(np.argmax(hist.counts))  # first max: ties break toward smallest offset
         total = len(local_ts) * len(remote_ts) if hist.runs is None else int(hist.runs.ends[-1])
-        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total, hist
-    return _peak_result(local_ts, remote_ts, cfg, *found)
+        # Kept offsets list every pair of the bins the window reaches; a window of several sorts keeps none.
+        first, last = reach.cells(cfg.coarse_bin)
+        bins = 0 if hist.offsets is None else last + 1 - first
+        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total, _Listing(first, bins, hist.offsets, hist.runs)
+    return _peak_result(local_ts, remote_ts, cfg, reach, *found)
 
 
 def _peak_result(
     local_ts: np.ndarray,
     remote_ts: np.ndarray,
     cfg: CorrelationConfig,
+    reach: _Reach,
     peak_bin: int,
     peak_counts: int,
     total: int,
-    enumerated: _Visit | CoarseHistogram,
+    listed: _Listing,
 ) -> CorrelationResult:
-    """cross_correlate's result from the coarse peak, the window's pair count and the pairs that found the peak.
+    """cross_correlate's result from the coarse peak, the window's pair count and the listing that found the peak.
 
-    The peak span's pairs are taken from enumerated when it lists them all:
-    a visit covering the span, or a histogram that kept its offsets.
+    The peak span's pairs are taken from that listing when it lists them
+    all, else from _bin_counts over the span's bins.
     """
-    origin = int(remote_ts[0]) - int(local_ts[0])
+    origin = reach.origin
     bin_lo, bin_hi = _window_bin_range(origin, cfg)
     # A span reaching past every window bin from any peak is clipped to that reach.
-    reach = min(cfg.refine_span_bins, bin_hi - bin_lo)
-    excl_lo = max(peak_bin - reach, bin_lo)
-    excl_hi = min(peak_bin + reach, bin_hi)
+    half = min(cfg.refine_span_bins, bin_hi - bin_lo)
+    excl_lo = max(peak_bin - half, bin_lo)
+    excl_hi = min(peak_bin + half, bin_hi)
 
     # The peak span's pairs, each with its local time, in the window's order.
-    # They are exactly the pairs of the coarse bins the background excludes.
-    span_lo = origin + (peak_bin - reach) * cfg.coarse_bin
-    span = (2 * reach + 1) * cfg.coarse_bin
-    if isinstance(enumerated, _Visit):  # when it covers the span
-        covers = enumerated.first_bin <= excl_lo and excl_hi < enumerated.first_bin + len(enumerated.counts)
-        listed = enumerated if covers else None
-    else:  # when the window took one sort
-        listed = enumerated if enumerated.offsets is not None else None
-    if listed is not None:
-        # Taken from the pairs already enumerated. The unsigned offsets relative
-        # to the span's first bin wrap past the last for the pairs below it.
-        first = max(excl_lo, listed.first_bin)
-        pairs = np.flatnonzero(listed.offsets - (first - listed.first_bin) <= excl_hi - first)
-        if listed.runs is None:  # every pair: pair p is local tag p // R with remote tag p % R
-            tags, partners = np.divmod(pairs, len(remote_ts))
-        else:
-            tags = np.searchsorted(listed.runs.ends, pairs, side="right")
-            partners = listed.runs.base[tags] + pairs
-        times = local_ts[tags]
-        shifted = remote_ts[partners] - (times + span_lo)
+    # They are exactly the pairs of the coarse bins the background excludes,
+    # and lie in those of its bins first .. last that the window's differences reach.
+    first, last = reach.cells(cfg.coarse_bin)
+    first, last = max(excl_lo, first), min(excl_hi, last)
+    if not (listed.first_bin <= first and last < listed.first_bin + listed.bins):
+        listed = _bin_counts(local_ts, remote_ts, origin, excl_lo, excl_hi + 1 - excl_lo, total, cfg)
+    # The unsigned offsets relative to the span's first bin wrap past the last for the pairs below it.
+    pairs = np.flatnonzero(listed.offsets - (first - listed.first_bin) <= last - first)
+    if listed.runs is None:  # every pair: pair p is local tag p // R with remote tag p % R
+        tags, partners = np.divmod(pairs, len(remote_ts))
     else:
-        window = cfg.search_window
-        runs = _pair_runs(local_ts, remote_ts, max(-window, span_lo), min(window + 1, span_lo + span))
-        shifted = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), span_lo)
-        times = np.repeat(local_ts, runs.counts)
+        tags = np.searchsorted(listed.runs.ends, pairs, side="right")
+        partners = listed.runs.base[tags] + pairs
+    times = local_ts[tags]
+    span_lo = origin + (peak_bin - half) * cfg.coarse_bin
+    shifted = remote_ts[partners] - (times + span_lo)
 
     # Background over every coarse bin the window could populate, including
     # empty ones, excluding the peak span. Its sigma adds the spread of the
@@ -825,7 +837,7 @@ def _peak_result(
             significance=significance,
         )
 
-    seed = shifted // cfg.coarse_bin == reach  # the coarse peak bin's pairs
+    seed = shifted // cfg.coarse_bin == half  # the coarse peak bin's pairs
     x = (times - local_ts[0]).astype(np.float64)
     keep, slope, sigma, x_mean, sxx = _member_line(x, shifted.astype(np.float64), seed, cfg.fine_bin)
     diffs = shifted[keep]
@@ -841,7 +853,7 @@ def _peak_result(
         histogram_summary={
             "coarse_bin_fs": cfg.coarse_bin,
             "fine_bin_fs": cfg.fine_bin,
-            "span_fs": span,
+            "span_fs": (2 * half + 1) * cfg.coarse_bin,
             "region_total": len(diffs),
         },
         members=PeakMembers(times[keep], diffs, slope, int(local_ts[0]) + x_mean, sxx),

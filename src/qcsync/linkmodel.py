@@ -273,9 +273,12 @@ def _static_flight_fs(link: LinkModel, direction: Direction) -> np.int64:
     return _rounded_fs(total_fs + direction.bias_sign * link.nonreciprocity_bias / 2.0)
 
 
+_FLIGHT_RANGE_MESSAGE = "flight time outside the int64 femtosecond range (|t| < 2^63 fs)"
+
+
 def _rounded_fs(total_fs):
     if not (np.abs(total_fs) < INT64_LIMIT).all():
-        raise TimeRangeError("flight time outside the int64 femtosecond range (|t| < 2^63 fs)")
+        raise TimeRangeError(_FLIGHT_RANGE_MESSAGE)
     return np.rint(total_fs).astype(np.int64)
 
 
@@ -326,7 +329,9 @@ def time_of_flight(link: LinkModel, true_emit_time: int, direction: Direction) -
     if isinstance(link.geometry, StaticRange):
         return int(_static_flight_fs(link, direction))
     total, sin_el = _knot(link, _emit_seconds(true_emit_time), direction)
-    flight = int(_rounded_fs(total))
+    if not abs(total) < INT64_LIMIT:
+        raise TimeRangeError(_FLIGHT_RANGE_MESSAGE)
+    flight = round(total)  # half to even, as np.rint; numpy costs more than the solve on one float
     if not _visible(link.geometry, sin_el):
         raise NotVisibleError(f"link not visible at emit time {true_emit_time} fs")
     return flight

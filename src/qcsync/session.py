@@ -68,11 +68,16 @@ class SessionStreams:
     local_b: TagStream
     remote_ba: TagStream
     truth: SessionTruth
-    # fs, the link model's flight_ab + flight_ba at the midpoint: the
-    # ephemeris, independent of both clocks (the clock offset and any
-    # nonreciprocity_bias cancel in it), as an operator would know it.
-    # estimate_session uses it only to place the peak searches.
-    round_trip_fs: int
+
+    @property
+    def round_trip_fs(self) -> int:
+        """fs, the link model's flight_ab + flight_ba at the midpoint.
+
+        The ephemeris, independent of both clocks (the clock offset and any
+        nonreciprocity_bias cancel in it), as an operator would know it.
+        estimate_session uses it only to place the peak searches.
+        """
+        return self.truth.flight_ab_fs + self.truth.flight_ba_fs
 
 
 # Per direction: the channel and frame of the local stream, then of the remote one.
@@ -187,7 +192,6 @@ def run_session(
         local_b=local_b,
         remote_ba=remote_ba,
         truth=truth,
-        round_trip_fs=truth.flight_ab_fs + truth.flight_ba_fs,
     )
 
 

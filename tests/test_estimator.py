@@ -1261,7 +1261,8 @@ def test_coarser_folds_reach_as_far_as_the_streams(monkeypatch, duration_s):
                 assert cells < window_cells(bins) * 0.9
             else:  # the window is as long as the streams: the fold keeps its length
                 assert fold_length(cells) == fold_length(window_cells(bins))
-            sb_lo, bounds = superbin_bounds(local, remote, d_lo, d_hi, bins, cfg)
+            sb_lo, sb_hi = ((d - hist.origin) // (bins * cfg.coarse_bin) for d in (d_lo, d_hi))
+            bounds = superbin_bounds(local, remote, sb_lo, sb_hi, bins, cfg)
             exact = np.zeros_like(bounds)
             np.add.at(exact, hist.bins // bins - sb_lo, hist.counts)
             assert (bounds >= exact).all() and exact.sum() == hist.counts.sum()

@@ -842,15 +842,18 @@ def test_seconds_past_the_float_range_exit_two(tmp_path, capsys, command, base, 
     assert key[-1] in err and "Traceback" not in err
 
 
-def _cli_subprocess(tmp_path, command, config) -> subprocess.CompletedProcess:
-    """Run `python -m qcsync <command>` on config in a child capped at 20 s and 1 GiB."""
+def _cli_subprocess(tmp_path, command, config, memory=1 << 30) -> subprocess.CompletedProcess:
+    """Run `python -m qcsync <command>` on config in a child capped at 20 s and memory bytes (1 GiB).
+
+    The child starts no BLAS thread pool, whose buffers would count against the cap.
+    """
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
 
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
 
-    env = {**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")}
+    env = {**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src"), "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run(
         [sys.executable, "-m", "qcsync", command, "--config", str(path), "--out", str(tmp_path / "out")],
         env=env,
@@ -859,6 +862,16 @@ def _cli_subprocess(tmp_path, command, config) -> subprocess.CompletedProcess:
         text=True,
         timeout=20,
     )
+
+
+def test_session_too_large_for_memory_exits_three(tmp_path):
+    # 0.1 s of paper_100pairs holds about 1.4 GB at its peak, so under a
+    # 768 MiB cap an allocation fails: a one-line message and exit 3, not a
+    # MemoryError traceback (exit 1). The session must not fit the cap.
+    result = _cli_subprocess(tmp_path, "simulate", _set(_paper(), ("duration_s",), 0.1), memory=768 << 20)
+    assert result.returncode == 3, result.stderr
+    assert "simulation failed: out of memory" in result.stderr and "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_net_interval_below_one_fs_exits_two(tmp_path):

@@ -1,15 +1,17 @@
 """Offset, flight-time, and frequency recovery from timetag streams.
 
 The correlator looks at pairwise differences (remote - local) inside a
-search window. Both streams are sorted, so the in-window partners of each
-local tag form one run of remote tags, found by binary search: cost scales
-with the number of in-window pairs, never len(local)*len(remote). The
-enumeration route below searches the window once per correlation. A window
-that holds every pair the streams can form, as when a session's span plus
-its offset stays inside the window, is never searched: coarse_histogram
-makes its offsets by rows of local tags, each block of rows one broadcast
-subtraction from the remote stream, and pair p is local tag p // R with
-remote tag p % R, R the remote stream's length.
+search window, which _window_reach alone reads from the config. Both streams
+are sorted, so the in-window partners of each local tag form one run of
+remote tags, found by binary search: cost scales with the number of
+in-window pairs, never len(local)*len(remote). Every listing numbers its
+pairs by such runs (_PairRuns). The enumeration route below searches the
+window once per correlation. A window that holds every pair the streams can
+form, as when a session's span plus its offset stays inside the window, is
+never searched: its runs are whole rows, local tag t owning pairs t*R ..
+t*R + R - 1, R the remote stream's length, and coarse_histogram makes its
+offsets by rows of local tags, each block of rows one broadcast subtraction
+from the remote stream.
 
 The coarse estimate is the first coarse bin holding the most pairs, found
 exactly by one of two window routes that give the same bin and count:
@@ -65,14 +67,13 @@ give; a window as long as the session makes it large. The significance is
 
 The fine stage then takes only the peak span's pairs, each with its local
 time t, from the listing of the route that found the peak: the window pairs
-of a run of coarse bins, by coarse-bin offset, numbered by the window's
-runs or, when the window holds every pair, by index arithmetic. A region or
-superbin visit lists its own bins; the enumeration lists every bin the
-window reaches when the window fits one sort. When that listing misses part
-of the span (a peak near its superbin's edge, or a window of several
-sorts), one _bin_counts over the span's bins lists them instead. Either way
-the pairs' exact differences are rebuilt from the listing's numbering. The
-fine stage fits the line d = a + b*(t - t_mean)
+of a run of coarse bins, by coarse-bin offset, numbered by its runs. A
+region or superbin visit lists its own bins; the enumeration lists every
+bin the window reaches when the window fits one sort. When that listing
+misses part of the span (a peak near its superbin's edge, or a window of
+several sorts), one _bin_counts over the span's bins lists them instead.
+Either way the pairs' exact differences are rebuilt from the listing's
+runs. The fine stage fits the line d = a + b*(t - t_mean)
 by least squares over an iterated member window: seeded with the coarse
 peak bin, each pass keeps the pairs within max(3 sigma, fine_bin) of the
 line, until the member set stops changing.
@@ -274,22 +275,24 @@ def _pair_diffs(
     return diffs
 
 
-def _window_bin_range(origin: int, cfg: CorrelationConfig) -> tuple[int, int]:
-    """First and last coarse bin index the search window can populate."""
-    bin_lo = (-cfg.search_window - origin) // cfg.coarse_bin
-    bin_hi = (cfg.search_window - origin) // cfg.coarse_bin
-    return bin_lo, bin_hi
-
-
 class _Reach(NamedTuple):
-    """The smallest and largest difference the streams can form inside the window (lo > hi when none).
+    """The search window as two streams see it.
 
-    Coarse bins and superbins count from origin, the two first tags' difference.
+    The window's differences are start .. stop - 1, in coarse bins bin_lo ..
+    bin_hi; lo and hi are the smallest and largest difference the streams can
+    form inside it (lo > hi when none), and every_pair whether it holds every
+    difference they can form. Coarse bins and superbins count from origin,
+    the two first tags' difference.
     """
 
     origin: int
+    start: int
+    stop: int
+    bin_lo: int
+    bin_hi: int
     lo: int
     hi: int
+    every_pair: bool
 
     def cells(self, width: int) -> tuple[int, int]:
         """The cells of width fs, counted from origin, that lo and hi fall in."""
@@ -297,10 +300,14 @@ class _Reach(NamedTuple):
 
 
 def _window_reach(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> _Reach:
+    """The window [-search_window, search_window] as the streams see it: the one reader of search_window."""
     if len(local_ts) == 0 or len(remote_ts) == 0:
         raise EmptyOverlapError("cannot correlate an empty stream")
     r0, l0, window = int(remote_ts[0]), int(local_ts[0]), cfg.search_window
-    return _Reach(r0 - l0, max(-window, r0 - int(local_ts[-1])), min(window, int(remote_ts[-1]) - l0))
+    origin, lo, hi = r0 - l0, r0 - int(local_ts[-1]), int(remote_ts[-1]) - l0
+    bin_lo, bin_hi = (-window - origin) // cfg.coarse_bin, (window - origin) // cfg.coarse_bin
+    every_pair = -window <= lo and hi <= window
+    return _Reach(origin, -window, window + 1, bin_lo, bin_hi, max(-window, lo), min(window, hi), every_pair)
 
 
 class CoarseHistogram(NamedTuple):
@@ -309,17 +316,16 @@ class CoarseHistogram(NamedTuple):
     Bin i covers differences d with floor((d - origin)/coarse_bin) == i;
     origin is remote[0] - local[0]. offsets holds each window pair's bin
     minus first_bin (the first bin a window pair can fill), numbered as in
-    runs, or None when the window took more than one chunk. runs is None when
-    the window holds every pair the streams can form: pair p is then local
-    tag p // R with remote tag p % R, R = len(remote), and the window holds
-    len(local) * R pairs.
+    runs, or None when the window took more than one chunk. When the window
+    holds every pair the streams can form, runs numbers them by rows,
+    unsearched: local tag t owns pairs t*R .. t*R + R - 1, R = len(remote).
     """
 
     bins: np.ndarray  # occupied bin indices, ascending int64
     counts: np.ndarray  # pairs per occupied bin
     origin: int
     offsets: np.ndarray | None
-    runs: _PairRuns | None
+    runs: _PairRuns
     first_bin: int
 
 
@@ -346,24 +352,24 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     """
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
     reach = _window_reach(local_ts, remote_ts, cfg)
-    origin = reach.origin
     # Offsets count from the first bin a window pair can fill, so the shift
     # stays in int64 for any window; they sort as 32-bit integers when the
     # window's bins allow. top is one past the last bin a window pair can fill.
-    bin_lo, bin_last = reach.cells(cfg.coarse_bin)
-    offset_dtype = np.uint32 if _window_bin_range(origin, cfg)[1] - bin_lo < 2**32 else np.uint64
-    shift = origin + bin_lo * cfg.coarse_bin
-    n, window, top = len(remote_ts), cfg.search_window, bin_last - bin_lo + 1
-    if _holds_every_pair(local_ts, remote_ts, cfg):
-        # Sorts and blocks take whole rows: at least one, each no longer than its remote stream.
-        runs, total = None, len(local_ts) * n
+    first, last = reach.cells(cfg.coarse_bin)
+    offset_dtype = np.uint32 if reach.bin_hi - first < 2**32 else np.uint64
+    shift, n, top = reach.origin + first * cfg.coarse_bin, len(remote_ts), last - first + 1
+    if reach.every_pair:
+        # Pairs are numbered by rows, tag t owning t*n .. t*n + n - 1, and sorts and
+        # blocks take whole rows: at least one, each no longer than its remote stream.
+        ends = np.arange(n, (len(local_ts) + 1) * n, n, dtype=np.int64)
+        runs = _PairRuns(n - ends, np.full(len(local_ts), n, dtype=np.int64), ends)
         chunk_pairs, block_pairs = max(_CHUNK_PAIRS // n, 1) * n, max(_BLOCK_PAIRS // n, 1) * n
     else:
-        runs = _pair_runs(local_ts, remote_ts, -window, window + 1)
-        total = int(runs.ends[-1])
-        if total == 0:
-            raise EmptyOverlapError("no pairwise differences inside the search window")
+        runs = _pair_runs(local_ts, remote_ts, reach.start, reach.stop)
         chunk_pairs, block_pairs = _CHUNK_PAIRS, _BLOCK_PAIRS
+    total = int(runs.ends[-1])
+    if total == 0:
+        raise EmptyOverlapError("no pairwise differences inside the search window")
     bins_parts, counts_parts, offsets = [], [], None
     for chunk_start in range(0, total, chunk_pairs):
         chunk_stop = min(chunk_start + chunk_pairs, total)
@@ -371,7 +377,7 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
         for start in range(chunk_start, chunk_stop, block_pairs):
             stop = min(start + block_pairs, chunk_stop)
             out = rel[start - chunk_start : stop - chunk_start]
-            if runs is None:
+            if reach.every_pair:
                 diffs = remote_ts - (local_ts[start // n : stop // n, None] + shift)
                 out = out.reshape(diffs.shape)
             else:
@@ -398,8 +404,8 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
         bins, counts = bins[order], counts[order]
         starts = np.flatnonzero(np.concatenate(([True], bins[1:] != bins[:-1])))
         bins, counts = bins[starts], np.add.reduceat(counts, starts)
-    bins += bin_lo
-    return CoarseHistogram(bins, counts, origin, offsets, runs, bin_lo)
+    bins += first
+    return CoarseHistogram(bins, counts, reach.origin, offsets, runs, first)
 
 
 def _smooth_lengths(limit: int) -> list[int]:
@@ -451,23 +457,21 @@ class _Listing(NamedTuple):
     """Every window pair of coarse bins first_bin .. first_bin + bins - 1, with its coarse bin.
 
     offsets holds each pair's coarse bin minus first_bin, numbered as in
-    runs or, when runs is None (a window that holds every pair), pair p is
-    local tag p // R with remote tag p % R, R the remote stream's length, as
-    in CoarseHistogram. counts holds the pairs of each bin when _bin_counts
-    made the listing, None when a histogram did.
+    runs. counts holds the pairs of each bin when _bin_counts made the
+    listing, None when a histogram did.
     """
 
     first_bin: int
     bins: int
     offsets: np.ndarray | None
-    runs: _PairRuns | None
+    runs: _PairRuns
     counts: np.ndarray | None = None
 
 
 def _bin_counts(
     local_ts: np.ndarray,
     remote_ts: np.ndarray,
-    origin: int,
+    reach: _Reach,
     first_bin: int,
     bins: int,
     limit: int,
@@ -477,8 +481,8 @@ def _bin_counts(
 
     None, before any pair is made, when the bins hold more than limit pairs.
     """
-    lo = origin + first_bin * cfg.coarse_bin  # the first bin's first difference
-    start, stop = max(-cfg.search_window, lo), min(cfg.search_window + 1, lo + bins * cfg.coarse_bin)
+    lo = reach.origin + first_bin * cfg.coarse_bin  # the first bin's first difference
+    start, stop = max(reach.start, lo), min(reach.stop, lo + bins * cfg.coarse_bin)
     runs = _pair_runs(local_ts, remote_ts, start, stop)
     if runs.ends[-1] > limit:
         return None
@@ -486,19 +490,6 @@ def _bin_counts(
     offsets += start - lo
     offsets //= cfg.coarse_bin
     return _Listing(first_bin, bins, offsets.view(np.uint64), runs, np.bincount(offsets, minlength=bins))
-
-
-def _superbin_counts(
-    local_ts: np.ndarray,
-    remote_ts: np.ndarray,
-    origin: int,
-    superbin: int,
-    bins: int,
-    limit: int,
-    cfg: CorrelationConfig,
-) -> _Listing | None:
-    """_bin_counts of one superbin of bins coarse bins."""
-    return _bin_counts(local_ts, remote_ts, origin, superbin * bins, bins, limit, cfg)
 
 
 def _bounded_total(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> int:
@@ -510,19 +501,19 @@ def _bounded_total(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: Correlation
     """
     if len(local_ts) * len(remote_ts) < _MIN_BOUND_PAIRS:  # too few pairs in any window, or none
         return 0
-    width = _SUPERBIN_BINS * cfg.coarse_bin
-    sb_lo, sb_hi = _window_reach(local_ts, remote_ts, cfg).cells(width)
+    reach, width = _window_reach(local_ts, remote_ts, cfg), _SUPERBIN_BINS * cfg.coarse_bin
+    sb_lo, sb_hi = reach.cells(width)
     n = _fold_length(sb_hi - sb_lo + 1)
     spans = int(local_ts[-1]) - int(local_ts[0]), int(remote_ts[-1]) - int(remote_ts[0])
-    if n > _MAX_SUPERBINS or width > cfg.search_window or max(spans) >= INT64_LIMIT:
+    if n > _MAX_SUPERBINS or width >= reach.stop or max(spans) >= INT64_LIMIT:
         return 0
     # Uniform streams would hold about this many window pairs. The estimate
     # keeps windows with few pairs per tag off the binary searches below, so
     # they are searched at most once, by coarse_histogram.
     needed = max(_MIN_BOUND_PAIRS, _PAIRS_PER_BOUND * (n + len(local_ts) + len(remote_ts)))
-    if len(local_ts) * len(remote_ts) * min(1.0, (2 * cfg.search_window + 1) / (max(spans) + 1)) < needed:
+    if len(local_ts) * len(remote_ts) * min(1.0, (reach.stop - reach.start) / (max(spans) + 1)) < needed:
         return 0
-    total = int(_pair_runs(local_ts, remote_ts, -cfg.search_window, cfg.search_window + 1).ends[-1])
+    total = int(_pair_runs(local_ts, remote_ts, reach.start, reach.stop).ends[-1])
     return total if total >= needed else 0
 
 
@@ -611,7 +602,7 @@ def _bounded_peak(
             k = int(np.argmax(bounds))
             if bounds[k] < best[1]:
                 return True
-            visit = _superbin_counts(local_ts, remote_ts, reach.origin, sb_lo + k, bins, pairs, cfg) if visits else None
+            visit = _bin_counts(local_ts, remote_ts, reach, (sb_lo + k) * bins, bins, pairs, cfg) if visits else None
             if visit is None:
                 return False
             counts = visit.counts
@@ -669,7 +660,8 @@ def _background_spread(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: Correla
     are exact sums of piece integrals.
     """
     knots = _accidentals(local_ts, remote_ts, cfg)
-    lo, hi = -cfg.search_window, cfg.search_window + 1
+    reach = _window_reach(local_ts, remote_ts, cfg)
+    lo, hi = reach.start, reach.stop
     s1 = s2 = 0.0
     for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
         u, v = max(x0, lo), min(x1, hi)
@@ -707,12 +699,6 @@ def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
         keep = inside
 
 
-def _holds_every_pair(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> bool:
-    """Whether every difference the (non-empty) streams can form lies inside the window."""
-    window = cfg.search_window
-    return -window <= int(remote_ts[0]) - int(local_ts[-1]) and int(remote_ts[-1]) - int(local_ts[0]) <= window
-
-
 def _region_peak(
     local_ts: np.ndarray, remote_ts: np.ndarray, predicted: int, total: int, cfg: CorrelationConfig
 ) -> tuple[int, int, int, _Listing] | None:
@@ -724,16 +710,15 @@ def _region_peak(
     and the caller searches the window, when the region holds no pair or
     its peak lies within refine_span_bins of the region's edge.
     """
-    origin = _window_reach(local_ts, remote_ts, cfg).origin
-    bin_lo, bin_hi = _window_bin_range(origin, cfg)
-    reach, centre = cfg.refine_span_bins, (predicted - origin) // cfg.coarse_bin
-    first = max(centre - reach - _RETURN_SLACK_BINS, bin_lo)
-    bins = min(centre + reach + _RETURN_SLACK_BINS, bin_hi) + 1 - first
-    if bins < 2 * reach + 3:  # no bin lies more than reach bins inside the region, or it misses the window
+    reach = _window_reach(local_ts, remote_ts, cfg)
+    half, centre = cfg.refine_span_bins, (predicted - reach.origin) // cfg.coarse_bin
+    first = max(centre - half - _RETURN_SLACK_BINS, reach.bin_lo)
+    bins = min(centre + half + _RETURN_SLACK_BINS, reach.bin_hi) + 1 - first
+    if bins < 2 * half + 3:  # no bin lies more than half bins inside the region, or it misses the window
         return None
-    visit = _bin_counts(local_ts, remote_ts, origin, first, bins, total, cfg)
+    visit = _bin_counts(local_ts, remote_ts, reach, first, bins, total, cfg)
     i = int(np.argmax(visit.counts))
-    if visit.counts[i] == 0 or not reach < i < bins - 1 - reach:
+    if visit.counts[i] == 0 or not half < i < bins - 1 - half:
         return None
     return first + i, int(visit.counts[i]), total, visit
 
@@ -756,7 +741,7 @@ def cross_correlate(
     reach = _window_reach(local_ts, remote_ts, cfg)
     total = None  # the window's pairs as _bounded_total counts them, once counted
     if predicted is not None:
-        if _holds_every_pair(local_ts, remote_ts, cfg):
+        if reach.every_pair:
             region_total = len(local_ts) * len(remote_ts)
         else:
             region_total = total = _bounded_total(local_ts, remote_ts, cfg)
@@ -770,7 +755,7 @@ def cross_correlate(
     if found is None:
         hist = coarse_histogram(local_ts, remote_ts, cfg)
         i_max = int(np.argmax(hist.counts))  # first max: ties break toward smallest offset
-        total = len(local_ts) * len(remote_ts) if hist.runs is None else int(hist.runs.ends[-1])
+        total = int(hist.runs.ends[-1])
         # Kept offsets list every pair of the bins the window reaches; a window of several sorts keeps none.
         first, last = reach.cells(cfg.coarse_bin)
         bins = 0 if hist.offsets is None else last + 1 - first
@@ -793,8 +778,7 @@ def _peak_result(
     The peak span's pairs are taken from that listing when it lists them
     all, else from _bin_counts over the span's bins.
     """
-    origin = reach.origin
-    bin_lo, bin_hi = _window_bin_range(origin, cfg)
+    origin, bin_lo, bin_hi = reach.origin, reach.bin_lo, reach.bin_hi
     # A span reaching past every window bin from any peak is clipped to that reach.
     half = min(cfg.refine_span_bins, bin_hi - bin_lo)
     excl_lo = max(peak_bin - half, bin_lo)
@@ -806,14 +790,11 @@ def _peak_result(
     first, last = reach.cells(cfg.coarse_bin)
     first, last = max(excl_lo, first), min(excl_hi, last)
     if not (listed.first_bin <= first and last < listed.first_bin + listed.bins):
-        listed = _bin_counts(local_ts, remote_ts, origin, excl_lo, excl_hi + 1 - excl_lo, total, cfg)
+        listed = _bin_counts(local_ts, remote_ts, reach, excl_lo, excl_hi + 1 - excl_lo, total, cfg)
     # The unsigned offsets relative to the span's first bin wrap past the last for the pairs below it.
     pairs = np.flatnonzero(listed.offsets - (first - listed.first_bin) <= last - first)
-    if listed.runs is None:  # every pair: pair p is local tag p // R with remote tag p % R
-        tags, partners = np.divmod(pairs, len(remote_ts))
-    else:
-        tags = np.searchsorted(listed.runs.ends, pairs, side="right")
-        partners = listed.runs.base[tags] + pairs
+    tags = np.searchsorted(listed.runs.ends, pairs, side="right")
+    partners = listed.runs.base[tags] + pairs
     times = local_ts[tags]
     span_lo = origin + (peak_bin - half) * cfg.coarse_bin
     shifted = remote_ts[partners] - (times + span_lo)

@@ -53,7 +53,16 @@ from .estimator import CorrelationConfig, EstimationError, _halve_toward_zero, f
 from .fields import ConfigError, check_fields, param
 from .linkmodel import NotVisibleError
 from .session import SessionSpec, estimate_session, run_session
-from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockModel, ClockState, TimeRangeError, apply_correction, local_time
+from .timebase import (
+    FS_PER_SECOND,
+    INT64_LIMIT,
+    ClockModel,
+    ClockState,
+    TimeRangeError,
+    _past_tag_range,
+    apply_correction,
+    local_time,
+)
 
 __all__ = [
     "Node",
@@ -262,10 +271,7 @@ def run_network(
     scheduled syncs ConfigError, before the first event.
     """
     if horizon >= INT64_LIMIT:
-        raise TimeRangeError(
-            f"horizon {horizon / FS_PER_SECOND:g} s is past the int64 femtosecond range of "
-            f"tag arrays (2^63 fs, about {INT64_LIMIT // FS_PER_SECOND} s)"
-        )
+        raise TimeRangeError(_past_tag_range(f"horizon {horizon / FS_PER_SECOND:g} s is"))
     min_interval = min((e.interval_fs for e in topology.edges), default=horizon)
     if horizon < min_interval:
         raise ConfigError("horizon must cover at least one schedule interval")

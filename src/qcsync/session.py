@@ -19,7 +19,7 @@ from .fields import check_fields, param
 from .linkmodel import Direction, LinkModel, NotVisibleError, propagate, time_of_flight
 from .photonics import Detector, PairSource, TagStream, TimeTagger, detect, generate_pair_births, split_pairs
 from .seeding import SeedSpec, seed_path, spawn_rng
-from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, TimeRangeError, local_time
+from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, TimeRangeError, _past_tag_range, local_time
 
 __all__ = [
     "NodeInstruments",
@@ -93,10 +93,14 @@ def _one_source_arm(
     births: np.ndarray,
     clock_local: ClockState,
     clock_remote: ClockState,
+    midpoint_flight: int,
     seed: SeedSpec,
     metadata: dict,
 ) -> tuple[TagStream, TagStream]:
-    """The local and remote streams of the pairs born at the sending end of direction."""
+    """The local and remote streams of the pairs born at the sending end of direction.
+
+    midpoint_flight is the flight (fs) of direction at the window's midpoint.
+    """
     local, remote = spec.instruments_a, spec.instruments_b
     if direction is Direction.B_TO_A:
         local, remote = remote, local
@@ -123,12 +127,12 @@ def _one_source_arm(
     )
     arrivals = propagate(remote_arm, link, direction, seed_path(seed) + ("link",))
     # The remote acquisition gate covers the arrival band, one flight time
-    # after the emission window; with the link occluded the gate position is
-    # moot (no signal), so fall back to the emission window.
+    # after the emission window. A window that opens with the link occluded
+    # (below the elevation mask) takes the midpoint's flight instead.
     try:
         remote_gate = window_start + time_of_flight(link, window_start, direction)
     except NotVisibleError:
-        remote_gate = window_start
+        remote_gate = window_start + midpoint_flight
     remote_stream = detect(
         arrivals,
         remote.detector,
@@ -159,29 +163,28 @@ def run_session(
     metadata = dict(metadata or {})
     start, duration = spec.start_time, spec.duration
     if start + duration >= INT64_LIMIT:
-        raise TimeRangeError(
-            f"session window ends at {(start + duration) / FS_PER_SECOND:.0f} s, past the "
-            f"int64 femtosecond range of tag arrays (2^63 fs, about {INT64_LIMIT // FS_PER_SECOND} s)"
-        )
+        raise TimeRangeError(_past_tag_range(f"session window ends at {(start + duration) / FS_PER_SECOND:.0f} s,"))
 
     births_a = generate_pair_births(spec.instruments_a.source, duration, seed_path(seed) + ("births-a",))
     births_b = generate_pair_births(spec.instruments_b.source, duration, seed_path(seed) + ("births-b",))
     births_a = births_a + start
     births_b = births_b + start
 
+    midpoint = start + duration // 2
+    flight_ab = time_of_flight(spec.link, midpoint, Direction.A_TO_B)
+    flight_ba = time_of_flight(spec.link, midpoint, Direction.B_TO_A)
     local_a, remote_ab = _one_source_arm(
-        spec, Direction.A_TO_B, births_a, clock_a, clock_b, seed_path(seed) + ("arm-a",), metadata
+        spec, Direction.A_TO_B, births_a, clock_a, clock_b, flight_ab, seed_path(seed) + ("arm-a",), metadata
     )
     local_b, remote_ba = _one_source_arm(
-        spec, Direction.B_TO_A, births_b, clock_b, clock_a, seed_path(seed) + ("arm-b",), metadata
+        spec, Direction.B_TO_A, births_b, clock_b, clock_a, flight_ba, seed_path(seed) + ("arm-b",), metadata
     )
 
-    midpoint = start + duration // 2
     theta_true = local_time(clock_b, midpoint) - local_time(clock_a, midpoint)
     truth = SessionTruth(
         theta_fs=theta_true,
-        flight_ab_fs=time_of_flight(spec.link, midpoint, Direction.A_TO_B),
-        flight_ba_fs=time_of_flight(spec.link, midpoint, Direction.B_TO_A),
+        flight_ab_fs=flight_ab,
+        flight_ba_fs=flight_ba,
         midpoint_fs=midpoint,
         births_a=len(births_a),
         births_b=len(births_b),

@@ -79,6 +79,11 @@ def _in_int64(value: int) -> bool:
     return -INT64_LIMIT <= value < INT64_LIMIT
 
 
+def _past_tag_range(subject: str) -> str:
+    """A TimeRangeError message: subject, then that it lies past the int64 range of tag arrays."""
+    return f"{subject} past the int64 femtosecond range of tag arrays (2^63 fs, about {INT64_LIMIT // FS_PER_SECOND} s)"
+
+
 def _round_div(num: int, den: int) -> int:
     """Round num/den to the nearest integer, halves away from zero. den > 0."""
     if num >= 0:
@@ -190,8 +195,6 @@ class _RandomWalkPhase:
             self._phase = np.concatenate(phases)
 
     def phases_at(self, t: np.ndarray) -> np.ndarray:
-        if len(t) == 0:
-            return np.zeros(len(t), dtype=np.int64)
         t = np.asarray(t, dtype=np.int64)
         # through node 1 at least: a walk read only at t <= 0 still indexes node + 1
         self._extend_to(max(int(t.max()) // _RW_GRID_FS, 0))

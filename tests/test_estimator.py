@@ -232,6 +232,14 @@ def _every_pair_streams():
     return local, remote, cfg
 
 
+def _assert_row_numbering(hist, local, remote):
+    """The window's pairs are numbered by rows: local tag t owns pairs t*R .. t*R + R - 1, R = len(remote)."""
+    rows = np.arange(len(local))
+    assert np.array_equal(hist.runs.ends, (rows + 1) * len(remote))
+    assert np.array_equal(hist.runs.counts, np.full(len(local), len(remote)))
+    assert np.array_equal(hist.runs.base, -rows * len(remote))
+
+
 def _assert_offsets_match_brute_force(local, remote, cfg):
     """The histogram and its kept offsets, pair for pair in local-major order, as brute force gives them."""
     _assert_matches_brute_force(local, remote, cfg)
@@ -258,7 +266,7 @@ def test_every_pair_window_matches_searched_runs(monkeypatch, chunk_pairs, block
         m.setattr(np, "floor_divide", lambda diffs, *rest, **kw: sizes.append(diffs.size) or floor_divide(diffs, *rest, **kw))
         hist = coarse_histogram(local, remote, cfg)
     assert sum(sizes) == len(local) * len(remote) and max(sizes) <= max(block_pairs, len(remote))
-    assert hist.runs is None
+    _assert_row_numbering(hist, local, remote)
     # the offsets the searched runs give, pair for pair
     runs = estimator._pair_runs(local, remote, -window, window + 1)
     assert int(runs.ends[-1]) == len(local) * len(remote)
@@ -270,11 +278,11 @@ def test_every_pair_window_matches_searched_runs(monkeypatch, chunk_pairs, block
     # one fs short of every pair, at the top, at the bottom or at both ends, the window is searched
     for w, delta in ((window, 1), (window, -1), (window - 1, 0)):
         short = replace(cfg, search_window=w)
-        assert coarse_histogram(local, remote + delta, short).runs is not None
+        assert not estimator._window_reach(local, remote + delta, short).every_pair
         _assert_matches_brute_force(local, remote + delta, short)
     enumerated = _outcome(local, remote, cfg)
     assert abs(enumerated[0].peak_offset - 3 * 10**7) < 10**4
-    # the window's total and the span's pairs by index arithmetic are those the searched runs give
+    # the window's total and the span's pairs by the row numbering are those the searched runs give
     with monkeypatch.context() as m:
         m.setattr(estimator, "coarse_histogram", lambda *args: hist._replace(runs=runs))
         assert _outcome(local, remote, cfg) == enumerated
@@ -289,8 +297,11 @@ def test_every_pair_window_makes_no_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("searched or built a per-pair index array")
 
+    # _peak_result may look up the span's pairs in the row numbering's ends, never search remote
+    searchsorted = np.searchsorted
     with monkeypatch.context() as m:
-        m.setattr(np, "searchsorted", refuse)
+        m.setattr(np, "searchsorted", lambda a, *rest, **kw: refuse() if a is remote else searchsorted(a, *rest, **kw))
+        m.setattr(estimator, "_pair_runs", refuse)
         m.setattr(np, "repeat", refuse)
         got = coarse_histogram(local, remote, cfg)
         assert _outcome(local, remote, cfg) == enumerated
@@ -345,8 +356,8 @@ def test_refine_span_clipped_to_the_window():
     # the result of the window's bin count less one
     cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**6, fine_bin=10**4)
     local, remote = _pair_streams(300, offset=4 * 10**7, spacing=10**9, jitter=10**5, seed=12)
-    bin_lo, bin_hi = estimator._window_bin_range(int(remote[0]) - int(local[0]), cfg)
-    reach = bin_hi - bin_lo
+    window = estimator._window_reach(local, remote, cfg)
+    reach = window.bin_hi - window.bin_lo
     clipped = _outcome(local, remote, replace(cfg, refine_span_bins=reach))
     assert _outcome(local, remote, replace(cfg, refine_span_bins=10**18)) == clipped
     assert clipped[0].histogram_summary["span_fs"] == (2 * reach + 1) * cfg.coarse_bin
@@ -805,7 +816,7 @@ def _assert_span_from_enumeration(monkeypatch, local, remote, cfg):
     assert hist.offsets is not None and estimator._bounded_peak(local, remote, cfg) is None
     assert np.array_equal(np.sort(hist.offsets).astype(np.int64) + hist.first_bin, np.repeat(hist.bins, hist.counts))
     outcome, fits, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
-    assert len(searches) == (hist.runs is not None)
+    assert len(searches) == (not estimator._window_reach(local, remote, cfg).every_pair)
     peak_bin = int(hist.bins[np.argmax(hist.counts)])
     _assert_fit_inputs_are_the_span_search(fits, local, remote, cfg, peak_bin)
     # without offsets the span is searched: the one search left, as the window's comes precomputed
@@ -877,7 +888,7 @@ def test_span_from_enumeration_every_pair_window(monkeypatch, wide, block_pairs)
     local, remote, cfg = _beyond_uint32_every_pair_streams() if wide else _every_pair_streams()
     monkeypatch.setattr(estimator, "_BLOCK_PAIRS", block_pairs)
     hist = _assert_offsets_match_brute_force(local, remote, cfg)
-    assert hist.runs is None
+    _assert_row_numbering(hist, local, remote)
     assert hist.offsets.dtype == (np.uint64 if wide else np.uint32)
     assert (int(hist.offsets.max()) >= 2**32) == wide
     outcome = _assert_span_from_enumeration(monkeypatch, local, remote, cfg)
@@ -958,13 +969,13 @@ def test_span_from_the_probe_visit(monkeypatch):
 
 def _visit_order(monkeypatch):
     visited = []
-    counts = estimator._superbin_counts
+    counts = estimator._bin_counts
 
-    def record(local_ts, remote_ts, origin, superbin, *rest):
-        visited.append(superbin)
-        return counts(local_ts, remote_ts, origin, superbin, *rest)
+    def record(local_ts, remote_ts, reach, first_bin, bins, *rest):
+        visited.append(first_bin // bins)
+        return counts(local_ts, remote_ts, reach, first_bin, bins, *rest)
 
-    monkeypatch.setattr(estimator, "_superbin_counts", record)
+    monkeypatch.setattr(estimator, "_bin_counts", record)
     return visited
 
 
@@ -1127,14 +1138,14 @@ def test_coarse_to_fine_tie_across_levels(monkeypatch, seed):
     floor_alone = _bounded(local, remote, cfg)
     monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", 256)
     widths, visited = _fold_widths(monkeypatch), []
-    counts = estimator._superbin_counts
+    counts = estimator._bin_counts
 
-    def record(local_ts, remote_ts, origin, superbin, bins, *rest):
-        found = counts(local_ts, remote_ts, origin, superbin, bins, *rest)
-        visited.append((bins, superbin, found))
+    def record(local_ts, remote_ts, reach, first_bin, bins, *rest):
+        found = counts(local_ts, remote_ts, reach, first_bin, bins, *rest)
+        visited.append((bins, first_bin // bins, found))
         return found
 
-    monkeypatch.setattr(estimator, "_superbin_counts", record)
+    monkeypatch.setattr(estimator, "_bin_counts", record)
     assert _assert_routes_agree(monkeypatch, local, remote, cfg) == floor_alone == (0, 40)
     assert widths[:3] == [1024, 451, 2]
     probe_bins, probe_superbin, probe_visit = visited[0]

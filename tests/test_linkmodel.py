@@ -361,6 +361,29 @@ def test_visibility_at_the_elevation_mask():
             assert len(propagate(emit, link, direction, (37,))) == visible.sum()
 
 
+def test_session_opening_below_the_mask_gates_one_flight_later():
+    # A leo_demo-edge session of 20 us that opens 5 us before the rise, with
+    # 5e8/s dark counts at every detector: the window opens below the mask,
+    # so each remote gate takes the midpoint's flight, and every remote tag,
+    # each of the 1e4 dark counts included, lies a flight after the window opens.
+    leo = json.loads((Path(__file__).parent.parent / "scenarios" / "leo_demo.json").read_text())
+    session = build_topology(leo["topology"])[0].edges[0].session
+    start = _mask_crossing(session.link.geometry, -300 * FS, 0) - 5 * 10**9
+    a, b = (
+        dataclasses.replace(arm, detector=dataclasses.replace(arm.detector, dark_rate=5e8))
+        for arm in (session.instruments_a, session.instruments_b)
+    )
+    spec = dataclasses.replace(session, duration=2 * 10**10, start_time=start, instruments_a=a, instruments_b=b)
+    for direction in Direction:
+        with pytest.raises(NotVisibleError):
+            time_of_flight(spec.link, start, direction)
+    streams = run_session(spec, ClockState(ClockModel()), ClockState(ClockModel()), (47, "edge"))
+    truth = streams.truth
+    for remote, flight in ((streams.remote_ab, truth.flight_ab_fs), (streams.remote_ba, truth.flight_ba_fs)):
+        assert len(remote.timestamps) > 10**4
+        assert remote.timestamps.min() >= start + flight - 10**6
+
+
 def test_coincident_endpoints_are_not_visible():
     # station and satellite both at (R + 550 km, 0, 0) at t = 0: a zero range
     # has no elevation, and reads not visible without dividing by it (pytest

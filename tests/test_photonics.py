@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from qcsync import photonics
+from qcsync.estimator import CorrelationConfig
+from qcsync.linkmodel import LinkModel, StaticRange
 from qcsync.photonics import (
     Detector,
     PairSource,
@@ -15,6 +19,7 @@ from qcsync.photonics import (
     generate_pair_births,
     split_pairs,
 )
+from qcsync.session import NodeInstruments, SessionSpec, estimate_session, run_session
 from qcsync.timebase import INT64_LIMIT, ClockModel, ClockState, TimeRangeError
 
 FS = 10**15
@@ -266,3 +271,27 @@ def test_noiseless_detect_derives_no_dark_or_readout_generator(monkeypatch):
     noisy = ClockState(ClockModel(white_phase_sigma_fs=10.0), rng_stream=1)
     detect(arrivals, Detector(dark_rate=1e6), noisy, TimeTagger(resolution=1), 10**9, (2, "a"))
     assert streams == [("detect-dark",), ("detect-readout",)]
+
+
+def test_herald_thinning_keeps_half_the_local_tags():
+    # The same seeded session at heralding efficiencies 1 and 0.5: each local
+    # stream keeps a binomially bounded half of its tags (a subset, as the
+    # detectors add no jitter), the remote streams are untouched, and the
+    # two-way estimate still finds the clock offset.
+    def session(herald):
+        source = PairSource(pair_rate=1e6, pair_correlation_sigma=100, heralding_efficiency_local=herald)
+        instruments = NodeInstruments(source, Detector(), TimeTagger())
+        link = LinkModel(geometry=StaticRange(range_m=299.792458))  # a 1 us flight
+        spec = SessionSpec(duration=10**13, instruments_a=instruments, instruments_b=instruments, link=link)
+        clock_b = ClockState(ClockModel(initial_offset_fs=123_456_789), rng_stream=(9, "clock", "b"))
+        return run_session(spec, _ideal_clock((9, "clock", "a")), clock_b, (9, "session"))
+
+    full, half = session(1.0), session(0.5)
+    for kept, every in ((half.local_a, full.local_a), (half.local_b, full.local_b)):
+        n = len(every.timestamps)
+        assert n > 9000 and abs(len(kept.timestamps) - n / 2) <= 5 * math.sqrt(n / 4)
+        assert np.isin(kept.timestamps, every.timestamps).all()
+    assert np.array_equal(half.remote_ab.timestamps, full.remote_ab.timestamps)
+    assert np.array_equal(half.remote_ba.timestamps, full.remote_ba.timestamps)
+    result = estimate_session(half, CorrelationConfig(search_window=10**10))
+    assert abs(result.clock_offset - half.truth.theta_fs) < 10**4

@@ -195,7 +195,7 @@ def test_region_holding_no_pair_searches_the_window():
     rng = np.random.default_rng(43)
     local = np.sort(np.concatenate(([0, 4 * 10**7], rng.integers(0, 4 * 10**7, 59)))).astype(np.int64)
     remote = np.sort(local[:60] + 3 * 10**7 + rng.integers(-10**4, 10**4, 60))
-    assert estimator._holds_every_pair(local, remote, cfg)
+    assert estimator._window_reach(local, remote, cfg).every_pair
     empty = 3 * 10**7 - 6 * 10**7
     assert estimator._region_peak(local, remote, empty, len(local) * len(remote), cfg) is None
     assert _outcome(local, remote, cfg, empty) == _outcome(local, remote, cfg)

@@ -667,6 +667,29 @@ def test_simulate_config_error_writes_no_tag_files(tmp_path, capsys):
     assert list(out_dir.glob("*.tags")) == []
 
 
+def test_simulate_writes_under_output_dir_unless_out_is_given(tmp_path, capsys):
+    config = json.loads((SCENARIOS / "noiseless.json").read_text())
+    configured, given = tmp_path / "configured", tmp_path / "given"
+    config["output"] = {"dir": str(configured)}
+    path = tmp_path / "with_dir.json"
+    path.write_text(json.dumps(config))
+    names = {"a_local.tags", "b_from_a.tags", "b_local.tags", "a_from_b.tags", "twoway_result.json"}
+    code, _, err = _run(capsys, "simulate", "--config", str(path))
+    assert code == 0, err
+    assert {p.name for p in configured.iterdir()} == names
+    for p in configured.iterdir():
+        p.unlink()
+    code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(given))
+    assert code == 0, err
+    assert {p.name for p in given.iterdir()} == names and list(configured.iterdir()) == []
+
+
+def test_command_without_config_exits_two(capsys):
+    code, out, err = _run(capsys, "simulate")
+    assert code == 2 and out == ""
+    assert "config error" in err and "--config" in err and "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["qcsync", "--version"])
     with pytest.raises(SystemExit) as exit_:

@@ -35,10 +35,11 @@ exactly by one of two window routes that give the same bin and count:
   too loose for the visit budget. The pairs are made in cache-sized int64
   blocks (whole rows of local tags when the window holds every pair),
   reduced to coarse-bin offsets from the first bin a window pair can fill,
-  and sorted as 32-bit integers (64-bit only when the window spans more
-  than 2**32 bins); runs of equal offsets give the sparse coarse histogram
-  (coarse_histogram). A window of one chunk whose pairs can fill no more
-  bins than it has pairs counts its offsets by bin instead of sorting them.
+  and written into one array of 32-bit integers (64-bit only when the
+  window spans more than 2**32 bins). A window whose pairs can fill no more
+  bins than it has pairs counts those offsets by bin; any other sorts a
+  copy, whose runs of equal offsets give the sparse coarse histogram
+  (coarse_histogram).
 
 A correlation given a predicted difference first enumerates only the
 coarse bins within refine_span_bins + _RETURN_SLACK_BINS of it, as one
@@ -69,9 +70,9 @@ The fine stage then takes only the peak span's pairs, each with its local
 time t, from the listing of the route that found the peak: the window pairs
 of a run of coarse bins, by coarse-bin offset, numbered by its runs. A
 region or superbin visit lists its own bins; the enumeration lists every
-bin the window reaches when the window fits one sort. When that listing
-misses part of the span (a peak near its superbin's edge, or a window of
-several sorts), one _bin_counts over the span's bins lists them instead.
+bin the window reaches. When a visit misses part of the span (a peak near
+its superbin's edge), one _bin_counts over the span's bins lists them
+instead.
 Either way the pairs' exact differences are rebuilt from the listing's
 runs. The fine stage fits the line d = a + b*(t - t_mean)
 by least squares over an iterated member window: seeded with the coarse
@@ -120,7 +121,6 @@ __all__ = [
 ]
 
 BLOCK_COUNT_LIMIT = 10**6  # most diagnostic blocks of the frequency fit, as many as net report epochs
-_CHUNK_PAIRS = 1 << 22  # pairs per sort: 16 MB of 32-bit bin offsets, 32 MB when one sort keeps them
 _BLOCK_PAIRS = 1 << 15  # pairs materialized at once: 256 KB int64 arrays stay in cache
 _WINDOW_SIGMAS = 3.0  # member window half-width, in residual sigmas of the member line
 _MAX_WINDOW_PASSES = 50  # the member set settles within a few passes; this bounds a cycle
@@ -316,15 +316,15 @@ class CoarseHistogram(NamedTuple):
     Bin i covers differences d with floor((d - origin)/coarse_bin) == i;
     origin is remote[0] - local[0]. offsets holds each window pair's bin
     minus first_bin (the first bin a window pair can fill), numbered as in
-    runs, or None when the window took more than one chunk. When the window
-    holds every pair the streams can form, runs numbers them by rows,
-    unsearched: local tag t owns pairs t*R .. t*R + R - 1, R = len(remote).
+    runs. When the window holds every pair the streams can form, runs numbers
+    them by rows, unsearched: local tag t owns pairs t*R .. t*R + R - 1,
+    R = len(remote).
     """
 
     bins: np.ndarray  # occupied bin indices, ascending int64
     counts: np.ndarray  # pairs per occupied bin
     origin: int
-    offsets: np.ndarray | None
+    offsets: np.ndarray
     runs: _PairRuns
     first_bin: int
 
@@ -344,11 +344,11 @@ def _runs_of_equal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     """Sparse coarse histogram of in-window differences (see CoarseHistogram).
 
-    A window that holds every pair is not searched: each block of whole rows
-    of local tags is one broadcast subtraction from the remote stream,
-    written as coarse-bin offsets straight into the chunk's array. A chunk
-    is sorted and read as runs of equal offsets, except that a window of one
-    chunk with no more bins than pairs counts its offsets by bin.
+    Every window pair's coarse-bin offset is written, block by block, into
+    one array. A window that holds every pair is not searched: each block of
+    whole rows of local tags is one broadcast subtraction from the remote
+    stream. A window with no more bins than pairs counts its offsets by bin;
+    any other sorts a copy of them and reads its runs of equal offsets.
     """
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
     reach = _window_reach(local_ts, remote_ts, cfg)
@@ -359,51 +359,33 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
     offset_dtype = np.uint32 if reach.bin_hi - first < 2**32 else np.uint64
     shift, n, top = reach.origin + first * cfg.coarse_bin, len(remote_ts), last - first + 1
     if reach.every_pair:
-        # Pairs are numbered by rows, tag t owning t*n .. t*n + n - 1, and sorts and
-        # blocks take whole rows: at least one, each no longer than its remote stream.
+        # Pairs are numbered by rows, tag t owning t*n .. t*n + n - 1, and blocks
+        # take whole rows: at least one, each no longer than its remote stream.
         ends = np.arange(n, (len(local_ts) + 1) * n, n, dtype=np.int64)
         runs = _PairRuns(n - ends, np.full(len(local_ts), n, dtype=np.int64), ends)
-        chunk_pairs, block_pairs = max(_CHUNK_PAIRS // n, 1) * n, max(_BLOCK_PAIRS // n, 1) * n
+        block_pairs = max(_BLOCK_PAIRS // n, 1) * n
     else:
         runs = _pair_runs(local_ts, remote_ts, reach.start, reach.stop)
-        chunk_pairs, block_pairs = _CHUNK_PAIRS, _BLOCK_PAIRS
+        block_pairs = _BLOCK_PAIRS
     total = int(runs.ends[-1])
     if total == 0:
         raise EmptyOverlapError("no pairwise differences inside the search window")
-    bins_parts, counts_parts, offsets = [], [], None
-    for chunk_start in range(0, total, chunk_pairs):
-        chunk_stop = min(chunk_start + chunk_pairs, total)
-        rel = np.empty(chunk_stop - chunk_start, dtype=offset_dtype)
-        for start in range(chunk_start, chunk_stop, block_pairs):
-            stop = min(start + block_pairs, chunk_stop)
-            out = rel[start - chunk_start : stop - chunk_start]
-            if reach.every_pair:
-                diffs = remote_ts - (local_ts[start // n : stop // n, None] + shift)
-                out = out.reshape(diffs.shape)
-            else:
-                diffs = _pair_diffs(local_ts, remote_ts, runs, start, stop, shift)
-            np.floor_divide(diffs, cfg.coarse_bin, out=out, casting="unsafe")
-        if total > chunk_pairs:
-            rel.sort()
-            bins, counts = _runs_of_equal(rel)
-        elif top <= total:  # one chunk with no more bins than pairs: count them, no sort
-            offsets, dense = rel, np.bincount(rel.astype(np.intp), minlength=top)
-            bins = np.flatnonzero(dense != 0)  # nonzero of a mask is several times faster than of counts
-            counts = dense[bins]
-        else:  # one sort: keep the offsets in pair order for the peak span
-            offsets = rel
-            bins, counts = _runs_of_equal(np.sort(rel))
-        bins_parts.append(bins)
-        counts_parts.append(counts)
-    if len(bins_parts) == 1:
-        bins, counts = bins_parts[0], counts_parts[0]
-    else:
-        bins = np.concatenate(bins_parts)
-        counts = np.concatenate(counts_parts)
-        order = np.argsort(bins)  # counts are summed per bin, so any order will do
-        bins, counts = bins[order], counts[order]
-        starts = np.flatnonzero(np.concatenate(([True], bins[1:] != bins[:-1])))
-        bins, counts = bins[starts], np.add.reduceat(counts, starts)
+    offsets = np.empty(total, dtype=offset_dtype)
+    for start in range(0, total, block_pairs):
+        stop = min(start + block_pairs, total)
+        out = offsets[start:stop]
+        if reach.every_pair:
+            diffs = remote_ts - (local_ts[start // n : stop // n, None] + shift)
+            out = out.reshape(diffs.shape)
+        else:
+            diffs = _pair_diffs(local_ts, remote_ts, runs, start, stop, shift)
+        np.floor_divide(diffs, cfg.coarse_bin, out=out, casting="unsafe")
+    if top <= total:  # no more bins than pairs: count them, no sort
+        dense = np.bincount(offsets.astype(np.intp), minlength=top)
+        bins = np.flatnonzero(dense != 0)  # nonzero of a mask is several times faster than of counts
+        counts = dense[bins]
+    else:  # sort a copy: the offsets stay in pair order for the peak span
+        bins, counts = _runs_of_equal(np.sort(offsets))
     bins += first
     return CoarseHistogram(bins, counts, reach.origin, offsets, runs, first)
 
@@ -463,7 +445,7 @@ class _Listing(NamedTuple):
 
     first_bin: int
     bins: int
-    offsets: np.ndarray | None
+    offsets: np.ndarray
     runs: _PairRuns
     counts: np.ndarray | None = None
 
@@ -756,10 +738,9 @@ def cross_correlate(
         hist = coarse_histogram(local_ts, remote_ts, cfg)
         i_max = int(np.argmax(hist.counts))  # first max: ties break toward smallest offset
         total = int(hist.runs.ends[-1])
-        # Kept offsets list every pair of the bins the window reaches; a window of several sorts keeps none.
-        first, last = reach.cells(cfg.coarse_bin)
-        bins = 0 if hist.offsets is None else last + 1 - first
-        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total, _Listing(first, bins, hist.offsets, hist.runs)
+        # The offsets list every pair of the bins the window reaches.
+        listed = _Listing(hist.first_bin, reach.cells(cfg.coarse_bin)[1] + 1 - hist.first_bin, hist.offsets, hist.runs)
+        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total, listed
     return _peak_result(local_ts, remote_ts, cfg, reach, *found)
 
 

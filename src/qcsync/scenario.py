@@ -272,7 +272,7 @@ def _fs(seconds: float, key: str) -> int:
 
 
 def _span_fs(seconds: float, key: str) -> int:
-    """A session duration or sync interval in whole femtoseconds; ConfigError naming key below 1 fs."""
+    """A session duration, sync or report interval in whole femtoseconds; ConfigError naming key below 1 fs."""
     fs = _fs(seconds, key)
     if fs < 1:
         raise ConfigError(f"{key} must be at least 1 fs, got {seconds} s")
@@ -385,4 +385,4 @@ def build_topology(section: dict) -> tuple[Topology, int, int | None]:
     )
     horizon_fs = _fs(section["horizon_s"], "topology.horizon_s")
     interval = section.get("report_interval_s")
-    return topology, horizon_fs, _fs(interval, "topology.report_interval_s") if interval is not None else None
+    return topology, horizon_fs, _span_fs(interval, "topology.report_interval_s") if interval is not None else None

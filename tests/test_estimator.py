@@ -161,15 +161,13 @@ def test_brute_force_histogram_equivalence():
         _assert_matches_brute_force(local, remote, cfg)
 
 
-@pytest.mark.parametrize("chunk_pairs,block_pairs", [(150, 150), (700, 64), (10**6, 333)])
-def test_chunked_enumeration_matches_single_pass(monkeypatch, chunk_pairs, block_pairs):
-    # about 200 in-window pairs per local tag, so chunks and blocks start and
-    # end inside one tag's run; the first two settings merge hundreds of sorted
-    # chunks, the last sorts one chunk filled from many blocks
+@pytest.mark.parametrize("block_pairs", [150, 64, 333])
+def test_blocked_enumeration_matches_single_pass(monkeypatch, block_pairs):
+    # about 200 in-window pairs per local tag, so blocks start and end inside
+    # one tag's run; the window's offsets are filled from hundreds of blocks
     local, remote = _pair_streams(500, offset=3 * 10**7, spacing=10**6, jitter=2000, seed=8)
     cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
     single = cross_correlate(local, remote, cfg)
-    monkeypatch.setattr(estimator, "_CHUNK_PAIRS", chunk_pairs)
     monkeypatch.setattr(estimator, "_BLOCK_PAIRS", block_pairs)
     _assert_matches_brute_force(local, remote, cfg)
     assert cross_correlate(local, remote, cfg) == single
@@ -188,9 +186,9 @@ def test_histogram_beyond_uint32_bin_range():
 
 
 @pytest.mark.parametrize("window", [10**8, 10**18])
-def test_one_chunk_counts_its_bins_or_sorts_its_offsets(monkeypatch, window):
-    # a window of one chunk with no more bins than pairs is counted by bin,
-    # any other sorted; 10^18 fs makes the offsets 64-bit either way
+def test_enumeration_counts_its_bins_or_sorts_its_offsets(monkeypatch, window):
+    # a window with no more bins than pairs is counted by bin, any other
+    # sorted; 10^18 fs makes the offsets 64-bit either way
     cfg = CorrelationConfig(search_window=window, coarse_bin=10**5, fine_bin=100)
     streams = {
         "count": [
@@ -250,14 +248,12 @@ def _assert_offsets_match_brute_force(local, remote, cfg):
     return hist
 
 
-@pytest.mark.parametrize("chunk_pairs,block_pairs", [(1 << 22, 37), (1 << 22, 150), (500, 37)])
-def test_every_pair_window_matches_searched_runs(monkeypatch, chunk_pairs, block_pairs):
+@pytest.mark.parametrize("block_pairs", [37, 150])
+def test_every_pair_window_matches_searched_runs(monkeypatch, block_pairs):
     # 63 remote tags per row: blocks of 37 take one row each, blocks of 150
-    # two rows, and chunks of 500 pairs seven rows, so the window takes
-    # several sorts; in one chunk its 3843 pairs fill no more than 2001 bins
+    # two rows; the window's 3843 pairs fill no more than 2001 bins
     local, remote, cfg = _every_pair_streams()
     window = cfg.search_window
-    monkeypatch.setattr(estimator, "_CHUNK_PAIRS", chunk_pairs)
     monkeypatch.setattr(estimator, "_BLOCK_PAIRS", block_pairs)
     _assert_matches_brute_force(local, remote, cfg)
     # no difference array is longer than a block or, when a row is longer, one row
@@ -272,9 +268,7 @@ def test_every_pair_window_matches_searched_runs(monkeypatch, chunk_pairs, block
     assert int(runs.ends[-1]) == len(local) * len(remote)
     shift = hist.origin + hist.first_bin * cfg.coarse_bin
     searched = estimator._pair_diffs(local, remote, runs, 0, int(runs.ends[-1]), shift) // cfg.coarse_bin
-    assert (hist.offsets is None) == (searched.size > chunk_pairs)
-    if hist.offsets is not None:
-        assert hist.offsets.dtype == np.uint32 and np.array_equal(hist.offsets.astype(np.int64), searched)
+    assert hist.offsets.dtype == np.uint32 and np.array_equal(hist.offsets.astype(np.int64), searched)
     # one fs short of every pair, at the top, at the bottom or at both ends, the window is searched
     for w, delta in ((window, 1), (window, -1), (window - 1, 0)):
         short = replace(cfg, search_window=w)
@@ -813,18 +807,12 @@ def _assert_span_from_enumeration(monkeypatch, local, remote, cfg):
     A window that holds every pair is not searched at all; any other is searched once.
     """
     hist = coarse_histogram(local, remote, cfg)
-    assert hist.offsets is not None and estimator._bounded_peak(local, remote, cfg) is None
+    assert estimator._bounded_peak(local, remote, cfg) is None
     assert np.array_equal(np.sort(hist.offsets).astype(np.int64) + hist.first_bin, np.repeat(hist.bins, hist.counts))
     outcome, fits, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
     assert len(searches) == (not estimator._window_reach(local, remote, cfg).every_pair)
     peak_bin = int(hist.bins[np.argmax(hist.counts)])
     _assert_fit_inputs_are_the_span_search(fits, local, remote, cfg, peak_bin)
-    # without offsets the span is searched: the one search left, as the window's comes precomputed
-    dropped = hist._replace(offsets=None)
-    with monkeypatch.context() as m:
-        m.setattr(estimator, "coarse_histogram", lambda *args: dropped)
-        span = _span_range(local, remote, cfg, peak_bin)[1]
-        assert _fit_inputs_and_searches(m, local, remote, cfg)[::2] == (outcome, [span])
     return outcome
 
 
@@ -899,18 +887,6 @@ def test_span_from_enumeration_every_pair_window(monkeypatch, wide, block_pairs)
         assert _outcome(local, remote, cfg) == outcome
     assert calls == []
     assert abs(outcome[0].peak_offset - (2 * 10**9 if wide else 3 * 10**7)) < 10**4
-
-
-def test_span_search_when_window_takes_several_chunks(monkeypatch):
-    # offsets of a multi-chunk window are not kept, so the span is searched again
-    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
-    local, remote = _edge_peaked_streams(-5 * 10**7, cfg.search_window, seed=31)
-    single = _assert_span_from_enumeration(monkeypatch, local, remote, cfg)
-    monkeypatch.setattr(estimator, "_CHUNK_PAIRS", 300)
-    monkeypatch.setattr(estimator, "_BLOCK_PAIRS", 64)
-    assert coarse_histogram(local, remote, cfg).offsets is None
-    outcome, _, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
-    assert outcome == single and len(searches) == 2
 
 
 def _assert_span_from_peak_visit(monkeypatch, local, remote, cfg):

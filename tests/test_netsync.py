@@ -314,6 +314,8 @@ def test_topology_validation():
             edges=(_edge("ref", "a"),),
             failover_rules={"a": ["b"]},
         )
+    with pytest.raises(TopologyError, match="failover rule for unknown node ghost"):
+        Topology(nodes=(ref, a), edges=(_edge("ref", "a"),), failover_rules={"ghost": ["ref"]})
 
 
 def test_cannot_fail_only_reference():
@@ -497,6 +499,12 @@ def test_report_epochs_bounded_before_the_first_event(monkeypatch):
     # epochs fall at 5e6, 1.5e7, ... fs: 10^6 of them up to 10^13 fs, and one more at the horizon
     with pytest.raises(ValueError, match="1000001 report epochs"):
         run_network(_chain(), horizon=10**13 + 5 * 10**6, seed=1, report_interval_fs=10**7)
+
+
+def test_report_interval_must_be_positive(monkeypatch):
+    monkeypatch.setattr(netsync, "run_session", lambda *args: pytest.fail("a sync ran"))
+    with pytest.raises(ConfigError, match="report_interval_fs must be positive"):
+        run_network(_chain(), horizon=2 * 10**13, seed=1, report_interval_fs=0)
 
 
 def test_syncs_bounded_before_the_first_event(monkeypatch):

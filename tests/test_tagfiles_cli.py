@@ -85,6 +85,31 @@ def test_bad_resolution_reports_line_three(tmp_path):
         read_timetag_file(path)
 
 
+_HEADER = "# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n"
+_BAD_HEADERS = [
+    ("metadata-not-json", _HEADER + "# metadata: {nope\n5\n", "line 4: metadata is not valid JSON"),
+    ("metadata-not-an-object", _HEADER + "# metadata: [1]\n5\n", "line 4: metadata must be a JSON object"),
+    ("magic-line-only", "# qcs-timetag v1\n", "line 2: missing channel and resolution headers"),
+    (
+        "wrong-channel-key",
+        _HEADER.replace("channel", "chanel") + "5\n",
+        "line 2: expected '# channel: ...', got '# chanel: x'",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in _BAD_HEADERS], ids=[case[0] for case in _BAD_HEADERS])
+def test_bad_header_reports_its_line_and_estimate_exits_four(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.tags"
+    bad.write_text(text)
+    with pytest.raises(TagFileError) as raised:
+        read_timetag_file(bad)
+    assert str(raised.value) == message
+    code, _, err = _run(capsys, "estimate", str(bad), str(bad), str(bad), str(bad))
+    assert code == 4
+    assert message in err and "Traceback" not in err
+
+
 def test_unsorted_body_reports_offending_line(tmp_path):
     path = tmp_path / "bad.tags"
     path.write_text("# qcs-timetag v1\n# channel: x\n# resolution_fs: 1\n5\n9\n7\n")
@@ -161,6 +186,16 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(target, "payload\n")
     assert target.read_text() == "payload\n"
     assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    # os.replace cannot put a file over a directory
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        atomic_write_text(target, "payload\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list(target.iterdir()) == []
 
 
 # every change of digit count and sign, and both ends of int64
@@ -887,11 +922,21 @@ def _cli_subprocess(tmp_path, command, config, memory=1 << 30) -> subprocess.Com
     )
 
 
+def test_long_session_fits_in_memory(tmp_path):
+    # 0.1 s of paper_100pairs enumerates about 4e7 A->B window pairs, one
+    # 4-byte coarse-bin offset each, and peaks near 530 MB: it fits the
+    # 768 MiB cap that the next test's longer session does not. It exited 3
+    # while the enumeration sorted and merged 4M-pair chunks (about 1.4 GB).
+    result = _cli_subprocess(tmp_path, "simulate", _set(_paper(), ("duration_s",), 0.1), memory=768 << 20)
+    assert result.returncode == 0, result.stderr
+    assert "theta_fs=" in result.stdout
+
+
 def test_session_too_large_for_memory_exits_three(tmp_path):
-    # 0.1 s of paper_100pairs holds about 1.4 GB at its peak, so under a
+    # 0.3 s of paper_100pairs holds about 1.5 GB at its peak, so under a
     # 768 MiB cap an allocation fails: a one-line message and exit 3, not a
     # MemoryError traceback (exit 1). The session must not fit the cap.
-    result = _cli_subprocess(tmp_path, "simulate", _set(_paper(), ("duration_s",), 0.1), memory=768 << 20)
+    result = _cli_subprocess(tmp_path, "simulate", _set(_paper(), ("duration_s",), 0.3), memory=768 << 20)
     assert result.returncode == 3, result.stderr
     assert "simulation failed: out of memory" in result.stderr and "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
@@ -1055,6 +1100,12 @@ _EXIT_TWO = [
         "net",
         lambda: _set(_leo(), ("topology", "edges", 0, "interval_s"), 1e-20),
         "topology.edges[].interval_s",
+    ),
+    (
+        "report-interval-below-one-fs",
+        "net",
+        lambda: _set(_leo(), ("topology", "report_interval_s"), 4e-16),
+        "topology.report_interval_s",
     ),
     ("station-at-the-earth-centre", "relativity", _station_at_the_earth_centre, "['alt_m']"),
     (

@@ -253,7 +253,7 @@ def _pair_runs(local: np.ndarray, remote: np.ndarray, lo_off: int, hi_off: int) 
     first = first_at_or_after(lo_off)
     counts = first_at_or_after(hi_off) - first
     np.maximum(counts, 0, out=counts)
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     return _PairRuns(first - (ends - counts), counts, ends)
 
 
@@ -265,8 +265,8 @@ def _pair_diffs(
     Each pair's remote tag is gathered by index.
     """
     base, counts, ends = runs
-    i = int(np.searchsorted(ends, start, side="right"))
-    j = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+    i = int(ends.searchsorted(start, side="right"))
+    j = int(ends.searchsorted(stop - 1, side="right")) + 1
     per_tag = np.minimum(ends[i:j], stop) - np.maximum(ends[i:j] - counts[i:j], start)
     idx = np.repeat(base[i:j], per_tag)
     idx += np.arange(start, stop, dtype=np.int64)
@@ -279,10 +279,10 @@ class _Reach(NamedTuple):
     """The search window as two streams see it.
 
     The window's differences are start .. stop - 1, in coarse bins bin_lo ..
-    bin_hi; lo and hi are the smallest and largest difference the streams can
-    form inside it (lo > hi when none), and every_pair whether it holds every
-    difference they can form. Coarse bins and superbins count from origin,
-    the two first tags' difference.
+    bin_hi; lo <= hi are the smallest and largest difference the streams can
+    form inside it, and every_pair whether it holds every difference they can
+    form. Coarse bins and superbins count from origin, the two first tags'
+    difference.
     """
 
     origin: int
@@ -300,11 +300,18 @@ class _Reach(NamedTuple):
 
 
 def _window_reach(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> _Reach:
-    """The window [-search_window, search_window] as the streams see it: the one reader of search_window."""
+    """The window [-search_window, search_window] as the streams see it: the one reader of search_window.
+
+    Raises EmptyOverlapError when the streams can form no difference inside
+    it, before any difference is made: streams about 2^63 fs apart form
+    differences past int64.
+    """
     if len(local_ts) == 0 or len(remote_ts) == 0:
         raise EmptyOverlapError("cannot correlate an empty stream")
     r0, l0, window = int(remote_ts[0]), int(local_ts[0]), cfg.search_window
     origin, lo, hi = r0 - l0, r0 - int(local_ts[-1]), int(remote_ts[-1]) - l0
+    if lo > window or hi < -window:
+        raise EmptyOverlapError("no pairwise differences inside the search window")
     bin_lo, bin_hi = (-window - origin) // cfg.coarse_bin, (window - origin) // cfg.coarse_bin
     every_pair = -window <= lo and hi <= window
     return _Reach(origin, -window, window + 1, bin_lo, bin_hi, max(-window, lo), min(window, hi), every_pair)
@@ -334,7 +341,7 @@ def _runs_of_equal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     change = np.empty(len(values) + 1, dtype=bool)
     change[0] = change[-1] = True
     np.not_equal(values[1:], values[:-1], out=change[1:-1])
-    edges = np.flatnonzero(change)
+    edges = change.nonzero()[0]
     counts = edges[1:] - edges[:-1]
     bins = edges[:-1]  # reuse the int64 buffer for the run values
     bins[...] = values[bins]
@@ -382,7 +389,7 @@ def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
         np.floor_divide(diffs, cfg.coarse_bin, out=out, casting="unsafe")
     if top <= total:  # no more bins than pairs: count them, no sort
         dense = np.bincount(offsets.astype(np.intp), minlength=top)
-        bins = np.flatnonzero(dense != 0)  # nonzero of a mask is several times faster than of counts
+        bins = (dense != 0).nonzero()[0]  # nonzero of a mask is several times faster than of counts
         counts = dense[bins]
     else:  # sort a copy: the offsets stay in pair order for the peak span
         bins, counts = _runs_of_equal(np.sort(offsets))
@@ -634,7 +641,7 @@ def _accidentals(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationCo
     return (d0, 0.0), (d0 + min(a, b), top), (d0 + max(a, b), top), (d0 + a + b, 0.0)
 
 
-def _background_spread(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> float:
+def _background_spread(local_ts: np.ndarray, remote_ts: np.ndarray, reach: _Reach, cfg: CorrelationConfig) -> float:
     """Variance across the window of the accidental counts per coarse bin expected at constant tag rates.
 
     The counts per bin are linear on each of the three pieces of the
@@ -642,7 +649,6 @@ def _background_spread(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: Correla
     are exact sums of piece integrals.
     """
     knots = _accidentals(local_ts, remote_ts, cfg)
-    reach = _window_reach(local_ts, remote_ts, cfg)
     lo, hi = reach.start, reach.stop
     s1 = s2 = 0.0
     for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
@@ -664,25 +670,27 @@ def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
     being the members' RMS residual. Returns the members with the slope,
     sigma, x_mean and Sxx of their own line.
     """
+    # np.add.reduce is what ndarray.sum calls, without its wrapper: the same pairwise sums.
+    # Sums, not BLAS dot products, whose rounding follows the BLAS thread count.
+    total = np.add.reduce
     for passes in range(1, _MAX_WINDOW_PASSES + 1):
         xk, dk = x[keep], d[keep]
         n = len(xk)
-        x_mean, d_mean = xk.sum() / n, dk.sum() / n  # what np.mean computes, without its overhead
+        x_mean, d_mean = total(xk) / n, total(dk) / n  # what np.mean computes, without its overhead
         xc = xk - x_mean
-        # sums, not BLAS dot products, whose rounding follows the BLAS thread count
-        sxx = float((xc * xc).sum())
-        slope = float((xc * (dk - d_mean)).sum()) / sxx if sxx > 0 else 0.0
+        sxx = float(total(xc * xc))
+        slope = float(total(xc * (dk - d_mean))) / sxx if sxx > 0 else 0.0
         residuals = d - d_mean - slope * (x - x_mean)
         rk = residuals[keep]
-        sigma = math.sqrt(float((rk * rk).sum() / n))
+        sigma = math.sqrt(float(total(rk * rk) / n))
         inside = np.abs(residuals) <= max(_WINDOW_SIGMAS * sigma, floor)
-        if passes == _MAX_WINDOW_PASSES or (inside == keep).all():
+        if passes == _MAX_WINDOW_PASSES or not (inside != keep).any():
             return keep, slope, sigma, float(x_mean), sxx
         keep = inside
 
 
 def _region_peak(
-    local_ts: np.ndarray, remote_ts: np.ndarray, predicted: int, total: int, cfg: CorrelationConfig
+    local_ts: np.ndarray, remote_ts: np.ndarray, reach: _Reach, predicted: int, total: int, cfg: CorrelationConfig
 ) -> tuple[int, int, int, _Listing] | None:
     """The first coarse bin with the most pairs near a predicted difference, its count, total and listing.
 
@@ -692,14 +700,13 @@ def _region_peak(
     and the caller searches the window, when the region holds no pair or
     its peak lies within refine_span_bins of the region's edge.
     """
-    reach = _window_reach(local_ts, remote_ts, cfg)
     half, centre = cfg.refine_span_bins, (predicted - reach.origin) // cfg.coarse_bin
     first = max(centre - half - _RETURN_SLACK_BINS, reach.bin_lo)
     bins = min(centre + half + _RETURN_SLACK_BINS, reach.bin_hi) + 1 - first
     if bins < 2 * half + 3:  # no bin lies more than half bins inside the region, or it misses the window
         return None
     visit = _bin_counts(local_ts, remote_ts, reach, first, bins, total, cfg)
-    i = int(np.argmax(visit.counts))
+    i = int(visit.counts.argmax())
     if visit.counts[i] == 0 or not half < i < bins - 1 - half:
         return None
     return first + i, int(visit.counts[i]), total, visit
@@ -727,7 +734,7 @@ def cross_correlate(
             region_total = len(local_ts) * len(remote_ts)
         else:
             region_total = total = _bounded_total(local_ts, remote_ts, cfg)
-        found = _region_peak(local_ts, remote_ts, int(predicted), region_total, cfg) if region_total else None
+        found = _region_peak(local_ts, remote_ts, reach, int(predicted), region_total, cfg) if region_total else None
         if found is not None:
             try:
                 return _peak_result(local_ts, remote_ts, cfg, reach, *found)
@@ -736,7 +743,7 @@ def cross_correlate(
     found = _bounded_peak(local_ts, remote_ts, cfg, total)
     if found is None:
         hist = coarse_histogram(local_ts, remote_ts, cfg)
-        i_max = int(np.argmax(hist.counts))  # first max: ties break toward smallest offset
+        i_max = int(hist.counts.argmax())  # first max: ties break toward smallest offset
         total = int(hist.runs.ends[-1])
         # The offsets list every pair of the bins the window reaches.
         listed = _Listing(hist.first_bin, reach.cells(cfg.coarse_bin)[1] + 1 - hist.first_bin, hist.offsets, hist.runs)
@@ -773,8 +780,8 @@ def _peak_result(
     if not (listed.first_bin <= first and last < listed.first_bin + listed.bins):
         listed = _bin_counts(local_ts, remote_ts, reach, excl_lo, excl_hi + 1 - excl_lo, total, cfg)
     # The unsigned offsets relative to the span's first bin wrap past the last for the pairs below it.
-    pairs = np.flatnonzero(listed.offsets - (first - listed.first_bin) <= last - first)
-    tags = np.searchsorted(listed.runs.ends, pairs, side="right")
+    pairs = (listed.offsets - (first - listed.first_bin) <= last - first).nonzero()[0]
+    tags = listed.runs.ends.searchsorted(pairs, side="right")
     partners = listed.runs.base[tags] + pairs
     times = local_ts[tags]
     span_lo = origin + (peak_bin - half) * cfg.coarse_bin
@@ -788,7 +795,7 @@ def _peak_result(
     n_bg_bins = (bin_hi - bin_lo + 1) - (excl_hi - excl_lo + 1)
     if n_bg_bins > 0:
         bg_mean = (total - len(shifted)) / n_bg_bins
-        bg_sigma = max(math.sqrt(bg_mean + _background_spread(local_ts, remote_ts, cfg)), 1.0)
+        bg_sigma = max(math.sqrt(bg_mean + _background_spread(local_ts, remote_ts, reach, cfg)), 1.0)
     else:
         bg_mean, bg_sigma = 0.0, 1.0
     significance = (peak_counts - bg_mean) / bg_sigma
@@ -929,11 +936,12 @@ def _block_means(result: CorrelationResult, edges: list[int]) -> list[int | None
     every member (above it).
     """
     members = result.members
-    top = INT64_LIMIT - 1
-    cuts = np.searchsorted(members.local_times, np.array([min(max(e, -INT64_LIMIT), top) for e in edges], np.int64))
-    cuts[[e > top for e in edges]] = len(members.local_times)
+    times, top = members.local_times, INT64_LIMIT - 1
+    cuts = times.searchsorted(np.array([min(max(e, -INT64_LIMIT), top) for e in edges], np.int64))
+    if past := [k for k, e in enumerate(edges) if e > top]:
+        cuts[past] = len(times)
     # sums of differences from the peak offset stay small, so they are exact
-    sums = np.concatenate(([0], np.cumsum(members.diffs - result.peak_offset)))[cuts].tolist()
+    sums = np.concatenate(([0], (members.diffs - result.peak_offset).cumsum()))[cuts].tolist()
     cuts = cuts.tolist()
     return [
         result.peak_offset + _round_div(s1 - s0, n1 - n0) if n1 > n0 else None

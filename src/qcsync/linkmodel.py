@@ -265,7 +265,12 @@ _LIGHT_TIME_TOLERANCE_S = 1e-15
 
 @functools.lru_cache(maxsize=256)
 def _static_flight_fs(link: LinkModel, direction: Direction) -> np.int64:
-    """The flight time of a static range, computed once per link and direction."""
+    """The flight time of a static range for one link and direction.
+
+    Computed once per link and direction while it stays among the 256 cached
+    entries. A cache hit still hashes the frozen link, which is most of the
+    cost of a static ``time_of_flight`` call (about 0.9 us).
+    """
     geo = _geometry_at(link.geometry, 0.0)
     total_fs = geo.range_m / SPEED_OF_LIGHT * FS_PER_SECOND
     if link.include_shapiro:
@@ -433,7 +438,7 @@ def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, se
     of a half-fs plus the solves' float noise.
     """
     photons = np.asarray(stream_true, dtype=np.int64)
-    if np.any(photons[1:] < photons[:-1]):  # compare neighbours: np.diff can wrap in int64
+    if (photons[1:] < photons[:-1]).any():  # compare neighbours: np.diff can wrap in int64
         raise ValueError("input stream must be sorted")
     if link.transmittance < 1.0:
         rng = spawn_rng(seed, "link-thin")
@@ -442,12 +447,12 @@ def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, se
         flights, visible = _static_flight_fs(link, direction), np.True_
     else:
         flights, visible = _orbit_flights_fs(link, photons, direction)
-    if np.ndim(visible):  # a scalar np.True_: every photon is visible
+    if visible is not np.True_:  # np.True_: every photon is visible
         photons, flights = photons[visible], flights[visible]
     shifts = [flights]
     if link.channel_jitter_sigma > 0 and len(photons):
         rng = spawn_rng(seed, "link-jitter")
-        shifts.append(np.round(rng.normal(0.0, link.channel_jitter_sigma, len(photons))).astype(np.int64))
+        shifts.append(rng.normal(0.0, link.channel_jitter_sigma, len(photons)).round().astype(np.int64))
     arrived = _checked_shift(photons, *shifts)
     arrived.sort(kind="stable")
     return arrived

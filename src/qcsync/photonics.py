@@ -26,7 +26,15 @@ import numpy as np
 
 from .fields import ConfigError, check_fields, param
 from .seeding import SeedSpec, spawn_rng
-from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, _checked_shift, local_times
+from .timebase import (
+    FS_PER_SECOND,
+    INT64_LIMIT,
+    ClockState,
+    TimeRangeError,
+    _checked_shift,
+    _past_tag_range,
+    local_times,
+)
 
 __all__ = [
     "PairSource",
@@ -80,7 +88,14 @@ class TimeTagger:
 
 @dataclass(frozen=True)
 class TagStream:
-    """Sorted detection timestamps on one channel, in that channel's clock frame."""
+    """Sorted detection timestamps on one channel, in that channel's clock frame.
+
+    Constructing a stream checks its timestamps: int64, strictly increasing
+    and multiples of resolution_fs. Streams read from tag files and built
+    from user arrays take that check. ``detect`` builds its stream through
+    ``_unchecked``, which skips it: its own steps sort, quantize and dedupe the
+    readings, and it raises TimeRangeError before quantization could wrap.
+    """
 
     channel_id: str
     timestamps: np.ndarray  # int64 fs, strictly increasing
@@ -93,12 +108,21 @@ class TagStream:
         object.__setattr__(self, "timestamps", ts)
         if not 1 <= self.resolution_fs < INT64_LIMIT:
             raise ValueError("resolution_fs must be in [1, 2^63)")
-        if np.any(ts[1:] <= ts[:-1]):  # compare neighbours: np.diff can wrap in int64
+        if (ts[1:] <= ts[:-1]).any():  # compare neighbours: np.diff can wrap in int64
             raise ValueError(f"channel {self.channel_id}: timestamps must be strictly sorted")
-        if len(ts) and np.any(ts % self.resolution_fs != 0):
+        if len(ts) and (ts % self.resolution_fs != 0).any():
             raise ValueError(
                 f"channel {self.channel_id}: timestamps not quantized to {self.resolution_fs} fs"
             )
+
+    @classmethod
+    def _unchecked(cls, channel_id: str, timestamps: np.ndarray, frame: str, resolution_fs: int, metadata: dict):
+        """A stream whose int64 timestamps its maker has sorted, deduped and quantized: not checked again."""
+        stream = object.__new__(cls)
+        stream.__dict__.update(
+            channel_id=channel_id, timestamps=timestamps, frame=frame, resolution_fs=resolution_fs, metadata=metadata
+        )
+        return stream
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -146,7 +170,7 @@ def split_pairs(
         return births.copy(), births.copy()
     rng = spawn_rng(seed, "pair-split")
     arm_sigma = source.pair_correlation_sigma / np.sqrt(2.0)
-    shifts = np.round(rng.normal(0.0, arm_sigma, (2, len(births)))).astype(np.int64)
+    shifts = rng.normal(0.0, arm_sigma, (2, len(births))).round().astype(np.int64)
     return births + shifts[0], births + shifts[1]
 
 
@@ -205,35 +229,36 @@ def detect(
     identical stamps.
     """
     arrivals = np.asarray(photon_arrivals_true, dtype=np.int64)
-    if np.any(arrivals[1:] < arrivals[:-1]):
+    if (arrivals[1:] < arrivals[:-1]).any():
         raise ValueError("photon arrivals must be sorted")
 
     if detector.efficiency < 1.0:
         thin_rng = spawn_rng(seed, "detect-thin")
         arrivals = arrivals[thin_rng.random(len(arrivals)) < detector.efficiency]
+    reordered = False  # whether jitter or darks made arrivals a fresh array out of order
     if detector.jitter_sigma > 0 and len(arrivals):
         jitter_rng = spawn_rng(seed, "detect-jitter")
-        jitter = np.round(jitter_rng.normal(0.0, detector.jitter_sigma, len(arrivals))).astype(np.int64)
-        arrivals = _checked_shift(arrivals, jitter)
+        jitter = jitter_rng.normal(0.0, detector.jitter_sigma, len(arrivals)).round().astype(np.int64)
+        arrivals, reordered = _checked_shift(arrivals, jitter), True
 
     darks = _poisson_times(detector.dark_rate, horizon, seed, "detect-dark")
-    merged = np.concatenate((arrivals, _checked_shift(darks, window_start)))
-    merged.sort(kind="stable")
-    merged = _dead_time_filter(merged, detector.dead_time)
+    if len(darks):
+        arrivals, reordered = np.concatenate((arrivals, _checked_shift(darks, window_start))), True
+    if reordered:
+        arrivals.sort(kind="stable")
+    merged = _dead_time_filter(arrivals, detector.dead_time)
 
     readout_rng = spawn_rng(seed, "detect-readout") if clock.model.white_phase_sigma_fs > 0 else None
     local = local_times(clock, merged, rng=readout_rng)
     local.sort(kind="stable")  # clock noise can reorder near-simultaneous events
-    quantized = (local // tagger.resolution) * tagger.resolution
+    resolution = tagger.resolution
+    # Flooring moves a reading down by less than one resolution, so only the
+    # first, smallest one can fall below int64, where the product would wrap.
+    if len(local) and int(local[0]) // resolution * resolution < -INT64_LIMIT:
+        raise TimeRangeError(_past_tag_range(f"clock reading {int(local[0])} fs floors to a {resolution} fs tag"))
+    quantized = (local // resolution) * resolution
     if tagger.range_limit is not None:
         quantized = quantized[np.abs(quantized) <= tagger.range_limit]
     if len(quantized) > 1:  # sorted, so equal stamps are neighbours
         quantized = quantized[np.concatenate(([True], quantized[1:] != quantized[:-1]))]
-
-    return TagStream(
-        channel_id=channel_id,
-        timestamps=quantized,
-        frame=frame,
-        resolution_fs=tagger.resolution,
-        metadata=dict(metadata or {}),
-    )
+    return TagStream._unchecked(channel_id, quantized, frame, resolution, dict(metadata or {}))

@@ -109,8 +109,8 @@ def _one_source_arm(
     if source.heralding_efficiency_local < 1.0:
         herald_rng = spawn_rng(seed, "herald")
         local_arm = local_arm[herald_rng.random(len(local_arm)) < source.heralding_efficiency_local]
-    local_arm = np.sort(local_arm, kind="stable")
-    remote_arm = np.sort(remote_arm, kind="stable")
+    local_arm.sort(kind="stable")  # split_pairs and the herald's thinning made fresh arrays
+    remote_arm.sort(kind="stable")
 
     channel_local, frame_local, channel_remote, frame_remote = _ARM_NAMES[direction]
     local_stream = detect(

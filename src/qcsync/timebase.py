@@ -131,7 +131,7 @@ class _ExactRate:
             block = t[start : start + _BLOCK]
             p = block * self._float
             rounded = np.rint(p)
-            unsure = np.flatnonzero(np.abs(p - rounded) >= 0.5 - np.abs(p) * 2.0**-50)
+            unsure = (np.abs(p - rounded) >= 0.5 - np.abs(p) * 2.0**-50).nonzero()[0]
             rounded[unsure] = 0.0  # a rejected float may lie past int64: it is never cast
             out[start : start + _BLOCK] = rounded
             for i in unsure.tolist():
@@ -317,13 +317,13 @@ def local_times(
         local = _checked_add(local, state._random_walk.phases_at(t))
     sigma = state.model.white_phase_sigma_fs
     if rng is not None and sigma > 0:
-        local = _checked_add(local, np.round(rng.normal(0.0, sigma, len(t))).astype(np.int64))
+        local = _checked_add(local, rng.normal(0.0, sigma, len(t)).round().astype(np.int64))
     return local
 
 
 def _checked_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     total = a + b  # wraps on overflow, which flips the sign against both operands
-    if np.any((a ^ total) & (b ^ total) < 0):
+    if (((a ^ total) & (b ^ total)) < 0).any():
         raise TimeRangeError(_INT64_MESSAGE)
     return total
 
@@ -357,10 +357,12 @@ def apply_correction(state: ClockState, offset_fix_fs: int, rate_fix: float = 0.
         raise ValueError("rate_fix must be finite")
     if not _in_int64(int(offset_fix_fs)):
         raise TimeRangeError(f"offset fix {offset_fix_fs} fs outside the int64 femtosecond range")
-    return ClockState(
-        state.model,
-        rng_stream=state.rng_stream,
-        accumulated_correction_fs=state.accumulated_correction_fs + int(offset_fix_fs),
-        accumulated_rate_correction=state.accumulated_rate_correction + rate_fix,
-        _random_walk=state._random_walk,
-    )
+    # The model's rates and the random walk carry over; only a rate fix changes an exact rate.
+    steered = object.__new__(ClockState)
+    for name in ClockState.__slots__:
+        setattr(steered, name, getattr(state, name))
+    steered.accumulated_correction_fs = state.accumulated_correction_fs + int(offset_fix_fs)
+    steered.accumulated_rate_correction = state.accumulated_rate_correction + rate_fix
+    if rate_fix:
+        steered._corr_rate = _ExactRate(steered.accumulated_rate_correction)
+    return steered

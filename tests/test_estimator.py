@@ -1289,7 +1289,8 @@ def test_background_spread_matches_histogram_variance(window, spread):
     local = np.sort(rng.integers(0, 5 * 10**10, 2000)).astype(np.int64)
     remote = np.sort(rng.integers(10**10, 4 * 10**10, 1500)).astype(np.int64)
     cfg = CorrelationConfig(search_window=window, coarse_bin=10**6, fine_bin=10**5)
-    assert estimator._background_spread(local, remote, cfg) == pytest.approx(spread, abs=0.01)
+    reach = estimator._window_reach(local, remote, cfg)
+    assert estimator._background_spread(local, remote, reach, cfg) == pytest.approx(spread, abs=0.01)
     counts = coarse_histogram(local, remote, cfg).counts
     n_bins = 2 * window // cfg.coarse_bin + 1
     mean = counts.sum() / n_bins

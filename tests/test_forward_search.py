@@ -190,7 +190,7 @@ def test_offset_off_by_ten_regions_gives_the_unpredicted_result(monkeypatch, sig
     offset = whole.clock_offset + sign * 10 * half_width
     regions, windows = [], []
     region_peak, bounded_peak = estimator._region_peak, estimator._bounded_peak
-    monkeypatch.setattr(estimator, "_region_peak", lambda *args: regions.append(args[2]) or region_peak(*args))
+    monkeypatch.setattr(estimator, "_region_peak", lambda *args: regions.append(args[3]) or region_peak(*args))
     monkeypatch.setattr(estimator, "_bounded_peak", lambda *args: windows.append(len(regions)) or bounded_peak(*args))
     result = session.estimate_session(streams, cfg, offset)
     assert result == whole and _members(result) == _members(whole)

@@ -205,6 +205,45 @@ def test_detect_raises_where_jitter_or_darks_would_wrap_int64():
         detect(none, darks, _ideal_clock(), tagger, 10**6, (15,), window_start=last_fit + 10**6)
 
 
+def test_reading_that_floors_past_int64_raises_time_range_error():
+    # Flooring a reading within one resolution of -2^63 gives a tag below the
+    # int64 range, where (local // resolution) * resolution wraps.
+    tagger, arrivals = TimeTagger(resolution=1000), np.array([0, 10**6], dtype=np.int64)
+    for offset in (-(2**63) + 500, -(2**63)):
+        clock = ClockState(ClockModel(initial_offset_fs=offset))
+        with pytest.raises(TimeRangeError, match="floors to a 1000 fs tag"):
+            detect(arrivals, Detector(), clock, tagger, 10**7, (1,))
+    # -2^63 lies 808 fs below a multiple of 1000 fs: a reading there floors inside
+    edge = -(2**63) + 808
+    stream = detect(arrivals, Detector(), ClockState(ClockModel(initial_offset_fs=edge)), tagger, 10**7, (1,))
+    assert stream.timestamps.tolist() == [edge, edge + 10**6]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_session_streams_pass_the_public_check(seed):
+    # detect builds its streams without TagStream's check; each stream of a
+    # noisy session must be one the public constructor accepts unchanged
+    detector = Detector(efficiency=0.7, jitter_sigma=30_000, dark_rate=2e6, dead_time=10**6)
+    source = PairSource(2e7, pair_correlation_sigma=500, heralding_efficiency_local=0.9)
+    # 1 ns tags and 20 ns of white phase noise on 50 ns spacings: readings reorder and share tags
+    tagger = TimeTagger(resolution=999_983, range_limit=10**12 + 2 * 10**10)  # drops about half of A's streams
+    instruments = NodeInstruments(source, detector, tagger)
+    link = LinkModel(StaticRange(3000.0), transmittance=0.6, channel_jitter_sigma=10_000)
+    spec = SessionSpec(
+        duration=4 * 10**10, instruments_a=instruments, instruments_b=instruments, link=link, start_time=10**12
+    )
+    noise = dict(white_phase_sigma_fs=2e7, random_walk_freq_coeff=1e-6)
+    clock_a = ClockState(ClockModel(fractional_frequency=3e-9, **noise), rng_stream=(seed, "clock", "a"))
+    clock_b = ClockState(
+        ClockModel(initial_offset_fs=-4 * 10**9, frequency_drift=1e-9, **noise), rng_stream=(seed, "clock", "b")
+    )
+    streams = run_session(spec, clock_a, clock_b, (seed, "session"))
+    for stream in (streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba):
+        assert stream.timestamps.dtype == np.int64 and len(stream) > 40
+        checked = TagStream(stream.channel_id, stream.timestamps.copy(), stream.frame, stream.resolution_fs)
+        assert np.array_equal(checked.timestamps, stream.timestamps)
+
+
 def test_detect_unsorted_input_rejected():
     with pytest.raises(ValueError):
         detect(

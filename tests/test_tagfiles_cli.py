@@ -456,6 +456,20 @@ def test_estimate_with_a_tag_near_the_int64_end_exits_cleanly(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+def test_clocks_2_to_the_63_apart_exit_three(tmp_path, capsys):
+    # Every difference between the two clocks' tags lies past int64, so the
+    # window holds none; the pair search ended in an OverflowError traceback (exit 1).
+    config = json.loads((SCENARIOS / "paper_100pairs.json").read_text())
+    config["duration_s"] = 1e-4
+    for node, offset in (("a", -(2**62)), ("b", 2**62)):
+        config["sources"][node]["pair_rate_hz"] = 1e6
+        config["clocks"][node]["initial_offset_fs"] = offset
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert code == 3 and "no pairwise differences" in err and "Traceback" not in err
+
+
 def test_block_count_past_the_bound_exits_two(tmp_path, capsys):
     # two_way_offset builds block_count + 1 edges: 10^9 blocks ran for more than 60 s
     config = _set(json.loads((SCENARIOS / "paper_100pairs.json").read_text()), ("correlation", "block_count"), 10**9)

@@ -9,9 +9,7 @@ pairs by such runs (_PairRuns). The enumeration route below searches the
 window once per correlation. A window that holds every pair the streams can
 form, as when a session's span plus its offset stays inside the window, is
 never searched: its runs are whole rows, local tag t owning pairs t*R ..
-t*R + R - 1, R the remote stream's length, and coarse_histogram makes its
-offsets by rows of local tags, each block of rows one broadcast subtraction
-from the remote stream.
+t*R + R - 1, R the remote stream's length.
 
 The coarse estimate is the first coarse bin holding the most pairs, found
 exactly by one of two window routes that give the same bin and count:
@@ -32,14 +30,18 @@ exactly by one of two window routes that give the same bin and count:
   sized to the peak it has to find.
 - The enumeration of every window pair, when the window holds too few
   pairs to repay the FFTs, when N would be large, or when the bounds are
-  too loose for the visit budget. The pairs are made in cache-sized int64
-  blocks (whole rows of local tags when the window holds every pair),
-  reduced to coarse-bin offsets from the first bin a window pair can fill,
-  and written into one array of 32-bit integers (64-bit only when the
-  window spans more than 2**32 bins). A window whose pairs can fill no more
-  bins than it has pairs counts those offsets by bin; any other sorts a
-  copy, whose runs of equal offsets give the sparse coarse histogram
-  (coarse_histogram).
+  too loose for the visit budget.
+
+One lister (_list_bins) makes every listing: a superbin visit, a region, a
+peak span and the whole window (coarse_histogram) each list the window
+pairs of a run of coarse bins, by coarse-bin offset from the first bin a
+pair can fill. The pairs are made in cache-sized int64 blocks (whole rows
+of local tags when the bins cover a window that holds every pair) and
+written into one array of 32-bit integers (64-bit only when the bins asked
+for reach 2**32 past that first bin). A listing with no more bins than
+pairs counts its offsets by bin, a slice of at least _SLICE_PAIRS pairs at
+a time; any other sorts a copy, whose runs of equal offsets give the
+sparse coarse histogram (CoarseListing).
 
 A correlation given a predicted difference first enumerates only the
 coarse bins within refine_span_bins + _RETURN_SLACK_BINS of it, as one
@@ -67,12 +69,9 @@ give; a window as long as the session makes it large. The significance is
 (peak count - mean) / sigma.
 
 The fine stage then takes only the peak span's pairs, each with its local
-time t, from the listing of the route that found the peak: the window pairs
-of a run of coarse bins, by coarse-bin offset, numbered by its runs. A
-region or superbin visit lists its own bins; the enumeration lists every
-bin the window reaches. When a visit misses part of the span (a peak near
-its superbin's edge), one _bin_counts over the span's bins lists them
-instead.
+time t, from the listing that found the peak, scanning its offsets in
+slices. When a visit misses part of the span (a peak near its superbin's
+edge), one listing of the span's bins lists them instead.
 Either way the pairs' exact differences are rebuilt from the listing's
 runs. The fine stage fits the line d = a + b*(t - t_mean)
 by least squares over an iterated member window: seeded with the coarse
@@ -102,7 +101,7 @@ from .photonics import TagStream
 from .timebase import INT64_LIMIT, _round_div
 
 __all__ = [
-    "CoarseHistogram",
+    "CoarseListing",
     "CorrelationConfig",
     "BLOCK_COUNT_LIMIT",
     "CorrelationResult",
@@ -122,6 +121,7 @@ __all__ = [
 
 BLOCK_COUNT_LIMIT = 10**6  # most diagnostic blocks of the frequency fit, as many as net report epochs
 _BLOCK_PAIRS = 1 << 15  # pairs materialized at once: 256 KB int64 arrays stay in cache
+_SLICE_PAIRS = 1 << 22  # listed offsets counted or scanned at once, so no temporary grows with a long session
 _WINDOW_SIGMAS = 3.0  # member window half-width, in residual sigmas of the member line
 _MAX_WINDOW_PASSES = 50  # the member set settles within a few passes; this bounds a cycle
 _SUPERBIN_BINS = 128  # coarse bins per superbin at the bounded search's finest level, its floor
@@ -317,13 +317,14 @@ def _window_reach(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationC
     return _Reach(origin, -window, window + 1, bin_lo, bin_hi, max(-window, lo), min(window, hi), every_pair)
 
 
-class CoarseHistogram(NamedTuple):
-    """Sparse coarse histogram of a window's pairs, with the pairs themselves.
+class CoarseListing(NamedTuple):
+    """The window pairs of a run of coarse bins, with their sparse histogram.
 
     Bin i covers differences d with floor((d - origin)/coarse_bin) == i;
-    origin is remote[0] - local[0]. offsets holds each window pair's bin
-    minus first_bin (the first bin a window pair can fill), numbered as in
-    runs. When the window holds every pair the streams can form, runs numbers
+    origin is remote[0] - local[0]. The run is first_bin .. last_bin, the
+    bins asked for clipped to those a window pair can fill. offsets holds
+    each pair's bin minus first_bin, numbered as in runs. When the bins
+    cover a window that holds every pair the streams can form, runs numbers
     them by rows, unsearched: local tag t owns pairs t*R .. t*R + R - 1,
     R = len(remote).
     """
@@ -331,9 +332,17 @@ class CoarseHistogram(NamedTuple):
     bins: np.ndarray  # occupied bin indices, ascending int64
     counts: np.ndarray  # pairs per occupied bin
     origin: int
+    first_bin: int
+    last_bin: int
     offsets: np.ndarray
     runs: _PairRuns
-    first_bin: int
+
+    def peak(self) -> tuple[int, int]:
+        """The first bin holding the most pairs and its count; first_bin and 0 when no bin holds one."""
+        if len(self.counts) == 0:
+            return self.first_bin, 0
+        i = int(self.counts.argmax())
+        return int(self.bins[i]), int(self.counts[i])
 
 
 def _runs_of_equal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,53 +357,80 @@ def _runs_of_equal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bins, counts
 
 
-def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseHistogram:
-    """Sparse coarse histogram of in-window differences (see CoarseHistogram).
+def _list_bins(
+    local_ts: np.ndarray,
+    remote_ts: np.ndarray,
+    reach: _Reach,
+    first_bin: int,
+    bins: int,
+    cfg: CorrelationConfig,
+    limit: int | None = None,
+) -> CoarseListing | None:
+    """The listing of the window pairs of coarse bins first_bin .. first_bin + bins - 1.
 
-    Every window pair's coarse-bin offset is written, block by block, into
-    one array. A window that holds every pair is not searched: each block of
-    whole rows of local tags is one broadcast subtraction from the remote
-    stream. A window with no more bins than pairs counts its offsets by bin;
-    any other sorts a copy of them and reads its runs of equal offsets.
+    None, before any pair is made, when they number more than limit. Every
+    pair's coarse-bin offset is written, block by block, into one array of
+    32-bit integers, 64-bit only when the bins asked for reach 2**32 past
+    the first a pair can fill. Bins that cover a window holding every pair
+    are not searched: each block of whole rows of local tags is one
+    broadcast subtraction from the remote stream. A listing with no more
+    bins than pairs counts its offsets by bin, in slices; any other sorts a
+    copy of them and reads its runs of equal offsets.
     """
-    local_ts, remote_ts = _timestamps(local), _timestamps(remote)
-    reach = _window_reach(local_ts, remote_ts, cfg)
-    # Offsets count from the first bin a window pair can fill, so the shift
-    # stays in int64 for any window; they sort as 32-bit integers when the
-    # window's bins allow. top is one past the last bin a window pair can fill.
-    first, last = reach.cells(cfg.coarse_bin)
-    offset_dtype = np.uint32 if reach.bin_hi - first < 2**32 else np.uint64
-    shift, n, top = reach.origin + first * cfg.coarse_bin, len(remote_ts), last - first + 1
-    if reach.every_pair:
+    reach_lo, reach_hi = reach.cells(cfg.coarse_bin)
+    first, last = max(first_bin, reach_lo), min(first_bin + bins - 1, reach_hi)
+    n, rows = len(remote_ts), reach.every_pair and (first, last) == (reach_lo, reach_hi)
+    if rows:
         # Pairs are numbered by rows, tag t owning t*n .. t*n + n - 1, and blocks
         # take whole rows: at least one, each no longer than its remote stream.
         ends = np.arange(n, (len(local_ts) + 1) * n, n, dtype=np.int64)
         runs = _PairRuns(n - ends, np.full(len(local_ts), n, dtype=np.int64), ends)
         block_pairs = max(_BLOCK_PAIRS // n, 1) * n
     else:
-        runs = _pair_runs(local_ts, remote_ts, reach.start, reach.stop)
+        lo = reach.origin + first_bin * cfg.coarse_bin  # the first bin's first difference
+        runs = _pair_runs(local_ts, remote_ts, max(reach.start, lo), min(reach.stop, lo + bins * cfg.coarse_bin))
         block_pairs = _BLOCK_PAIRS
     total = int(runs.ends[-1])
-    if total == 0:
-        raise EmptyOverlapError("no pairwise differences inside the search window")
-    offsets = np.empty(total, dtype=offset_dtype)
+    if limit is not None and total > limit:
+        return None
+    # Offsets count from the first bin a pair can fill, so the shift stays in int64 for any window.
+    shift, top = reach.origin + first * cfg.coarse_bin, last - first + 1
+    offsets = np.empty(total, dtype=np.uint32 if first_bin + bins - 1 - first < 2**32 else np.uint64)
     for start in range(0, total, block_pairs):
         stop = min(start + block_pairs, total)
         out = offsets[start:stop]
-        if reach.every_pair:
+        if rows:
             diffs = remote_ts - (local_ts[start // n : stop // n, None] + shift)
             out = out.reshape(diffs.shape)
         else:
             diffs = _pair_diffs(local_ts, remote_ts, runs, start, stop, shift)
         np.floor_divide(diffs, cfg.coarse_bin, out=out, casting="unsafe")
-    if top <= total:  # no more bins than pairs: count them, no sort
-        dense = np.bincount(offsets.astype(np.intp), minlength=top)
-        bins = (dense != 0).nonzero()[0]  # nonzero of a mask is several times faster than of counts
-        counts = dense[bins]
+    if total and top <= total:
+        # A slice is no shorter than the bins, so its dense count costs no more than
+        # its int64 copy, and a listing of one slice makes one bincount.
+        step = max(_SLICE_PAIRS, top)
+        dense = np.bincount(offsets[:step].astype(np.intp), minlength=top)
+        for start in range(step, total, step):
+            dense += np.bincount(offsets[start : start + step].astype(np.intp), minlength=top)
+        occupied = (dense != 0).nonzero()[0]  # nonzero of a mask is several times faster than of counts
+        counts = dense[occupied]
     else:  # sort a copy: the offsets stay in pair order for the peak span
-        bins, counts = _runs_of_equal(np.sort(offsets))
-    bins += first
-    return CoarseHistogram(bins, counts, reach.origin, offsets, runs, first)
+        occupied, counts = _runs_of_equal(np.sort(offsets))
+    occupied += first
+    return CoarseListing(occupied, counts, reach.origin, first, last, offsets, runs)
+
+
+def coarse_histogram(local, remote, cfg: CorrelationConfig) -> CoarseListing:
+    """The listing of every window pair, whose bins and counts are the window's sparse coarse histogram.
+
+    Raises EmptyOverlapError when the window holds no pair.
+    """
+    local_ts, remote_ts = _timestamps(local), _timestamps(remote)
+    reach = _window_reach(local_ts, remote_ts, cfg)
+    listed = _list_bins(local_ts, remote_ts, reach, reach.bin_lo, reach.bin_hi + 1 - reach.bin_lo, cfg)
+    if len(listed.offsets) == 0:
+        raise EmptyOverlapError("no pairwise differences inside the search window")
+    return listed
 
 
 def _smooth_lengths(limit: int) -> list[int]:
@@ -442,45 +478,6 @@ def _superbin_bounds(
     return c[:-1] + c[1:]
 
 
-class _Listing(NamedTuple):
-    """Every window pair of coarse bins first_bin .. first_bin + bins - 1, with its coarse bin.
-
-    offsets holds each pair's coarse bin minus first_bin, numbered as in
-    runs. counts holds the pairs of each bin when _bin_counts made the
-    listing, None when a histogram did.
-    """
-
-    first_bin: int
-    bins: int
-    offsets: np.ndarray
-    runs: _PairRuns
-    counts: np.ndarray | None = None
-
-
-def _bin_counts(
-    local_ts: np.ndarray,
-    remote_ts: np.ndarray,
-    reach: _Reach,
-    first_bin: int,
-    bins: int,
-    limit: int,
-    cfg: CorrelationConfig,
-) -> _Listing | None:
-    """The listing of coarse bins first_bin .. first_bin + bins - 1, clipped to the window, with their counts.
-
-    None, before any pair is made, when the bins hold more than limit pairs.
-    """
-    lo = reach.origin + first_bin * cfg.coarse_bin  # the first bin's first difference
-    start, stop = max(reach.start, lo), min(reach.stop, lo + bins * cfg.coarse_bin)
-    runs = _pair_runs(local_ts, remote_ts, start, stop)
-    if runs.ends[-1] > limit:
-        return None
-    offsets = _pair_diffs(local_ts, remote_ts, runs, 0, int(runs.ends[-1]), start)
-    offsets += start - lo
-    offsets //= cfg.coarse_bin
-    return _Listing(first_bin, bins, offsets.view(np.uint64), runs, np.bincount(offsets, minlength=bins))
-
-
 def _bounded_total(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> int:
     """The window's pair count when the bounded search may repay its FFTs, else 0.
 
@@ -508,7 +505,7 @@ def _bounded_total(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: Correlation
 
 def _bounded_peak(
     local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig, total: int | None = None
-) -> tuple[int, int, int, _Listing] | None:
+) -> tuple[int, int, int, CoarseListing] | None:
     """The first coarse bin with the most window pairs, its count, the window's pairs, and the bin's visit.
 
     A branch and bound over superbins. Superbin j of width M groups coarse
@@ -591,17 +588,16 @@ def _bounded_peak(
             k = int(np.argmax(bounds))
             if bounds[k] < best[1]:
                 return True
-            visit = _bin_counts(local_ts, remote_ts, reach, (sb_lo + k) * bins, bins, pairs, cfg) if visits else None
+            visit = _list_bins(local_ts, remote_ts, reach, (sb_lo + k) * bins, bins, cfg, pairs) if visits else None
             if visit is None:
                 return False
-            counts = visit.counts
             bounds[k] = -1
-            pairs, visits = pairs - int(counts.sum()), visits - 1
+            pairs, visits = pairs - len(visit.offsets), visits - 1
             visited.append((bins, sb_lo + k))
-            i = int(np.argmax(counts))
-            raised, bin_ = counts[i] > best[1], (sb_lo + k) * bins + i
-            if raised or (counts[i] == best[1] and bin_ < best[0]):
-                best[:] = bin_, int(counts[i]), visit
+            bin_, count = visit.peak()
+            raised = count > best[1]
+            if raised or (count == best[1] and bin_ < best[0]):
+                best[:] = bin_, count, visit
             if density is not None:
                 if not raised:
                     return False
@@ -691,7 +687,7 @@ def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
 
 def _region_peak(
     local_ts: np.ndarray, remote_ts: np.ndarray, reach: _Reach, predicted: int, total: int, cfg: CorrelationConfig
-) -> tuple[int, int, int, _Listing] | None:
+) -> tuple[int, int, int, CoarseListing] | None:
     """The first coarse bin with the most pairs near a predicted difference, its count, total and listing.
 
     The region is the coarse bins within refine_span_bins +
@@ -705,11 +701,11 @@ def _region_peak(
     bins = min(centre + half + _RETURN_SLACK_BINS, reach.bin_hi) + 1 - first
     if bins < 2 * half + 3:  # no bin lies more than half bins inside the region, or it misses the window
         return None
-    visit = _bin_counts(local_ts, remote_ts, reach, first, bins, total, cfg)
-    i = int(visit.counts.argmax())
-    if visit.counts[i] == 0 or not half < i < bins - 1 - half:
+    visit = _list_bins(local_ts, remote_ts, reach, first, bins, cfg)
+    peak_bin, count = visit.peak()
+    if count == 0 or not half < peak_bin - first < bins - 1 - half:
         return None
-    return first + i, int(visit.counts[i]), total, visit
+    return peak_bin, count, total, visit
 
 
 def cross_correlate(
@@ -742,12 +738,8 @@ def cross_correlate(
                 pass
     found = _bounded_peak(local_ts, remote_ts, cfg, total)
     if found is None:
-        hist = coarse_histogram(local_ts, remote_ts, cfg)
-        i_max = int(hist.counts.argmax())  # first max: ties break toward smallest offset
-        total = int(hist.runs.ends[-1])
-        # The offsets list every pair of the bins the window reaches.
-        listed = _Listing(hist.first_bin, reach.cells(cfg.coarse_bin)[1] + 1 - hist.first_bin, hist.offsets, hist.runs)
-        found = int(hist.bins[i_max]), int(hist.counts[i_max]), total, listed
+        listed = coarse_histogram(local_ts, remote_ts, cfg)
+        found = *listed.peak(), int(listed.runs.ends[-1]), listed
     return _peak_result(local_ts, remote_ts, cfg, reach, *found)
 
 
@@ -759,12 +751,12 @@ def _peak_result(
     peak_bin: int,
     peak_counts: int,
     total: int,
-    listed: _Listing,
+    listed: CoarseListing,
 ) -> CorrelationResult:
     """cross_correlate's result from the coarse peak, the window's pair count and the listing that found the peak.
 
     The peak span's pairs are taken from that listing when it lists them
-    all, else from _bin_counts over the span's bins.
+    all, else from _list_bins over the span's bins.
     """
     origin, bin_lo, bin_hi = reach.origin, reach.bin_lo, reach.bin_hi
     # A span reaching past every window bin from any peak is clipped to that reach.
@@ -777,10 +769,14 @@ def _peak_result(
     # and lie in those of its bins first .. last that the window's differences reach.
     first, last = reach.cells(cfg.coarse_bin)
     first, last = max(excl_lo, first), min(excl_hi, last)
-    if not (listed.first_bin <= first and last < listed.first_bin + listed.bins):
-        listed = _bin_counts(local_ts, remote_ts, reach, excl_lo, excl_hi + 1 - excl_lo, total, cfg)
-    # The unsigned offsets relative to the span's first bin wrap past the last for the pairs below it.
-    pairs = (listed.offsets - (first - listed.first_bin) <= last - first).nonzero()[0]
+    if not (listed.first_bin <= first and last <= listed.last_bin):
+        listed = _list_bins(local_ts, remote_ts, reach, excl_lo, excl_hi + 1 - excl_lo, cfg)
+    # Selected in slices, so no temporary grows with the listing. The unsigned
+    # offsets relative to the span's first bin wrap past the last for the pairs below it.
+    offsets, lo, step = listed.offsets, first - listed.first_bin, _SLICE_PAIRS
+    pairs = np.concatenate(
+        [(offsets[s : s + step] - lo <= last - first).nonzero()[0] + s for s in range(0, len(offsets), step)]
+    )
     tags = listed.runs.ends.searchsorted(pairs, side="right")
     partners = listed.runs.base[tags] + pairs
     times = local_ts[tags]

@@ -43,10 +43,11 @@ scheduled sync, and with no such parent the sync logs holdover.
 
 from __future__ import annotations
 
+import copy
 import graphlib
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 # frequency_track is bound here but not called: bench/workloads.py rebinds it by name
 from .estimator import CorrelationConfig, EstimationError, _halve_toward_zero, frequency_track  # noqa: F401
@@ -241,7 +242,10 @@ def _measure(edge: SyncEdge, clocks: dict, t: int, event_seed: tuple, predicted_
     one, as at the first sync of an unsynced node, the forward peak is
     acquired over the whole window.
     """
-    spec = replace(edge.session, start_time=t)
+    # start_time carries no bound, so a copy with it set needs none of the field
+    # checks that dataclasses.replace would re-run.
+    spec = copy.copy(edge.session)
+    object.__setattr__(spec, "start_time", t)
     streams = run_session(spec, clocks[edge.upstream], clocks[edge.downstream], event_seed)
     result = estimate_session(streams, edge.correlation, predicted_offset)
     # The configured nonreciprocity_bias is left out because it stands for

@@ -258,7 +258,8 @@ def detect(
         raise TimeRangeError(_past_tag_range(f"clock reading {int(local[0])} fs floors to a {resolution} fs tag"))
     quantized = (local // resolution) * resolution
     if tagger.range_limit is not None:
-        quantized = quantized[np.abs(quantized) <= tagger.range_limit]
+        # Both bounds, not np.abs, which wraps -2^63 to itself.
+        quantized = quantized[(-tagger.range_limit <= quantized) & (quantized <= tagger.range_limit)]
     if len(quantized) > 1:  # sorted, so equal stamps are neighbours
         quantized = quantized[np.concatenate(([True], quantized[1:] != quantized[:-1]))]
     return TagStream._unchecked(channel_id, quantized, frame, resolution, dict(metadata or {}))

@@ -680,9 +680,9 @@ def _brute_peak(local, remote, cfg):
     return int(bins[i]), int(counts[i])
 
 
-def _outcome(local, remote, cfg):
+def _outcome(local, remote, cfg, predicted=None):
     try:
-        result = cross_correlate(local, remote, cfg)
+        result = cross_correlate(local, remote, cfg, predicted)
     except NoPeakError as err:
         return "no peak", err.significance
     return result, result.members.local_times.tolist(), result.members.diffs.tolist()
@@ -889,6 +889,105 @@ def test_span_from_enumeration_every_pair_window(monkeypatch, wide, block_pairs)
     assert abs(outcome[0].peak_offset - (2 * 10**9 if wide else 3 * 10**7)) < 10**4
 
 
+def _assert_listing_is_brute_force(listed, local, remote, cfg, first_bin, bins):
+    """The listing of bins first_bin .. first_bin + bins - 1 holds brute force's pairs, in local-major order."""
+    origin = int(remote[0]) - int(local[0])
+    tag, partner = np.divmod(np.arange(len(local) * len(remote)), len(remote))
+    diffs = remote[partner] - local[tag]
+    coarse = (diffs - origin) // cfg.coarse_bin
+    keep = (np.abs(diffs) <= cfg.search_window) & (first_bin <= coarse) & (coarse < first_bin + bins)
+    want_bins, want_counts = np.unique(coarse[keep], return_counts=True)
+    assert listed.origin == origin and listed.bins.dtype == np.int64
+    assert np.array_equal(listed.bins, want_bins) and np.array_equal(listed.counts, want_counts)
+    assert first_bin <= listed.first_bin and listed.last_bin <= first_bin + bins - 1
+    i = int(np.argmax(want_counts)) if len(want_counts) else None
+    assert listed.peak() == ((listed.first_bin, 0) if i is None else (int(want_bins[i]), int(want_counts[i])))
+    assert np.array_equal(listed.offsets.astype(np.int64) + listed.first_bin, coarse[keep])
+    pairs = np.arange(len(listed.offsets))
+    owners = listed.runs.ends.searchsorted(pairs, side="right")
+    assert np.array_equal(owners, tag[keep]) and np.array_equal(listed.runs.base[owners] + pairs, partner[keep])
+    wide = first_bin + bins - 1 - listed.first_bin >= 2**32
+    assert listed.offsets.dtype == (np.uint64 if wide else np.uint32)
+    return wide
+
+
+def _listing_streams():
+    """(local, remote, cfg) of windows that hold every pair and windows that are searched, at 32- and 64-bit offsets."""
+    cfg = CorrelationConfig(search_window=10**8, coarse_bin=10**5, fine_bin=100)
+    rng = np.random.default_rng(31)
+    tags = np.sort(rng.integers(0, 2 * 10**8, 60)).astype(np.int64)
+    peaked = tags[:45] + 12345 + (16 * 40 + 2) * 10**4 + rng.integers(0, 10**4, 45)
+    edge_local, edge_remote = _anchored(tags, np.sort(np.concatenate((peaked, rng.integers(0, 2 * 10**8, 30)))), 12345)
+    return [
+        _every_pair_streams(),  # 3843 pairs in 2001 bins
+        _beyond_uint32_every_pair_streams(),  # 1 fs bins
+        (*_pair_streams(400, 3 * 10**7, spacing=10**5, jitter=2000, seed=9), replace(cfg, search_window=10**18)),
+        (*_pair_streams(500, 3 * 10**7, spacing=10**6, jitter=2000, seed=8), cfg),  # 1e5 pairs in 2001 bins
+        (*_pair_streams(40, 3 * 10**7, spacing=10**7, jitter=2000, seed=9), cfg),  # 1600 pairs
+        (
+            np.sort(rng.integers(0, 10**9, 5)).astype(np.int64),
+            np.sort(rng.integers(-2 * 10**9, 4 * 10**9, 20)).astype(np.int64),
+            CorrelationConfig(search_window=3 * 10**9, coarse_bin=1, fine_bin=1),
+        ),
+        # a peak 2 bins into a 16-bin superbin: its span reaches past that superbin's visit
+        (edge_local, edge_remote, replace(cfg, coarse_bin=10**4, significance_sigma=3.0)),
+    ]
+
+
+def test_every_listing_matches_brute_force_across_blocks_and_slices(monkeypatch):
+    # Blocks of 37 pairs and slices of 50 cut the listings mid-row and
+    # mid-run. Listings asked for directly (the window, a region, a visit, a
+    # span, runs of bins past the window's reach and past 2**32) and every
+    # listing cross_correlate makes on its routes hold brute force's pairs,
+    # and the correlation's outcome is the one of whole blocks and slices.
+    kinds, callers = set(), set()
+    list_bins = estimator._list_bins
+
+    def record(local_ts, remote_ts, reach, first_bin, bins, *rest):
+        listed = list_bins(local_ts, remote_ts, reach, first_bin, bins, *rest)
+        callers.add(sys._getframe(1).f_code.co_name)
+        if listed is not None:
+            _assert_listing_is_brute_force(listed, local_ts, remote_ts, cfg, first_bin, bins)
+        return listed
+
+    for local, remote, cfg in _listing_streams():
+        reach = estimator._window_reach(local, remote, cfg)
+        lo, hi = reach.cells(cfg.coarse_bin)
+        peak = _brute_peak(local, remote, cfg)[0]
+        predicted = reach.origin + peak * cfg.coarse_bin + cfg.coarse_bin // 2
+        outcomes = {}
+        for bounded in (False, True):
+            with monkeypatch.context() as m:
+                if bounded:
+                    _force_bounded(m, superbin_bins=16)
+                for guess in (None, predicted):
+                    outcomes[bounded, guess] = _outcome(local, remote, cfg, guess)
+        monkeypatch.setattr(estimator, "_BLOCK_PAIRS", 37)
+        monkeypatch.setattr(estimator, "_SLICE_PAIRS", 50)
+        requests = [(reach.bin_lo, reach.bin_hi + 1 - reach.bin_lo), (peak - 67, 135), (peak // 16 * 16, 16)]
+        requests += [(peak - 3, 7), (peak - 3, 2**33), (hi - 5, 20), (hi + 10, 5)]
+        for first_bin, bins in requests:
+            listed = list_bins(local, remote, reach, first_bin, bins, cfg)
+            wide = _assert_listing_is_brute_force(listed, local, remote, cfg, first_bin, bins)
+            rows = reach.every_pair and (listed.first_bin, listed.last_bin) == (lo, hi)
+            counted = 0 < listed.last_bin + 1 - listed.first_bin <= len(listed.offsets)
+            kinds.add((rows, counted, wide))
+            n = len(listed.offsets)
+            assert list_bins(local, remote, reach, first_bin, bins, cfg, n) is not None
+            assert n == 0 or list_bins(local, remote, reach, first_bin, bins, cfg, n - 1) is None
+        monkeypatch.setattr(estimator, "_list_bins", record)
+        for (bounded, guess), want in outcomes.items():
+            with monkeypatch.context() as m:
+                if bounded:
+                    _force_bounded(m, superbin_bins=16)
+                assert _outcome(local, remote, cfg, guess) == want
+        monkeypatch.undo()
+    # rows and searched runs, each counted and sorted, and 64-bit offsets counted and sorted
+    assert {(r, c) for r, c, _ in kinds} == {(True, True), (True, False), (False, True), (False, False)}
+    assert {c for _, c, w in kinds if w} == {True, False}
+    assert callers == {"coarse_histogram", "_region_peak", "search", "_peak_result"}
+
+
 def _assert_span_from_peak_visit(monkeypatch, local, remote, cfg):
     """The bounded route fits the span search's pairs, searching the span only when the peak's visit misses part of it.
 
@@ -896,12 +995,12 @@ def _assert_span_from_peak_visit(monkeypatch, local, remote, cfg):
     """
     found = estimator._bounded_peak(local, remote, cfg)
     peak_bin, visit = found[0], found[3]
-    assert visit.first_bin <= peak_bin < visit.first_bin + len(visit.counts)
+    assert visit.first_bin <= peak_bin <= visit.last_bin
     outcome, fits, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
     assert outcome[0].peak_counts == found[1]
     _assert_fit_inputs_are_the_span_search(fits, local, remote, cfg, peak_bin)
     reach = cfg.refine_span_bins
-    held = visit.first_bin <= peak_bin - reach and peak_bin + reach < visit.first_bin + len(visit.counts)
+    held = visit.first_bin <= peak_bin - reach and peak_bin + reach <= visit.last_bin
     assert (_span_range(local, remote, cfg, peak_bin)[1] in searches) != held
     return visit, searches
 
@@ -930,7 +1029,7 @@ def test_span_from_the_finer_visit_that_wins_a_tie(monkeypatch):
     # and it holds the lower peak's span
     local, remote, cfg = _half_covered_tie_streams(monkeypatch)
     visit, _ = _assert_span_from_peak_visit(monkeypatch, local, remote, cfg)
-    assert (visit.first_bin, len(visit.counts)) == (183 * 436, 436)
+    assert (visit.first_bin, visit.last_bin) == (183 * 436, 184 * 436 - 1)
 
 
 def test_span_from_the_probe_visit(monkeypatch):
@@ -940,18 +1039,18 @@ def test_span_from_the_probe_visit(monkeypatch):
     cfg, directions = _paper_session(0.001275225912445066, 240584960342, 3307023289804378348)
     local, remote = directions[0]
     visit, searches = _assert_span_from_peak_visit(monkeypatch, local, remote, cfg)
-    assert (visit.first_bin, len(visit.counts), len(searches)) == (-3 * 1024, 1024, 3)
+    assert (visit.first_bin, visit.last_bin, len(searches)) == (-3 * 1024, -2 * 1024 - 1, 3)
 
 
 def _visit_order(monkeypatch):
     visited = []
-    counts = estimator._bin_counts
+    list_bins = estimator._list_bins
 
     def record(local_ts, remote_ts, reach, first_bin, bins, *rest):
         visited.append(first_bin // bins)
-        return counts(local_ts, remote_ts, reach, first_bin, bins, *rest)
+        return list_bins(local_ts, remote_ts, reach, first_bin, bins, *rest)
 
-    monkeypatch.setattr(estimator, "_bin_counts", record)
+    monkeypatch.setattr(estimator, "_list_bins", record)
     return visited
 
 
@@ -1114,19 +1213,19 @@ def test_coarse_to_fine_tie_across_levels(monkeypatch, seed):
     floor_alone = _bounded(local, remote, cfg)
     monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", 256)
     widths, visited = _fold_widths(monkeypatch), []
-    counts = estimator._bin_counts
+    list_bins = estimator._list_bins
 
     def record(local_ts, remote_ts, reach, first_bin, bins, *rest):
-        found = counts(local_ts, remote_ts, reach, first_bin, bins, *rest)
+        found = list_bins(local_ts, remote_ts, reach, first_bin, bins, *rest)
         visited.append((bins, first_bin // bins, found))
         return found
 
-    monkeypatch.setattr(estimator, "_bin_counts", record)
+    monkeypatch.setattr(estimator, "_list_bins", record)
     assert _assert_routes_agree(monkeypatch, local, remote, cfg) == floor_alone == (0, 40)
     assert widths[:3] == [1024, 451, 2]
     probe_bins, probe_superbin, probe_visit = visited[0]
     assert (probe_bins, probe_superbin) == (1024, 78)  # superbin 78 holds bin 80000
-    assert probe_visit.counts[80000 - 78 * 1024] == probe_visit.counts.max() == 40
+    assert probe_visit.peak() == (80000, 40)
     assert any(bins < probe_bins and superbin * bins <= 0 < (superbin + 1) * bins for bins, superbin, _ in visited)
 
 

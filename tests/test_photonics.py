@@ -185,6 +185,14 @@ def test_range_limit_drops_out_of_range_tags():
     assert stream.timestamps.tolist() == [10, 10**6]
 
 
+def test_range_limit_drops_a_tag_at_minus_2_to_the_63():
+    # |-2^63| wraps to -2^63 in int64, so a filter on the absolute value kept it
+    clock = ClockState(ClockModel(initial_offset_fs=-(2**63)))
+    tagger = TimeTagger(resolution=1, range_limit=10**12)
+    stream = detect(np.array([0, 10**6]), Detector(), clock, tagger, 10**7, (1,))
+    assert stream.timestamps.tolist() == []
+
+
 def test_detect_converts_to_local_frame():
     clock = ClockState(ClockModel(initial_offset_fs=777), rng_stream=12)
     arrivals = np.array([1000, 2000], dtype=np.int64)

@@ -243,9 +243,9 @@ def test_return_search_makes_no_fold(monkeypatch):
     # search; B->A (correlation 1) folds nothing and enumerates one region.
     streams, cfg = _session(_paper(3e-3), -3 * 10**11, 0.0, 11)
     folds, enumerations, calls = [], [], []
-    bounds, counts, correlate = estimator._superbin_bounds, estimator._bin_counts, estimator.cross_correlate
+    bounds, list_bins, correlate = estimator._superbin_bounds, estimator._list_bins, estimator.cross_correlate
     monkeypatch.setattr(estimator, "_superbin_bounds", lambda *args: folds.append(calls[-1]) or bounds(*args))
-    monkeypatch.setattr(estimator, "_bin_counts", lambda *args: enumerations.append(calls[-1]) or counts(*args))
+    monkeypatch.setattr(estimator, "_list_bins", lambda *args: enumerations.append(calls[-1]) or list_bins(*args))
     monkeypatch.setattr(estimator, "cross_correlate", lambda *args: calls.append(len(calls)) or correlate(*args))
     estimate_session(streams, cfg)
     assert calls == [0, 1]

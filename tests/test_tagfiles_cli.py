@@ -937,20 +937,20 @@ def _cli_subprocess(tmp_path, command, config, memory=1 << 30) -> subprocess.Com
 
 
 def test_long_session_fits_in_memory(tmp_path):
-    # 0.1 s of paper_100pairs enumerates about 4e7 A->B window pairs, one
-    # 4-byte coarse-bin offset each, and peaks near 530 MB: it fits the
+    # 0.3 s of paper_100pairs enumerates about 1.2e8 A->B window pairs, one
+    # 4-byte coarse-bin offset each, and peaks near 610 MB: it fits the
     # 768 MiB cap that the next test's longer session does not. It exited 3
-    # while the enumeration sorted and merged 4M-pair chunks (about 1.4 GB).
-    result = _cli_subprocess(tmp_path, "simulate", _set(_paper(), ("duration_s",), 0.1), memory=768 << 20)
+    # while the offsets were counted through an 8-byte copy (919 MiB).
+    result = _cli_subprocess(tmp_path, "simulate", _set(_paper(), ("duration_s",), 0.3), memory=768 << 20)
     assert result.returncode == 0, result.stderr
     assert "theta_fs=" in result.stdout
 
 
 def test_session_too_large_for_memory_exits_three(tmp_path):
-    # 0.3 s of paper_100pairs holds about 1.5 GB at its peak, so under a
+    # 0.5 s of paper_100pairs holds about 930 MB at its peak, so under a
     # 768 MiB cap an allocation fails: a one-line message and exit 3, not a
     # MemoryError traceback (exit 1). The session must not fit the cap.
-    result = _cli_subprocess(tmp_path, "simulate", _set(_paper(), ("duration_s",), 0.3), memory=768 << 20)
+    result = _cli_subprocess(tmp_path, "simulate", _set(_paper(), ("duration_s",), 0.5), memory=768 << 20)
     assert result.returncode == 3, result.stderr
     assert "simulation failed: out of memory" in result.stderr and "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1

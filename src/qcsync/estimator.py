@@ -37,8 +37,8 @@ peak span and the whole window (coarse_histogram) each list the window
 pairs of a run of coarse bins, by coarse-bin offset from the first bin a
 pair can fill. The pairs are made in cache-sized int64 blocks (whole rows
 of local tags when the bins cover a window that holds every pair) and
-written into one array of 32-bit integers (64-bit only when the bins asked
-for reach 2**32 past that first bin). A listing with no more bins than
+written into one array of 32-bit integers (64-bit only when the bins a
+pair can fill number more than 2**32). A listing with no more bins than
 pairs counts its offsets by bin, a slice of at least _SLICE_PAIRS pairs at
 a time; any other sorts a copy, whose runs of equal offsets give the
 sparse coarse histogram (CoarseListing).
@@ -59,27 +59,26 @@ A region holding no pair, a region peak within refine_span_bins of the
 region's edge, and one that fails the significance test send the search
 to the whole window.
 
-The background is every window bin, empty ones included, except the
-peak's +-refine_span_bins coarse bins (the peak span; a span reaching past
-every window bin is clipped to that reach). Its mean is the
-window's pairs outside the span over those bins. Its sigma is
-sqrt(mean + spread), floored at one count, where spread is the variance
-across the window of the accidental counts that constant tag rates would
-give; a window as long as the session makes it large. The significance is
-(peak count - mean) / sigma.
+The peak is tested against the accidentals of constant tag rates, which
+expect at most lambda pairs in a coarse bin (_accidentals). A peak of
+k > lambda pairs has the global false-alarm probability p = min(B *
+P(X >= k), 1/2), X Poisson of mean lambda and B the coarse bins from the
+smallest to the largest difference the streams form in the window: the
+union bound of Gross & Vitells, Eur. Phys. J. C 70, 525 (2010). Any other
+peak has p = 1/2. The significance is the z whose normal upper tail is p,
+found in log space, so that it stays finite when p underflows.
 
 The fine stage then takes only the peak span's pairs, each with its local
 time t, from the listing that found the peak, scanning its offsets in
-slices. When a visit misses part of the span (a peak near its superbin's
-edge), one listing of the span's bins lists them instead.
-Either way the pairs' exact differences are rebuilt from the listing's
-runs. The fine stage fits the line d = a + b*(t - t_mean)
-by least squares over an iterated member window: seeded with the coarse
-peak bin, each pass keeps the pairs within max(3 sigma, fine_bin) of the
-line, until the member set stops changing.
-Every output comes from that one member set: the offset is the exact
-integer-rounded mean member difference (the line at t_mean), the width is
-the residual sigma, and b the drift.
+slices; when a visit misses part of the span (a peak near its superbin's
+edge), one listing of the span's bins lists them instead. Either way the
+pairs' exact differences are rebuilt from the listing's runs. The fine
+stage fits the line d = a + b*(t - t_mean) by least squares over an
+iterated member window: seeded with the coarse peak bin, each pass keeps
+the pairs within max(3 sigma, fine_bin) of the line, until the member set
+stops changing. Every output comes from that one member set: the offset
+is the exact integer-rounded mean member difference (the line at t_mean),
+the width is the residual sigma, and b the drift.
 
 Binning is anchored at the difference of the two first tags and local
 times at the first local tag, not at zero, so shifting one stream or both
@@ -135,6 +134,8 @@ _RETURN_SLACK_BINS = 64  # coarse bins beyond the peak span that a predicted sea
 # least _MIN_BOUND_PAIRS pairs repay.
 _PAIRS_PER_BOUND = 2
 _MIN_BOUND_PAIRS = 1 << 16
+_LOG_HALF = math.log(0.5)  # the global false-alarm probability of a peak no fuller than its accidentals
+_SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 class EstimationError(Exception):
@@ -186,9 +187,9 @@ class PeakMembers(NamedTuple):
 class CorrelationResult:
     peak_offset: int  # fs, integer-rounded mean member difference (remote - local)
     peak_counts: int  # counts in the winning coarse bin (the significance test)
-    background_mean: float
-    background_sigma: float
-    significance: float
+    background_mean: float  # lambda, the accidentals expected in the fullest coarse bin at constant tag rates
+    background_sigma: float  # sqrt(lambda), their Poisson sigma
+    significance: float  # normal sigmas of the peak's global false-alarm probability (>= 0, finite)
     peak_width_fs: float  # residual sigma of the members about their line
     histogram_summary: dict = field(default_factory=dict)  # region_total: member count
     members: PeakMembers | None = field(default=None, repr=False, compare=False)
@@ -370,12 +371,12 @@ def _list_bins(
 
     None, before any pair is made, when they number more than limit. Every
     pair's coarse-bin offset is written, block by block, into one array of
-    32-bit integers, 64-bit only when the bins asked for reach 2**32 past
-    the first a pair can fill. Bins that cover a window holding every pair
-    are not searched: each block of whole rows of local tags is one
-    broadcast subtraction from the remote stream. A listing with no more
-    bins than pairs counts its offsets by bin, in slices; any other sorts a
-    copy of them and reads its runs of equal offsets.
+    32-bit integers, 64-bit only when more than 2**32 of the bins can hold
+    a pair. Bins that cover a window holding every pair are not searched:
+    each block of whole rows of local tags is one broadcast subtraction from
+    the remote stream. A listing with no more bins than pairs counts its
+    offsets by bin, in slices; any other sorts a copy of them and reads its
+    runs of equal offsets.
     """
     reach_lo, reach_hi = reach.cells(cfg.coarse_bin)
     first, last = max(first_bin, reach_lo), min(first_bin + bins - 1, reach_hi)
@@ -395,7 +396,7 @@ def _list_bins(
         return None
     # Offsets count from the first bin a pair can fill, so the shift stays in int64 for any window.
     shift, top = reach.origin + first * cfg.coarse_bin, last - first + 1
-    offsets = np.empty(total, dtype=np.uint32 if first_bin + bins - 1 - first < 2**32 else np.uint64)
+    offsets = np.empty(total, dtype=np.uint32 if last - first < 2**32 else np.uint64)
     for start in range(0, total, block_pairs):
         stop = min(start + block_pairs, total)
         out = offsets[start:stop]
@@ -505,8 +506,8 @@ def _bounded_total(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: Correlation
 
 def _bounded_peak(
     local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig, total: int | None = None
-) -> tuple[int, int, int, CoarseListing] | None:
-    """The first coarse bin with the most window pairs, its count, the window's pairs, and the bin's visit.
+) -> tuple[int, int, CoarseListing] | None:
+    """The first coarse bin with the most window pairs, its count and the bin's visit.
 
     A branch and bound over superbins. Superbin j of width M groups coarse
     bins j*M .. j*M + M - 1, so a pair's superbin is floor((d - origin) / S)
@@ -618,44 +619,55 @@ def _bounded_peak(
         probe *= 2
     if probe > _SUPERBIN_BINS:
         window_bins = (reach.hi - reach.lo) // cfg.coarse_bin + 1
-        density = max(_accidentals(local_ts, remote_ts, cfg)[1][1], len(local_ts) * len(remote_ts) / window_bins)
+        density = max(_accidentals(local_ts, remote_ts, cfg), len(local_ts) * len(remote_ts) / window_bins)
         if search(probe, total // 8, _VISIT_BUDGET, density):
-            return best[0], best[1], total, best[2]
-    return (best[0], best[1], total, best[2]) if search(_SUPERBIN_BINS, total // 8, _VISIT_BUDGET) else None
+            return tuple(best)
+    return tuple(best) if search(_SUPERBIN_BINS, total // 8, _VISIT_BUDGET) else None
 
 
-def _accidentals(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> tuple:
-    """Knots (difference, pairs per coarse bin) of the accidental pair density at constant tag rates.
+def _accidentals(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig) -> float:
+    """lambda, the accidental pairs expected in the fullest coarse bin at constant tag rates.
 
-    Tags spread evenly over each stream's span make that density, in the
-    difference d, a trapezoid; knot 1 starts its flat top.
+    Tags spread evenly over each stream's span make it the flat top of a trapezoid in the difference,
+    n_l*n_r*coarse_bin / max(span_l + 1, span_r + 1), and no bin holds more than n_l*n_r.
     """
-    a = int(local_ts[-1]) - int(local_ts[0]) + 1
-    b = int(remote_ts[-1]) - int(remote_ts[0]) + 1
-    d0 = int(remote_ts[0]) - int(local_ts[0]) - a  # the smallest difference
-    top = len(local_ts) * len(remote_ts) * cfg.coarse_bin / max(a, b)  # counts per bin on the flat top
-    return (d0, 0.0), (d0 + min(a, b), top), (d0 + max(a, b), top), (d0 + a + b, 0.0)
+    pairs = len(local_ts) * len(remote_ts)
+    spans = int(local_ts[-1]) - int(local_ts[0]) + 1, int(remote_ts[-1]) - int(remote_ts[0]) + 1
+    return min(pairs * cfg.coarse_bin / max(spans), float(pairs))
 
 
-def _background_spread(local_ts: np.ndarray, remote_ts: np.ndarray, reach: _Reach, cfg: CorrelationConfig) -> float:
-    """Variance across the window of the accidental counts per coarse bin expected at constant tag rates.
+def _log_poisson_tail(k: int, lam: float) -> float:
+    """ln P(X >= k), X Poisson of mean lam < k, by the series lam**k e**-lam / k! * sum_n lam**n / ((k+1)...(k+n))."""
+    term, total, n = 1.0, 1.0, k
+    while term > total * 1e-17:  # terms fall by lam/n < 1 each, until the next no longer changes the sum
+        n += 1
+        term *= lam / n
+        total += term
+    return k * math.log(lam) - lam - math.lgamma(k + 1) + math.log(total)
 
-    The counts per bin are linear on each of the three pieces of the
-    trapezoid (_accidentals), so their mean and mean square over the window
-    are exact sums of piece integrals.
+
+def _gaussian_sigmas(log_p: float) -> float:
+    """The z >= 0 whose normal upper tail Q(z) is e**log_p, for log_p <= ln(1/2), and 0 above it.
+
+    Newton's method on ln Q from z = sqrt(-2*log_p), where ln Q is below
+    log_p: ln Q is concave, so no step passes the root, and a p that
+    underflows a double still has its finite z. Past z = 37, where Q nears
+    the smallest normal double, ln Q is its asymptotic series, within 1e-12.
     """
-    knots = _accidentals(local_ts, remote_ts, cfg)
-    lo, hi = reach.start, reach.stop
-    s1 = s2 = 0.0
-    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-        u, v = max(x0, lo), min(x1, hi)
-        if u < v:
-            yu = y0 + (y1 - y0) * ((u - x0) / (x1 - x0))
-            yv = y0 + (y1 - y0) * ((v - x0) / (x1 - x0))
-            s1 += (v - u) * (yu + yv) / 2
-            s2 += (v - u) * (yu * yu + yu * yv + yv * yv) / 3
-    n = hi - lo
-    return max(s2 / n - (s1 / n) ** 2, 0.0)
+    if log_p >= _LOG_HALF:
+        return 0.0
+    z = math.sqrt(-2 * log_p)
+    for _ in range(64):  # it settles within a few steps; this bounds a cycle at round-off
+        if z < 37:
+            log_q = math.log(0.5 * math.erfc(z / math.sqrt(2)))
+        else:  # phi(z)/z * (1 - 1/z^2 + 3/z^4 - 15/z^6 + 105/z^8)
+            w = 1 / (z * z)
+            log_q = -0.5 * z * z - math.log(z * _SQRT_2PI) + math.log1p(-w * (1 - 3 * w * (1 - 5 * w * (1 - 7 * w))))
+        step = (log_q - log_p) * math.exp(log_q + 0.5 * z * z) * _SQRT_2PI  # Newton: (ln Q)' = -phi/Q
+        z += step
+        if abs(step) <= 1e-14 * z:
+            break
+    return z
 
 
 def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
@@ -686,15 +698,15 @@ def _member_line(x: np.ndarray, d: np.ndarray, keep: np.ndarray, floor: int):
 
 
 def _region_peak(
-    local_ts: np.ndarray, remote_ts: np.ndarray, reach: _Reach, predicted: int, total: int, cfg: CorrelationConfig
-) -> tuple[int, int, int, CoarseListing] | None:
-    """The first coarse bin with the most pairs near a predicted difference, its count, total and listing.
+    local_ts: np.ndarray, remote_ts: np.ndarray, reach: _Reach, predicted: int, cfg: CorrelationConfig
+) -> tuple[int, int, CoarseListing] | None:
+    """The first coarse bin with the most pairs near a predicted difference, its count and listing.
 
     The region is the coarse bins within refine_span_bins +
     _RETURN_SLACK_BINS of predicted's bin, clipped to the window, enumerated
-    as one visit; total is the window's pair count, passed through. None,
-    and the caller searches the window, when the region holds no pair or
-    its peak lies within refine_span_bins of the region's edge.
+    as one visit. None, and the caller searches the window, when the region
+    holds no pair or its peak lies within refine_span_bins of the region's
+    edge.
     """
     half, centre = cfg.refine_span_bins, (predicted - reach.origin) // cfg.coarse_bin
     first = max(centre - half - _RETURN_SLACK_BINS, reach.bin_lo)
@@ -705,7 +717,7 @@ def _region_peak(
     peak_bin, count = visit.peak()
     if count == 0 or not half < peak_bin - first < bins - 1 - half:
         return None
-    return peak_bin, count, total, visit
+    return peak_bin, count, visit
 
 
 def cross_correlate(
@@ -718,19 +730,17 @@ def cross_correlate(
     near it (_region_peak). A region peak that is not significant, or that
     _region_peak declines, sends the search to the whole window; a window
     enumerated by runs is searched whole at once. Raises NoPeakError when
-    the best coarse bin is not significant against the off-peak background,
-    and EmptyOverlapError when the window holds no pairs at all.
+    the best coarse bin is not significant against the accidentals of
+    constant tag rates, and EmptyOverlapError when the window holds no pairs
+    at all.
     """
     cfg = cfg or CorrelationConfig()
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
     reach = _window_reach(local_ts, remote_ts, cfg)
-    total = None  # the window's pairs as _bounded_total counts them, once counted
-    if predicted is not None:
-        if reach.every_pair:
-            region_total = len(local_ts) * len(remote_ts)
-        else:
-            region_total = total = _bounded_total(local_ts, remote_ts, cfg)
-        found = _region_peak(local_ts, remote_ts, reach, int(predicted), region_total, cfg) if region_total else None
+    # the window's pairs as _bounded_total counts them, once counted
+    total = None if predicted is None or reach.every_pair else _bounded_total(local_ts, remote_ts, cfg)
+    if predicted is not None and (reach.every_pair or total):
+        found = _region_peak(local_ts, remote_ts, reach, int(predicted), cfg)
         if found is not None:
             try:
                 return _peak_result(local_ts, remote_ts, cfg, reach, *found)
@@ -739,7 +749,7 @@ def cross_correlate(
     found = _bounded_peak(local_ts, remote_ts, cfg, total)
     if found is None:
         listed = coarse_histogram(local_ts, remote_ts, cfg)
-        found = *listed.peak(), int(listed.runs.ends[-1]), listed
+        found = *listed.peak(), listed
     return _peak_result(local_ts, remote_ts, cfg, reach, *found)
 
 
@@ -750,27 +760,33 @@ def _peak_result(
     reach: _Reach,
     peak_bin: int,
     peak_counts: int,
-    total: int,
     listed: CoarseListing,
 ) -> CorrelationResult:
-    """cross_correlate's result from the coarse peak, the window's pair count and the listing that found the peak.
+    """cross_correlate's result from the coarse peak and the listing that found it.
 
-    The peak span's pairs are taken from that listing when it lists them
-    all, else from _list_bins over the span's bins.
+    Raises NoPeakError when the peak's significance (see the module docstring)
+    is below significance_sigma. The peak span's pairs come from that listing
+    when it lists them all, else from _list_bins over the span's bins.
     """
-    origin, bin_lo, bin_hi = reach.origin, reach.bin_lo, reach.bin_hi
+    # The bins a pair can fill, from the smallest to the largest difference the streams form in the window.
+    first, last = reach.cells(cfg.coarse_bin)
+    accidentals, log_p = _accidentals(local_ts, remote_ts, cfg), _LOG_HALF
+    if peak_counts > accidentals:
+        log_p = min(math.log(last - first + 1) + _log_poisson_tail(peak_counts, accidentals), _LOG_HALF)
+    significance = _gaussian_sigmas(log_p)
+    if significance < cfg.significance_sigma:
+        message = f"best bin significance {significance:.2f} below threshold {cfg.significance_sigma}"
+        raise NoPeakError(message, significance=significance)
+
     # A span reaching past every window bin from any peak is clipped to that reach.
-    half = min(cfg.refine_span_bins, bin_hi - bin_lo)
-    excl_lo = max(peak_bin - half, bin_lo)
-    excl_hi = min(peak_bin + half, bin_hi)
+    half = min(cfg.refine_span_bins, reach.bin_hi - reach.bin_lo)
+    span_first, span_last = max(peak_bin - half, reach.bin_lo), min(peak_bin + half, reach.bin_hi)
 
     # The peak span's pairs, each with its local time, in the window's order.
-    # They are exactly the pairs of the coarse bins the background excludes,
-    # and lie in those of its bins first .. last that the window's differences reach.
-    first, last = reach.cells(cfg.coarse_bin)
-    first, last = max(excl_lo, first), min(excl_hi, last)
+    # They lie in those of its bins first .. last that the window's differences reach.
+    first, last = max(span_first, first), min(span_last, last)
     if not (listed.first_bin <= first and last <= listed.last_bin):
-        listed = _list_bins(local_ts, remote_ts, reach, excl_lo, excl_hi + 1 - excl_lo, cfg)
+        listed = _list_bins(local_ts, remote_ts, reach, span_first, span_last + 1 - span_first, cfg)
     # Selected in slices, so no temporary grows with the listing. The unsigned
     # offsets relative to the span's first bin wrap past the last for the pairs below it.
     offsets, lo, step = listed.offsets, first - listed.first_bin, _SLICE_PAIRS
@@ -780,27 +796,8 @@ def _peak_result(
     tags = listed.runs.ends.searchsorted(pairs, side="right")
     partners = listed.runs.base[tags] + pairs
     times = local_ts[tags]
-    span_lo = origin + (peak_bin - half) * cfg.coarse_bin
+    span_lo = reach.origin + (peak_bin - half) * cfg.coarse_bin
     shifted = remote_ts[partners] - (times + span_lo)
-
-    # Background over every coarse bin the window could populate, including
-    # empty ones, excluding the peak span. Its sigma adds the spread of the
-    # expected accidentals to the Poisson variance, and is floored at one
-    # count so that isolated accidental coincidences never register as
-    # significant.
-    n_bg_bins = (bin_hi - bin_lo + 1) - (excl_hi - excl_lo + 1)
-    if n_bg_bins > 0:
-        bg_mean = (total - len(shifted)) / n_bg_bins
-        bg_sigma = max(math.sqrt(bg_mean + _background_spread(local_ts, remote_ts, reach, cfg)), 1.0)
-    else:
-        bg_mean, bg_sigma = 0.0, 1.0
-    significance = (peak_counts - bg_mean) / bg_sigma
-    if significance < cfg.significance_sigma:
-        raise NoPeakError(
-            f"best bin significance {significance:.2f} below "
-            f"threshold {cfg.significance_sigma}",
-            significance=significance,
-        )
 
     seed = shifted // cfg.coarse_bin == half  # the coarse peak bin's pairs
     x = (times - local_ts[0]).astype(np.float64)
@@ -811,8 +808,8 @@ def _peak_result(
     return CorrelationResult(
         peak_offset=peak_offset,
         peak_counts=peak_counts,
-        background_mean=bg_mean,
-        background_sigma=bg_sigma,
+        background_mean=accidentals,
+        background_sigma=math.sqrt(accidentals),
         significance=significance,
         peak_width_fs=sigma,
         histogram_summary={

@@ -23,6 +23,7 @@ from qcsync.bellauth import (
 )
 from qcsync.estimator import (
     CorrelationConfig,
+    NoPeakError,
     coarse_histogram,
     cross_correlate,
     frequency_track,
@@ -93,13 +94,22 @@ def _chain_topology(jitter=20_000):
     )
 
 
-def test_c01_hundred_pairs_against_1khz_darks():
-    # ~100 detected true pairs per direction against 1 kHz dark rates must
-    # still pin the correct coarse peak in >= 99% of 200 trials, in < 10 s.
+@pytest.mark.parametrize(
+    "pair_rate,pairs,hit_rate",
+    [
+        (1e4, 100, 0.99),
+        (1e3, 10, 0.90),  # a peak of a few pairs against ~2e-4 accidentals per bin over ~4e6 bins
+    ],
+)
+def test_c01_few_pairs_against_1khz_darks(pair_rate, pairs, hit_rate):
+    # ~100 (~10) detected true pairs per direction against 1 kHz dark rates
+    # must still pin the correct coarse peak in both directions in >= 99%
+    # (>= 90%) of 200 trials, in < 10 s. A direction with no significant peak
+    # is a miss.
     link = LinkModel(geometry=StaticRange(range_m=RANGE_1US_M * 1000), transmittance=0.5)
     flight = FLIGHT_1US_FS * 1000
     instruments = _instruments(
-        1e4, sigma_pair=500, eff=0.45, jitter=50_000, darks=1000.0
+        pair_rate, sigma_pair=500, eff=0.45, jitter=50_000, darks=1000.0
     )
     cfg = CorrelationConfig(search_window=2 * 10**12, coarse_bin=10**6, fine_bin=2 * 10**5)
     theta0 = 5 * 10**8
@@ -114,15 +124,22 @@ def test_c01_hundred_pairs_against_1khz_darks():
             link=link,
             clock_b_model=ClockModel(initial_offset_fs=theta0),
         )
-        d_ab = cross_correlate(streams.local_a, streams.remote_ab, cfg)
-        d_ba = cross_correlate(streams.local_b, streams.remote_ba, cfg)
-        pair_counts.append((d_ab.peak_counts + d_ba.peak_counts) / 2)
-        ok_ab = abs(d_ab.peak_offset - (flight + theta0)) <= cfg.coarse_bin
-        ok_ba = abs(d_ba.peak_offset - (flight - theta0)) <= cfg.coarse_bin
-        hits += int(ok_ab and ok_ba)
+        ok = True
+        for local, remote, offset in (
+            (streams.local_a, streams.remote_ab, flight + theta0),
+            (streams.local_b, streams.remote_ba, flight - theta0),
+        ):
+            try:
+                d = cross_correlate(local, remote, cfg)
+            except NoPeakError:
+                ok = False
+                continue
+            pair_counts.append(d.peak_counts)
+            ok = ok and abs(d.peak_offset - offset) <= cfg.coarse_bin
+        hits += int(ok)
     elapsed = time.monotonic() - started
-    assert np.mean(pair_counts) == pytest.approx(100, rel=0.25)
-    assert hits / 200 >= 0.99
+    assert np.mean(pair_counts) == pytest.approx(pairs, rel=0.25)
+    assert hits / 200 >= hit_rate
     assert elapsed < 10.0
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 from dataclasses import replace
@@ -55,7 +56,9 @@ def test_exact_shift_recovered():
 
 
 def test_five_event_constructed_shift():
-    local = np.array([10**6, 3 * 10**6, 7 * 10**6, 11 * 10**6, 20 * 10**6], dtype=np.int64)
+    # five events over 19 us: five pairs in one 1 ns bin are far above the
+    # accidentals of streams that sparse (five events over 19 ns are not)
+    local = np.array([10**9, 3 * 10**9, 7 * 10**9, 11 * 10**9, 20 * 10**9], dtype=np.int64)
     remote = local + 999
     cfg = CorrelationConfig(
         search_window=10**10, coarse_bin=10**6, fine_bin=1000, significance_sigma=2.0
@@ -101,8 +104,10 @@ def test_centroid_is_mean_of_peak_members():
 
 
 def test_tie_breaks_toward_smallest_offset():
-    local = np.array([10**7], dtype=np.int64)
-    remote = np.array([10**7 - 5 * 10**6, 10**7 + 5 * 10**6], dtype=np.int64)
+    # three local tags 1 us apart, each with partners 5 ns before and after:
+    # two bins tie at 3 pairs, above the accidentals of streams 2 us long
+    local = np.array([10**7, 10**9 + 10**7, 2 * 10**9 + 10**7], dtype=np.int64)
+    remote = np.sort(np.concatenate((local - 5 * 10**6, local + 5 * 10**6)))
     cfg = CorrelationConfig(
         search_window=10**10, coarse_bin=10**6, fine_bin=1000, significance_sigma=0.1
     )
@@ -188,7 +193,8 @@ def test_histogram_beyond_uint32_bin_range():
 @pytest.mark.parametrize("window", [10**8, 10**18])
 def test_enumeration_counts_its_bins_or_sorts_its_offsets(monkeypatch, window):
     # a window with no more bins than pairs is counted by bin, any other
-    # sorted; 10^18 fs makes the offsets 64-bit either way
+    # sorted; at 10^18 fs the window asks for 2e13 bins, but its pairs fill
+    # fewer than 3e4 of them, so the offsets stay 32-bit either way
     cfg = CorrelationConfig(search_window=window, coarse_bin=10**5, fine_bin=100)
     streams = {
         "count": [
@@ -205,7 +211,7 @@ def test_enumeration_counts_its_bins_or_sorts_its_offsets(monkeypatch, window):
             calls.clear()
             hist = _assert_offsets_match_brute_force(local, remote, cfg)
             assert calls == [route, route]
-            assert hist.offsets.dtype == (np.uint64 if window == 10**18 else np.uint32)
+            assert hist.offsets.dtype == np.uint32
 
 
 def test_window_edges_are_inclusive():
@@ -420,13 +426,19 @@ def test_uncertainty_scales_with_width_over_sqrt_n():
 
 def test_members_at_one_local_time_have_no_slope_term():
     # one local tag per direction: Sxx = 0, so the slope is 0, the reading is
-    # the mean member difference with sigma/sqrt(n), and the rate is unbounded
+    # the mean member difference with sigma/sqrt(n), and the rate is unbounded.
+    # Two far-off remote tags spread each remote stream over 1.8 us, so that
+    # its 9 members stand far above their accidentals.
     local = np.array([10**9], dtype=np.int64)
     spread = np.arange(-4, 5, dtype=np.int64) * 1000
+    far = np.array([-9, 9], dtype=np.int64) * 10**8
+    ab, ba = (
+        np.sort(np.concatenate((local + 10**9 + shift + spread, local + 10**9 + far))) for shift in (10**6, -(10**6))
+    )
     cfg = CorrelationConfig(search_window=10**10, coarse_bin=10**5, fine_bin=10**4)
-    d = cross_correlate(local, local + 10**9 + 10**6 + spread, cfg)
+    d = cross_correlate(local, ab, cfg)
     assert d.members.sxx == 0 and d.members.slope == 0.0
-    result = estimate_two_way(local, local + 10**9 + 10**6 + spread, local, local + 10**9 - 10**6 + spread, cfg)
+    result = estimate_two_way(local, ab, local, ba, cfg)
     assert (result.clock_offset, result.flight_time) == (10**6, 10**9)
     assert result.offset_uncertainty == round(d.peak_width_fs / math.sqrt(9) / math.sqrt(2))
     assert result.frequency.fractional_frequency == 0.0
@@ -670,7 +682,7 @@ def _force_bounded(monkeypatch, superbin_bins=4, budget=64):
 def _bounded(local, remote, cfg):
     found = estimator._bounded_peak(local, remote, cfg)
     if found is not None:
-        assert found[2] == len(_brute_diffs(local, remote, cfg.search_window))
+        assert estimator._bounded_total(local, remote, cfg) == len(_brute_diffs(local, remote, cfg.search_window))
         return found[:2]
 
 
@@ -906,7 +918,7 @@ def _assert_listing_is_brute_force(listed, local, remote, cfg, first_bin, bins):
     pairs = np.arange(len(listed.offsets))
     owners = listed.runs.ends.searchsorted(pairs, side="right")
     assert np.array_equal(owners, tag[keep]) and np.array_equal(listed.runs.base[owners] + pairs, partner[keep])
-    wide = first_bin + bins - 1 - listed.first_bin >= 2**32
+    wide = listed.last_bin - listed.first_bin >= 2**32
     assert listed.offsets.dtype == (np.uint64 if wide else np.uint32)
     return wide
 
@@ -982,9 +994,11 @@ def test_every_listing_matches_brute_force_across_blocks_and_slices(monkeypatch)
                     _force_bounded(m, superbin_bins=16)
                 assert _outcome(local, remote, cfg, guess) == want
         monkeypatch.undo()
-    # rows and searched runs, each counted and sorted, and 64-bit offsets counted and sorted
+    # rows and searched runs, each counted and sorted, and 64-bit offsets, which
+    # only more than 2**32 bins that a pair can fill take; those are sorted, as
+    # counting them would need more pairs than bins
     assert {(r, c) for r, c, _ in kinds} == {(True, True), (True, False), (False, True), (False, False)}
-    assert {c for _, c, w in kinds if w} == {True, False}
+    assert {c for _, c, w in kinds if w} == {False}
     assert callers == {"coarse_histogram", "_region_peak", "search", "_peak_result"}
 
 
@@ -994,7 +1008,7 @@ def _assert_span_from_peak_visit(monkeypatch, local, remote, cfg):
     For peaks away from the window's edges. Returns the peak's visit, and the pair searches.
     """
     found = estimator._bounded_peak(local, remote, cfg)
-    peak_bin, visit = found[0], found[3]
+    peak_bin, visit = found[0], found[2]
     assert visit.first_bin <= peak_bin <= visit.last_bin
     outcome, fits, searches = _fit_inputs_and_searches(monkeypatch, local, remote, cfg)
     assert outcome[0].peak_counts == found[1]
@@ -1285,7 +1299,7 @@ def test_sparse_wide_sessions_fold_once_after_the_probe(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(estimator, "_PROBE_SUPERBINS", estimator._MAX_SUPERBINS)  # no probe: the floor alone
                 widths.clear()
-                assert estimator._bounded_peak(local, remote, cfg)[:3] == found[:3]
+                assert estimator._bounded_peak(local, remote, cfg)[:2] == found[:2]
                 assert widths == [estimator._SUPERBIN_BINS]
     assert floor_folds <= 1
     # and the last one, 4 ms from B to A, gives the enumeration's result
@@ -1302,11 +1316,11 @@ def test_probe_stops_at_a_visit_that_leaves_its_count(monkeypatch):
     cfg, directions = _paper_session(0.001275225912445066, 240584960342, 3307023289804378348)
     local, remote = directions[0]
     widths, visited = _fold_widths(monkeypatch), _visit_order(monkeypatch)
-    found = estimator._bounded_peak(local, remote, cfg)[:3]
-    assert found == (-2797, 61, 163845)
+    found = estimator._bounded_peak(local, remote, cfg)[:2]
+    assert found == (-2797, 61) and estimator._bounded_total(local, remote, cfg) == 163845
     assert widths == [1024, estimator._SUPERBIN_BINS] and visited == [-3, -4]
     monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", estimator._MAX_SUPERBINS)  # no probe: the floor alone
-    assert estimator._bounded_peak(local, remote, cfg)[:3] == found
+    assert estimator._bounded_peak(local, remote, cfg)[:2] == found
 
 
 @pytest.mark.parametrize("duration_s", [1e-3, 2.5e-3, 4e-3])
@@ -1326,7 +1340,8 @@ def test_coarser_folds_reach_as_far_as_the_streams(monkeypatch, duration_s):
         found = estimator._bounded_peak(local, remote, cfg)
         hist = coarse_histogram(local, remote, cfg)
         i = int(np.argmax(hist.counts))
-        assert found[:3] == (int(hist.bins[i]), int(hist.counts[i]), int(hist.counts.sum()))
+        assert found[:2] == (int(hist.bins[i]), int(hist.counts[i]))
+        assert estimator._bounded_total(local, remote, cfg) == int(hist.counts.sum())
         d_lo = max(-cfg.search_window, int(remote[0]) - int(local[-1]))
         d_hi = min(cfg.search_window, int(remote[-1]) - int(local[0]))
         longer = max(int(local[-1] - local[0]), int(remote[-1] - remote[0]))
@@ -1354,44 +1369,65 @@ def test_coarser_folds_reach_as_far_as_the_streams(monkeypatch, duration_s):
             assert (bounds >= exact).all() and exact.sum() == hist.counts.sum()
 
 
-@pytest.mark.parametrize(
-    "rate_local,rate_remote,session,window",
-    [
+def test_independent_streams_have_no_peak():
+    # Poisson streams with no common pairs, 40 seeds in each regime. Whatever
+    # the accidentals per bin, from 1e-4 to 160 here, and whatever the bins
+    # searched, the fullest bin's Poisson tail times the bins a pair can fill
+    # bounds the chance of a false peak: at 6 sigma, about one in 1e9.
+    regimes = [
         (5e5, 2.75e5, 2 * 10**12, 2 * 10**12),  # sparse, the window as long as the session
         (4e7, 2e7, 5 * 10**10, 5 * 10**10),  # dense, the window as long as the session
         (4e6, 2e6, 2 * 10**13, 2 * 10**8),  # dense, a narrow window
-    ],
-)
-def test_independent_streams_have_no_peak(rate_local, rate_remote, session, window):
-    # Poisson streams with no common pairs. With the window as long as the
-    # session, accidental pairs are twice as dense at the window's centre as
-    # on average, so a background sigma that ignored this spread would pass
-    # the dense case's accidental maxima as peaks.
-    cfg = CorrelationConfig(search_window=window, coarse_bin=10**6, fine_bin=10**5)
-    for seed in range(8):
-        rng = np.random.default_rng([seed, 99])
-        local, remote = (
-            np.sort(rng.integers(0, session, rng.poisson(rate * session / 1e15))).astype(np.int64)
-            for rate in (rate_local, rate_remote)
-        )
-        with pytest.raises(NoPeakError):
-            cross_correlate(local, remote, cfg)
+        (5e6, 2.5e6, 2 * 10**11, 2 * 10**11),  # ~1000 x 500 tags over 0.2 ms: ~2.5 accidentals per central bin
+        (1e7, 1e7, 10**10, 10**11),  # ~100 x 100 tags over 10 us in a +-100 us window, a ground edge's shape
+    ]
+    false_peaks = []
+    for rate_local, rate_remote, session, window in regimes:
+        cfg = CorrelationConfig(search_window=window, coarse_bin=10**6, fine_bin=10**5)
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 99])
+            local, remote = (
+                np.sort(rng.integers(0, session, rng.poisson(rate * session / 1e15))).astype(np.int64)
+                for rate in (rate_local, rate_remote)
+            )
+            try:
+                result = cross_correlate(local, remote, cfg)
+            except NoPeakError as err:
+                assert 0 <= err.significance < cfg.significance_sigma
+                continue
+            false_peaks.append((rate_local, seed, result.significance))
+    assert len(false_peaks) <= 1, false_peaks
 
 
-@pytest.mark.parametrize("window,spread", [(6 * 10**10, 575.87), (3 * 10**10, 178.37), (10**10, 0.0)])
-def test_background_spread_matches_histogram_variance(window, spread):
-    # A trapezoid of accidental pairs: the window holds all of it and
-    # empty bins around it, cuts its slopes, or sees only its flat top. The
-    # variance of the window's counts over all its bins is their Poisson
-    # variance, the mean, plus the spread of the expected counts.
-    rng = np.random.default_rng(5)
-    local = np.sort(rng.integers(0, 5 * 10**10, 2000)).astype(np.int64)
-    remote = np.sort(rng.integers(10**10, 4 * 10**10, 1500)).astype(np.int64)
-    cfg = CorrelationConfig(search_window=window, coarse_bin=10**6, fine_bin=10**5)
-    reach = estimator._window_reach(local, remote, cfg)
-    assert estimator._background_spread(local, remote, reach, cfg) == pytest.approx(spread, abs=0.01)
-    counts = coarse_histogram(local, remote, cfg).counts
-    n_bins = 2 * window // cfg.coarse_bin + 1
-    mean = counts.sum() / n_bins
-    excess = float(np.dot(counts, counts)) / n_bins - mean**2 - mean
-    assert excess == pytest.approx(spread, rel=0.03, abs=0.3)
+@pytest.mark.parametrize("lam", [1e-4, 0.01, 0.5, 1.0, 2.5, 10.0, 100.0, 781.0, 1000.0])
+def test_poisson_log_tail_matches_a_sum_of_its_terms(lam):
+    # from k = floor(lam) + 1, where the series converges slowest, far into the
+    # tail; the terms are summed scaled by the first, which may underflow
+    def log_pmf(i):
+        return i * math.log(lam) - lam - math.lgamma(i + 1)
+
+    first = math.floor(lam) + 1
+    for k in (first, first + 1, first + 5, 2 * first + 10, first + 200):
+        scaled = math.fsum(math.exp(log_pmf(i) - log_pmf(k)) for i in range(k, k + 20 * first + 500))
+        assert estimator._log_poisson_tail(k, lam) == pytest.approx(log_pmf(k) + math.log(scaled), abs=1e-9)
+
+
+def test_gaussian_sigmas_match_the_normal_quantile():
+    normal = statistics.NormalDist()
+    for p in [0.5, 0.4, *np.logspace(-300, -1, 61).tolist()]:
+        assert estimator._gaussian_sigmas(math.log(p)) == pytest.approx(-normal.inv_cdf(p), rel=1e-12, abs=1e-12)
+    assert estimator._gaussian_sigmas(math.log(0.75)) == 0.0  # a p above 1/2 is no evidence either way
+
+
+def test_significance_stays_finite_past_underflow():
+    # 1e5 pairs in one bin over about 781 accidentals per bin, cli_dense's
+    # shape: p is about e**-3.9e5, far below the smallest double, and its
+    # normal sigmas are still a finite number JSON can hold
+    rng = np.random.default_rng(3)
+    local = np.sort(rng.integers(0, 128 * 10**11, 10**5)).astype(np.int64)
+    cfg = CorrelationConfig(search_window=2 * 10**8, coarse_bin=10**6, fine_bin=10**4)
+    result = cross_correlate(local, local + 5 * 10**5, cfg)
+    assert result.peak_counts > 10**5 and result.background_mean == pytest.approx(781, rel=1e-3)
+    assert result.background_sigma == math.sqrt(result.background_mean)
+    assert 800 < result.significance < 1000
+    json.dumps([result.significance, result.background_mean, result.background_sigma], allow_nan=False)

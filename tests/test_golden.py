@@ -27,8 +27,8 @@ from qcsync.timebase import ClockModel, ClockState
 
 GOLDEN = {
     "2.4.6": {
-        "session": "744730a5fb7749e1fe5a75d2a85919496d6379f41cc817d86669fddbad5b5e5d",
-        "cli": "aab1e97e589ed2647f283cf5ee4fe8356586f8f17e30c013a77aa7b578e3033a",
+        "session": "460f0eff93f458dea2aa0ba2feb2acfafa298ca755485a1fb23e5184c5e04c7e",
+        "cli": "ba28ff35da9c3df7093002f851a038b70ef7bcb800d6d26b70c28411c90a53a6",
         "network": "caaf53bdbd7207c9106162088297e5bebdb5f65b904ff065685035e749941ce5",
         "relativity": "3e2936db4541678f26eb759d25da17d5b986ed4606e90d435d4691f90891f552",
         "network_orbit": "ed92992f2159005e9edbddeb0e392a541819a676f546c14f4852eb5d514aee2a",

@@ -168,24 +168,25 @@ def test_region_peak_at_its_edge_searches_the_window():
     want = _outcome(local, remote, cfg)
     hist = estimator.coarse_histogram(local, remote, cfg)
     peak_bin, origin = int(hist.bins[np.argmax(hist.counts)]), hist.origin
-    total, reach = estimator._bounded_total(local, remote, cfg), estimator._window_reach(local, remote, cfg)
+    reach = estimator._window_reach(local, remote, cfg)
     half = cfg.refine_span_bins + estimator._RETURN_SLACK_BINS
     for inset in range(cfg.refine_span_bins + 1):
         for centre in (peak_bin - inset + half, peak_bin + inset - half):
             predicted = origin + centre * cfg.coarse_bin
-            assert estimator._region_peak(local, remote, reach, predicted, total, cfg) is None
+            assert estimator._region_peak(local, remote, reach, predicted, cfg) is None
             assert _outcome(local, remote, cfg, predicted) == want
     # one bin further in, the region finds the peak
     predicted = origin + (peak_bin - cfg.refine_span_bins - 1 + half) * cfg.coarse_bin
-    found = estimator._region_peak(local, remote, reach, predicted, total, cfg)
-    assert found[:3] == (peak_bin, want[0].peak_counts, total)
+    found = estimator._region_peak(local, remote, reach, predicted, cfg)
+    assert found[:2] == (peak_bin, want[0].peak_counts)
 
 
 @pytest.mark.parametrize("predicted", [-2 * 10**13, 2 * 10**13, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**70])
 def test_prediction_outside_the_window_searches_the_window(predicted):
     local, remote, cfg, _ = _backward()
-    total, reach = estimator._bounded_total(local, remote, cfg), estimator._window_reach(local, remote, cfg)
-    assert total and estimator._region_peak(local, remote, reach, predicted, total, cfg) is None
+    reach = estimator._window_reach(local, remote, cfg)
+    assert estimator._bounded_total(local, remote, cfg)  # the bounded route, which may search a region
+    assert estimator._region_peak(local, remote, reach, predicted, cfg) is None
     assert _outcome(local, remote, cfg, predicted) == _outcome(local, remote, cfg)
 
 
@@ -199,10 +200,10 @@ def test_region_holding_no_pair_searches_the_window():
     reach = estimator._window_reach(local, remote, cfg)
     assert reach.every_pair
     empty = 3 * 10**7 - 6 * 10**7
-    assert estimator._region_peak(local, remote, reach, empty, len(local) * len(remote), cfg) is None
+    assert estimator._region_peak(local, remote, reach, empty, cfg) is None
     assert _outcome(local, remote, cfg, empty) == _outcome(local, remote, cfg)
     # and the prediction at the peak finds it in the region
-    found = estimator._region_peak(local, remote, reach, 3 * 10**7, len(local) * len(remote), cfg)
+    found = estimator._region_peak(local, remote, reach, 3 * 10**7, cfg)
     assert found is not None and _outcome(local, remote, cfg, 3 * 10**7) == _outcome(local, remote, cfg)
 
 

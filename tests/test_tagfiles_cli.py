@@ -337,10 +337,14 @@ def test_simulate_with_window_past_int64_recovers_exactly(tmp_path, capsys, wind
 
 def test_unbounded_rate_uncertainty_is_written_as_null(tmp_path, capsys):
     # one local tag per direction: the members share one local time, so the
-    # rate's uncertainty is inf, which JSON cannot hold
+    # rate's uncertainty is inf, which JSON cannot hold. Two far-off remote
+    # tags spread each remote stream over 1.8 us, so that its 9 members stand
+    # far above their accidentals.
     local = [10**9]
     spread = [k * 1000 for k in range(-4, 5)]
-    streams = (local, [10**9 + 10**9 + 10**6 + s for s in spread], local, [10**9 + 10**9 - 10**6 + s for s in spread])
+    far = [2 * 10**9 - 9 * 10**8, 2 * 10**9 + 9 * 10**8]
+    ab, ba = (sorted(far + [2 * 10**9 + shift + s for s in spread]) for shift in (10**6, -(10**6)))
+    streams = (local, ab, local, ba)
     files = [str(tmp_path / f"{k}.tags") for k in range(4)]
     for path, values in zip(files, streams):
         write_timetag_file(path, _stream(values, resolution=1))

@@ -114,16 +114,10 @@ def cmd_simulate(args) -> int:
     streams = run_session(spec, clock_a, clock_b, (seed, "session"), metadata=metadata)
 
     out_dir = _out_dir(args, config)
-    files = {
-        "a_local": out_dir / "a_local.tags",
-        "b_from_a": out_dir / "b_from_a.tags",
-        "b_local": out_dir / "b_local.tags",
-        "a_from_b": out_dir / "a_from_b.tags",
-    }
-    write_timetag_file(files["a_local"], streams.local_a)
-    write_timetag_file(files["b_from_a"], streams.remote_ab)
-    write_timetag_file(files["b_local"], streams.local_b)
-    write_timetag_file(files["a_from_b"], streams.remote_ba)
+    files = {}
+    for stream in (streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba):
+        files[stream.channel_id] = out_dir / f"{stream.channel_id}.tags"
+        write_timetag_file(files[stream.channel_id], stream)
     for path in files.values():
         read_timetag_file(path)  # zero exit promises artifacts that validate
 
@@ -194,14 +188,12 @@ def cmd_relativity(args) -> int:
 
     out_dir = _out_dir(args, config)
     if args.format == "csv":
-        header = "t_s,range_m,elevation_deg,visible,flight_ab_fs,flight_ba_fs,shapiro_fs"
-        rows = [
-            f"{s['t_s']},{s['range_m']},{s['elevation_deg']},{int(s['visible'])},"
-            f"{'' if s['flight_ab_fs'] is None else s['flight_ab_fs']},"
-            f"{'' if s['flight_ba_fs'] is None else s['flight_ba_fs']},{s['shapiro_fs']}"
+        # an occluded sample's flight (None) is an empty cell, visible is 0 or 1
+        rows = [",".join(keys)] + [
+            ",".join("" if v is None else str(int(v) if isinstance(v, bool) else v) for v in (s[k] for k in keys))
             for s in samples
         ]
-        atomic_write_text(out_dir / "relativity_samples.csv", "\n".join([header] + rows) + "\n")
+        atomic_write_text(out_dir / "relativity_samples.csv", "\n".join(rows) + "\n")
     text = _stable_json(payload)
     atomic_write_text(out_dir / "relativity_report.json", text)
     sys.stdout.write(text)

@@ -48,13 +48,10 @@ coarse bins within refine_span_bins + _RETURN_SLACK_BINS of it, as one
 visit. estimate_two_way predicts the B->A difference from the link's round
 trip (d_BA = T_AB + T_BA - d_AB, where the clock offset cancels) and,
 given the clock offset theta_pred that a network sync predicts, the A->B
-one as (T_AB + T_BA) // 2 + theta_pred. The region search applies to a
-window that holds every pair or takes the bounded search, whose pair
-count is known without enumerating them; a window enumerated by runs is
-searched whole at once, since counting its pairs costs what the region
-saves. The region's first largest bin is the window's whenever the
-window's lies in the region, and everything after the peak is computed
-over the window as on the other routes, so the result is then the same.
+one as (T_AB + T_BA) // 2 + theta_pred. The region's first largest bin is
+the window's whenever the window's lies in the region, whatever route the
+window would take, and everything after the peak is computed over the
+window as on the other routes, so the result is then the same.
 A region holding no pair, a region peak within refine_span_bins of the
 region's edge, and one that fails the significance test send the search
 to the whole window.
@@ -505,7 +502,7 @@ def _bounded_total(local_ts: np.ndarray, remote_ts: np.ndarray, cfg: Correlation
 
 
 def _bounded_peak(
-    local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig, total: int | None = None
+    local_ts: np.ndarray, remote_ts: np.ndarray, cfg: CorrelationConfig
 ) -> tuple[int, int, CoarseListing] | None:
     """The first coarse bin with the most window pairs, its count and the bin's visit.
 
@@ -550,13 +547,11 @@ def _bounded_peak(
     level runs with a budget of its own, so the probe never gives up where
     the floor alone succeeds.
 
-    total is the window's pair count as _bounded_total gives it, counted
-    here when not given. Returns None, and the caller enumerates the whole
-    window instead, when that count is 0 or when the floor level's visits
-    would exceed _VISIT_BUDGET superbins or an eighth of the window's pairs.
+    Returns None, and the caller enumerates the whole window instead, when
+    _bounded_total counts no pairs or when the floor level's visits would
+    exceed _VISIT_BUDGET superbins or an eighth of the window's pairs.
     """
-    if total is None:
-        total = _bounded_total(local_ts, remote_ts, cfg)
+    total = _bounded_total(local_ts, remote_ts, cfg)
     if not total:
         return None
     reach = _window_reach(local_ts, remote_ts, cfg)
@@ -725,28 +720,24 @@ def cross_correlate(
 ) -> CorrelationResult:
     """Locate the coincidence peak of (remote - local) differences.
 
-    Given predicted, the difference (fs) where the peak is expected, a window
-    that holds every pair or takes the bounded search is first searched only
-    near it (_region_peak). A region peak that is not significant, or that
-    _region_peak declines, sends the search to the whole window; a window
-    enumerated by runs is searched whole at once. Raises NoPeakError when
-    the best coarse bin is not significant against the accidentals of
-    constant tag rates, and EmptyOverlapError when the window holds no pairs
-    at all.
+    Given predicted, the difference (fs) where the peak is expected, the
+    window is first searched only near it (_region_peak). A region peak that
+    is not significant, or that _region_peak declines, sends the search to
+    the whole window. Raises NoPeakError when the best coarse bin is not
+    significant against the accidentals of constant tag rates, and
+    EmptyOverlapError when the window holds no pairs at all.
     """
     cfg = cfg or CorrelationConfig()
     local_ts, remote_ts = _timestamps(local), _timestamps(remote)
     reach = _window_reach(local_ts, remote_ts, cfg)
-    # the window's pairs as _bounded_total counts them, once counted
-    total = None if predicted is None or reach.every_pair else _bounded_total(local_ts, remote_ts, cfg)
-    if predicted is not None and (reach.every_pair or total):
+    if predicted is not None:
         found = _region_peak(local_ts, remote_ts, reach, int(predicted), cfg)
         if found is not None:
             try:
                 return _peak_result(local_ts, remote_ts, cfg, reach, *found)
             except NoPeakError:
                 pass
-    found = _bounded_peak(local_ts, remote_ts, cfg, total)
+    found = _bounded_peak(local_ts, remote_ts, cfg)
     if found is None:
         listed = coarse_histogram(local_ts, remote_ts, cfg)
         found = *listed.peak(), listed
@@ -826,7 +817,8 @@ def _line_at(result: CorrelationResult, t: int) -> tuple[int, float, float]:
     """The member line d = peak_offset + slope*(t - t_mean) at local time t, rounded, and 1-sigmas.
 
     Its own, sigma*sqrt(1/n + (t - t_mean)^2/Sxx), and the slope's, sigma/sqrt(Sxx) (inf if Sxx = 0)."""
-    members, sigma, n = result.members, result.peak_width_fs, result.histogram_summary["region_total"]
+    members, sigma = result.members, result.peak_width_fs
+    n = len(members.diffs)
     dt = t - members.time_mean
     reading = result.peak_offset + round(members.slope * dt)
     if members.sxx == 0:

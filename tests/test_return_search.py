@@ -97,20 +97,21 @@ def _members(result):
     return [(c.members.local_times.tolist(), c.members.diffs.tolist()) for c in (result.forward, result.backward)]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the predicted search fell back to the window")
+
+
 def _predicted_calls(monkeypatch):
     """The predictions cross_correlate is given; given one, the whole window must not be searched."""
     calls, correlate = [], estimator.cross_correlate
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the predicted search fell back to the window")
 
     def traced(local, remote, cfg=None, predicted=None):
         if predicted is None:
             return correlate(local, remote, cfg)
         calls.append(predicted)
         with monkeypatch.context() as m:
-            m.setattr(estimator, "_bounded_peak", refuse)
-            m.setattr(estimator, "coarse_histogram", refuse)
+            m.setattr(estimator, "_bounded_peak", _refuse)
+            m.setattr(estimator, "coarse_histogram", _refuse)
             return correlate(local, remote, cfg, predicted)
 
     monkeypatch.setattr(estimator, "cross_correlate", traced)
@@ -139,6 +140,26 @@ def _outcome(local, remote, cfg, predicted=None):
     except estimator.NoPeakError as err:
         return "no peak", err.significance
     return result, result.members.local_times.tolist(), result.members.diffs.tolist()
+
+
+@cache
+def _dense():
+    """cli_dense's shape: paper_100pairs over 20 ms at 1e7 pairs/s on a 30 m link, +-200 ns window.
+
+    Both windows are enumerated by runs: too few pairs per tag for the
+    bounded search, and the streams reach past them.
+    """
+    config = _paper(0.02)
+    for side in ("a", "b"):
+        config["sources"][side]["pair_rate_hz"] = 1e7
+    config["link"] = {"geometry": {"variant": "static_range", "range_m": 30.0}, "transmittance": 0.5}
+    config["correlation"] = {**config["correlation"], "search_window_fs": 2 * 10**8, "block_count": 8}
+    return _session(config, 5 * 10**7, 2e-8, 5)
+
+
+def _enumerated_by_runs(local, remote, cfg) -> bool:
+    """Whether the window is neither bounded-searched nor one holding every pair."""
+    return not (estimator._bounded_total(local, remote, cfg) or estimator._window_reach(local, remote, cfg).every_pair)
 
 
 def _backward(duration_s=2e-3, master=3):
@@ -183,11 +204,14 @@ def test_region_peak_at_its_edge_searches_the_window():
 
 @pytest.mark.parametrize("predicted", [-2 * 10**13, 2 * 10**13, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**70])
 def test_prediction_outside_the_window_searches_the_window(predicted):
-    local, remote, cfg, _ = _backward()
-    reach = estimator._window_reach(local, remote, cfg)
-    assert estimator._bounded_total(local, remote, cfg)  # the bounded route, which may search a region
-    assert estimator._region_peak(local, remote, reach, predicted, cfg) is None
-    assert _outcome(local, remote, cfg, predicted) == _outcome(local, remote, cfg)
+    # on a window taking the bounded search and on one enumerated by runs
+    streams, dense_cfg = _dense()
+    dense = streams.local_b.timestamps, streams.remote_ba.timestamps, dense_cfg
+    assert _enumerated_by_runs(*dense)
+    for local, remote, cfg in (_backward()[:3], dense):
+        reach = estimator._window_reach(local, remote, cfg)
+        assert estimator._region_peak(local, remote, reach, predicted, cfg) is None
+        assert _outcome(local, remote, cfg, predicted) == _outcome(local, remote, cfg)
 
 
 def test_region_holding_no_pair_searches_the_window():
@@ -221,22 +245,52 @@ def test_region_peak_without_significance_searches_the_window(monkeypatch):
 
 
 def test_dense_window_keeps_its_pair_searches(monkeypatch):
-    # cli_dense's shape: paper_100pairs over 20 ms at 1e7 pairs/s on a 30 m
-    # link, +-200 ns window. Its windows are enumerated by runs, so the
-    # prediction changes no pair search.
-    config = _paper(0.02)
-    for side in ("a", "b"):
-        config["sources"][side]["pair_rate_hz"] = 1e7
-    config["link"] = {"geometry": {"variant": "static_range", "range_m": 30.0}, "transmittance": 0.5}
-    config["correlation"] = {**config["correlation"], "search_window_fs": 2 * 10**8, "block_count": 8}
-    streams, cfg = _session(config, 5 * 10**7, 2e-8, 5)
+    # cli_dense's shape, whose windows are enumerated by runs. The round
+    # trip makes as many pair searches as the whole windows do, but the B->A
+    # one covers only the region around the predicted difference and lists
+    # fewer pairs (38,163 of 83,984).
+    streams, cfg = _dense()
     searches, pair_runs = [], estimator._pair_runs
-    monkeypatch.setattr(estimator, "_pair_runs", lambda *args: searches.append(args[2:]) or pair_runs(*args))
+
+    def traced(*args):
+        runs = pair_runs(*args)
+        searches.append((*args[2:], int(runs.ends[-1])))  # the offsets searched and the pairs found
+        return runs
+
+    monkeypatch.setattr(estimator, "_pair_runs", traced)
     predicted = estimate_session(streams, cfg)
-    with_prediction, searches[:] = list(searches), []
+    forward, backward = searches
+    searches.clear()
     whole = estimate_two_way(streams.local_a, streams.remote_ab, streams.local_b, streams.remote_ba, cfg)
-    assert with_prediction == searches and len(searches) >= 2
     assert predicted == whole and _members(predicted) == _members(whole)
+    window = (-cfg.search_window, cfg.search_window + 1)
+    whole_forward, whole_backward = searches
+    assert forward == whole_forward and forward[:2] == whole_backward[:2] == window
+    lo, hi, listed = backward
+    d_ba = streams.round_trip_fs - predicted.forward.peak_offset
+    assert hi - lo == (2 * (cfg.refine_span_bins + estimator._RETURN_SLACK_BINS) + 1) * cfg.coarse_bin
+    assert window[0] < lo <= d_ba < hi < window[1] and listed < whole_backward[2]
+
+
+def test_deep_space_window_lists_only_its_region(monkeypatch):
+    # 1 s of sparse streams, 3020 tags each, with 20 pairs at a 1.281 s
+    # flight, as a lunar link delivers them, in a +-1.3 s window at 1 ns
+    # coarse bins: too many superbins for the bounded search, and the
+    # streams reach past the window. Predicted at the flight, the search
+    # lists one region, never the window's pairs, and finds the window's peak.
+    rng = np.random.default_rng(39)
+    flight = 1281 * 10**12
+    births = rng.integers(0, 10**15, 20)
+    jitter = rng.normal(0, 10**5, 20).astype(np.int64)
+    local = np.unique(np.concatenate((births, rng.integers(0, 10**15, 3000))))
+    remote = np.unique(np.concatenate((births + flight + jitter, rng.integers(flight, flight + 10**15, 3000))))
+    cfg = CorrelationConfig(search_window=13 * 10**14, coarse_bin=10**6, fine_bin=10**5)
+    assert _enumerated_by_runs(local, remote, cfg)
+    want = _outcome(local, remote, cfg)
+    assert want[0].peak_counts == 20
+    monkeypatch.setattr(estimator, "_bounded_peak", _refuse)
+    monkeypatch.setattr(estimator, "coarse_histogram", _refuse)
+    assert _outcome(local, remote, cfg, flight) == want
 
 
 def test_return_search_makes_no_fold(monkeypatch):

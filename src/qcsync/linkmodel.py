@@ -24,6 +24,10 @@ round 1 fs away from `time_of_flight` at its emit time. Visibility is sin(elevat
 math.sin(mask); `propagate` takes it from the knots where each clears the
 mask by a margin, from each photon otherwise.
 
+`propagate` draws from the generator its caller passes: the loss of every
+photon, then the channel jitter of each that survives, and nothing for a
+lossless or jitter-free link.
+
 Convention: direction A_TO_B points from the ground-side endpoint to the
 space-side endpoint (for the static variant the two endpoints are symmetric
 interchangeable points).
@@ -41,7 +45,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import check_fields, param
-from .seeding import SeedSpec, spawn_rng
 from .timebase import FS_PER_SECOND, INT64_LIMIT, TimeRangeError, _checked_shift
 
 __all__ = [
@@ -428,9 +431,10 @@ def _orbit_flights_fs(link: LinkModel, emit_fs: np.ndarray, direction: Direction
     return _rounded_fs(flights), visible
 
 
-def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, seed: SeedSpec) -> np.ndarray:
+def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, rng: np.random.Generator) -> np.ndarray:
     """Send photons across the link: loss, flight-time shift, channel jitter.
 
+    Loss, then channel jitter, draw from rng (see the module docstring).
     Photons emitted while the link is occluded are dropped. Output is the
     sorted true arrival times at the far end. Orbit flights come from knots
     (``_orbit_flights_fs``): a photon's flight may differ by 1 fs from
@@ -441,7 +445,6 @@ def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, se
     if (photons[1:] < photons[:-1]).any():  # compare neighbours: np.diff can wrap in int64
         raise ValueError("input stream must be sorted")
     if link.transmittance < 1.0:
-        rng = spawn_rng(seed, "link-thin")
         photons = photons[rng.random(len(photons)) < link.transmittance]
     if isinstance(link.geometry, StaticRange):
         flights, visible = _static_flight_fs(link, direction), np.True_
@@ -451,7 +454,6 @@ def propagate(stream_true: np.ndarray, link: LinkModel, direction: Direction, se
         photons, flights = photons[visible], flights[visible]
     shifts = [flights]
     if link.channel_jitter_sigma > 0 and len(photons):
-        rng = spawn_rng(seed, "link-jitter")
         shifts.append(rng.normal(0.0, link.channel_jitter_sigma, len(photons)).round().astype(np.int64))
     arrived = _checked_shift(photons, *shifts)
     arrived.sort(kind="stable")

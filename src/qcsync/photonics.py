@@ -7,6 +7,13 @@ Detection applies, in order: efficiency thinning, Gaussian timing jitter,
 dark-count injection, non-paralyzable dead-time filtering, conversion to the
 detector clock's local frame, and quantization to the tagger resolution.
 
+Every function here draws from a generator its caller passes in, in a fixed
+order: births take their count and then their times, the split one shift
+per arm and birth, and ``detect`` its thinning, its jitter, its dark count
+and dark times, then the clock's readout noise. A step with nothing to draw
+(unit efficiency, no jitter, no dark rate, an empty array, a noiseless clock)
+leaves the generator untouched, so it does not move the steps after it.
+
 The dead-time filter is array code: events that follow their predecessor by
 at least the dead time start clusters and are always accepted, and the
 accepted chain inside every cluster is followed with one searchsorted step
@@ -25,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ConfigError, check_fields, param
-from .seeding import SeedSpec, spawn_rng
 from .timebase import (
     FS_PER_SECOND,
     INT64_LIMIT,
@@ -128,11 +134,11 @@ class TagStream:
         return len(self.timestamps)
 
 
-def _poisson_times(rate_per_s: float, horizon_fs: int, seed: SeedSpec, stream: str) -> np.ndarray:
+def _poisson_times(rate_per_s: float, horizon_fs: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted event times of a homogeneous Poisson process on [0, horizon).
 
-    The generator of the named sub-stream of seed is derived only when an
-    event can occur.
+    Draws the count, then the times, from rng, and nothing where no event
+    can occur.
     """
     if horizon_fs < 0:
         raise ValueError("horizon must be >= 0")
@@ -141,7 +147,6 @@ def _poisson_times(rate_per_s: float, horizon_fs: int, seed: SeedSpec, stream: s
         raise ConfigError(f"expected event count {expected:.3g} exceeds {MAX_EXPECTED_EVENTS}")
     if horizon_fs == 0 or rate_per_s == 0.0:
         return np.empty(0, dtype=np.int64)
-    rng = spawn_rng(seed, stream)
     count = rng.poisson(expected)
     # Conditioned on the count, event times are iid uniform over the horizon
     # (order-statistics construction of the Poisson process).
@@ -151,13 +156,13 @@ def _poisson_times(rate_per_s: float, horizon_fs: int, seed: SeedSpec, stream: s
     return out[out < horizon_fs]
 
 
-def generate_pair_births(source: PairSource, horizon: int, seed: SeedSpec) -> np.ndarray:
+def generate_pair_births(source: PairSource, horizon: int, rng: np.random.Generator) -> np.ndarray:
     """Pair birth times (true time, int64 fs) over [0, horizon)."""
-    return _poisson_times(source.pair_rate, horizon, seed, "pair-births")
+    return _poisson_times(source.pair_rate, horizon, rng)
 
 
 def split_pairs(
-    births: np.ndarray, source: PairSource, seed: SeedSpec
+    births: np.ndarray, source: PairSource, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local and remote photon emission times for each birth.
 
@@ -168,7 +173,6 @@ def split_pairs(
     births = np.asarray(births, dtype=np.int64)
     if source.pair_correlation_sigma == 0 or len(births) == 0:
         return births.copy(), births.copy()
-    rng = spawn_rng(seed, "pair-split")
     arm_sigma = source.pair_correlation_sigma / np.sqrt(2.0)
     shifts = rng.normal(0.0, arm_sigma, (2, len(births))).round().astype(np.int64)
     return births + shifts[0], births + shifts[1]
@@ -213,7 +217,7 @@ def detect(
     clock: ClockState,
     tagger: TimeTagger,
     horizon: int,
-    seed: SeedSpec,
+    rng: np.random.Generator,
     *,
     window_start: int = 0,
     channel_id: str = "",
@@ -226,30 +230,28 @@ def detect(
     [window_start, window_start + horizon), merge and sort, non-paralyzable
     dead-time filter (in true time), clock conversion, quantization (floor
     to resolution), and a final dedupe because a tagger cannot emit two
-    identical stamps.
+    identical stamps. Thinning, jitter, the darks and the clock's readout
+    noise draw from rng in that order.
     """
     arrivals = np.asarray(photon_arrivals_true, dtype=np.int64)
     if (arrivals[1:] < arrivals[:-1]).any():
         raise ValueError("photon arrivals must be sorted")
 
     if detector.efficiency < 1.0:
-        thin_rng = spawn_rng(seed, "detect-thin")
-        arrivals = arrivals[thin_rng.random(len(arrivals)) < detector.efficiency]
+        arrivals = arrivals[rng.random(len(arrivals)) < detector.efficiency]
     reordered = False  # whether jitter or darks made arrivals a fresh array out of order
     if detector.jitter_sigma > 0 and len(arrivals):
-        jitter_rng = spawn_rng(seed, "detect-jitter")
-        jitter = jitter_rng.normal(0.0, detector.jitter_sigma, len(arrivals)).round().astype(np.int64)
+        jitter = rng.normal(0.0, detector.jitter_sigma, len(arrivals)).round().astype(np.int64)
         arrivals, reordered = _checked_shift(arrivals, jitter), True
 
-    darks = _poisson_times(detector.dark_rate, horizon, seed, "detect-dark")
+    darks = _poisson_times(detector.dark_rate, horizon, rng)
     if len(darks):
         arrivals, reordered = np.concatenate((arrivals, _checked_shift(darks, window_start))), True
     if reordered:
         arrivals.sort(kind="stable")
     merged = _dead_time_filter(arrivals, detector.dead_time)
 
-    readout_rng = spawn_rng(seed, "detect-readout") if clock.model.white_phase_sigma_fs > 0 else None
-    local = local_times(clock, merged, rng=readout_rng)
+    local = local_times(clock, merged, rng=rng)
     local.sort(kind="stable")  # clock noise can reorder near-simultaneous events
     resolution = tagger.resolution
     # Flooring moves a reading down by less than one resolution, so only the

@@ -1,9 +1,15 @@
 """Deterministic RNG derivation.
 
-Every stochastic component draws from a generator derived from the master
-seed plus a structured path (node id, edge id, event index, ...), so any
-single event can be reproduced in isolation and unrelated events stay
-bit-independent of each other.
+A generator is derived from the master seed plus a structured path (node
+id, edge id, event index, ...), so any single event can be reproduced in
+isolation. A session derives one generator per source arm,
+``spawn_rng(seed, "arm-a")`` and ``"arm-b"``, and every photon step of that
+arm draws from it in a fixed order (see ``session``); a clock's random walk
+has its own, derived when the clock is built. Generators with different
+paths stay bit-independent: two sessions, two clocks, or the two arms of
+one session. Inside an arm the steps share one stream, so changing how
+much one step draws (a source's rate, a detector's efficiency) moves every
+later step of that arm, but nothing outside it.
 """
 
 from __future__ import annotations
@@ -13,23 +19,17 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["SeedSpec", "stable_token", "derive_rng", "derive_seed_sequence", "seed_path", "spawn_rng"]
+__all__ = ["SeedSpec", "stable_token", "derive_rng", "derive_seed_sequence", "spawn_rng"]
 
 SeedSpec = int | str | tuple
 
 
-def seed_path(seed: SeedSpec) -> tuple:
-    """Normalize a seed spec (bare value or path tuple) to a path tuple."""
-    if isinstance(seed, tuple):
-        if not seed:
-            raise ValueError("seed path must be non-empty")
-        return seed
-    return (seed,)
-
-
 def spawn_rng(seed: SeedSpec, *suffix: int | str) -> np.random.Generator:
-    """Generator for a sub-stream of ``seed`` named by ``suffix`` elements."""
-    return derive_rng(*seed_path(seed), *suffix)
+    """Generator for a sub-stream of ``seed``, a bare value or a non-empty path tuple, named by ``suffix`` elements."""
+    path = seed if isinstance(seed, tuple) else (seed,)
+    if not path:
+        raise ValueError("seed path must be non-empty")
+    return derive_rng(*path, *suffix)
 
 
 def stable_token(value: int | str) -> int:

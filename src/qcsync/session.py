@@ -6,6 +6,14 @@ stream against the matching local stream gives the two one-way differences
 d_AB (A's pairs, detected remotely at B) and d_BA; their two-way
 combination yields the clock offset theta = local_B - local_A and the
 flight time.
+
+Each source's arm draws every variate from one generator,
+``spawn_rng(seed, "arm-a")`` for A's pairs and ``"arm-b"`` for B's, in this
+order: the birth count and times, the pair split, the heralding, the local
+detector (thinning, jitter, dark count and times, readout noise), the link
+(loss, then channel jitter), and the remote detector's same four steps. The
+two arms share no generator, so changing one source moves no variate of the
+other's streams.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .estimator import CorrelationConfig, TwoWayResult, estimate_two_way
 from .fields import check_fields, param
 from .linkmodel import Direction, LinkModel, NotVisibleError, propagate, time_of_flight
 from .photonics import Detector, PairSource, TagStream, TimeTagger, detect, generate_pair_births, split_pairs
-from .seeding import SeedSpec, seed_path, spawn_rng
+from .seeding import SeedSpec, spawn_rng
 from .timebase import FS_PER_SECOND, INT64_LIMIT, ClockState, TimeRangeError, _past_tag_range, local_time
 
 __all__ = [
@@ -80,52 +88,55 @@ class SessionStreams:
         return self.truth.flight_ab_fs + self.truth.flight_ba_fs
 
 
-# Per direction: the channel and frame of the local stream, then of the remote one.
+# Per direction: the name of the arm's generator, then the channel and frame
+# of the local stream, then of the remote one.
 _ARM_NAMES = {
-    Direction.A_TO_B: ("a_local", "a", "b_from_a", "b"),
-    Direction.B_TO_A: ("b_local", "b", "a_from_b", "a"),
+    Direction.A_TO_B: ("arm-a", "a_local", "a", "b_from_a", "b"),
+    Direction.B_TO_A: ("arm-b", "b_local", "b", "a_from_b", "a"),
 }
 
 
 def _one_source_arm(
     spec: SessionSpec,
     direction: Direction,
-    births: np.ndarray,
     clock_local: ClockState,
     clock_remote: ClockState,
     midpoint_flight: int,
     seed: SeedSpec,
     metadata: dict,
-) -> tuple[TagStream, TagStream]:
-    """The local and remote streams of the pairs born at the sending end of direction.
+) -> tuple[TagStream, TagStream, int]:
+    """The local and remote streams of the pairs born at the sending end of direction, and their birth count.
 
     midpoint_flight is the flight (fs) of direction at the window's midpoint.
+    Every draw comes from the arm's one generator, in the order the module
+    docstring gives.
     """
     local, remote = spec.instruments_a, spec.instruments_b
     if direction is Direction.B_TO_A:
         local, remote = remote, local
     link, window_start, duration, source = spec.link, spec.start_time, spec.duration, local.source
-    local_arm, remote_arm = split_pairs(births, source, seed_path(seed) + ("split",))
+    arm, channel_local, frame_local, channel_remote, frame_remote = _ARM_NAMES[direction]
+    rng = spawn_rng(seed, arm)
+    births = generate_pair_births(source, duration, rng) + window_start
+    local_arm, remote_arm = split_pairs(births, source, rng)
     if source.heralding_efficiency_local < 1.0:
-        herald_rng = spawn_rng(seed, "herald")
-        local_arm = local_arm[herald_rng.random(len(local_arm)) < source.heralding_efficiency_local]
+        local_arm = local_arm[rng.random(len(local_arm)) < source.heralding_efficiency_local]
     local_arm.sort(kind="stable")  # split_pairs and the herald's thinning made fresh arrays
     remote_arm.sort(kind="stable")
 
-    channel_local, frame_local, channel_remote, frame_remote = _ARM_NAMES[direction]
     local_stream = detect(
         local_arm,
         local.detector,
         clock_local,
         local.tagger,
         duration,
-        seed_path(seed) + ("det-local",),
+        rng,
         window_start=window_start,
         channel_id=channel_local,
         frame=frame_local,
         metadata=metadata,
     )
-    arrivals = propagate(remote_arm, link, direction, seed_path(seed) + ("link",))
+    arrivals = propagate(remote_arm, link, direction, rng)
     # The remote acquisition gate covers the arrival band, one flight time
     # after the emission window. A window that opens with the link occluded
     # (below the elevation mask) takes the midpoint's flight instead.
@@ -139,13 +150,13 @@ def _one_source_arm(
         clock_remote,
         remote.tagger,
         duration,
-        seed_path(seed) + ("det-remote",),
+        rng,
         window_start=remote_gate,
         channel_id=channel_remote,
         frame=frame_remote,
         metadata=metadata,
     )
-    return local_stream, remote_stream
+    return local_stream, remote_stream, len(births)
 
 
 def run_session(
@@ -165,20 +176,11 @@ def run_session(
     if start + duration >= INT64_LIMIT:
         raise TimeRangeError(_past_tag_range(f"session window ends at {(start + duration) / FS_PER_SECOND:.0f} s,"))
 
-    births_a = generate_pair_births(spec.instruments_a.source, duration, seed_path(seed) + ("births-a",))
-    births_b = generate_pair_births(spec.instruments_b.source, duration, seed_path(seed) + ("births-b",))
-    births_a = births_a + start
-    births_b = births_b + start
-
     midpoint = start + duration // 2
     flight_ab = time_of_flight(spec.link, midpoint, Direction.A_TO_B)
     flight_ba = time_of_flight(spec.link, midpoint, Direction.B_TO_A)
-    local_a, remote_ab = _one_source_arm(
-        spec, Direction.A_TO_B, births_a, clock_a, clock_b, flight_ab, seed_path(seed) + ("arm-a",), metadata
-    )
-    local_b, remote_ba = _one_source_arm(
-        spec, Direction.B_TO_A, births_b, clock_b, clock_a, flight_ba, seed_path(seed) + ("arm-b",), metadata
-    )
+    local_a, remote_ab, births_a = _one_source_arm(spec, Direction.A_TO_B, clock_a, clock_b, flight_ab, seed, metadata)
+    local_b, remote_ba, births_b = _one_source_arm(spec, Direction.B_TO_A, clock_b, clock_a, flight_ba, seed, metadata)
 
     theta_true = local_time(clock_b, midpoint) - local_time(clock_a, midpoint)
     truth = SessionTruth(
@@ -186,8 +188,8 @@ def run_session(
         flight_ab_fs=flight_ab,
         flight_ba_fs=flight_ba,
         midpoint_fs=midpoint,
-        births_a=len(births_a),
-        births_b=len(births_b),
+        births_a=births_a,
+        births_b=births_b,
     )
     return SessionStreams(
         local_a=local_a,

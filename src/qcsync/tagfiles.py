@@ -82,13 +82,13 @@ class TagFileError(Exception):
     """Timetag file violates the format; message carries the line number."""
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+def atomic_write_text(path: str | Path, text: str | bytes) -> None:
+    """Write text, or bytes as they are, via a temp file in the same directory plus rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:
@@ -105,8 +105,8 @@ def write_timetag_file(path: str | Path, stream: TagStream) -> None:
         lines.append(f"# frame: {stream.frame}")
     if stream.metadata:
         lines.append(f"# metadata: {json.dumps(stream.metadata, sort_keys=True)}")
-    body = _format_body(stream.timestamps).decode("ascii")
-    atomic_write_text(path, "\n".join(lines) + "\n" + body)
+    header = "".join(f"{line}\n" for line in lines).encode()
+    atomic_write_text(path, header + _format_body(stream.timestamps))
 
 
 def _format_body(timestamps: np.ndarray) -> bytes:

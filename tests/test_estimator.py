@@ -1047,13 +1047,13 @@ def test_span_from_the_finer_visit_that_wins_a_tie(monkeypatch):
 
 
 def test_span_from_the_probe_visit(monkeypatch):
-    # acquire_wide's seed 7, op 86, from A to B (see the probe test below):
+    # acquire_wide's seed 24, op 74, from A to B (see the probe test below):
     # the probe's first visit finds the peak and no later one beats it, so
     # the window's total and the probe's two visits are the only searches
-    cfg, directions = _paper_session(0.001275225912445066, 240584960342, 3307023289804378348)
+    cfg, directions = _paper_session(0.001395810974439371, 422951864279, 2040180903660294344)
     local, remote = directions[0]
     visit, searches = _assert_span_from_peak_visit(monkeypatch, local, remote, cfg)
-    assert (visit.first_bin, visit.last_bin, len(searches)) == (-3 * 1024, -2 * 1024 - 1, 3)
+    assert (visit.first_bin, visit.last_bin, len(searches)) == (0 * 1024, 1 * 1024 - 1, 3)
 
 
 def _visit_order(monkeypatch):
@@ -1309,16 +1309,16 @@ def test_sparse_wide_sessions_fold_once_after_the_probe(monkeypatch):
 
 
 def test_probe_stops_at_a_visit_that_leaves_its_count(monkeypatch):
-    # acquire_wide's seed 7, op 86, from A to B: the probe's first visit finds
-    # the 61-pair peak, too small for any level coarser than the floor, and
-    # its second finds no more, so the probe stops there (a probe capped at 4
-    # visits made 2 more) and the floor fold finishes with the floor's result
-    cfg, directions = _paper_session(0.001275225912445066, 240584960342, 3307023289804378348)
+    # acquire_wide's seed 24, op 74, from A to B: the probe's first visit
+    # finds the 69-pair peak, too small for any level coarser than the floor,
+    # and its second finds no more, so the probe stops there and the floor
+    # fold finishes with the floor's result
+    cfg, directions = _paper_session(0.001395810974439371, 422951864279, 2040180903660294344)
     local, remote = directions[0]
     widths, visited = _fold_widths(monkeypatch), _visit_order(monkeypatch)
     found = estimator._bounded_peak(local, remote, cfg)[:2]
-    assert found == (-2797, 61) and estimator._bounded_total(local, remote, cfg) == 163845
-    assert widths == [1024, estimator._SUPERBIN_BINS] and visited == [-3, -4]
+    assert found == (143, 69) and estimator._bounded_total(local, remote, cfg) == 170578
+    assert widths == [1024, estimator._SUPERBIN_BINS] and visited == [0, -1]
     monkeypatch.setattr(estimator, "_PROBE_SUPERBINS", estimator._MAX_SUPERBINS)  # no probe: the floor alone
     assert estimator._bounded_peak(local, remote, cfg)[:2] == found
 

@@ -27,11 +27,11 @@ from qcsync.timebase import ClockModel, ClockState
 
 GOLDEN = {
     "2.4.6": {
-        "session": "460f0eff93f458dea2aa0ba2feb2acfafa298ca755485a1fb23e5184c5e04c7e",
-        "cli": "ba28ff35da9c3df7093002f851a038b70ef7bcb800d6d26b70c28411c90a53a6",
-        "network": "caaf53bdbd7207c9106162088297e5bebdb5f65b904ff065685035e749941ce5",
+        "session": "8632b36266965be2f3d76bc08dba8f29f41c56ec9a7cabb7183d5e0aad609842",
+        "cli": "6d3315eb7cc0a5b6968d8d36e89defc56e4d16c02f1cf949ac75451b5e8949bf",
+        "network": "32d97bd3fcedcc7c58283fafd86d5d10a82161ea5b3fed313bc588bcc6fd1b44",
         "relativity": "3e2936db4541678f26eb759d25da17d5b986ed4606e90d435d4691f90891f552",
-        "network_orbit": "ed92992f2159005e9edbddeb0e392a541819a676f546c14f4852eb5d514aee2a",
+        "network_orbit": "cb72e3a3463e5f4e7632afa7baf1166e2edc3498dae2dde68a4b53e5fb092307",
     },
 }
 

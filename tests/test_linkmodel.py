@@ -34,6 +34,7 @@ from qcsync.linkmodel import (
     visibility_windows,
 )
 from qcsync.scenario import build_topology
+from qcsync.seeding import derive_rng
 from qcsync.session import run_session
 from qcsync.timebase import INT64_LIMIT, ClockModel, ClockState, TimeRangeError
 
@@ -68,7 +69,7 @@ def test_static_flight_is_computed_once_per_link_and_direction(monkeypatch):
     monkeypatch.setattr(linkmodel, "_geometry_at", lambda *args: calls.append(args) or geometry_at(*args))
     link = LinkModel(geometry=StaticRange(range_m=299.792458), nonreciprocity_bias=2000, include_shapiro=True)
     flights = {d: {time_of_flight(link, t, d) for t in (0, 10**15, -(10**15))} for d in Direction}
-    arrivals = propagate(np.array([0, 10**12], dtype=np.int64), link, Direction.B_TO_A, seed=1)
+    arrivals = propagate(np.array([0, 10**12], dtype=np.int64), link, Direction.B_TO_A, derive_rng(1))
     assert len(calls) == 2  # one per direction
     (ab,), (ba,) = flights[Direction.A_TO_B], flights[Direction.B_TO_A]
     assert ab - ba == 2000
@@ -175,12 +176,12 @@ def test_shapiro_included_when_enabled():
 def test_propagate_shifts_thins_and_jitters():
     link = LinkModel(geometry=StaticRange(range_m=299792.458), transmittance=0.5)
     photons = np.arange(0, 2 * 10**9, 10**5, dtype=np.int64)
-    out = propagate(photons, link, Direction.A_TO_B, (21,))
+    out = propagate(photons, link, Direction.A_TO_B, derive_rng(21))
     assert len(out) == pytest.approx(0.5 * len(photons), rel=0.1)
     flight = time_of_flight(link, 0, Direction.A_TO_B)
     assert np.all(np.isin(out - flight, photons))
     jl = LinkModel(geometry=StaticRange(range_m=299792.458), channel_jitter_sigma=400)
-    out_j = propagate(photons, jl, Direction.A_TO_B, (22,))
+    out_j = propagate(photons, jl, Direction.A_TO_B, derive_rng(22))
     assert np.std((out_j - photons - flight).astype(np.float64)) == pytest.approx(400, rel=0.1)
 
 
@@ -191,20 +192,20 @@ def test_propagate_drops_occluded_photons():
     visible_t = np.array([0, 10 * FS], dtype=np.int64)
     hidden_t = visible_t + period_fs // 2
     photons = np.sort(np.concatenate((visible_t, hidden_t)))
-    out = propagate(photons, link, Direction.A_TO_B, (23,))
+    out = propagate(photons, link, Direction.A_TO_B, derive_rng(23))
     assert len(out) == 2
 
 
 def test_propagate_requires_sorted_input():
     link = LinkModel(geometry=StaticRange(range_m=1.0))
     with pytest.raises(ValueError):
-        propagate(np.array([5, 1], dtype=np.int64), link, Direction.A_TO_B, (24,))
+        propagate(np.array([5, 1], dtype=np.int64), link, Direction.A_TO_B, derive_rng(24))
     # neighbours are compared, so a difference that wraps int64 is not misread
     with pytest.raises(ValueError, match="sorted"):
-        propagate(np.array([7 * 10**18, -7 * 10**18], dtype=np.int64), link, Direction.A_TO_B, (24,))
+        propagate(np.array([7 * 10**18, -7 * 10**18], dtype=np.int64), link, Direction.A_TO_B, derive_rng(24))
     wide = np.array([-7 * 10**18, 7 * 10**18], dtype=np.int64)
     flight = time_of_flight(link, 0, Direction.A_TO_B)
-    assert propagate(wide, link, Direction.A_TO_B, (24,)).tolist() == (wide + flight).tolist()
+    assert propagate(wide, link, Direction.A_TO_B, derive_rng(24)).tolist() == (wide + flight).tolist()
 
 
 @pytest.mark.parametrize("jitter", [0, 400])
@@ -213,9 +214,9 @@ def test_propagate_raises_where_arrivals_would_wrap_int64(jitter):
     flight = time_of_flight(link, 0, Direction.A_TO_B)  # 1 ms
     last = INT64_LIMIT - 1 - flight - 10**5  # room for any jitter this seed draws
     fits = np.array([0, last], dtype=np.int64)
-    assert propagate(fits, link, Direction.A_TO_B, (25,))[-1] >= last
+    assert propagate(fits, link, Direction.A_TO_B, derive_rng(25))[-1] >= last
     with pytest.raises(TimeRangeError):
-        propagate(np.array([0, last + 10**6], dtype=np.int64), link, Direction.A_TO_B, (25,))
+        propagate(np.array([0, last + 10**6], dtype=np.int64), link, Direction.A_TO_B, derive_rng(25))
     # an equatorial orbit overhead at the last int64 femtosecond
     t_last = (INT64_LIMIT - 1) / FS
     mean_motion = 2 * math.pi / orbital_period(_overhead_orbit())
@@ -223,7 +224,7 @@ def test_propagate_raises_where_arrivals_would_wrap_int64(jitter):
     overhead = LinkModel(geometry=CircularOrbit(altitude=550e3, phase0=phase0), channel_jitter_sigma=jitter)
     assert _geometry_at(overhead.geometry, t_last).elevation > math.radians(89)
     with pytest.raises(TimeRangeError):
-        propagate(np.array([0, INT64_LIMIT - 10**6], dtype=np.int64), overhead, Direction.B_TO_A, (25,))
+        propagate(np.array([0, INT64_LIMIT - 10**6], dtype=np.int64), overhead, Direction.B_TO_A, derive_rng(25))
     # 20 us sessions of 200 photons, on knots, ending 3 ms and 1 ms before the
     # edge: their arrivals, about 1.8 ms later, fit and do not
     rng = np.random.default_rng(38)
@@ -231,10 +232,10 @@ def test_propagate_raises_where_arrivals_would_wrap_int64(jitter):
         emit = np.sort(rng.integers(end - 2 * 10**10, end, 200))
         for direction in Direction:
             if fits:
-                assert len(propagate(emit, overhead, direction, (39,))) == 200
+                assert len(propagate(emit, overhead, direction, derive_rng(39))) == 200
             else:
                 with pytest.raises(TimeRangeError):
-                    propagate(emit, overhead, direction, (39,))
+                    propagate(emit, overhead, direction, derive_rng(39))
 
 
 def test_flight_time_outside_int64_raises():
@@ -358,7 +359,7 @@ def test_visibility_at_the_elevation_mask():
         visible = _geometry_at(orbit, emit / FS).visible
         assert least <= visible.sum() <= most
         for direction in Direction:
-            assert len(propagate(emit, link, direction, (37,))) == visible.sum()
+            assert len(propagate(emit, link, direction, derive_rng(37))) == visible.sum()
 
 
 def test_session_opening_below_the_mask_gates_one_flight_later():
@@ -393,7 +394,7 @@ def test_coincident_endpoints_are_not_visible():
     for direction in Direction:
         with pytest.raises(NotVisibleError):
             time_of_flight(link, 0, direction)
-        assert len(propagate(np.array([0]), link, direction, (44,))) == 0
+        assert len(propagate(np.array([0]), link, direction, derive_rng(44))) == 0
         # where the endpoints may meet, each photon is its own knot; on one
         # sphere the satellite never rises above the station's horizon
         emit = np.array([0, 10**12, 2 * 10**12, 3 * 10**12])
@@ -412,7 +413,7 @@ def test_a_few_photons_are_each_their_own_knot():
     for emit in ([t], [t, t], [t, t + 1], [t, t + 1, t + 1, t + 1], [t, t + 2, t + 4], [t, 2 * t, 2 * t + 1, 3 * t]):
         for direction in Direction:
             expected = sorted(e + time_of_flight(link, e, direction) for e in emit)
-            assert propagate(np.array(emit), link, direction, (41,)).tolist() == expected
+            assert propagate(np.array(emit), link, direction, derive_rng(41)).tolist() == expected
 
 
 def _longdouble_flights_fs(link, emit_fs, direction):
@@ -550,7 +551,7 @@ def test_light_time_iteration_limit_raises(monkeypatch, direction):
         time_of_flight(link, 0, direction)
     for photons in (emit[:1], emit):
         with pytest.raises(linkmodel.LightTimeConvergenceError):
-            propagate(photons, link, direction, (48,))
+            propagate(photons, link, direction, derive_rng(48))
     assert time_of_flight(LinkModel(geometry=StaticRange(range_m=299.792458)), 0, direction) == 10**9
 
 

@@ -19,6 +19,7 @@ from qcsync.photonics import (
     generate_pair_births,
     split_pairs,
 )
+from qcsync.seeding import derive_rng
 from qcsync.session import NodeInstruments, SessionSpec, estimate_session, run_session
 from qcsync.timebase import INT64_LIMIT, ClockModel, ClockState, TimeRangeError
 
@@ -32,7 +33,7 @@ def _ideal_clock(seed=1):
 def test_pair_birth_rate_matches_poisson_mean():
     source = PairSource(pair_rate=1e6)
     horizon = 10**13  # 10 ms -> expect 10^4
-    counts = [len(generate_pair_births(source, horizon, (3, k))) for k in range(30)]
+    counts = [len(generate_pair_births(source, horizon, derive_rng(3, k))) for k in range(30)]
     assert np.mean(counts) == pytest.approx(1e4, rel=0.02)
     # count variance is Poisson-like, not constant
     assert np.std(counts) > 30
@@ -40,8 +41,8 @@ def test_pair_birth_rate_matches_poisson_mean():
 
 def test_pair_births_sorted_within_horizon_and_deterministic():
     source = PairSource(pair_rate=5e5)
-    births = generate_pair_births(source, 10**12, (8, "x"))
-    again = generate_pair_births(source, 10**12, (8, "x"))
+    births = generate_pair_births(source, 10**12, derive_rng(8, "x"))
+    again = generate_pair_births(source, 10**12, derive_rng(8, "x"))
     assert np.array_equal(births, again)
     assert np.all(np.diff(births) >= 0)
     assert births.dtype == np.int64
@@ -52,7 +53,7 @@ def test_pair_births_sorted_within_horizon_and_deterministic():
 def test_split_pairs_difference_sigma():
     source = PairSource(pair_rate=1e6, pair_correlation_sigma=200)
     births = np.arange(0, 10**6, dtype=np.int64) * 10**6
-    local, remote = split_pairs(births[:20000], source, (4,))
+    local, remote = split_pairs(births[:20000], source, derive_rng(4))
     diffs = (local - remote).astype(np.float64)
     assert np.std(diffs) == pytest.approx(200.0, rel=0.05)
     assert np.mean(diffs) == pytest.approx(0.0, abs=5.0)
@@ -61,23 +62,23 @@ def test_split_pairs_difference_sigma():
 def test_split_pairs_zero_sigma_identity():
     source = PairSource(pair_rate=1e3, pair_correlation_sigma=0)
     births = np.array([10, 20, 30], dtype=np.int64)
-    local, remote = split_pairs(births, source, (1,))
+    local, remote = split_pairs(births, source, derive_rng(1))
     assert np.array_equal(local, births) and np.array_equal(remote, births)
-    local, remote = split_pairs(np.array([42], dtype=np.int64), source, (1,))
+    local, remote = split_pairs(np.array([42], dtype=np.int64), source, derive_rng(1))
     assert local.tolist() == [42] and remote.tolist() == [42]
 
 
 def test_detector_efficiency_thins_stream():
     det = Detector(efficiency=0.25)
     arrivals = np.arange(0, 4 * 10**10, 10**6, dtype=np.int64)
-    stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 4 * 10**10, (5,))
+    stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 4 * 10**10, derive_rng(5))
     assert len(stream) == pytest.approx(0.25 * len(arrivals), rel=0.05)
 
 
 def test_dead_time_enforced_non_paralyzable():
     det = Detector(dead_time=10**6)
     arrivals = np.array([0, 4 * 10**5, 9 * 10**5, 10**6, 3 * 10**6], dtype=np.int64)
-    stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 10**7, (6,))
+    stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 10**7, derive_rng(6))
     assert stream.timestamps.tolist() == [0, 10**6, 3 * 10**6]
 
 
@@ -134,7 +135,7 @@ def test_dead_time_filter_exact_near_int64_limits(times, dead_time):
 def test_detect_accepts_dead_time_beyond_int64():
     arrivals = np.array([0, 10**6, 3 * 10**6], dtype=np.int64)
     det = Detector(dead_time=2**63)
-    stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 10**7, (6,))
+    stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 10**7, derive_rng(6))
     assert stream.timestamps.tolist() == [0]
 
 
@@ -147,7 +148,7 @@ def test_dark_counts_cover_acquisition_window():
         _ideal_clock(),
         TimeTagger(resolution=1),
         10**12,
-        (7,),
+        derive_rng(7),
         window_start=window_start,
     )
     assert len(stream) == pytest.approx(1000, rel=0.2)
@@ -158,7 +159,7 @@ def test_dark_counts_cover_acquisition_window():
 def test_jitter_broadens_arrivals():
     det = Detector(jitter_sigma=500)
     arrivals = np.full(5000, 10**10, dtype=np.int64) + np.arange(5000) * 10**6
-    stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 10**11, (8,))
+    stream = detect(arrivals, det, _ideal_clock(), TimeTagger(resolution=1), 10**11, derive_rng(8))
     residuals = stream.timestamps - arrivals[: len(stream)]
     assert np.std(residuals.astype(np.float64)) == pytest.approx(500.0, rel=0.1)
 
@@ -166,7 +167,7 @@ def test_jitter_broadens_arrivals():
 def test_quantization_floors_to_resolution():
     tagger = TimeTagger(resolution=1000)
     arrivals = np.array([1499, 2999, 3500], dtype=np.int64)
-    stream = detect(arrivals, Detector(), _ideal_clock(), tagger, 10**6, (9,))
+    stream = detect(arrivals, Detector(), _ideal_clock(), tagger, 10**6, derive_rng(9))
     assert stream.timestamps.tolist() == [1000, 2000, 3000]
     assert stream.resolution_fs == 1000
 
@@ -174,14 +175,14 @@ def test_quantization_floors_to_resolution():
 def test_duplicate_tags_removed():
     tagger = TimeTagger(resolution=1000)
     arrivals = np.array([1100, 1200, 1300], dtype=np.int64)  # one tick after flooring
-    stream = detect(arrivals, Detector(), _ideal_clock(), tagger, 10**6, (10,))
+    stream = detect(arrivals, Detector(), _ideal_clock(), tagger, 10**6, derive_rng(10))
     assert stream.timestamps.tolist() == [1000]
 
 
 def test_range_limit_drops_out_of_range_tags():
     tagger = TimeTagger(resolution=1, range_limit=10**6)
     arrivals = np.array([10, 10**6, 10**6 + 1], dtype=np.int64)
-    stream = detect(arrivals, Detector(), _ideal_clock(), tagger, 10**7, (11,))
+    stream = detect(arrivals, Detector(), _ideal_clock(), tagger, 10**7, derive_rng(11))
     assert stream.timestamps.tolist() == [10, 10**6]
 
 
@@ -189,28 +190,28 @@ def test_range_limit_drops_a_tag_at_minus_2_to_the_63():
     # |-2^63| wraps to -2^63 in int64, so a filter on the absolute value kept it
     clock = ClockState(ClockModel(initial_offset_fs=-(2**63)))
     tagger = TimeTagger(resolution=1, range_limit=10**12)
-    stream = detect(np.array([0, 10**6]), Detector(), clock, tagger, 10**7, (1,))
+    stream = detect(np.array([0, 10**6]), Detector(), clock, tagger, 10**7, derive_rng(1))
     assert stream.timestamps.tolist() == []
 
 
 def test_detect_converts_to_local_frame():
     clock = ClockState(ClockModel(initial_offset_fs=777), rng_stream=12)
     arrivals = np.array([1000, 2000], dtype=np.int64)
-    stream = detect(arrivals, Detector(), clock, TimeTagger(resolution=1), 10**6, (12,))
+    stream = detect(arrivals, Detector(), clock, TimeTagger(resolution=1), 10**6, derive_rng(12))
     assert stream.timestamps.tolist() == [1777, 2777]
 
 
 def test_detect_raises_where_jitter_or_darks_would_wrap_int64():
     top = INT64_LIMIT - 100 + np.arange(50, dtype=np.int64)
     with pytest.raises(TimeRangeError):
-        detect(top, Detector(jitter_sigma=10**6), _ideal_clock(), TimeTagger(resolution=1), 10, (14,))
+        detect(top, Detector(jitter_sigma=10**6), _ideal_clock(), TimeTagger(resolution=1), 10, derive_rng(14))
     darks = Detector(dark_rate=1e12)  # about 1000 darks in the 1 ns horizon
     last_fit = INT64_LIMIT - 1 - 10**6
     none, tagger = np.empty(0, dtype=np.int64), TimeTagger(resolution=1)
-    stream = detect(none, darks, _ideal_clock(), tagger, 10**6, (15,), window_start=last_fit)
+    stream = detect(none, darks, _ideal_clock(), tagger, 10**6, derive_rng(15), window_start=last_fit)
     assert len(stream) > 900 and stream.timestamps[0] >= last_fit
     with pytest.raises(TimeRangeError):
-        detect(none, darks, _ideal_clock(), tagger, 10**6, (15,), window_start=last_fit + 10**6)
+        detect(none, darks, _ideal_clock(), tagger, 10**6, derive_rng(15), window_start=last_fit + 10**6)
 
 
 def test_reading_that_floors_past_int64_raises_time_range_error():
@@ -220,10 +221,10 @@ def test_reading_that_floors_past_int64_raises_time_range_error():
     for offset in (-(2**63) + 500, -(2**63)):
         clock = ClockState(ClockModel(initial_offset_fs=offset))
         with pytest.raises(TimeRangeError, match="floors to a 1000 fs tag"):
-            detect(arrivals, Detector(), clock, tagger, 10**7, (1,))
+            detect(arrivals, Detector(), clock, tagger, 10**7, derive_rng(1))
     # -2^63 lies 808 fs below a multiple of 1000 fs: a reading there floors inside
     edge = -(2**63) + 808
-    stream = detect(arrivals, Detector(), ClockState(ClockModel(initial_offset_fs=edge)), tagger, 10**7, (1,))
+    stream = detect(arrivals, Detector(), ClockState(ClockModel(initial_offset_fs=edge)), tagger, 10**7, derive_rng(1))
     assert stream.timestamps.tolist() == [edge, edge + 10**6]
 
 
@@ -260,7 +261,7 @@ def test_detect_unsorted_input_rejected():
             _ideal_clock(),
             TimeTagger(resolution=1),
             10,
-            (13,),
+            derive_rng(13),
         )
 
 
@@ -298,26 +299,27 @@ def test_detect_deterministic_per_seed():
     det = Detector(efficiency=0.8, jitter_sigma=300, dark_rate=1e4, dead_time=10**5)
     arrivals = np.sort(np.random.default_rng(0).integers(0, 10**12, 5000)).astype(np.int64)
     kwargs = dict(channel_id="ch", frame="f")
-    one = detect(arrivals, det, _ideal_clock(3), TimeTagger(), 10**12, (14, "s"), **kwargs)
-    two = detect(arrivals, det, _ideal_clock(3), TimeTagger(), 10**12, (14, "s"), **kwargs)
-    other = detect(arrivals, det, _ideal_clock(3), TimeTagger(), 10**12, (15, "s"), **kwargs)
+    one = detect(arrivals, det, _ideal_clock(3), TimeTagger(), 10**12, derive_rng(14, "s"), **kwargs)
+    two = detect(arrivals, det, _ideal_clock(3), TimeTagger(), 10**12, derive_rng(14, "s"), **kwargs)
+    other = detect(arrivals, det, _ideal_clock(3), TimeTagger(), 10**12, derive_rng(15, "s"), **kwargs)
     assert np.array_equal(one.timestamps, two.timestamps)
     assert not np.array_equal(one.timestamps, other.timestamps)
 
 
-def test_noiseless_detect_derives_no_dark_or_readout_generator(monkeypatch):
-    streams = []
-    spawn = photonics.spawn_rng
-    monkeypatch.setattr(photonics, "spawn_rng", lambda seed, *suffix: streams.append(suffix) or spawn(seed, *suffix))
+def test_noiseless_detect_leaves_its_generator_untouched():
+    # unit efficiency, no jitter, no darks and a noiseless clock draw nothing,
+    # so the steps after detection see the generator as detection found it
+    rng = derive_rng(2, "a")
+    state = rng.bit_generator.state
     arrivals = np.arange(0, 10**9, 10**6, dtype=np.int64)
     clock = ClockState(ClockModel(initial_offset_fs=5), rng_stream=1)
-    stream = detect(arrivals, Detector(), clock, TimeTagger(resolution=1), 10**9, (2, "a"))
-    assert streams == []
+    stream = detect(arrivals, Detector(), clock, TimeTagger(resolution=1), 10**9, rng)
+    assert rng.bit_generator.state == state
     assert stream.timestamps.tolist() == (arrivals + 5).tolist()
-    # dark counts and white phase noise still draw from their own sub-streams
+    # dark counts and white phase noise draw from it
     noisy = ClockState(ClockModel(white_phase_sigma_fs=10.0), rng_stream=1)
-    detect(arrivals, Detector(dark_rate=1e6), noisy, TimeTagger(resolution=1), 10**9, (2, "a"))
-    assert streams == [("detect-dark",), ("detect-readout",)]
+    detect(arrivals, Detector(dark_rate=1e6), noisy, TimeTagger(resolution=1), 10**9, rng)
+    assert rng.bit_generator.state != state
 
 
 def test_herald_thinning_keeps_half_the_local_tags():

@@ -176,6 +176,23 @@ def test_blank_line_in_body_rejected(tmp_path):
         read_timetag_file(path)
 
 
+def test_written_file_bytes_are_pinned(tmp_path):
+    # the header lines, then one decimal line per tag: 19-digit and short
+    # negatives, zero, and positives of several widths
+    values = [-(2**63) + 808, -5000, -1000, 0, 3000, 10**15]
+    stream = _stream(values, channel="a_local", frame="a", metadata={"scenario": "abc", "n": 4})
+    path = tmp_path / "a.tags"
+    write_timetag_file(path, stream)
+    assert path.read_bytes() == (
+        b"# qcs-timetag v1\n"
+        b"# channel: a_local\n"
+        b"# resolution_fs: 1000\n"
+        b"# frame: a\n"
+        b'# metadata: {"n": 4, "scenario": "abc"}\n'
+        b"-9223372036854775000\n-5000\n-1000\n0\n3000\n1000000000000000\n"
+    )
+
+
 def test_missing_file_raises_tagfile_error(tmp_path):
     with pytest.raises(TagFileError, match="cannot read"):
         read_timetag_file(tmp_path / "nope.tags")
